@@ -23,11 +23,9 @@ from .spectra import (
     SearchConfig,
     SingularTriple,
     Spectrum,
-    _dedup,
+    _aligned_z,
     _random_starts,
     _search_candidates,
-    _sort_triples,
-    _ZERO_NORM,
 )
 
 __all__ = [
@@ -234,20 +232,14 @@ def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) ->
     """
     cfg = cfg if cfg is not None else SearchConfig()
     _check_guard(T.dims)
-    arr = T.array
-    n1, n2, n3 = T.dims
+    n1, n2, _ = T.dims
     lat_x = _sign_pattern_lattice(n1)
     lat_y = _sign_pattern_lattice(n2)
     X0 = np.repeat(lat_x, lat_y.shape[0], axis=0)
     Y0 = np.tile(lat_y, (lat_x.shape[0], 1))
-    TXY = np.einsum("ijk,si,sj->sk", arr, X0, Y0)
-    norms = np.linalg.norm(TXY, axis=1)
-    Z0 = np.zeros((X0.shape[0], n3))
-    pos = norms > _ZERO_NORM
-    Z0[pos] = TXY[pos] / norms[pos, None]
-    Z0[~pos, 0] = 1.0
+    Z0 = _aligned_z(T.array, X0, Y0)
     Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    cands = _search_candidates(
+    triples = _search_candidates(
         T,
         np.vstack([X0, Xr]),
         np.vstack([Y0, Yr]),
@@ -255,7 +247,7 @@ def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) ->
         cfg,
         use_newton=True,
     )
-    return Spectrum(triples=_sort_triples(_dedup(cands, cfg), cfg), complete=False)
+    return Spectrum(triples=triples, complete=False)
 
 
 def confirm_complete(

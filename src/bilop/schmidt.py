@@ -26,11 +26,9 @@ from .tensor_core import Tensor3, VectorH, _as_entries, deflate_term, from_schmi
 from .spectra import (
     SearchConfig,
     SingularTriple,
-    _basis_pair_starts,
-    _dedup,
     _random_starts,
     _search_candidates,
-    _sort_triples,
+    _standard_starts,
     is_ordered,
     verify_triple,
 )
@@ -163,18 +161,6 @@ class RepresentationCheck:
         )
 
 
-def _top_candidates(T: Tensor3, cfg: SearchConfig) -> list[SingularTriple]:
-    """Verified triples of T from the standard multi-start set, deduplicated."""
-    arr = T.array
-    Xb, Yb, Zb, _ = _basis_pair_starts(arr)
-    Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    X0 = np.vstack([Xb, Xr])
-    Y0 = np.vstack([Yb, Yr])
-    Z0 = np.vstack([Zb, Zr])
-    cands = _search_candidates(T, X0, Y0, Z0, cfg, use_newton=False)
-    return list(_sort_triples(_dedup(cands, cfg), cfg))
-
-
 def schmidt_decompose(
     T: Tensor3, cfg: Optional[SearchConfig] = None
 ) -> tuple[SchmidtRepresentation, DeflationReport]:
@@ -205,11 +191,15 @@ def schmidt_decompose(
     terms: list[SchmidtTerm] = []
     failure: Optional[DeflationFailure] = None
     remainder = T
+    # Every remainder has T's dims, so all steps share one random start block.
+    random_block = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
 
     for k in range(1, cap + 1):
         if hs_norm(remainder) <= stop_level:
             break
-        cands = _top_candidates(remainder, cfg)
+        cands = _search_candidates(
+            remainder, *_standard_starts(remainder, cfg, random_block), cfg, use_newton=False
+        )
         if not cands:
             failure = DeflationFailure(
                 step=k,

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import Tensor3, hs_norm
-from .schmidt import SchmidtRepresentation, SchmidtStatus, verify_representation
+from .schmidt import (
+    _FAMILY_ORTHO_TOL,
+    SchmidtRepresentation,
+    SchmidtStatus,
+    verify_representation,
+)
 
 __all__ = [
     "SchurTerm",
@@ -29,8 +34,6 @@ __all__ = [
     "schur_from_schmidt",
     "verify_schur",
 ]
-
-_FAMILY_ORTHO_TOL = 1e-8
 
 
 class SchurInconsistencyError(RuntimeError):

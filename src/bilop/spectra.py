@@ -58,6 +58,10 @@ _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 100
 _NEWTON_DIVERGED = 1e6
 
+#: Largest temporary, in float64 entries, that one _contract row block
+#: builds (512 KiB); larger batches are contracted block by block.
+_CONTRACT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -159,35 +163,85 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# residual and orbit helpers
+# batched contraction kernel, residuals and orbit helpers
 
 
-def _triple_state_residuals(
-    arr: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> tuple[float, tuple[float, float, float]]:
-    """tau = <T(x,y), z> and the three equation residuals at (x, y, z)."""
-    txy = np.einsum("ijk,i,j->k", arr, x, y)
-    tau = float(txy @ z)
-    r1 = float(np.linalg.norm(txy - tau * z))
-    r2 = float(np.linalg.norm(np.einsum("ijk,j,k->i", arr, y, z) - tau * x))
-    r3 = float(np.linalg.norm(np.einsum("ijk,i,k->j", arr, x, z) - tau * y))
-    return tau, (r1, r2, r3)
+def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """One partial contraction of T per row of a block of vector pairs.
+
+    mode is the factor left free; U and V hold one vector per row for the
+    other two factors, in mode order:
+
+        mode 2: T(x, y)          from (X, Y)
+        mode 0: contract_1(y, z) from (Y, Z)
+        mode 1: contract_2(x, z) from (X, Z)
+
+    Each row block is one BLAS product of a factor with a mode unfolding of
+    T, giving an (rows, n_a, n_b) temporary, followed by a two-operand row
+    reduction against the other factor. Blocks hold at most _CONTRACT_BLOCK
+    temporary entries. A row's result depends only on that row, never on
+    the block or batch it is computed in.
+    """
+    n1, n2, n3 = arr.shape
+    if mode == 0:
+        first, second, unf, shape, spec = V, U, arr.reshape(n1 * n2, n3).T, (n1, n2), "sij,sj->si"
+    elif mode == 1:
+        first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sk->sj"
+    else:
+        first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sj->sk"
+    S = first.shape[0]
+    out = np.empty((S, arr.shape[mode]))
+    block = max(2, _CONTRACT_BLOCK // unf.shape[1])
+    for lo in range(0, S, block):
+        F, G = first[lo : lo + block], second[lo : lo + block]
+        rows = F.shape[0]
+        if rows == 1:
+            # numpy hands a one-row product to gemv, whose summation order
+            # differs from gemm's; a doubled row keeps it on gemm.
+            F = np.repeat(F, 2, axis=0)
+        M = (F @ unf)[:rows].reshape(rows, *shape)
+        np.einsum(spec, M, G, out=out[lo : lo + rows])
+        del M  # free this block's product before the next one is allocated
+    return out
+
+
+def _residuals(
+    arr: np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
+    Z: np.ndarray,
+    TXY: Optional[np.ndarray] = None,
+    C2: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row tau = <T(x,y), z> and the three equation residuals, shape (S, 3).
+
+    TXY = T(x, y) and C2 = contract_2(x, z) are contracted here unless the
+    caller already has them.
+    """
+    if TXY is None:
+        TXY = _contract(arr, 2, X, Y)
+    if C2 is None:
+        C2 = _contract(arr, 1, X, Z)
+    tau = np.einsum("sk,sk->s", TXY, Z)
+    t = tau[:, None]
+    R = np.empty((tau.size, 3))
+    R[:, 0] = np.linalg.norm(TXY - t * Z, axis=1)
+    R[:, 1] = np.linalg.norm(_contract(arr, 0, Y, Z) - t * X, axis=1)
+    R[:, 2] = np.linalg.norm(C2 - t * Y, axis=1)
+    return tau, R
 
 
 _ORBIT_SIGNS = ((1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, -1.0))
 
 
-def _orbit_distance(a: SingularTriple, b: SingularTriple) -> float:
-    """min over sign variants of max(||x-x'||, ||y-y'||, ||z-z'||)."""
-    best = np.inf
-    for sx, sy, sz in _ORBIT_SIGNS:
-        d = max(
-            float(np.linalg.norm(a.x - sx * b.x)),
-            float(np.linalg.norm(a.y - sy * b.y)),
-            float(np.linalg.norm(a.z - sz * b.z)),
-        )
-        best = min(best, d)
-    return best
+def _canonical_rows(
+    X: np.ndarray, Y: np.ndarray, Z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """canonicalize applied to every row of a block of triples (exact sign flips)."""
+    rows = np.arange(X.shape[0])
+    sx = np.where(X[rows, np.argmax(np.abs(X), axis=1)] < 0, -1.0, 1.0)
+    sy = np.where(Y[rows, np.argmax(np.abs(Y), axis=1)] < 0, -1.0, 1.0)
+    return sx[:, None] * X, sy[:, None] * Y, (sx * sy)[:, None] * Z
 
 
 def canonicalize(triple: SingularTriple) -> SingularTriple:
@@ -225,22 +279,6 @@ def _row_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M / safe[:, None], norms
 
 
-def _batch_residuals(
-    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tau and max equation residual for a block of states."""
-    TXY = np.einsum("ijk,si,sj->sk", arr, X, Y)
-    tau = np.einsum("sk,sk->s", TXY, Z)
-    r1 = np.linalg.norm(TXY - tau[:, None] * Z, axis=1)
-    r2 = np.linalg.norm(
-        np.einsum("ijk,sj,sk->si", arr, Y, Z) - tau[:, None] * X, axis=1
-    )
-    r3 = np.linalg.norm(
-        np.einsum("ijk,si,sk->sj", arr, X, Z) - tau[:, None] * Y, axis=1
-    )
-    return tau, np.maximum(np.maximum(r1, r2), r3)
-
-
 def _als_batch(
     arr: np.ndarray,
     X0: np.ndarray,
@@ -256,96 +294,91 @@ def _als_batch(
     vectorizes the identical update). Converged rows are then polished
     with further sweeps until the equation residuals stall or reach
     ~1e-13*(1+tau). Returns per-row final states and status.
+
+    Both phases work on a compacted block of the rows still iterating
+    (idx / a map it back to start rows); a row leaves the block when it
+    converges, hits a zero contraction or stops polishing. _contract makes
+    a row's arithmetic independent of the block it sits in.
     """
     S = X0.shape[0]
     n3 = arr.shape[2]
     X, _ = _row_normalize(np.array(X0, dtype=float))
     Y, _ = _row_normalize(np.array(Y0, dtype=float))
     Z = np.zeros((S, n3))
-    f_prev = np.full(S, np.nan)
-    converged = np.zeros(S, dtype=bool)
+    ok = np.zeros(S, dtype=bool)
     dead = np.zeros(S, dtype=bool)
 
+    idx = np.arange(S)
+    x, y = X, Y
+    f_prev = np.full(S, np.nan)
     for _ in range(cfg.max_iter):
-        act = ~(converged | dead)
-        if not act.any():
+        if idx.size == 0:
             break
-        TXY = np.einsum("ijk,si,sj->sk", arr, X[act], Y[act])
-        f = np.linalg.norm(TXY, axis=1)
-        idx = np.flatnonzero(act)
-        zero = f <= _ZERO_NORM
-        if zero.any():
-            dead[idx[zero]] = True
-        Z[idx[~zero]] = TXY[~zero] / f[~zero, None]
-        if trace is not None and not dead[0] and act[0]:
+        z, f = _row_normalize(_contract(arr, 2, x, y))
+        live = f > _ZERO_NORM
+        if trace is not None and idx[0] == 0 and live[0]:
             trace.append(float(f[0]))
-        prev = f_prev[idx]
-        done = (~zero) & ~np.isnan(prev) & (np.abs(f - prev) <= cfg.iter_tol * (1.0 + f))
-        converged[idx[done]] = True
-        f_prev[idx] = f
-
-        act = ~(converged | dead)
-        if not act.any():
-            break
-        XN = np.einsum("ijk,sj,sk->si", arr, Y[act], Z[act])
-        xn = np.linalg.norm(XN, axis=1)
-        idx = np.flatnonzero(act)
-        zero = xn <= _ZERO_NORM
-        dead[idx[zero]] = True
-        X[idx[~zero]] = XN[~zero] / xn[~zero, None]
-
-        act = ~(converged | dead)
-        idx = np.flatnonzero(act)
-        if idx.size:
-            YN = np.einsum("ijk,si,sk->sj", arr, X[act], Z[act])
-            yn = np.linalg.norm(YN, axis=1)
-            zero = yn <= _ZERO_NORM
-            dead[idx[zero]] = True
-            Y[idx[~zero]] = YN[~zero] / yn[~zero, None]
-
-    ok = converged.copy()
-
-    # Phase B: residual polish on the converged rows.
-    if ok.any():
-        sel = np.flatnonzero(ok)
-        Xb, Yb, Zb = X[sel].copy(), Y[sel].copy(), Z[sel].copy()
-        tau_b, res_b = _batch_residuals(arr, Xb, Yb, Zb)
-        bestX, bestY, bestZ = Xb.copy(), Yb.copy(), Zb.copy()
-        best_r = res_b.copy()
-        stall = np.zeros(sel.size, dtype=int)
-        active = best_r > _POLISH_FACTOR * (1.0 + np.abs(tau_b))
-        for _ in range(_POLISH_MAX_SWEEPS):
-            if not active.any():
+        done = live & ~np.isnan(f_prev) & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
+        f_prev = f
+        if done.any():
+            rows = idx[done]
+            ok[rows] = True
+            X[rows], Y[rows], Z[rows] = x[done], y[done], z[done]
+        keep = live & ~done
+        if not keep.all():
+            dead[idx[~live]] = True
+            idx, x, y, z, f_prev = idx[keep], x[keep], y[keep], z[keep], f_prev[keep]
+            if idx.size == 0:
                 break
-            a = np.flatnonzero(active)
-            TXY = np.einsum("ijk,si,sj->sk", arr, Xb[a], Yb[a])
-            f = np.linalg.norm(TXY, axis=1)
-            bad = f <= _ZERO_NORM
-            if bad.any():
-                active[a[bad]] = False
-                a = a[~bad]
-                if a.size == 0:
-                    continue
-                TXY = TXY[~bad]
-                f = f[~bad]
-            Zb[a] = TXY / f[:, None]
-            Xb[a] = _row_normalize(np.einsum("ijk,sj,sk->si", arr, Yb[a], Zb[a]))[0]
-            Yb[a] = _row_normalize(np.einsum("ijk,si,sk->sj", arr, Xb[a], Zb[a]))[0]
-            tau_a, res_a = _batch_residuals(arr, Xb[a], Yb[a], Zb[a])
-            improved = res_a < best_r[a]
+
+        x, norms = _row_normalize(_contract(arr, 0, y, z))
+        live = norms > _ZERO_NORM
+        if not live.all():
+            dead[idx[~live]] = True
+            idx, x, y, z, f_prev = idx[live], x[live], y[live], z[live], f_prev[live]
+            if idx.size == 0:
+                break
+
+        y, norms = _row_normalize(_contract(arr, 1, x, z))
+        live = norms > _ZERO_NORM
+        if not live.all():
+            dead[idx[~live]] = True
+            idx, x, y, f_prev = idx[live], x[live], y[live], f_prev[live]
+
+    # Phase B: residual polish of the converged rows; each keeps its best state.
+    sel = np.flatnonzero(ok)
+    if sel.size:
+        bx, by, bz = X[sel], Y[sel], Z[sel]
+        # A sweep starts from T(x, y), which the residuals of the state it
+        # starts from already contracted; contract_2(x, z) is shared likewise.
+        txy = _contract(arr, 2, bx, by)
+        tau, R = _residuals(arr, bx, by, bz, TXY=txy)
+        best_r = R.max(axis=1)
+        stall = np.zeros(sel.size, dtype=int)
+        a = np.flatnonzero(best_r > _POLISH_FACTOR * (1.0 + np.abs(tau)))
+        x, y, txy = bx[a], by[a], txy[a]
+        for _ in range(_POLISH_MAX_SWEEPS):
+            if a.size == 0:
+                break
+            z, f = _row_normalize(txy)
+            live = f > _ZERO_NORM
+            if not live.all():
+                a, x, y, z = a[live], x[live], y[live], z[live]
+            x = _row_normalize(_contract(arr, 0, y, z))[0]
+            c2 = _contract(arr, 1, x, z)
+            y = _row_normalize(c2)[0]
+            txy = _contract(arr, 2, x, y)
+            tau, R = _residuals(arr, x, y, z, TXY=txy, C2=c2)
+            r = R.max(axis=1)
+            improved = r < best_r[a]
             imp = a[improved]
-            bestX[imp], bestY[imp], bestZ[imp] = (
-                Xb[imp],
-                Yb[imp],
-                Zb[imp],
-            )
-            best_r[imp] = res_a[improved]
+            bx[imp], by[imp], bz[imp] = x[improved], y[improved], z[improved]
+            best_r[imp] = r[improved]
             stall[imp] = 0
             stall[a[~improved]] += 1
-            hit = res_a <= _POLISH_FACTOR * (1.0 + np.abs(tau_a))
-            active[a[hit]] = False
-            active[a[stall[a] > _POLISH_STALL_LIMIT]] = False
-        X[sel], Y[sel], Z[sel] = bestX, bestY, bestZ
+            stay = ~(r <= _POLISH_FACTOR * (1.0 + np.abs(tau))) & ~(stall[a] > _POLISH_STALL_LIMIT)
+            a, x, y, txy = a[stay], x[stay], y[stay], txy[stay]
+        X[sel], Y[sel], Z[sel] = bx, by, bz
 
     reasons = np.where(dead, "zero contraction", "max_iter exceeded")
     return {"X": X, "Y": Y, "Z": Z, "ok": ok, "reasons": reasons}
@@ -472,20 +505,15 @@ def _newton_batch(
 # deterministic start sets
 
 
-def _basis_pair_starts(
-    arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One start per canonical basis pair (e_i, f_j), z aligned with T(e_i, f_j)."""
-    n1, n2, n3 = arr.shape
-    X = np.repeat(np.eye(n1), n2, axis=0)
-    Y = np.tile(np.eye(n2), (n1, 1))
-    TXY = np.einsum("ijk,si,sj->sk", arr, X, Y)
+def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """z for each start pair: T(x, y) normalized, or e_1 where T(x, y) vanishes."""
+    TXY = _contract(arr, 2, X, Y)
     norms = np.linalg.norm(TXY, axis=1)
-    Z = np.zeros((n1 * n2, n3))
+    Z = np.zeros_like(TXY)
     pos = norms > _ZERO_NORM
     Z[pos] = TXY[pos] / norms[pos, None]
     Z[~pos, 0] = 1.0
-    return X, Y, Z, norms
+    return Z
 
 
 def _random_starts(
@@ -497,7 +525,8 @@ def _random_starts(
     Y = np.empty((count, n2))
     Z = np.empty((count, n3))
     for s in range(count):
-        g = np.random.default_rng([seed, s])
+        # default_rng([seed, s]) spelled out: a third cheaper, same stream.
+        g = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s])))
         v = g.standard_normal(n1 + n2 + n3)
         X[s] = v[:n1]
         Y[s] = v[n1 : n1 + n2]
@@ -508,46 +537,80 @@ def _random_starts(
     return X, Y, Z
 
 
-# ---------------------------------------------------------------------------
-# candidate collection, dedup, ordering
-
-
-def _collect_verified(
+def _standard_starts(
     T: Tensor3,
+    cfg: SearchConfig,
+    random_block: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multi-start set: every basis pair (e_i, f_j), then the random block.
+
+    Basis-pair starts take z aligned with T(e_i, f_j). The random block is
+    cfg.resolved_starts seeded random triples; it depends only on dims and
+    cfg, so a caller searching several tensors of one shape (a deflation)
+    builds it once and passes it in.
+    """
+    n1, n2, _ = T.dims
+    X = np.repeat(np.eye(n1), n2, axis=0)
+    Y = np.tile(np.eye(n2), (n1, 1))
+    Z = _aligned_z(T.array, X, Y)
+    if random_block is None:
+        random_block = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
+    Xr, Yr, Zr = random_block
+    return np.vstack([X, Xr]), np.vstack([Y, Yr]), np.vstack([Z, Zr])
+
+
+# ---------------------------------------------------------------------------
+# candidate verification, dedup, ordering
+
+
+def _orbit_mates(
+    tau: np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
     Z: np.ndarray,
-    ok: np.ndarray,
+    i: int,
+    rows: np.ndarray,
     cfg: SearchConfig,
-) -> list[SingularTriple]:
-    arr = T.array
-    out: list[SingularTriple] = []
-    for i in np.flatnonzero(ok):
-        tau, residuals = _triple_state_residuals(arr, X[i], Y[i], Z[i])
-        if tau <= cfg.residual_tol:
-            continue
-        if max(residuals) > cfg.residual_tol:
-            continue
-        out.append(
-            canonicalize(
-                SingularTriple(tau=tau, x=X[i], y=Y[i], z=Z[i], residuals=residuals)
-            )
+) -> np.ndarray:
+    """Mask over rows: candidate in the sign orbit of candidate i within dedup_tol.
+
+    Same orbit means tau within dedup_tol * (1 + max tau) and, for some
+    sign variant of row i, max(||x-x'||, ||y-y'||, ||z-z'||) <= dedup_tol.
+    """
+    t = tau[rows]
+    mates = np.abs(t - tau[i]) <= cfg.dedup_tol * (1.0 + np.maximum(t, tau[i]))
+    near = rows[mates]
+    dist = np.full(near.size, np.inf)
+    for sx, sy, sz in _ORBIT_SIGNS:
+        d = np.maximum(
+            np.maximum(
+                np.linalg.norm(X[near] - sx * X[i], axis=1),
+                np.linalg.norm(Y[near] - sy * Y[i], axis=1),
+            ),
+            np.linalg.norm(Z[near] - sz * Z[i], axis=1),
         )
-    return out
+        dist = np.minimum(dist, d)
+    mates[mates] = dist <= cfg.dedup_tol
+    return mates
 
 
-def _same_orbit(a: SingularTriple, b: SingularTriple, cfg: SearchConfig) -> bool:
-    if abs(a.tau - b.tau) > cfg.dedup_tol * (1.0 + max(a.tau, b.tau)):
-        return False
-    return _orbit_distance(a, b) <= cfg.dedup_tol
+def _dedup(
+    tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: SearchConfig
+) -> list[int]:
+    """Indices of the first representative of each sign orbit, in row order.
 
-
-def _dedup(cands: Sequence[SingularTriple], cfg: SearchConfig) -> list[SingularTriple]:
-    """Sequential reduction in start-index order; first representative wins."""
-    kept: list[SingularTriple] = []
-    for c in cands:
-        if not any(_same_orbit(c, k, cfg) for k in kept):
-            kept.append(c)
+    Row j is dropped exactly when some earlier kept row lies in its orbit,
+    so one pass per kept row over all later live rows gives the same set as
+    a sequential first-representative-wins merge.
+    """
+    live = np.ones(tau.size, dtype=bool)
+    kept: list[int] = []
+    for i in range(tau.size):
+        if not live[i]:
+            continue
+        kept.append(i)
+        later = i + 1 + np.flatnonzero(live[i + 1 :])
+        live[later[_orbit_mates(tau, X, Y, Z, i, later, cfg)]] = False
     return kept
 
 
@@ -576,24 +639,40 @@ def _search_candidates(
     Z0: np.ndarray,
     cfg: SearchConfig,
     use_newton: bool,
-) -> list[SingularTriple]:
-    """Alternating iteration over a start block, optionally followed by Newton.
+) -> tuple[SingularTriple, ...]:
+    """Verified, canonical, deduplicated and sorted triples from a start block.
 
-    Candidates are collected in deterministic order: alternating-iteration
-    results by start index first, then Newton results by start index.
+    The alternating iteration runs over the block, optionally followed by
+    Newton from the same starts. Candidates are taken in deterministic
+    order (alternating-iteration results by start index, then Newton
+    results by start index), gated at residual_tol with tau > residual_tol,
+    canonicalized and merged by sign orbit, first representative winning.
     """
     arr = T.array
-    als = _als_batch(arr, X0, Y0, cfg)
-    cands = _collect_verified(T, als["X"], als["Y"], als["Z"], als["ok"], cfg)
+    runs = [_als_batch(arr, X0, Y0, cfg)]
     if use_newton:
-        tau0 = np.einsum(
-            "sk,sk->s", np.einsum("ijk,si,sj->sk", arr, X0, Y0), Z0
+        # Newton's start values keep their own einsum arithmetic, like
+        # _newton_batch: its roots feed tie orders pinned by the gallery reports.
+        tau0 = np.einsum("sk,sk->s", np.einsum("ijk,si,sj->sk", arr, X0, Y0), Z0)
+        runs.append(_newton_batch(arr, X0, Y0, Z0, tau0))
+    X = np.vstack([run["X"][run["ok"]] for run in runs])
+    Y = np.vstack([run["Y"][run["ok"]] for run in runs])
+    Z = np.vstack([run["Z"][run["ok"]] for run in runs])
+    tau, R = _residuals(arr, X, Y, Z)
+    good = (tau > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
+    tau, R = tau[good], R[good]
+    X, Y, Z = _canonical_rows(X[good], Y[good], Z[good])
+    kept = [
+        SingularTriple(
+            tau=float(tau[i]),
+            x=X[i].copy(),
+            y=Y[i].copy(),
+            z=Z[i].copy(),
+            residuals=tuple(float(r) for r in R[i]),
         )
-        newt = _newton_batch(arr, X0, Y0, Z0, tau0)
-        cands.extend(
-            _collect_verified(T, newt["X"], newt["Y"], newt["Z"], newt["ok"], cfg)
-        )
-    return cands
+        for i in _dedup(tau, X, Y, Z, cfg)
+    ]
+    return _sort_triples(kept, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +708,14 @@ def hopm_refine(
     res = _als_batch(T.array, xa[None, :], ya[None, :], cfg)
     if not res["ok"][0]:
         return NonConvergence(str(res["reasons"][0]))
-    tau, residuals = _triple_state_residuals(
-        T.array, res["X"][0], res["Y"][0], res["Z"][0]
-    )
+    tau, R = _residuals(T.array, res["X"], res["Y"], res["Z"])
     return canonicalize(
         SingularTriple(
-            tau=tau, x=res["X"][0], y=res["Y"][0], z=res["Z"][0], residuals=residuals
+            tau=float(tau[0]),
+            x=res["X"][0],
+            y=res["Y"][0],
+            z=res["Z"][0],
+            residuals=tuple(float(r) for r in R[0]),
         )
     )
 
@@ -726,16 +807,9 @@ def operator_norm(
     cfg = cfg if cfg is not None else SearchConfig()
     if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
-    arr = T.array
-    Xb, Yb, Zb, _ = _basis_pair_starts(arr)
-    Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    X0 = np.vstack([Xb, Xr])
-    Y0 = np.vstack([Yb, Yr])
-    Z0 = np.vstack([Zb, Zr])
-    cands = _search_candidates(T, X0, Y0, Z0, cfg, use_newton=False)
-    if not cands:
+    ordered = _search_candidates(T, *_standard_starts(T, cfg), cfg, use_newton=False)
+    if not ordered:
         return 0.0, None
-    ordered = _sort_triples(_dedup(cands, cfg), cfg)
     best = ordered[0]
     return best.tau, best
 
@@ -754,11 +828,5 @@ def enumerate_triples(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectru
     cfg = cfg if cfg is not None else SearchConfig()
     if hs_norm(T) < cfg.residual_tol:
         return Spectrum(triples=(), complete=False)
-    arr = T.array
-    Xb, Yb, Zb, _ = _basis_pair_starts(arr)
-    Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    X0 = np.vstack([Xb, Xr])
-    Y0 = np.vstack([Yb, Yr])
-    Z0 = np.vstack([Zb, Zr])
-    cands = _search_candidates(T, X0, Y0, Z0, cfg, use_newton=True)
-    return Spectrum(triples=_sort_triples(_dedup(cands, cfg), cfg), complete=False)
+    triples = _search_candidates(T, *_standard_starts(T, cfg), cfg, use_newton=True)
+    return Spectrum(triples=triples, complete=False)

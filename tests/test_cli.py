@@ -1,6 +1,7 @@
 """End-to-end command-line tests via subprocess, including exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -39,6 +40,7 @@ def files(tmp_path_factory):
         ("diag_pair", gallery.diagonal_pair()),
         ("overlap", gallery.overlapping_slices()),
         ("signed_diag", gallery.signed_diagonal((3.0, -2.0, 1.0))),
+        ("triad", gallery.orthonormal_triad()),
     ]:
         p = root / f"{stem}.json"
         p.write_text(json.dumps(tensor_to_json_dict(T)))
@@ -245,3 +247,18 @@ class TestInputHandling:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize("command", ["spectrum", "schmidt"])
+    def test_reports_are_byte_identical_across_blas_thread_counts(self, files, command):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bilop", command, files["triad"], "--json"],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

@@ -1,0 +1,149 @@
+"""The batched internals of the search: contraction kernel, row-wise
+canonicalization and the sign-orbit merge, each against its one-at-a-time
+definition."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bilop import SearchConfig, SingularTriple, canonicalize, spectra
+from bilop.spectra import _ORBIT_SIGNS, _canonical_rows, _contract, _dedup
+
+#: The einsum definition of each contraction mode, and the factor modes of
+#: its (U, V) operands.
+EINSUM = {2: "ijk,si,sj->sk", 0: "ijk,sj,sk->si", 1: "ijk,si,sk->sj"}
+OPERANDS = {2: (0, 1), 0: (1, 2), 1: (0, 2)}
+SHAPES = [(4, 4, 4), (5, 5, 5), (2, 3, 4), (4, 8, 6), (1, 3, 2), (7, 1, 5)]
+
+
+def operands(shape, mode, rows, seed):
+    rng = np.random.default_rng([seed, mode, *shape])
+    arr = rng.standard_normal(shape)
+    U, V = (rng.standard_normal((rows, shape[m])) for m in OPERANDS[mode])
+    return arr, U, V
+
+
+class TestContract:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_matches_the_einsum_definition(self, shape, mode):
+        arr, U, V = operands(shape, mode, 37, seed=1)
+        got = _contract(arr, mode, U, V)
+        want = np.einsum(EINSUM[mode], arr, U, V)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_rows_do_not_depend_on_the_batch(self, shape, mode, monkeypatch):
+        arr, U, V = operands(shape, mode, 37, seed=2)
+        full = _contract(arr, mode, U, V)
+        for s in (0, 17, 36):
+            assert np.array_equal(_contract(arr, mode, U[s : s + 1], V[s : s + 1])[0], full[s])
+        subset = np.random.default_rng(3).random(37) < 0.5
+        assert np.array_equal(_contract(arr, mode, U[subset], V[subset]), full[subset])
+        # Blocks of three rows: 37 rows end in a one-row block.
+        n1, n2, n3 = shape
+        width = n1 * n2 if mode == 0 else n2 * n3
+        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * width)
+        assert np.array_equal(_contract(arr, mode, U, V), full)
+
+    def test_empty_batch(self):
+        arr, U, V = operands((3, 4, 5), 1, 0, seed=4)
+        assert _contract(arr, 1, U, V).shape == (0, 4)
+
+
+class TestCanonicalRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
+    def test_equals_canonicalize_row_by_row(self, seed, n, ties):
+        rng = np.random.default_rng(seed)
+        if ties:
+            # Small integers: peak magnitudes shared by entries of both signs.
+            X, Y = (rng.integers(-2, 3, (12, n)).astype(float) for _ in range(2))
+            for M in (X, Y):
+                M[~M.any(axis=1), 0] = -1.0
+        else:
+            X, Y = (rng.standard_normal((12, n)) for _ in range(2))
+        Z = rng.standard_normal((12, n))
+        cx, cy, cz = _canonical_rows(X, Y, Z)
+        for i in range(12):
+            ref = canonicalize(SingularTriple(1.0, X[i], Y[i], Z[i], (0.0, 0.0, 0.0)))
+            assert np.array_equal(cx[i], ref.x)
+            assert np.array_equal(cy[i], ref.y)
+            assert np.array_equal(cz[i], ref.z)
+
+
+def same_orbit(a, b, cfg):
+    """The pairwise merge test: tau within dedup_tol relatively and some
+    sign variant of b within dedup_tol of a in every factor."""
+    if abs(a.tau - b.tau) > cfg.dedup_tol * (1.0 + max(a.tau, b.tau)):
+        return False
+    best = min(
+        max(
+            float(np.linalg.norm(a.x - sx * b.x)),
+            float(np.linalg.norm(a.y - sy * b.y)),
+            float(np.linalg.norm(a.z - sz * b.z)),
+        )
+        for sx, sy, sz in _ORBIT_SIGNS
+    )
+    return best <= cfg.dedup_tol
+
+
+def reference_dedup(cands, cfg):
+    """Sequential merge in candidate order; the first representative wins."""
+    kept = []
+    for j, c in enumerate(cands):
+        if not any(same_orbit(c, cands[i], cfg) for i in kept):
+            kept.append(j)
+    return kept
+
+
+@st.composite
+def candidate_sets(draw):
+    """Candidates drawn around a few base triples: exact copies, sign-orbit
+    copies, and copies moved by half to one and a half dedup_tol, in tau or
+    in one entry of one vector."""
+    cfg = SearchConfig()
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    dims = draw(st.tuples(*(st.integers(1, 4) for _ in range(3))))
+    bases = []
+    for _ in range(draw(st.integers(1, 4))):
+        tau = draw(st.sampled_from([0.5, 1.0, 1.0 + 5e-7, 2.0]))
+        bases.append([tau] + [v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in dims)])
+    cands = []
+    for _ in range(draw(st.integers(1, 24))):
+        tau, x, y, z = bases[draw(st.integers(0, len(bases) - 1))]
+        sx, sy, sz = draw(st.sampled_from(_ORBIT_SIGNS))
+        vecs = [sx * x, sy * y, sz * z]
+        move = draw(st.sampled_from(["none", "tau", "vector"]))
+        scale = draw(st.floats(0.5, 1.5))
+        if move == "tau":
+            tau = tau + draw(st.sampled_from([-1.0, 1.0])) * scale * cfg.dedup_tol * (1.0 + tau)
+        elif move == "vector":
+            f = draw(st.integers(0, 2))
+            vecs[f] = vecs[f].copy()
+            vecs[f][draw(st.integers(0, dims[f] - 1))] += scale * cfg.dedup_tol
+        cands.append(SingularTriple(float(tau), *vecs, (0.0, 0.0, 0.0)))
+    return cands, cfg
+
+
+class TestDedup:
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_sets())
+    def test_equals_the_sequential_merge(self, data):
+        cands, cfg = data
+        tau = np.array([c.tau for c in cands])
+        X, Y, Z = (np.array([getattr(c, f) for c in cands]) for f in "xyz")
+        assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg)
+
+    def test_keeps_the_first_of_each_orbit(self):
+        cfg = SearchConfig()
+        x, y, z = np.eye(2)[0], np.eye(3)[1], np.eye(2)[1]
+        tau = np.array([1.0, 1.0, 2.0, 1.0 + 1e-9])
+        X = np.array([x, -x, x, x])
+        Y = np.array([y, -y, y, y])
+        Z = np.array([z, z, z, z])
+        assert _dedup(tau, X, Y, Z, cfg) == [0, 2]
