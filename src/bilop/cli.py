@@ -477,32 +477,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "of bilinear operators given as third-order tensors.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_norm = subs.add_parser("norm", help="bilinear operator norm and Hilbert-Schmidt norm")
-    p_norm.add_argument("tensor", help="tensor JSON file")
-    _add_common_flags(p_norm)
-    p_norm.set_defaults(func=_cmd_norm)
-
-    p_spec = subs.add_parser("spectrum", help="enumerate singular triples with ordered classification")
-    p_spec.add_argument("tensor", help="tensor JSON file")
-    _add_common_flags(p_spec)
-    p_spec.set_defaults(func=_cmd_spectrum)
-
-    p_sch = subs.add_parser("schmidt", help="Schmidt decomposition by deflation")
-    p_sch.add_argument("tensor", help="tensor JSON file")
-    _add_common_flags(p_sch)
-    p_sch.set_defaults(func=_cmd_schmidt)
-
-    p_shr = subs.add_parser("schur", help="Schur representation of a symmetric self-adjoint operator")
-    p_shr.add_argument("tensor", help="tensor JSON file")
-    _add_common_flags(p_shr)
-    p_shr.set_defaults(func=_cmd_schur)
-
-    p_ver = subs.add_parser("verify", help="verify user-supplied triples against a tensor")
-    p_ver.add_argument("tensor", help="tensor JSON file")
-    p_ver.add_argument("triples", help="triples JSON file")
-    _add_common_flags(p_ver)
-    p_ver.set_defaults(func=_cmd_verify)
+    for name, help_text, func in (
+        ("norm", "bilinear operator norm and Hilbert-Schmidt norm", _cmd_norm),
+        ("spectrum", "enumerate singular triples with ordered classification", _cmd_spectrum),
+        ("schmidt", "Schmidt decomposition by deflation", _cmd_schmidt),
+        ("schur", "Schur representation of a symmetric self-adjoint operator", _cmd_schur),
+        ("verify", "verify user-supplied triples against a tensor", _cmd_verify),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("tensor", help="tensor JSON file")
+        if name == "verify":
+            sub.add_argument("triples", help="triples JSON file")
+        _add_common_flags(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -511,10 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_INPUT
-    except ValueError as exc:
+    except (_InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_INPUT
 

@@ -55,6 +55,22 @@ _FAMILY_ORTHO_TOL = 1e-8
 _TERM_UNIT_TOL = 1e-10
 
 
+def _max_gram_deviation(*families) -> float:
+    """Largest |<u_i, u_j> - delta_ij| over the given families of vectors."""
+    worst = 0.0
+    for family in families:
+        fam = np.array(family, dtype=float)
+        if fam.size:
+            worst = max(worst, float(np.max(np.abs(fam @ fam.T - np.eye(len(fam))))))
+    return worst
+
+
+def _reconstruction_residual(T: Tensor3, terms) -> float:
+    """hs-norm of T minus the sum of the Schmidt terms."""
+    recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in terms], dims=T.dims)
+    return hs_norm(Tensor3.from_array(T.array - recon.array))
+
+
 class SchmidtStatus(str, Enum):
     COMPLETE = "Complete"
     FAILED = "Failed"
@@ -267,18 +283,10 @@ def schmidt_decompose(
         )
         return rep, report
 
-    residual = hs_norm(
-        Tensor3.from_array(
-            T.array
-            - from_schmidt(
-                [(t.tau, t.x, t.y, t.z) for t in terms], dims=T.dims
-            ).array
-        )
-    )
     rep = SchmidtRepresentation(
         dims=T.dims,
         terms=tuple(terms),
-        reconstruction_residual=residual,
+        reconstruction_residual=_reconstruction_residual(T, terms),
         status=SchmidtStatus.COMPLETE,
     )
     return rep, report
@@ -312,16 +320,9 @@ def verify_representation(
     taus = [term.tau for term in rep.terms]
     monotone = all(taus[i] >= taus[i + 1] for i in range(len(taus) - 1))
 
-    max_gram = 0.0
-    for pick in (lambda t: t.x, lambda t: t.y, lambda t: t.z):
-        fam = np.array([pick(t) for t in rep.terms], dtype=float)
-        if fam.size:
-            gram = fam @ fam.T
-            max_gram = max(max_gram, float(np.max(np.abs(gram - np.eye(len(rep.terms))))))
+    max_gram = _max_gram_deviation(*([getattr(t, f) for t in rep.terms] for f in "xyz"))
     orthonormal = max_gram <= _FAMILY_ORTHO_TOL
-
-    recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in rep.terms], dims=rep.dims)
-    residual = hs_norm(Tensor3.from_array(T.array - recon.array))
+    residual = _reconstruction_residual(T, rep.terms)
 
     max_diag = 0.0
     arr = T.array

@@ -19,6 +19,7 @@ import numpy as np
 from .tensor_core import Tensor3, hs_norm
 from .schmidt import (
     _FAMILY_ORTHO_TOL,
+    _max_gram_deviation,
     SchmidtRepresentation,
     SchmidtStatus,
     verify_representation,
@@ -161,11 +162,7 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
         recon += term.lam * np.einsum("i,j,k->ijk", term.x, term.x, term.x)
     residual = hs_norm(Tensor3.from_array(T.array - recon))
 
-    max_gram = 0.0
-    if schur.terms:
-        fam = np.array([t.x for t in schur.terms], dtype=float)
-        gram = fam @ fam.T
-        max_gram = float(np.max(np.abs(gram - np.eye(len(schur.terms)))))
+    max_gram = _max_gram_deviation([t.x for t in schur.terms])
 
     lams = [abs(t.lam) for t in schur.terms]
     monotone = all(lams[i] >= lams[i + 1] for i in range(len(lams) - 1))

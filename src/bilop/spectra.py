@@ -10,11 +10,12 @@ Such triples are exactly the constrained critical points of <T(x,y), z> on
 the product of unit spheres.
 
 The workhorse is an alternating power iteration (hopm_refine) run from a
-deterministic multi-start set. Alternating iteration only converges to
-attracting triples, so enumerate_triples additionally polishes every start
-with a Newton corrector on the square stationarity system, which reaches
-saddle-type triples as well. Everything is deterministic for a fixed
-SearchConfig.seed.
+deterministic multi-start set. It converges only linearly, so its
+endpoints are finished by a Newton corrector on the square stationarity
+system, which converges quadratically from them. Alternating iteration
+only reaches attracting triples, so enumerate_triples additionally runs
+the Newton corrector from every raw start, which reaches saddle-type
+triples as well. Everything is deterministic for a fixed SearchConfig.seed.
 """
 
 from __future__ import annotations
@@ -45,15 +46,8 @@ __all__ = [
 #: Norms below this count as "a zero vector" during normalization.
 _ZERO_NORM = 1e-250
 
-#: Relative residual target and sweep budget for the post-convergence polish.
-#: The value-change stop leaves O(sqrt(iter_tol)) vector error at linearly
-#: convergent fixed points, so sweeps continue until residuals reach this
-#: level or stall; verification at residual_tol then has real margin.
-_POLISH_FACTOR = 1e-13
-_POLISH_MAX_SWEEPS = 3000
-_POLISH_STALL_LIMIT = 40
-
-#: Newton corrector settings (enumerate_triples / oracle only).
+#: Newton corrector settings: the finish of every alternating run, and
+#: enumerate_triples' second search from the raw starts.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 100
 _NEWTON_DIVERGED = 1e6
@@ -206,28 +200,16 @@ def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.nd
 
 
 def _residuals(
-    arr: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
-    TXY: Optional[np.ndarray] = None,
-    C2: Optional[np.ndarray] = None,
+    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tau = <T(x,y), z> and the three equation residuals, shape (S, 3).
-
-    TXY = T(x, y) and C2 = contract_2(x, z) are contracted here unless the
-    caller already has them.
-    """
-    if TXY is None:
-        TXY = _contract(arr, 2, X, Y)
-    if C2 is None:
-        C2 = _contract(arr, 1, X, Z)
+    """Per-row tau = <T(x,y), z> and the three equation residuals, shape (S, 3)."""
+    TXY = _contract(arr, 2, X, Y)
     tau = np.einsum("sk,sk->s", TXY, Z)
     t = tau[:, None]
     R = np.empty((tau.size, 3))
     R[:, 0] = np.linalg.norm(TXY - t * Z, axis=1)
     R[:, 1] = np.linalg.norm(_contract(arr, 0, Y, Z) - t * X, axis=1)
-    R[:, 2] = np.linalg.norm(C2 - t * Y, axis=1)
+    R[:, 2] = np.linalg.norm(_contract(arr, 1, X, Z) - t * Y, axis=1)
     return tau, R
 
 
@@ -270,7 +252,7 @@ def canonicalize(triple: SingularTriple) -> SingularTriple:
 
 
 # ---------------------------------------------------------------------------
-# batched alternating iteration (phase A: value stop; phase B: residual polish)
+# batched alternating iteration (value stop, then a Newton finish)
 
 
 def _row_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,13 +273,14 @@ def _als_batch(
     Each row iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|,
     y <- contract_2(x,z)/|.| until the value <T(x,y), z> changes by less
     than iter_tol relatively (rows are independent; batching only
-    vectorizes the identical update). Converged rows are then polished
-    with further sweeps until the equation residuals stall or reach
-    ~1e-13*(1+tau). Returns per-row final states and status.
+    vectorizes the identical update). Converged rows whose equation
+    residuals exceed _NEWTON_TOL*(1+tau) are then finished by
+    _newton_batch from tau = <T(x,y), z>. Returns per-row final states and
+    status.
 
-    Both phases work on a compacted block of the rows still iterating
-    (idx / a map it back to start rows); a row leaves the block when it
-    converges, hits a zero contraction or stops polishing. _contract makes
+    The iteration works on a compacted block of the rows still iterating
+    (idx maps it back to start rows); a row leaves the block when it
+    converges or hits a zero contraction. _contract and _newton_batch make
     a row's arithmetic independent of the block it sits in.
     """
     S = X0.shape[0]
@@ -345,40 +328,17 @@ def _als_batch(
             dead[idx[~live]] = True
             idx, x, y, f_prev = idx[live], x[live], y[live], f_prev[live]
 
-    # Phase B: residual polish of the converged rows; each keeps its best state.
+    # Finish: Newton from the converged rows not yet at its tolerance. The
+    # value stop leaves O(sqrt(iter_tol)) vector error at linearly convergent
+    # endpoints, which Newton removes in a few steps; a row whose Newton run
+    # does not converge keeps its endpoint.
     sel = np.flatnonzero(ok)
-    if sel.size:
-        bx, by, bz = X[sel], Y[sel], Z[sel]
-        # A sweep starts from T(x, y), which the residuals of the state it
-        # starts from already contracted; contract_2(x, z) is shared likewise.
-        txy = _contract(arr, 2, bx, by)
-        tau, R = _residuals(arr, bx, by, bz, TXY=txy)
-        best_r = R.max(axis=1)
-        stall = np.zeros(sel.size, dtype=int)
-        a = np.flatnonzero(best_r > _POLISH_FACTOR * (1.0 + np.abs(tau)))
-        x, y, txy = bx[a], by[a], txy[a]
-        for _ in range(_POLISH_MAX_SWEEPS):
-            if a.size == 0:
-                break
-            z, f = _row_normalize(txy)
-            live = f > _ZERO_NORM
-            if not live.all():
-                a, x, y, z = a[live], x[live], y[live], z[live]
-            x = _row_normalize(_contract(arr, 0, y, z))[0]
-            c2 = _contract(arr, 1, x, z)
-            y = _row_normalize(c2)[0]
-            txy = _contract(arr, 2, x, y)
-            tau, R = _residuals(arr, x, y, z, TXY=txy, C2=c2)
-            r = R.max(axis=1)
-            improved = r < best_r[a]
-            imp = a[improved]
-            bx[imp], by[imp], bz[imp] = x[improved], y[improved], z[improved]
-            best_r[imp] = r[improved]
-            stall[imp] = 0
-            stall[a[~improved]] += 1
-            stay = ~(r <= _POLISH_FACTOR * (1.0 + np.abs(tau))) & ~(stall[a] > _POLISH_STALL_LIMIT)
-            a, x, y, txy = a[stay], x[stay], y[stay], txy[stay]
-        X[sel], Y[sel], Z[sel] = bx, by, bz
+    tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
+    far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
+    sel = sel[far]
+    res = _newton_batch(arr, X[sel], Y[sel], Z[sel], tau[far])
+    fin = res["ok"]
+    X[sel[fin]], Y[sel[fin]], Z[sel[fin]] = res["X"][fin], res["Y"][fin], res["Z"][fin]
 
     reasons = np.where(dead, "zero contraction", "max_iter exceeded")
     return {"X": X, "Y": Y, "Z": Z, "ok": ok, "reasons": reasons}
@@ -403,14 +363,46 @@ def _newton_batch(
     iteration, Newton converges to critical points of any index, which is
     what recovers saddle-type triples. Roots with tau < 0 are mapped to
     positive tau via (x, y, z, tau) -> (x, -y, z, -tau).
+
+    Rows run in blocks whose Jacobians hold at most _CONTRACT_BLOCK entries;
+    a row's result depends only on that row, never on its block or batch.
     """
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
-    S = X0.shape[0]
     X = np.array(X0, dtype=float)
     Y = np.array(Y0, dtype=float)
     Z = np.array(Z0, dtype=float)
     tau = np.array(tau0, dtype=float)
+    ok = np.zeros(tau.size, dtype=bool)
+    block = max(1, _CONTRACT_BLOCK // (m * m))
+    for lo in range(0, tau.size, block):
+        rows = slice(lo, lo + block)
+        ok[rows] = _newton_rows(arr, X[rows], Y[rows], Z[rows], tau[rows])
+
+    # Negative-tau roots are the same orbit with the second factor flipped.
+    neg = ok & (tau < 0)
+    Y[neg] *= -1.0
+    tau[neg] *= -1.0
+    # Roots carry unit norms up to the Newton tolerance; snap exactly.
+    if ok.any():
+        sel = np.flatnonzero(ok)
+        for M in (X, Y, Z):
+            norms = np.linalg.norm(M[sel], axis=1)
+            off = np.abs(norms - 1.0) > 1e-6
+            ok[sel[off]] = False
+            good = sel[~off]
+            M[good] = M[good] / np.linalg.norm(M[good], axis=1)[:, None]
+            sel = sel[~off]
+    return {"X": X, "Y": Y, "Z": Z, "tau": tau, "ok": ok}
+
+
+def _newton_rows(
+    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """Newton steps on one block of rows, in place; the mask of converged rows."""
+    n1, n2, n3 = arr.shape
+    m = n1 + n2 + n3 + 1
+    S = tau.size
     done = np.zeros(S, dtype=bool)
     alive = np.ones(S, dtype=bool)
 
@@ -482,23 +474,7 @@ def _newton_batch(
             | ~np.isfinite(Z[gi]).all(axis=1)
         )
         alive[gi[huge]] = False
-
-    ok = done & alive
-    # Negative-tau roots are the same orbit with the second factor flipped.
-    neg = ok & (tau < 0)
-    Y[neg] *= -1.0
-    tau[neg] *= -1.0
-    # Roots carry unit norms up to the Newton tolerance; snap exactly.
-    if ok.any():
-        sel = np.flatnonzero(ok)
-        for label, M in (("x", X), ("y", Y), ("z", Z)):
-            norms = np.linalg.norm(M[sel], axis=1)
-            off = np.abs(norms - 1.0) > 1e-6
-            ok[sel[off]] = False
-            good = sel[~off]
-            M[good] = M[good] / np.linalg.norm(M[good], axis=1)[:, None]
-            sel = sel[~off]
-    return {"X": X, "Y": Y, "Z": Z, "tau": tau, "ok": ok}
+    return done & alive
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +666,10 @@ def hopm_refine(
 
     Iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|, y <- contract_2(x,z)/|.|
     until the value <T(x,y), z> changes by less than iter_tol relatively,
-    then polishes and returns the canonicalized triple with its computed
-    residuals (the result is a candidate; it is not verification-gated).
+    then finishes the endpoint with Newton steps on the stationarity system
+    (it is kept as is if Newton does not converge) and returns the
+    canonicalized triple with its computed residuals (the result is a
+    candidate; it is not verification-gated).
     The value sequence is nondecreasing across sweeps. A zero vector under
     normalization or an exhausted iteration budget yields NonConvergence.
     z0 participates only through the start contract (the first sweep

@@ -1,14 +1,14 @@
-"""The batched internals of the search: contraction kernel, row-wise
-canonicalization and the sign-orbit merge, each against its one-at-a-time
-definition."""
+"""The batched internals of the search: contraction kernel, Newton
+corrector, row-wise canonicalization and the sign-orbit merge, each against
+its one-at-a-time definition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilop import SearchConfig, SingularTriple, canonicalize, spectra
-from bilop.spectra import _ORBIT_SIGNS, _canonical_rows, _contract, _dedup
+from bilop import SearchConfig, SingularTriple, Tensor3, canonicalize, enumerate_triples, gallery, spectra
+from bilop.spectra import _ORBIT_SIGNS, _canonical_rows, _contract, _dedup, _newton_batch
 
 #: The einsum definition of each contraction mode, and the factor modes of
 #: its (U, V) operands.
@@ -52,6 +52,63 @@ class TestContract:
     def test_empty_batch(self):
         arr, U, V = operands((3, 4, 5), 1, 0, seed=4)
         assert _contract(arr, 1, U, V).shape == (0, 4)
+
+
+def newton_starts(shape, rows, seed):
+    """Raw random starts with tau0 = <T(x,y), z>, as the search hands Newton."""
+    rng = np.random.default_rng([seed, *shape])
+    arr = rng.standard_normal(shape)
+    X, Y, Z = (rng.standard_normal((rows, n)) for n in shape)
+    X, Y, Z = (M / np.linalg.norm(M, axis=1)[:, None] for M in (X, Y, Z))
+    tau0 = np.einsum("ijk,si,sj,sk->s", arr, X, Y, Z)
+    return arr, X, Y, Z, tau0
+
+
+def same_rows(got, want, rows=slice(None)):
+    return all(
+        np.array_equal(got[key], want[key][rows], equal_nan=True) for key in ("X", "Y", "Z", "tau", "ok")
+    )
+
+
+class TestNewtonBatch:
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 5), (2, 5, 3)])
+    def test_rows_do_not_depend_on_the_batch(self, shape, monkeypatch):
+        arr, X, Y, Z, tau0 = newton_starts(shape, 37, seed=5)
+        full = _newton_batch(arr, X, Y, Z, tau0)
+        assert full["ok"].any() and not full["ok"].all()
+        for s in (0, 17, 36):
+            one = slice(s, s + 1)
+            assert same_rows(_newton_batch(arr, X[one], Y[one], Z[one], tau0[one]), full, one)
+        subset = np.random.default_rng(6).random(37) < 0.5
+        part = _newton_batch(arr, X[subset], Y[subset], Z[subset], tau0[subset])
+        assert same_rows(part, full, subset)
+        # Blocks of three rows: 37 rows end in a one-row block.
+        m = sum(shape) + 1
+        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m * m)
+        assert same_rows(_newton_batch(arr, X, Y, Z, tau0), full)
+
+    def test_empty_batch(self):
+        arr, X, Y, Z, tau0 = newton_starts((3, 4, 5), 0, seed=7)
+        res = _newton_batch(arr, X, Y, Z, tau0)
+        assert res["X"].shape == (0, 3) and res["Y"].shape == (0, 4) and res["Z"].shape == (0, 5)
+        assert res["tau"].shape == (0,) and res["ok"].shape == (0,)
+
+
+class TestSearchBlockBudget:
+    @pytest.mark.parametrize(
+        "T",
+        [Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4))), gallery.orthonormal_triad()],
+        ids=["gaussian-4", "orthonormal_triad"],
+    )
+    def test_triples_do_not_depend_on_the_block_budget(self, T, monkeypatch):
+        want = enumerate_triples(T).triples
+        # Newton blocks of 3 rows, contraction blocks of a few dozen rows.
+        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * (sum(T.dims) + 1) ** 2)
+        got = enumerate_triples(T).triples
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert a.tau == b.tau and a.residuals == b.residuals
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "xyz")
 
 
 class TestCanonicalRows:

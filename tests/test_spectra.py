@@ -97,6 +97,21 @@ class TestHopmRefine:
                 best = max(best, result.tau)
         assert best == pytest.approx(np.sqrt(2.0 + np.sqrt(2.0)), abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_linearly_convergent_endpoints_are_finished(self, seed):
+        # The value stop leaves O(sqrt(iter_tol)) vector error on a generic
+        # tensor; the Newton finish must take it down to roundoff.
+        T = Tensor3.from_array(np.random.default_rng([seed, 5]).standard_normal((5, 5, 5)))
+        returned = 0
+        for s in range(16):
+            v = np.random.default_rng([seed, 5, s]).standard_normal(15)
+            result = hopm_refine(T, v[:5], v[5:10], v[10:])
+            if isinstance(result, SingularTriple):
+                returned += 1
+                assert result.max_residual <= 1e-12 * (1.0 + result.tau)
+                assert verify_triple(T, result, 1e-12 * (1.0 + result.tau)).verified
+        assert returned > 0
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_objective_trace_is_nondecreasing(self, seed):
