@@ -18,14 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor_core import Tensor3, _as_entries
+from .tensor_core import Tensor3
 from .spectra import (
     SearchConfig,
     SingularTriple,
     Spectrum,
-    _aligned_z,
-    _random_starts,
     _search_candidates,
+    _unit_triple,
 )
 
 __all__ = [
@@ -176,13 +175,7 @@ def stationarity_fd_check(T: Tensor3, triple: SingularTriple, h: float) -> float
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError("h must lie in [1e-7, 1e-3]")
-    n1, n2, n3 = T.dims
-    xa = _as_entries(triple.x, "H1", n1, "x")
-    ya = _as_entries(triple.y, "H2", n2, "y")
-    za = _as_entries(triple.z, "K", n3, "z")
-    for label, v in (("x", xa), ("y", ya), ("z", za)):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError(f"{label} is not a unit vector")
+    xa, ya, za = _unit_triple(T, triple)
     arr = T.array
 
     def f(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
@@ -233,20 +226,8 @@ def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) ->
     cfg = cfg if cfg is not None else SearchConfig()
     _check_guard(T.dims)
     n1, n2, _ = T.dims
-    lat_x = _sign_pattern_lattice(n1)
-    lat_y = _sign_pattern_lattice(n2)
-    X0 = np.repeat(lat_x, lat_y.shape[0], axis=0)
-    Y0 = np.tile(lat_y, (lat_x.shape[0], 1))
-    Z0 = _aligned_z(T.array, X0, Y0)
-    Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    triples = _search_candidates(
-        T,
-        np.vstack([X0, Xr]),
-        np.vstack([Y0, Yr]),
-        np.vstack([Z0, Zr]),
-        cfg,
-        use_newton=True,
-    )
+    lattices = (_sign_pattern_lattice(n1), _sign_pattern_lattice(n2))
+    triples = _search_candidates(T, cfg, use_newton=True, pairs=lattices)
     return Spectrum(triples=triples, complete=False)
 
 

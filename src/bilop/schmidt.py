@@ -26,9 +26,7 @@ from .tensor_core import Tensor3, VectorH, _as_entries, deflate_term, from_schmi
 from .spectra import (
     SearchConfig,
     SingularTriple,
-    _random_starts,
     _search_candidates,
-    _standard_starts,
     is_ordered,
     verify_triple,
 )
@@ -66,8 +64,8 @@ def _max_gram_deviation(*families) -> float:
 
 
 def _reconstruction_residual(T: Tensor3, terms) -> float:
-    """hs-norm of T minus the sum of the Schmidt terms."""
-    recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in terms], dims=T.dims)
+    """hs-norm of T minus the sum of the (tau, x, y, z) terms."""
+    recon = from_schmidt(terms, dims=T.dims)
     return hs_norm(Tensor3.from_array(T.array - recon.array))
 
 
@@ -207,15 +205,11 @@ def schmidt_decompose(
     terms: list[SchmidtTerm] = []
     failure: Optional[DeflationFailure] = None
     remainder = T
-    # Every remainder has T's dims, so all steps share one random start block.
-    random_block = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
 
     for k in range(1, cap + 1):
         if hs_norm(remainder) <= stop_level:
             break
-        cands = _search_candidates(
-            remainder, *_standard_starts(remainder, cfg, random_block), cfg, use_newton=False
-        )
+        cands = _search_candidates(remainder, cfg, use_newton=False)
         if not cands:
             failure = DeflationFailure(
                 step=k,
@@ -283,10 +277,11 @@ def schmidt_decompose(
         )
         return rep, report
 
+    residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in terms])
     rep = SchmidtRepresentation(
         dims=T.dims,
         terms=tuple(terms),
-        reconstruction_residual=_reconstruction_residual(T, terms),
+        reconstruction_residual=residual,
         status=SchmidtStatus.COMPLETE,
     )
     return rep, report
@@ -322,7 +317,7 @@ def verify_representation(
 
     max_gram = _max_gram_deviation(*([getattr(t, f) for t in rep.terms] for f in "xyz"))
     orthonormal = max_gram <= _FAMILY_ORTHO_TOL
-    residual = _reconstruction_residual(T, rep.terms)
+    residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in rep.terms])
 
     max_diag = 0.0
     arr = T.array

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Tensor3, hs_norm
+from .tensor_core import Tensor3
 from .schmidt import (
     _FAMILY_ORTHO_TOL,
     _max_gram_deviation,
+    _reconstruction_residual,
     SchmidtRepresentation,
     SchmidtStatus,
     verify_representation,
@@ -157,10 +158,7 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
         raise ValueError(f"verify_schur needs equal dims, got {T.dims}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    recon = np.zeros(T.array.shape)
-    for term in schur.terms:
-        recon += term.lam * np.einsum("i,j,k->ijk", term.x, term.x, term.x)
-    residual = hs_norm(Tensor3.from_array(T.array - recon))
+    residual = _reconstruction_residual(T, [(t.lam, t.x, t.x, t.x) for t in schur.terms])
 
     max_gram = _max_gram_deviation([t.x for t in schur.terms])
 

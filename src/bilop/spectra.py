@@ -20,6 +20,7 @@ triples as well. Everything is deterministic for a fixed SearchConfig.seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -311,22 +312,11 @@ def _als_batch(
         if not keep.all():
             dead[idx[~live]] = True
             idx, x, y, z, f_prev = idx[keep], x[keep], y[keep], z[keep], f_prev[keep]
-            if idx.size == 0:
-                break
-
-        x, norms = _row_normalize(_contract(arr, 0, y, z))
-        live = norms > _ZERO_NORM
-        if not live.all():
-            dead[idx[~live]] = True
-            idx, x, y, z, f_prev = idx[live], x[live], y[live], z[live], f_prev[live]
-            if idx.size == 0:
-                break
-
-        y, norms = _row_normalize(_contract(arr, 1, x, z))
-        live = norms > _ZERO_NORM
-        if not live.all():
-            dead[idx[~live]] = True
-            idx, x, y, f_prev = idx[live], x[live], y[live], f_prev[live]
+        # Only the z update can vanish: on a live row <contract_1(y,z), x> =
+        # <T(x,y), z> = f > _ZERO_NORM bounds the x update's norm below by f,
+        # and the y update's norm by the x update's.
+        x, _ = _row_normalize(_contract(arr, 0, y, z))
+        y, _ = _row_normalize(_contract(arr, 1, x, z))
 
     # Finish: Newton from the converged rows not yet at its tolerance. The
     # value stop leaves O(sqrt(iter_tol)) vector error at linearly convergent
@@ -492,10 +482,15 @@ def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Z
 
 
+@functools.lru_cache(maxsize=1)
 def _random_starts(
     dims: tuple[int, int, int], count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """count uniform random unit triples, seeded deterministically per start index."""
+    """count uniform random unit triples, seeded deterministically per start index.
+
+    A pure function of its arguments: the last block built is kept, read-only,
+    for the next search of that shape (a deflation step, a norm then a spectrum).
+    """
     n1, n2, n3 = dims
     X = np.empty((count, n1))
     Y = np.empty((count, n2))
@@ -507,31 +502,28 @@ def _random_starts(
         X[s] = v[:n1]
         Y[s] = v[n1 : n1 + n2]
         Z[s] = v[n1 + n2 :]
-    X, _ = _row_normalize(X)
-    Y, _ = _row_normalize(Y)
-    Z, _ = _row_normalize(Z)
-    return X, Y, Z
+    block = tuple(_row_normalize(M)[0] for M in (X, Y, Z))
+    for M in block:
+        M.flags.writeable = False
+    return block
 
 
 def _standard_starts(
-    T: Tensor3,
-    cfg: SearchConfig,
-    random_block: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    T: Tensor3, cfg: SearchConfig, pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multi-start set: every basis pair (e_i, f_j), then the random block.
+    """The multi-start set: every pair of start basis vectors, then the random block.
 
-    Basis-pair starts take z aligned with T(e_i, f_j). The random block is
-    cfg.resolved_starts seeded random triples; it depends only on dims and
-    cfg, so a caller searching several tensors of one shape (a deflation)
-    builds it once and passes it in.
+    pairs = (P, Q) holds the start vectors of H1 and H2 as rows; the default
+    is the two identity bases, so the pairs are (e_i, f_j). Each pair (p, q)
+    takes z aligned with T(p, q). The random block is cfg.resolved_starts
+    seeded random triples from _random_starts.
     """
     n1, n2, _ = T.dims
-    X = np.repeat(np.eye(n1), n2, axis=0)
-    Y = np.tile(np.eye(n2), (n1, 1))
+    P, Q = pairs if pairs is not None else (np.eye(n1), np.eye(n2))
+    X = np.repeat(P, Q.shape[0], axis=0)
+    Y = np.tile(Q, (P.shape[0], 1))
     Z = _aligned_z(T.array, X, Y)
-    if random_block is None:
-        random_block = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    Xr, Yr, Zr = random_block
+    Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
     return np.vstack([X, Xr]), np.vstack([Y, Yr]), np.vstack([Z, Zr])
 
 
@@ -610,20 +602,23 @@ def _sort_triples(
 
 def _search_candidates(
     T: Tensor3,
-    X0: np.ndarray,
-    Y0: np.ndarray,
-    Z0: np.ndarray,
     cfg: SearchConfig,
     use_newton: bool,
+    pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[SingularTriple, ...]:
-    """Verified, canonical, deduplicated and sorted triples from a start block.
+    """Verified, canonical, deduplicated and sorted triples of one multi-start search.
 
-    The alternating iteration runs over the block, optionally followed by
-    Newton from the same starts. Candidates are taken in deterministic
-    order (alternating-iteration results by start index, then Newton
-    results by start index), gated at residual_tol with tau > residual_tol,
-    canonicalized and merged by sign orbit, first representative winning.
+    The starts are _standard_starts(T, cfg, pairs). The alternating
+    iteration runs over them, optionally followed by Newton from the same
+    starts. Candidates are taken in deterministic order (alternating-
+    iteration results by start index, then Newton results by start index),
+    gated at residual_tol with tau > residual_tol, canonicalized and merged
+    by sign orbit, first representative winning. A tensor whose hs-norm is
+    at most residual_tol has no such triple, and gets none without a search.
     """
+    if hs_norm(T) <= cfg.residual_tol:
+        return ()
+    X0, Y0, Z0 = _standard_starts(T, cfg, pairs)
     arr = T.array
     runs = [_als_batch(arr, X0, Y0, cfg)]
     if use_newton:
@@ -716,12 +711,8 @@ def hopm_value_trace(
     return np.asarray(values)
 
 
-def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
-    """Check the three defining equations at the given triple.
-
-    verified means max residual <= tol and tau > 0. Vectors more than 1e-8
-    away from unit norm are rejected as an argument error.
-    """
+def _unit_triple(T: Tensor3, triple: SingularTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triple's (x, y, z) as validated arrays; ValueError unless each is unit within 1e-8."""
     n1, n2, n3 = T.dims
     xa = _as_entries(triple.x, "H1", n1, "x")
     ya = _as_entries(triple.y, "H2", n2, "y")
@@ -729,6 +720,16 @@ def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck
     for label, v in (("x", xa), ("y", ya), ("z", za)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError(f"{label} is not a unit vector")
+    return xa, ya, za
+
+
+def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
+    """Check the three defining equations at the given triple.
+
+    verified means max residual <= tol and tau > 0. Vectors more than 1e-8
+    away from unit norm are rejected as an argument error.
+    """
+    xa, ya, za = _unit_triple(T, triple)
     arr = T.array
     txy = np.einsum("ijk,i,j->k", arr, xa, ya)
     tau = float(triple.tau)
@@ -783,9 +784,7 @@ def operator_norm(
     pairs. Returns (0.0, None) for the (near-)zero tensor.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    if hs_norm(T) <= cfg.residual_tol:
-        return 0.0, None
-    ordered = _search_candidates(T, *_standard_starts(T, cfg), cfg, use_newton=False)
+    ordered = _search_candidates(T, cfg, use_newton=False)
     if not ordered:
         return 0.0, None
     best = ordered[0]
@@ -804,7 +803,4 @@ def enumerate_triples(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectru
     always False here (see oracle.confirm_complete).
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    if hs_norm(T) < cfg.residual_tol:
-        return Spectrum(triples=(), complete=False)
-    triples = _search_candidates(T, *_standard_starts(T, cfg), cfg, use_newton=True)
-    return Spectrum(triples=triples, complete=False)
+    return Spectrum(triples=_search_candidates(T, cfg, use_newton=True), complete=False)

@@ -1,14 +1,35 @@
-"""The batched internals of the search: contraction kernel, Newton
-corrector, row-wise canonicalization and the sign-orbit merge, each against
-its one-at-a-time definition."""
+"""The batched internals of the search: contraction kernel, alternating
+sweep, Newton corrector, start set, row-wise canonicalization and the
+sign-orbit merge, each against its one-at-a-time definition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilop import SearchConfig, SingularTriple, Tensor3, canonicalize, enumerate_triples, gallery, spectra
-from bilop.spectra import _ORBIT_SIGNS, _canonical_rows, _contract, _dedup, _newton_batch
+from bilop import (
+    SearchConfig,
+    SingularTriple,
+    Tensor3,
+    canonicalize,
+    enumerate_triples,
+    gallery,
+    operator_norm,
+    schmidt_decompose,
+    spectra,
+)
+from bilop.oracle import _sign_pattern_lattice
+from bilop.spectra import (
+    _ORBIT_SIGNS,
+    _aligned_z,
+    _als_batch,
+    _canonical_rows,
+    _contract,
+    _dedup,
+    _newton_batch,
+    _random_starts,
+    _standard_starts,
+)
 
 #: The einsum definition of each contraction mode, and the factor modes of
 #: its (U, V) operands.
@@ -54,6 +75,17 @@ class TestContract:
         assert _contract(arr, 1, U, V).shape == (0, 4)
 
 
+class TestAlsBatch:
+    def test_only_zero_contractions_die(self, diag_pair):
+        # Basis-pair starts (e_i, f_j) in row order (0,0), (0,1), (1,0), ...;
+        # T(e_i, f_j) vanishes for all but (0,0) and (1,1).
+        X = np.repeat(np.eye(3), 2, axis=0)
+        Y = np.tile(np.eye(2), (3, 1))
+        res = _als_batch(diag_pair.array, X, Y, SearchConfig())
+        assert res["ok"].tolist() == [True, False, False, True, False, False]
+        assert res["reasons"][~res["ok"]].tolist() == ["zero contraction"] * 4
+
+
 def newton_starts(shape, rows, seed):
     """Raw random starts with tau0 = <T(x,y), z>, as the search hands Newton."""
     rng = np.random.default_rng([seed, *shape])
@@ -94,6 +126,13 @@ class TestNewtonBatch:
         assert res["tau"].shape == (0,) and res["ok"].shape == (0,)
 
 
+def same_triples(got, want):
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.tau == b.tau and a.residuals == b.residuals
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "xyz")
+
+
 class TestSearchBlockBudget:
     @pytest.mark.parametrize(
         "T",
@@ -104,11 +143,57 @@ class TestSearchBlockBudget:
         want = enumerate_triples(T).triples
         # Newton blocks of 3 rows, contraction blocks of a few dozen rows.
         monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * (sum(T.dims) + 1) ** 2)
-        got = enumerate_triples(T).triples
-        assert len(got) == len(want) > 0
-        for a, b in zip(got, want):
-            assert a.tau == b.tau and a.residuals == b.residuals
-            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "xyz")
+        same_triples(enumerate_triples(T).triples, want)
+
+
+GAUSS_4 = Tensor3.from_array(np.random.default_rng([8, 5]).standard_normal((4, 4, 4)))
+SEARCHES = {
+    "norm": lambda: [operator_norm(GAUSS_4)[1]],
+    "spectrum": lambda: enumerate_triples(GAUSS_4).triples,
+    "schmidt": lambda: [step.triple for step in schmidt_decompose(gallery.orthonormal_triad())[1].steps],
+}
+
+
+class TestStartSet:
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+    def test_answers_do_not_depend_on_the_memo(self, search):
+        _random_starts.cache_clear()
+        cold = search()
+        hits = _random_starts.cache_info().hits
+        warm = search()
+        assert _random_starts.cache_info().hits > hits
+        other = Tensor3.from_array(np.random.default_rng([8, 6]).standard_normal((2, 3, 5)))
+        operator_norm(other, SearchConfig(seed=7))
+        same_triples(warm, cold)
+        same_triples(search(), cold)
+
+    def test_a_deflation_builds_the_random_block_once(self, triad):
+        _random_starts.cache_clear()
+        _, report = schmidt_decompose(triad)
+        info = _random_starts.cache_info()
+        assert (info.misses, info.hits) == (1, len(report.steps) - 1) == (1, 2)
+
+    def test_memoised_block_is_read_only(self):
+        for M in _random_starts((2, 3, 4), 5, 0):
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+
+    def test_lattice_pairs_equal_the_hand_built_set(self, diag_pair):
+        cfg = SearchConfig(seed=3)
+        lat_x, lat_y = _sign_pattern_lattice(3), _sign_pattern_lattice(2)
+        # The oracle's start set as it was assembled by hand: every lattice
+        # pair with z aligned to T(x, y), then the seeded random block.
+        X0 = np.repeat(lat_x, lat_y.shape[0], axis=0)
+        Y0 = np.tile(lat_y, (lat_x.shape[0], 1))
+        Z0 = _aligned_z(diag_pair.array, X0, Y0)
+        count = cfg.resolved_starts(diag_pair.dims)
+        V = np.array([np.random.default_rng([cfg.seed, s]).standard_normal(9) for s in range(count)])
+        Xr, Yr, Zr = (M / np.linalg.norm(M, axis=1)[:, None] for M in (V[:, :3], V[:, 3:5], V[:, 5:]))
+        want = (np.vstack([X0, Xr]), np.vstack([Y0, Yr]), np.vstack([Z0, Zr]))
+        got = _standard_starts(diag_pair, cfg, pairs=(lat_x, lat_y))
+        assert got[0].shape == (13 * 4 + count, 3)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestCanonicalRows:

@@ -87,6 +87,13 @@ class TestHopmRefine:
         )
         assert isinstance(result, NonConvergence)
 
+    def test_exhausted_budget_gives_nonconvergence(self, overlap):
+        # One sweep never converges: the value stop compares two sweeps.
+        result = hopm_refine(
+            overlap, [1.0, 0.5, 0.0], [0.5, 1.0], [1.0, 0.0, 0.0, 0.0], SearchConfig(max_iter=1)
+        )
+        assert result == NonConvergence("max_iter exceeded")
+
     def test_random_starts_reach_the_top_value(self, overlap):
         best = 0.0
         for s in range(64):
