@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -81,8 +81,9 @@ class SearchConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         for name in ("iter_tol", "residual_tol", "dedup_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            # Written so that NaN fails too.
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -326,9 +327,8 @@ def _als_batch(
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
     sel = sel[far]
-    res = _newton_batch(arr, X[sel], Y[sel], Z[sel], tau[far])
-    fin = res["ok"]
-    X[sel[fin]], Y[sel[fin]], Z[sel[fin]] = res["X"][fin], res["Y"][fin], res["Z"][fin]
+    V, fin = _newton_batch(arr, np.column_stack([X[sel], Y[sel], Z[sel], tau[far]]))
+    X[sel[fin]], Y[sel[fin]], Z[sel[fin]], _ = np.split(V[fin], np.cumsum(arr.shape), axis=1)
 
     reasons = np.where(dead, "zero contraction", "max_iter exceeded")
     return {"X": X, "Y": Y, "Z": Z, "ok": ok, "reasons": reasons}
@@ -338,61 +338,57 @@ def _als_batch(
 # Newton corrector on the square stationarity system
 
 
-def _newton_batch(
-    arr: np.ndarray,
-    X0: np.ndarray,
-    Y0: np.ndarray,
-    Z0: np.ndarray,
-    tau0: np.ndarray,
-) -> dict:
-    """Newton iteration on F(x,y,z,tau) = 0 for a block of starts.
+def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration on F(v) = 0 for a block of starts; returns (V, ok).
 
-    F stacks T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y
-    and (||x||^2 - 1)/2; the system is square, and at a root with tau != 0
-    the remaining unit norms hold automatically. Unlike the alternating
-    iteration, Newton converges to critical points of any index, which is
-    what recovers saddle-type triples. Roots with tau < 0 are mapped to
-    positive tau via (x, y, z, tau) -> (x, -y, z, -tau).
+    Each row of V0 is one stacked unknown v = x | y | z | tau, of length
+    m = n1+n2+n3+1. F stacks T(x,y) - tau z, contract_1(y,z) - tau x,
+    contract_2(x,z) - tau y and (||x||^2 - 1)/2; the system is square, and
+    at a root with tau != 0 the remaining unit norms hold automatically.
+    Unlike the alternating iteration, Newton converges to critical points of
+    any index, which is what recovers saddle-type triples.
+
+    A converged row is ok when each of x, y, z has unit norm within 1e-6;
+    its vectors are then normalised exactly, and a root with tau < 0 is
+    mapped to the same orbit with tau > 0 via (x, y, z, tau) ->
+    (x, -y, z, -tau). Rows that are not ok are left as Newton left them.
 
     Rows run in blocks whose Jacobians hold at most _CONTRACT_BLOCK entries;
     a row's result depends only on that row, never on its block or batch.
     """
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
-    X = np.array(X0, dtype=float)
-    Y = np.array(Y0, dtype=float)
-    Z = np.array(Z0, dtype=float)
-    tau = np.array(tau0, dtype=float)
-    ok = np.zeros(tau.size, dtype=bool)
+    V = np.array(V0, dtype=float)
+    ok = np.zeros(V.shape[0], dtype=bool)
     block = max(1, _CONTRACT_BLOCK // (m * m))
-    for lo in range(0, tau.size, block):
-        rows = slice(lo, lo + block)
-        ok[rows] = _newton_rows(arr, X[rows], Y[rows], Z[rows], tau[rows])
+    for lo in range(0, V.shape[0], block):
+        ok[lo : lo + block] = _newton_rows(arr, V[lo : lo + block])
 
-    # Negative-tau roots are the same orbit with the second factor flipped.
-    neg = ok & (tau < 0)
-    Y[neg] *= -1.0
-    tau[neg] *= -1.0
+    flip = np.ones(m)
+    flip[n1 : n1 + n2] = flip[-1] = -1.0
+    V[ok & (V[:, -1] < 0)] *= flip
     # Roots carry unit norms up to the Newton tolerance; snap exactly.
-    if ok.any():
-        sel = np.flatnonzero(ok)
-        for M in (X, Y, Z):
-            norms = np.linalg.norm(M[sel], axis=1)
-            off = np.abs(norms - 1.0) > 1e-6
-            ok[sel[off]] = False
-            good = sel[~off]
-            M[good] = M[good] / np.linalg.norm(M[good], axis=1)[:, None]
-            sel = sel[~off]
-    return {"X": X, "Y": Y, "Z": Z, "tau": tau, "ok": ok}
+    sel = np.flatnonzero(ok)
+    norms = np.column_stack(
+        [np.linalg.norm(M, axis=1) for M in np.split(V[sel, :-1], (n1, n1 + n2), axis=1)]
+    )
+    off = (np.abs(norms - 1.0) > 1e-6).any(axis=1)
+    ok[sel[off]] = False
+    good = sel[~off]
+    V[good, :-1] /= np.repeat(norms[~off], (n1, n2, n3), axis=1)
+    return V, ok
 
 
-def _newton_rows(
-    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Newton steps on one block of rows, in place; the mask of converged rows."""
+def _newton_rows(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Newton steps on one block of rows of the stacked unknown, in place.
+
+    Returns the mask of converged rows. A row stops when its step solve is
+    singular or it diverges: an x, y or z entry beyond _NEWTON_DIVERGED, or
+    any non-finite entry.
+    """
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
-    S = tau.size
+    S = V.shape[0]
     done = np.zeros(S, dtype=bool)
     alive = np.ones(S, dtype=bool)
 
@@ -408,7 +404,10 @@ def _newton_rows(
         if not act.any():
             break
         idx = np.flatnonzero(act)
-        x, y, z, t = X[idx], Y[idx], Z[idx], tau[idx]
+        v = V[idx]
+        # Contiguous operands: a strided einsum may take another inner loop.
+        x, y, z = (np.ascontiguousarray(v[:, sl]) for sl in (sl_x, sl_y, sl_z))
+        t = v[:, -1]
         k = idx.size
         A1 = np.einsum("ijk,sj->ski", arr, y)
         A2 = np.einsum("ijk,si->skj", arr, x)
@@ -426,20 +425,21 @@ def _newton_rows(
             continue
         gi = idx[go]
         kk = gi.size
+        tg = t[go, None, None]
         J = np.zeros((kk, m, m))
         J[:, r_f1, sl_x] = A1[go]
         J[:, r_f1, sl_y] = A2[go]
-        J[:, r_f1, sl_z] = -tau[gi, None, None] * np.eye(n3)
-        J[:, r_f1, -1] = -Z[gi]
-        J[:, r_f2, sl_x] = -tau[gi, None, None] * np.eye(n1)
+        J[:, r_f1, sl_z] = -tg * np.eye(n3)
+        J[:, r_f1, -1] = -z[go]
+        J[:, r_f2, sl_x] = -tg * np.eye(n1)
         J[:, r_f2, sl_y] = A3[go]
         J[:, r_f2, sl_z] = np.transpose(A1[go], (0, 2, 1))
-        J[:, r_f2, -1] = -X[gi]
+        J[:, r_f2, -1] = -x[go]
         J[:, r_f3, sl_x] = np.transpose(A3[go], (0, 2, 1))
-        J[:, r_f3, sl_y] = -tau[gi, None, None] * np.eye(n2)
+        J[:, r_f3, sl_y] = -tg * np.eye(n2)
         J[:, r_f3, sl_z] = np.transpose(A2[go], (0, 2, 1))
-        J[:, r_f3, -1] = -Y[gi]
-        J[:, -1, sl_x] = X[gi]
+        J[:, r_f3, -1] = -y[go]
+        J[:, -1, sl_x] = x[go]
         rhs = F[go]
         try:
             step = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
@@ -450,19 +450,8 @@ def _newton_rows(
                     step[r] = np.linalg.solve(J[r], rhs[r])
                 except np.linalg.LinAlgError:
                     alive[gi[r]] = False
-        X[gi] -= step[:, sl_x]
-        Y[gi] -= step[:, sl_y]
-        Z[gi] -= step[:, sl_z]
-        tau[gi] -= step[:, -1]
-        huge = (
-            (np.max(np.abs(X[gi]), axis=1) > _NEWTON_DIVERGED)
-            | (np.max(np.abs(Y[gi]), axis=1) > _NEWTON_DIVERGED)
-            | (np.max(np.abs(Z[gi]), axis=1) > _NEWTON_DIVERGED)
-            | ~np.isfinite(tau[gi])
-            | ~np.isfinite(X[gi]).all(axis=1)
-            | ~np.isfinite(Y[gi]).all(axis=1)
-            | ~np.isfinite(Z[gi]).all(axis=1)
-        )
+        V[gi] = w = v[go] - step
+        huge = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
         alive[gi[huge]] = False
     return done & alive
 
@@ -582,22 +571,21 @@ def _dedup(
     return kept
 
 
-def _sort_triples(
-    kept: Sequence[SingularTriple], cfg: SearchConfig
-) -> tuple[SingularTriple, ...]:
-    """tau descending; near-equal tau groups ordered lexicographically by (x, y)."""
-    by_tau = sorted(kept, key=lambda tr: -tr.tau)
-    out: list[SingularTriple] = []
-    group: list[SingularTriple] = []
-    for tr in by_tau:
-        if group and group[-1].tau - tr.tau > cfg.dedup_tol * (1.0 + tr.tau):
-            group.sort(key=lambda t: (tuple(t.x), tuple(t.y)))
-            out.extend(group)
-            group = []
-        group.append(tr)
-    group.sort(key=lambda t: (tuple(t.x), tuple(t.y)))
-    out.extend(group)
-    return tuple(out)
+def _tie_order(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """Row order: tau descending, each group of near-equal tau's ordered by (x, y).
+
+    Taken in tau-descending order (stable), a new group starts wherever a tau
+    lies more than dedup_tol * (1 + tau) below the one before it. Within a
+    group rows are ordered lexicographically by the entries of x, then of y,
+    with exact ties kept in tau order.
+    """
+    order = np.argsort(-tau, kind="stable")
+    t = tau[order]
+    gaps = np.zeros(t.size, dtype=bool)
+    gaps[1:] = t[:-1] - t[1:] > cfg.dedup_tol * (1.0 + t[1:])
+    # lexsort's last key is its primary one.
+    keys = np.hstack([X[order], Y[order]])[:, ::-1].T
+    return order[np.lexsort(np.vstack([keys, np.cumsum(gaps)]))]
 
 
 def _search_candidates(
@@ -610,30 +598,35 @@ def _search_candidates(
 
     The starts are _standard_starts(T, cfg, pairs). The alternating
     iteration runs over them, optionally followed by Newton from the same
-    starts. Candidates are taken in deterministic order (alternating-
-    iteration results by start index, then Newton results by start index),
-    gated at residual_tol with tau > residual_tol, canonicalized and merged
-    by sign orbit, first representative winning. A tensor whose hs-norm is
-    at most residual_tol has no such triple, and gets none without a search.
+    starts, stacked as x | y | z | tau0. Candidates are taken in
+    deterministic order (alternating-iteration results by start index, then
+    Newton results by start index), gated at residual_tol with
+    tau > residual_tol, canonicalized and merged by sign orbit, first
+    representative winning; the kept rows are put in _tie_order and only
+    then become SingularTriples. A tensor whose hs-norm is at most
+    residual_tol has no such triple, and gets none without a search.
     """
     if hs_norm(T) <= cfg.residual_tol:
         return ()
     X0, Y0, Z0 = _standard_starts(T, cfg, pairs)
     arr = T.array
-    runs = [_als_batch(arr, X0, Y0, cfg)]
+    als = _als_batch(arr, X0, Y0, cfg)
+    ok = als["ok"]
+    found = [(als["X"][ok], als["Y"][ok], als["Z"][ok])]
     if use_newton:
         # Newton's start values keep their own einsum arithmetic, like
         # _newton_batch: its roots feed tie orders pinned by the gallery reports.
         tau0 = np.einsum("sk,sk->s", np.einsum("ijk,si,sj->sk", arr, X0, Y0), Z0)
-        runs.append(_newton_batch(arr, X0, Y0, Z0, tau0))
-    X = np.vstack([run["X"][run["ok"]] for run in runs])
-    Y = np.vstack([run["Y"][run["ok"]] for run in runs])
-    Z = np.vstack([run["Z"][run["ok"]] for run in runs])
+        V, ok = _newton_batch(arr, np.column_stack([X0, Y0, Z0, tau0]))
+        found.append(np.split(V[ok], np.cumsum(arr.shape), axis=1)[:3])
+    X, Y, Z = (np.vstack(blocks) for blocks in zip(*found))
     tau, R = _residuals(arr, X, Y, Z)
     good = (tau > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
     tau, R = tau[good], R[good]
     X, Y, Z = _canonical_rows(X[good], Y[good], Z[good])
-    kept = [
+    kept = np.array(_dedup(tau, X, Y, Z, cfg), dtype=np.intp)
+    kept = kept[_tie_order(tau[kept], X[kept], Y[kept], cfg)]
+    return tuple(
         SingularTriple(
             tau=float(tau[i]),
             x=X[i].copy(),
@@ -641,9 +634,8 @@ def _search_candidates(
             z=Z[i].copy(),
             residuals=tuple(float(r) for r in R[i]),
         )
-        for i in _dedup(tau, X, Y, Z, cfg)
-    ]
-    return _sort_triples(kept, cfg)
+        for i in kept
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -781,14 +773,20 @@ def operator_norm(
     The supremum is attained at a singular triple, and the maximizer is an
     attractor of the alternating iteration, so a plain multi-start run
     suffices: cfg.starts seeded random starts plus all canonical basis
-    pairs. Returns (0.0, None) for the (near-)zero tensor.
+    pairs. Returns (0.0, None) when hs_norm(T) <= residual_tol. For any
+    other tensor, a search in which no triple verifies raises ValueError:
+    the norm is positive but unknown, so no value is reported.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     ordered = _search_candidates(T, cfg, use_newton=False)
-    if not ordered:
+    if ordered:
+        return ordered[0].tau, ordered[0]
+    if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
-    best = ordered[0]
-    return best.tau, best
+    raise ValueError(
+        f"no singular triple verified at residual_tol={cfg.residual_tol:g} "
+        f"within max_iter={cfg.max_iter}; the norm of this nonzero operator is unknown"
+    )
 
 
 def enumerate_triples(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectrum:

@@ -122,6 +122,12 @@ class TestNorm:
         assert report["result"]["bilinear_norm"] == pytest.approx(3.0, abs=1e-9)
         assert report["result"]["attained"]["tau"] == pytest.approx(3.0, abs=1e-9)
 
+    def test_no_verified_triple_exits_two(self, files):
+        proc = run_cli("norm", files["diag_pair"], "--max-iter", "1", "--json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "max_iter=1" in proc.stderr
+
 
 class TestSpectrum:
     def test_reports_ordered_flags(self, files):
@@ -156,6 +162,14 @@ class TestSchmidt:
         failure = report["result"]["deflation"]["failure"]
         assert failure["step"] == 1
         assert failure["reason"] == "NotOrdered"
+
+    def test_no_verified_triple_exits_three(self, files):
+        proc = run_cli("schmidt", files["diag_pair"], "--max-iter", "1", "--json")
+        assert proc.returncode == 3
+        report = json.loads(proc.stdout)
+        assert report["result"]["deflation"]["steps"] == []
+        failure = report["result"]["deflation"]["failure"]
+        assert (failure["step"], failure["reason"]) == (1, "NoTripleFound")
 
     def test_failure_is_explained_in_human_mode(self, files):
         proc = run_cli("schmidt", files["overlap"], "--starts", "32")
@@ -235,6 +249,12 @@ class TestInputHandling:
         proc = run_cli("norm", files["not_json"])
         assert proc.returncode == 2
         assert "not valid JSON" in proc.stderr
+
+    def test_nan_tolerance_exits_two(self, files):
+        proc = run_cli("spectrum", files["diag_pair"], "--dedup-tol", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "dedup_tol must be positive" in proc.stderr
 
     def test_missing_file_exits_two(self, files):
         proc = run_cli("norm", files["missing"])

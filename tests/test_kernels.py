@@ -4,7 +4,7 @@ sign-orbit merge, each against its one-at-a-time definition."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilop import (
@@ -29,6 +29,7 @@ from bilop.spectra import (
     _newton_batch,
     _random_starts,
     _standard_starts,
+    _tie_order,
 )
 
 #: The einsum definition of each contraction mode, and the factor modes of
@@ -87,43 +88,94 @@ class TestAlsBatch:
 
 
 def newton_starts(shape, rows, seed):
-    """Raw random starts with tau0 = <T(x,y), z>, as the search hands Newton."""
+    """Raw random starts stacked as x | y | z | tau0 with tau0 = <T(x,y), z>,
+    as the search hands Newton."""
     rng = np.random.default_rng([seed, *shape])
     arr = rng.standard_normal(shape)
     X, Y, Z = (rng.standard_normal((rows, n)) for n in shape)
     X, Y, Z = (M / np.linalg.norm(M, axis=1)[:, None] for M in (X, Y, Z))
     tau0 = np.einsum("ijk,si,sj,sk->s", arr, X, Y, Z)
-    return arr, X, Y, Z, tau0
+    return arr, np.column_stack([X, Y, Z, tau0])
 
 
 def same_rows(got, want, rows=slice(None)):
-    return all(
-        np.array_equal(got[key], want[key][rows], equal_nan=True) for key in ("X", "Y", "Z", "tau", "ok")
-    )
+    return all(np.array_equal(g, w[rows], equal_nan=True) for g, w in zip(got, want))
 
 
 class TestNewtonBatch:
     @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 5), (2, 5, 3)])
     def test_rows_do_not_depend_on_the_batch(self, shape, monkeypatch):
-        arr, X, Y, Z, tau0 = newton_starts(shape, 37, seed=5)
-        full = _newton_batch(arr, X, Y, Z, tau0)
-        assert full["ok"].any() and not full["ok"].all()
+        arr, V0 = newton_starts(shape, 37, seed=5)
+        full = _newton_batch(arr, V0)
+        assert full[1].any() and not full[1].all()
         for s in (0, 17, 36):
             one = slice(s, s + 1)
-            assert same_rows(_newton_batch(arr, X[one], Y[one], Z[one], tau0[one]), full, one)
+            assert same_rows(_newton_batch(arr, V0[one]), full, one)
         subset = np.random.default_rng(6).random(37) < 0.5
-        part = _newton_batch(arr, X[subset], Y[subset], Z[subset], tau0[subset])
+        part = _newton_batch(arr, V0[subset])
         assert same_rows(part, full, subset)
         # Blocks of three rows: 37 rows end in a one-row block.
         m = sum(shape) + 1
         monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m * m)
-        assert same_rows(_newton_batch(arr, X, Y, Z, tau0), full)
+        assert same_rows(_newton_batch(arr, V0), full)
 
     def test_empty_batch(self):
-        arr, X, Y, Z, tau0 = newton_starts((3, 4, 5), 0, seed=7)
-        res = _newton_batch(arr, X, Y, Z, tau0)
-        assert res["X"].shape == (0, 3) and res["Y"].shape == (0, 4) and res["Z"].shape == (0, 5)
-        assert res["tau"].shape == (0,) and res["ok"].shape == (0,)
+        arr, V0 = newton_starts((3, 4, 5), 0, seed=7)
+        V, ok = _newton_batch(arr, V0)
+        assert V.shape == (0, 13) and ok.shape == (0,)
+
+    def test_post_pass_flips_negative_roots_and_drops_off_sphere_ones(self, diag_pair):
+        # Row 0: the tau = 3 triple with y and tau negated, a root already.
+        # Row 1: tau = 0 with x = e_2, y = (0, 2), z = e_3 is a root of F
+        # (T vanishes on it, and F only pins |x|), but y is off the sphere.
+        x, y, z = np.eye(3)[1], np.eye(2)[1], np.eye(4)[1]
+        V0 = np.array([np.r_[x, -y, z, -3.0], np.r_[np.eye(3)[2], 0.0, 2.0, np.eye(4)[3], 0.0]])
+        V, ok = _newton_batch(diag_pair.array, V0)
+        assert ok.tolist() == [True, False]
+        assert np.array_equal(V[0], np.r_[x, y, z, 3.0])
+
+
+def reference_tie_order(tau, X, Y, cfg):
+    """The sequential grouping: walk tau descending (stable), close a group at
+    every gap above dedup_tol * (1 + tau), sort each group by (x, y)."""
+    by_tau = sorted(range(tau.size), key=lambda i: -tau[i])
+    out, group = [], []
+    for i in by_tau:
+        if group and tau[group[-1]] - tau[i] > cfg.dedup_tol * (1.0 + tau[i]):
+            out += sorted(group, key=lambda j: (tuple(X[j]), tuple(Y[j])))
+            group = []
+        group.append(i)
+    return out + sorted(group, key=lambda j: (tuple(X[j]), tuple(Y[j])))
+
+
+#: Near 1 a group closes at gaps above dedup_tol * (1 + tau) = 2e-6, so
+#: steps of 1.5e-6 chain one group across 4.5e-6, and a gap of 2.000001e-6
+#: closes it only because the threshold is taken at the lower tau. Near 2
+#: the threshold is 3e-6, the two 3e-6 steps sit at it and the 7e-6 step
+#: lies above it.
+TIE_TAUS = [
+    *(1.0 + d for d in (0.0, 1.5e-6, 2.000001e-6, 3e-6, 4.5e-6)),
+    *(2.0 + d for d in (0.0, 3e-6, 6e-6, 1.3e-5)),
+]
+
+
+class TestTieOrder:
+    @settings(max_examples=200, deadline=None)
+    @example(0, 3, 2, [1.0] * 16, [0.0] * 96)  # empty input
+    @given(
+        st.integers(0, 16),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.sampled_from(TIE_TAUS), min_size=16, max_size=16),
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=96, max_size=96),
+    )
+    def test_equals_the_sequential_grouping(self, rows, n1, n2, taus, entries):
+        # Few distinct entries, with -0.0 next to 0.0, make exact ties in x and y.
+        cfg = SearchConfig()
+        tau = np.array(taus[:rows])
+        E = np.array(entries).reshape(16, 6)
+        X, Y = E[:rows, :n1], E[:rows, 3 : 3 + n2]
+        assert _tie_order(tau, X, Y, cfg).tolist() == reference_tie_order(tau, X, Y, cfg)
 
 
 def same_triples(got, want):

@@ -156,6 +156,14 @@ class TestDecomposeEdgeCases:
         assert report.steps == ()
         assert schmidt_sum_sq(rep) == 0.0
 
+    def test_no_verified_triple_fails_at_step_one(self, diag_pair):
+        rep, report = schmidt_decompose(diag_pair, SearchConfig(max_iter=1))
+        assert rep.status is SchmidtStatus.FAILED
+        assert rep.terms == ()
+        assert report.steps == ()
+        assert report.failure.step == 1
+        assert report.failure.reason is FailureReason.NO_TRIPLE_FOUND
+
     def test_rank_one_tensor_single_step(self):
         x = np.array([0.6, 0.8])
         y = np.array([1.0, 0.0, 0.0])

@@ -58,6 +58,12 @@ class TestSearchConfig:
             {"residual_tol": -1e-9},
             {"dedup_tol": 0.0},
             {"seed": -1},
+            {"iter_tol": float("nan")},
+            {"residual_tol": float("nan")},
+            {"dedup_tol": float("nan")},
+            {"iter_tol": float("inf")},
+            {"residual_tol": float("inf")},
+            {"dedup_tol": float("inf")},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
@@ -220,6 +226,11 @@ class TestOperatorNorm:
         value, attained = operator_norm(Tensor3.from_array(np.zeros((2, 2, 2))))
         assert value == 0.0
         assert attained is None
+
+    def test_no_verified_triple_on_a_nonzero_tensor_raises(self, diag_pair):
+        # One sweep converges no start, so nothing verifies; 0.0 would be wrong.
+        with pytest.raises(ValueError, match="residual_tol=1e-09 within max_iter=1"):
+            operator_norm(diag_pair, SearchConfig(max_iter=1))
 
     def test_attained_triple_is_verified(self, diag_pair, deep_cfg):
         value, attained = operator_norm(diag_pair, deep_cfg)
