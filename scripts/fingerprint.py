@@ -1,6 +1,6 @@
 """Print one SHA-256 per benchmark workload family over the bytes of every answer.
 
-Usage: python scripts/fingerprint.py [--seeds 1-10,7919]
+Usage: python scripts/fingerprint.py [--seeds 1-10,7919] [--save DIR] [--compare DIR]
 
 Two checkouts whose answers are bit-identical print the same four lines;
 a refactor that must not change results can be checked by running this at
@@ -19,13 +19,22 @@ the old and the new commit and comparing. The families:
 Each hash covers the exact bytes of every float, vector, flag, status and
 string in the answers (dataclasses field by field), so any last-digit change
 shows. The inputs come from bench/workloads.py, which is only read.
+
+A change that is meant to move answers reports how far they moved: --save
+DIR writes the hashed answers, one JSON line each, to DIR/<family>.jsonl,
+and --compare DIR (the same seeds, usually saved at another commit) prints
+per family every structural change (a status, flag, string or count, a
+list's length or order) and the largest absolute float difference, with
+where it occurs. CLI reports are compared as parsed JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import json
 import struct
 import subprocess
 import sys
@@ -42,6 +51,12 @@ import bilop  # noqa: E402
 import workloads  # noqa: E402
 from bilop import SearchConfig  # noqa: E402
 
+FAMILIES = ("spectrum-gaussian", "schmidt-planted", "gallery", "cli-gallery")
+#: Two lists whose elements differ by more than this are tried for a reordering.
+ORDER_TOL = 1e-6
+#: Structural changes printed per family.
+SHOWN = 10
+
 
 def parse_seeds(text: str) -> list[int]:
     """'1-3,7' -> [1, 2, 3, 7]."""
@@ -52,33 +67,121 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def feed(h, obj) -> None:
-    """Hash obj's exact bytes, tagged by type so no two values collide."""
+def plain(obj):
+    """obj as JSON values: a dataclass as {"dataclass", "fields"}, an array as {"shape", "data"}."""
     if dataclasses.is_dataclass(obj):
-        h.update(b"D" + type(obj).__name__.encode())
-        for f in dataclasses.fields(obj):
-            feed(h, getattr(obj, f.name))
-    elif isinstance(obj, Enum):
-        feed(h, obj.value)
-    elif isinstance(obj, (bool, np.bool_)):
+        fields = {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {"dataclass": type(obj).__name__, "fields": fields}
+    if isinstance(obj, Enum):
+        return plain(obj.value)
+    if isinstance(obj, np.ndarray):
+        return {"shape": list(obj.shape), "data": np.asarray(obj, dtype=float).ravel().tolist()}
+    if isinstance(obj, (tuple, list)):
+        return [plain(item) for item in obj]
+    if isinstance(obj, bytes):
+        return obj.decode()
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot fingerprint {type(obj).__name__}")
+
+
+def feed(h, obj) -> None:
+    """Hash a plain() value's exact bytes, tagged by type so no two values collide."""
+    if isinstance(obj, dict) and "dataclass" in obj:
+        h.update(b"D" + obj["dataclass"].encode())
+        for value in obj["fields"].values():
+            feed(h, value)
+    elif isinstance(obj, dict):
+        h.update(b"a" + repr(tuple(obj["shape"])).encode() + np.asarray(obj["data"], dtype=float).tobytes())
+    elif isinstance(obj, bool):
         h.update(b"T" if obj else b"F")
-    elif isinstance(obj, (int, np.integer)):
-        h.update(b"i%d;" % int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        h.update(b"f" + struct.pack("<d", float(obj)))
-    elif isinstance(obj, (str, bytes)):
-        data = obj.encode() if isinstance(obj, str) else obj
+    elif isinstance(obj, int):
+        h.update(b"i%d;" % obj)
+    elif isinstance(obj, float):
+        h.update(b"f" + struct.pack("<d", obj))
+    elif isinstance(obj, str):
+        data = obj.encode()
         h.update(b"s%d;" % len(data) + data)
     elif obj is None:
         h.update(b"N")
-    elif isinstance(obj, np.ndarray):
-        h.update(b"a" + repr(obj.shape).encode() + np.ascontiguousarray(obj, dtype=float).tobytes())
-    elif isinstance(obj, (tuple, list)):
+    else:
         h.update(b"(%d;" % len(obj))
         for item in obj:
             feed(h, item)
-    else:
-        raise TypeError(f"cannot fingerprint {type(obj).__name__}")
+
+
+class Drift:
+    """Structural changes and the largest float difference between two plain() values."""
+
+    def __init__(self) -> None:
+        self.changes: list[str] = []
+        self.max_diff = 0.0
+        self.where = ""
+
+    def float_diff(self, a: float, b: float, path: str) -> None:
+        d = 0.0 if a == b or (a != a and b != b) else abs(a - b)
+        if not d <= self.max_diff:  # NaN against a number counts as inf
+            self.max_diff, self.where = (d if d == d else float("inf")), path
+
+    def walk(self, old, new, path: str) -> None:
+        if isinstance(old, float) or isinstance(new, float):
+            # A JSON report writes an integral float as an int.
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+                self.float_diff(float(old), float(new), path)
+            else:
+                self.changes.append(f"{path}: {old!r} -> {new!r}")
+        elif type(old) is not type(new):
+            self.changes.append(f"{path}: {type(old).__name__} -> {type(new).__name__}")
+        elif isinstance(old, str) and old != new and old[:1] == new[:1] == "{":
+            self.walk(json.loads(old), json.loads(new), path + " (json)")
+        elif isinstance(old, dict) and "dataclass" in old:
+            if old["dataclass"] != new.get("dataclass") or old["fields"].keys() != new["fields"].keys():
+                self.changes.append(f"{path}: {old['dataclass']} -> {new.get('dataclass')}")
+                return
+            for name in old["fields"]:
+                self.walk(old["fields"][name], new["fields"][name], f"{path}.{name}")
+        elif isinstance(old, dict) and "shape" in old and "data" in old:
+            if old["shape"] != new.get("shape"):
+                self.changes.append(f"{path}: shape {old['shape']} -> {new.get('shape')}")
+                return
+            for i, (a, b) in enumerate(zip(old["data"], new["data"])):
+                self.float_diff(a, b, f"{path}[{i}]")
+        elif isinstance(old, dict):
+            if old.keys() != new.keys():
+                self.changes.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
+                return
+            for key in old:
+                self.walk(old[key], new[key], f"{path}.{key}")
+        elif isinstance(old, list):
+            self.walk_list(old, new, path)
+        elif old != new:
+            self.changes.append(f"{path}: {old!r} -> {new!r}")
+
+    def walk_list(self, old: list, new: list, path: str) -> None:
+        if len(old) != len(new):
+            self.changes.append(f"{path}: length {len(old)} -> {len(new)}")
+            return
+        order = list(range(len(new)))
+        nested = bool(old) and all(isinstance(a, (dict, list)) for a in old)
+        if nested and any(distance(a, b) > ORDER_TOL for a, b in zip(old, new)):
+            # Match each old element to its nearest new one; a permutation
+            # of close matches is a reordering, not a drift.
+            match = [min(range(len(new)), key=lambda j: distance(a, new[j])) for a in old]
+            close = all(distance(a, new[j]) <= ORDER_TOL for a, j in zip(old, match))
+            if close and sorted(match) == order and match != order:
+                self.changes.append(f"{path}: order {match}")
+                order = match
+        for i, j in enumerate(order):
+            self.walk(old[i], new[j], f"{path}[{i}]")
+
+
+def distance(old, new) -> float:
+    """Largest float difference between two plain() values, inf if their structure differs."""
+    drift = Drift()
+    drift.walk(old, new, "")
+    return float("inf") if drift.changes else drift.max_diff
 
 
 def gallery_answers(cfg: SearchConfig):
@@ -102,25 +205,76 @@ def cli_answers(workdir: Path):
         yield name, proc.returncode, proc.stdout
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="1-10,7919", help="seed list, e.g. 1-10,7919 (default)")
-    seeds = parse_seeds(parser.parse_args(argv).seeds)
-    families = {name: hashlib.sha256() for name in ("spectrum-gaussian", "schmidt-planted", "gallery", "cli-gallery")}
+def answers(seeds: list[int]):
+    """(family, plain answer) for every answer the four families hash, in order."""
     for seed in seeds:
         for family, workload in (
             ("spectrum-gaussian", workloads.spectrum_gaussian(seed)),
             ("schmidt-planted", workloads.schmidt_planted(seed)),
         ):
             for task in workload.tasks:
-                feed(families[family], (seed, task.name, task.run()))
+                yield family, plain((seed, task.name, task.run()))
         for answer in gallery_answers(SearchConfig(seed=seed)):
-            feed(families["gallery"], (seed, answer))
+            yield "gallery", plain((seed, answer))
     with tempfile.TemporaryDirectory() as tmp:
         for answer in cli_answers(Path(tmp)):
-            feed(families["cli-gallery"], answer)
-    for family, h in families.items():
+            yield "cli-gallery", plain(answer)
+
+
+def label(answer: list) -> str:
+    """The answer's leading seed, names and codes, e.g. '3/planted-4x4x4-0/schmidt'."""
+    head = []
+    for item in answer[:-1]:
+        if not isinstance(item, (int, str)):
+            break
+        head.append(str(item))
+    return "/".join(head) or "answer"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="1-10,7919", help="seed list, e.g. 1-10,7919 (default)")
+    parser.add_argument("--save", type=Path, help="write the answers to DIR/<family>.jsonl")
+    parser.add_argument("--compare", type=Path, help="report drift against answers saved in DIR")
+    args = parser.parse_args(argv)
+    hashes = {family: hashlib.sha256() for family in FAMILIES}
+    counts = dict.fromkeys(FAMILIES, 0)
+    drift = {family: Drift() for family in FAMILIES}
+    with contextlib.ExitStack() as files:
+        saved, baseline = {}, {}
+        if args.save:
+            args.save.mkdir(parents=True, exist_ok=True)
+            saved = {f: files.enter_context(open(args.save / f"{f}.jsonl", "w")) for f in FAMILIES}
+        if args.compare:
+            baseline = {f: files.enter_context(open(args.compare / f"{f}.jsonl")) for f in FAMILIES}
+        for family, answer in answers(parse_seeds(args.seeds)):
+            feed(hashes[family], answer)
+            counts[family] += 1
+            if saved:
+                saved[family].write(json.dumps(answer) + "\n")
+            if baseline:
+                line = baseline[family].readline()
+                if not line:
+                    drift[family].changes.append(f"{label(answer)}: not in {args.compare}")
+                else:
+                    drift[family].walk(json.loads(line), answer, label(answer))
+        for family, f in baseline.items():
+            left = sum(1 for _ in f)
+            if left:
+                drift[family].changes.append(f"{left} saved answer(s) not produced")
+    for family, h in hashes.items():
         print(f"{family:18s} {h.hexdigest()}")
+    if baseline:
+        for family in FAMILIES:
+            d = drift[family]
+            print(
+                f"{family:18s} {counts[family]} answers, {len(d.changes)} structural change(s), "
+                f"max |float diff| {d.max_diff:.3g}" + (f" at {d.where}" if d.max_diff else "")
+            )
+            for change in d.changes[:SHOWN]:
+                print(f"    {change}")
+            if len(d.changes) > SHOWN:
+                print(f"    ... {len(d.changes) - SHOWN} more")
     return 0
 
 

@@ -4,9 +4,9 @@ bilinear operators between finite-dimensional real Hilbert spaces.
 An operator T: H1 x H2 -> K is stored as the dense coordinate tensor
 t[i, j, k] = <T(e_i, f_j), g_k> (Tensor3). The package finds its singular
 triples by deterministic multi-start iteration, classifies them as ordered
-singular values, builds Schmidt representations by rank-one deflation,
-converts them to Schur form for symmetric self-adjoint operators, and
-cross-checks everything against brute-force oracles.
+singular values, builds Schmidt representations (one SVD, else rank-one
+deflation), converts them to Schur form for symmetric self-adjoint
+operators, and cross-checks everything against brute-force oracles.
 """
 
 from .tensor_core import (

@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, func in (
         ("norm", "bilinear operator norm and Hilbert-Schmidt norm", _cmd_norm),
         ("spectrum", "enumerate singular triples with ordered classification", _cmd_spectrum),
-        ("schmidt", "Schmidt decomposition by deflation", _cmd_schmidt),
+        ("schmidt", "Schmidt decomposition (one SVD, else deflation)", _cmd_schmidt),
         ("schur", "Schur representation of a symmetric self-adjoint operator", _cmd_schur),
         ("verify", "verify user-supplied triples against a tensor", _cmd_verify),
     ):

@@ -1,12 +1,17 @@
-"""Schmidt representations of bilinear operators via greedy deflation.
+"""Schmidt representations of bilinear operators: one SVD, else greedy deflation.
 
 A Schmidt representation writes T(x, y) = sum_i tau_i <x, x_i> <y, y_i> z_i
-with monotone tau_i > 0 and orthonormal families {x_i}, {y_i}, {z_i}. The
-decomposition procedure extracts the top singular triple of the current
-remainder, requires it to be an ordered singular value (the rank-one slice
-property of spectra.is_ordered), subtracts the rank-one term, and repeats
-until the remainder vanishes. Orthogonality of the extracted families is a
-consequence of the ordered property, not an imposed constraint.
+with monotone tau_i > 0 and orthonormal families {x_i}, {y_i}, {z_i}. Such a
+representation makes the mode-1 unfolding T(1) = sum_i tau_i x_i (y_i (x) z_i)^T
+an SVD, so the terms are first read off one SVD of T(1). Where that reading
+is ambiguous (tied singular values, a right singular vector that is not
+rank-one as an n2 x n3 matrix, a peak entry that rounding could flip) or does
+not verify, greedy deflation decides: it extracts the top singular triple of
+the current remainder, requires it to be an ordered singular value (the
+rank-one slice property of spectra.is_ordered), subtracts the rank-one term,
+and repeats until the remainder vanishes. Orthogonality of the extracted
+families is a consequence of the ordered property, not an imposed
+constraint. Both paths record every term with the same per-step checks.
 
 Failure is a value, not an exception: when a remainder's top singular value
 is attained only by non-ordered triples (or no triple can be verified at
@@ -24,8 +29,12 @@ import numpy as np
 
 from .tensor_core import Tensor3, VectorH, _as_entries, deflate_term, from_schmidt, hs_norm
 from .spectra import (
+    OrderedCheck,
     SearchConfig,
     SingularTriple,
+    TripleCheck,
+    _canonical_rows,
+    _residuals,
     _search_candidates,
     is_ordered,
     verify_triple,
@@ -178,27 +187,152 @@ class RepresentationCheck:
 def schmidt_decompose(
     T: Tensor3, cfg: Optional[SearchConfig] = None
 ) -> tuple[SchmidtRepresentation, DeflationReport]:
-    """Greedy rank-one deflation into a Schmidt representation.
+    """Schmidt representation: one SVD of the mode-1 unfolding, else greedy deflation.
 
-    Each step finds the remainder's top verified singular triple by
-    multi-start alternating iteration (the top of the spectrum is an
-    attractor, so no saddle corrector is needed), requires it to be an
-    ordered singular value of the remainder, re-verifies it against the
-    original operator, deflates, and recurses. Stops when the remainder's
-    hs-norm falls below residual_tol*(1 + hs_norm(T)) or min(dims) terms
-    were extracted.
-
-    When several orbits attain the top value within dedup_tol, the one
-    with the smallest ordered-check residual is taken (ties broken by the
-    canonical lexicographic order), so the result is deterministic.
+    A Schmidt representation with orthonormal families makes the mode-1
+    unfolding T(1) = sum tau_i x_i (y_i (x) z_i)^T an SVD, so the terms are
+    first read off one SVD of T(1) (_svd_decompose). Where that reading is
+    not unambiguous and fully verified, _greedy deflation runs from scratch
+    and decides the result, failures included. Both stop when the
+    remainder's hs-norm falls below residual_tol*(1 + hs_norm(T)) or
+    min(dims) terms were extracted, and both record every term with the
+    same per-step checks.
 
     Returns (representation, report). On failure the representation has
     status Failed and no terms; the report keeps every step, including
     the offending one, with its residual diagnostics.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    hs_total = hs_norm(T)
-    stop_level = cfg.residual_tol * (1.0 + hs_total)
+    fast = _svd_decompose(T, cfg)
+    return fast if fast is not None else _greedy(T, cfg)
+
+
+def _deflation_step(
+    T: Tensor3,
+    remainder: Tensor3,
+    k: int,
+    triple: SingularTriple,
+    ordered_check: OrderedCheck,
+    cfg: SearchConfig,
+) -> tuple[DeflationStep, TripleCheck, Tensor3]:
+    """Step k's record, the triple's check against T, and the deflated remainder."""
+    transfer = verify_triple(T, triple, cfg.residual_tol)
+    deflated = deflate_term(remainder, triple.tau, triple.x, triple.y, triple.z)
+    step = DeflationStep(
+        index=k,
+        tau=triple.tau,
+        triple=triple,
+        slice_residuals=ordered_check.slice_residuals,
+        transfer_residuals=(transfer.r1, transfer.r2, transfer.r3),
+        remaining_hs=hs_norm(deflated),
+    )
+    return step, transfer, deflated
+
+
+def _result(
+    T: Tensor3,
+    steps: list[DeflationStep],
+    terms: list[SchmidtTerm],
+    failure: Optional[DeflationFailure],
+) -> tuple[SchmidtRepresentation, DeflationReport]:
+    """The representation and report; a failure keeps its steps but no terms."""
+    report = DeflationReport(steps=tuple(steps), failure=failure)
+    if failure is not None:
+        rep = SchmidtRepresentation(
+            dims=T.dims,
+            terms=(),
+            reconstruction_residual=hs_norm(T),
+            status=SchmidtStatus.FAILED,
+        )
+        return rep, report
+    residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in terms])
+    rep = SchmidtRepresentation(
+        dims=T.dims,
+        terms=tuple(terms),
+        reconstruction_residual=residual,
+        status=SchmidtStatus.COMPLETE,
+    )
+    return rep, report
+
+
+def _peak_margin(M: np.ndarray) -> np.ndarray:
+    """Per row, how far the largest |entry| lies above the next one."""
+    if M.shape[1] < 2:
+        return np.full(M.shape[0], np.inf)
+    top = np.sort(np.abs(M), axis=1)
+    return top[:, -1] - top[:, -2]
+
+
+def _svd_decompose(
+    T: Tensor3, cfg: SearchConfig
+) -> Optional[tuple[SchmidtRepresentation, DeflationReport]]:
+    """The Schmidt representation read off one SVD of T(1), or None.
+
+    Term k takes x from the k-th left singular vector of the n1 x n2*n3
+    unfolding, and y, z from the leading rank-one factor of the k-th right
+    singular vector reshaped to n2 x n3; then tau = <T(x,y),z> is s_k times
+    that factor's singular value, so it is positive. The triples are
+    canonicalized (negative zeros cleared) and go through greedy's per-step
+    checks on the real remainders. None, so that greedy decides, unless
+    every used singular value lies more than dedup_tol*(1 + s) above the
+    next, every reshaped vector is rank-one at residual_tol, the peak
+    entries of every x and y lead the next entry by more than dedup_tol (so
+    rounding cannot flip a canonical sign), every step passes, and the
+    result passes verify_representation at residual_tol.
+    """
+    n1, n2, n3 = T.dims
+    cap = min(T.dims)
+    U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
+    u, sig, wt = np.linalg.svd(Vt[:cap].reshape(cap, n2, n3), full_matrices=False)
+    X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
+    rank_one = np.linalg.norm(sig[:, 1:], axis=1) <= cfg.residual_tol
+    clear_peaks = np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol
+    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
+
+    steps: list[DeflationStep] = []
+    terms: list[SchmidtTerm] = []
+    remainder = T
+    for k in range(cap):
+        if hs_norm(remainder) <= stop_level:
+            break
+        tied = k + 1 < s.size and s[k] - s[k + 1] <= cfg.dedup_tol * (1.0 + s[k + 1])
+        if tied or not (rank_one[k] and clear_peaks[k]):
+            return None
+        tau, R = _residuals(remainder.array, X[k : k + 1], Y[k : k + 1], Z[k : k + 1])
+        if not (tau[0] > cfg.residual_tol and R.max() <= cfg.residual_tol):
+            return None
+        triple = SingularTriple(
+            tau=float(tau[0]),
+            x=X[k].copy(),
+            y=Y[k].copy(),
+            z=Z[k].copy(),
+            residuals=tuple(float(r) for r in R[0]),
+        )
+        ordered_check = is_ordered(remainder, triple, cfg.residual_tol)
+        step, transfer, remainder = _deflation_step(T, remainder, k + 1, triple, ordered_check, cfg)
+        if not (ordered_check.ordered and transfer.verified):
+            return None
+        steps.append(step)
+        terms.append(SchmidtTerm(tau=triple.tau, x=triple.x, y=triple.y, z=triple.z))
+
+    rep, report = _result(T, steps, terms, None)
+    return (rep, report) if verify_representation(T, rep, cfg.residual_tol).all_ok else None
+
+
+def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, DeflationReport]:
+    """Greedy rank-one deflation into a Schmidt representation.
+
+    Each step finds the remainder's top verified singular triple by
+    multi-start alternating iteration (the top of the spectrum is an
+    attractor, so no saddle corrector is needed), requires it to be an
+    ordered singular value of the remainder, re-verifies it against the
+    original operator, deflates, and recurses.
+
+    When several orbits attain the top value within dedup_tol, the one
+    with the smallest ordered-check residual is taken (ties broken by the
+    canonical lexicographic order), so the result is deterministic.
+    """
+    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
     cap = min(T.dims)
 
     steps: list[DeflationStep] = []
@@ -229,18 +363,8 @@ def schmidt_decompose(
         scored.sort(key=lambda rec: rec[:3])
         _, _, _, chosen, ordered_check = scored[0]
 
-        transfer = verify_triple(T, chosen, cfg.residual_tol)
-        deflated = deflate_term(remainder, chosen.tau, chosen.x, chosen.y, chosen.z)
-        steps.append(
-            DeflationStep(
-                index=k,
-                tau=chosen.tau,
-                triple=chosen,
-                slice_residuals=ordered_check.slice_residuals,
-                transfer_residuals=(transfer.r1, transfer.r2, transfer.r3),
-                remaining_hs=hs_norm(deflated),
-            )
-        )
+        step, transfer, deflated = _deflation_step(T, remainder, k, chosen, ordered_check, cfg)
+        steps.append(step)
         if not ordered_check.ordered:
             failure = DeflationFailure(
                 step=k,
@@ -267,24 +391,7 @@ def schmidt_decompose(
         terms.append(SchmidtTerm(tau=chosen.tau, x=chosen.x, y=chosen.y, z=chosen.z))
         remainder = deflated
 
-    report = DeflationReport(steps=tuple(steps), failure=failure)
-    if failure is not None:
-        rep = SchmidtRepresentation(
-            dims=T.dims,
-            terms=(),
-            reconstruction_residual=hs_total,
-            status=SchmidtStatus.FAILED,
-        )
-        return rep, report
-
-    residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in terms])
-    rep = SchmidtRepresentation(
-        dims=T.dims,
-        terms=tuple(terms),
-        reconstruction_residual=residual,
-        status=SchmidtStatus.COMPLETE,
-    )
-    return rep, report
+    return _result(T, steps, terms, failure)
 
 
 def reconstruct(rep: SchmidtRepresentation, x, y) -> VectorH:

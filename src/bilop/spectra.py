@@ -57,6 +57,10 @@ _NEWTON_DIVERGED = 1e6
 #: builds (512 KiB); larger batches are contracted block by block.
 _CONTRACT_BLOCK = 1 << 16
 
+#: Largest batch of Newton Jacobians, in float64 entries (512 KiB), that
+#: one row block of a Newton step builds.
+_NEWTON_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -353,16 +357,30 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mapped to the same orbit with tau > 0 via (x, y, z, tau) ->
     (x, -y, z, -tau). Rows that are not ok are left as Newton left them.
 
-    Rows run in blocks whose Jacobians hold at most _CONTRACT_BLOCK entries;
-    a row's result depends only on that row, never on its block or batch.
+    One step loop serves the whole batch: each step runs over the rows
+    still active, in row blocks whose Jacobians hold at most _NEWTON_BLOCK
+    entries, so memory stays bounded and the rows that never converge share
+    one tail of _NEWTON_MAX_STEPS steps. A row stops when it converges,
+    when its step solve is singular, or when it diverges: an x, y or z
+    entry beyond _NEWTON_DIVERGED, or any non-finite entry. A row's result
+    depends only on that row, never on its block or batch.
     """
+    V = np.array(V0, dtype=float)
+    S = V.shape[0]
+    done = np.zeros(S, dtype=bool)
+    if S == 0:
+        return V, done
+    alive = np.ones(S, dtype=bool)
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
-    V = np.array(V0, dtype=float)
-    ok = np.zeros(V.shape[0], dtype=bool)
-    block = max(1, _CONTRACT_BLOCK // (m * m))
-    for lo in range(0, V.shape[0], block):
-        ok[lo : lo + block] = _newton_rows(arr, V[lo : lo + block])
+    block = max(1, _NEWTON_BLOCK // (m * m))
+    for _ in range(_NEWTON_MAX_STEPS):
+        act = np.flatnonzero(alive & ~done)
+        if act.size == 0:
+            break
+        for lo in range(0, act.size, block):
+            _newton_step(arr, V, act[lo : lo + block], done, alive)
+    ok = done & alive
 
     flip = np.ones(m)
     flip[n1 : n1 + n2] = flip[-1] = -1.0
@@ -379,19 +397,16 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return V, ok
 
 
-def _newton_rows(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Newton steps on one block of rows of the stacked unknown, in place.
+def _newton_step(
+    arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, alive: np.ndarray
+) -> None:
+    """One Newton step on rows idx of the stacked unknown, in place.
 
-    Returns the mask of converged rows. A row stops when its step solve is
-    singular or it diverges: an x, y or z entry beyond _NEWTON_DIVERGED, or
-    any non-finite entry.
+    Rows already at the tolerance are marked done and left as they are; a
+    row whose step solve is singular, or whose step diverges, loses alive.
     """
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
-    S = V.shape[0]
-    done = np.zeros(S, dtype=bool)
-    alive = np.ones(S, dtype=bool)
-
     sl_x = slice(0, n1)
     sl_y = slice(n1, n1 + n2)
     sl_z = slice(n1 + n2, n1 + n2 + n3)
@@ -399,61 +414,55 @@ def _newton_rows(arr: np.ndarray, V: np.ndarray) -> np.ndarray:
     r_f2 = slice(n3, n3 + n1)
     r_f3 = slice(n3 + n1, n3 + n1 + n2)
 
-    for _ in range(_NEWTON_MAX_STEPS):
-        act = alive & ~done
-        if not act.any():
-            break
-        idx = np.flatnonzero(act)
-        v = V[idx]
-        # Contiguous operands: a strided einsum may take another inner loop.
-        x, y, z = (np.ascontiguousarray(v[:, sl]) for sl in (sl_x, sl_y, sl_z))
-        t = v[:, -1]
-        k = idx.size
-        A1 = np.einsum("ijk,sj->ski", arr, y)
-        A2 = np.einsum("ijk,si->skj", arr, x)
-        A3 = np.einsum("ijk,sk->sij", arr, z)
-        F = np.empty((k, m))
-        F[:, r_f1] = np.einsum("ski,si->sk", A1, x) - t[:, None] * z
-        F[:, r_f2] = np.einsum("ski,sk->si", A1, z) - t[:, None] * x
-        F[:, r_f3] = np.einsum("skj,sk->sj", A2, z) - t[:, None] * y
-        F[:, -1] = 0.5 * (np.einsum("si,si->s", x, x) - 1.0)
-        fn = np.linalg.norm(F, axis=1)
-        hit = fn <= _NEWTON_TOL * (1.0 + np.abs(t))
-        done[idx[hit]] = True
-        go = ~hit
-        if not go.any():
-            continue
-        gi = idx[go]
-        kk = gi.size
-        tg = t[go, None, None]
-        J = np.zeros((kk, m, m))
-        J[:, r_f1, sl_x] = A1[go]
-        J[:, r_f1, sl_y] = A2[go]
-        J[:, r_f1, sl_z] = -tg * np.eye(n3)
-        J[:, r_f1, -1] = -z[go]
-        J[:, r_f2, sl_x] = -tg * np.eye(n1)
-        J[:, r_f2, sl_y] = A3[go]
-        J[:, r_f2, sl_z] = np.transpose(A1[go], (0, 2, 1))
-        J[:, r_f2, -1] = -x[go]
-        J[:, r_f3, sl_x] = np.transpose(A3[go], (0, 2, 1))
-        J[:, r_f3, sl_y] = -tg * np.eye(n2)
-        J[:, r_f3, sl_z] = np.transpose(A2[go], (0, 2, 1))
-        J[:, r_f3, -1] = -y[go]
-        J[:, -1, sl_x] = x[go]
-        rhs = F[go]
-        try:
-            step = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.zeros_like(rhs)
-            for r in range(kk):
-                try:
-                    step[r] = np.linalg.solve(J[r], rhs[r])
-                except np.linalg.LinAlgError:
-                    alive[gi[r]] = False
-        V[gi] = w = v[go] - step
-        huge = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
-        alive[gi[huge]] = False
-    return done & alive
+    v = V[idx]
+    # Contiguous operands: a strided einsum may take another inner loop.
+    x, y, z = (np.ascontiguousarray(v[:, sl]) for sl in (sl_x, sl_y, sl_z))
+    t = v[:, -1]
+    k = idx.size
+    A1 = np.einsum("ijk,sj->ski", arr, y)
+    A2 = np.einsum("ijk,si->skj", arr, x)
+    A3 = np.einsum("ijk,sk->sij", arr, z)
+    F = np.empty((k, m))
+    F[:, r_f1] = np.einsum("ski,si->sk", A1, x) - t[:, None] * z
+    F[:, r_f2] = np.einsum("ski,sk->si", A1, z) - t[:, None] * x
+    F[:, r_f3] = np.einsum("skj,sk->sj", A2, z) - t[:, None] * y
+    F[:, -1] = 0.5 * (np.einsum("si,si->s", x, x) - 1.0)
+    fn = np.linalg.norm(F, axis=1)
+    hit = fn <= _NEWTON_TOL * (1.0 + np.abs(t))
+    done[idx[hit]] = True
+    go = ~hit
+    if not go.any():
+        return
+    gi = idx[go]
+    kk = gi.size
+    tg = t[go, None, None]
+    J = np.zeros((kk, m, m))
+    J[:, r_f1, sl_x] = A1[go]
+    J[:, r_f1, sl_y] = A2[go]
+    J[:, r_f1, sl_z] = -tg * np.eye(n3)
+    J[:, r_f1, -1] = -z[go]
+    J[:, r_f2, sl_x] = -tg * np.eye(n1)
+    J[:, r_f2, sl_y] = A3[go]
+    J[:, r_f2, sl_z] = np.transpose(A1[go], (0, 2, 1))
+    J[:, r_f2, -1] = -x[go]
+    J[:, r_f3, sl_x] = np.transpose(A3[go], (0, 2, 1))
+    J[:, r_f3, sl_y] = -tg * np.eye(n2)
+    J[:, r_f3, sl_z] = np.transpose(A2[go], (0, 2, 1))
+    J[:, r_f3, -1] = -y[go]
+    J[:, -1, sl_x] = x[go]
+    rhs = F[go]
+    try:
+        step = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(rhs)
+        for r in range(kk):
+            try:
+                step[r] = np.linalg.solve(J[r], rhs[r])
+            except np.linalg.LinAlgError:
+                alive[gi[r]] = False
+    V[gi] = w = v[go] - step
+    huge = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
+    alive[gi[huge]] = False
 
 
 # ---------------------------------------------------------------------------
@@ -588,26 +597,20 @@ def _tie_order(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, cfg: SearchConfig)
     return order[np.lexsort(np.vstack([keys, np.cumsum(gaps)]))]
 
 
-def _search_candidates(
+def _converged_rows(
     T: Tensor3,
     cfg: SearchConfig,
     use_newton: bool,
     pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[SingularTriple, ...]:
-    """Verified, canonical, deduplicated and sorted triples of one multi-start search.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, Y, Z) of every start that converged in one multi-start search.
 
     The starts are _standard_starts(T, cfg, pairs). The alternating
     iteration runs over them, optionally followed by Newton from the same
-    starts, stacked as x | y | z | tau0. Candidates are taken in
-    deterministic order (alternating-iteration results by start index, then
-    Newton results by start index), gated at residual_tol with
-    tau > residual_tol, canonicalized and merged by sign orbit, first
-    representative winning; the kept rows are put in _tie_order and only
-    then become SingularTriples. A tensor whose hs-norm is at most
-    residual_tol has no such triple, and gets none without a search.
+    starts, stacked as x | y | z | tau0. Rows are in deterministic order:
+    alternating-iteration results by start index, then Newton results by
+    start index.
     """
-    if hs_norm(T) <= cfg.residual_tol:
-        return ()
     X0, Y0, Z0 = _standard_starts(T, cfg, pairs)
     arr = T.array
     als = _als_batch(arr, X0, Y0, cfg)
@@ -620,6 +623,18 @@ def _search_candidates(
         V, ok = _newton_batch(arr, np.column_stack([X0, Y0, Z0, tau0]))
         found.append(np.split(V[ok], np.cumsum(arr.shape), axis=1)[:3])
     X, Y, Z = (np.vstack(blocks) for blocks in zip(*found))
+    return X, Y, Z
+
+
+def _verified_triples(
+    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: SearchConfig
+) -> tuple[SingularTriple, ...]:
+    """Converged rows gated, canonicalized, merged by sign orbit and sorted.
+
+    Rows are gated at residual_tol with tau > residual_tol, canonicalized
+    and merged by sign orbit, first representative winning; the kept rows
+    are put in _tie_order and only then become SingularTriples.
+    """
     tau, R = _residuals(arr, X, Y, Z)
     good = (tau > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
     tau, R = tau[good], R[good]
@@ -636,6 +651,22 @@ def _search_candidates(
         )
         for i in kept
     )
+
+
+def _search_candidates(
+    T: Tensor3,
+    cfg: SearchConfig,
+    use_newton: bool,
+    pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[SingularTriple, ...]:
+    """Verified, canonical, deduplicated and sorted triples of one multi-start search.
+
+    _verified_triples of the _converged_rows. A tensor whose hs-norm is at
+    most residual_tol has no such triple, and gets none without a search.
+    """
+    if hs_norm(T) <= cfg.residual_tol:
+        return ()
+    return _verified_triples(T.array, *_converged_rows(T, cfg, use_newton, pairs), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -775,17 +806,25 @@ def operator_norm(
     suffices: cfg.starts seeded random starts plus all canonical basis
     pairs. Returns (0.0, None) when hs_norm(T) <= residual_tol. For any
     other tensor, a search in which no triple verifies raises ValueError:
-    the norm is positive but unknown, so no value is reported.
+    the norm is positive but unknown, so no value is reported. The message
+    names max_iter when no start converged, and otherwise the residual_tol
+    gate that rejected every converged start.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    ordered = _search_candidates(T, cfg, use_newton=False)
-    if ordered:
-        return ordered[0].tau, ordered[0]
     if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
+    rows = _converged_rows(T, cfg, use_newton=False)
+    ordered = _verified_triples(T.array, *rows, cfg)
+    if ordered:
+        return ordered[0].tau, ordered[0]
+    converged = rows[0].shape[0]
+    if converged == 0:
+        cause = f" within max_iter={cfg.max_iter}"
+    else:
+        cause = f": {converged} start(s) converged, but none has tau above it and residuals within it"
     raise ValueError(
-        f"no singular triple verified at residual_tol={cfg.residual_tol:g} "
-        f"within max_iter={cfg.max_iter}; the norm of this nonzero operator is unknown"
+        f"no singular triple verified at residual_tol={cfg.residual_tol:g}{cause}; "
+        "the norm of this nonzero operator is unknown"
     )
 
 

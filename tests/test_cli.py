@@ -164,7 +164,7 @@ class TestSchmidt:
         assert failure["reason"] == "NotOrdered"
 
     def test_no_verified_triple_exits_three(self, files):
-        proc = run_cli("schmidt", files["diag_pair"], "--max-iter", "1", "--json")
+        proc = run_cli("schmidt", files["overlap"], "--max-iter", "1", "--json")
         assert proc.returncode == 3
         report = json.loads(proc.stdout)
         assert report["result"]["deflation"]["steps"] == []

@@ -116,7 +116,7 @@ class TestNewtonBatch:
         assert same_rows(part, full, subset)
         # Blocks of three rows: 37 rows end in a one-row block.
         m = sum(shape) + 1
-        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m * m)
+        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m * m)
         assert same_rows(_newton_batch(arr, V0), full)
 
     def test_empty_batch(self):
@@ -191,10 +191,18 @@ class TestSearchBlockBudget:
         [Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4))), gallery.orthonormal_triad()],
         ids=["gaussian-4", "orthonormal_triad"],
     )
-    def test_triples_do_not_depend_on_the_block_budget(self, T, monkeypatch):
+    @pytest.mark.parametrize(
+        "newton_block",
+        [lambda m2: 3 * m2, lambda m2: spectra._NEWTON_BLOCK, lambda m2: 1 << 22],
+        ids=["newton-3-rows", "newton-default", "newton-2^22"],
+    )
+    def test_triples_do_not_depend_on_the_block_budget(self, T, newton_block, monkeypatch):
         want = enumerate_triples(T).triples
-        # Newton blocks of 3 rows, contraction blocks of a few dozen rows.
-        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * (sum(T.dims) + 1) ** 2)
+        # Contraction blocks of a few dozen rows; Newton blocks of 3 rows, of
+        # the default budget, or of 2^22 Jacobian entries.
+        m2 = (sum(T.dims) + 1) ** 2
+        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
+        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", newton_block(m2))
         same_triples(enumerate_triples(T).triples, want)
 
 

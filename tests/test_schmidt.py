@@ -5,6 +5,7 @@ import pytest
 
 from bilop import (
     FailureReason,
+    gallery,
     SchmidtRepresentation,
     SchmidtStatus,
     SchmidtTerm,
@@ -21,6 +22,8 @@ from bilop import (
     verify_representation,
     verify_triple,
 )
+from bilop.schmidt import _greedy, _svd_decompose
+from bilop.spectra import _random_starts
 
 
 def orbit_matches(got, want, atol):
@@ -156,8 +159,9 @@ class TestDecomposeEdgeCases:
         assert report.steps == ()
         assert schmidt_sum_sq(rep) == 0.0
 
-    def test_no_verified_triple_fails_at_step_one(self, diag_pair):
-        rep, report = schmidt_decompose(diag_pair, SearchConfig(max_iter=1))
+    def test_no_verified_triple_fails_at_step_one(self, overlap):
+        # overlapping_slices has no SVD reading, so the search decides.
+        rep, report = schmidt_decompose(overlap, SearchConfig(max_iter=1))
         assert rep.status is SchmidtStatus.FAILED
         assert rep.terms == ()
         assert report.steps == ()
@@ -276,3 +280,120 @@ class TestVerifyRepresentation:
         rep, _ = triad_rep
         with pytest.raises(ValueError):
             verify_representation(diag_pair, rep, 1e-9)
+
+
+def planted(seed):
+    """A tensor with a planted Schmidt representation, dims 2-8, gaps >= 0.1."""
+    rng = np.random.default_rng([4001, seed])
+    dims = tuple(int(d) for d in rng.integers(2, 9, size=3))
+    rank = int(rng.integers(1, min(dims) + 1))
+    taus = np.cumsum(rng.uniform(0.1, 1.0, size=rank)[::-1])[::-1] + 0.5
+    U, V, W = (np.linalg.qr(rng.standard_normal((n, n)))[0] for n in dims)
+    return from_schmidt([(taus[i], U[:, i], V[:, i], W[:, i]) for i in range(rank)], dims=dims)
+
+
+def assert_same_decomposition(got, want, atol):
+    """Same status, failure, term and step counts; numbers within atol."""
+    (rep, report), (rep_w, report_w) = got, want
+    assert rep.status is rep_w.status
+    assert report.failure == report_w.failure
+    assert len(rep.terms) == len(rep_w.terms)
+    assert len(report.steps) == len(report_w.steps)
+    for a, b in zip(rep.terms, rep_w.terms):
+        assert abs(a.tau - b.tau) <= atol
+        for f in "xyz":
+            np.testing.assert_allclose(getattr(a, f), getattr(b, f), rtol=0, atol=atol)
+    for a, b in zip(report.steps, report_w.steps):
+        assert a.index == b.index
+        for f in ("slice_residuals", "transfer_residuals", "remaining_hs"):
+            np.testing.assert_allclose(getattr(a, f), getattr(b, f), rtol=0, atol=atol)
+
+
+class TestSvdFastPath:
+    """schmidt_decompose reads the terms off one SVD where that is unambiguous
+    and verified, and otherwise is exactly the greedy deflation."""
+
+    CFG = SearchConfig()
+
+    @pytest.mark.parametrize(
+        "name, fast",
+        [("diagonal_pair", True), ("overlapping_slices", False), ("orthonormal_triad", False), ("signed_diagonal", True)],
+    )
+    def test_gallery_matches_greedy(self, name, fast):
+        T = getattr(gallery, name)()
+        assert (_svd_decompose(T, self.CFG) is not None) is fast
+        assert_same_decomposition(schmidt_decompose(T, self.CFG), _greedy(T, self.CFG), atol=1e-10)
+
+    def test_planted_tensors_match_greedy(self):
+        cfg = SearchConfig(starts=16)
+        for seed in range(100):
+            T = planted(seed)
+            fast = _svd_decompose(T, cfg)
+            assert fast is not None, seed
+            assert fast[0].status is SchmidtStatus.COMPLETE
+            assert_same_decomposition(fast, _greedy(T, cfg), atol=1e-10)
+
+    def test_planted_schur_cubics_match_greedy(self, planted_schur_factory):
+        for seed in range(10):
+            T, _, _ = planted_schur_factory(seed)
+            fast = _svd_decompose(T, self.CFG)
+            assert fast is not None, seed
+            assert_same_decomposition(fast, _greedy(T, self.CFG), atol=1e-10)
+
+    def test_fast_path_runs_no_search(self):
+        _random_starts.cache_clear()
+        rep, report = schmidt_decompose(planted(0), self.CFG)
+        assert rep.status is SchmidtStatus.COMPLETE and report.steps
+        assert _random_starts.cache_info().misses == 0
+
+    def test_fast_path_clears_negative_zeros(self):
+        # Without the clearing, the sign flips leave -0.0 entries in the
+        # z of signed_diagonal's -2 term, and reports would print "-0".
+        rep, _ = schmidt_decompose(gallery.signed_diagonal(), self.CFG)
+        for term in rep.terms:
+            for v in (term.x, term.y, term.z):
+                assert not np.signbit(v[v == 0.0]).any()
+
+    def fallback(self, T):
+        """Assert the SVD reading is refused and the result is greedy's, bit for bit."""
+        assert _svd_decompose(T, self.CFG) is None
+        got = schmidt_decompose(T, self.CFG)
+        assert_same_decomposition(got, _greedy(T, self.CFG), atol=0.0)
+        return got
+
+    def test_tied_taus_fall_back(self):
+        # The unfolding's singular vectors are exact basis vectors here, so
+        # only the tie 2 = 2 refuses the SVD reading; greedy completes.
+        rep, _ = self.fallback(gallery.signed_diagonal((2.0, 2.0, 1.0)))
+        assert [t.tau for t in rep.terms] == [2.0, 2.0, 1.0]
+
+    def test_non_rank_one_right_vector_falls_back(self):
+        # The top right singular vector of T(1) is (e_1 (x) f_1 + e_2 (x) f_2)/|.|
+        # up to a small tilt: rank two as an n2 x n3 matrix.
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0] = arr[0, 1, 1] = 1.0
+        arr[1, 0, 0] = 0.5
+        rep, report = self.fallback(Tensor3.from_array(arr))
+        assert report.failure.reason is FailureReason.NOT_ORDERED
+
+    def test_ambiguous_peak_falls_back(self, triad):
+        # y of the tau = 3 term is (1, 0, -1)/sqrt(2): its two peak entries
+        # tie, so rounding would pick the canonical sign.
+        rep, _ = self.fallback(triad)
+        assert rep.status is SchmidtStatus.COMPLETE
+
+    def test_shared_y_falls_back(self):
+        # T(1)'s right vectors y (x) z_1 and y (x) z_2 are rank-one and
+        # orthogonal, but the y family repeats a vector, which no Schmidt
+        # representation allows. The ordered-slice check of step 1 refuses
+        # it before verify_representation's Gram test would.
+        y = np.array([0.6, 0.8])
+        T = from_schmidt([(2.0, [1.0, 0.0], y, [1.0, 0.0]), (1.0, [0.0, 1.0], y, [0.0, 1.0])])
+        rep, report = self.fallback(T)
+        assert rep.status is SchmidtStatus.FAILED
+        assert report.failure.reason is FailureReason.NOT_ORDERED
+
+    def test_overlapping_slices_keeps_greedys_diagnostics(self, overlap):
+        # fallback compares the failures whole: step, reason and diagnostics.
+        _, report = self.fallback(overlap)
+        assert (report.failure.step, report.failure.reason) == (1, FailureReason.NOT_ORDERED)

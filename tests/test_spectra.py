@@ -232,6 +232,15 @@ class TestOperatorNorm:
         with pytest.raises(ValueError, match="residual_tol=1e-09 within max_iter=1"):
             operator_norm(diag_pair, SearchConfig(max_iter=1))
 
+    def test_tau_below_residual_tol_names_the_gate_not_max_iter(self):
+        # hs-norm 1.13e-9 lies above residual_tol, so the search runs and
+        # converges, but the top tau 8e-10 fails the tau > residual_tol gate.
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0] = arr[1, 1, 1] = 8e-10
+        with pytest.raises(ValueError, match="residual_tol=1e-09: [0-9]+ start") as err:
+            operator_norm(Tensor3.from_array(arr))
+        assert "max_iter" not in str(err.value)
+
     def test_attained_triple_is_verified(self, diag_pair, deep_cfg):
         value, attained = operator_norm(diag_pair, deep_cfg)
         check = verify_triple(diag_pair, attained, 1e-9)
