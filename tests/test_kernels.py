@@ -186,20 +186,31 @@ def same_triples(got, want):
 
 
 class TestSearchBlockBudget:
-    @pytest.mark.parametrize(
+    TENSORS = pytest.mark.parametrize(
         "T",
         [Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4))), gallery.orthonormal_triad()],
         ids=["gaussian-4", "orthonormal_triad"],
     )
+
+    @TENSORS
+    def test_triples_do_not_depend_on_the_block_budget(self, T, monkeypatch):
+        want = enumerate_triples(T).triples
+        # Newton blocks of 3 rows, contraction blocks of a few dozen rows.
+        m2 = (sum(T.dims) + 1) ** 2
+        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
+        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m2)
+        same_triples(enumerate_triples(T).triples, want)
+
+    @TENSORS
     @pytest.mark.parametrize(
         "newton_block",
-        [lambda m2: 3 * m2, lambda m2: spectra._NEWTON_BLOCK, lambda m2: 1 << 22],
-        ids=["newton-3-rows", "newton-default", "newton-2^22"],
+        [lambda m2: spectra._NEWTON_BLOCK, lambda m2: 1 << 22],
+        ids=["newton-default", "newton-2^22"],
     )
-    def test_triples_do_not_depend_on_the_block_budget(self, T, newton_block, monkeypatch):
+    def test_triples_do_not_depend_on_the_newton_budget(self, T, newton_block, monkeypatch):
         want = enumerate_triples(T).triples
-        # Contraction blocks of a few dozen rows; Newton blocks of 3 rows, of
-        # the default budget, or of 2^22 Jacobian entries.
+        # Contraction blocks of a few dozen rows; Newton blocks of the default
+        # budget or of 2^22 Jacobian entries.
         m2 = (sum(T.dims) + 1) ** 2
         monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
         monkeypatch.setattr(spectra, "_NEWTON_BLOCK", newton_block(m2))
