@@ -1,10 +1,13 @@
 """Print one SHA-256 per benchmark workload family over the bytes of every answer.
 
-Usage: python scripts/fingerprint.py [--seeds 1-10,7919] [--save DIR] [--compare DIR]
+Usage: python scripts/fingerprint.py [--seeds 1-10,7919] [--families F,...]
+                                     [--save DIR] [--compare DIR]
 
 Two checkouts whose answers are bit-identical print the same four lines;
 a refactor that must not change results can be checked by running this at
-the old and the new commit and comparing. The families:
+the old and the new commit and comparing. --families hashes only the named
+families (default: all four), e.g. spectrum-gaussian,gallery to skip the
+17 CLI processes in a quick loop. The families:
 
   spectrum-gaussian  operator_norm and enumerate_triples on the benchmark's
                      seeded Gaussian tensors, every seed
@@ -205,20 +208,32 @@ def cli_answers(workdir: Path):
         yield name, proc.returncode, proc.stdout
 
 
-def answers(seeds: list[int]):
-    """(family, plain answer) for every answer the four families hash, in order."""
+def answers(seeds: list[int], families=FAMILIES):
+    """(family, plain answer) for every answer the named families hash, in order."""
     for seed in seeds:
         for family, workload in (
-            ("spectrum-gaussian", workloads.spectrum_gaussian(seed)),
-            ("schmidt-planted", workloads.schmidt_planted(seed)),
+            ("spectrum-gaussian", workloads.spectrum_gaussian),
+            ("schmidt-planted", workloads.schmidt_planted),
         ):
-            for task in workload.tasks:
-                yield family, plain((seed, task.name, task.run()))
-        for answer in gallery_answers(SearchConfig(seed=seed)):
-            yield "gallery", plain((seed, answer))
-    with tempfile.TemporaryDirectory() as tmp:
-        for answer in cli_answers(Path(tmp)):
-            yield "cli-gallery", plain(answer)
+            if family in families:
+                for task in workload(seed).tasks:
+                    yield family, plain((seed, task.name, task.run()))
+        if "gallery" in families:
+            for answer in gallery_answers(SearchConfig(seed=seed)):
+                yield "gallery", plain((seed, answer))
+    if "cli-gallery" in families:
+        with tempfile.TemporaryDirectory() as tmp:
+            for answer in cli_answers(Path(tmp)):
+                yield "cli-gallery", plain(answer)
+
+
+def parse_families(text: str) -> tuple[str, ...]:
+    """'gallery,spectrum-gaussian' -> the named families, in FAMILIES order."""
+    names = set(text.split(","))
+    unknown = names - set(FAMILIES)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown families: {', '.join(sorted(unknown))}")
+    return tuple(f for f in FAMILIES if f in names)
 
 
 def label(answer: list) -> str:
@@ -234,20 +249,24 @@ def label(answer: list) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-10,7919", help="seed list, e.g. 1-10,7919 (default)")
+    parser.add_argument(
+        "--families", type=parse_families, default=FAMILIES, help="comma-separated families (default: all four)"
+    )
     parser.add_argument("--save", type=Path, help="write the answers to DIR/<family>.jsonl")
     parser.add_argument("--compare", type=Path, help="report drift against answers saved in DIR")
     args = parser.parse_args(argv)
-    hashes = {family: hashlib.sha256() for family in FAMILIES}
-    counts = dict.fromkeys(FAMILIES, 0)
-    drift = {family: Drift() for family in FAMILIES}
+    families = args.families
+    hashes = {family: hashlib.sha256() for family in families}
+    counts = dict.fromkeys(families, 0)
+    drift = {family: Drift() for family in families}
     with contextlib.ExitStack() as files:
         saved, baseline = {}, {}
         if args.save:
             args.save.mkdir(parents=True, exist_ok=True)
-            saved = {f: files.enter_context(open(args.save / f"{f}.jsonl", "w")) for f in FAMILIES}
+            saved = {f: files.enter_context(open(args.save / f"{f}.jsonl", "w")) for f in families}
         if args.compare:
-            baseline = {f: files.enter_context(open(args.compare / f"{f}.jsonl")) for f in FAMILIES}
-        for family, answer in answers(parse_seeds(args.seeds)):
+            baseline = {f: files.enter_context(open(args.compare / f"{f}.jsonl")) for f in families}
+        for family, answer in answers(parse_seeds(args.seeds), families):
             feed(hashes[family], answer)
             counts[family] += 1
             if saved:
@@ -265,7 +284,7 @@ def main(argv=None) -> int:
     for family, h in hashes.items():
         print(f"{family:18s} {h.hexdigest()}")
     if baseline:
-        for family in FAMILIES:
+        for family in families:
             d = drift[family]
             print(
                 f"{family:18s} {counts[family]} answers, {len(d.changes)} structural change(s), "

@@ -58,7 +58,8 @@ _NEWTON_DIVERGED = 1e6
 _CONTRACT_BLOCK = 1 << 16
 
 #: Largest batch of Newton Jacobians, in float64 entries (512 KiB), that
-#: one row block of a Newton step builds.
+#: one row block of a Newton step builds; the block's gather source, smaller
+#: than its Jacobians, stays within it too.
 _NEWTON_BLOCK = 1 << 16
 
 
@@ -213,13 +214,25 @@ def _residuals(
     tau = np.einsum("sk,sk->s", TXY, Z)
     t = tau[:, None]
     R = np.empty((tau.size, 3))
-    R[:, 0] = np.linalg.norm(TXY - t * Z, axis=1)
-    R[:, 1] = np.linalg.norm(_contract(arr, 0, Y, Z) - t * X, axis=1)
-    R[:, 2] = np.linalg.norm(_contract(arr, 1, X, Z) - t * Y, axis=1)
+    R[:, 0] = _row_norms(TXY - t * Z)
+    R[:, 1] = _row_norms(_contract(arr, 0, Y, Z) - t * X)
+    R[:, 2] = _row_norms(_contract(arr, 1, X, Z) - t * Y)
     return tau, R
 
 
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    """Norms along the last axis: np.linalg.norm(M, axis=-1)'s reduction on real input, bit for bit."""
+    return np.sqrt(np.add.reduce(M * M, axis=-1))
+
+
+def _factor_slices(dims: tuple[int, int, int]) -> tuple[slice, slice, slice]:
+    """The x, y and z columns of a stacked unknown x | y | z | tau."""
+    n1, n2, n3 = dims
+    return slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n1 + n2 + n3)
+
+
 _ORBIT_SIGNS = ((1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, -1.0))
+_ORBIT_STACK = np.array(_ORBIT_SIGNS).T[:, :, None, None]
 
 
 def _canonical_rows(
@@ -262,7 +275,7 @@ def canonicalize(triple: SingularTriple) -> SingularTriple:
 
 
 def _row_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(M, axis=1)
+    norms = _row_norms(M)
     safe = np.where(norms > _ZERO_NORM, norms, 1.0)
     return M / safe[:, None], norms
 
@@ -332,7 +345,8 @@ def _als_batch(
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
     sel = sel[far]
     V, fin = _newton_batch(arr, np.column_stack([X[sel], Y[sel], Z[sel], tau[far]]))
-    X[sel[fin]], Y[sel[fin]], Z[sel[fin]], _ = np.split(V[fin], np.cumsum(arr.shape), axis=1)
+    for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
+        M[sel[fin]] = V[fin, cols]
 
     reasons = np.where(dead, "zero contraction", "max_iter exceeded")
     return {"X": X, "Y": Y, "Z": Z, "ok": ok, "reasons": reasons}
@@ -352,18 +366,15 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Unlike the alternating iteration, Newton converges to critical points of
     any index, which is what recovers saddle-type triples.
 
-    A converged row is ok when each of x, y, z has unit norm within 1e-6;
-    its vectors are then normalised exactly, and a root with tau < 0 is
-    mapped to the same orbit with tau > 0 via (x, y, z, tau) ->
-    (x, -y, z, -tau). Rows that are not ok are left as Newton left them.
-
-    One step loop serves the whole batch: each step runs over the rows
-    still active, in row blocks whose Jacobians hold at most _NEWTON_BLOCK
-    entries, so memory stays bounded and the rows that never converge share
-    one tail of _NEWTON_MAX_STEPS steps. A row stops when it converges,
-    when its step solve is singular, or when it diverges: an x, y or z
-    entry beyond _NEWTON_DIVERGED, or any non-finite entry. A row's result
-    depends only on that row, never on its block or batch.
+    One step loop (_newton_step) serves the whole batch, in row blocks whose
+    Jacobians (and their gather source) hold at most _NEWTON_BLOCK entries;
+    rows that never converge share one tail of _NEWTON_MAX_STEPS steps. A row
+    stops when it converges, its step solve is singular, or it diverges (an
+    x, y or z entry beyond _NEWTON_DIVERGED, or a non-finite entry), and
+    depends on no other row. A converged root with tau < 0 is mapped to the
+    same orbit, (x, -y, z, -tau); it is ok when x, y and z have unit norm
+    within 1e-6, and each block is then divided by its norm in place. Rows
+    that did not converge stay as Newton left them.
     """
     V = np.array(V0, dtype=float)
     S = V.shape[0]
@@ -387,13 +398,11 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     V[ok & (V[:, -1] < 0)] *= flip
     # Roots carry unit norms up to the Newton tolerance; snap exactly.
     sel = np.flatnonzero(ok)
-    norms = np.column_stack(
-        [np.linalg.norm(M, axis=1) for M in np.split(V[sel, :-1], (n1, n1 + n2), axis=1)]
-    )
-    off = (np.abs(norms - 1.0) > 1e-6).any(axis=1)
+    norms = [_row_norms(V[sel, cols]) for cols in _factor_slices(arr.shape)]
+    off = np.logical_or.reduce([np.abs(nrm - 1.0) > 1e-6 for nrm in norms])
     ok[sel[off]] = False
-    good = sel[~off]
-    V[good, :-1] /= np.repeat(norms[~off], (n1, n2, n3), axis=1)
+    for cols, nrm in zip(_factor_slices(arr.shape), norms):
+        V[sel[~off], cols] /= nrm[~off, None]
     return V, ok
 
 
@@ -404,58 +413,39 @@ def _newton_step(
 
     Rows already at the tolerance are marked done and left as they are; a
     row whose step solve is singular, or whose step diverges, loses alive.
+    J is one gather, src[:, _jacobian_map], from the _jacobian_source block.
     """
     n1, n2, n3 = arr.shape
-    m = n1 + n2 + n3 + 1
-    sl_x = slice(0, n1)
-    sl_y = slice(n1, n1 + n2)
-    sl_z = slice(n1 + n2, n1 + n2 + n3)
-    r_f1 = slice(0, n3)
-    r_f2 = slice(n3, n3 + n1)
-    r_f3 = slice(n3 + n1, n3 + n1 + n2)
-
     v = V[idx]
     # Contiguous operands: a strided einsum may take another inner loop.
-    x, y, z = (np.ascontiguousarray(v[:, sl]) for sl in (sl_x, sl_y, sl_z))
+    x, y, z = (np.ascontiguousarray(v[:, cols]) for cols in _factor_slices(arr.shape))
     t = v[:, -1]
     k = idx.size
+    # F and J's source are allocated before the A blocks and J after they are dropped, so J reuses
+    # their heap space; otherwise the heap top outgrows glibc's trim threshold and every step refaults it.
+    F, src = np.empty((k, v.shape[1])), np.empty((k, _jacobian_map(arr.shape).max() + 1))
     A1 = np.einsum("ijk,sj->ski", arr, y)
     A2 = np.einsum("ijk,si->skj", arr, x)
     A3 = np.einsum("ijk,sk->sij", arr, z)
-    F = np.empty((k, m))
-    F[:, r_f1] = np.einsum("ski,si->sk", A1, x) - t[:, None] * z
-    F[:, r_f2] = np.einsum("ski,sk->si", A1, z) - t[:, None] * x
-    F[:, r_f3] = np.einsum("skj,sk->sj", A2, z) - t[:, None] * y
+    F[:, :n3] = np.einsum("ski,si->sk", A1, x) - t[:, None] * z
+    F[:, n3 : n3 + n1] = np.einsum("ski,sk->si", A1, z) - t[:, None] * x
+    F[:, n3 + n1 : -1] = np.einsum("skj,sk->sj", A2, z) - t[:, None] * y
     F[:, -1] = 0.5 * (np.einsum("si,si->s", x, x) - 1.0)
-    fn = np.linalg.norm(F, axis=1)
-    hit = fn <= _NEWTON_TOL * (1.0 + np.abs(t))
+    hit = _row_norms(F) <= _NEWTON_TOL * (1.0 + np.abs(t))
     done[idx[hit]] = True
     go = ~hit
     if not go.any():
         return
     gi = idx[go]
-    kk = gi.size
-    tg = t[go, None, None]
-    J = np.zeros((kk, m, m))
-    J[:, r_f1, sl_x] = A1[go]
-    J[:, r_f1, sl_y] = A2[go]
-    J[:, r_f1, sl_z] = -tg * np.eye(n3)
-    J[:, r_f1, -1] = -z[go]
-    J[:, r_f2, sl_x] = -tg * np.eye(n1)
-    J[:, r_f2, sl_y] = A3[go]
-    J[:, r_f2, sl_z] = np.transpose(A1[go], (0, 2, 1))
-    J[:, r_f2, -1] = -x[go]
-    J[:, r_f3, sl_x] = np.transpose(A3[go], (0, 2, 1))
-    J[:, r_f3, sl_y] = -tg * np.eye(n2)
-    J[:, r_f3, sl_z] = np.transpose(A2[go], (0, 2, 1))
-    J[:, r_f3, -1] = -y[go]
-    J[:, -1, sl_x] = x[go]
+    _jacobian_source(src, A1, A2, A3, x, y, z, t)
+    del A1, A2, A3
+    J = src[go if hit.any() else slice(None)][:, _jacobian_map(arr.shape)]
     rhs = F[go]
     try:
         step = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         step = np.zeros_like(rhs)
-        for r in range(kk):
+        for r in range(gi.size):
             try:
                 step[r] = np.linalg.solve(J[r], rhs[r])
             except np.linalg.LinAlgError:
@@ -465,6 +455,39 @@ def _newton_step(
     alive[gi[huge]] = False
 
 
+def _jacobian_source(src, A1, A2, A3, x, y, z, t) -> None:
+    """Fill src, one row per start, with A1 | A2 | A3 | -z | -x | -y | x | -tau | (-tau)*0.0 | 0: the
+    entries src[:, _jacobian_map(dims)] gathers into J, bit for bit those of its slice assembly."""
+    nt = -t[:, None]
+    blocks = (A1, A2, A3, -z, -x, -y, x, nt, nt * 0.0, np.zeros_like(nt))
+    np.concatenate([M.reshape(t.size, -1) for M in blocks], axis=1, out=src)
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_map(dims: tuple[int, int, int]) -> np.ndarray:
+    """(m, m) indices into a _jacobian_source row: J's slice assembly run once on an integer template.
+    Rows T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
+
+        [ A1       A2       -tau I   -z ]
+        [ -tau I   A3       A1^T     -x ]
+        [ A3^T     -tau I   A2^T     -y ]
+        [ x^T      0        0         0 ]
+    """
+    n1, n2, n3 = dims
+    m = n1 + n2 + n3 + 1
+    a1, a2, a3, nz, nx, ny, px, nt, nt0, zero = np.cumsum([0, n3 * n1, n3 * n2, n1 * n2, n3, n1, n2, n1, 1, 1])
+    A1, A2, A3 = (o + np.arange(p * q).reshape(p, q) for o, p, q in ((a1, n3, n1), (a2, n3, n2), (a3, n1, n2)))
+    sx, sy, sz = _factor_slices(dims)
+    f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, m - 1)
+    J = np.full((m, m), zero)
+    J[f1, sx], J[f1, sy], J[f1, sz], J[f1, -1] = A1, A2, np.where(np.eye(n3), nt, nt0), nz + np.arange(n3)
+    J[f2, sx], J[f2, sy], J[f2, sz], J[f2, -1] = np.where(np.eye(n1), nt, nt0), A3, A1.T, nx + np.arange(n1)
+    J[f3, sx], J[f3, sy], J[f3, sz], J[f3, -1] = A3.T, np.where(np.eye(n2), nt, nt0), A2.T, ny + np.arange(n2)
+    J[-1, sx] = px + np.arange(n1)
+    J.flags.writeable = False
+    return J
+
+
 # ---------------------------------------------------------------------------
 # deterministic start sets
 
@@ -472,7 +495,7 @@ def _newton_step(
 def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """z for each start pair: T(x, y) normalized, or e_1 where T(x, y) vanishes."""
     TXY = _contract(arr, 2, X, Y)
-    norms = np.linalg.norm(TXY, axis=1)
+    norms = _row_norms(TXY)
     Z = np.zeros_like(TXY)
     pos = norms > _ZERO_NORM
     Z[pos] = TXY[pos] / norms[pos, None]
@@ -489,18 +512,12 @@ def _random_starts(
     A pure function of its arguments: the last block built is kept, read-only,
     for the next search of that shape (a deflation step, a norm then a spectrum).
     """
-    n1, n2, n3 = dims
-    X = np.empty((count, n1))
-    Y = np.empty((count, n2))
-    Z = np.empty((count, n3))
+    V = np.empty((count, sum(dims)))
     for s in range(count):
         # default_rng([seed, s]) spelled out: a third cheaper, same stream.
         g = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s])))
-        v = g.standard_normal(n1 + n2 + n3)
-        X[s] = v[:n1]
-        Y[s] = v[n1 : n1 + n2]
-        Z[s] = v[n1 + n2 :]
-    block = tuple(_row_normalize(M)[0] for M in (X, Y, Z))
+        V[s] = g.standard_normal(V.shape[1])
+    block = tuple(_row_normalize(V[:, cols])[0] for cols in _factor_slices(dims))
     for M in block:
         M.flags.writeable = False
     return block
@@ -545,18 +562,11 @@ def _orbit_mates(
     """
     t = tau[rows]
     mates = np.abs(t - tau[i]) <= cfg.dedup_tol * (1.0 + np.maximum(t, tau[i]))
+    if not mates.any():
+        return mates
     near = rows[mates]
-    dist = np.full(near.size, np.inf)
-    for sx, sy, sz in _ORBIT_SIGNS:
-        d = np.maximum(
-            np.maximum(
-                np.linalg.norm(X[near] - sx * X[i], axis=1),
-                np.linalg.norm(Y[near] - sy * Y[i], axis=1),
-            ),
-            np.linalg.norm(Z[near] - sz * Z[i], axis=1),
-        )
-        dist = np.minimum(dist, d)
-    mates[mates] = dist <= cfg.dedup_tol
+    dx, dy, dz = (_row_norms(M[near] - s * M[i]) for M, s in zip((X, Y, Z), _ORBIT_STACK))
+    mates[mates] = np.maximum(np.maximum(dx, dy), dz).min(axis=0) <= cfg.dedup_tol
     return mates
 
 
@@ -621,7 +631,7 @@ def _converged_rows(
         # _newton_batch: its roots feed tie orders pinned by the gallery reports.
         tau0 = np.einsum("sk,sk->s", np.einsum("ijk,si,sj->sk", arr, X0, Y0), Z0)
         V, ok = _newton_batch(arr, np.column_stack([X0, Y0, Z0, tau0]))
-        found.append(np.split(V[ok], np.cumsum(arr.shape), axis=1)[:3])
+        found.append(tuple(V[ok, cols] for cols in _factor_slices(arr.shape)))
     X, Y, Z = (np.vstack(blocks) for blocks in zip(*found))
     return X, Y, Z
 

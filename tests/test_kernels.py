@@ -26,8 +26,12 @@ from bilop.spectra import (
     _canonical_rows,
     _contract,
     _dedup,
+    _jacobian_map,
+    _jacobian_source,
     _newton_batch,
+    _orbit_mates,
     _random_starts,
+    _row_norms,
     _standard_starts,
     _tie_order,
 )
@@ -133,6 +137,72 @@ class TestNewtonBatch:
         V, ok = _newton_batch(diag_pair.array, V0)
         assert ok.tolist() == [True, False]
         assert np.array_equal(V[0], np.r_[x, y, z, 3.0])
+
+
+def reference_jacobian(A1, A2, A3, x, y, z, t):
+    """The Newton Jacobians by slice assembly, one block of J at a time."""
+    k, n3, n1 = A1.shape
+    n2 = A2.shape[2]
+    m = n1 + n2 + n3 + 1
+    sl_x, sl_y, sl_z = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, m - 1)
+    r_f1, r_f2, r_f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, m - 1)
+    tg = t[:, None, None]
+    J = np.zeros((k, m, m))
+    J[:, r_f1, sl_x] = A1
+    J[:, r_f1, sl_y] = A2
+    J[:, r_f1, sl_z] = -tg * np.eye(n3)
+    J[:, r_f1, -1] = -z
+    J[:, r_f2, sl_x] = -tg * np.eye(n1)
+    J[:, r_f2, sl_y] = A3
+    J[:, r_f2, sl_z] = np.transpose(A1, (0, 2, 1))
+    J[:, r_f2, -1] = -x
+    J[:, r_f3, sl_x] = np.transpose(A3, (0, 2, 1))
+    J[:, r_f3, sl_y] = -tg * np.eye(n2)
+    J[:, r_f3, sl_z] = np.transpose(A2, (0, 2, 1))
+    J[:, r_f3, -1] = -y
+    J[:, -1, sl_x] = x
+    return J
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 4, 4), (4, 8, 6)])
+    def test_gather_equals_the_slice_assembly_byte_for_byte(self, shape):
+        rng = np.random.default_rng([9, *shape])
+        arr = rng.standard_normal(shape)
+        # Random rows, then basis-vector rows whose A blocks, -x, -y and -z
+        # hold exact (signed) zeros; each with tau > 0, tau < 0 and tau = 0.
+        X, Y, Z = (rng.standard_normal((3, n)) for n in shape)
+        X, Y, Z = (np.vstack([M, np.eye(n)[np.arange(3) % n]]) for M, n in zip((X, Y, Z), shape))
+        X, Y, Z = (np.tile(M, (3, 1)) for M in (X, Y, Z))
+        t = np.repeat([1.5, -0.75, 0.0], 6)
+        A1 = np.einsum("ijk,sj->ski", arr, Y)
+        A2 = np.einsum("ijk,si->skj", arr, X)
+        A3 = np.einsum("ijk,sk->sij", arr, Z)
+        want = reference_jacobian(A1, A2, A3, X, Y, Z, t)
+        assert (np.signbit(want) & (want == 0)).any()  # -0.0 entries are in play
+        # The Newton step's gather: all rows, or the rows still stepping.
+        jmap = _jacobian_map(shape)
+        src = np.empty((t.size, jmap.max() + 1))
+        _jacobian_source(src, A1, A2, A3, X, Y, Z, t)
+        assert src[:, jmap].tobytes() == want.tobytes()
+        rows = rng.random(t.size) < 0.5
+        assert src[rows][:, jmap].tobytes() == want[rows].tobytes()
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("shape", [(7, 5), (3, 6, 4)])
+    def test_bit_equal_to_numpy_norm(self, shape):
+        rng = np.random.default_rng([10, *shape])
+        M = rng.standard_normal(shape)
+        M[..., 0, :] = 0.0  # zero rows
+        M[..., 1, :] *= 1e-200  # squares underflow to 0
+        M[..., 2, :] *= 1e150  # squares near 1e300
+        M[..., 3, :] = np.resize([1e150, -1e-200], shape[-1])
+        M[..., 4, :] *= 1e160  # squares overflow
+        with np.errstate(over="ignore"):
+            got, want = _row_norms(M), np.linalg.norm(M, axis=-1)
+        assert got.tobytes() == want.tobytes()
+        assert (got[..., :2] == 0).all() and (got[..., 2:4] > 1e149).all() and np.isinf(got[..., 4]).all()
 
 
 def reference_tie_order(tau, X, Y, cfg):
@@ -360,3 +430,29 @@ class TestDedup:
         Y = np.array([y, -y, y, y])
         Z = np.array([z, z, z, z])
         assert _dedup(tau, X, Y, Z, cfg) == [0, 2]
+
+    @staticmethod
+    def orbit_rows(taus, orbits):
+        """Row i: taus[i] with random triple i % orbits in sign variant (i // orbits) % 4,
+        as arrays and as candidates."""
+        rng = np.random.default_rng(orbits)
+        bases = [[v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in (3, 2, 4))] for _ in range(orbits)]
+        rows = [[s * v for s, v in zip(_ORBIT_SIGNS[(i // orbits) % 4], bases[i % orbits])] for i in range(len(taus))]
+        X, Y, Z = (np.array([r[f] for r in rows]) for f in range(3))
+        cands = [SingularTriple(float(t), *r, (0.0, 0.0, 0.0)) for t, r in zip(taus, rows)]
+        return np.array(taus), X, Y, Z, cands
+
+    def test_no_two_taus_are_mates(self):
+        # Every row is the same orbit, but no two taus lie within dedup_tol.
+        cfg = SearchConfig()
+        tau, X, Y, Z, cands = self.orbit_rows([1.0 + 1e-5 * i for i in range(9)], orbits=1)
+        assert not _orbit_mates(tau, X, Y, Z, 0, np.arange(1, 9), cfg).any()
+        assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg) == list(range(9))
+
+    def test_all_taus_are_mates(self):
+        # Every tau within dedup_tol of the others: two orbits interleaved,
+        # each in all four sign variants.
+        cfg = SearchConfig()
+        tau, X, Y, Z, cands = self.orbit_rows([1.0 + 1e-8 * i for i in range(8)], orbits=2)
+        assert _orbit_mates(tau, X, Y, Z, 0, np.arange(1, 8), cfg).tolist() == [False, True] * 3 + [False]
+        assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg) == [0, 1]
