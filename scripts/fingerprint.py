@@ -1,7 +1,7 @@
 """Print one SHA-256 per benchmark workload family over the bytes of every answer.
 
 Usage: python scripts/fingerprint.py [--seeds 1-10,7919] [--families F,...]
-                                     [--save DIR] [--compare DIR]
+                                     [--save DIR] [--compare DIR] [--diff DIR]
 
 Two checkouts whose answers are bit-identical print the same four lines;
 a refactor that must not change results can be checked by running this at
@@ -28,7 +28,12 @@ DIR writes the hashed answers, one JSON line each, to DIR/<family>.jsonl,
 and --compare DIR (the same seeds, usually saved at another commit) prints
 per family every structural change (a status, flag, string or count, a
 list's length or order) and the largest absolute float difference, with
-where it occurs. CLI reports are compared as parsed JSON.
+where it occurs. CLI reports are compared as parsed JSON. --diff DIR reads
+the same saved answers and prints, for every spectrum (the spectrum-gaussian
+spectra, the gallery spectra and lattice oracle) whose sign orbits changed,
+the orbits lost and gained: an orbit matches when tau lies within 1e-9 and,
+for one of the four sign variants, each of x, y and z lies within 1e-9 in
+norm. Spectra whose orbits all match print nothing.
 """
 
 from __future__ import annotations
@@ -53,12 +58,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import bilop  # noqa: E402
 import workloads  # noqa: E402
 from bilop import SearchConfig  # noqa: E402
+from bilop.spectra import _ORBIT_SIGNS  # noqa: E402
 
 FAMILIES = ("spectrum-gaussian", "schmidt-planted", "gallery", "cli-gallery")
 #: Two lists whose elements differ by more than this are tried for a reordering.
 ORDER_TOL = 1e-6
 #: Structural changes printed per family.
 SHOWN = 10
+#: Two triples are one orbit when tau and, for some sign variant, x, y and z lie this close.
+ORBIT_TOL = 1e-9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -188,15 +196,16 @@ def distance(old, new) -> float:
 
 
 def gallery_answers(cfg: SearchConfig):
+    """(label, answer) for each gallery answer; only the answer is hashed."""
     for name, build in workloads.GALLERY.items():
         T = build()
         rep, report = bilop.schmidt_decompose(T, cfg)
-        yield name, bilop.operator_norm(T, cfg), bilop.enumerate_triples(T, cfg), rep, report
+        yield name, (name, bilop.operator_norm(T, cfg), bilop.enumerate_triples(T, cfg), rep, report)
         tol = cfg.residual_tol
         cubic = len(set(T.dims)) == 1
         if cubic and bilop.is_symmetric(T, tol) and bilop.is_self_adjoint(T, tol) and rep.status is bilop.SchmidtStatus.COMPLETE:
-            yield bilop.schur_from_schmidt(T, rep, tol)
-        yield bilop.exhaustive_small_spectrum(T, cfg)
+            yield f"{name}/schur", bilop.schur_from_schmidt(T, rep, tol)
+        yield f"{name}/oracle", bilop.exhaustive_small_spectrum(T, cfg)
 
 
 def cli_answers(workdir: Path):
@@ -209,7 +218,7 @@ def cli_answers(workdir: Path):
 
 
 def answers(seeds: list[int], families=FAMILIES):
-    """(family, plain answer) for every answer the named families hash, in order."""
+    """(family, label, plain answer) for every answer the named families hash, in order."""
     for seed in seeds:
         for family, workload in (
             ("spectrum-gaussian", workloads.spectrum_gaussian),
@@ -217,14 +226,14 @@ def answers(seeds: list[int], families=FAMILIES):
         ):
             if family in families:
                 for task in workload(seed).tasks:
-                    yield family, plain((seed, task.name, task.run()))
+                    yield family, f"{seed}/{task.name}", plain((seed, task.name, task.run()))
         if "gallery" in families:
-            for answer in gallery_answers(SearchConfig(seed=seed)):
-                yield "gallery", plain((seed, answer))
+            for name, answer in gallery_answers(SearchConfig(seed=seed)):
+                yield "gallery", f"{seed}/{name}", plain((seed, answer))
     if "cli-gallery" in families:
         with tempfile.TemporaryDirectory() as tmp:
             for answer in cli_answers(Path(tmp)):
-                yield "cli-gallery", plain(answer)
+                yield "cli-gallery", answer[0], plain(answer)
 
 
 def parse_families(text: str) -> tuple[str, ...]:
@@ -236,14 +245,35 @@ def parse_families(text: str) -> tuple[str, ...]:
     return tuple(f for f in FAMILIES if f in names)
 
 
-def label(answer: list) -> str:
-    """The answer's leading seed, names and codes, e.g. '3/planted-4x4x4-0/schmidt'."""
-    head = []
-    for item in answer[:-1]:
-        if not isinstance(item, (int, str)):
-            break
-        head.append(str(item))
-    return "/".join(head) or "answer"
+def spectra_in(obj):
+    """Every Spectrum in a plain() value (itself or in its lists), as a list of (tau, x, y, z) per triple."""
+    if isinstance(obj, dict) and obj.get("dataclass") == "Spectrum":
+        triples = [t["fields"] for t in obj["fields"]["triples"]]
+        yield [(t["tau"], *(np.array(t[f]["data"]) for f in "xyz")) for t in triples]
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from spectra_in(item)
+
+
+def same_orbit(a, b) -> bool:
+    """tau within ORBIT_TOL, and x, y, z each within ORBIT_TOL in norm for one sign variant."""
+    if abs(a[0] - b[0]) > ORBIT_TOL or any(u.shape != v.shape for u, v in zip(a[1:], b[1:])):
+        return False
+    return any(
+        all(np.linalg.norm(u - s * v) <= ORBIT_TOL for u, v, s in zip(a[1:], b[1:], signs)) for signs in _ORBIT_SIGNS
+    )
+
+
+def orbit_diff(old, new, where: str) -> list[str]:
+    """The orbits lost and gained between the spectra of two plain() answers; empty when they all match."""
+    lines = []
+    for before, after in zip(spectra_in(old), spectra_in(new)):
+        lost = [a for a in before if not any(same_orbit(a, b) for b in after)]
+        gained = [b for b in after if not any(same_orbit(a, b) for a in before)]
+        if lost or gained:
+            lines.append(f"{where}: {len(lost)} orbit(s) lost, {len(gained)} gained ({len(before)} -> {len(after)})")
+            lines += [f"    lost   tau={t[0]!r}" for t in lost] + [f"    gained tau={t[0]!r}" for t in gained]
+    return lines
 
 
 def main(argv=None) -> int:
@@ -254,19 +284,24 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--save", type=Path, help="write the answers to DIR/<family>.jsonl")
     parser.add_argument("--compare", type=Path, help="report drift against answers saved in DIR")
+    parser.add_argument("--diff", type=Path, help="report the sign orbits each spectrum lost and gained against DIR")
     args = parser.parse_args(argv)
+    if args.compare and args.diff and args.compare != args.diff:
+        parser.error("--compare and --diff read the same saved answers")
     families = args.families
+    base_dir = args.compare or args.diff
     hashes = {family: hashlib.sha256() for family in families}
     counts = dict.fromkeys(families, 0)
     drift = {family: Drift() for family in families}
+    orbits = {family: [] for family in families}
     with contextlib.ExitStack() as files:
         saved, baseline = {}, {}
         if args.save:
             args.save.mkdir(parents=True, exist_ok=True)
             saved = {f: files.enter_context(open(args.save / f"{f}.jsonl", "w")) for f in families}
-        if args.compare:
-            baseline = {f: files.enter_context(open(args.compare / f"{f}.jsonl")) for f in families}
-        for family, answer in answers(parse_seeds(args.seeds), families):
+        if base_dir:
+            baseline = {f: files.enter_context(open(base_dir / f"{f}.jsonl")) for f in families}
+        for family, where, answer in answers(parse_seeds(args.seeds), families):
             feed(hashes[family], answer)
             counts[family] += 1
             if saved:
@@ -274,16 +309,26 @@ def main(argv=None) -> int:
             if baseline:
                 line = baseline[family].readline()
                 if not line:
-                    drift[family].changes.append(f"{label(answer)}: not in {args.compare}")
+                    drift[family].changes.append(f"{where}: not in {base_dir}")
+                    orbits[family].append(f"{where}: not in {base_dir}")
                 else:
-                    drift[family].walk(json.loads(line), answer, label(answer))
+                    old = json.loads(line)
+                    if args.compare:
+                        drift[family].walk(old, answer, where)
+                    if args.diff:
+                        orbits[family] += orbit_diff(old, answer, where)
         for family, f in baseline.items():
             left = sum(1 for _ in f)
             if left:
                 drift[family].changes.append(f"{left} saved answer(s) not produced")
+                orbits[family].append(f"{left} saved answer(s) not produced")
     for family, h in hashes.items():
         print(f"{family:18s} {h.hexdigest()}")
-    if baseline:
+    if args.diff:
+        for family in families:
+            for line in orbits[family]:
+                print(f"{family:18s} {line}")
+    if args.compare:
         for family in families:
             d = drift[family]
             print(

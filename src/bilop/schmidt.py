@@ -35,6 +35,7 @@ from .spectra import (
     TripleCheck,
     _canonical_rows,
     _residuals,
+    _row_norms,
     _search_candidates,
     is_ordered,
     verify_triple,
@@ -285,7 +286,7 @@ def _svd_decompose(
     U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
     u, sig, wt = np.linalg.svd(Vt[:cap].reshape(cap, n2, n3), full_matrices=False)
     X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
-    rank_one = np.linalg.norm(sig[:, 1:], axis=1) <= cfg.residual_tol
+    rank_one = _row_norms(sig[:, 1:]) <= cfg.residual_tol
     clear_peaks = np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol
     stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
 

@@ -81,16 +81,18 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.starts is not None and self.starts < 1:
-            raise ValueError("starts must be a positive integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
+        for name, low in (("starts", 1), ("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if name == "starts" and value is None:
+                continue
+            # Counts and seeds are integers (numpy's too), never bools or
+            # floats: an equal float would otherwise share a memoised search.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be a {'positive' if low else 'nonnegative'} integer")
         for name in ("iter_tol", "residual_tol", "dedup_tol"):
             # Written so that NaN fails too.
             if not 0 < getattr(self, name) < float("inf"):
                 raise ValueError(f"{name} must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
     def resolved_starts(self, dims: tuple[int, int, int]) -> int:
         return self.starts if self.starts is not None else 64 * max(dims)
@@ -231,6 +233,15 @@ def _factor_slices(dims: tuple[int, int, int]) -> tuple[slice, slice, slice]:
     return slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n1 + n2 + n3)
 
 
+def _stacked(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Rows x | y | z | tau of the stacked unknown, filled into one preallocated block."""
+    V = np.empty((tau.size, X.shape[1] + Y.shape[1] + Z.shape[1] + 1))
+    for M, cols in zip((X, Y, Z), _factor_slices((X.shape[1], Y.shape[1], Z.shape[1]))):
+        V[:, cols] = M
+    V[:, -1] = tau
+    return V
+
+
 _ORBIT_SIGNS = ((1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, -1.0))
 _ORBIT_STACK = np.array(_ORBIT_SIGNS).T[:, :, None, None]
 
@@ -344,7 +355,7 @@ def _als_batch(
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
     sel = sel[far]
-    V, fin = _newton_batch(arr, np.column_stack([X[sel], Y[sel], Z[sel], tau[far]]))
+    V, fin = _newton_batch(arr, _stacked(X[sel], Y[sel], Z[sel], tau[far]))
     for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
         M[sel[fin]] = V[fin, cols]
 
@@ -510,7 +521,10 @@ def _random_starts(
     """count uniform random unit triples, seeded deterministically per start index.
 
     A pure function of its arguments: the last block built is kept, read-only,
-    for the next search of that shape (a deflation step, a norm then a spectrum).
+    for the next search of that shape and seed (each greedy deflation step
+    after the first, the next tensor of the same dims). A norm then a spectrum
+    of one tensor share more than this block: _alternating_stage keeps the
+    whole alternating stage.
     """
     V = np.empty((count, sum(dims)))
     for s in range(count):
@@ -607,6 +621,29 @@ def _tie_order(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, cfg: SearchConfig)
     return order[np.lexsort(np.vstack([keys, np.cumsum(gaps)]))]
 
 
+@functools.lru_cache(maxsize=1)
+def _alternating_stage(
+    T: Tensor3, cfg: SearchConfig, pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The starts (X0, Y0, Z0) of one multi-start search and the rows (X, Y, Z) its ALS runs converged to.
+
+    The starts are _standard_starts(T, cfg, pairs); the rows are _als_batch's
+    converged rows, by start index. Every array is read-only. The last stage is
+    kept, keyed by the Tensor3 object (frozen, read-only values, hashed by
+    identity; the entry's reference keeps its id from being reused) and by the
+    SearchConfig's value, so a norm, a spectrum and greedy deflation's first
+    step of one tensor pay for one stage. Lattice pairs are arrays, which
+    cannot be hashed: their searches call __wrapped__ and keep nothing.
+    """
+    starts = _standard_starts(T, cfg, pairs)
+    als = _als_batch(T.array, starts[0], starts[1], cfg)
+    ok = als["ok"]
+    rows = (als["X"][ok], als["Y"][ok], als["Z"][ok])
+    for M in starts + rows:
+        M.flags.writeable = False
+    return starts, rows
+
+
 def _converged_rows(
     T: Tensor3,
     cfg: SearchConfig,
@@ -615,22 +652,20 @@ def _converged_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X, Y, Z) of every start that converged in one multi-start search.
 
-    The starts are _standard_starts(T, cfg, pairs). The alternating
-    iteration runs over them, optionally followed by Newton from the same
-    starts, stacked as x | y | z | tau0. Rows are in deterministic order:
-    alternating-iteration results by start index, then Newton results by
-    start index.
+    The alternating stage, _alternating_stage(T, cfg, pairs), is served from
+    its memo when pairs is None. Newton optionally runs from the same starts,
+    stacked as x | y | z | tau0; it is never memoised. Rows are in
+    deterministic order: alternating-iteration results by start index, then
+    Newton results by start index.
     """
-    X0, Y0, Z0 = _standard_starts(T, cfg, pairs)
+    (X0, Y0, Z0), rows = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
     arr = T.array
-    als = _als_batch(arr, X0, Y0, cfg)
-    ok = als["ok"]
-    found = [(als["X"][ok], als["Y"][ok], als["Z"][ok])]
+    found = [rows]
     if use_newton:
         # Newton's start values keep their own einsum arithmetic, like
         # _newton_batch: its roots feed tie orders pinned by the gallery reports.
         tau0 = np.einsum("sk,sk->s", np.einsum("ijk,si,sj->sk", arr, X0, Y0), Z0)
-        V, ok = _newton_batch(arr, np.column_stack([X0, Y0, Z0, tau0]))
+        V, ok = _newton_batch(arr, _stacked(X0, Y0, Z0, tau0))
         found.append(tuple(V[ok, cols] for cols in _factor_slices(arr.shape)))
     X, Y, Z = (np.vstack(blocks) for blocks in zip(*found))
     return X, Y, Z
@@ -814,7 +849,10 @@ def operator_norm(
     The supremum is attained at a singular triple, and the maximizer is an
     attractor of the alternating iteration, so a plain multi-start run
     suffices: cfg.starts seeded random starts plus all canonical basis
-    pairs. Returns (0.0, None) when hs_norm(T) <= residual_tol. For any
+    pairs. That run is the alternating stage of enumerate_triples' search,
+    and the last stage is kept: a norm and a spectrum of the same Tensor3
+    object with equal configs run it once, whichever comes first.
+    Returns (0.0, None) when hs_norm(T) <= residual_tol. For any
     other tensor, a search in which no triple verifies raises ValueError:
     the norm is positive but unknown, so no value is reported. The message
     names max_iter when no start converged, and otherwise the residual_tol
@@ -846,8 +884,11 @@ def enumerate_triples(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectru
     distinct orbits sharing (numerically) the same tau are all retained.
     Alternating-iteration results are supplemented with a Newton corrector
     run from the same start set, which recovers saddle-type triples the
-    alternating iteration repels. Enumeration is heuristic: complete is
-    always False here (see oracle.confirm_complete).
+    alternating iteration repels. The alternating stage is served from the
+    last operator_norm, enumerate_triples or greedy deflation step on the
+    same Tensor3 object with an equal cfg, if there was one; the answer is
+    the same bits either way. Enumeration is heuristic: complete is always
+    False here (see oracle.confirm_complete).
     """
     cfg = cfg if cfg is not None else SearchConfig()
     return Spectrum(triples=_search_candidates(T, cfg, use_newton=True), complete=False)

@@ -16,6 +16,14 @@ from bilop import (
     gallery,
     tensor_to_json_dict,
 )
+from bilop.spectra import _alternating_stage
+
+
+@pytest.fixture(autouse=True)
+def _cold_alternating_stage():
+    """Every test starts without a memoised alternating stage, so none is served
+    rows computed under another test's patched budgets or configs."""
+    _alternating_stage.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilop import (
+    SchmidtStatus,
     SearchConfig,
     SingularTriple,
     Tensor3,
@@ -18,11 +19,12 @@ from bilop import (
     schmidt_decompose,
     spectra,
 )
-from bilop.oracle import _sign_pattern_lattice
+from bilop.oracle import _sign_pattern_lattice, exhaustive_small_spectrum
 from bilop.spectra import (
     _ORBIT_SIGNS,
     _aligned_z,
     _als_batch,
+    _alternating_stage,
     _canonical_rows,
     _contract,
     _dedup,
@@ -269,6 +271,7 @@ class TestSearchBlockBudget:
         m2 = (sum(T.dims) + 1) ** 2
         monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
         monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m2)
+        _alternating_stage.cache_clear()  # recompute the stage under the patched budgets
         same_triples(enumerate_triples(T).triples, want)
 
     @TENSORS
@@ -284,6 +287,7 @@ class TestSearchBlockBudget:
         m2 = (sum(T.dims) + 1) ** 2
         monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
         monkeypatch.setattr(spectra, "_NEWTON_BLOCK", newton_block(m2))
+        _alternating_stage.cache_clear()  # recompute the stage under the patched budgets
         same_triples(enumerate_triples(T).triples, want)
 
 
@@ -295,14 +299,19 @@ SEARCHES = {
 }
 
 
+def memo_hits() -> int:
+    """Searches served from a memo: a whole alternating stage, or the random block."""
+    return _alternating_stage.cache_info().hits + _random_starts.cache_info().hits
+
+
 class TestStartSet:
     @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
     def test_answers_do_not_depend_on_the_memo(self, search):
         _random_starts.cache_clear()
         cold = search()
-        hits = _random_starts.cache_info().hits
+        hits = memo_hits()
         warm = search()
-        assert _random_starts.cache_info().hits > hits
+        assert memo_hits() > hits
         other = Tensor3.from_array(np.random.default_rng([8, 6]).standard_normal((2, 3, 5)))
         operator_norm(other, SearchConfig(seed=7))
         same_triples(warm, cold)
@@ -335,6 +344,78 @@ class TestStartSet:
         assert got[0].shape == (13 * 4 + count, 3)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def stage_counts() -> tuple[int, int]:
+    info = _alternating_stage.cache_info()
+    return info.misses, info.hits
+
+
+def same_norm(got, want):
+    assert got[0] == want[0]
+    same_triples([got[1]], [want[1]])
+
+
+class TestAlternatingStage:
+    def test_one_stage_serves_a_schmidt_failure_a_norm_and_a_spectrum(self, overlap):
+        # overlapping_slices leaves the SVD path and fails at greedy step 1,
+        # so schmidt_decompose searches only T itself.
+        rep, report = schmidt_decompose(overlap)
+        assert rep.status is SchmidtStatus.FAILED and report.failure.step == len(report.steps) == 1
+        assert stage_counts() == (1, 0)
+        norm = operator_norm(overlap)
+        assert stage_counts() == (1, 1)
+        spectrum = enumerate_triples(overlap)
+        assert stage_counts() == (1, 2)
+        _alternating_stage.cache_clear()
+        same_norm(norm, operator_norm(overlap))
+        _alternating_stage.cache_clear()
+        same_triples(spectrum.triples, enumerate_triples(overlap).triples)
+        _alternating_stage.cache_clear()
+        cold_rep, cold_report = schmidt_decompose(overlap)
+        assert (cold_rep.status, cold_rep.terms) == (rep.status, ())
+        assert cold_report.failure == report.failure  # its diagnostics print the top taus
+        same_triples([s.triple for s in cold_report.steps], [s.triple for s in report.steps])
+
+    def test_a_deflation_leaves_its_last_remainder(self, triad):
+        _, report = schmidt_decompose(triad)
+        # One search per step, each of a new remainder; the last one stays.
+        assert stage_counts() == (3, 0) and len(report.steps) == 3
+        assert _alternating_stage.cache_info().currsize == 1
+        operator_norm(triad)
+        assert stage_counts() == (4, 0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 1}, {"starts": 17}, {"max_iter": 9999}, {"iter_tol": 2e-14}],
+        ids=["seed", "starts", "max_iter", "iter_tol"],
+    )
+    def test_a_changed_config_misses(self, change):
+        operator_norm(GAUSS_4)
+        operator_norm(GAUSS_4, SearchConfig(**change))
+        assert stage_counts() == (2, 0)
+
+    def test_an_equal_copy_misses_and_an_equal_config_hits(self):
+        operator_norm(GAUSS_4)
+        operator_norm(GAUSS_4, SearchConfig())
+        assert stage_counts() == (1, 1)
+        same_norm(operator_norm(Tensor3.from_array(GAUSS_4.array)), operator_norm(GAUSS_4))
+        assert stage_counts() == (3, 1)
+
+    def test_memoised_arrays_are_read_only(self):
+        starts, rows = _alternating_stage(GAUSS_4, SearchConfig())
+        assert len(starts) == len(rows) == 3 and rows[0].shape[0] > 0
+        for M in starts + rows:
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+
+    def test_the_lattice_search_keeps_nothing(self, diag_pair):
+        operator_norm(diag_pair)
+        before = _alternating_stage.cache_info()
+        exhaustive_small_spectrum(diag_pair)
+        assert _alternating_stage.cache_info() == before
+        operator_norm(diag_pair)
+        assert stage_counts() == (1, 1)
 
 
 class TestCanonicalRows:

@@ -64,11 +64,24 @@ class TestSearchConfig:
             {"iter_tol": float("inf")},
             {"residual_tol": float("inf")},
             {"dedup_tol": float("inf")},
+            {"seed": 1.0},
+            {"starts": 8.0},
+            {"max_iter": 50.5},
+            {"seed": True},
+            {"starts": True},
+            {"max_iter": True},
+            {"seed": "1"},
+            {"max_iter": None},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self, diag_pair):
+        cfg = SearchConfig(starts=np.int64(8), max_iter=np.int32(500), seed=np.uint8(3))
+        assert cfg == SearchConfig(starts=8, max_iter=500, seed=3)
+        assert operator_norm(diag_pair, cfg)[0] == pytest.approx(3.0, abs=1e-12)
 
 
 class TestHopmRefine:
