@@ -17,6 +17,7 @@ order is fixed, and no timestamps or paths are embedded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -243,9 +244,7 @@ def _human_header(T: Tensor3) -> list[str]:
 # subcommands
 
 
-def _cmd_norm(args: argparse.Namespace) -> int:
-    T = _load_tensor(args.tensor)
-    cfg = _config_from_args(args)
+def _cmd_norm(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
     value, attained = operator_norm(T, cfg)
     report = _report_skeleton("norm", T, cfg)
     report["result"] = {
@@ -262,9 +261,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    T = _load_tensor(args.tensor)
-    cfg = _config_from_args(args)
+def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
     spectrum = enumerate_triples(T, cfg)
     entries = []
     lines = _human_header(T)
@@ -289,9 +286,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_schmidt(args: argparse.Namespace) -> int:
-    T = _load_tensor(args.tensor)
-    cfg = _config_from_args(args)
+def _cmd_schmidt(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
     rep, deflation = schmidt_decompose(T, cfg)
     complete = rep.status is SchmidtStatus.COMPLETE
     result: dict = {
@@ -305,15 +300,7 @@ def _cmd_schmidt(args: argparse.Namespace) -> int:
     if complete:
         check = verify_representation(T, rep, cfg.residual_tol)
         result["sum_tau_sq"] = schmidt_sum_sq(rep)
-        result["verification"] = {
-            "monotone": check.monotone,
-            "orthonormal": check.orthonormal,
-            "max_gram_deviation": check.max_gram_deviation,
-            "reconstruction_ok": check.reconstruction_ok,
-            "reconstruction_residual": check.reconstruction_residual,
-            "diagonal_ok": check.diagonal_ok,
-            "max_diagonal_deviation": check.max_diagonal_deviation,
-        }
+        result["verification"] = dataclasses.asdict(check)
     result["deflation"] = {
         "steps": [
             {
@@ -353,9 +340,7 @@ def _cmd_schmidt(args: argparse.Namespace) -> int:
     return _EXIT_OK if complete else _EXIT_SCHMIDT
 
 
-def _cmd_schur(args: argparse.Namespace) -> int:
-    T = _load_tensor(args.tensor)
-    cfg = _config_from_args(args)
+def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
     n1, n2, n3 = T.dims
     if not (n1 == n2 == n3):
         sys.stderr.write(
@@ -391,13 +376,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         "symmetric": symmetric,
         "self_adjoint": self_adjoint,
         "terms": [{"lambda": t.lam, "x": _vec(t.x)} for t in schur.terms],
-        "verification": {
-            "reconstruction_ok": check.reconstruction_ok,
-            "reconstruction_residual": check.reconstruction_residual,
-            "orthonormal": check.orthonormal,
-            "max_gram_deviation": check.max_gram_deviation,
-            "monotone": check.monotone,
-        },
+        "verification": dataclasses.asdict(check),
     }
     lines = _human_header(T)
     lines.append(f"schur: {len(schur.terms)} term(s)")
@@ -408,9 +387,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    T = _load_tensor(args.tensor)
-    cfg = _config_from_args(args)
+def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
     triples = _load_triples(args.triples, T.dims)
     entries = []
     lines = _human_header(T)
@@ -497,7 +474,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        T = _load_tensor(args.tensor)
+        return args.func(args, T, _config_from_args(args))
     except (_InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_INPUT

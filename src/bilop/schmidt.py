@@ -6,12 +6,13 @@ representation makes the mode-1 unfolding T(1) = sum_i tau_i x_i (y_i (x) z_i)^T
 an SVD, so the terms are first read off one SVD of T(1). Where that reading
 is ambiguous (tied singular values, a right singular vector that is not
 rank-one as an n2 x n3 matrix, a peak entry that rounding could flip) or does
-not verify, greedy deflation decides: it extracts the top singular triple of
-the current remainder, requires it to be an ordered singular value (the
-rank-one slice property of spectra.is_ordered), subtracts the rank-one term,
-and repeats until the remainder vanishes. Orthogonality of the extracted
-families is a consequence of the ordered property, not an imposed
-constraint. Both paths record every term with the same per-step checks.
+not verify, greedy deflation decides: it takes each remainder's top singular
+triple from a multi-start search. Both feed one deflation loop, which
+requires each term to be an ordered singular value of the remainder (the
+rank-one slice property of spectra.is_ordered), subtracts it, and repeats
+until the remainder vanishes; so both record every term with the same
+per-step checks. Orthogonality of the extracted families is a consequence
+of the ordered property, not an imposed constraint.
 
 Failure is a value, not an exception: when a remainder's top singular value
 is attained only by non-ordered triples (or no triple can be verified at
@@ -23,17 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .tensor_core import Tensor3, VectorH, _as_entries, deflate_term, from_schmidt, hs_norm
 from .spectra import (
-    OrderedCheck,
     SearchConfig,
     SingularTriple,
-    TripleCheck,
     _canonical_rows,
+    _check_tol,
     _residuals,
     _row_norms,
     _search_candidates,
@@ -165,6 +165,7 @@ class RepresentationCheck:
     pairwise Gram test at 1e-8 (max_gram_deviation is the worst entry);
     reconstruction_ok: hs-norm of T minus the term sum is <= tol;
     diagonal_ok: <T(x_i, y_i), z_i> = tau_i within tol for every term.
+    The field order is the key order of the CLI's verification report.
     """
 
     monotone: bool
@@ -194,10 +195,9 @@ def schmidt_decompose(
     unfolding T(1) = sum tau_i x_i (y_i (x) z_i)^T an SVD, so the terms are
     first read off one SVD of T(1) (_svd_decompose). Where that reading is
     not unambiguous and fully verified, _greedy deflation runs from scratch
-    and decides the result, failures included. Both stop when the
-    remainder's hs-norm falls below residual_tol*(1 + hs_norm(T)) or
-    min(dims) terms were extracted, and both record every term with the
-    same per-step checks.
+    and decides the result, failures included. Both are term sources of one
+    loop, _deflate, which stops when the remainder's hs-norm falls below
+    residual_tol*(1 + hs_norm(T)) or min(dims) terms were extracted.
 
     Returns (representation, report). On failure the representation has
     status Failed and no terms; the report keeps every step, including
@@ -208,52 +208,72 @@ def schmidt_decompose(
     return fast if fast is not None else _greedy(T, cfg)
 
 
-def _deflation_step(
-    T: Tensor3,
-    remainder: Tensor3,
-    k: int,
-    triple: SingularTriple,
-    ordered_check: OrderedCheck,
-    cfg: SearchConfig,
-) -> tuple[DeflationStep, TripleCheck, Tensor3]:
-    """Step k's record, the triple's check against T, and the deflated remainder."""
-    transfer = verify_triple(T, triple, cfg.residual_tol)
-    deflated = deflate_term(remainder, triple.tau, triple.x, triple.y, triple.z)
-    step = DeflationStep(
-        index=k,
-        tau=triple.tau,
-        triple=triple,
-        slice_residuals=ordered_check.slice_residuals,
-        transfer_residuals=(transfer.r1, transfer.r2, transfer.r3),
-        remaining_hs=hs_norm(deflated),
-    )
-    return step, transfer, deflated
+def _deflate(
+    T: Tensor3, cfg: SearchConfig, pick: Callable
+) -> Optional[tuple[SchmidtRepresentation, DeflationReport]]:
+    """The deflation loop: take pick's triple, check it, record it, subtract it, repeat.
 
+    pick(remainder, k) is the source of step k's term (k from 1): it returns
+    (triple, ordered_check, orbits_at_top), with the triple's ordered check
+    against the remainder; or a DeflationFailure; or None, which abandons
+    the run, and then _deflate returns None. Each step re-verifies the
+    triple against the ORIGINAL operator (the transfer check), deflates the
+    remainder by it and records the step. The run fails, keeping its steps
+    but no terms, when pick reports a failure, the triple is not ordered in
+    the remainder, or it fails the transfer check.
+    """
+    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
+    steps: list[DeflationStep] = []
+    terms: list[SchmidtTerm] = []
+    failure: Optional[DeflationFailure] = None
+    remainder = T
+    for k in range(1, min(T.dims) + 1):
+        if hs_norm(remainder) <= stop_level:
+            break
+        picked = pick(remainder, k)
+        if picked is None:
+            return None
+        if isinstance(picked, DeflationFailure):
+            failure = picked
+            break
+        triple, ordered_check, orbits = picked
+        transfer = verify_triple(T, triple, cfg.residual_tol)
+        deflated = deflate_term(remainder, triple.tau, triple.x, triple.y, triple.z)
+        steps.append(
+            DeflationStep(
+                index=k,
+                tau=triple.tau,
+                triple=triple,
+                slice_residuals=ordered_check.slice_residuals,
+                transfer_residuals=(transfer.r1, transfer.r2, transfer.r3),
+                remaining_hs=hs_norm(deflated),
+            )
+        )
+        if ordered_check.ordered and transfer.verified:
+            terms.append(SchmidtTerm(tau=triple.tau, x=triple.x, y=triple.y, z=triple.z))
+            remainder = deflated
+            continue
+        if not ordered_check.ordered:
+            diagnostics = (
+                f"top singular value {triple.tau:.12g} of the remainder is not an "
+                f"ordered singular value (max slice residual "
+                f"{max(ordered_check.slice_residuals):.6g}, "
+                f"{orbits} orbit(s) at the top)"
+            )
+        else:
+            diagnostics = (
+                f"step-{k} triple fails the transfer identities against the "
+                f"original operator (max residual {transfer.max_residual:.6g}); "
+                "the ordered hypothesis does not propagate"
+            )
+        failure = DeflationFailure(step=k, reason=FailureReason.NOT_ORDERED, diagnostics=diagnostics)
+        break
 
-def _result(
-    T: Tensor3,
-    steps: list[DeflationStep],
-    terms: list[SchmidtTerm],
-    failure: Optional[DeflationFailure],
-) -> tuple[SchmidtRepresentation, DeflationReport]:
-    """The representation and report; a failure keeps its steps but no terms."""
     report = DeflationReport(steps=tuple(steps), failure=failure)
     if failure is not None:
-        rep = SchmidtRepresentation(
-            dims=T.dims,
-            terms=(),
-            reconstruction_residual=hs_norm(T),
-            status=SchmidtStatus.FAILED,
-        )
-        return rep, report
+        return SchmidtRepresentation(T.dims, (), hs_norm(T), SchmidtStatus.FAILED), report
     residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in terms])
-    rep = SchmidtRepresentation(
-        dims=T.dims,
-        terms=tuple(terms),
-        reconstruction_residual=residual,
-        status=SchmidtStatus.COMPLETE,
-    )
-    return rep, report
+    return SchmidtRepresentation(T.dims, tuple(terms), residual, SchmidtStatus.COMPLETE), report
 
 
 def _peak_margin(M: np.ndarray) -> np.ndarray:
@@ -273,13 +293,14 @@ def _svd_decompose(
     unfolding, and y, z from the leading rank-one factor of the k-th right
     singular vector reshaped to n2 x n3; then tau = <T(x,y),z> is s_k times
     that factor's singular value, so it is positive. The triples are
-    canonicalized (negative zeros cleared) and go through greedy's per-step
-    checks on the real remainders. None, so that greedy decides, unless
-    every used singular value lies more than dedup_tol*(1 + s) above the
-    next, every reshaped vector is rank-one at residual_tol, the peak
-    entries of every x and y lead the next entry by more than dedup_tol (so
-    rounding cannot flip a canonical sign), every step passes, and the
-    result passes verify_representation at residual_tol.
+    canonicalized (negative zeros cleared) and go through _deflate on the
+    real remainders. None, so that greedy decides, unless every used
+    singular value lies more than dedup_tol*(1 + s) above the next, every
+    reshaped vector is rank-one at residual_tol, the peak entries of every
+    x and y lead the next entry by more than dedup_tol (so rounding cannot
+    flip a canonical sign), every triple verifies against its remainder,
+    _deflate completes, and the result passes verify_representation at
+    residual_tol.
     """
     n1, n2, n3 = T.dims
     cap = min(T.dims)
@@ -288,36 +309,27 @@ def _svd_decompose(
     X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
     rank_one = _row_norms(sig[:, 1:]) <= cfg.residual_tol
     clear_peaks = np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol
-    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
 
-    steps: list[DeflationStep] = []
-    terms: list[SchmidtTerm] = []
-    remainder = T
-    for k in range(cap):
-        if hs_norm(remainder) <= stop_level:
-            break
-        tied = k + 1 < s.size and s[k] - s[k + 1] <= cfg.dedup_tol * (1.0 + s[k + 1])
-        if tied or not (rank_one[k] and clear_peaks[k]):
+    def pick(remainder: Tensor3, k: int):
+        i = k - 1
+        tied = k < s.size and s[i] - s[k] <= cfg.dedup_tol * (1.0 + s[k])
+        if tied or not (rank_one[i] and clear_peaks[i]):
             return None
-        tau, R = _residuals(remainder.array, X[k : k + 1], Y[k : k + 1], Z[k : k + 1])
+        tau, R = _residuals(remainder.array, X[i:k], Y[i:k], Z[i:k])
         if not (tau[0] > cfg.residual_tol and R.max() <= cfg.residual_tol):
             return None
         triple = SingularTriple(
             tau=float(tau[0]),
-            x=X[k].copy(),
-            y=Y[k].copy(),
-            z=Z[k].copy(),
+            x=X[i].copy(),
+            y=Y[i].copy(),
+            z=Z[i].copy(),
             residuals=tuple(float(r) for r in R[0]),
         )
-        ordered_check = is_ordered(remainder, triple, cfg.residual_tol)
-        step, transfer, remainder = _deflation_step(T, remainder, k + 1, triple, ordered_check, cfg)
-        if not (ordered_check.ordered and transfer.verified):
-            return None
-        steps.append(step)
-        terms.append(SchmidtTerm(tau=triple.tau, x=triple.x, y=triple.y, z=triple.z))
+        return triple, is_ordered(remainder, triple, cfg.residual_tol), 1
 
-    rep, report = _result(T, steps, terms, None)
-    return (rep, report) if verify_representation(T, rep, cfg.residual_tol).all_ok else None
+    got = _deflate(T, cfg, pick)
+    done = got is not None and got[1].failure is None
+    return got if done and verify_representation(T, got[0], cfg.residual_tol).all_ok else None
 
 
 def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, DeflationReport]:
@@ -325,28 +337,19 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
 
     Each step finds the remainder's top verified singular triple by
     multi-start alternating iteration (the top of the spectrum is an
-    attractor, so no saddle corrector is needed), requires it to be an
-    ordered singular value of the remainder, re-verifies it against the
-    original operator, deflates, and recurses.
+    attractor, so no saddle corrector is needed); _deflate requires it to
+    be an ordered singular value of the remainder, re-verifies it against
+    the original operator, deflates, and recurses.
 
     When several orbits attain the top value within dedup_tol, the one
     with the smallest ordered-check residual is taken (ties broken by the
     canonical lexicographic order), so the result is deterministic.
     """
-    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
-    cap = min(T.dims)
 
-    steps: list[DeflationStep] = []
-    terms: list[SchmidtTerm] = []
-    failure: Optional[DeflationFailure] = None
-    remainder = T
-
-    for k in range(1, cap + 1):
-        if hs_norm(remainder) <= stop_level:
-            break
+    def pick(remainder: Tensor3, k: int):
         cands = _search_candidates(remainder, cfg, use_newton=False)
         if not cands:
-            failure = DeflationFailure(
+            return DeflationFailure(
                 step=k,
                 reason=FailureReason.NO_TRIPLE_FOUND,
                 diagnostics=(
@@ -354,45 +357,13 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
                     f"for a remainder of hs-norm {hs_norm(remainder):.6g}"
                 ),
             )
-            break
         top = cands[0].tau
         band = [c for c in cands if c.tau >= top - cfg.dedup_tol * (1.0 + top)]
-        scored = []
-        for c in band:
-            oc = is_ordered(remainder, c, cfg.residual_tol)
-            scored.append((max(oc.slice_residuals), tuple(c.x), tuple(c.y), c, oc))
-        scored.sort(key=lambda rec: rec[:3])
-        _, _, _, chosen, ordered_check = scored[0]
+        scored = [(c, is_ordered(remainder, c, cfg.residual_tol)) for c in band]
+        chosen, check = min(scored, key=lambda p: (max(p[1].slice_residuals), tuple(p[0].x), tuple(p[0].y)))
+        return chosen, check, len(band)
 
-        step, transfer, deflated = _deflation_step(T, remainder, k, chosen, ordered_check, cfg)
-        steps.append(step)
-        if not ordered_check.ordered:
-            failure = DeflationFailure(
-                step=k,
-                reason=FailureReason.NOT_ORDERED,
-                diagnostics=(
-                    f"top singular value {chosen.tau:.12g} of the remainder is not an "
-                    f"ordered singular value (max slice residual "
-                    f"{max(ordered_check.slice_residuals):.6g}, "
-                    f"{len(band)} orbit(s) at the top)"
-                ),
-            )
-            break
-        if not transfer.verified:
-            failure = DeflationFailure(
-                step=k,
-                reason=FailureReason.NOT_ORDERED,
-                diagnostics=(
-                    f"step-{k} triple fails the transfer identities against the "
-                    f"original operator (max residual {transfer.max_residual:.6g}); "
-                    "the ordered hypothesis does not propagate"
-                ),
-            )
-            break
-        terms.append(SchmidtTerm(tau=chosen.tau, x=chosen.x, y=chosen.y, z=chosen.z))
-        remainder = deflated
-
-    return _result(T, steps, terms, failure)
+    return _deflate(T, cfg, pick)
 
 
 def reconstruct(rep: SchmidtRepresentation, x, y) -> VectorH:
@@ -418,8 +389,7 @@ def verify_representation(
     """
     if rep.dims != T.dims:
         raise ValueError(f"representation dims {rep.dims} do not match tensor dims {T.dims}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     taus = [term.tau for term in rep.terms]
     monotone = all(taus[i] >= taus[i + 1] for i in range(len(taus) - 1))
 

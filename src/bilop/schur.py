@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import Tensor3
+from .spectra import _check_tol
 from .schmidt import (
     _FAMILY_ORTHO_TOL,
     _max_gram_deviation,
@@ -66,7 +67,7 @@ class SchurRepresentation:
 
 @dataclass(frozen=True, eq=False)
 class SchurCheck:
-    """Per-condition report of verify_schur."""
+    """Per-condition report of verify_schur, fields in the CLI report's key order."""
 
     reconstruction_ok: bool
     reconstruction_residual: float
@@ -109,15 +110,14 @@ def schur_from_schmidt(
 ) -> SchurRepresentation:
     """Convert a complete Schmidt representation into Schur form.
 
-    Preconditions (argument errors if violated): T symmetric and
-    self-adjoint at tol, rep status Complete and verified against T at
-    tol. For each term computes s1 = <y_i, x_i> and s2 = <z_i, x_i>,
+    Preconditions (argument errors if violated): tol positive and finite,
+    T symmetric and self-adjoint at tol, rep status Complete and verified
+    against T at tol. For each term computes s1 = <y_i, x_i> and s2 = <z_i, x_i>,
     requires both within tol of +-1 (SchurInconsistencyError otherwise),
     and emits lam_i = sign(s1) sign(s2) tau_i with the vector x_i, so
     |lam_i| = tau_i exactly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if not is_symmetric(T, tol):
         raise ValueError("operator is not symmetric at the given tolerance")
     if not is_self_adjoint(T, tol):
@@ -156,8 +156,7 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
     n1, n2, n3 = T.dims
     if not n1 == n2 == n3:
         raise ValueError(f"verify_schur needs equal dims, got {T.dims}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     residual = _reconstruction_residual(T, [(t.lam, t.x, t.x, t.x) for t in schur.terms])
 
     max_gram = _max_gram_deviation([t.x for t in schur.terms])

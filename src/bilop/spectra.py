@@ -63,6 +63,12 @@ _CONTRACT_BLOCK = 1 << 16
 _NEWTON_BLOCK = 1 << 16
 
 
+def _check_tol(value: float, name: str = "tol") -> None:
+    """ValueError unless value is positive and finite; written so that NaN fails too."""
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Multi-start, tolerance and seed parameters for all iterative searches.
@@ -90,9 +96,7 @@ class SearchConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be a {'positive' if low else 'nonnegative'} integer")
         for name in ("iter_tol", "residual_tol", "dedup_tol"):
-            # Written so that NaN fails too.
-            if not 0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name} must be positive and finite")
+            _check_tol(getattr(self, name), name)
 
     def resolved_starts(self, dims: tuple[int, int, int]) -> int:
         return self.starts if self.starts is not None else 64 * max(dims)
@@ -270,15 +274,8 @@ def canonicalize(triple: SingularTriple) -> SingularTriple:
     z = np.asarray(triple.z, dtype=float)
     if not np.any(x) or not np.any(y) or not np.any(z):
         raise ValueError("cannot canonicalize a triple with a zero vector")
-    sx = -1.0 if x[int(np.argmax(np.abs(x)))] < 0 else 1.0
-    sy = -1.0 if y[int(np.argmax(np.abs(y)))] < 0 else 1.0
-    return SingularTriple(
-        tau=triple.tau,
-        x=sx * x,
-        y=sy * y,
-        z=(sx * sy) * z,
-        residuals=triple.residuals,
-    )
+    (cx,), (cy,), (cz,) = _canonical_rows(x[None], y[None], z[None])
+    return SingularTriple(tau=triple.tau, x=cx, y=cy, z=cz, residuals=triple.residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +502,8 @@ def _jacobian_map(dims: tuple[int, int, int]) -> np.ndarray:
 
 def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """z for each start pair: T(x, y) normalized, or e_1 where T(x, y) vanishes."""
-    TXY = _contract(arr, 2, X, Y)
-    norms = _row_norms(TXY)
-    Z = np.zeros_like(TXY)
-    pos = norms > _ZERO_NORM
-    Z[pos] = TXY[pos] / norms[pos, None]
-    Z[~pos, 0] = 1.0
+    Z, norms = _row_normalize(_contract(arr, 2, X, Y))
+    Z[~(norms > _ZERO_NORM)] = np.eye(1, Z.shape[1])
     return Z
 
 
@@ -644,20 +637,27 @@ def _alternating_stage(
     return starts, rows
 
 
-def _converged_rows(
+def _search_candidates(
     T: Tensor3,
     cfg: SearchConfig,
     use_newton: bool,
     pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X, Y, Z) of every start that converged in one multi-start search.
+) -> tuple[SingularTriple, ...]:
+    """Verified, canonical, deduplicated and sorted triples of one multi-start search.
 
-    The alternating stage, _alternating_stage(T, cfg, pairs), is served from
-    its memo when pairs is None. Newton optionally runs from the same starts,
-    stacked as x | y | z | tau0; it is never memoised. Rows are in
-    deterministic order: alternating-iteration results by start index, then
-    Newton results by start index.
+    A tensor whose hs-norm is at most residual_tol has no such triple, and
+    gets none without a search. Otherwise the alternating stage,
+    _alternating_stage(T, cfg, pairs), is served from its memo when pairs
+    is None. Newton optionally runs from the same starts, stacked as
+    x | y | z | tau0; it is never memoised. The converged rows, the
+    alternating-iteration results by start index and then the Newton
+    results by start index, are gated at residual_tol with tau >
+    residual_tol, canonicalized and merged by sign orbit, first
+    representative winning; the kept rows are put in _tie_order and only
+    then become SingularTriples.
     """
+    if hs_norm(T) <= cfg.residual_tol:
+        return ()
     (X0, Y0, Z0), rows = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
     arr = T.array
     found = [rows]
@@ -668,18 +668,6 @@ def _converged_rows(
         V, ok = _newton_batch(arr, _stacked(X0, Y0, Z0, tau0))
         found.append(tuple(V[ok, cols] for cols in _factor_slices(arr.shape)))
     X, Y, Z = (np.vstack(blocks) for blocks in zip(*found))
-    return X, Y, Z
-
-
-def _verified_triples(
-    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: SearchConfig
-) -> tuple[SingularTriple, ...]:
-    """Converged rows gated, canonicalized, merged by sign orbit and sorted.
-
-    Rows are gated at residual_tol with tau > residual_tol, canonicalized
-    and merged by sign orbit, first representative winning; the kept rows
-    are put in _tie_order and only then become SingularTriples.
-    """
     tau, R = _residuals(arr, X, Y, Z)
     good = (tau > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
     tau, R = tau[good], R[good]
@@ -696,22 +684,6 @@ def _verified_triples(
         )
         for i in kept
     )
-
-
-def _search_candidates(
-    T: Tensor3,
-    cfg: SearchConfig,
-    use_newton: bool,
-    pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[SingularTriple, ...]:
-    """Verified, canonical, deduplicated and sorted triples of one multi-start search.
-
-    _verified_triples of the _converged_rows. A tensor whose hs-norm is at
-    most residual_tol has no such triple, and gets none without a search.
-    """
-    if hs_norm(T) <= cfg.residual_tol:
-        return ()
-    return _verified_triples(T.array, *_converged_rows(T, cfg, use_newton, pairs), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +767,10 @@ def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck
     """Check the three defining equations at the given triple.
 
     verified means max residual <= tol and tau > 0. Vectors more than 1e-8
-    away from unit norm are rejected as an argument error.
+    away from unit norm, and a tol that is not positive and finite, are
+    rejected as argument errors.
     """
+    _check_tol(tol)
     xa, ya, za = _unit_triple(T, triple)
     arr = T.array
     txy = np.einsum("ijk,i,j->k", arr, xa, ya)
@@ -859,13 +833,12 @@ def operator_norm(
     gate that rejected every converged start.
     """
     cfg = cfg if cfg is not None else SearchConfig()
+    found = _search_candidates(T, cfg, use_newton=False)
+    if found:
+        return found[0].tau, found[0]
     if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
-    rows = _converged_rows(T, cfg, use_newton=False)
-    ordered = _verified_triples(T.array, *rows, cfg)
-    if ordered:
-        return ordered[0].tau, ordered[0]
-    converged = rows[0].shape[0]
+    converged = _alternating_stage(T, cfg)[1][0].shape[0]
     if converged == 0:
         cause = f" within max_iter={cfg.max_iter}"
     else:

@@ -281,6 +281,12 @@ class TestVerifyRepresentation:
         with pytest.raises(ValueError):
             verify_representation(diag_pair, rep, 1e-9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, diag_pair, diag_pair_rep, tol):
+        rep, _ = diag_pair_rep
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_representation(diag_pair, rep, tol)
+
 
 def planted(seed):
     """A tensor with a planted Schmidt representation, dims 2-8, gaps >= 0.1."""
@@ -375,6 +381,25 @@ class TestSvdFastPath:
         arr[1, 0, 0] = 0.5
         rep, report = self.fallback(Tensor3.from_array(arr))
         assert report.failure.reason is FailureReason.NOT_ORDERED
+
+    def test_tie_after_a_verified_step_falls_back(self, monkeypatch):
+        # Step 1 (tau = 3) passes every gate of the SVD reading and is
+        # checked; step 2 meets the tie 2 = 2 and abandons the reading, which
+        # must leave nothing of its first step in the result.
+        T = gallery.signed_diagonal((3.0, 2.0, 2.0))
+        checked = []
+
+        def spy(remainder, triple, tol):
+            checked.append(triple.tau)
+            return is_ordered(remainder, triple, tol)
+
+        monkeypatch.setattr("bilop.schmidt.is_ordered", spy)
+        assert _svd_decompose(T, self.CFG) is None
+        assert checked == [3.0]
+        monkeypatch.undo()
+        rep, report = self.fallback(T)
+        assert [t.tau for t in rep.terms] == [3.0, 2.0, 2.0]
+        assert [s.index for s in report.steps] == [1, 2, 3]
 
     def test_ambiguous_peak_falls_back(self, triad):
         # y of the tau = 3 term is (1, 0, -1)/sqrt(2): its two peak entries

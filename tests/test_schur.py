@@ -123,10 +123,11 @@ class TestSchurFromSchmidt:
         with pytest.raises(ValueError):
             schur_from_schmidt(signed_diag, failed, 1e-9)
 
-    def test_rejects_nonpositive_tolerance(self, signed_diag):
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, signed_diag, tol):
         rep, _ = schmidt_decompose(signed_diag, CFG)
-        with pytest.raises(ValueError):
-            schur_from_schmidt(signed_diag, rep, 0.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            schur_from_schmidt(signed_diag, rep, tol)
 
     def test_inconsistency_is_not_an_argument_error(self):
         # The two failure modes must stay distinguishable for callers
@@ -136,6 +137,11 @@ class TestSchurFromSchmidt:
 
 
 class TestVerifySchur:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, signed_diag, signed_diag_schur, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_schur(signed_diag, signed_diag_schur, tol)
+
     def test_known_good_representation_passes(self, signed_diag, signed_diag_schur):
         check = verify_schur(signed_diag, signed_diag_schur, 1e-9)
         assert check.all_ok

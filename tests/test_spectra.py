@@ -175,6 +175,14 @@ class TestVerifyTriple:
                 diag_pair, make_triple(2.0, [1.1, 0, 0], [1, 0], [1, 0, 0, 0]), 1e-9
             )
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, diag_pair, tol):
+        # is_ordered goes through verify_triple, so it says why too.
+        exact = make_triple(2.0, [1, 0, 0], [1, 0], [1, 0, 0, 0])
+        for check in (verify_triple, is_ordered):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                check(diag_pair, exact, tol)
+
     def test_sign_orbit_closure(self, diag_pair):
         a = 3.0 / S13
         b = 2.0 / S13
