@@ -328,7 +328,7 @@ def _als_batch(
         live = f > _ZERO_NORM
         if trace is not None and idx[0] == 0 and live[0]:
             trace.append(float(f[0]))
-        done = live & ~np.isnan(f_prev) & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
+        done = live & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
         f_prev = f
         if done.any():
             rows = idx[done]
@@ -393,12 +393,13 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
     block = max(1, _NEWTON_BLOCK // (m * m))
+    Tjik = np.ascontiguousarray(arr.transpose(1, 0, 2))
     for _ in range(_NEWTON_MAX_STEPS):
         act = np.flatnonzero(alive & ~done)
         if act.size == 0:
             break
         for lo in range(0, act.size, block):
-            _newton_step(arr, V, act[lo : lo + block], done, alive)
+            _newton_step(arr, Tjik, V, act[lo : lo + block], done, alive)
     ok = done & alive
 
     flip = np.ones(m)
@@ -415,13 +416,14 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _newton_step(
-    arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, alive: np.ndarray
+    arr: np.ndarray, Tjik: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, alive: np.ndarray
 ) -> None:
     """One Newton step on rows idx of the stacked unknown, in place.
 
     Rows already at the tolerance are marked done and left as they are; a
     row whose step solve is singular, or whose step diverges, loses alive.
     J is one gather, src[:, _jacobian_map], from the _jacobian_source block.
+    A1 is read from Tjik, T's (j, i, k)-contiguous copy (see _newton_a1).
     """
     n1, n2, n3 = arr.shape
     v = V[idx]
@@ -432,7 +434,7 @@ def _newton_step(
     # F and J's source are allocated before the A blocks and J after they are dropped, so J reuses
     # their heap space; otherwise the heap top outgrows glibc's trim threshold and every step refaults it.
     F, src = np.empty((k, v.shape[1])), np.empty((k, _jacobian_map(arr.shape).max() + 1))
-    A1 = np.einsum("ijk,sj->ski", arr, y)
+    A1 = _newton_a1(Tjik, y)
     A2 = np.einsum("ijk,si->skj", arr, x)
     A3 = np.einsum("ijk,sk->sij", arr, z)
     F[:, :n3] = np.einsum("ski,si->sk", A1, x) - t[:, None] * z
@@ -461,6 +463,12 @@ def _newton_step(
     V[gi] = w = v[go] - step
     huge = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
     alive[gi[huge]] = False
+
+
+def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """einsum("ijk,sj->ski", T, y), its values and its strides, from Tjik = T's (j, i, k)-contiguous copy:
+    a contiguous operand makes the einsum several times faster, and the F einsums' bits depend on A1's strides."""
+    return np.einsum("jik,sj->sik", Tjik, y).transpose(0, 2, 1)
 
 
 def _jacobian_source(src, A1, A2, A3, x, y, z, t) -> None:
@@ -507,27 +515,37 @@ def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Z
 
 
-@functools.lru_cache(maxsize=1)
+#: The standard normals behind every search's random starts, {seed: read-only table}, for the last seed used.
+_start_table: dict[int, np.ndarray] = {}
+
+
 def _random_starts(
     dims: tuple[int, int, int], count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """count uniform random unit triples, seeded deterministically per start index.
 
-    A pure function of its arguments: the last block built is kept, read-only,
-    for the next search of that shape and seed (each greedy deflation step
-    after the first, the next tensor of the same dims). A norm then a spectrum
-    of one tensor share more than this block: _alternating_stage keeps the
-    whole alternating stage.
+    Start s is read off the leading normals of default_rng([seed, s]). A shorter draw is the prefix of a
+    longer one, bit for bit, so the table kept for the last seed serves any search as
+    table[:count, :sum(dims)], normalised per factor on every call. A larger count draws only the new
+    rows, a wider shape redraws the table once, and another seed replaces it.
     """
-    V = np.empty((count, sum(dims)))
-    for s in range(count):
-        # default_rng([seed, s]) spelled out: a third cheaper, same stream.
-        g = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s])))
-        V[s] = g.standard_normal(V.shape[1])
-    block = tuple(_row_normalize(V[:, cols])[0] for cols in _factor_slices(dims))
-    for M in block:
-        M.flags.writeable = False
-    return block
+    width = sum(dims)
+    table = _start_table.get(seed, np.empty((0, width)))
+    first = table.shape[0] if width <= table.shape[1] else 0
+    rows = max(count, table.shape[0])
+    if rows > first:
+        grown = np.empty((rows, max(width, table.shape[1])))
+        if first:
+            grown[:first] = table
+        for s in range(first, rows):
+            # default_rng([seed, s]) spelled out: a third cheaper, same stream.
+            g = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s])))
+            grown[s] = g.standard_normal(grown.shape[1])
+        grown.flags.writeable = False
+        _start_table.clear()
+        _start_table[seed] = table = grown
+    V = table[:count, :width]
+    return tuple(_row_normalize(V[:, cols])[0] for cols in _factor_slices(dims))
 
 
 def _standard_starts(
@@ -538,7 +556,8 @@ def _standard_starts(
     pairs = (P, Q) holds the start vectors of H1 and H2 as rows; the default
     is the two identity bases, so the pairs are (e_i, f_j). Each pair (p, q)
     takes z aligned with T(p, q). The random block is cfg.resolved_starts
-    seeded random triples from _random_starts.
+    seeded random triples from _random_starts, normalised afresh from the
+    per-seed table of start normals.
     """
     n1, n2, _ = T.dims
     P, Q = pairs if pairs is not None else (np.eye(n1), np.eye(n2))
@@ -626,7 +645,8 @@ def _alternating_stage(
     identity; the entry's reference keeps its id from being reused) and by the
     SearchConfig's value, so a norm, a spectrum and greedy deflation's first
     step of one tensor pay for one stage. Lattice pairs are arrays, which
-    cannot be hashed: their searches call __wrapped__ and keep nothing.
+    cannot be hashed: their searches call __wrapped__ and keep no stage. A
+    missed stage still reads its random normals from the shared _start_table.
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)

@@ -16,14 +16,16 @@ from bilop import (
     gallery,
     tensor_to_json_dict,
 )
-from bilop.spectra import _alternating_stage
+from bilop.spectra import _alternating_stage, _start_table
 
 
 @pytest.fixture(autouse=True)
 def _cold_alternating_stage():
     """Every test starts without a memoised alternating stage, so none is served
-    rows computed under another test's patched budgets or configs."""
+    rows computed under another test's patched budgets or configs, and without
+    a table of start normals, so its first search draws them afresh."""
     _alternating_stage.cache_clear()
+    _start_table.clear()
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,10 @@ from bilop.spectra import (
     _canonical_rows,
     _contract,
     _dedup,
+    _factor_slices,
     _jacobian_map,
     _jacobian_source,
+    _newton_a1,
     _newton_batch,
     _orbit_mates,
     _random_starts,
@@ -139,6 +141,25 @@ class TestNewtonBatch:
         V, ok = _newton_batch(diag_pair.array, V0)
         assert ok.tolist() == [True, False]
         assert np.array_equal(V[0], np.r_[x, y, z, 3.0])
+
+
+class TestNewtonA1:
+    #: The benchmark's dims, then the gallery's.
+    SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 8, 6), (8, 8, 8), (12, 12, 12), (6, 10, 8), (3, 2, 4), (3, 3, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("rows", [1, 2, 37, 272])
+    def test_equals_the_einsum_in_values_and_strides(self, shape, rows):
+        rng = np.random.default_rng([9, rows, *shape])
+        arr = rng.standard_normal(shape)
+        x, y, z = (rng.standard_normal((rows, n)) for n in shape)
+        want = np.einsum("ijk,sj->ski", arr, y)
+        got = _newton_a1(np.ascontiguousarray(arr.transpose(1, 0, 2)), y)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        # F's einsums read A1 through its strides; their bits must not move either.
+        for spec, M in (("ski,si->sk", x), ("ski,sk->si", z)):
+            assert np.array_equal(np.einsum(spec, got, M), np.einsum(spec, want, M))
 
 
 def reference_jacobian(A1, A2, A3, x, y, z, t):
@@ -299,34 +320,95 @@ SEARCHES = {
 }
 
 
-def memo_hits() -> int:
-    """Searches served from a memo: a whole alternating stage, or the random block."""
-    return _alternating_stage.cache_info().hits + _random_starts.cache_info().hits
+class StartTableLog(dict):
+    """A spectra._start_table that counts its reads (one per search) and its
+    draws (reads that grew or replaced the table)."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = self.draws = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __setitem__(self, seed, table):
+        self.draws += 1
+        super().__setitem__(seed, table)
+
+    @property
+    def hits(self) -> int:
+        return self.reads - self.draws
+
+
+@pytest.fixture
+def table_log(monkeypatch):
+    log = StartTableLog()
+    monkeypatch.setattr(spectra, "_start_table", log)
+    return log
+
+
+def memo_hits(log: StartTableLog) -> int:
+    """Searches served from a memo: a whole alternating stage, or random starts read off the table."""
+    return _alternating_stage.cache_info().hits + log.hits
+
+
+def reference_random_starts(dims, count, seed):
+    """The random block start by start: default_rng([seed, s]) normals, normalised per factor."""
+    V = np.array([np.random.default_rng([seed, s]).standard_normal(sum(dims)) for s in range(count)])
+    return tuple(M / np.linalg.norm(M, axis=1)[:, None] for M in (V[:, cols] for cols in _factor_slices(dims)))
 
 
 class TestStartSet:
     @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
-    def test_answers_do_not_depend_on_the_memo(self, search):
-        _random_starts.cache_clear()
+    def test_answers_do_not_depend_on_the_memo(self, search, table_log):
         cold = search()
-        hits = memo_hits()
+        hits = memo_hits(table_log)
         warm = search()
-        assert memo_hits() > hits
+        assert memo_hits(table_log) > hits
         other = Tensor3.from_array(np.random.default_rng([8, 6]).standard_normal((2, 3, 5)))
         operator_norm(other, SearchConfig(seed=7))
         same_triples(warm, cold)
         same_triples(search(), cold)
 
-    def test_a_deflation_builds_the_random_block_once(self, triad):
-        _random_starts.cache_clear()
+    def test_a_deflation_draws_normals_once(self, triad, table_log):
         _, report = schmidt_decompose(triad)
-        info = _random_starts.cache_info()
-        assert (info.misses, info.hits) == (1, len(report.steps) - 1) == (1, 2)
+        # Step 1 draws the normals of every random start; steps 2 and 3 read them.
+        assert (table_log.draws, table_log.hits) == (1, len(report.steps) - 1) == (1, 2)
+        assert table_log[0].shape == (SearchConfig().resolved_starts(triad.dims), 9)
 
     def test_memoised_block_is_read_only(self):
-        for M in _random_starts((2, 3, 4), 5, 0):
-            with pytest.raises(ValueError):
-                M[0, 0] = 1.0
+        _random_starts((2, 3, 4), 5, 0)
+        with pytest.raises(ValueError):
+            spectra._start_table[0][0, 0] = 1.0
+
+    def test_a_shorter_draw_is_the_prefix_of_a_longer_one(self):
+        # The table rests on this: one row serves every narrower request.
+        for seed, s in [(0, 0), (1, 5), (7919, 1023)]:
+            longest = np.random.default_rng([seed, s]).standard_normal(40)
+            for width in range(1, 40):
+                assert np.array_equal(np.random.default_rng([seed, s]).standard_normal(width), longest[:width])
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_the_table_serves_any_order_of_requests(self, seed, table_log):
+        dims = [(3, 2, 4), (8, 8, 8), (4, 8, 6), (3, 2, 4)]
+        counts = [16, 1024, 64, 256]
+        requests = [(d, c) for c in counts for d in dims]
+        # Every request again, in reverse order: the table now holds them all.
+        for k, (d, count) in enumerate(requests + requests[::-1]):
+            T = Tensor3.from_array(np.random.default_rng([seed, k]).standard_normal(d))
+            got = [M[-count:] for M in _standard_starts(T, SearchConfig(starts=count, seed=seed))]
+            for g, w in zip(got, reference_random_starts(d, count, seed)):
+                assert np.array_equal(g, w)
+        # 16 rows at width 9, redrawn at width 24 for 8^3, then grown to 1024 rows.
+        assert table_log.draws == 3 and table_log[seed].shape == (1024, 24)
+
+    def test_another_seed_replaces_the_table(self, table_log):
+        _random_starts((3, 2, 4), 8, 0)
+        got = _random_starts((3, 2, 4), 8, 1)
+        assert table_log.draws == 2 and list(table_log) == [1]
+        for g, w in zip(got, reference_random_starts((3, 2, 4), 8, 1)):
+            assert np.array_equal(g, w)
 
     def test_lattice_pairs_equal_the_hand_built_set(self, diag_pair):
         cfg = SearchConfig(seed=3)

@@ -23,7 +23,7 @@ from bilop import (
     verify_triple,
 )
 from bilop.schmidt import _greedy, _svd_decompose
-from bilop.spectra import _random_starts
+from bilop.spectra import _start_table
 
 
 def orbit_matches(got, want, atol):
@@ -347,10 +347,9 @@ class TestSvdFastPath:
             assert_same_decomposition(fast, _greedy(T, self.CFG), atol=1e-10)
 
     def test_fast_path_runs_no_search(self):
-        _random_starts.cache_clear()
         rep, report = schmidt_decompose(planted(0), self.CFG)
         assert rep.status is SchmidtStatus.COMPLETE and report.steps
-        assert _random_starts.cache_info().misses == 0
+        assert not _start_table  # the SVD path draws no start normals
 
     def test_fast_path_clears_negative_zeros(self):
         # Without the clearing, the sign flips leave -0.0 entries in the
