@@ -58,8 +58,7 @@ _NEWTON_DIVERGED = 1e6
 _CONTRACT_BLOCK = 1 << 16
 
 #: Largest batch of Newton Jacobians, in float64 entries (512 KiB), that
-#: one row block of a Newton step builds; the block's gather source, smaller
-#: than its Jacobians, stays within it too.
+#: one row block of a Newton step writes into its batch's Jacobian buffer.
 _NEWTON_BLOCK = 1 << 16
 
 
@@ -375,11 +374,12 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     any index, which is what recovers saddle-type triples.
 
     One step loop (_newton_step) serves the whole batch, in row blocks whose
-    Jacobians (and their gather source) hold at most _NEWTON_BLOCK entries;
-    rows that never converge share one tail of _NEWTON_MAX_STEPS steps. A row
-    stops when it converges, its step solve is singular, or it diverges (an
-    x, y or z entry beyond _NEWTON_DIVERGED, or a non-finite entry), and
-    depends on no other row. A converged root with tau < 0 is mapped to the
+    Jacobians hold at most _NEWTON_BLOCK entries; each block writes them in
+    place into one buffer allocated per batch. Rows that never converge
+    share one tail of _NEWTON_MAX_STEPS steps. A row stops when it
+    converges, its Jacobian is singular, or it diverges (an x, y or z entry
+    beyond _NEWTON_DIVERGED, or a non-finite entry), and depends on no
+    other row. A converged root with tau < 0 is mapped to the
     same orbit, (x, -y, z, -tau); it is ok when x, y and z have unit norm
     within 1e-6, and each block is then divided by its norm in place. Rows
     that did not converge stay as Newton left them.
@@ -394,12 +394,13 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     m = n1 + n2 + n3 + 1
     block = max(1, _NEWTON_BLOCK // (m * m))
     Tjik = np.ascontiguousarray(arr.transpose(1, 0, 2))
+    J = np.empty((min(block, S), m, m))
     for _ in range(_NEWTON_MAX_STEPS):
         act = np.flatnonzero(alive & ~done)
         if act.size == 0:
             break
         for lo in range(0, act.size, block):
-            _newton_step(arr, Tjik, V, act[lo : lo + block], done, alive)
+            _newton_step(arr, Tjik, V, act[lo : lo + block], done, alive, J)
     ok = done & alive
 
     flip = np.ones(m)
@@ -416,24 +417,22 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _newton_step(
-    arr: np.ndarray, Tjik: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, alive: np.ndarray
+    arr: np.ndarray, Tjik: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, alive: np.ndarray, J: np.ndarray
 ) -> None:
-    """One Newton step on rows idx of the stacked unknown, in place.
+    """One Newton step on rows idx of the stacked unknown V, in place.
 
     Rows already at the tolerance are marked done and left as they are; a
-    row whose step solve is singular, or whose step diverges, loses alive.
-    J is one gather, src[:, _jacobian_map], from the _jacobian_source block.
-    A1 is read from Tjik, T's (j, i, k)-contiguous copy (see _newton_a1).
+    row whose Jacobian is singular, or whose step diverges, loses alive.
+    The other rows' Jacobians are written into the leading rows of the
+    batch's buffer J and solved by _solve_rows. A1 is read from Tjik, T's
+    (j, i, k)-contiguous copy (see _newton_a1).
     """
     n1, n2, n3 = arr.shape
     v = V[idx]
     # Contiguous operands: a strided einsum may take another inner loop.
     x, y, z = (np.ascontiguousarray(v[:, cols]) for cols in _factor_slices(arr.shape))
     t = v[:, -1]
-    k = idx.size
-    # F and J's source are allocated before the A blocks and J after they are dropped, so J reuses
-    # their heap space; otherwise the heap top outgrows glibc's trim threshold and every step refaults it.
-    F, src = np.empty((k, v.shape[1])), np.empty((k, _jacobian_map(arr.shape).max() + 1))
+    F = np.empty(v.shape)
     A1 = _newton_a1(Tjik, y)
     A2 = np.einsum("ijk,si->skj", arr, x)
     A3 = np.einsum("ijk,sk->sij", arr, z)
@@ -447,19 +446,12 @@ def _newton_step(
     if not go.any():
         return
     gi = idx[go]
-    _jacobian_source(src, A1, A2, A3, x, y, z, t)
-    del A1, A2, A3
-    J = src[go if hit.any() else slice(None)][:, _jacobian_map(arr.shape)]
-    rhs = F[go]
-    try:
-        step = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(rhs)
-        for r in range(gi.size):
-            try:
-                step[r] = np.linalg.solve(J[r], rhs[r])
-            except np.linalg.LinAlgError:
-                alive[gi[r]] = False
+    J = J[: gi.size]
+    if hit.any():
+        A1, A2, A3, x, y, z, t = (M[go] for M in (A1, A2, A3, x, y, z, t))
+    _write_jacobians(J, A1, A2, A3, x, y, z, t)
+    step, singular = _solve_rows(J, F[go])
+    alive[gi[singular]] = False
     V[gi] = w = v[go] - step
     huge = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
     alive[gi[huge]] = False
@@ -471,37 +463,43 @@ def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("jik,sj->sik", Tjik, y).transpose(0, 2, 1)
 
 
-def _jacobian_source(src, A1, A2, A3, x, y, z, t) -> None:
-    """Fill src, one row per start, with A1 | A2 | A3 | -z | -x | -y | x | -tau | (-tau)*0.0 | 0: the
-    entries src[:, _jacobian_map(dims)] gathers into J, bit for bit those of its slice assembly."""
-    nt = -t[:, None]
-    blocks = (A1, A2, A3, -z, -x, -y, x, nt, nt * 0.0, np.zeros_like(nt))
-    np.concatenate([M.reshape(t.size, -1) for M in blocks], axis=1, out=src)
-
-
-@functools.lru_cache(maxsize=8)
-def _jacobian_map(dims: tuple[int, int, int]) -> np.ndarray:
-    """(m, m) indices into a _jacobian_source row: J's slice assembly run once on an integer template.
+def _write_jacobians(J, A1, A2, A3, x, y, z, t) -> None:
+    """Write the Newton Jacobians of rows (x, y, z, tau), block by block, into J of shape (rows, m, m).
     Rows T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
 
         [ A1       A2       -tau I   -z ]
         [ -tau I   A3       A1^T     -x ]
         [ A3^T     -tau I   A2^T     -y ]
         [ x^T      0        0         0 ]
-    """
-    n1, n2, n3 = dims
-    m = n1 + n2 + n3 + 1
-    a1, a2, a3, nz, nx, ny, px, nt, nt0, zero = np.cumsum([0, n3 * n1, n3 * n2, n1 * n2, n3, n1, n2, n1, 1, 1])
-    A1, A2, A3 = (o + np.arange(p * q).reshape(p, q) for o, p, q in ((a1, n3, n1), (a2, n3, n2), (a3, n1, n2)))
-    sx, sy, sz = _factor_slices(dims)
-    f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, m - 1)
-    J = np.full((m, m), zero)
-    J[f1, sx], J[f1, sy], J[f1, sz], J[f1, -1] = A1, A2, np.where(np.eye(n3), nt, nt0), nz + np.arange(n3)
-    J[f2, sx], J[f2, sy], J[f2, sz], J[f2, -1] = np.where(np.eye(n1), nt, nt0), A3, A1.T, nx + np.arange(n1)
-    J[f3, sx], J[f3, sy], J[f3, sz], J[f3, -1] = A3.T, np.where(np.eye(n2), nt, nt0), A2.T, ny + np.arange(n2)
-    J[-1, sx] = px + np.arange(n1)
-    J.flags.writeable = False
-    return J
+
+    Each -tau I is (-tau) * I, so its off-diagonal zeros carry the sign of (-tau) * 0.0."""
+    n1, n2, n3 = x.shape[1], y.shape[1], z.shape[1]
+    sx, sy, sz = _factor_slices((n1, n2, n3))
+    f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, -1)
+    nt = -t[:, None, None]
+    for rows, cols, n in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
+        J[:, rows, cols] = nt * np.eye(n)
+    for rows, M in ((f1, z), (f2, x), (f3, y)):
+        np.negative(M, out=J[:, rows, -1])
+    J[:, f1, sx], J[:, f1, sy] = A1, A2
+    J[:, f2, sy], J[:, f2, sz] = A3, A1.transpose(0, 2, 1)
+    J[:, f3, sx], J[:, f3, sz] = A3.transpose(0, 2, 1), A2.transpose(0, 2, 1)
+    J[:, -1, sx], J[:, -1, n1:] = x, 0.0
+
+
+def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row gesv solutions of J[r] s = rhs[r], and the mask of the singular rows, whose step is 0.
+
+    A batch holding a singular row is halved until each singular row stands alone; every other
+    row is solved in the batched form, whose result for a row does not depend on the batch."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], np.zeros(rhs.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        if rhs.shape[0] == 1:
+            return np.zeros_like(rhs), np.ones(1, dtype=bool)
+        h = rhs.shape[0] // 2
+        (s1, b1), (s2, b2) = _solve_rows(J[:h], rhs[:h]), _solve_rows(J[h:], rhs[h:])
+        return np.concatenate([s1, s2]), np.concatenate([b1, b2])
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,15 @@ from bilop.spectra import (
     _contract,
     _dedup,
     _factor_slices,
-    _jacobian_map,
-    _jacobian_source,
     _newton_a1,
     _newton_batch,
     _orbit_mates,
     _random_starts,
     _row_norms,
+    _solve_rows,
     _standard_starts,
     _tie_order,
+    _write_jacobians,
 )
 
 #: The einsum definition of each contraction mode, and the factor modes of
@@ -189,7 +189,7 @@ def reference_jacobian(A1, A2, A3, x, y, z, t):
 
 class TestJacobians:
     @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 4, 4), (4, 8, 6)])
-    def test_gather_equals_the_slice_assembly_byte_for_byte(self, shape):
+    def test_writer_equals_the_slice_assembly_byte_for_byte(self, shape):
         rng = np.random.default_rng([9, *shape])
         arr = rng.standard_normal(shape)
         # Random rows, then basis-vector rows whose A blocks, -x, -y and -z
@@ -203,13 +203,34 @@ class TestJacobians:
         A3 = np.einsum("ijk,sk->sij", arr, Z)
         want = reference_jacobian(A1, A2, A3, X, Y, Z, t)
         assert (np.signbit(want) & (want == 0)).any()  # -0.0 entries are in play
-        # The Newton step's gather: all rows, or the rows still stepping.
-        jmap = _jacobian_map(shape)
-        src = np.empty((t.size, jmap.max() + 1))
-        _jacobian_source(src, A1, A2, A3, X, Y, Z, t)
-        assert src[:, jmap].tobytes() == want.tobytes()
+        # The Newton step's writes: all rows into the leading rows of a
+        # larger buffer holding stale NaNs, or a random subset of the rows.
+        m = sum(shape) + 1
+        J = np.full((t.size + 5, m, m), np.nan)
+        _write_jacobians(J[: t.size], A1, A2, A3, X, Y, Z, t)
+        assert J[: t.size].tobytes() == want.tobytes()
         rows = rng.random(t.size) < 0.5
-        assert src[rows][:, jmap].tobytes() == want[rows].tobytes()
+        J = np.full((rows.sum(), m, m), np.nan)
+        _write_jacobians(J, A1[rows], A2[rows], A3[rows], X[rows], Y[rows], Z[rows], t[rows])
+        assert J.tobytes() == want[rows].tobytes()
+
+
+class TestSolveRows:
+    @pytest.mark.parametrize("planted", [(), (0, 9), (3, 4), (5, 12), (12, 11)])
+    def test_nonsingular_rows_equal_the_row_solve_and_singular_rows_are_masked(self, planted):
+        rng = np.random.default_rng([11, *planted])
+        J = rng.standard_normal((13, 6, 6))
+        rhs = rng.standard_normal((13, 6))
+        # A zero column and a zero row: gesv meets an exact zero pivot.
+        for r, cut in zip(planted, (np.s_[:, 2], np.s_[4])):
+            J[r][cut] = 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(J[r], rhs[r])
+        step, singular = _solve_rows(J, rhs)
+        assert np.flatnonzero(singular).tolist() == sorted(planted)
+        for r in range(13):
+            want = np.zeros(6) if singular[r] else np.linalg.solve(J[r], rhs[r])
+            assert step[r].tobytes() == want.tobytes()
 
 
 class TestRowNorms:
@@ -281,8 +302,12 @@ def same_triples(got, want):
 class TestSearchBlockBudget:
     TENSORS = pytest.mark.parametrize(
         "T",
-        [Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4))), gallery.orthonormal_triad()],
-        ids=["gaussian-4", "orthonormal_triad"],
+        [
+            Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4))),
+            gallery.orthonormal_triad(),
+            gallery.diagonal_pair(),  # many singular Jacobians: the halving solve
+        ],
+        ids=["gaussian-4", "orthonormal_triad", "diagonal_pair"],
     )
 
     @TENSORS
