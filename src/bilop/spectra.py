@@ -490,16 +490,15 @@ def _write_jacobians(J, A1, A2, A3, x, y, z, t) -> None:
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row gesv solutions of J[r] s = rhs[r], and the mask of the singular rows, whose step is 0.
 
-    A batch holding a singular row is halved until each singular row stands alone; every other
-    row is solved in the batched form, whose result for a row does not depend on the batch."""
+    If the batched solve raises, slogdet's sign marks the singular rows: it is 0 exactly where getrf, run by
+    gesv on the same Fortran-order copy, meets a zero pivot. The rest are solved in one more batched call."""
     try:
         return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], np.zeros(rhs.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
-        if rhs.shape[0] == 1:
-            return np.zeros_like(rhs), np.ones(1, dtype=bool)
-        h = rhs.shape[0] // 2
-        (s1, b1), (s2, b2) = _solve_rows(J[:h], rhs[:h]), _solve_rows(J[h:], rhs[h:])
-        return np.concatenate([s1, s2]), np.concatenate([b1, b2])
+        with np.errstate(all="ignore"):  # only the sign is read; log|det| may be -inf
+            step, singular = np.zeros_like(rhs), np.linalg.slogdet(J)[0] == 0
+        step[~singular] = np.linalg.solve(J[~singular], rhs[~singular, :, None])[:, :, 0]
+        return step, singular
 
 
 # ---------------------------------------------------------------------------

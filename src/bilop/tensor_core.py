@@ -95,8 +95,9 @@ class Tensor3:
     """A bilinear operator as a dense third-order coefficient array.
 
     dims is (n1, n2, n3); values holds the n1*n2*n3 coefficients flattened
-    row-major with the K index fastest. Instances are immutable and safe to
-    share across threads.
+    row-major with the K index fastest. The entries and the Hilbert-Schmidt
+    norm (the Frobenius norm of the values) must be finite. Instances are
+    immutable and safe to share across threads.
     """
 
     dims: tuple[int, int, int]
@@ -116,6 +117,9 @@ class Tensor3:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor values contain non-finite entries")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(arr)):
+                raise ValueError("tensor values overflow: their Hilbert-Schmidt norm is not finite")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

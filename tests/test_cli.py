@@ -13,7 +13,9 @@ from bilop import (
     SchmidtStatus,
     SchmidtTerm,
     Tensor3,
+    cli,
     gallery,
+    spectra,
     verify_representation,
 )
 
@@ -96,6 +98,11 @@ def files(tmp_path_factory):
         )
     )
     paths["non_unit_triples"] = str(p)
+
+    # Finite entries, but a Hilbert-Schmidt norm beyond the float range.
+    p = root / "huge.json"
+    p.write_text(json.dumps({"dims": [2, 2, 2], "values": [1e300] * 8}))
+    paths["huge"] = str(p)
 
     p = root / "not_json.json"
     p.write_text("{this is not json")
@@ -255,6 +262,22 @@ class TestInputHandling:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "dedup_tol must be positive" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["norm", "spectrum", "schmidt", "schur", "verify"])
+    def test_overflowing_tensor_exits_two(self, files, command):
+        extra = [files["overlap_triples"]] if command == "verify" else []
+        proc = run_cli(command, files["huge"], *extra)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "tensor values overflow" in proc.stderr
+
+    def test_overflowing_tensor_is_refused_before_any_search(self, files, monkeypatch, capsys):
+        def searched(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(spectra, "_alternating_stage", searched)
+        assert cli.main(["norm", files["huge"]]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_file_exits_two(self, files):
         proc = run_cli("norm", files["missing"])

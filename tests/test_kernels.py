@@ -2,6 +2,8 @@
 sweep, Newton corrector, start set, row-wise canonicalization and the
 sign-orbit merge, each against its one-at-a-time definition."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -215,22 +217,65 @@ class TestJacobians:
         assert J.tobytes() == want[rows].tobytes()
 
 
+def lapack_calls(monkeypatch):
+    """Count the calls of np.linalg.solve and np.linalg.slogdet, the solve's LAPACK passes."""
+    calls = []
+    for name in ("solve", "slogdet"):
+        def counted(*args, _f=getattr(np.linalg, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestSolveRows:
-    @pytest.mark.parametrize("planted", [(), (0, 9), (3, 4), (5, 12), (12, 11)])
-    def test_nonsingular_rows_equal_the_row_solve_and_singular_rows_are_masked(self, planted):
+    @staticmethod
+    def planted_block(planted, rows=13):
         rng = np.random.default_rng([11, *planted])
-        J = rng.standard_normal((13, 6, 6))
-        rhs = rng.standard_normal((13, 6))
+        J = rng.standard_normal((rows, 6, 6))
+        rhs = rng.standard_normal((rows, 6))
         # A zero column and a zero row: gesv meets an exact zero pivot.
         for r, cut in zip(planted, (np.s_[:, 2], np.s_[4])):
             J[r][cut] = 0.0
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.solve(J[r], rhs[r])
+        return J, rhs
+
+    @staticmethod
+    def assert_row_solves(J, rhs, want_singular, monkeypatch):
+        calls = lapack_calls(monkeypatch)
         step, singular = _solve_rows(J, rhs)
-        assert np.flatnonzero(singular).tolist() == sorted(planted)
-        for r in range(13):
+        # The batched solve first; only a block holding a singular row makes the other two passes.
+        assert calls[0] == "solve" and len(calls) <= (3 if want_singular else 1)
+        monkeypatch.undo()
+        assert np.flatnonzero(singular).tolist() == sorted(want_singular)
+        for r in range(rhs.shape[0]):
             want = np.zeros(6) if singular[r] else np.linalg.solve(J[r], rhs[r])
             assert step[r].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "planted, rows", [((), 13), ((0, 9), 13), ((3, 4), 13), ((5, 12), 13), ((12, 11), 13), ((0, 12), 13), ((0, 1), 2)]
+    )
+    def test_nonsingular_rows_equal_the_row_solve_and_singular_rows_are_masked(self, planted, rows, monkeypatch):
+        self.assert_row_solves(*self.planted_block(planted, rows), planted, monkeypatch)
+
+    def test_tiny_nonzero_pivots_are_solved_not_masked(self, monkeypatch):
+        J, rhs = self.planted_block((7,))
+        # Two columns scaled to 1e-200: getrf's pivots stay nonzero and gesv
+        # solves the row, though its determinant underflows to 0.
+        J[3][:, [1, 5]] *= 1e-200
+        assert np.linalg.det(J[3]) == 0.0 and np.linalg.slogdet(J[3])[0] != 0
+        assert np.isfinite(np.linalg.solve(J[3], rhs[3])).all()
+        self.assert_row_solves(J, rhs, (7,), monkeypatch)
+
+    def test_the_fallback_warns_of_nothing(self):
+        # This operator's Newton blocks hold singular rows, and rows whose LU
+        # has a zero on its diagonal though getrf reports no zero pivot, so
+        # that slogdet's log|det| is -inf while its sign is not 0.
+        T = Tensor3.from_array(1e6 * np.random.default_rng(1).standard_normal((4, 4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enumerate_triples(T).triples
 
 
 class TestRowNorms:
@@ -305,9 +350,10 @@ class TestSearchBlockBudget:
         [
             Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4))),
             gallery.orthonormal_triad(),
-            gallery.diagonal_pair(),  # many singular Jacobians: the halving solve
+            gallery.diagonal_pair(),  # many singular Jacobians: the slogdet fallback solve
+            gallery.signed_diagonal(),  # the same
         ],
-        ids=["gaussian-4", "orthonormal_triad", "diagonal_pair"],
+        ids=["gaussian-4", "orthonormal_triad", "diagonal_pair", "signed_diagonal"],
     )
 
     @TENSORS

@@ -70,8 +70,11 @@ class TestTensor3:
     def test_rejects_nonfinite_entries(self):
         vals = np.zeros(8)
         vals[3] = np.inf
-        with pytest.raises(ValueError):
-            Tensor3(dims=(2, 2, 2), values=vals)
+        # Finite entries whose Hilbert-Schmidt norm overflows are refused too.
+        gauss = np.random.default_rng(1).standard_normal(64)
+        for dims, values in (((2, 2, 2), vals), ((2, 2, 2), np.full(8, 1e300)), ((4, 4, 4), 1e200 * gauss)):
+            with pytest.raises(ValueError):
+                Tensor3(dims=dims, values=values)
 
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
