@@ -52,6 +52,7 @@ _ZERO_NORM = 1e-250
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 100
 _NEWTON_DIVERGED = 1e6
+_NEWTON_COLLAPSED = 1e-4
 
 #: Largest temporary, in float64 entries, that one _contract row block
 #: builds (512 KiB); larger batches are contracted block by block.
@@ -300,9 +301,9 @@ def _als_batch(
     y <- contract_2(x,z)/|.| until the value <T(x,y), z> changes by less
     than iter_tol relatively (rows are independent; batching only
     vectorizes the identical update). Converged rows whose equation
-    residuals exceed _NEWTON_TOL*(1+tau) are then finished by
-    _newton_batch from tau = <T(x,y), z>. Returns per-row final states and
-    status.
+    residuals exceed _NEWTON_TOL*(1+tau) are then finished by _finish from
+    tau = <T(x,y), z>. Returns per-row final states and status, and merged,
+    the converged rows _finish dropped onto a lower row's verified root.
 
     The iteration works on a compacted block of the rows still iterating
     (idx maps it back to start rows); a row leaves the block when it
@@ -343,20 +344,45 @@ def _als_batch(
         x, _ = _row_normalize(_contract(arr, 0, y, z))
         y, _ = _row_normalize(_contract(arr, 1, x, z))
 
-    # Finish: Newton from the converged rows not yet at its tolerance. The
-    # value stop leaves O(sqrt(iter_tol)) vector error at linearly convergent
-    # endpoints, which Newton removes in a few steps; a row whose Newton run
-    # does not converge keeps its endpoint.
+    merged = _finish(arr, X, Y, Z, ok, cfg)
+    reasons = np.where(dead, "zero contraction", "max_iter exceeded")
+    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "merged": merged, "reasons": reasons}
+
+
+def _finish(arr, X, Y, Z, ok, cfg) -> np.ndarray:
+    """Newton-finish, in place, the rows ok of X, Y, Z not yet at _NEWTON_TOL; returns the mask of merged rows.
+
+    The value stop leaves O(sqrt(iter_tol)) vector error at linearly convergent endpoints, which Newton removes
+    in a few steps; a row whose run does not converge keeps its endpoint. Rows with taus equal within 1e-9
+    relatively form a group, whose first row (its lead) is finished first. If the lead's root passes the
+    search's gate (tau above residual_tol, residuals within it), the group's rows within dedup_tol/2 of it
+    in a sign variant are dropped unfinished: they would finish onto it and lose the dedup to the lead."""
     sel = np.flatnonzero(ok)
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
-    sel = sel[far]
-    V, fin = _newton_batch(arr, _stacked(X[sel], Y[sel], Z[sel], tau[far]))
-    for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
-        M[sel[fin]] = V[fin, cols]
+    sel, tau = sel[far], tau[far]
+    t = np.sort(tau)
+    group = np.searchsorted(t[np.diff(t, prepend=-np.inf) > 1e-9 * (1.0 + t)], tau, side="right") - 1
+    first = np.unique(group, return_index=True)[1]
+    lead = sel[first]
+    gated = _newton_finish(arr, X, Y, Z, lead, tau[first])
+    t, R = _residuals(arr, X[lead[gated]], Y[lead[gated]], Z[lead[gated]])
+    gated[gated] = (t > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
+    rest = np.arange(sel.size) != first[group]
+    near = np.flatnonzero(rest & gated[group])
+    d = np.max([_row_norms(M[sel[near]] - s * M[lead[group[near]]]) for M, s in zip((X, Y, Z), _ORBIT_STACK)], axis=0)
+    mates = near[d.min(axis=0) <= cfg.dedup_tol / 2]
+    rest[mates] = False
+    _newton_finish(arr, X, Y, Z, sel[rest], tau[rest])
+    return np.bincount(sel[mates], minlength=ok.size) > 0
 
-    reasons = np.where(dead, "zero contraction", "max_iter exceeded")
-    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "reasons": reasons}
+
+def _newton_finish(arr, X, Y, Z, rows, tau) -> np.ndarray:
+    """Newton from rows of X, Y, Z with start values tau; converged roots overwrite their rows. Returns their mask."""
+    V, fin = _newton_batch(arr, _stacked(X[rows], Y[rows], Z[rows], tau))
+    for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
+        M[rows[fin]] = V[fin, cols]
+    return fin
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +403,14 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Jacobians hold at most _NEWTON_BLOCK entries; each block writes them in
     place into one buffer allocated per batch. Rows that never converge
     share one tail of _NEWTON_MAX_STEPS steps. A row stops when it
-    converges, its Jacobian is singular, or it diverges (an x, y or z entry
-    beyond _NEWTON_DIVERGED, or a non-finite entry), and depends on no
-    other row. A converged root with tau < 0 is mapped to the
-    same orbit, (x, -y, z, -tau); it is ok when x, y and z have unit norm
-    within 1e-6, and each block is then divided by its norm in place. Rows
-    that did not converge stay as Newton left them.
+    converges, its Jacobian is singular, it diverges (an x, y or z entry
+    beyond _NEWTON_DIVERGED, or a non-finite entry), or it collapses onto
+    the tau = 0 component (unit x, y = z = 0), where no singular triple
+    lies (|y| or |z| below _NEWTON_COLLAPSED); it depends on no other row.
+    A converged root with tau < 0 is mapped to the same orbit,
+    (x, -y, z, -tau); it is ok when x, y and z have unit norm within 1e-6,
+    and each block is then divided by its norm in place. Rows that did not
+    converge stay as Newton left them.
     """
     V = np.array(V0, dtype=float)
     S = V.shape[0]
@@ -422,7 +450,7 @@ def _newton_step(
     """One Newton step on rows idx of the stacked unknown V, in place.
 
     Rows already at the tolerance are marked done and left as they are; a
-    row whose Jacobian is singular, or whose step diverges, loses alive.
+    row whose Jacobian is singular, or whose step diverges or collapses, loses alive.
     The other rows' Jacobians are written into the leading rows of the
     batch's buffer J and solved by _solve_rows. A1 is read from Tjik, T's
     (j, i, k)-contiguous copy (see _newton_a1).
@@ -453,8 +481,10 @@ def _newton_step(
     step, singular = _solve_rows(J, F[go])
     alive[gi[singular]] = False
     V[gi] = w = v[go] - step
-    huge = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
-    alive[gi[huge]] = False
+    stop = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
+    on = np.flatnonzero(~stop)  # entries within _NEWTON_DIVERGED: their squares cannot overflow
+    stop[on] = np.minimum(*(_row_norms(w[on, c]) for c in _factor_slices(arr.shape)[1:])) < _NEWTON_COLLAPSED
+    alive[gi[stop]] = False
 
 
 def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -633,25 +663,25 @@ def _tie_order(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, cfg: SearchConfig)
 @functools.lru_cache(maxsize=1)
 def _alternating_stage(
     T: Tensor3, cfg: SearchConfig, pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The starts (X0, Y0, Z0) of one multi-start search and the rows (X, Y, Z) its ALS runs converged to.
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
+    """The starts (X0, Y0, Z0) of one multi-start search, the rows (X, Y, Z) its ALS runs converged to, and their count.
 
-    The starts are _standard_starts(T, cfg, pairs); the rows are _als_batch's
-    converged rows, by start index. Every array is read-only. The last stage is
-    kept, keyed by the Tensor3 object (frozen, read-only values, hashed by
-    identity; the entry's reference keeps its id from being reused) and by the
-    SearchConfig's value, so a norm, a spectrum and greedy deflation's first
-    step of one tensor pay for one stage. Lattice pairs are arrays, which
-    cannot be hashed: their searches call __wrapped__ and keep no stage. A
-    missed stage still reads its random normals from the shared _start_table.
+    The starts are _standard_starts(T, cfg, pairs); the rows are the converged rows
+    _als_batch's finish kept, by start index; the count includes the merged ones.
+    Every array is read-only. The last stage is kept, keyed by the Tensor3 object
+    (frozen, read-only values, hashed by identity; the entry's reference keeps its
+    id from being reused) and by the SearchConfig's value, so a norm, a spectrum
+    and greedy deflation's first step of one tensor pay for one stage. Lattice
+    pairs are arrays, which cannot be hashed: their searches call __wrapped__ and
+    keep no stage. A missed stage still reads its random normals from _start_table.
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)
-    ok = als["ok"]
+    ok = als["ok"] & ~als["merged"]
     rows = (als["X"][ok], als["Y"][ok], als["Z"][ok])
     for M in starts + rows:
         M.flags.writeable = False
-    return starts, rows
+    return starts, rows, int(als["ok"].sum())
 
 
 def _search_candidates(
@@ -675,7 +705,7 @@ def _search_candidates(
     """
     if hs_norm(T) <= cfg.residual_tol:
         return ()
-    (X0, Y0, Z0), rows = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
+    (X0, Y0, Z0), rows, _ = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
     arr = T.array
     found = [rows]
     if use_newton:
@@ -855,7 +885,7 @@ def operator_norm(
         return found[0].tau, found[0]
     if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
-    converged = _alternating_stage(T, cfg)[1][0].shape[0]
+    converged = _alternating_stage(T, cfg)[2]
     if converged == 0:
         cause = f" within max_iter={cfg.max_iter}"
     else:

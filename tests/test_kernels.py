@@ -35,8 +35,10 @@ from bilop.spectra import (
     _newton_batch,
     _orbit_mates,
     _random_starts,
+    _residuals,
     _row_norms,
     _solve_rows,
+    _stacked,
     _standard_starts,
     _tie_order,
     _write_jacobians,
@@ -143,6 +145,42 @@ class TestNewtonBatch:
         V, ok = _newton_batch(diag_pair.array, V0)
         assert ok.tolist() == [True, False]
         assert np.array_equal(V[0], np.r_[x, y, z, 3.0])
+
+    def test_a_row_collapsing_onto_tau_zero_stops_within_a_few_steps(self, monkeypatch):
+        # Unit x with y = z = 1e-3 * unit and tau = 0 sits next to the tau = 0
+        # component (x, 0, 0, 0); without the collapse exit it steps 12 times.
+        arr = np.random.default_rng([8, 4]).standard_normal((4, 4, 4))
+        u = np.full(4, 0.5)
+        step, alive = spectra._newton_step, []
+
+        def counted(arr, Tjik, V, idx, done, live, J):
+            step(arr, Tjik, V, idx, done, live, J)
+            alive.append(bool(live[0]))
+
+        monkeypatch.setattr(spectra, "_newton_step", counted)
+        V, ok = _newton_batch(arr, np.r_[u, 1e-3 * u, 1e-3 * u, 0.0][None])
+        assert not ok[0] and alive[-1] is False and len(alive) <= 5
+
+    def test_a_start_near_a_root_converges_to_it_as_without_the_collapse_exit(self, monkeypatch):
+        T = Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4)))
+        roots = np.array([np.r_[t.x, t.y, t.z, t.tau] for t in enumerate_triples(T).triples])
+        noise = np.random.default_rng(10).standard_normal(roots.shape)
+        V0 = roots + 1e-6 * noise / np.linalg.norm(noise, axis=1)[:, None]
+        got = _newton_batch(T.array, V0)
+        assert got[1].all()
+        np.testing.assert_allclose(got[0], roots, rtol=0, atol=1e-9)
+        monkeypatch.setattr(spectra, "_NEWTON_COLLAPSED", 0.0)
+        assert same_rows(_newton_batch(T.array, V0), got)
+
+    def test_a_row_diverging_past_1e154_warns_nothing(self):
+        # |x| = 1e-160 makes the last Jacobian row tiny, so the first step
+        # lands near 1e160, where squaring an entry overflows.
+        arr = np.random.default_rng(3).standard_normal((3, 3, 3))
+        V0 = np.r_[1e-160, 0.0, 0.0, np.eye(3)[1], np.eye(3)[2], 1.0][None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            V, ok = _newton_batch(arr, V0)
+        assert not ok[0] and np.abs(V[0, 3:9]).max() > 1e154
 
 
 class TestNewtonA1:
@@ -556,7 +594,7 @@ class TestAlternatingStage:
         assert stage_counts() == (3, 1)
 
     def test_memoised_arrays_are_read_only(self):
-        starts, rows = _alternating_stage(GAUSS_4, SearchConfig())
+        starts, rows, _ = _alternating_stage(GAUSS_4, SearchConfig())
         assert len(starts) == len(rows) == 3 and rows[0].shape[0] > 0
         for M in starts + rows:
             with pytest.raises(ValueError):
@@ -690,3 +728,105 @@ class TestDedup:
         tau, X, Y, Z, cands = self.orbit_rows([1.0 + 1e-8 * i for i in range(8)], orbits=2)
         assert _orbit_mates(tau, X, Y, Z, 0, np.arange(1, 8), cfg).tolist() == [False, True] * 3 + [False]
         assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg) == [0, 1]
+
+
+def finish_every_row(arr, X, Y, Z, ok, cfg):
+    """The reference finish: Newton from every converged row not yet at its tolerance, in one batch, merging none."""
+    sel = np.flatnonzero(ok)
+    tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
+    far = R.max(axis=1) > spectra._NEWTON_TOL * (1.0 + np.abs(tau))
+    sel = sel[far]
+    V, fin = _newton_batch(arr, _stacked(X[sel], Y[sel], Z[sel], tau[far]))
+    for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
+        M[sel[fin]] = V[fin, cols]
+    return np.zeros(ok.size, dtype=bool)
+
+
+@pytest.fixture
+def reference_search(monkeypatch):
+    """Runs a search as it ran with finish_every_row and no collapse exit, from a cold stage."""
+
+    def run(search):
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_finish", finish_every_row)
+            m.setattr(spectra, "_NEWTON_COLLAPSED", 0.0)
+            _alternating_stage.cache_clear()
+            return search()
+
+    return run
+
+
+FINISH_TENSORS = {
+    **{name: getattr(gallery, name)() for name in gallery.__all__},
+    **{
+        "gauss-{}x{}x{}".format(*dims): Tensor3.from_array(np.random.default_rng([13, *dims]).standard_normal(dims))
+        for dims in [(3, 2, 4), (4, 4, 4), (4, 8, 6)]
+    },
+}
+
+
+def newton_batches(monkeypatch, spoil=None):
+    """Row counts of every _newton_batch call; spoil(V, ok) may change the first call's result in place."""
+    sizes = []
+
+    def batch(arr, V0):
+        V, ok = _newton_batch(arr, V0)
+        if spoil is not None and not sizes:
+            spoil(V, ok)
+        sizes.append(V0.shape[0])
+        return V, ok
+
+    monkeypatch.setattr(spectra, "_newton_batch", batch)
+    return sizes
+
+
+class TestFinish:
+    @pytest.mark.parametrize("T", FINISH_TENSORS.values(), ids=FINISH_TENSORS.keys())
+    @pytest.mark.parametrize("use_newton", [False, True], ids=["als", "als+newton"])
+    def test_search_matches_finishing_every_row(self, T, use_newton, reference_search):
+        got = spectra._search_candidates(T, SearchConfig(), use_newton)
+        same_triples(got, reference_search(lambda: spectra._search_candidates(T, SearchConfig(), use_newton)))
+
+    @pytest.mark.parametrize("name", ["diagonal_pair", "overlapping_slices", "orthonormal_triad"])
+    def test_lattice_search_matches_finishing_every_row(self, name, reference_search):
+        T = FINISH_TENSORS[name]
+        want = reference_search(lambda: exhaustive_small_spectrum(T).triples)
+        same_triples(exhaustive_small_spectrum(T).triples, want)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda V, ok: ok.fill(False),  # no lead's Newton run converges
+            # Every lead root fails the residual gate, yet stays as near its mates.
+            lambda V, ok: np.multiply(V[:, :4], 1 + 1e-8, out=V[:, :4]),
+        ],
+        ids=["newton", "gate"],
+    )
+    def test_the_mates_of_a_failed_lead_are_finished(self, spoil, monkeypatch):
+        T, cfg = FINISH_TENSORS["gauss-4x4x4"], SearchConfig()
+        X0, Y0, _ = _standard_starts(T, cfg)
+        clean = newton_batches(monkeypatch)
+        merged = _als_batch(T.array, X0, Y0, cfg)["merged"]
+        spoiled = newton_batches(monkeypatch, spoil)
+        assert not _als_batch(T.array, X0, Y0, cfg)["merged"].any()
+        # Leads first, then every other row: the merged ones are finished too.
+        assert len(clean) == len(spoiled) == 2 and spoiled[0] == clean[0]
+        assert spoiled[1] == clean[1] + merged.sum() > clean[1]
+
+    def test_equal_tau_orbits_of_one_group_all_survive(self, diag_pair):
+        # The four saddle orbits of tau = 6/sqrt(13), each twice, 1e-8 off:
+        # one group, whose lead merges only its own twin.
+        cfg = SearchConfig()
+        saddles = [t for t in enumerate_triples(diag_pair).triples if abs(t.tau - 6 / np.sqrt(13)) < 1e-9]
+        assert len(saddles) == 4
+        rng = np.random.default_rng(11)
+        X, Y, Z = (
+            np.array([v + 1e-8 * rng.standard_normal(v.size) for t in saddles for v in [getattr(t, f)] * 2])
+            for f in "xyz"
+        )
+        X, Y, Z = (M / np.linalg.norm(M, axis=1)[:, None] for M in (X, Y, Z))
+        merged = spectra._finish(diag_pair.array, X, Y, Z, np.ones(8, dtype=bool), cfg)
+        assert merged.tolist() == [False, True] + [False] * 6
+        tau, R = _residuals(diag_pair.array, X, Y, Z)
+        assert (R[~merged].max(axis=1) <= cfg.residual_tol).all()
+        assert len(_dedup(tau[~merged], *_canonical_rows(X[~merged], Y[~merged], Z[~merged]), cfg)) == 4

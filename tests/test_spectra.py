@@ -1,5 +1,7 @@
 """Search, verification, canonicalization, and ordered classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,17 @@ class TestOperatorNorm:
             operator_norm(Tensor3.from_array(arr))
         assert "max_iter" not in str(err.value)
 
+    def test_a_scaled_tensor_names_every_converged_start(self):
+        # Residuals scale with T: at 1e6 every one of the 16 + 256 starts
+        # converges, and no root passes residual_tol.
+        T = Tensor3.from_array(1e6 * np.random.default_rng(1).standard_normal((4, 4, 4)))
+        with pytest.raises(ValueError) as err:
+            operator_norm(T)
+        assert str(err.value) == (
+            "no singular triple verified at residual_tol=1e-09: 272 start(s) converged, but none "
+            "has tau above it and residuals within it; the norm of this nonzero operator is unknown"
+        )
+
     def test_attained_triple_is_verified(self, diag_pair, deep_cfg):
         value, attained = operator_norm(diag_pair, deep_cfg)
         check = verify_triple(diag_pair, attained, 1e-9)
@@ -279,6 +292,12 @@ class TestOperatorNorm:
 
 
 class TestEnumerateTriples:
+    def test_a_gaussian_spectrum_warns_nothing(self):
+        T = Tensor3.from_array(np.random.default_rng(4).standard_normal((4, 4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enumerate_triples(T).triples
+
     def test_diag_pair_tau_values_and_orbit_counts(self, diag_pair_spectrum):
         taus = [tr.tau for tr in diag_pair_spectrum.triples]
         assert len(taus) == 6
