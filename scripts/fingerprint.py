@@ -34,6 +34,11 @@ spectra, the gallery spectra and lattice oracle) whose sign orbits changed,
 the orbits lost and gained: an orbit matches when tau lies within 1e-9 and,
 for one of the four sign variants, each of x, y and z lies within 1e-9 in
 norm. Spectra whose orbits all match print nothing.
+
+Exit status: 1 when --compare reports a structural change or a nonzero float
+difference, or --diff an orbit lost or gained (a missing or extra answer
+counts for both); 0 otherwise. So a change that must keep every bit is
+checked by one command: --compare DIR against answers saved at its parent.
 """
 
 from __future__ import annotations
@@ -324,11 +329,13 @@ def main(argv=None) -> int:
                 orbits[family].append(f"{left} saved answer(s) not produced")
     for family, h in hashes.items():
         print(f"{family:18s} {h.hexdigest()}")
+    failed = bool(args.diff) and any(orbits.values())
     if args.diff:
         for family in families:
             for line in orbits[family]:
                 print(f"{family:18s} {line}")
     if args.compare:
+        failed |= any(d.changes or d.max_diff != 0 for d in drift.values())
         for family in families:
             d = drift[family]
             print(
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
                 print(f"    {change}")
             if len(d.changes) > SHOWN:
                 print(f"    ... {len(d.changes) - SHOWN} more")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

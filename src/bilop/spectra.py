@@ -176,18 +176,16 @@ class Spectrum:
 def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """One partial contraction of T per row of a block of vector pairs.
 
-    mode is the factor left free; U and V hold one vector per row for the
-    other two factors, in mode order:
+    mode is the factor left free; U and V hold one vector per row for the other two factors, in mode order:
 
         mode 2: T(x, y)          from (X, Y)
         mode 0: contract_1(y, z) from (Y, Z)
         mode 1: contract_2(x, z) from (X, Z)
 
-    Each row block is one BLAS product of a factor with a mode unfolding of
-    T, giving an (rows, n_a, n_b) temporary, followed by a two-operand row
-    reduction against the other factor. Blocks hold at most _CONTRACT_BLOCK
-    temporary entries. A row's result depends only on that row, never on
-    the block or batch it is computed in.
+    Each row block is one BLAS product of a factor with a mode unfolding of T, giving an (rows, n_a, n_b)
+    temporary, followed by a two-operand row reduction against the other factor. Blocks hold at most
+    _CONTRACT_BLOCK temporary entries. A row's result depends only on that row, never on the block or batch
+    it is computed in.
     """
     n1, n2, n3 = arr.shape
     if mode == 0:
@@ -197,8 +195,10 @@ def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.nd
     else:
         first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sj->sk"
     S = first.shape[0]
-    out = np.empty((S, arr.shape[mode]))
     block = max(2, _CONTRACT_BLOCK // unf.shape[1])
+    if 2 <= S <= block:  # one block: the loop's arithmetic without its bookkeeping
+        return np.einsum(spec, (first @ unf).reshape(S, *shape), second)
+    out = np.empty((S, arr.shape[mode]))
     for lo in range(0, S, block):
         F, G = first[lo : lo + block], second[lo : lo + block]
         rows = F.shape[0]
@@ -247,7 +247,18 @@ def _stacked(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau: np.ndarray) -> np
 
 
 _ORBIT_SIGNS = ((1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, -1.0))
-_ORBIT_STACK = np.array(_ORBIT_SIGNS).T[:, :, None, None]
+#: _orbit_distance's two signs of a factor, and each variant's three among its six reductions (f, -1 at 2f + 1).
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+_ORBIT_PICK = np.array([[2 * f + (s < 0) for f, s in enumerate(signs)] for signs in _ORBIT_SIGNS])
+
+
+def _orbit_distance(P: tuple, Q: tuple) -> np.ndarray:
+    """Per row, the least over the sign variants s of max(|x - s_x x'|, |y - s_y y'|, |z - s_z z'|), for rows
+    (x, y, z) of P = (X, Y, Z) against rows, or one triple, of Q. Each factor's squared distances are reduced
+    once per sign, from a (2, rows, n) difference, and each variant picks its three of the six. max, min and the
+    monotone sqrt are exact, so this has the bits of a (4, rows, n) sign-variant stack at half its size."""
+    sq = np.concatenate([np.add.reduce(np.square(M - _PLUS_MINUS * N), axis=-1) for M, N in zip(P, Q)])
+    return np.sqrt(np.minimum.reduce(np.maximum.reduce(sq[_ORBIT_PICK], axis=1), axis=0))
 
 
 def _canonical_rows(
@@ -288,27 +299,18 @@ def _row_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M / safe[:, None], norms
 
 
-def _als_batch(
-    arr: np.ndarray,
-    X0: np.ndarray,
-    Y0: np.ndarray,
-    cfg: SearchConfig,
-    trace: Optional[list] = None,
-) -> dict:
+def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfig, trace: Optional[list] = None) -> dict:
     """Run the alternating iteration on a block of starts.
 
-    Each row iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|,
-    y <- contract_2(x,z)/|.| until the value <T(x,y), z> changes by less
-    than iter_tol relatively (rows are independent; batching only
-    vectorizes the identical update). Converged rows whose equation
-    residuals exceed _NEWTON_TOL*(1+tau) are then finished by _finish from
-    tau = <T(x,y), z>. Returns per-row final states and status, and merged,
-    the converged rows _finish dropped onto a lower row's verified root.
+    Each row iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|, y <- contract_2(x,z)/|.| until the value
+    <T(x,y), z> changes by less than iter_tol relatively (rows are independent; batching only vectorizes the
+    identical update). Converged rows whose equation residuals exceed _NEWTON_TOL*(1+tau) are then finished by
+    _finish from tau = <T(x,y), z>. Returns per-row final states and status, and merged, the converged rows
+    _finish dropped onto a lower row's verified root.
 
-    The iteration works on a compacted block of the rows still iterating
-    (idx maps it back to start rows); a row leaves the block when it
-    converges or hits a zero contraction. _contract and _newton_batch make
-    a row's arithmetic independent of the block it sits in.
+    The iteration works on a compacted block of the rows still iterating (idx maps it back to start rows); a
+    row leaves the block when it converges or hits a zero contraction. _contract and _newton_batch make a row's
+    arithmetic independent of the block it sits in.
     """
     S = X0.shape[0]
     n3 = arr.shape[2]
@@ -330,17 +332,16 @@ def _als_batch(
             trace.append(float(f[0]))
         done = live & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
         f_prev = f
-        if done.any():
+        keep = live & ~done
+        if not keep.all():
             rows = idx[done]
             ok[rows] = True
             X[rows], Y[rows], Z[rows] = x[done], y[done], z[done]
-        keep = live & ~done
-        if not keep.all():
             dead[idx[~live]] = True
             idx, x, y, z, f_prev = idx[keep], x[keep], y[keep], z[keep], f_prev[keep]
-        # Only the z update can vanish: on a live row <contract_1(y,z), x> =
-        # <T(x,y), z> = f > _ZERO_NORM bounds the x update's norm below by f,
-        # and the y update's norm by the x update's.
+        # Only the z update can vanish in exact arithmetic: on a live row <contract_1(y,z), x> = <T(x,y), z> = f
+        # bounds the x update's norm below by f, and the y update's by the x update's. Their guard stays for
+        # norms whose squares underflow (at 1e-162 * randn(3, 3, 3) an x norm reads 0 while f > _ZERO_NORM).
         x, _ = _row_normalize(_contract(arr, 0, y, z))
         y, _ = _row_normalize(_contract(arr, 1, x, z))
 
@@ -370,8 +371,8 @@ def _finish(arr, X, Y, Z, ok, cfg) -> np.ndarray:
     gated[gated] = (t > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
     rest = np.arange(sel.size) != first[group]
     near = np.flatnonzero(rest & gated[group])
-    d = np.max([_row_norms(M[sel[near]] - s * M[lead[group[near]]]) for M, s in zip((X, Y, Z), _ORBIT_STACK)], axis=0)
-    mates = near[d.min(axis=0) <= cfg.dedup_tol / 2]
+    a, b = sel[near], lead[group[near]]
+    mates = near[_orbit_distance((X[a], Y[a], Z[a]), (X[b], Y[b], Z[b])) <= cfg.dedup_tol / 2]
     rest[mates] = False
     _newton_finish(arr, X, Y, Z, sel[rest], tau[rest])
     return np.bincount(sel[mates], minlength=ok.size) > 0
@@ -392,48 +393,44 @@ def _newton_finish(arr, X, Y, Z, rows, tau) -> np.ndarray:
 def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration on F(v) = 0 for a block of starts; returns (V, ok).
 
-    Each row of V0 is one stacked unknown v = x | y | z | tau, of length
-    m = n1+n2+n3+1. F stacks T(x,y) - tau z, contract_1(y,z) - tau x,
-    contract_2(x,z) - tau y and (||x||^2 - 1)/2; the system is square, and
-    at a root with tau != 0 the remaining unit norms hold automatically.
-    Unlike the alternating iteration, Newton converges to critical points of
-    any index, which is what recovers saddle-type triples.
+    Each row of V0 is one stacked unknown v = x | y | z | tau, of length m = n1+n2+n3+1. F stacks
+    T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y and (||x||^2 - 1)/2; the system is
+    square, and at a root with tau != 0 the remaining unit norms hold automatically. Unlike the alternating
+    iteration, Newton converges to critical points of any index, which is what recovers saddle-type triples.
 
-    One step loop (_newton_step) serves the whole batch, in row blocks whose
-    Jacobians hold at most _NEWTON_BLOCK entries; each block writes them in
-    place into one buffer allocated per batch. Rows that never converge
-    share one tail of _NEWTON_MAX_STEPS steps. A row stops when it
-    converges, its Jacobian is singular, it diverges (an x, y or z entry
-    beyond _NEWTON_DIVERGED, or a non-finite entry), or it collapses onto
-    the tau = 0 component (unit x, y = z = 0), where no singular triple
-    lies (|y| or |z| below _NEWTON_COLLAPSED); it depends on no other row.
-    A converged root with tau < 0 is mapped to the same orbit,
-    (x, -y, z, -tau); it is ok when x, y and z have unit norm within 1e-6,
-    and each block is then divided by its norm in place. Rows that did not
-    converge stay as Newton left them.
+    One step loop (_newton_step) serves the whole batch. The rows still stepping are one compacted index
+    array, stepped in row blocks whose Jacobians hold at most _NEWTON_BLOCK entries; each block keeps only
+    its rows that step on, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. A row
+    stops when it converges, its Jacobian is singular, it diverges (an x, y or z entry beyond
+    _NEWTON_DIVERGED, or a non-finite entry), or it collapses onto the tau = 0 component (unit x, y = z = 0),
+    where no singular triple lies (|y| or |z| below _NEWTON_COLLAPSED); it depends on no other row. Only
+    converged rows are marked, so they start as ok. A converged root with tau < 0 is mapped to the same
+    orbit, (x, -y, z, -tau); it stays ok when x, y and z have unit norm within 1e-6, and each block is then
+    divided by its norm in place. Rows that did not converge stay as Newton left them.
     """
     V = np.array(V0, dtype=float)
     S = V.shape[0]
-    done = np.zeros(S, dtype=bool)
+    ok = np.zeros(S, dtype=bool)
     if S == 0:
-        return V, done
-    alive = np.ones(S, dtype=bool)
+        return V, ok
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
     block = max(1, _NEWTON_BLOCK // (m * m))
-    Tjik = np.ascontiguousarray(arr.transpose(1, 0, 2))
-    J = np.empty((min(block, S), m, m))
+    # The stop test's limits on |v|: _NEWTON_DIVERGED on x, y and z, the largest float on tau (only inf or NaN stops).
+    lim = np.r_[np.full(m - 1, _NEWTON_DIVERGED), np.finfo(float).max]
+    batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), _jacobian_buffers(arr.shape, min(block, S)), lim)
+    act = np.arange(S)
     for _ in range(_NEWTON_MAX_STEPS):
-        act = np.flatnonzero(alive & ~done)
-        if act.size == 0:
-            break
+        kept = 0
         for lo in range(0, act.size, block):
-            _newton_step(arr, Tjik, V, act[lo : lo + block], done, alive, J)
-    ok = done & alive
+            rows = _newton_step(arr, V, act[lo : lo + block], ok, batch)
+            act[kept : kept + rows.size] = rows
+            kept += rows.size
+        if not kept:
+            break
+        act = act[:kept]
 
-    flip = np.ones(m)
-    flip[n1 : n1 + n2] = flip[-1] = -1.0
-    V[ok & (V[:, -1] < 0)] *= flip
+    V[ok & (V[:, -1] < 0)] *= np.r_[np.ones(n1), -np.ones(n2), np.ones(n3), -1.0]
     # Roots carry unit norms up to the Newton tolerance; snap exactly.
     sel = np.flatnonzero(ok)
     norms = [_row_norms(V[sel, cols]) for cols in _factor_slices(arr.shape)]
@@ -444,47 +441,48 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return V, ok
 
 
-def _newton_step(
-    arr: np.ndarray, Tjik: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, alive: np.ndarray, J: np.ndarray
-) -> None:
-    """One Newton step on rows idx of the stacked unknown V, in place.
+def _newton_step(arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, batch: tuple) -> np.ndarray:
+    """One Newton step on rows idx of the stacked unknown V, in place; returns the rows that step on.
 
-    Rows already at the tolerance are marked done and left as they are; a
-    row whose Jacobian is singular, or whose step diverges or collapses, loses alive.
-    The other rows' Jacobians are written into the leading rows of the
-    batch's buffer J and solved by _solve_rows. A1 is read from Tjik, T's
-    (j, i, k)-contiguous copy (see _newton_a1).
-    """
-    n1, n2, n3 = arr.shape
+    Rows already at the tolerance are marked done and left as they are. The others' Jacobians are gathered (see
+    _jacobian_buffers) and solved by _solve_rows; a row whose Jacobian is singular, or whose new iterate diverges
+    or collapses, steps no further. batch holds Tjik for _newton_a1, the buffers and the stop test's limits."""
+    Tjik, (J, src, (wA1, wA2, wA3, wv, wx, wz), M, (sx, sy, sz), (f1, f2, f3)), lim = batch
+    k = idx.size
     v = V[idx]
     # Contiguous operands: a strided einsum may take another inner loop.
-    x, y, z = (np.ascontiguousarray(v[:, cols]) for cols in _factor_slices(arr.shape))
+    x, y, z = v[:, sx].copy(), v[:, sy].copy(), v[:, sz].copy()
     t = v[:, -1]
-    F = np.empty(v.shape)
     A1 = _newton_a1(Tjik, y)
     A2 = np.einsum("ijk,si->skj", arr, x)
-    A3 = np.einsum("ijk,sk->sij", arr, z)
-    F[:, :n3] = np.einsum("ski,si->sk", A1, x) - t[:, None] * z
-    F[:, n3 : n3 + n1] = np.einsum("ski,sk->si", A1, z) - t[:, None] * x
-    F[:, n3 + n1 : -1] = np.einsum("skj,sk->sj", A2, z) - t[:, None] * y
-    F[:, -1] = 0.5 * (np.einsum("si,si->s", x, x) - 1.0)
-    hit = _row_norms(F) <= _NEWTON_TOL * (1.0 + np.abs(t))
-    done[idx[hit]] = True
+    tv = t[:, None] * v
+    F = np.empty(v.shape)
+    np.subtract(np.einsum("ski,si->sk", A1, x), tv[:, sz], out=F[:, f1])
+    np.subtract(np.einsum("ski,sk->si", A1, z), tv[:, sx], out=F[:, f2])
+    np.subtract(np.einsum("skj,sk->sj", A2, z), tv[:, sy], out=F[:, f3])
+    np.multiply(np.einsum("si,si->s", x, x) - 1.0, 0.5, out=F[:, -1])
+    done[idx] = hit = _row_norms(F) <= _NEWTON_TOL * (1.0 + np.abs(t))
     go = ~hit
-    if not go.any():
-        return
     gi = idx[go]
-    J = J[: gi.size]
-    if hit.any():
-        A1, A2, A3, x, y, z, t = (M[go] for M in (A1, A2, A3, x, y, z, t))
-    _write_jacobians(J, A1, A2, A3, x, y, z, t)
-    step, singular = _solve_rows(J, F[go])
-    alive[gi[singular]] = False
-    V[gi] = w = v[go] - step
-    stop = (np.abs(w[:, :-1]) > _NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
-    on = np.flatnonzero(~stop)  # entries within _NEWTON_DIVERGED: their squares cannot overflow
-    stop[on] = np.minimum(*(_row_norms(w[on, c]) for c in _factor_slices(arr.shape)[1:])) < _NEWTON_COLLAPSED
-    alive[gi[stop]] = False
+    if not gi.size:
+        return gi
+    wA1[:k], wA2[:k], wA3[:k], wx[:k] = A1, A2, np.einsum("ijk,sk->sij", arr, z), x
+    np.negative(v, out=wv[:k])
+    np.multiply(wv[:k, -1:], 0.0, out=wz[:k])
+    rows = src[:k]
+    if gi.size < k:
+        v, F, rows = v[go], F[go], rows[go]
+    # One take through the map; mode="clip" (every index is valid) lets it write straight into J.
+    step, singular = _solve_rows(rows.take(M, axis=1, out=J[: gi.size], mode="clip"), F)
+    V[gi] = w = v - step
+    a = np.abs(w)
+    keep = np.logical_and.reduce(a <= lim, axis=1)
+    keep[singular] = False
+    # Capped at _NEWTON_DIVERGED, no square overflows; the rows that step on keep their |y| and |z| bit for bit.
+    np.minimum(a, _NEWTON_DIVERGED, out=a)
+    a *= a
+    keep &= np.sqrt(np.minimum(np.add.reduce(a[:, sy], axis=-1), np.add.reduce(a[:, sz], axis=-1))) >= _NEWTON_COLLAPSED
+    return gi[keep]
 
 
 def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -493,9 +491,12 @@ def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("jik,sj->sik", Tjik, y).transpose(0, 2, 1)
 
 
-def _write_jacobians(J, A1, A2, A3, x, y, z, t) -> None:
-    """Write the Newton Jacobians of rows (x, y, z, tau), block by block, into J of shape (rows, m, m).
-    Rows T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
+def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
+    """One batch's Jacobian buffer J, its source block and writable views, J's map M, and v's and F's slices.
+
+    A source row is A1 | A2 | A3 | -v | x | (-tau) * 0.0 | 0.0 (A1 as its (i, k)-contiguous einsum output, its
+    0.0 written here, once per batch). J = src.take(M, axis=1); rows T(x,y) - tau z, contract_1(y,z) - tau x,
+    contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
 
         [ A1       A2       -tau I   -z ]
         [ -tau I   A3       A1^T     -x ]
@@ -503,18 +504,24 @@ def _write_jacobians(J, A1, A2, A3, x, y, z, t) -> None:
         [ x^T      0        0         0 ]
 
     Each -tau I is (-tau) * I, so its off-diagonal zeros carry the sign of (-tau) * 0.0."""
-    n1, n2, n3 = x.shape[1], y.shape[1], z.shape[1]
-    sx, sy, sz = _factor_slices((n1, n2, n3))
+    n1, n2, n3 = dims
+    sx, sy, sz = _factor_slices(dims)
     f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, -1)
-    nt = -t[:, None, None]
-    for rows, cols, n in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
-        J[:, rows, cols] = nt * np.eye(n)
-    for rows, M in ((f1, z), (f2, x), (f3, y)):
-        np.negative(M, out=J[:, rows, -1])
-    J[:, f1, sx], J[:, f1, sy] = A1, A2
-    J[:, f2, sy], J[:, f2, sz] = A3, A1.transpose(0, 2, 1)
-    J[:, f3, sx], J[:, f3, sz] = A3.transpose(0, 2, 1), A2.transpose(0, 2, 1)
-    J[:, -1, sx], J[:, -1, n1:] = x, 0.0
+    cuts = np.cumsum([n1 * n3, n3 * n2, n1 * n2, n1 + n2 + n3 + 1, n1, 1, 1])
+    A1, A2, A3, nv, x, z0, zero = np.split(np.arange(cuts[-1]), cuts[:-1])
+    A1, A2, A3 = A1.reshape(n1, n3).T, A2.reshape(n3, n2), A3.reshape(n1, n2)
+    M = np.empty((nv.size, nv.size), dtype=np.intp)
+    for r, c, n in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
+        M[r, c] = np.where(np.eye(n, dtype=bool), nv[-1], z0)
+    M[f1, sx], M[f1, sy], M[f2, sy] = A1, A2, A3
+    M[f2, sz], M[f3, sx], M[f3, sz] = A1.T, A3.T, A2.T
+    M[:-1, -1] = np.concatenate([nv[sz], nv[sx], nv[sy]])
+    M[-1, sx], M[-1, n1:] = x, zero
+    src = np.empty((rows, cuts[-1]))
+    src[:, -1] = 0.0
+    A1, A2, A3, nv, x, z0, _ = np.split(src, cuts[:-1], axis=1)
+    views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x, z0)
+    return np.empty((rows, *M.shape)), src, views, M, (sx, sy, sz), (f1, f2, f3)
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -600,13 +607,7 @@ def _standard_starts(
 
 
 def _orbit_mates(
-    tau: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
-    i: int,
-    rows: np.ndarray,
-    cfg: SearchConfig,
+    tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, i: int, rows: np.ndarray, cfg: SearchConfig
 ) -> np.ndarray:
     """Mask over rows: candidate in the sign orbit of candidate i within dedup_tol.
 
@@ -618,8 +619,7 @@ def _orbit_mates(
     if not mates.any():
         return mates
     near = rows[mates]
-    dx, dy, dz = (_row_norms(M[near] - s * M[i]) for M, s in zip((X, Y, Z), _ORBIT_STACK))
-    mates[mates] = np.maximum(np.maximum(dx, dy), dz).min(axis=0) <= cfg.dedup_tol
+    mates[mates] = _orbit_distance((X[near], Y[near], Z[near]), (X[i], Y[i], Z[i])) <= cfg.dedup_tol
     return mates
 
 

@@ -1,5 +1,6 @@
-"""scripts/fingerprint.py's orbit diff (--diff) on hand-built spectra."""
+"""scripts/fingerprint.py's orbit diff (--diff) and exit status on hand-built spectra."""
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -66,3 +67,29 @@ def test_main_prints_only_changed_spectra(fingerprint, tmp_path, monkeypatch, ca
     fingerprint.main(["--families", "gallery", "--diff", str(tmp_path)])
     out = capsys.readouterr().out.splitlines()
     assert out[1:] == ["gallery            1/t: 1 orbit(s) lost, 0 gained (3 -> 2)", "gallery                lost   tau=3.0"]
+
+
+def serve(fingerprint, monkeypatch, spec: Spectrum) -> None:
+    """Make main() see one gallery answer holding spec."""
+    saved = answer(fingerprint, spec)
+    monkeypatch.setattr(fingerprint, "answers", lambda seeds, families: iter([("gallery", "1/t", saved)]))
+
+
+@pytest.mark.parametrize("mode", ["--compare", "--diff"])
+def test_exit_status_is_0_on_the_saved_answers_and_1_on_a_dropped_triple(fingerprint, tmp_path, monkeypatch, mode):
+    serve(fingerprint, monkeypatch, spectrum())
+    assert fingerprint.main(["--families", "gallery", "--save", str(tmp_path)]) == 0
+    assert fingerprint.main(["--families", "gallery", mode, str(tmp_path)]) == 0
+    serve(fingerprint, monkeypatch, spectrum(drop=1))
+    assert fingerprint.main(["--families", "gallery", mode, str(tmp_path)]) == 1
+
+
+def test_a_float_drift_alone_fails_compare_but_not_diff(fingerprint, tmp_path, monkeypatch, capsys):
+    serve(fingerprint, monkeypatch, spectrum())
+    fingerprint.main(["--families", "gallery", "--save", str(tmp_path)])
+    moved = Spectrum(tuple(dataclasses.replace(t, tau=t.tau + 1e-12) for t in spectrum().triples))
+    serve(fingerprint, monkeypatch, moved)
+    capsys.readouterr()
+    assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path)]) == 1
+    assert "0 structural change(s)" in capsys.readouterr().out
+    assert fingerprint.main(["--families", "gallery", "--diff", str(tmp_path)]) == 0

@@ -31,6 +31,7 @@ from bilop.spectra import (
     _contract,
     _dedup,
     _factor_slices,
+    _jacobian_buffers,
     _newton_a1,
     _newton_batch,
     _orbit_mates,
@@ -41,7 +42,6 @@ from bilop.spectra import (
     _stacked,
     _standard_starts,
     _tie_order,
-    _write_jacobians,
 )
 
 #: The einsum definition of each contraction mode, and the factor modes of
@@ -153,9 +153,10 @@ class TestNewtonBatch:
         u = np.full(4, 0.5)
         step, alive = spectra._newton_step, []
 
-        def counted(arr, Tjik, V, idx, done, live, J):
-            step(arr, Tjik, V, idx, done, live, J)
-            alive.append(bool(live[0]))
+        def counted(*args):
+            rows = step(*args)
+            alive.append(bool(rows.size))  # the one row steps on
+            return rows
 
         monkeypatch.setattr(spectra, "_newton_step", counted)
         V, ok = _newton_batch(arr, np.r_[u, 1e-3 * u, 1e-3 * u, 0.0][None])
@@ -228,8 +229,27 @@ def reference_jacobian(A1, A2, A3, x, y, z, t):
 
 
 class TestJacobians:
+    @staticmethod
+    def step_jacobians(arr, V, idx, monkeypatch):
+        """The Jacobians one _newton_step hands _solve_rows for rows idx of V, gathered through a batch's
+        buffers of idx.size + 5 rows whose source block (but its constant 0.0) and J hold stale NaNs."""
+        bufs = _jacobian_buffers(arr.shape, idx.size + 5)
+        bufs[0][:], bufs[1][:, :-1] = np.nan, np.nan
+        lim = np.r_[np.full(V.shape[1] - 1, spectra._NEWTON_DIVERGED), np.finfo(float).max]
+        seen = []
+
+        def solve(J, rhs):
+            seen.append(J.copy())
+            return np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_solve_rows", solve)
+            batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), bufs, lim)
+            spectra._newton_step(arr, V.copy(), idx, np.zeros(V.shape[0], dtype=bool), batch)
+        return seen[0]
+
     @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 4, 4), (4, 8, 6)])
-    def test_writer_equals_the_slice_assembly_byte_for_byte(self, shape):
+    def test_gather_equals_the_slice_assembly_byte_for_byte(self, shape, monkeypatch):
         rng = np.random.default_rng([9, *shape])
         arr = rng.standard_normal(shape)
         # Random rows, then basis-vector rows whose A blocks, -x, -y and -z
@@ -243,16 +263,18 @@ class TestJacobians:
         A3 = np.einsum("ijk,sk->sij", arr, Z)
         want = reference_jacobian(A1, A2, A3, X, Y, Z, t)
         assert (np.signbit(want) & (want == 0)).any()  # -0.0 entries are in play
-        # The Newton step's writes: all rows into the leading rows of a
+        # The Newton step's gathers: all rows into the leading rows of a
         # larger buffer holding stale NaNs, or a random subset of the rows.
-        m = sum(shape) + 1
-        J = np.full((t.size + 5, m, m), np.nan)
-        _write_jacobians(J[: t.size], A1, A2, A3, X, Y, Z, t)
-        assert J[: t.size].tobytes() == want.tobytes()
+        V = np.column_stack([X, Y, Z, t])
+        assert self.step_jacobians(arr, V, np.arange(t.size), monkeypatch).tobytes() == want.tobytes()
         rows = rng.random(t.size) < 0.5
-        J = np.full((rows.sum(), m, m), np.nan)
-        _write_jacobians(J, A1[rows], A2[rows], A3[rows], X[rows], Y[rows], Z[rows], t[rows])
-        assert J.tobytes() == want[rows].tobytes()
+        assert self.step_jacobians(arr, V, np.flatnonzero(rows), monkeypatch).tobytes() == want[rows].tobytes()
+        # Converged rows among them (a root, at rows 0, 7 and 17): only the others' Jacobians are gathered.
+        root = enumerate_triples(Tensor3.from_array(arr)).triples[0]
+        W = V.copy()
+        W[[0, 7, 17]] = np.r_[root.x, root.y, root.z, root.tau]
+        got = self.step_jacobians(arr, W, np.arange(t.size), monkeypatch)
+        assert got.tobytes() == np.delete(want, [0, 7, 17], axis=0).tobytes()
 
 
 def lapack_calls(monkeypatch):
