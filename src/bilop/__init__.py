@@ -9,6 +9,8 @@ deflation), converts them to Schur form for symmetric self-adjoint
 operators, and cross-checks everything against brute-force oracles.
 """
 
+import importlib
+
 from .tensor_core import (
     Tensor3,
     VectorH,
@@ -37,37 +39,36 @@ from .spectra import (
     operator_norm,
     verify_triple,
 )
-from .schmidt import (
-    DeflationFailure,
-    DeflationReport,
-    DeflationStep,
-    FailureReason,
-    RepresentationCheck,
-    SchmidtRepresentation,
-    SchmidtStatus,
-    SchmidtTerm,
-    reconstruct,
-    schmidt_decompose,
-    schmidt_sum_sq,
-    verify_representation,
-)
-from .schur import (
-    SchurCheck,
-    SchurInconsistencyError,
-    SchurRepresentation,
-    SchurTerm,
-    is_self_adjoint,
-    is_symmetric,
-    schur_from_schmidt,
-    verify_schur,
-)
-from .oracle import (
-    GridSpec,
-    confirm_complete,
-    exhaustive_small_spectrum,
-    grid_norm_oracle,
-    stationarity_fd_check,
-)
+# schmidt, schur and oracle load on first use of one of their names (PEP 562),
+# so that a command that runs only the search core does not compile them.
+_LAZY = {
+    "schmidt": (
+        "SchmidtStatus", "FailureReason", "SchmidtTerm", "SchmidtRepresentation", "DeflationStep",
+        "DeflationFailure", "DeflationReport", "RepresentationCheck", "schmidt_decompose", "reconstruct",
+        "verify_representation", "schmidt_sum_sq",
+    ),
+    "schur": (
+        "SchurTerm", "SchurRepresentation", "SchurInconsistencyError", "SchurCheck", "is_symmetric",
+        "is_self_adjoint", "schur_from_schmidt", "verify_schur",
+    ),
+    "oracle": ("GridSpec", "grid_norm_oracle", "stationarity_fd_check", "exhaustive_small_spectrum", "confirm_complete"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -34,17 +35,30 @@ from .spectra import (
     operator_norm,
     verify_triple,
 )
-from .schmidt import SchmidtStatus, schmidt_decompose, schmidt_sum_sq, verify_representation
-from .schur import (
-    SchurInconsistencyError,
-    is_self_adjoint,
-    is_symmetric,
-    schur_from_schmidt,
-    verify_schur,
-)
-from .oracle import stationarity_fd_check
 
 __all__ = ["main"]
+
+# Names that only some commands run, loaded from the package on first use (PEP 562), so norm and
+# spectrum start with the search core alone. The commands call them as attributes of this module,
+# _this, because a bare global name would not reach __getattr__; that is also where the benchmark's
+# spans and monkeypatch find them.
+_LAZY = frozenset({
+    "SchmidtStatus", "schmidt_decompose", "schmidt_sum_sq", "verify_representation",
+    "SchurInconsistencyError", "is_self_adjoint", "is_symmetric", "schur_from_schmidt", "verify_schur",
+    "stationarity_fd_check",
+})
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(__package__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -287,8 +301,8 @@ def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> in
 
 
 def _cmd_schmidt(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
-    rep, deflation = schmidt_decompose(T, cfg)
-    complete = rep.status is SchmidtStatus.COMPLETE
+    rep, deflation = _this.schmidt_decompose(T, cfg)
+    complete = rep.status is _this.SchmidtStatus.COMPLETE
     result: dict = {
         "status": rep.status.value,
         "terms": [
@@ -298,8 +312,10 @@ def _cmd_schmidt(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int
         "reconstruction_residual": rep.reconstruction_residual,
     }
     if complete:
-        check = verify_representation(T, rep, cfg.residual_tol)
-        result["sum_tau_sq"] = schmidt_sum_sq(rep)
+        check = deflation.check
+        if check is None:
+            check = _this.verify_representation(T, rep, cfg.residual_tol)
+        result["sum_tau_sq"] = _this.schmidt_sum_sq(rep)
         result["verification"] = dataclasses.asdict(check)
     result["deflation"] = {
         "steps": [
@@ -348,8 +364,8 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
         )
         return _EXIT_SCHUR
     tol = cfg.residual_tol
-    symmetric = is_symmetric(T, tol)
-    self_adjoint = is_self_adjoint(T, tol)
+    symmetric = _this.is_symmetric(T, tol)
+    self_adjoint = _this.is_self_adjoint(T, tol)
     if not (symmetric and self_adjoint):
         sys.stderr.write(
             "error: operator is not "
@@ -357,8 +373,8 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
             + f" at tolerance {tol:g}\n"
         )
         return _EXIT_SCHUR
-    rep, deflation = schmidt_decompose(T, cfg)
-    if rep.status is not SchmidtStatus.COMPLETE:
+    rep, deflation = _this.schmidt_decompose(T, cfg)
+    if rep.status is not _this.SchmidtStatus.COMPLETE:
         f = deflation.failure
         sys.stderr.write(
             f"error: Schmidt decomposition failed at step {f.step} "
@@ -366,11 +382,11 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
         )
         return _EXIT_SCHMIDT
     try:
-        schur = schur_from_schmidt(T, rep, tol)
-    except SchurInconsistencyError as exc:
+        schur = _this.schur_from_schmidt(T, rep, tol)
+    except _this.SchurInconsistencyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_SCHUR
-    check = verify_schur(T, schur, tol)
+    check = _this.verify_schur(T, schur, tol)
     report = _report_skeleton("schur", T, cfg)
     report["result"] = {
         "symmetric": symmetric,
@@ -419,7 +435,7 @@ def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
                 )
             )
             oc = is_ordered(T, triple, cfg.residual_tol)
-            fd = stationarity_fd_check(T, triple, _FD_STEP)
+            fd = _this.stationarity_fd_check(T, triple, _FD_STEP)
             entry["ordered"] = oc.ordered
             entry["slice_residuals"] = [float(r) for r in oc.slice_residuals]
             entry["stationarity"] = fd

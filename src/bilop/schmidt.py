@@ -22,7 +22,7 @@ that retains the partial steps for diagnosis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -153,8 +153,16 @@ class DeflationFailure:
 
 @dataclass(frozen=True, eq=False)
 class DeflationReport:
+    """A deflation run's steps and failure. check is the RepresentationCheck that
+    schmidt_decompose ran as its last gate (the SVD path), else None; derived from
+    the terms, it is init-only, not a field, so fields, repr and asdict omit it."""
+
     steps: tuple[DeflationStep, ...]
     failure: Optional[DeflationFailure]
+    check: InitVar[Optional[RepresentationCheck]] = None
+
+    def __post_init__(self, check: Optional[RepresentationCheck]) -> None:
+        object.__setattr__(self, "check", check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +336,11 @@ def _svd_decompose(
         return triple, is_ordered(remainder, triple, cfg.residual_tol), 1
 
     got = _deflate(T, cfg, pick)
-    done = got is not None and got[1].failure is None
-    return got if done and verify_representation(T, got[0], cfg.residual_tol).all_ok else None
+    if got is None or got[1].failure is not None:
+        return None
+    rep, report = got
+    check = verify_representation(T, rep, cfg.residual_tol)
+    return (rep, DeflationReport(report.steps, None, check)) if check.all_ok else None
 
 
 def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, DeflationReport]:

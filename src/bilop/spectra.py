@@ -495,8 +495,22 @@ def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
     """One batch's Jacobian buffer J, its source block and writable views, J's map M, and v's and F's slices.
 
     A source row is A1 | A2 | A3 | -v | x | (-tau) * 0.0 | 0.0 (A1 as its (i, k)-contiguous einsum output, its
-    0.0 written here, once per batch). J = src.take(M, axis=1); rows T(x,y) - tau z, contract_1(y,z) - tau x,
-    contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
+    0.0 written here, once per batch); J = src.take(M, axis=1), with M and the slices from _jacobian_layout."""
+    n1, n2, n3 = dims
+    M, cuts, slices, f_slices = _jacobian_layout(dims)
+    src = np.empty((rows, cuts[-1]))
+    src[:, -1] = 0.0
+    A1, A2, A3, nv, x, z0, _ = np.split(src, cuts[:-1], axis=1)
+    views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x, z0)
+    return np.empty((rows, *M.shape)), src, views, M, slices, f_slices
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_layout(dims: tuple[int, int, int]) -> tuple:
+    """J's map M (read-only), the ends of a source row's parts, and v's and F's slices; built once per shape.
+
+    J = src.take(M, axis=1); rows T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y,
+    (|x|^2 - 1)/2; columns x|y|z|tau:
 
         [ A1       A2       -tau I   -z ]
         [ -tau I   A3       A1^T     -x ]
@@ -507,7 +521,7 @@ def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
     n1, n2, n3 = dims
     sx, sy, sz = _factor_slices(dims)
     f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, -1)
-    cuts = np.cumsum([n1 * n3, n3 * n2, n1 * n2, n1 + n2 + n3 + 1, n1, 1, 1])
+    cuts = tuple(np.cumsum([n1 * n3, n3 * n2, n1 * n2, n1 + n2 + n3 + 1, n1, 1, 1]).tolist())
     A1, A2, A3, nv, x, z0, zero = np.split(np.arange(cuts[-1]), cuts[:-1])
     A1, A2, A3 = A1.reshape(n1, n3).T, A2.reshape(n3, n2), A3.reshape(n1, n2)
     M = np.empty((nv.size, nv.size), dtype=np.intp)
@@ -517,11 +531,8 @@ def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
     M[f2, sz], M[f3, sx], M[f3, sz] = A1.T, A3.T, A2.T
     M[:-1, -1] = np.concatenate([nv[sz], nv[sx], nv[sy]])
     M[-1, sx], M[-1, n1:] = x, zero
-    src = np.empty((rows, cuts[-1]))
-    src[:, -1] = 0.0
-    A1, A2, A3, nv, x, z0, _ = np.split(src, cuts[:-1], axis=1)
-    views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x, z0)
-    return np.empty((rows, *M.shape)), src, views, M, (sx, sy, sz), (f1, f2, f3)
+    M.flags.writeable = False
+    return M, cuts, (sx, sy, sz), (f1, f2, f3)
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests via subprocess, including exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -159,6 +160,26 @@ class TestSchmidt:
         assert report["result"]["status"] == "Complete"
         assert report["result"]["sum_tau_sq"] == pytest.approx(13.0, abs=1e-9)
         assert report["result"]["verification"]["reconstruction_ok"] is True
+
+    @pytest.mark.parametrize("stem", ["diag_pair", "triad"])
+    def test_a_complete_result_is_verified_once(self, files, stem, monkeypatch, capsys):
+        # diag_pair takes the SVD path, whose last gate is the check the report
+        # shows; triad the greedy path, which the CLI verifies itself.
+        from bilop import schmidt
+
+        seen = []
+        real = schmidt.verify_representation
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(schmidt, "verify_representation", counting)
+        monkeypatch.setattr(cli, "verify_representation", counting)
+        assert cli.main(["schmidt", files[stem], "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(seen) == 1
+        assert report["result"]["verification"] == dataclasses.asdict(real(*seen[0]))
 
     def test_failed_decomposition_exits_three(self, files):
         proc = run_cli("schmidt", files["overlap"], "--starts", "32", "--json")

@@ -1,0 +1,217 @@
+"""What `import bilop` and each CLI command load, and the package API over lazily loaded modules.
+
+`bilop` imports its search core (tensor_core, spectra) eagerly and loads
+schmidt, schur and oracle on first use of one of their names; bilop.cli
+does the same for the names only some commands run. The footprint tests
+run in a fresh interpreter, where nothing else has loaded them yet.
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import bilop
+from bilop import cli, gallery, tensor_to_json_dict
+
+SRC = str(pathlib.Path(bilop.__file__).resolve().parents[1])
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+CORE = ["bilop", "bilop.spectra", "bilop.tensor_core"]
+
+#: The bilop.cli attributes the benchmark's traced CLI run wraps (bench/spans.py, CLI_BOUNDARIES).
+CLI_BOUNDARY_NAMES = [
+    "tensor_from_json_dict",
+    "hs_norm",
+    "operator_norm",
+    "enumerate_triples",
+    "is_ordered",
+    "verify_triple",
+    "canonicalize",
+    "schmidt_decompose",
+    "schmidt_sum_sq",
+    "verify_representation",
+    "is_symmetric",
+    "is_self_adjoint",
+    "schur_from_schmidt",
+    "verify_schur",
+    "stationarity_fd_check",
+]
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports bilop from this checkout; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "sorted(m for m in sys.modules if m == 'bilop' or m.startswith('bilop.'))"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Gallery tensors and a triples file as JSON: a non-cubic tensor and a symmetric self-adjoint cube."""
+    root = tmp_path_factory.mktemp("imports")
+    paths = {}
+    for stem, T in [("diag_pair", gallery.diagonal_pair()), ("signed_diag", gallery.signed_diagonal((3.0, -2.0, 1.0)))]:
+        paths[stem] = root / f"{stem}.json"
+        paths[stem].write_text(json.dumps(tensor_to_json_dict(T)))
+    paths["triples"] = root / "triples.json"
+    paths["triples"].write_text(json.dumps({"triples": [{"tau": 3.0, "x": [0, 1, 0], "y": [0, 1], "z": [0, 1, 0, 0]}]}))
+    return {k: str(v) for k, v in paths.items()}
+
+
+class TestFootprint:
+    def test_import_bilop_loads_only_the_core(self):
+        assert json.loads(run_fresh(f"import json, sys, bilop; print(json.dumps({LOADED}))")) == CORE
+
+    @pytest.mark.parametrize(
+        "argv, code, extra",
+        [
+            (["norm", "diag_pair"], 0, []),
+            (["spectrum", "diag_pair"], 0, []),
+            (["schur", "diag_pair"], 4, []),
+            (["schmidt", "diag_pair"], 0, ["bilop.schmidt"]),
+            (["schur", "signed_diag"], 0, ["bilop.schmidt", "bilop.schur"]),
+            (["verify", "diag_pair", "triples"], 0, ["bilop.oracle"]),
+        ],
+        ids=["norm", "spectrum", "schur-non-cubic", "schmidt", "schur-cube", "verify"],
+    )
+    def test_each_command_loads_its_modules(self, inputs, argv, code, extra):
+        args = [argv[0], *(inputs[a] for a in argv[1:]), "--json"]
+        out = run_fresh(
+            f"""
+            import contextlib, io, json, sys
+            import bilop.cli
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = bilop.cli.main({args!r})
+            print(json.dumps([code, {LOADED}]))
+            """
+        )
+        assert json.loads(out) == [code, sorted(CORE + ["bilop.cli"] + extra)]
+
+
+class TestPackageApi:
+    def test_every_public_name_is_its_submodules_object(self):
+        out = run_fresh(
+            """
+            import importlib, bilop
+            owners = {}
+            for mod in ("tensor_core", "spectra", "schmidt", "schur", "oracle"):
+                module = importlib.import_module(f"bilop.{mod}")
+                owners.update({name: module for name in module.__all__})
+            names = [n for n in bilop.__all__ if n != "__version__"]
+            assert set(names) <= set(owners), set(names) - set(owners)
+            assert all(getattr(bilop, n) is getattr(owners[n], n) for n in names)
+            print(bilop.__version__)
+            """
+        )
+        assert out.strip() == "0.1.0"
+
+    def test_dir_lists_every_public_name_without_loading(self):
+        out = run_fresh(
+            f"""
+            import json, sys, bilop
+            assert set(bilop.__all__) <= set(dir(bilop))
+            assert {{"schmidt", "schur", "oracle"}} <= set(dir(bilop))
+            print(json.dumps({LOADED}))
+            """
+        )
+        assert json.loads(out) == CORE
+
+    def test_star_import_binds_every_name(self):
+        run_fresh(
+            """
+            import bilop
+            ns = {}
+            exec("from bilop import *", ns)
+            missing = [n for n in bilop.__all__ if n not in ns]
+            assert not missing, missing
+            """
+        )
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        run_fresh(
+            """
+            import sys, bilop
+            assert bilop.schur is sys.modules["bilop.schur"]
+            assert bilop.oracle.__name__ == "bilop.oracle"
+            """
+        )
+
+    def test_unknown_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError, match="nope"):
+            bilop.nope
+        with pytest.raises(AttributeError, match="nope"):
+            cli.nope
+        assert not hasattr(bilop, "nope") and not hasattr(cli, "nope")
+
+    def test_an_import_error_in_a_lazy_module_surfaces_as_itself(self):
+        run_fresh(
+            """
+            import sys
+            import bilop, bilop.cli
+            sys.modules["bilop.oracle"] = None  # importing it now raises ModuleNotFoundError
+            for module, name in ((bilop, "GridSpec"), (bilop.cli, "stationarity_fd_check")):
+                try:
+                    getattr(module, name)
+                except ImportError as exc:
+                    assert "bilop.oracle" in str(exc), exc
+                else:
+                    raise AssertionError(name)
+            """
+        )
+
+    def test_a_resolved_name_is_cached(self):
+        value = bilop.schmidt_decompose
+        assert vars(bilop)["schmidt_decompose"] is value
+        assert cli.verify_schur is vars(cli)["verify_schur"] is bilop.verify_schur
+
+
+class TestCliBoundaries:
+    """The benchmark's traced CLI run wraps these bilop.cli attributes, so each must exist and be what main() calls."""
+
+    def test_every_boundary_is_a_callable_attribute(self):
+        assert all(callable(getattr(cli, name, None)) for name in CLI_BOUNDARY_NAMES)
+
+    @pytest.mark.skipif(not SPANS.exists(), reason="needs the benchmark's spans.py")
+    def test_the_list_matches_the_benchmark(self):
+        spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert [attr for _, attr, _ in spans.CLI_BOUNDARIES] == CLI_BOUNDARY_NAMES
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["schmidt", "diag_pair"], ["schmidt_decompose", "schmidt_sum_sq"]),
+            (["schur", "signed_diag"], ["is_symmetric", "is_self_adjoint", "schmidt_decompose", "schur_from_schmidt", "verify_schur"]),
+            (["verify", "diag_pair", "triples"], ["stationarity_fd_check"]),
+        ],
+        ids=["schmidt", "schur", "verify"],
+    )
+    def test_main_calls_the_module_attribute(self, inputs, argv, names, monkeypatch, capsys):
+        calls = {name: 0 for name in names}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        assert cli.main([argv[0], *(inputs[a] for a in argv[1:]), "--json"]) == 0
+        capsys.readouterr()
+        assert calls == {name: 1 for name in names}

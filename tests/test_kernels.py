@@ -32,6 +32,7 @@ from bilop.spectra import (
     _dedup,
     _factor_slices,
     _jacobian_buffers,
+    _jacobian_layout,
     _newton_a1,
     _newton_batch,
     _orbit_mates,
@@ -275,6 +276,32 @@ class TestJacobians:
         W[[0, 7, 17]] = np.r_[root.x, root.y, root.z, root.tau]
         got = self.step_jacobians(arr, W, np.arange(t.size), monkeypatch)
         assert got.tobytes() == np.delete(want, [0, 7, 17], axis=0).tobytes()
+
+
+class TestJacobianLayout:
+    SHAPES = [(2, 3, 4), (4, 4, 4), (4, 8, 6)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cached_map_equals_a_fresh_build(self, shape):
+        (got, *layout), (fresh, *fresh_layout) = _jacobian_layout(shape), _jacobian_layout.__wrapped__(shape)
+        assert got.dtype == fresh.dtype and got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
+        assert layout == fresh_layout
+        assert _jacobian_buffers(shape, 3)[3] is got
+
+    def test_map_cannot_be_written(self):
+        M = _jacobian_layout((3, 3, 3))[0]
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 0
+
+    def test_built_once_per_shape(self):
+        _jacobian_layout.cache_clear()
+        for shape in self.SHAPES:
+            arr, V0 = newton_starts(shape, 40, seed=5)
+            for rows in (slice(None), slice(0, 5), slice(5, 40)):
+                _newton_batch(arr, V0[rows])
+        info = _jacobian_layout.cache_info()
+        assert (info.misses, info.currsize) == (len(self.SHAPES), len(self.SHAPES))
 
 
 def lapack_calls(monkeypatch):

@@ -1,5 +1,7 @@
 """Deflation, representation checks, reconstruction, energy identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,19 @@ class TestSvdFastPath:
             fast = _svd_decompose(T, self.CFG)
             assert fast is not None, seed
             assert_same_decomposition(fast, _greedy(T, self.CFG), atol=1e-10)
+
+    def test_fast_path_reports_its_final_check(self):
+        T = gallery.diagonal_pair()
+        rep, report = schmidt_decompose(T, self.CFG)
+        assert report.check is not None and report.check.all_ok
+        assert dataclasses.asdict(report.check) == dataclasses.asdict(verify_representation(T, rep, self.CFG.residual_tol))
+        # Not a field: the report's fields and repr are as before.
+        assert [f.name for f in dataclasses.fields(report)] == ["steps", "failure"]
+        assert "check" not in repr(report)
+
+    @pytest.mark.parametrize("name", ["orthonormal_triad", "overlapping_slices"])
+    def test_greedy_results_carry_no_check(self, name):
+        assert schmidt_decompose(getattr(gallery, name)(), self.CFG)[1].check is None
 
     def test_fast_path_runs_no_search(self):
         rep, report = schmidt_decompose(planted(0), self.CFG)
