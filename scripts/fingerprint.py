@@ -1,7 +1,7 @@
 """Print one SHA-256 per benchmark workload family over the bytes of every answer.
 
 Usage: python scripts/fingerprint.py [--seeds 1-10,7919] [--families F,...]
-                                     [--save DIR] [--compare DIR] [--diff DIR]
+                                     [--save DIR] [--compare DIR [--atol X]] [--diff DIR]
 
 Two checkouts whose answers are bit-identical print the same four lines;
 a refactor that must not change results can be checked by running this at
@@ -35,10 +35,12 @@ the orbits lost and gained: an orbit matches when tau lies within 1e-9 and,
 for one of the four sign variants, each of x, y and z lies within 1e-9 in
 norm. Spectra whose orbits all match print nothing.
 
-Exit status: 1 when --compare reports a structural change or a nonzero float
-difference, or --diff an orbit lost or gained (a missing or extra answer
-counts for both); 0 otherwise. So a change that must keep every bit is
-checked by one command: --compare DIR against answers saved at its parent.
+Exit status: 1 when --compare reports a structural change or a float
+difference above --atol (default 0), or --diff an orbit lost or gained (a
+missing or extra answer counts for both); 0 otherwise. So a change that must
+keep every bit is checked by one command, --compare DIR against answers saved
+at its parent, and a change that may only drift by rounding by --compare DIR
+--atol 1e-12.
 """
 
 from __future__ import annotations
@@ -290,6 +292,7 @@ def main(argv=None) -> int:
     parser.add_argument("--save", type=Path, help="write the answers to DIR/<family>.jsonl")
     parser.add_argument("--compare", type=Path, help="report drift against answers saved in DIR")
     parser.add_argument("--diff", type=Path, help="report the sign orbits each spectrum lost and gained against DIR")
+    parser.add_argument("--atol", type=float, default=0.0, help="largest float difference --compare accepts (default 0)")
     args = parser.parse_args(argv)
     if args.compare and args.diff and args.compare != args.diff:
         parser.error("--compare and --diff read the same saved answers")
@@ -335,7 +338,7 @@ def main(argv=None) -> int:
             for line in orbits[family]:
                 print(f"{family:18s} {line}")
     if args.compare:
-        failed |= any(d.changes or d.max_diff != 0 for d in drift.values())
+        failed |= any(d.changes or not d.max_diff <= args.atol for d in drift.values())
         for family in families:
             d = drift[family]
             print(

@@ -29,6 +29,7 @@ from .tensor_core import Tensor3, hs_norm, tensor_from_json_dict
 from .spectra import (
     SearchConfig,
     SingularTriple,
+    _ordered_checks,
     canonicalize,
     enumerate_triples,
     is_ordered,
@@ -280,8 +281,9 @@ def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> in
     entries = []
     lines = _human_header(T)
     lines.append(f"spectrum: {len(spectrum.triples)} triple(s), complete: no")
-    for pos, tr in enumerate(spectrum.triples):
-        oc = is_ordered(T, tr, cfg.residual_tol)
+    # The listed triples are verified by the search, so one batched slice check classifies them all.
+    checks = _ordered_checks(T, spectrum.triples, cfg.residual_tol)
+    for pos, (tr, oc) in enumerate(zip(spectrum.triples, checks)):
         entry = _triple_dict(tr)
         entry["ordered"] = oc.ordered
         entry["slice_residuals"] = [float(r) for r in oc.slice_residuals]

@@ -11,8 +11,11 @@ triple from a multi-start search. Both feed one deflation loop, which
 requires each term to be an ordered singular value of the remainder (the
 rank-one slice property of spectra.is_ordered), subtracts it, and repeats
 until the remainder vanishes; so both record every term with the same
-per-step checks. Orthogonality of the extracted families is a consequence
-of the ordered property, not an imposed constraint.
+per-step checks. The loop checks a block of terms at once (the SVD
+reading's in one block, greedy's one at a time), each against its own
+remainder, by batched kernels of spectra and Gram products of the terms.
+Orthogonality of the extracted families is a consequence of the ordered
+property, not an imposed constraint.
 
 Failure is a value, not an exception: when a remainder's top singular value
 is attained only by non-ordered triples (or no triple can be verified at
@@ -22,23 +25,26 @@ that retains the partial steps for diagnosis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .tensor_core import Tensor3, VectorH, _as_entries, deflate_term, from_schmidt, hs_norm
+from .tensor_core import Tensor3, VectorH, _as_entries, hs_norm
 from .spectra import (
     SearchConfig,
     SingularTriple,
     _canonical_rows,
+    _check_floor,
     _check_tol,
+    _ordered_checks,
     _residuals,
     _row_norms,
     _search_candidates,
-    is_ordered,
-    verify_triple,
+    _slice_residuals,
+    _stacked_terms,
 )
 
 __all__ = [
@@ -63,20 +69,16 @@ _FAMILY_ORTHO_TOL = 1e-8
 _TERM_UNIT_TOL = 1e-10
 
 
-def _max_gram_deviation(*families) -> float:
-    """Largest |<u_i, u_j> - delta_ij| over the given families of vectors."""
-    worst = 0.0
-    for family in families:
-        fam = np.array(family, dtype=float)
-        if fam.size:
-            worst = max(worst, float(np.max(np.abs(fam @ fam.T - np.eye(len(fam))))))
-    return worst
+def _max_gram_deviation(*families: np.ndarray) -> float:
+    """Largest |<u_i, u_j> - delta_ij| over the given families, each one vector per row."""
+    return max((float(np.abs(F @ F.T - np.eye(len(F))).max()) for F in families if F.size), default=0.0)
 
 
-def _reconstruction_residual(T: Tensor3, terms) -> float:
-    """hs-norm of T minus the sum of the (tau, x, y, z) terms."""
-    recon = from_schmidt(terms, dims=T.dims)
-    return hs_norm(Tensor3.from_array(T.array - recon.array))
+def _reconstruction_residual(T: Tensor3, tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
+    """hs-norm of T minus the sum of the stacked terms tau_i x_i (x) y_i (x) z_i, by one BLAS product."""
+    n1, n2, n3 = T.dims
+    recon = (X.T * tau) @ np.einsum("sj,sk->sjk", Y, Z).reshape(tau.size, n2 * n3)
+    return float(np.linalg.norm(T.array.reshape(n1, n2 * n3) - recon))
 
 
 class SchmidtStatus(str, Enum):
@@ -101,9 +103,9 @@ class SchmidtTerm:
     def __post_init__(self) -> None:
         if not self.tau > 0:
             raise ValueError("SchmidtTerm requires tau > 0")
-        for label, v in (("x", self.x), ("y", self.y), ("z", self.z)):
-            a = np.asarray(v, dtype=float)
-            if abs(np.linalg.norm(a) - 1.0) > _TERM_UNIT_TOL:
+        for label in "xyz":
+            a = np.asarray(getattr(self, label), dtype=float).reshape(-1)
+            if abs(math.sqrt(a.dot(a)) - 1.0) > _TERM_UNIT_TOL:
                 raise ValueError(f"SchmidtTerm.{label} must be a unit vector")
 
 
@@ -209,9 +211,11 @@ def schmidt_decompose(
 
     Returns (representation, report). On failure the representation has
     status Failed and no terms; the report keeps every step, including
-    the offending one, with its residual diagnostics.
+    the offending one, with its residual diagnostics. A residual_tol below
+    T's rounding floor (eps/2 * hs_norm(T)) is refused with ValueError.
     """
     cfg = cfg if cfg is not None else SearchConfig()
+    _check_floor(T, cfg.residual_tol)
     fast = _svd_decompose(T, cfg)
     return fast if fast is not None else _greedy(T, cfg)
 
@@ -219,69 +223,73 @@ def schmidt_decompose(
 def _deflate(
     T: Tensor3, cfg: SearchConfig, pick: Callable
 ) -> Optional[tuple[SchmidtRepresentation, DeflationReport]]:
-    """The deflation loop: take pick's triple, check it, record it, subtract it, repeat.
+    """The deflation loop: check pick's block of terms at once, then record and subtract them one by one.
 
-    pick(remainder, k) is the source of step k's term (k from 1): it returns
-    (triple, ordered_check, orbits_at_top), with the triple's ordered check
-    against the remainder; or a DeflationFailure; or None, which abandons
-    the run, and then _deflate returns None. Each step re-verifies the
-    triple against the ORIGINAL operator (the transfer check), deflates the
-    remainder by it and records the step. The run fails, keeping its steps
-    but no terms, when pick reports a failure, the triple is not ordered in
-    the remainder, or it fails the transfer check.
+    pick(remainder values, k) returns the terms from step k on as a block (X, Y, Z, orbits at the top),
+    a DeflationFailure, or None, which abandons the run (_deflate returns None). Each row is checked
+    against its own remainder, the block's earlier rows deflated (_residuals, _slice_residuals): tau
+    must exceed residual_tol with residuals within it, or the run is abandoned, and the ordered slices
+    are recorded; the transfer check re-verifies it against the ORIGINAL operator at that tau. Rows are
+    then subtracted in order from one remainder array, in place, whose hs-norm is the step's
+    remaining_hs and, at the end, the reconstruction residual, until the stop, the min(dims) cap or a
+    failure: a row not ordered in its remainder, or failing the transfer check, fails the run, which
+    keeps its steps but no terms.
     """
-    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
+    tol = cfg.residual_tol
+    cap = min(T.dims)
+    hs = hs_T = hs_norm(T)
+    stop_level = tol * (1.0 + hs_T)
+    remainder = T.array.copy()
+    flat = remainder.reshape(-1)  # a view: hs-norms as hs_norm computes them, sqrt(v . v)
     steps: list[DeflationStep] = []
     terms: list[SchmidtTerm] = []
     failure: Optional[DeflationFailure] = None
-    remainder = T
-    for k in range(1, min(T.dims) + 1):
-        if hs_norm(remainder) <= stop_level:
-            break
-        picked = pick(remainder, k)
+    while failure is None and len(steps) < cap and hs > stop_level:
+        picked = pick(remainder, len(steps) + 1)
         if picked is None:
             return None
         if isinstance(picked, DeflationFailure):
             failure = picked
             break
-        triple, ordered_check, orbits = picked
-        transfer = verify_triple(T, triple, cfg.residual_tol)
-        deflated = deflate_term(remainder, triple.tau, triple.x, triple.y, triple.z)
-        steps.append(
-            DeflationStep(
-                index=k,
-                tau=triple.tau,
-                triple=triple,
-                slice_residuals=ordered_check.slice_residuals,
-                transfer_residuals=(transfer.r1, transfer.r2, transfer.r3),
-                remaining_hs=hs_norm(deflated),
-            )
-        )
-        if ordered_check.ordered and transfer.verified:
-            terms.append(SchmidtTerm(tau=triple.tau, x=triple.x, y=triple.y, z=triple.z))
-            remainder = deflated
-            continue
-        if not ordered_check.ordered:
-            diagnostics = (
-                f"top singular value {triple.tau:.12g} of the remainder is not an "
-                f"ordered singular value (max slice residual "
-                f"{max(ordered_check.slice_residuals):.6g}, "
-                f"{orbits} orbit(s) at the top)"
-            )
-        else:
-            diagnostics = (
-                f"step-{k} triple fails the transfer identities against the "
-                f"original operator (max residual {transfer.max_residual:.6g}); "
-                "the ordered hypothesis does not propagate"
-            )
-        failure = DeflationFailure(step=k, reason=FailureReason.NOT_ORDERED, diagnostics=diagnostics)
-        break
+        X, Y, Z, orbits = picked
+        tau, R = _residuals(remainder, X, Y, Z, deflated=True)
+        slices = _slice_residuals(remainder, X, Y, Z, tau, deflated=True)[:, :3]
+        transfer = _residuals(T.array, X, Y, Z, tau)[1]
+        gated = ((tau > tol) & (R.max(axis=1) <= tol)).tolist()
+        rows = zip(tau.tolist(), R.tolist(), slices.tolist(), transfer.tolist(), gated, X, Y, Z)
+        for t, r, sl, tr, gate, x, y, z in rows:
+            if len(steps) == cap or hs <= stop_level:
+                break
+            if not gate:
+                return None
+            # (x (x) y) (x) z, then times tau: the bits of deflate_term's einsum("i,j,k->ijk") product.
+            remainder -= t * (x[:, None, None] * y[:, None] * z)
+            hs = math.sqrt(flat.dot(flat))
+            triple = SingularTriple(tau=t, x=x.copy(), y=y.copy(), z=z.copy(), residuals=tuple(r))
+            k = len(steps) + 1
+            steps.append(DeflationStep(k, t, triple, tuple(sl), tuple(tr), hs))
+            if max(sl) <= tol and max(tr) <= tol:
+                terms.append(SchmidtTerm(tau=t, x=triple.x, y=triple.y, z=triple.z))
+                continue
+            if max(sl) > tol:
+                diagnostics = (
+                    f"top singular value {t:.12g} of the remainder is not an "
+                    f"ordered singular value (max slice residual "
+                    f"{max(sl):.6g}, {orbits} orbit(s) at the top)"
+                )
+            else:
+                diagnostics = (
+                    f"step-{k} triple fails the transfer identities against the "
+                    f"original operator (max residual {max(tr):.6g}); "
+                    "the ordered hypothesis does not propagate"
+                )
+            failure = DeflationFailure(step=k, reason=FailureReason.NOT_ORDERED, diagnostics=diagnostics)
+            break
 
     report = DeflationReport(steps=tuple(steps), failure=failure)
     if failure is not None:
-        return SchmidtRepresentation(T.dims, (), hs_norm(T), SchmidtStatus.FAILED), report
-    residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in terms])
-    return SchmidtRepresentation(T.dims, tuple(terms), residual, SchmidtStatus.COMPLETE), report
+        return SchmidtRepresentation(T.dims, (), hs_T, SchmidtStatus.FAILED), report
+    return SchmidtRepresentation(T.dims, tuple(terms), hs, SchmidtStatus.COMPLETE), report
 
 
 def _peak_margin(M: np.ndarray) -> np.ndarray:
@@ -300,42 +308,12 @@ def _svd_decompose(
     Term k takes x from the k-th left singular vector of the n1 x n2*n3
     unfolding, and y, z from the leading rank-one factor of the k-th right
     singular vector reshaped to n2 x n3; then tau = <T(x,y),z> is s_k times
-    that factor's singular value, so it is positive. The triples are
-    canonicalized (negative zeros cleared) and go through _deflate on the
-    real remainders. None, so that greedy decides, unless every used
-    singular value lies more than dedup_tol*(1 + s) above the next, every
-    reshaped vector is rank-one at residual_tol, the peak entries of every
-    x and y lead the next entry by more than dedup_tol (so rounding cannot
-    flip a canonical sign), every triple verifies against its remainder,
-    _deflate completes, and the result passes verify_representation at
-    residual_tol.
+    that factor's singular value, so it is positive. _svd_block hands the
+    usable terms to _deflate as one block. None, so that greedy decides,
+    unless _deflate completes and the result passes verify_representation
+    at residual_tol.
     """
-    n1, n2, n3 = T.dims
-    cap = min(T.dims)
-    U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
-    u, sig, wt = np.linalg.svd(Vt[:cap].reshape(cap, n2, n3), full_matrices=False)
-    X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
-    rank_one = _row_norms(sig[:, 1:]) <= cfg.residual_tol
-    clear_peaks = np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol
-
-    def pick(remainder: Tensor3, k: int):
-        i = k - 1
-        tied = k < s.size and s[i] - s[k] <= cfg.dedup_tol * (1.0 + s[k])
-        if tied or not (rank_one[i] and clear_peaks[i]):
-            return None
-        tau, R = _residuals(remainder.array, X[i:k], Y[i:k], Z[i:k])
-        if not (tau[0] > cfg.residual_tol and R.max() <= cfg.residual_tol):
-            return None
-        triple = SingularTriple(
-            tau=float(tau[0]),
-            x=X[i].copy(),
-            y=Y[i].copy(),
-            z=Z[i].copy(),
-            residuals=tuple(float(r) for r in R[0]),
-        )
-        return triple, is_ordered(remainder, triple, cfg.residual_tol), 1
-
-    got = _deflate(T, cfg, pick)
+    got = _deflate(T, cfg, _svd_block(T, cfg))
     if got is None or got[1].failure is not None:
         return None
     rep, report = got
@@ -343,21 +321,44 @@ def _svd_decompose(
     return (rep, DeflationReport(report.steps, None, check)) if check.all_ok else None
 
 
+def _svd_block(T: Tensor3, cfg: SearchConfig) -> Callable:
+    """_svd_decompose's pick: at step 1 the canonical SVD terms (negative zeros cleared) before the first
+    unusable one, then None. A term is unusable when its singular value lies within dedup_tol*(1 + s) of
+    the next, its reshaped right vector is not rank-one at residual_tol, or a peak entry of its x or y
+    leads the next by at most dedup_tol (rounding could flip a canonical sign)."""
+    n1, n2, n3 = T.dims
+    cap = min(T.dims)
+    U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
+    u, sig, wt = np.linalg.svd(Vt[:cap].reshape(cap, n2, n3), full_matrices=False)
+    X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
+    after = np.append(s, -np.inf)[1 : cap + 1]
+    usable = (
+        (s[:cap] - after > cfg.dedup_tol * (1.0 + after))
+        & (_row_norms(sig[:, 1:]) <= cfg.residual_tol)
+        & (np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol)
+    )
+    m = int(np.argmin(np.append(usable, False)))
+    return lambda remainder, k: (X[:m], Y[:m], Z[:m], 1) if k == 1 and m else None
+
+
 def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, DeflationReport]:
     """Greedy rank-one deflation into a Schmidt representation.
 
     Each step finds the remainder's top verified singular triple by
     multi-start alternating iteration (the top of the spectrum is an
-    attractor, so no saddle corrector is needed); _deflate requires it to
-    be an ordered singular value of the remainder, re-verifies it against
-    the original operator, deflates, and recurses.
+    attractor, so no saddle corrector is needed) and hands _deflate a block
+    of one: it requires the triple to be an ordered singular value of the
+    remainder, re-verifies it against the original operator, deflates, and
+    recurses.
 
     When several orbits attain the top value within dedup_tol, the one
     with the smallest ordered-check residual is taken (ties broken by the
     canonical lexicographic order), so the result is deterministic.
     """
 
-    def pick(remainder: Tensor3, k: int):
+    def pick(values: np.ndarray, k: int):
+        # Step 1 searches T itself, so a norm or spectrum of T shares its memoised alternating stage.
+        remainder = T if k == 1 else Tensor3.from_array(values)
         cands = _search_candidates(remainder, cfg, use_newton=False)
         if not cands:
             return DeflationFailure(
@@ -370,9 +371,9 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
             )
         top = cands[0].tau
         band = [c for c in cands if c.tau >= top - cfg.dedup_tol * (1.0 + top)]
-        scored = [(c, is_ordered(remainder, c, cfg.residual_tol)) for c in band]
-        chosen, check = min(scored, key=lambda p: (max(p[1].slice_residuals), tuple(p[0].x), tuple(p[0].y)))
-        return chosen, check, len(band)
+        checks = _ordered_checks(remainder, band, cfg.residual_tol)
+        c = band[min(range(len(band)), key=lambda i: (max(checks[i].slice_residuals), tuple(band[i].x), tuple(band[i].y)))]
+        return c.x[None], c.y[None], c.z[None], len(band)
 
     return _deflate(T, cfg, pick)
 
@@ -382,10 +383,8 @@ def reconstruct(rep: SchmidtRepresentation, x, y) -> VectorH:
     n1, n2, n3 = rep.dims
     xa = _as_entries(x, "H1", n1, "x")
     ya = _as_entries(y, "H2", n2, "y")
-    out = np.zeros(n3)
-    for term in rep.terms:
-        out += term.tau * float(xa @ term.x) * float(ya @ term.y) * term.z
-    return VectorH(entries=out, space="K")
+    tau, X, Y, Z = _stacked_terms(rep.terms, rep.dims)
+    return VectorH(entries=(tau * (X @ xa) * (Y @ ya)) @ Z, space="K")
 
 
 def verify_representation(
@@ -396,27 +395,20 @@ def verify_representation(
     Monotonicity of tau, pairwise orthonormality of each vector family
     (at the fixed 1e-8 family tolerance), hs-norm reconstruction residual
     <= tol, and the diagonal identity <T(x_i,y_i), z_i> = tau_i within tol.
-    Each condition is reported separately; nothing raises on failure.
+    Each condition is reported separately; nothing raises on failure. The
+    terms are checked stacked: one Gram product per family, one
+    reconstruction product, and the diagonal from _residuals.
     """
     if rep.dims != T.dims:
         raise ValueError(f"representation dims {rep.dims} do not match tensor dims {T.dims}")
     _check_tol(tol)
-    taus = [term.tau for term in rep.terms]
-    monotone = all(taus[i] >= taus[i + 1] for i in range(len(taus) - 1))
-
-    max_gram = _max_gram_deviation(*([getattr(t, f) for t in rep.terms] for f in "xyz"))
-    orthonormal = max_gram <= _FAMILY_ORTHO_TOL
-    residual = _reconstruction_residual(T, [(t.tau, t.x, t.y, t.z) for t in rep.terms])
-
-    max_diag = 0.0
-    arr = T.array
-    for term in rep.terms:
-        val = float(np.einsum("ijk,i,j,k->", arr, term.x, term.y, term.z))
-        max_diag = max(max_diag, abs(val - term.tau))
-
+    tau, X, Y, Z = _stacked_terms(rep.terms, T.dims)
+    max_gram = _max_gram_deviation(X, Y, Z)
+    residual = _reconstruction_residual(T, tau, X, Y, Z)
+    max_diag = float(np.max(np.abs(_residuals(T.array, X, Y, Z)[0] - tau), initial=0.0))
     return RepresentationCheck(
-        monotone=monotone,
-        orthonormal=orthonormal,
+        monotone=bool(np.all(tau[:-1] >= tau[1:])),
+        orthonormal=max_gram <= _FAMILY_ORTHO_TOL,
         max_gram_deviation=max_gram,
         reconstruction_ok=residual <= tol,
         reconstruction_residual=residual,

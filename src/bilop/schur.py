@@ -157,9 +157,10 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
     if not n1 == n2 == n3:
         raise ValueError(f"verify_schur needs equal dims, got {T.dims}")
     _check_tol(tol)
-    residual = _reconstruction_residual(T, [(t.lam, t.x, t.x, t.x) for t in schur.terms])
-
-    max_gram = _max_gram_deviation([t.x for t in schur.terms])
+    lam = np.array([t.lam for t in schur.terms], dtype=float)
+    X = np.array([t.x for t in schur.terms], dtype=float).reshape(lam.size, n1)
+    residual = _reconstruction_residual(T, lam, X, X, X)
+    max_gram = _max_gram_deviation(X)
 
     lams = [abs(t.lam) for t in schur.terms]
     monotone = all(lams[i] >= lams[i + 1] for i in range(len(lams) - 1))

@@ -213,17 +213,54 @@ def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.nd
 
 
 def _residuals(
-    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
+    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau=None, deflated=False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tau = <T(x,y), z> and the three equation residuals, shape (S, 3)."""
+    """Per-row tau = <T(x,y), z> (unless given) and the three equation residuals, shape (S, 3).
+
+    With deflated, the rows are a block of deflation terms: row k is taken against its remainder T - sum_{j<k}
+    tau_j x_j (x) y_j (x) z_j, as T's contractions less the earlier rows' Gram-weighted terms, and tau solves
+    the unit lower-triangular system those terms make of it."""
     TXY = _contract(arr, 2, X, Y)
-    tau = np.einsum("sk,sk->s", TXY, Z)
+    if deflated:
+        lower = np.tri(len(X), k=-1)
+        if tau is None:
+            G = lower * (X @ X.T) * (Y @ Y.T) * (Z @ Z.T)
+            tau = np.linalg.solve(G + np.eye(len(X)), np.einsum("sk,sk->s", TXY, Z))
+    elif tau is None:
+        tau = np.einsum("sk,sk->s", TXY, Z)
     t = tau[:, None]
     R = np.empty((tau.size, 3))
-    R[:, 0] = _row_norms(TXY - t * Z)
-    R[:, 1] = _row_norms(_contract(arr, 0, Y, Z) - t * X)
-    R[:, 2] = _row_norms(_contract(arr, 1, X, Z) - t * Y)
+    for col, (mode, U, V, F) in enumerate(((2, X, Y, Z), (0, Y, Z, X), (1, X, Z, Y))):
+        C = TXY if mode == 2 else _contract(arr, mode, U, V)
+        if deflated:  # the earlier rows' terms, tau_j <u_j, u_k> <v_j, v_k> f_j
+            C = C - (lower * tau * (U @ U.T) * (V @ V.T)) @ F
+        R[:, col] = _row_norms(C - t * F)
     return tau, R
+
+
+def _slice_residuals(arr, X, Y, Z, tau, deflated=False) -> np.ndarray:
+    """Per row, the Frobenius residuals of the ordered-slice identities (is_ordered), shape (S, 4):
+    T(., y) - tau z x^T, T(x, .) - tau z y^T, contract_1(., z) - tau x y^T, and that slice's transpose summed
+    in its own order. Each stack is one BLAS product of a factor block with a mode unfolding of T. With
+    deflated, row k's slices are its remainder's, as in _residuals; otherwise rows go in blocks of at most
+    _CONTRACT_BLOCK slice entries."""
+    n1, n2, n3 = arr.shape
+    S = tau.size
+    block = max(1, _CONTRACT_BLOCK // max(n1 * n3, n2 * n3, n1 * n2))
+    if S > block and not deflated:
+        return np.vstack([_slice_residuals(arr, *(M[lo : lo + block] for M in (X, Y, Z, tau))) for lo in range(0, S, block)])
+    out = np.empty((S, 4))
+    frozen = ((Y, arr.transpose(1, 0, 2).reshape(n2, n1 * n3), X, Z), (X, arr.reshape(n1, n2 * n3), Y, Z), (Z, arr.reshape(n1 * n2, n3).T, X, Y))
+    lower, eye = np.tri(S, k=-1), np.eye(S)
+    for col, (F, unf, P, Q) in enumerate(frozen):
+        terms = np.einsum("si,sj->sij", P, Q).reshape(S, -1)
+        if deflated:
+            M = F @ unf - ((F @ F.T * lower + eye) * tau) @ terms
+        else:
+            M = F @ unf - tau[:, None] * terms
+        out[:, col] = _row_norms(M)
+    out[:, 3] = _row_norms(M.reshape(S, n1, n2).transpose(0, 2, 1).reshape(S, -1))
+    return out
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
@@ -712,8 +749,10 @@ def _search_candidates(
     results by start index, are gated at residual_tol with tau >
     residual_tol, canonicalized and merged by sign orbit, first
     representative winning; the kept rows are put in _tie_order and only
-    then become SingularTriples.
+    then become SingularTriples. A residual_tol below T's rounding floor
+    is refused first (_check_floor).
     """
+    _check_floor(T, cfg.residual_tol)
     if hs_norm(T) <= cfg.residual_tol:
         return ()
     (X0, Y0, Z0), rows, _ = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
@@ -821,23 +860,45 @@ def _unit_triple(T: Tensor3, triple: SingularTriple) -> tuple[np.ndarray, np.nda
     return xa, ya, za
 
 
-def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
-    """Check the three defining equations at the given triple.
+def _check_floor(T: Tensor3, tol: float) -> None:
+    """ValueError when tol lies below eps/2 * hs_norm(T), the rounding unit of T's own entries: a gate there
+    would pass or refuse a triple by how its last bits round, so norm, spectrum and verify_triple could disagree."""
+    floor = 2.0**-53 * hs_norm(T)  # eps/2 as a literal: a first np.finfo call adds about 0.3 MiB to a CLI process's peak RSS
+    if tol < floor:
+        raise ValueError(
+            f"tolerance {tol:g} lies below this tensor's rounding floor {floor:.3g} "
+            "(eps/2 times its Hilbert-Schmidt norm); no residual resolves that"
+        )
 
-    verified means max residual <= tol and tau > 0. Vectors more than 1e-8
-    away from unit norm, and a tol that is not positive and finite, are
-    rejected as argument errors.
+
+def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
+    """Check the three defining equations at the given triple, with the search's residual routine.
+
+    verified means max residual <= tol and tau > 0. Vectors more than 1e-8 away from unit norm, a tol
+    that is not positive and finite, and a tol below T's rounding floor (_check_floor) are rejected as
+    argument errors.
     """
     _check_tol(tol)
-    xa, ya, za = _unit_triple(T, triple)
-    arr = T.array
-    txy = np.einsum("ijk,i,j->k", arr, xa, ya)
+    _check_floor(T, tol)
+    x, y, z = _unit_triple(T, triple)
     tau = float(triple.tau)
-    r1 = float(np.linalg.norm(txy - tau * za))
-    r2 = float(np.linalg.norm(np.einsum("ijk,j,k->i", arr, ya, za) - tau * xa))
-    r3 = float(np.linalg.norm(np.einsum("ijk,i,k->j", arr, xa, za) - tau * ya))
-    verified = max(r1, r2, r3) <= tol and tau > 0
-    return TripleCheck(r1=r1, r2=r2, r3=r3, verified=verified)
+    r1, r2, r3 = (float(r) for r in _residuals(T.array, x[None], y[None], z[None], np.array([tau]))[1][0])
+    return TripleCheck(r1=r1, r2=r2, r3=r3, verified=max(r1, r2, r3) <= tol and tau > 0)
+
+
+def _stacked_terms(items, dims) -> tuple:
+    """The tau, x, y and z of triples or Schmidt terms as arrays of one row each: (tau, X, Y, Z)."""
+    tau = np.array([t.tau for t in items], dtype=float)
+    return (tau, *(np.array([getattr(t, f) for t in items], dtype=float).reshape(tau.size, n) for f, n in zip("xyz", dims)))
+
+
+def _ordered_checks(T: Tensor3, triples, tol: float) -> list[OrderedCheck]:
+    """is_ordered's classification of already verified triples, from one call of the slice kernel."""
+    tau, X, Y, Z = _stacked_terms(triples, T.dims)
+    return [
+        OrderedCheck(ordered=max(r[:3]) <= tol, slice_residuals=tuple(r[:3]), adjoint_slice_residual=r[3])
+        for r in _slice_residuals(T.array, X, Y, Z, tau).tolist()
+    ]
 
 
 def is_ordered(T: Tensor3, triple: SingularTriple, tol: float) -> OrderedCheck:
@@ -847,30 +908,15 @@ def is_ordered(T: Tensor3, triple: SingularTriple, tol: float) -> OrderedCheck:
     rank-one map x -> tau <x, x1> z1, (b) freezing x gives y -> tau <y, y1> z1,
     (c) the first adjoint contraction against z gives y -> tau <y, y1> x1.
     The symmetric fourth slice (second contraction against z) equals the
-    transpose of (c) and is reported as a diagnostic only.
+    transpose of (c) and is reported as a diagnostic only. The triple is
+    verified first; the slices come from the batched kernel (_slice_residuals).
     """
     check = verify_triple(T, triple, tol)
     if not check.verified:
         raise ValueError(
             f"is_ordered requires a verified triple (max residual {check.max_residual:.3e})"
         )
-    arr = T.array
-    x, y, z = np.asarray(triple.x), np.asarray(triple.y), np.asarray(triple.z)
-    tau = float(triple.tau)
-    slice_a = np.einsum("ijk,j->ki", arr, y) - tau * np.outer(z, x)
-    slice_b = np.einsum("ijk,i->kj", arr, x) - tau * np.outer(z, y)
-    slice_c = np.einsum("ijk,k->ij", arr, z) - tau * np.outer(x, y)
-    slice_d = np.einsum("ijk,k->ji", arr, z) - tau * np.outer(y, x)
-    residuals = (
-        float(np.linalg.norm(slice_a)),
-        float(np.linalg.norm(slice_b)),
-        float(np.linalg.norm(slice_c)),
-    )
-    return OrderedCheck(
-        ordered=all(r <= tol for r in residuals),
-        slice_residuals=residuals,
-        adjoint_slice_residual=float(np.linalg.norm(slice_d)),
-    )
+    return _ordered_checks(T, [triple], tol)[0]
 
 
 def operator_norm(
@@ -888,7 +934,8 @@ def operator_norm(
     other tensor, a search in which no triple verifies raises ValueError:
     the norm is positive but unknown, so no value is reported. The message
     names max_iter when no start converged, and otherwise the residual_tol
-    gate that rejected every converged start.
+    gate that rejected every converged start. A residual_tol below T's
+    rounding floor, eps/2 * hs_norm(T), is refused up front with ValueError.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     found = _search_candidates(T, cfg, use_newton=False)

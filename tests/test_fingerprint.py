@@ -93,3 +93,21 @@ def test_a_float_drift_alone_fails_compare_but_not_diff(fingerprint, tmp_path, m
     assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path)]) == 1
     assert "0 structural change(s)" in capsys.readouterr().out
     assert fingerprint.main(["--families", "gallery", "--diff", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("atol, code", [("1e-11", 0), ("2e-12", 0), ("1e-13", 1)])
+def test_compare_accepts_a_float_drift_up_to_atol(fingerprint, tmp_path, monkeypatch, capsys, atol, code):
+    serve(fingerprint, monkeypatch, spectrum())
+    fingerprint.main(["--families", "gallery", "--save", str(tmp_path)])
+    moved = Spectrum(tuple(dataclasses.replace(t, tau=t.tau + 1e-12) for t in spectrum().triples))
+    serve(fingerprint, monkeypatch, moved)
+    capsys.readouterr()
+    assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path), "--atol", atol]) == code
+    assert "0 structural change(s)" in capsys.readouterr().out
+
+
+def test_atol_does_not_forgive_a_structural_change(fingerprint, tmp_path, monkeypatch):
+    serve(fingerprint, monkeypatch, spectrum())
+    fingerprint.main(["--families", "gallery", "--save", str(tmp_path)])
+    serve(fingerprint, monkeypatch, spectrum(drop=1))
+    assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path), "--atol", "1e300"]) == 1

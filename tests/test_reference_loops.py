@@ -1,28 +1,67 @@
-"""The Newton corrector's loop, the alternating sweep and the sign-orbit distance against the code they
-replaced, kept here as references (as TestFinish keeps finish_every_row).
+"""The Newton corrector's loop, the alternating sweep, the sign-orbit distance and the per-term Schmidt
+deflation against the code they replaced, kept here as references (as TestFinish keeps finish_every_row).
 
-The rewrites only cut NumPy calls and temporaries, so every array they return must keep its bytes. The
+The search rewrites only cut NumPy calls and temporaries, so every array they return must keep its bytes. The
 references below are the replaced loops, renamed, calling the same pinned helpers of bilop.spectra
 (_newton_a1, _solve_rows, _row_norms, _stacked, _factor_slices) and reading its module constants at call
 time, so a patched budget applies to both sides.
+
+The Schmidt deflation loop now checks a block of terms at once with Gram corrections, so its numbers may
+differ from the per-term loop's in the last bits: there the references must give the same decisions,
+counts and strings, and floats within 1e-12.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilop import SearchConfig, Tensor3, enumerate_triples, gallery, hopm_value_trace, spectra
+from bilop import (
+    SearchConfig,
+    Tensor3,
+    deflate_term,
+    enumerate_triples,
+    from_schmidt,
+    gallery,
+    hopm_value_trace,
+    hs_norm,
+    is_ordered,
+    schmidt_decompose,
+    spectra,
+    verify_representation,
+)
+from bilop.schmidt import (
+    _FAMILY_ORTHO_TOL,
+    DeflationFailure,
+    DeflationReport,
+    DeflationStep,
+    FailureReason,
+    RepresentationCheck,
+    SchmidtRepresentation,
+    SchmidtStatus,
+    SchmidtTerm,
+    _deflate,
+    _greedy,
+    _peak_margin,
+    _svd_block,
+)
 from bilop.spectra import (
     _ORBIT_SIGNS,
     _als_batch,
+    _canonical_rows,
     _contract,
     _factor_slices,
     _newton_a1,
     _newton_batch,
     _orbit_distance,
     _orbit_mates,
+    _ordered_checks,
+    _residuals,
     _row_norms,
+    _search_candidates,
     _solve_rows,
     _stacked,
     _standard_starts,
@@ -223,6 +262,149 @@ def ref_write_jacobians(J, A1, A2, A3, x, y, z, t):
 
 
 # ---------------------------------------------------------------------------
+# the per-term Schmidt deflation, its checks and its SVD and greedy term sources
+
+
+def ref_verify_triple(T, triple, tol):
+    """The single-triple einsum residuals verify_triple computed; (residuals, verified)."""
+    arr = T.array
+    x, y, z = (np.asarray(v, dtype=float) for v in (triple.x, triple.y, triple.z))
+    tau = float(triple.tau)
+    r = (
+        float(np.linalg.norm(np.einsum("ijk,i,j->k", arr, x, y) - tau * z)),
+        float(np.linalg.norm(np.einsum("ijk,j,k->i", arr, y, z) - tau * x)),
+        float(np.linalg.norm(np.einsum("ijk,i,k->j", arr, x, z) - tau * y)),
+    )
+    return r, max(r) <= tol and tau > 0
+
+
+def ref_is_ordered(T, triple, tol):
+    """The single-triple einsum slices is_ordered computed; (ordered, slice residuals, adjoint slice residual)."""
+    if not ref_verify_triple(T, triple, tol)[1]:
+        raise ValueError("is_ordered requires a verified triple")
+    arr = T.array
+    x, y, z = np.asarray(triple.x), np.asarray(triple.y), np.asarray(triple.z)
+    tau = float(triple.tau)
+    residuals = (
+        float(np.linalg.norm(np.einsum("ijk,j->ki", arr, y) - tau * np.outer(z, x))),
+        float(np.linalg.norm(np.einsum("ijk,i->kj", arr, x) - tau * np.outer(z, y))),
+        float(np.linalg.norm(np.einsum("ijk,k->ij", arr, z) - tau * np.outer(x, y))),
+    )
+    adjoint = float(np.linalg.norm(np.einsum("ijk,k->ji", arr, z) - tau * np.outer(y, x)))
+    return all(r <= tol for r in residuals), residuals, adjoint
+
+
+def ref_deflate(T, cfg, pick):
+    """One term per step: pick(remainder, k) -> ((triple, ordered, slice residuals), orbits), a failure or None."""
+    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
+    steps, terms, failure = [], [], None
+    remainder = T
+    for k in range(1, min(T.dims) + 1):
+        if hs_norm(remainder) <= stop_level:
+            break
+        picked = pick(remainder, k)
+        if picked is None:
+            return None
+        if isinstance(picked, DeflationFailure):
+            failure = picked
+            break
+        (triple, ordered, slices), orbits = picked
+        transfer, transfer_ok = ref_verify_triple(T, triple, cfg.residual_tol)
+        deflated = deflate_term(remainder, triple.tau, triple.x, triple.y, triple.z)
+        steps.append(DeflationStep(k, triple.tau, triple, slices, transfer, hs_norm(deflated)))
+        if ordered and transfer_ok:
+            terms.append(SchmidtTerm(triple.tau, triple.x, triple.y, triple.z))
+            remainder = deflated
+            continue
+        if not ordered:
+            diagnostics = (
+                f"top singular value {triple.tau:.12g} of the remainder is not an ordered singular value "
+                f"(max slice residual {max(slices):.6g}, {orbits} orbit(s) at the top)"
+            )
+        else:
+            diagnostics = (
+                f"step-{k} triple fails the transfer identities against the original operator "
+                f"(max residual {max(transfer):.6g}); the ordered hypothesis does not propagate"
+            )
+        failure = DeflationFailure(k, FailureReason.NOT_ORDERED, diagnostics)
+        break
+    report = DeflationReport(tuple(steps), failure)
+    if failure is not None:
+        return SchmidtRepresentation(T.dims, (), hs_norm(T), SchmidtStatus.FAILED), report
+    recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in terms], dims=T.dims)
+    residual = hs_norm(Tensor3.from_array(T.array - recon.array))
+    return SchmidtRepresentation(T.dims, tuple(terms), residual, SchmidtStatus.COMPLETE), report
+
+
+def ref_svd_pick(T, cfg):
+    """The SVD reading's per-step pick: each step's term checked against that step's remainder."""
+    n1, n2, n3 = T.dims
+    cap = min(T.dims)
+    U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
+    u, sig, wt = np.linalg.svd(Vt[:cap].reshape(cap, n2, n3), full_matrices=False)
+    X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
+    rank_one = _row_norms(sig[:, 1:]) <= cfg.residual_tol
+    clear_peaks = np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol
+
+    def pick(remainder, k):
+        i = k - 1
+        tied = k < s.size and s[i] - s[k] <= cfg.dedup_tol * (1.0 + s[k])
+        if tied or not (rank_one[i] and clear_peaks[i]):
+            return None
+        tau, R = _residuals(remainder.array, X[i:k], Y[i:k], Z[i:k])
+        if not (tau[0] > cfg.residual_tol and R.max() <= cfg.residual_tol):
+            return None
+        triple = spectra.SingularTriple(float(tau[0]), X[i].copy(), Y[i].copy(), Z[i].copy(), tuple(float(r) for r in R[0]))
+        return (triple, *ref_is_ordered(remainder, triple, cfg.residual_tol)[:2]), 1
+
+    return pick
+
+
+def ref_greedy_pick(cfg):
+    """Greedy's per-step pick: the top band of one search, scored by per-triple ordered checks."""
+
+    def pick(remainder, k):
+        cands = _search_candidates(remainder, cfg, use_newton=False)
+        if not cands:
+            return DeflationFailure(
+                k,
+                FailureReason.NO_TRIPLE_FOUND,
+                f"no triple verified at residual_tol={cfg.residual_tol:g} for a remainder of hs-norm {hs_norm(remainder):.6g}",
+            )
+        top = cands[0].tau
+        band = [c for c in cands if c.tau >= top - cfg.dedup_tol * (1.0 + top)]
+        scored = [(c, ref_is_ordered(remainder, c, cfg.residual_tol)) for c in band]
+        chosen, (ordered, slices, _) = min(scored, key=lambda p: (max(p[1][1]), tuple(p[0].x), tuple(p[0].y)))
+        return (chosen, ordered, slices), len(band)
+
+    return pick
+
+
+def ref_verify_representation(T, rep, tol):
+    """The per-term checks of a representation."""
+    taus = [t.tau for t in rep.terms]
+    max_gram = 0.0
+    for family in ([getattr(t, f) for t in rep.terms] for f in "xyz"):
+        fam = np.array(family, dtype=float)
+        if fam.size:
+            max_gram = max(max_gram, float(np.max(np.abs(fam @ fam.T - np.eye(len(fam))))))
+    recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in rep.terms], dims=T.dims)
+    residual = hs_norm(Tensor3.from_array(T.array - recon.array))
+    max_diag = 0.0
+    for term in rep.terms:
+        max_diag = max(max_diag, abs(float(np.einsum("ijk,i,j,k->", T.array, term.x, term.y, term.z)) - term.tau))
+    return RepresentationCheck(
+        monotone=all(taus[i] >= taus[i + 1] for i in range(len(taus) - 1)),
+        orthonormal=max_gram <= _FAMILY_ORTHO_TOL,
+        max_gram_deviation=max_gram,
+        reconstruction_ok=residual <= tol,
+        reconstruction_residual=residual,
+        diagonal_ok=max_diag <= tol,
+        max_diagonal_deviation=max_diag,
+    )
+
+
+# ---------------------------------------------------------------------------
 # inputs
 
 
@@ -234,6 +416,54 @@ TENSORS = {
     },
 }
 EACH_TENSOR = pytest.mark.parametrize("T", TENSORS.values(), ids=TENSORS.keys())
+
+
+def planted_schmidt(seed, dims, gaps=None, noise=0.0):
+    """A planted Schmidt tensor of rank min(dims) with random orthonormal families, its taus 0.5 plus the
+    cumulative gaps (default uniform in [0.1, 1]), plus noise times a Gaussian tensor."""
+    rng = np.random.default_rng([18, seed, *dims])
+    r = min(dims)
+    gaps = rng.uniform(0.1, 1.0, r) if gaps is None else np.asarray(gaps, dtype=float)
+    taus = np.cumsum(gaps[::-1])[::-1] + 0.5
+    U, V, W = (np.linalg.qr(rng.standard_normal((n, n)))[0] for n in dims)
+    T = from_schmidt([(taus[i], U[:, i], V[:, i], W[:, i]) for i in range(len(taus))], dims=dims)
+    return Tensor3.from_array(T.array + noise * rng.standard_normal(dims)) if noise else T
+
+
+def planted_cubic(seed, n):
+    """A symmetric self-adjoint cubic sum lam_m q_m (x) q_m (x) q_m with signed, gapped weights."""
+    rng = np.random.default_rng([19, seed, n])
+    lams = (np.cumsum(rng.uniform(0.1, 1.0, n)[::-1])[::-1] + 0.5) * rng.choice([-1.0, 1.0], n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Tensor3.from_array(np.einsum("m,im,jm,km->ijk", lams, Q, Q, Q))
+
+
+def rank_two_2x2x2():
+    """T(1)'s top right singular vector is rank two as a 2 x 2 matrix."""
+    arr = np.zeros((2, 2, 2))
+    arr[0, 0, 0] = arr[0, 1, 1] = 1.0
+    arr[1, 0, 0] = 0.5
+    return Tensor3.from_array(arr)
+
+
+def shared_y():
+    """Two rank-one terms on one y: T(1)'s right vectors are rank-one and orthogonal, but no Schmidt form exists."""
+    y = [0.6, 0.8]
+    return from_schmidt([(2.0, [1.0, 0.0], y, [1.0, 0.0]), (1.0, [0.0, 1.0], y, [0.0, 1.0])])
+
+
+#: Inputs of the block-against-reference checks; those marked greedy also run greedy deflation both ways.
+SCHMIDT_INPUTS = {
+    **{name: (getattr(gallery, name)(), True) for name in gallery.__all__},
+    **{"planted-{}x{}x{}".format(*dims): (planted_schmidt(0, dims), dims != (12, 12, 12)) for dims in [(4, 4, 4), (8, 8, 8), (12, 12, 12), (6, 10, 8)]},
+    **{f"cubic-{n}": (planted_cubic(0, n), True) for n in (3, 5, 8)},
+    "signed-diagonal-2-2-1": (gallery.signed_diagonal((2.0, 2.0, 1.0)), True),
+    "signed-diagonal-3-2-2": (gallery.signed_diagonal((3.0, 2.0, 2.0)), True),
+    "rank-two-2x2x2": (rank_two_2x2x2(), True),
+    "shared-y": (shared_y(), True),
+}
+EACH_SCHMIDT_INPUT = pytest.mark.parametrize("name", SCHMIDT_INPUTS)
+GREEDY_INPUTS = pytest.mark.parametrize("name", [name for name, (_, greedy) in SCHMIDT_INPUTS.items() if greedy])
 
 
 def raw_starts(T):
@@ -251,6 +481,32 @@ def als_endpoints(T, monkeypatch):
         res = _als_batch(T.array, X0, Y0, SearchConfig())
     X, Y, Z = (res[f][res["ok"]] for f in "XYZ")
     return _stacked(X, Y, Z, spectra._residuals(T.array, X, Y, Z)[0])
+
+
+def assert_same_run(got, want, atol=1e-12):
+    """The same decisions, counts and strings as the reference run, and every float within atol."""
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    (rep, report), (rep_w, report_w) = got, want
+    assert rep.status is rep_w.status
+    assert report.failure == report_w.failure  # step, reason and the diagnostics string
+    assert len(rep.terms) == len(rep_w.terms) and len(report.steps) == len(report_w.steps)
+    assert abs(rep.reconstruction_residual - rep_w.reconstruction_residual) <= atol
+    close = lambda a, b: np.testing.assert_allclose(a, b, rtol=0, atol=atol)  # noqa: E731
+    for a, b in zip(rep.terms, rep_w.terms):
+        close([a.tau, *a.x, *a.y, *a.z], [b.tau, *b.x, *b.y, *b.z])
+    for a, b in zip(report.steps, report_w.steps):
+        assert a.index == b.index
+        close([a.tau, a.remaining_hs, *a.slice_residuals, *a.transfer_residuals], [b.tau, b.remaining_hs, *b.slice_residuals, *b.transfer_residuals])
+        close([*a.triple.x, *a.triple.y, *a.triple.z, *a.triple.residuals], [*b.triple.x, *b.triple.y, *b.triple.z, *b.triple.residuals])
+
+
+def assert_same_check(got, want, atol=1e-12):
+    for field in ("monotone", "orthonormal", "reconstruction_ok", "diagonal_ok"):
+        assert getattr(got, field) is getattr(want, field), field
+    for field in ("max_gram_deviation", "reconstruction_residual", "max_diagonal_deviation"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= atol, field
 
 
 def same_bytes(got, want):
@@ -396,3 +652,89 @@ class TestOrbitDistance:
             assert d.tobytes() == stacked_distance(P, one).tobytes() and d[i] == 0.0
         tau = np.full(4, saddles[0].tau)
         assert _orbit_mates(tau, *P, 0, np.arange(1, 4), SearchConfig()).tolist() == [False] * 3
+
+
+class TestDeflationBlock:
+    CFG = SearchConfig()
+
+    @EACH_SCHMIDT_INPUT
+    def test_the_svd_block_equals_the_per_term_reference(self, name):
+        T = SCHMIDT_INPUTS[name][0]
+        got = _deflate(T, self.CFG, _svd_block(T, self.CFG))
+        assert_same_run(got, ref_deflate(T, self.CFG, ref_svd_pick(T, self.CFG)))
+        if name.startswith(("planted", "cubic")):
+            assert got is not None and got[0].status is SchmidtStatus.COMPLETE
+
+    @GREEDY_INPUTS
+    def test_greedy_blocks_of_one_equal_the_per_term_reference(self, name):
+        T = SCHMIDT_INPUTS[name][0]
+        assert_same_run(_greedy(T, self.CFG), ref_deflate(T, self.CFG, ref_greedy_pick(self.CFG)))
+
+    @EACH_SCHMIDT_INPUT
+    def test_verify_representation_equals_the_per_term_reference(self, name):
+        T = SCHMIDT_INPUTS[name][0]
+        rep, _ = schmidt_decompose(T, self.CFG)
+        assert_same_check(verify_representation(T, rep, 1e-9), ref_verify_representation(T, rep, 1e-9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from([(3, 3, 3), (4, 4, 4), (2, 5, 3), (5, 4, 6), (6, 3, 4)]),
+        st.sampled_from([0.0, 1e-13, 1e-11, 1e-7]),
+        st.booleans(),
+    )
+    def test_planted_tensors_with_random_gaps_ties_and_noise(self, seed, dims, noise, ties):
+        # Gaps of 0 and 1e-8 tie adjacent taus (the SVD reading refuses them), 1e-3 separates them; noise of
+        # 1e-7 fails the reading's rank-one test, while 1e-13 and 1e-11 leave residuals within residual_tol.
+        rng = np.random.default_rng(seed)
+        r = min(dims)
+        gaps = rng.choice([0.0, 1e-8, 1e-3, 0.5], size=r) if ties else rng.uniform(1e-3, 1.0, r)
+        T = planted_schmidt(seed, dims, gaps, noise)
+        got = _deflate(T, self.CFG, _svd_block(T, self.CFG))
+        assert_same_run(got, ref_deflate(T, self.CFG, ref_svd_pick(T, self.CFG)))
+        if got is not None:
+            assert_same_check(verify_representation(T, got[0], 1e-9), ref_verify_representation(T, got[0], 1e-9))
+
+    def test_a_tied_top_band_picks_deterministically_and_verifies(self):
+        # Two orbits attain tau = 2 at step 1; their slice residuals are exact zeros, so the canonical order
+        # decides, as in the per-term loop, and the same triple comes first on every run.
+        T = gallery.signed_diagonal((2.0, 2.0, 1.0))
+        runs = [_greedy(T, self.CFG) for _ in range(2)]
+        want = ref_deflate(T, self.CFG, ref_greedy_pick(self.CFG))
+        for rep, report in runs:
+            assert_same_run((rep, report), want, atol=0.0)
+            assert rep.status is SchmidtStatus.COMPLETE and verify_representation(T, rep, 1e-9).all_ok
+        assert runs[0][1].steps[0].slice_residuals == (0.0, 0.0, 0.0)
+        assert len([c for c in _search_candidates(T, self.CFG, use_newton=False) if c.tau >= 2.0 - 3e-6]) == 2
+
+    @pytest.mark.parametrize("name", gallery.__all__)
+    def test_batched_classification_equals_the_per_triple_results(self, name):
+        T = SCHMIDT_INPUTS[name][0]
+        triples = enumerate_triples(T, self.CFG).triples
+        batched = _ordered_checks(T, triples, 1e-9)
+        for triple, check in zip(triples, batched):
+            single = is_ordered(T, triple, 1e-9)
+            ordered, slices, adjoint = ref_is_ordered(T, triple, 1e-9)
+            assert check.ordered is single.ordered is ordered
+            np.testing.assert_allclose(check.slice_residuals, single.slice_residuals, rtol=0, atol=1e-14)
+            np.testing.assert_allclose([*check.slice_residuals, check.adjoint_slice_residual], [*slices, adjoint], rtol=0, atol=1e-14)
+
+    @EACH_TENSOR
+    def test_residuals_keep_their_bits_and_take_a_given_tau(self, T):
+        X0, Y0, Z0 = _standard_starts(T, SearchConfig(starts=64))
+        tau, R = _residuals(T.array, X0, Y0, Z0)
+        assert same_bytes((tau, R), ref_residuals(T.array, X0, Y0, Z0))
+        assert same_bytes(_residuals(T.array, X0, Y0, Z0, tau), (tau, R))
+
+    def test_a_planted_32_cube_stays_within_a_few_copies_of_t(self):
+        # A stack of min(dims) remainders would hold 32 copies of T; the block check holds its slices and
+        # Gram corrections, O(min(dims) * (n1 n3 + n2 n3 + n1 n2)) entries, here one copy of T each.
+        T = planted_schmidt(0, (32, 32, 32))
+        tracemalloc.start()
+        try:
+            rep, report = schmidt_decompose(T, self.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.status is SchmidtStatus.COMPLETE and len(rep.terms) == 32 and report.check is not None
+        assert peak < 8 * T.values.nbytes

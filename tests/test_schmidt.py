@@ -24,6 +24,7 @@ from bilop import (
     verify_representation,
     verify_triple,
 )
+from bilop import schmidt
 from bilop.schmidt import _greedy, _svd_decompose
 from bilop.spectra import _start_table
 
@@ -398,18 +399,20 @@ class TestSvdFastPath:
 
     def test_tie_after_a_verified_step_falls_back(self, monkeypatch):
         # Step 1 (tau = 3) passes every gate of the SVD reading and is
-        # checked; step 2 meets the tie 2 = 2 and abandons the reading, which
-        # must leave nothing of its first step in the result.
+        # checked, as the reading's block of one; step 2 meets the tie 2 = 2
+        # and abandons the reading, which must leave nothing of its first
+        # step in the result.
         T = gallery.signed_diagonal((3.0, 2.0, 2.0))
         checked = []
+        real = schmidt._slice_residuals
 
-        def spy(remainder, triple, tol):
-            checked.append(triple.tau)
-            return is_ordered(remainder, triple, tol)
+        def spy(arr, X, Y, Z, tau, deflated=False):
+            checked.append(tau.tolist())
+            return real(arr, X, Y, Z, tau, deflated)
 
-        monkeypatch.setattr("bilop.schmidt.is_ordered", spy)
+        monkeypatch.setattr(schmidt, "_slice_residuals", spy)
         assert _svd_decompose(T, self.CFG) is None
-        assert checked == [3.0]
+        assert checked == [[3.0]]
         monkeypatch.undo()
         rep, report = self.fallback(T)
         assert [t.tau for t in rep.terms] == [3.0, 2.0, 2.0]

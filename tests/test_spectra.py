@@ -1,5 +1,6 @@
 """Search, verification, canonicalization, and ordered classification."""
 
+import json
 import warnings
 
 import numpy as np
@@ -14,12 +15,14 @@ from bilop import (
     Spectrum,
     Tensor3,
     canonicalize,
+    cli,
     enumerate_triples,
     hopm_refine,
     hopm_value_trace,
     hs_norm,
     is_ordered,
     operator_norm,
+    schmidt_decompose,
     verify_triple,
 )
 
@@ -390,3 +393,39 @@ class TestIsOrdered:
     def test_adjoint_slice_is_diagnostic_only(self, diag_pair, diag_pair_spectrum):
         check = is_ordered(diag_pair, diag_pair_spectrum.triples[0], 1e-9)
         assert check.adjoint_slice_residual <= 1e-9
+
+
+class TestRoundingFloor:
+    """np.full((2, 2, 2), 1e150), whose rounding floor eps/2 * hs_norm(T) is 3.1e134.
+
+    The search's gate and verify_triple share one residual routine, so a triple the search lists
+    verifies with the same residuals; and a residual_tol below the floor, where a gate would pass or
+    refuse a triple by how its last bits round, is refused by every entry point alike."""
+
+    T = Tensor3.from_array(np.full((2, 2, 2), 1e150))
+    U = np.full(2, np.sqrt(0.5))
+
+    def test_below_the_floor_the_norm_spectrum_verification_and_cli_all_refuse(self, tensor_file, capsys):
+        exact = make_triple(2.0 * np.sqrt(2.0) * 1e150, self.U, self.U, self.U)
+        for call in (operator_norm, enumerate_triples, schmidt_decompose):
+            with pytest.raises(ValueError, match="rounding floor 3.14e"):
+                call(self.T, SearchConfig())
+        for check in (verify_triple, is_ordered):
+            with pytest.raises(ValueError, match="tolerance 1e-09 lies below"):
+                check(self.T, exact, 1e-9)
+        assert cli.main(["spectrum", str(tensor_file(self.T)), "--json"]) == 2
+        assert "rounding floor" in capsys.readouterr().err
+
+    def test_above_the_floor_they_agree(self, tensor_file, capsys):
+        cfg = SearchConfig(residual_tol=1e140)
+        with np.errstate(over="ignore"):  # Newton rows off the spheres square entries past 1e308
+            value, attained = operator_norm(self.T, cfg)
+            spectrum = enumerate_triples(self.T, cfg)
+            code = cli.main(["spectrum", str(tensor_file(self.T)), "--tol", "1e140", "--json"])
+        assert spectrum.triples and value == spectrum.triples[0].tau
+        for triple in (attained, *spectrum.triples):
+            check = verify_triple(self.T, triple, 1e140)
+            assert check.verified and (check.r1, check.r2, check.r3) == triple.residuals
+        assert code == 0
+        listed = json.loads(capsys.readouterr().out)["result"]["triples"]
+        assert [(e["tau"], e["residuals"]) for e in listed] == [(t.tau, list(t.residuals)) for t in spectrum.triples]
