@@ -28,7 +28,8 @@ DIR writes the hashed answers, one JSON line each, to DIR/<family>.jsonl,
 and --compare DIR (the same seeds, usually saved at another commit) prints
 per family every structural change (a status, flag, string or count, a
 list's length or order) and the largest absolute float difference, with
-where it occurs. CLI reports are compared as parsed JSON. --diff DIR reads
+where it occurs; a zero whose sign flipped counts as the least positive
+difference, 5e-324, so it fails the default --atol. CLI reports are compared as parsed JSON. --diff DIR reads
 the same saved answers and prints, for every spectrum (the spectrum-gaussian
 spectra, the gallery spectra and lattice oracle) whose sign orbits changed,
 the orbits lost and gained: an orbit matches when tau lies within 1e-9 and,
@@ -50,6 +51,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -140,6 +142,8 @@ class Drift:
 
     def float_diff(self, a: float, b: float, path: str) -> None:
         d = 0.0 if a == b or (a != a and b != b) else abs(a - b)
+        if a == b == 0.0 and math.copysign(1.0, a) != math.copysign(1.0, b):
+            d = math.ulp(0.0)  # a flipped zero sign: the least difference, so only a positive --atol forgives it
         if not d <= self.max_diff:  # NaN against a number counts as inf
             self.max_diff, self.where = (d if d == d else float("inf")), path
 

@@ -13,7 +13,8 @@ rank-one slice property of spectra.is_ordered), subtracts it, and repeats
 until the remainder vanishes; so both record every term with the same
 per-step checks. The loop checks a block of terms at once (the SVD
 reading's in one block, greedy's one at a time), each against its own
-remainder, by batched kernels of spectra and Gram products of the terms.
+remainder, by one call of spectra's residual routine: one pass of mode
+unfolding products, less Gram products of the block's earlier terms.
 Orthogonality of the extracted families is a consequence of the ordered
 property, not an imposed constraint.
 
@@ -43,7 +44,6 @@ from .spectra import (
     _residuals,
     _row_norms,
     _search_candidates,
-    _slice_residuals,
     _stacked_terms,
 )
 
@@ -227,7 +227,7 @@ def _deflate(
 
     pick(remainder values, k) returns the terms from step k on as a block (X, Y, Z, orbits at the top),
     a DeflationFailure, or None, which abandons the run (_deflate returns None). Each row is checked
-    against its own remainder, the block's earlier rows deflated (_residuals, _slice_residuals): tau
+    against its own remainder, the block's earlier rows deflated, by one _residuals call with slices: tau
     must exceed residual_tol with residuals within it, or the run is abandoned, and the ordered slices
     are recorded; the transfer check re-verifies it against the ORIGINAL operator at that tau. Rows are
     then subtracted in order from one remainder array, in place, whose hs-norm is the step's
@@ -252,11 +252,10 @@ def _deflate(
             failure = picked
             break
         X, Y, Z, orbits = picked
-        tau, R = _residuals(remainder, X, Y, Z, deflated=True)
-        slices = _slice_residuals(remainder, X, Y, Z, tau, deflated=True)[:, :3]
+        tau, R = _residuals(remainder, X, Y, Z, deflated=True, slices=True)
         transfer = _residuals(T.array, X, Y, Z, tau)[1]
-        gated = ((tau > tol) & (R.max(axis=1) <= tol)).tolist()
-        rows = zip(tau.tolist(), R.tolist(), slices.tolist(), transfer.tolist(), gated, X, Y, Z)
+        gated = ((tau > tol) & (R[:, :3].max(axis=1) <= tol)).tolist()
+        rows = zip(tau.tolist(), R[:, :3].tolist(), R[:, 3:6].tolist(), transfer.tolist(), gated, X, Y, Z)
         for t, r, sl, tr, gate, x, y, z in rows:
             if len(steps) == cap or hs <= stop_level:
                 break

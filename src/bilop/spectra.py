@@ -16,6 +16,11 @@ system, which converges quadratically from them. Alternating iteration
 only reaches attracting triples, so enumerate_triples additionally runs
 the Newton corrector from every raw start, which reaches saddle-type
 triples as well. Everything is deterministic for a fixed SearchConfig.seed.
+
+One residual routine, _residuals, serves the search's gate, verify_triple,
+the ordered-slice test (is_ordered) and Schmidt deflation's checks: it reads
+the three equations and the slices off one pass of mode unfolding products,
+in the row blocks _contract uses, so a row's numbers never depend on its batch.
 """
 
 from __future__ import annotations
@@ -182,10 +187,9 @@ def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.nd
         mode 0: contract_1(y, z) from (Y, Z)
         mode 1: contract_2(x, z) from (X, Z)
 
-    Each row block is one BLAS product of a factor with a mode unfolding of T, giving an (rows, n_a, n_b)
-    temporary, followed by a two-operand row reduction against the other factor. Blocks hold at most
-    _CONTRACT_BLOCK temporary entries. A row's result depends only on that row, never on the block or batch
-    it is computed in.
+    Each row block (_row_blocks) is one BLAS product of a factor with a mode unfolding of T (_product), giving
+    an (rows, n_a, n_b) temporary, followed by a two-operand row reduction against the other factor. A row's
+    result depends only on that row, never on the block or batch it is computed in.
     """
     n1, n2, n3 = arr.shape
     if mode == 0:
@@ -194,73 +198,72 @@ def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.nd
         first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sk->sj"
     else:
         first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sj->sk"
-    S = first.shape[0]
-    block = max(2, _CONTRACT_BLOCK // unf.shape[1])
-    if 2 <= S <= block:  # one block: the loop's arithmetic without its bookkeeping
-        return np.einsum(spec, (first @ unf).reshape(S, *shape), second)
-    out = np.empty((S, arr.shape[mode]))
-    for lo in range(0, S, block):
-        F, G = first[lo : lo + block], second[lo : lo + block]
-        rows = F.shape[0]
-        if rows == 1:
-            # numpy hands a one-row product to gemv, whose summation order
-            # differs from gemm's; a doubled row keeps it on gemm.
-            F = np.repeat(F, 2, axis=0)
-        M = (F @ unf)[:rows].reshape(rows, *shape)
-        np.einsum(spec, M, G, out=out[lo : lo + rows])
-        del M  # free this block's product before the next one is allocated
+    blocks = _row_blocks(first.shape[0], unf.shape[1])
+    if len(blocks) == 1:  # most batches: the block's result is the output
+        return np.einsum(spec, _product(first, unf).reshape(-1, *shape), second)
+    out = np.empty((first.shape[0], arr.shape[mode]))
+    for b in blocks:
+        np.einsum(spec, _product(first[b], unf).reshape(-1, *shape), second[b], out=out[b])
     return out
 
 
-def _residuals(
-    arr: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau=None, deflated=False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tau = <T(x,y), z> (unless given) and the three equation residuals, shape (S, 3).
-
-    With deflated, the rows are a block of deflation terms: row k is taken against its remainder T - sum_{j<k}
-    tau_j x_j (x) y_j (x) z_j, as T's contractions less the earlier rows' Gram-weighted terms, and tau solves
-    the unit lower-triangular system those terms make of it."""
-    TXY = _contract(arr, 2, X, Y)
-    if deflated:
-        lower = np.tri(len(X), k=-1)
-        if tau is None:
-            G = lower * (X @ X.T) * (Y @ Y.T) * (Z @ Z.T)
-            tau = np.linalg.solve(G + np.eye(len(X)), np.einsum("sk,sk->s", TXY, Z))
-    elif tau is None:
-        tau = np.einsum("sk,sk->s", TXY, Z)
-    t = tau[:, None]
-    R = np.empty((tau.size, 3))
-    for col, (mode, U, V, F) in enumerate(((2, X, Y, Z), (0, Y, Z, X), (1, X, Z, Y))):
-        C = TXY if mode == 2 else _contract(arr, mode, U, V)
-        if deflated:  # the earlier rows' terms, tau_j <u_j, u_k> <v_j, v_k> f_j
-            C = C - (lower * tau * (U @ U.T) * (V @ V.T)) @ F
-        R[:, col] = _row_norms(C - t * F)
-    return tau, R
+def _row_blocks(S: int, width: int) -> list[slice]:
+    """The row blocks of an S-row batch whose rows each make width product entries: at most _CONTRACT_BLOCK
+    entries per block, and at least two rows, so only a lone row or the last can be one (see _product)."""
+    step = max(2, _CONTRACT_BLOCK // width)
+    return [slice(lo, lo + step) for lo in range(0, S, step)]
 
 
-def _slice_residuals(arr, X, Y, Z, tau, deflated=False) -> np.ndarray:
-    """Per row, the Frobenius residuals of the ordered-slice identities (is_ordered), shape (S, 4):
-    T(., y) - tau z x^T, T(x, .) - tau z y^T, contract_1(., z) - tau x y^T, and that slice's transpose summed
-    in its own order. Each stack is one BLAS product of a factor block with a mode unfolding of T. With
-    deflated, row k's slices are its remainder's, as in _residuals; otherwise rows go in blocks of at most
-    _CONTRACT_BLOCK slice entries."""
+def _product(F: np.ndarray, unf: np.ndarray) -> np.ndarray:
+    """F @ unf. numpy hands a one-row product to gemv, whose summation order differs from gemm's, so a lone
+    row is computed doubled: every row is summed by gemm, whatever block it sits in."""
+    return (np.repeat(F, 2, axis=0) @ unf)[:1] if F.shape[0] == 1 else F @ unf
+
+
+def _residuals(arr, X, Y, Z, tau=None, deflated=False, slices=False) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, tau = <T(x,y), z> (unless given) and residuals, shape (S, 3), or (S, 7) with slices: the three
+    equations', then the ordered-slice identities' (is_ordered) T(., y) - tau z x^T, T(x, .) - tau z y^T,
+    contract_1(., z) - tau x y^T, and that slice's transpose summed in its own order.
+
+    Each row block (_row_blocks) forms the products X T(1), Y T(2) (only for slices) and Z T(3), one at a time:
+    T(x,y) and contract_2(x,z) are read off the first, contract_1(y,z) off the last, and a slice is its product
+    less tau times the row's rank-one term. With deflated, the rows are one block of deflation terms: row k is
+    taken against its remainder T - sum_{j<k} tau_j x_j (x) y_j (x) z_j, each product less the earlier rows'
+    terms weighted by their Gram entries, and tau solves the unit lower-triangular system those terms make."""
     n1, n2, n3 = arr.shape
-    S = tau.size
-    block = max(1, _CONTRACT_BLOCK // max(n1 * n3, n2 * n3, n1 * n2))
-    if S > block and not deflated:
-        return np.vstack([_slice_residuals(arr, *(M[lo : lo + block] for M in (X, Y, Z, tau))) for lo in range(0, S, block)])
-    out = np.empty((S, 4))
-    frozen = ((Y, arr.transpose(1, 0, 2).reshape(n2, n1 * n3), X, Z), (X, arr.reshape(n1, n2 * n3), Y, Z), (Z, arr.reshape(n1 * n2, n3).T, X, Y))
-    lower, eye = np.tri(S, k=-1), np.eye(S)
-    for col, (F, unf, P, Q) in enumerate(frozen):
-        terms = np.einsum("si,sj->sij", P, Q).reshape(S, -1)
-        if deflated:
-            M = F @ unf - ((F @ F.T * lower + eye) * tau) @ terms
-        else:
-            M = F @ unf - tau[:, None] * terms
-        out[:, col] = _row_norms(M)
-    out[:, 3] = _row_norms(M.reshape(S, n1, n2).transpose(0, 2, 1).reshape(S, -1))
-    return out
+    S = X.shape[0]
+    find = tau is None and not deflated
+    tau = np.empty(S) if tau is None else tau
+    R = np.empty((S, 7 if slices else 3))
+    lower = np.tri(S, k=-1) if deflated else None
+    # Per product: the factor, mode unfolding, row shape and term partners, the equations read off it as
+    # (einsum, partner, the factor tau multiplies, column of R), and its slice's column.
+    plan = [(X, arr.reshape(n1, n2 * n3), (n2, n3), Y, Z, (("sjk,sj->sk", Y, Z, 0), ("sjk,sk->sj", Z, Y, 2)), 4)]
+    if slices:
+        plan.append((Y, arr.transpose(1, 0, 2).reshape(n2, n1 * n3), (n1, n3), X, Z, (), 3))
+    plan.append((Z, arr.reshape(n1 * n2, n3).T, (n1, n2), X, Y, (("sij,sj->si", Y, X, 1),), 5))
+    for b in [slice(0, S)] if deflated else _row_blocks(S, max(n2 * n3, n1 * n2, slices * n1 * n3)):
+        for F, unf, shape, P, Q, reads, col in plan:
+            M = _product(F[b], unf)
+            A = M.reshape(-1, *shape)
+            if deflated and F is X:
+                G = lower * (X @ X.T) * (Y @ Y.T) * (Z @ Z.T)
+                tau = np.linalg.solve(G + np.eye(S), np.einsum("sk,sk->s", np.einsum("sjk,sj->sk", A, Y), Z))
+            PQ = np.einsum("si,sj->sij", P[b], Q[b]).reshape(M.shape) if deflated or slices else None
+            if deflated:  # row k less sum_{j<k} tau_j <f_k, f_j> p_j (x) q_j
+                M -= (lower * tau * (F @ F.T)) @ PQ
+            for spec, V, W, c in reads:
+                C = np.einsum(spec, A, V[b])
+                if find and c == 0:
+                    tau[b] = np.einsum("sk,sk->s", C, W[b])
+                R[b, c] = _row_norms(C - tau[b, None] * W[b])
+            if slices:
+                M -= tau[b, None] * PQ
+                R[b, col] = _row_norms(M)
+                if F is Z:  # contract_1(., z)'s slice, transposed
+                    R[b, 6] = _row_norms(A.transpose(0, 2, 1).reshape(M.shape))
+            del M, A, PQ  # freed before the next product is formed
+    return tau, R
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
@@ -484,7 +487,7 @@ def _newton_step(arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarr
     Rows already at the tolerance are marked done and left as they are. The others' Jacobians are gathered (see
     _jacobian_buffers) and solved by _solve_rows; a row whose Jacobian is singular, or whose new iterate diverges
     or collapses, steps no further. batch holds Tjik for _newton_a1, the buffers and the stop test's limits."""
-    Tjik, (J, src, (wA1, wA2, wA3, wv, wx, wz), M, (sx, sy, sz), (f1, f2, f3)), lim = batch
+    Tjik, (J, src, (wA1, wA2, wA3, wv, wx), M, (sx, sy, sz), (f1, f2, f3)), lim = batch
     k = idx.size
     v = V[idx]
     # Contiguous operands: a strided einsum may take another inner loop.
@@ -505,7 +508,6 @@ def _newton_step(arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarr
         return gi
     wA1[:k], wA2[:k], wA3[:k], wx[:k] = A1, A2, np.einsum("ijk,sk->sij", arr, z), x
     np.negative(v, out=wv[:k])
-    np.multiply(wv[:k, -1:], 0.0, out=wz[:k])
     rows = src[:k]
     if gi.size < k:
         v, F, rows = v[go], F[go], rows[go]
@@ -531,14 +533,14 @@ def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
     """One batch's Jacobian buffer J, its source block and writable views, J's map M, and v's and F's slices.
 
-    A source row is A1 | A2 | A3 | -v | x | (-tau) * 0.0 | 0.0 (A1 as its (i, k)-contiguous einsum output, its
-    0.0 written here, once per batch); J = src.take(M, axis=1), with M and the slices from _jacobian_layout."""
+    A source row is A1 | A2 | A3 | -v | x | 0.0 (A1 as its (i, k)-contiguous einsum output, its 0.0 written
+    here, once per batch); J = src.take(M, axis=1), with M and the slices from _jacobian_layout."""
     n1, n2, n3 = dims
     M, cuts, slices, f_slices = _jacobian_layout(dims)
     src = np.empty((rows, cuts[-1]))
     src[:, -1] = 0.0
-    A1, A2, A3, nv, x, z0, _ = np.split(src, cuts[:-1], axis=1)
-    views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x, z0)
+    A1, A2, A3, nv, x, _ = np.split(src, cuts[:-1], axis=1)
+    views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x)
     return np.empty((rows, *M.shape)), src, views, M, slices, f_slices
 
 
@@ -554,16 +556,16 @@ def _jacobian_layout(dims: tuple[int, int, int]) -> tuple:
         [ A3^T     -tau I   A2^T     -y ]
         [ x^T      0        0         0 ]
 
-    Each -tau I is (-tau) * I, so its off-diagonal zeros carry the sign of (-tau) * 0.0."""
+    The 0 entries, the off-diagonals of each -tau I among them, read the source row's 0.0."""
     n1, n2, n3 = dims
     sx, sy, sz = _factor_slices(dims)
     f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, -1)
-    cuts = tuple(np.cumsum([n1 * n3, n3 * n2, n1 * n2, n1 + n2 + n3 + 1, n1, 1, 1]).tolist())
-    A1, A2, A3, nv, x, z0, zero = np.split(np.arange(cuts[-1]), cuts[:-1])
+    cuts = tuple(np.cumsum([n1 * n3, n3 * n2, n1 * n2, n1 + n2 + n3 + 1, n1, 1]).tolist())
+    A1, A2, A3, nv, x, zero = np.split(np.arange(cuts[-1]), cuts[:-1])
     A1, A2, A3 = A1.reshape(n1, n3).T, A2.reshape(n3, n2), A3.reshape(n1, n2)
     M = np.empty((nv.size, nv.size), dtype=np.intp)
     for r, c, n in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
-        M[r, c] = np.where(np.eye(n, dtype=bool), nv[-1], z0)
+        M[r, c] = np.where(np.eye(n, dtype=bool), nv[-1], zero)
     M[f1, sx], M[f1, sy], M[f2, sy] = A1, A2, A3
     M[f2, sz], M[f3, sx], M[f3, sz] = A1.T, A3.T, A2.T
     M[:-1, -1] = np.concatenate([nv[sz], nv[sx], nv[sy]])
@@ -893,11 +895,11 @@ def _stacked_terms(items, dims) -> tuple:
 
 
 def _ordered_checks(T: Tensor3, triples, tol: float) -> list[OrderedCheck]:
-    """is_ordered's classification of already verified triples, from one call of the slice kernel."""
+    """is_ordered's classification of already verified triples, from one call of _residuals with slices."""
     tau, X, Y, Z = _stacked_terms(triples, T.dims)
     return [
-        OrderedCheck(ordered=max(r[:3]) <= tol, slice_residuals=tuple(r[:3]), adjoint_slice_residual=r[3])
-        for r in _slice_residuals(T.array, X, Y, Z, tau).tolist()
+        OrderedCheck(ordered=max(r[3:6]) <= tol, slice_residuals=tuple(r[3:6]), adjoint_slice_residual=r[6])
+        for r in _residuals(T.array, X, Y, Z, tau, slices=True)[1].tolist()
     ]
 
 
@@ -909,7 +911,7 @@ def is_ordered(T: Tensor3, triple: SingularTriple, tol: float) -> OrderedCheck:
     (c) the first adjoint contraction against z gives y -> tau <y, y1> x1.
     The symmetric fourth slice (second contraction against z) equals the
     transpose of (c) and is reported as a diagnostic only. The triple is
-    verified first; the slices come from the batched kernel (_slice_residuals).
+    verified first; its row of _ordered_checks gives the slices.
     """
     check = verify_triple(T, triple, tol)
     if not check.verified:

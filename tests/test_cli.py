@@ -271,6 +271,40 @@ class TestVerify:
         proc = run_cli("verify", files["overlap"], files["non_unit_triples"])
         assert proc.returncode == 2
 
+    @staticmethod
+    def triples_file(path, triples) -> str:
+        items = [{"tau": t.tau, "x": list(t.x), "y": list(t.y), "z": list(t.z)} for t in triples]
+        path.write_text(json.dumps({"triples": items}))
+        return str(path)
+
+    def test_several_triples_are_classified_as_is_ordered_classifies_each(self, files, tmp_path):
+        # The triad's spectrum with an impostor in second place: the verified triples, normalised as verify
+        # reads them, are classified in one batch, and each entry carries the bits is_ordered gives it alone.
+        T = gallery.orthonormal_triad()
+        listed = list(spectra.enumerate_triples(T).triples)
+        impostor = dataclasses.replace(listed[0], tau=listed[0].tau + 0.5)
+        path = self.triples_file(tmp_path / "triples.json", [listed[0], impostor, *listed[1:]])
+        proc = run_cli("verify", files["triad"], path, "--json")
+        assert proc.returncode == 0, proc.stderr
+        entries = json.loads(proc.stdout)["result"]["triples"]
+        assert [e["verified"] for e in entries] == [True, False] + [True] * (len(listed) - 1)
+        assert entries[1]["ordered"] is entries[1]["slice_residuals"] is entries[1]["stationarity"] is None
+        for entry, triple in zip(entries[:1] + entries[2:], listed):
+            unit = dataclasses.replace(triple, **{f: getattr(triple, f) / np.linalg.norm(getattr(triple, f)) for f in "xyz"})
+            check = spectra.is_ordered(T, spectra.canonicalize(unit), 1e-9)
+            assert entry["ordered"] is check.ordered
+            assert entry["slice_residuals"] == list(check.slice_residuals)
+        assert any(e["ordered"] for e in entries) and any(e["ordered"] is False for e in entries)
+
+    def test_a_non_unit_triple_among_several_exits_two_and_is_named(self, files, tmp_path):
+        T = gallery.orthonormal_triad()
+        listed = list(spectra.enumerate_triples(T).triples)
+        long = dataclasses.replace(listed[1], x=2.0 * listed[1].x)
+        path = self.triples_file(tmp_path / "triples.json", [listed[0], listed[2], long])
+        proc = run_cli("verify", files["triad"], path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "triple 3: x is not a unit vector" in proc.stderr
+
 
 class TestInputHandling:
     def test_malformed_json_exits_two(self, files):

@@ -111,3 +111,17 @@ def test_atol_does_not_forgive_a_structural_change(fingerprint, tmp_path, monkey
     fingerprint.main(["--families", "gallery", "--save", str(tmp_path)])
     serve(fingerprint, monkeypatch, spectrum(drop=1))
     assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path), "--atol", "1e300"]) == 1
+
+
+@pytest.mark.parametrize("atol, code", [("0", 1), ("1e-12", 0)])
+def test_a_flipped_zero_sign_is_a_difference_with_its_path(fingerprint, tmp_path, monkeypatch, capsys, atol, code):
+    # -0.0 == 0.0, but the hash reads the sign bit, so --compare must see it too.
+    serve(fingerprint, monkeypatch, spectrum())
+    fingerprint.main(["--families", "gallery", "--save", str(tmp_path)])
+    flipped = spectrum().triples
+    flipped = (dataclasses.replace(flipped[0], residuals=(0.0, -0.0, 0.0)), *flipped[1:])
+    serve(fingerprint, monkeypatch, Spectrum(flipped))
+    capsys.readouterr()
+    assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path), "--atol", atol]) == code
+    out = capsys.readouterr().out
+    assert "0 structural change(s), max |float diff| 4.94e-324 at 1/t[1][1][1].residuals[1]" in out

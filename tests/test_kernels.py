@@ -212,17 +212,18 @@ def reference_jacobian(A1, A2, A3, x, y, z, t):
     sl_x, sl_y, sl_z = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, m - 1)
     r_f1, r_f2, r_f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, m - 1)
     tg = t[:, None, None]
+    minus_t = lambda n: np.where(np.eye(n, dtype=bool), -tg, 0.0)  # noqa: E731  -tau I with plain +0.0 off its diagonal
     J = np.zeros((k, m, m))
     J[:, r_f1, sl_x] = A1
     J[:, r_f1, sl_y] = A2
-    J[:, r_f1, sl_z] = -tg * np.eye(n3)
+    J[:, r_f1, sl_z] = minus_t(n3)
     J[:, r_f1, -1] = -z
-    J[:, r_f2, sl_x] = -tg * np.eye(n1)
+    J[:, r_f2, sl_x] = minus_t(n1)
     J[:, r_f2, sl_y] = A3
     J[:, r_f2, sl_z] = np.transpose(A1, (0, 2, 1))
     J[:, r_f2, -1] = -x
     J[:, r_f3, sl_x] = np.transpose(A3, (0, 2, 1))
-    J[:, r_f3, sl_y] = -tg * np.eye(n2)
+    J[:, r_f3, sl_y] = minus_t(n2)
     J[:, r_f3, sl_z] = np.transpose(A2, (0, 2, 1))
     J[:, r_f3, -1] = -y
     J[:, -1, sl_x] = x

@@ -8,7 +8,8 @@ time, so a patched budget applies to both sides.
 
 The Schmidt deflation loop now checks a block of terms at once with Gram corrections, so its numbers may
 differ from the per-term loop's in the last bits: there the references must give the same decisions,
-counts and strings, and floats within 1e-12.
+counts and strings, and floats within 1e-12. The ordered-slice kernel that joined _residuals is kept too
+(ref_slice_residuals): its slices, which sum one-row blocks on gemv, must stay within 1e-15 of _residuals'.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bilop.schmidt
 from bilop import (
     SearchConfig,
     Tensor3,
@@ -64,6 +66,7 @@ from bilop.spectra import (
     _search_candidates,
     _solve_rows,
     _stacked,
+    _stacked_terms,
     _standard_starts,
 )
 
@@ -252,7 +255,7 @@ def ref_write_jacobians(J, A1, A2, A3, x, y, z, t):
     f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, -1)
     nt = -t[:, None, None]
     for rows, cols, n in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
-        J[:, rows, cols] = nt * np.eye(n)
+        J[:, rows, cols] = np.where(np.eye(n, dtype=bool), nt, 0.0)
     for rows, M in ((f1, z), (f2, x), (f3, y)):
         np.negative(M, out=J[:, rows, -1])
     J[:, f1, sx], J[:, f1, sy] = A1, A2
@@ -292,6 +295,28 @@ def ref_is_ordered(T, triple, tol):
     )
     adjoint = float(np.linalg.norm(np.einsum("ijk,k->ji", arr, z) - tau * np.outer(y, x)))
     return all(r <= tol for r in residuals), residuals, adjoint
+
+
+def ref_slice_residuals(arr, X, Y, Z, tau, deflated=False):
+    """The ordered-slice kernel before it joined _residuals, shape (S, 4): each stack one product of a factor block
+    with a mode unfolding (a one-row block on gemv), its deflated correction per slice, its own row-block rule."""
+    n1, n2, n3 = arr.shape
+    S = tau.size
+    block = max(1, spectra._CONTRACT_BLOCK // max(n1 * n3, n2 * n3, n1 * n2))
+    if S > block and not deflated:
+        return np.vstack([ref_slice_residuals(arr, *(M[lo : lo + block] for M in (X, Y, Z, tau))) for lo in range(0, S, block)])
+    out = np.empty((S, 4))
+    frozen = ((Y, arr.transpose(1, 0, 2).reshape(n2, n1 * n3), X, Z), (X, arr.reshape(n1, n2 * n3), Y, Z), (Z, arr.reshape(n1 * n2, n3).T, X, Y))
+    lower, eye = np.tri(S, k=-1), np.eye(S)
+    for col, (F, unf, P, Q) in enumerate(frozen):
+        terms = np.einsum("si,sj->sij", P, Q).reshape(S, -1)
+        if deflated:
+            M = F @ unf - ((F @ F.T * lower + eye) * tau) @ terms
+        else:
+            M = F @ unf - tau[:, None] * terms
+        out[:, col] = _row_norms(M)
+    out[:, 3] = _row_norms(M.reshape(S, n1, n2).transpose(0, 2, 1).reshape(S, -1))
+    return out
 
 
 def ref_deflate(T, cfg, pick):
@@ -463,6 +488,9 @@ SCHMIDT_INPUTS = {
     "shared-y": (shared_y(), True),
 }
 EACH_SCHMIDT_INPUT = pytest.mark.parametrize("name", SCHMIDT_INPUTS)
+#: Inputs of the ordered-slice checks: the gallery and seeded 4x5x6 Gaussians, whose spectra list many triples.
+GAUSSIANS_456 = {f"gauss-4x5x6-{seed}": Tensor3.from_array(np.random.default_rng(seed).standard_normal((4, 5, 6))) for seed in (1, 2, 3)}
+SLICE_INPUTS = {**{name: getattr(gallery, name)() for name in gallery.__all__}, **GAUSSIANS_456}
 GREEDY_INPUTS = pytest.mark.parametrize("name", [name for name, (_, greedy) in SCHMIDT_INPUTS.items() if greedy])
 
 
@@ -707,17 +735,72 @@ class TestDeflationBlock:
         assert runs[0][1].steps[0].slice_residuals == (0.0, 0.0, 0.0)
         assert len([c for c in _search_candidates(T, self.CFG, use_newton=False) if c.tau >= 2.0 - 3e-6]) == 2
 
-    @pytest.mark.parametrize("name", gallery.__all__)
+    @pytest.mark.parametrize("name", SLICE_INPUTS)
     def test_batched_classification_equals_the_per_triple_results(self, name):
-        T = SCHMIDT_INPUTS[name][0]
+        # One residual routine and one row rule: a triple's classification does not depend on its stack.
+        T = SLICE_INPUTS[name]
         triples = enumerate_triples(T, self.CFG).triples
         batched = _ordered_checks(T, triples, 1e-9)
+        assert _ordered_checks(T, triples[:1], 1e-9) == batched[:1]  # a one-triple stack
         for triple, check in zip(triples, batched):
-            single = is_ordered(T, triple, 1e-9)
+            assert is_ordered(T, triple, 1e-9) == check
             ordered, slices, adjoint = ref_is_ordered(T, triple, 1e-9)
-            assert check.ordered is single.ordered is ordered
-            np.testing.assert_allclose(check.slice_residuals, single.slice_residuals, rtol=0, atol=1e-14)
+            assert check.ordered is ordered
             np.testing.assert_allclose([*check.slice_residuals, check.adjoint_slice_residual], [*slices, adjoint], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", SLICE_INPUTS)
+    def test_slices_stay_within_1e_15_of_the_separate_kernel(self, name):
+        T = SLICE_INPUTS[name]
+        tau, X, Y, Z = _stacked_terms(enumerate_triples(T, self.CFG).triples, T.dims)
+        got_tau, R = _residuals(T.array, X, Y, Z, tau, slices=True)
+        assert got_tau is tau and same_bytes([R[:, :3]], [_residuals(T.array, X, Y, Z, tau)[1]])
+        np.testing.assert_allclose(R[:, 3:], ref_slice_residuals(T.array, X, Y, Z, tau), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", GAUSSIANS_456)
+    def test_a_one_row_tail_block_keeps_every_rows_bits(self, name, monkeypatch):
+        T = GAUSSIANS_456[name]
+        tau, X, Y, Z = _stacked_terms(enumerate_triples(T, self.CFG).triples, T.dims)
+        want = _residuals(T.array, X, Y, Z, tau, slices=True)[1]
+        S, width = tau.size, max(4 * 6, 5 * 6, 4 * 5)
+        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", (S - 1) * width)
+        assert S > 2 and spectra._row_blocks(S, width) == [slice(0, S - 1), slice(S - 1, 2 * S - 2)]
+        got = _residuals(T.array, X, Y, Z, tau, slices=True)[1]
+        assert same_bytes([got], [want])
+        np.testing.assert_allclose(got[:, 3:], ref_slice_residuals(T.array, X, Y, Z, tau), rtol=0, atol=1e-15)
+
+    @staticmethod
+    def checked_blocks(monkeypatch, run) -> list:
+        """(remainder, X, Y, Z, tau, R) of every block _deflate checks while run() runs, the remainder as it was."""
+        calls, real = [], bilop.schmidt._residuals
+
+        def spy(arr, X, Y, Z, tau=None, deflated=False, slices=False):
+            got = real(arr, X, Y, Z, tau, deflated, slices)
+            if deflated:
+                calls.append((arr.copy(), X, Y, Z, *got))
+            return got
+
+        monkeypatch.setattr(bilop.schmidt, "_residuals", spy)
+        run()
+        return calls
+
+    @staticmethod
+    def assert_slices_near_the_separate_kernel(calls):
+        for arr, X, Y, Z, tau, R in calls:
+            np.testing.assert_allclose(R[:, 3:], ref_slice_residuals(arr, X, Y, Z, tau, deflated=True), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_svd_block_slices_stay_within_1e_15_of_the_separate_kernel(self, n, monkeypatch):
+        T = planted_schmidt(0, (n, n, n))
+        calls = self.checked_blocks(monkeypatch, lambda: _deflate(T, self.CFG, _svd_block(T, self.CFG)))
+        assert [c[1].shape[0] for c in calls] == [n]
+        self.assert_slices_near_the_separate_kernel(calls)
+
+    @GREEDY_INPUTS
+    def test_greedy_slices_stay_within_1e_15_of_the_separate_kernel(self, name, monkeypatch):
+        T = SCHMIDT_INPUTS[name][0]
+        calls = self.checked_blocks(monkeypatch, lambda: _greedy(T, self.CFG))
+        assert calls and all(c[1].shape[0] == 1 for c in calls)
+        self.assert_slices_near_the_separate_kernel(calls)
 
     @EACH_TENSOR
     def test_residuals_keep_their_bits_and_take_a_given_tau(self, T):

@@ -404,13 +404,16 @@ class TestSvdFastPath:
         # step in the result.
         T = gallery.signed_diagonal((3.0, 2.0, 2.0))
         checked = []
-        real = schmidt._slice_residuals
+        real = schmidt._residuals
 
-        def spy(arr, X, Y, Z, tau, deflated=False):
-            checked.append(tau.tolist())
-            return real(arr, X, Y, Z, tau, deflated)
+        def spy(arr, X, Y, Z, tau=None, deflated=False, slices=False):
+            got = real(arr, X, Y, Z, tau, deflated, slices)
+            if deflated:  # a block's check on its remainder, ordered slices included
+                assert slices
+                checked.append(got[0].tolist())
+            return got
 
-        monkeypatch.setattr(schmidt, "_slice_residuals", spy)
+        monkeypatch.setattr(schmidt, "_residuals", spy)
         assert _svd_decompose(T, self.CFG) is None
         assert checked == [[3.0]]
         monkeypatch.undo()
