@@ -9,22 +9,30 @@ summary or a machine-readable JSON report. Exit codes are stable:
     3  Schmidt decomposition failed (no representation exists at tolerance)
     4  Schur precondition failed (not symmetric/self-adjoint, or inconsistent)
 
+Each command returns (result, lines, code), and main writes the report
+once: with --json the object {command, input, config, status, result},
+status "Ok" exactly when code is 0; otherwise a header line for the
+tensor, then the command's lines. A command that has no report to give
+raises _Exit, and main writes "error: <message>" to stderr and returns
+its code (2 unless the command chose another).
+
 JSON reports are byte-identical across runs for identical inputs and
 flags: floats are rendered with repr-faithful 17 significant digits, key
-order is fixed, and no timestamps or paths are embedded.
+order is fixed (a library dataclass renders as its fields in declaration
+order), and no timestamps or paths are embedded.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import json
 import sys
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from . import _LAZY_NAMES
 from .tensor_core import Tensor3, hs_norm, tensor_from_json_dict
 from .spectra import (
     SearchConfig,
@@ -39,27 +47,22 @@ from .spectra import (
 
 __all__ = ["main"]
 
-# Names that only some commands run, loaded from the package on first use (PEP 562), so norm and
-# spectrum start with the search core alone. The commands call them as attributes of this module,
-# _this, because a bare global name would not reach __getattr__; that is also where the benchmark's
-# spans and monkeypatch find them.
-_LAZY = frozenset({
-    "SchmidtStatus", "schmidt_decompose", "schmidt_sum_sq", "verify_representation",
-    "SchurInconsistencyError", "is_self_adjoint", "is_symmetric", "schur_from_schmidt", "verify_schur",
-    "stationarity_fd_check",
-})
+# The package's lazily loaded names (schmidt, schur, oracle) resolve here on first use too (PEP 562), so norm
+# and spectrum start with the search core alone. The commands call them as attributes of this module, _this,
+# because a bare global name would not reach __getattr__; that is also where the benchmark's spans and
+# monkeypatch find them.
 _this = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(__package__), name)
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_LAZY_NAMES})
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -70,12 +73,21 @@ _EXIT_SCHUR = 4
 _FD_STEP = 1e-5
 
 
-class _InputError(Exception):
-    """Raised for any problem with user-supplied files or their contents."""
+class _Exit(Exception):
+    """Ends a command without a report: main writes "error: <message>" to stderr and returns code."""
+
+    def __init__(self, message: str, code: int = _EXIT_INPUT) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 # ---------------------------------------------------------------------------
 # deterministic JSON rendering
+
+
+def _fields(*objs: Any) -> dict:
+    """The fields of dataclass instances by name, in declaration order, one object's after another's."""
+    return {f.name: getattr(obj, f.name) for obj in objs for f in dataclasses.fields(obj)}
 
 
 def _render_json(value: Any, indent: int = 0) -> str:
@@ -84,7 +96,8 @@ def _render_json(value: Any, indent: int = 0) -> str:
     json.dumps rounds floats through repr, which is stable, but it cannot
     be told to format numpy scalars, and a custom float subclass loses its
     formatting inside the C encoder; rendering by hand keeps the output
-    format under this module's control.
+    format under this module's control. An ndarray renders as its list, a
+    dataclass instance as the object of its fields.
     """
     pad = "  " * indent
     if isinstance(value, bool):
@@ -100,6 +113,10 @@ def _render_json(value: Any, indent: int = 0) -> str:
         return json.dumps(value)
     if value is None:
         return "null"
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    elif dataclasses.is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
@@ -127,9 +144,9 @@ def _load_json_file(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise _Exit(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise _Exit(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_tensor(path: str) -> Tensor3:
@@ -137,41 +154,41 @@ def _load_tensor(path: str) -> Tensor3:
     try:
         return tensor_from_json_dict(data)
     except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise _Exit(f"{path}: {exc}") from exc
 
 
 def _vector_list(obj: Any, what: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
-        raise _InputError(f"{what} must be a nonempty list of numbers")
+        raise _Exit(f"{what} must be a nonempty list of numbers")
     for v in obj:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise _InputError(f"{what} must contain only numbers")
+            raise _Exit(f"{what} must contain only numbers")
     return np.asarray(obj, dtype=float)
 
 
 def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]:
     data = _load_json_file(path)
     if not isinstance(data, dict) or "triples" not in data:
-        raise _InputError(f'{path}: expected an object with a "triples" list')
+        raise _Exit(f'{path}: expected an object with a "triples" list')
     entries = data["triples"]
     if not isinstance(entries, list):
-        raise _InputError(f'{path}: "triples" must be a list')
+        raise _Exit(f'{path}: "triples" must be a list')
     out = []
     for pos, item in enumerate(entries):
         where = f"{path}: triple {pos + 1}"
         if not isinstance(item, dict):
-            raise _InputError(f"{where} must be an object")
+            raise _Exit(f"{where} must be an object")
         missing = {"tau", "x", "y", "z"} - set(item)
         if missing:
-            raise _InputError(f"{where} is missing {sorted(missing)}")
+            raise _Exit(f"{where} is missing {sorted(missing)}")
         tau = item["tau"]
         if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-            raise _InputError(f"{where}: tau must be a number")
+            raise _Exit(f"{where}: tau must be a number")
         x = _vector_list(item["x"], f"{where}: x")
         y = _vector_list(item["y"], f"{where}: y")
         z = _vector_list(item["z"], f"{where}: z")
         if (x.size, y.size, z.size) != dims:
-            raise _InputError(
+            raise _Exit(
                 f"{where}: vector lengths {(x.size, y.size, z.size)} "
                 f"do not match tensor dims {dims}"
             )
@@ -182,237 +199,94 @@ def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# subcommands
 
-
-def _config_from_args(args: argparse.Namespace) -> SearchConfig:
-    try:
-        return SearchConfig(
-            starts=args.starts,
-            max_iter=args.max_iter,
-            residual_tol=args.tol,
-            dedup_tol=args.dedup_tol,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _config_dict(cfg: SearchConfig, dims: tuple[int, int, int]) -> dict:
-    return {
-        "starts": cfg.resolved_starts(dims),
-        "max_iter": cfg.max_iter,
-        "iter_tol": cfg.iter_tol,
-        "residual_tol": cfg.residual_tol,
-        "dedup_tol": cfg.dedup_tol,
-        "seed": cfg.seed,
-    }
-
-
-def _report_skeleton(command: str, T: Tensor3, cfg: SearchConfig) -> dict:
-    return {
-        "command": command,
-        "input": {
-            "name": T.name,
-            "dims": list(T.dims),
-            "hs_norm": hs_norm(T),
-        },
-        "config": _config_dict(cfg, T.dims),
-        "status": "Ok",
-    }
-
-
-def _vec(v: np.ndarray) -> list[float]:
-    return [float(e) for e in v]
-
-
-def _triple_dict(tr: SingularTriple) -> dict:
-    return {
-        "tau": tr.tau,
-        "x": _vec(tr.x),
-        "y": _vec(tr.y),
-        "z": _vec(tr.z),
-        "residuals": [float(r) for r in tr.residuals],
-    }
+#: What a command returns for main to report: the JSON result, the human lines after the header, the exit code.
+_Report = tuple[Any, list[str], int]
 
 
 def _fmt_vec(v: np.ndarray) -> str:
     return "[" + ", ".join(format(float(e), ".6f") for e in v) + "]"
 
 
-def _emit(report: dict, args: argparse.Namespace, human_lines: Sequence[str]) -> None:
-    if args.json:
-        sys.stdout.write(_render_json(report) + "\n")
-    else:
-        sys.stdout.write("\n".join(human_lines) + "\n")
+def _xyz_lines(t: Any) -> list[str]:
+    return [f"      {name} = {_fmt_vec(getattr(t, name))}" for name in "xyz"]
 
 
-def _human_header(T: Tensor3) -> list[str]:
-    name = T.name if T.name is not None else "(unnamed)"
-    n1, n2, n3 = T.dims
-    return [
-        f"tensor: {name}  dims: {n1}x{n2}x{n3}  hs_norm: {hs_norm(T):.12f}"
-    ]
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_norm(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
+def _cmd_norm(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     value, attained = operator_norm(T, cfg)
-    report = _report_skeleton("norm", T, cfg)
-    report["result"] = {
-        "bilinear_norm": value,
-        "hs_norm": hs_norm(T),
-        "attained": _triple_dict(attained) if attained is not None else None,
-    }
-    lines = _human_header(T)
-    lines.append(f"bilinear_norm: {value:.12f}")
-    lines.append(f"hs_norm: {hs_norm(T):.12f}")
+    hs = hs_norm(T)
+    lines = [f"bilinear_norm: {value:.12f}", f"hs_norm: {hs:.12f}"]
     if attained is not None:
         lines.append(f"attained at x = {_fmt_vec(attained.x)}, y = {_fmt_vec(attained.y)}")
-    _emit(report, args, lines)
-    return _EXIT_OK
+    return {"bilinear_norm": value, "hs_norm": hs, "attained": attained}, lines, _EXIT_OK
 
 
-def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
+def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     spectrum = enumerate_triples(T, cfg)
-    entries = []
-    lines = _human_header(T)
-    lines.append(f"spectrum: {len(spectrum.triples)} triple(s), complete: no")
     # The listed triples are verified by the search, so one batched slice check classifies them all.
     checks = _ordered_checks(T, spectrum.triples, cfg.residual_tol)
-    for pos, (tr, oc) in enumerate(zip(spectrum.triples, checks)):
-        entry = _triple_dict(tr)
-        entry["ordered"] = oc.ordered
-        entry["slice_residuals"] = [float(r) for r in oc.slice_residuals]
-        entry["adjoint_slice_residual"] = oc.adjoint_slice_residual
-        entries.append(entry)
-        lines.append(
-            f"  [{pos + 1}] tau = {tr.tau:.12f}  ordered = "
-            + ("yes" if oc.ordered else "no")
-        )
-        lines.append(f"      x = {_fmt_vec(tr.x)}")
-        lines.append(f"      y = {_fmt_vec(tr.y)}")
-        lines.append(f"      z = {_fmt_vec(tr.z)}")
-    report = _report_skeleton("spectrum", T, cfg)
-    report["result"] = {"count": len(entries), "complete": spectrum.complete, "triples": entries}
-    _emit(report, args, lines)
-    return _EXIT_OK
+    lines = [f"spectrum: {len(checks)} triple(s), complete: no"]
+    for pos, (tr, oc) in enumerate(zip(spectrum.triples, checks), 1):
+        lines += [f"  [{pos}] tau = {tr.tau:.12f}  ordered = " + ("yes" if oc.ordered else "no"), *_xyz_lines(tr)]
+    entries = [_fields(tr, oc) for tr, oc in zip(spectrum.triples, checks)]
+    return {"count": len(entries), "complete": spectrum.complete, "triples": entries}, lines, _EXIT_OK
 
 
-def _cmd_schmidt(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
+def _cmd_schmidt(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     rep, deflation = _this.schmidt_decompose(T, cfg)
+    result: dict = {"status": rep.status.value, "terms": rep.terms, "reconstruction_residual": rep.reconstruction_residual}
+    lines = [f"schmidt: {rep.status.value}, {len(rep.terms)} term(s)"]
+    for pos, t in enumerate(rep.terms, 1):
+        lines += [f"  [{pos}] tau = {t.tau:.12f}", *_xyz_lines(t)]
     complete = rep.status is _this.SchmidtStatus.COMPLETE
-    result: dict = {
-        "status": rep.status.value,
-        "terms": [
-            {"tau": t.tau, "x": _vec(t.x), "y": _vec(t.y), "z": _vec(t.z)}
-            for t in rep.terms
-        ],
-        "reconstruction_residual": rep.reconstruction_residual,
-    }
     if complete:
-        check = deflation.check
-        if check is None:
-            check = _this.verify_representation(T, rep, cfg.residual_tol)
-        result["sum_tau_sq"] = _this.schmidt_sum_sq(rep)
-        result["verification"] = dataclasses.asdict(check)
-    result["deflation"] = {
-        "steps": [
-            {
-                "index": s.index,
-                "tau": s.tau,
-                "slice_residuals": [float(r) for r in s.slice_residuals],
-                "transfer_residuals": [float(r) for r in s.transfer_residuals],
-                "remaining_hs": s.remaining_hs,
-            }
-            for s in deflation.steps
-        ],
-        "failure": None
-        if deflation.failure is None
-        else {
-            "step": deflation.failure.step,
-            "reason": deflation.failure.reason.value,
-            "diagnostics": deflation.failure.diagnostics,
-        },
-    }
-    report = _report_skeleton("schmidt", T, cfg)
-    report["status"] = "Ok" if complete else "Failed"
-    report["result"] = result
-    lines = _human_header(T)
-    lines.append(f"schmidt: {rep.status.value}, {len(rep.terms)} term(s)")
-    for pos, t in enumerate(rep.terms):
-        lines.append(f"  [{pos + 1}] tau = {t.tau:.12f}")
-        lines.append(f"      x = {_fmt_vec(t.x)}")
-        lines.append(f"      y = {_fmt_vec(t.y)}")
-        lines.append(f"      z = {_fmt_vec(t.z)}")
-    if complete:
-        lines.append(f"reconstruction residual: {rep.reconstruction_residual:.3e}")
-        lines.append(f"sum of tau^2: {result['sum_tau_sq']:.12f}")
+        result["sum_tau_sq"] = sum_sq = _this.schmidt_sum_sq(rep)
+        result["verification"] = deflation.check or _this.verify_representation(T, rep, cfg.residual_tol)
+        lines += [f"reconstruction residual: {rep.reconstruction_residual:.3e}", f"sum of tau^2: {sum_sq:.12f}"]
     else:
         f = deflation.failure
         lines.append(f"failed at step {f.step} ({f.reason.value}): {f.diagnostics}")
-    _emit(report, args, lines)
-    return _EXIT_OK if complete else _EXIT_SCHMIDT
+    result["deflation"] = {
+        "steps": [{k: v for k, v in _fields(s).items() if k != "triple"} for s in deflation.steps],
+        "failure": deflation.failure,
+    }
+    return result, lines, _EXIT_OK if complete else _EXIT_SCHMIDT
 
 
-def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
+def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     n1, n2, n3 = T.dims
     if not (n1 == n2 == n3):
-        sys.stderr.write(
-            f"error: schur requires equal dims, got {n1}x{n2}x{n3}\n"
-        )
-        return _EXIT_SCHUR
+        raise _Exit(f"schur requires equal dims, got {n1}x{n2}x{n3}", _EXIT_SCHUR)
     tol = cfg.residual_tol
     symmetric = _this.is_symmetric(T, tol)
     self_adjoint = _this.is_self_adjoint(T, tol)
     if not (symmetric and self_adjoint):
-        sys.stderr.write(
-            "error: operator is not "
-            + ("symmetric" if not symmetric else "self-adjoint")
-            + f" at tolerance {tol:g}\n"
-        )
-        return _EXIT_SCHUR
+        raise _Exit(f"operator is not {'self-adjoint' if symmetric else 'symmetric'} at tolerance {tol:g}", _EXIT_SCHUR)
     rep, deflation = _this.schmidt_decompose(T, cfg)
     if rep.status is not _this.SchmidtStatus.COMPLETE:
         f = deflation.failure
-        sys.stderr.write(
-            f"error: Schmidt decomposition failed at step {f.step} "
-            f"({f.reason.value}); no Schur form\n"
-        )
-        return _EXIT_SCHMIDT
+        raise _Exit(f"Schmidt decomposition failed at step {f.step} ({f.reason.value}); no Schur form", _EXIT_SCHMIDT)
     try:
         schur = _this.schur_from_schmidt(T, rep, tol)
     except _this.SchurInconsistencyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_SCHUR
+        raise _Exit(str(exc), _EXIT_SCHUR) from exc
     check = _this.verify_schur(T, schur, tol)
-    report = _report_skeleton("schur", T, cfg)
-    report["result"] = {
-        "symmetric": symmetric,
-        "self_adjoint": self_adjoint,
-        "terms": [{"lambda": t.lam, "x": _vec(t.x)} for t in schur.terms],
-        "verification": dataclasses.asdict(check),
-    }
-    lines = _human_header(T)
-    lines.append(f"schur: {len(schur.terms)} term(s)")
-    for pos, t in enumerate(schur.terms):
-        lines.append(f"  [{pos + 1}] lambda = {t.lam:+.12f}  x = {_fmt_vec(t.x)}")
+    lines = [f"schur: {len(schur.terms)} term(s)"]
+    lines += [f"  [{pos}] lambda = {t.lam:+.12f}  x = {_fmt_vec(t.x)}" for pos, t in enumerate(schur.terms, 1)]
     lines.append(f"reconstruction residual: {check.reconstruction_residual:.3e}")
-    _emit(report, args, lines)
-    return _EXIT_OK
+    terms = [{"lambda": t.lam, "x": t.x} for t in schur.terms]
+    return {"symmetric": symmetric, "self_adjoint": self_adjoint, "terms": terms, "verification": check}, lines, _EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
+def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     triples = _load_triples(args.triples, T.dims)
     checks = []
-    for pos, raw in enumerate(triples):
+    for pos, raw in enumerate(triples, 1):
         try:
             checks.append(verify_triple(T, raw, cfg.residual_tol))
         except ValueError as exc:
-            raise _InputError(f"triple {pos + 1}: {exc}") from exc
+            raise _Exit(f"triple {pos}: {exc}") from exc
     # The verified triples, normalised and canonical, are classified by one batched slice check.
     verified = [
         canonicalize(SingularTriple(raw.tau, *(v / np.linalg.norm(v) for v in (raw.x, raw.y, raw.z)), (c.r1, c.r2, c.r3)))
@@ -421,33 +295,26 @@ def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> int:
     ]
     classified = zip(verified, _ordered_checks(T, verified, cfg.residual_tol))
     entries = []
-    lines = _human_header(T)
-    lines.append(f"verify: {len(triples)} triple(s)")
-    for pos, (raw, check) in enumerate(zip(triples, checks)):
-        entry: dict = {
-            "tau": raw.tau,
-            "verified": check.verified,
-            "residuals": [check.r1, check.r2, check.r3],
-            "ordered": None,
-            "slice_residuals": None,
-            "stationarity": None,
-        }
-        line = f"  [{pos + 1}] tau = {raw.tau:.12f}  verified = " + ("yes" if check.verified else "no")
+    lines = [f"verify: {len(triples)} triple(s)"]
+    for pos, (raw, check) in enumerate(zip(triples, checks), 1):
+        line = f"  [{pos}] tau = {raw.tau:.12f}  verified = " + ("yes" if check.verified else "no")
+        oc = fd = None
         if check.verified:
             triple, oc = next(classified)
             fd = _this.stationarity_fd_check(T, triple, _FD_STEP)
-            entry["ordered"] = oc.ordered
-            entry["slice_residuals"] = [float(r) for r in oc.slice_residuals]
-            entry["stationarity"] = fd
             line += f"  ordered = {'yes' if oc.ordered else 'no'}  fd = {fd:.3e}"
         else:
             line += f"  max residual = {check.max_residual:.3e}"
-        entries.append(entry)
+        entries.append({
+            "tau": raw.tau,
+            "verified": check.verified,
+            "residuals": [check.r1, check.r2, check.r3],
+            "ordered": oc and oc.ordered,
+            "slice_residuals": oc and oc.slice_residuals,
+            "stationarity": fd,
+        })
         lines.append(line)
-    report = _report_skeleton("verify", T, cfg)
-    report["result"] = {"triples": entries}
-    _emit(report, args, lines)
-    return _EXIT_OK
+    return {"triples": entries}, lines, _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +354,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         T = _load_tensor(args.tensor)
-        return args.func(args, T, _config_from_args(args))
-    except (_InputError, ValueError) as exc:
+        cfg = SearchConfig(
+            starts=args.starts, max_iter=args.max_iter, residual_tol=args.tol, dedup_tol=args.dedup_tol, seed=args.seed
+        )
+        result, lines, code = args.func(args, T, cfg)
+        if args.json:
+            text = _render_json({
+                "command": args.command,
+                "input": {"name": T.name, "dims": list(T.dims), "hs_norm": hs_norm(T)},
+                "config": dataclasses.replace(cfg, starts=cfg.resolved_starts(T.dims)),
+                "status": "Ok" if code == _EXIT_OK else "Failed",
+                "result": result,
+            })
+        else:
+            name = T.name if T.name is not None else "(unnamed)"
+            n1, n2, n3 = T.dims
+            text = "\n".join([f"tensor: {name}  dims: {n1}x{n2}x{n3}  hs_norm: {hs_norm(T):.12f}", *lines])
+    except (_Exit, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_INPUT
+        return exc.code if isinstance(exc, _Exit) else _EXIT_INPUT
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

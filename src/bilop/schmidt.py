@@ -93,7 +93,10 @@ class FailureReason(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SchmidtTerm:
-    """One summand tau <., x> <., y> z with tau > 0 and unit vectors."""
+    """One summand tau <., x> <., y> z with tau > 0 and unit vectors.
+
+    The field order is the key order of a term in the CLI's schmidt report.
+    """
 
     tau: float
     x: np.ndarray
@@ -135,7 +138,8 @@ class DeflationStep:
     remainder must stay a singular triple of the whole, or deflating it
     was invalid). remaining_hs is the remainder's Hilbert-Schmidt norm
     after subtracting this step's rank-one term; it decreases strictly
-    across steps.
+    across steps. The field order, triple left out, is the key order of a
+    step in the CLI's schmidt report.
     """
 
     index: int
@@ -148,6 +152,11 @@ class DeflationStep:
 
 @dataclass(frozen=True)
 class DeflationFailure:
+    """The step at which a deflation run failed, why, and a diagnostic message.
+
+    The field order is the key order of the failure in the CLI's schmidt report.
+    """
+
     step: int
     reason: FailureReason
     diagnostics: str
@@ -206,8 +215,9 @@ def schmidt_decompose(
     first read off one SVD of T(1) (_svd_decompose). Where that reading is
     not unambiguous and fully verified, _greedy deflation runs from scratch
     and decides the result, failures included. Both are term sources of one
-    loop, _deflate, which stops when the remainder's hs-norm falls below
-    residual_tol*(1 + hs_norm(T)) or min(dims) terms were extracted.
+    loop, _deflate, which stops once the remainder's hs-norm is at most
+    residual_tol, the bound verify_representation puts on the
+    reconstruction residual, or min(dims) terms were extracted.
 
     Returns (representation, report). On failure the representation has
     status Failed and no terms; the report keeps every step, including
@@ -238,13 +248,13 @@ def _deflate(
     tol = cfg.residual_tol
     cap = min(T.dims)
     hs = hs_T = hs_norm(T)
-    stop_level = tol * (1.0 + hs_T)
     remainder = T.array.copy()
     flat = remainder.reshape(-1)  # a view: hs-norms as hs_norm computes them, sqrt(v . v)
     steps: list[DeflationStep] = []
     terms: list[SchmidtTerm] = []
     failure: Optional[DeflationFailure] = None
-    while failure is None and len(steps) < cap and hs > stop_level:
+    # Stop only where verify_representation's reconstruction bound, residual_tol, holds.
+    while failure is None and len(steps) < cap and hs > tol:
         picked = pick(remainder, len(steps) + 1)
         if picked is None:
             return None
@@ -257,7 +267,7 @@ def _deflate(
         gated = ((tau > tol) & (R[:, :3].max(axis=1) <= tol)).tolist()
         rows = zip(tau.tolist(), R[:, :3].tolist(), R[:, 3:6].tolist(), transfer.tolist(), gated, X, Y, Z)
         for t, r, sl, tr, gate, x, y, z in rows:
-            if len(steps) == cap or hs <= stop_level:
+            if len(steps) == cap or hs <= tol:
                 break
             if not gate:
                 return None

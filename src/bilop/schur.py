@@ -67,7 +67,10 @@ class SchurRepresentation:
 
 @dataclass(frozen=True, eq=False)
 class SchurCheck:
-    """Per-condition report of verify_schur, fields in the CLI report's key order."""
+    """Per-condition report of verify_schur.
+
+    The field order is the key order of the CLI's verification report.
+    """
 
     reconstruction_ok: bool
     reconstruction_residual: float

@@ -82,6 +82,8 @@ class SearchConfig:
     iter_tol is the relative value-change stop for the alternating
     iteration; residual_tol gates verification; dedup_tol controls the
     sign-orbit merge distance; seed makes every search reproducible.
+    The field order is the key order of the CLI report's config, which
+    shows starts resolved.
     """
 
     starts: Optional[int] = None
@@ -113,6 +115,7 @@ class SingularTriple:
 
     x, y, z are unit float arrays in H1, H2, K. residuals holds
     (||T(x,y) - tau z||, ||contract_1(y,z) - tau x||, ||contract_2(x,z) - tau y||).
+    The field order is the key order of a triple in the CLI's reports.
     """
 
     tau: float
@@ -154,6 +157,8 @@ class OrderedCheck:
     slice_residuals are the Frobenius residuals of the three defining slice
     identities. adjoint_slice_residual is the symmetric fourth slice; it is
     reported for diagnosis but never gates the classification.
+    The field order is the key order of the classification that follows
+    each triple in the CLI's spectrum report.
     """
 
     ordered: bool
@@ -460,15 +465,18 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lim = np.r_[np.full(m - 1, _NEWTON_DIVERGED), np.finfo(float).max]
     batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), _jacobian_buffers(arr.shape, min(block, S)), lim)
     act = np.arange(S)
-    for _ in range(_NEWTON_MAX_STEPS):
-        kept = 0
-        for lo in range(0, act.size, block):
-            rows = _newton_step(arr, V, act[lo : lo + block], ok, batch)
-            act[kept : kept + rows.size] = rows
-            kept += rows.size
-        if not kept:
-            break
-        act = act[:kept]
+    # On a tensor near the float range, a row's residual F can hold entries whose squares exceed the largest
+    # float: _row_norms(F) is then inf, which the stop test reads as not converged, so the overflow is expected.
+    with np.errstate(over="ignore"):
+        for _ in range(_NEWTON_MAX_STEPS):
+            kept = 0
+            for lo in range(0, act.size, block):
+                rows = _newton_step(arr, V, act[lo : lo + block], ok, batch)
+                act[kept : kept + rows.size] = rows
+                kept += rows.size
+            if not kept:
+                break
+            act = act[:kept]
 
     V[ok & (V[:, -1] < 0)] *= np.r_[np.ones(n1), -np.ones(n2), np.ones(n3), -1.0]
     # Roots carry unit norms up to the Newton tolerance; snap exactly.

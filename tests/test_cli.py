@@ -100,6 +100,11 @@ def files(tmp_path_factory):
     )
     paths["non_unit_triples"] = str(p)
 
+    # Entries near the float range, with a finite Hilbert-Schmidt norm; its rounding floor is 3.1e134.
+    p = root / "near_range.json"
+    p.write_text(json.dumps(tensor_to_json_dict(Tensor3.from_array(np.full((2, 2, 2), 1e150)))))
+    paths["near_range"] = str(p)
+
     # Finite entries, but a Hilbert-Schmidt norm beyond the float range.
     p = root / "huge.json"
     p.write_text(json.dumps({"dims": [2, 2, 2], "values": [1e300] * 8}))
@@ -150,6 +155,12 @@ class TestSpectrum:
         assert triples[1]["ordered"] is True
         assert all(t["ordered"] is False for t in triples[2:])
 
+    def test_near_the_float_range_nothing_is_written_to_stderr(self, files):
+        proc = run_cli("spectrum", files["near_range"], "--tol", "1e140", "--json")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["result"]["count"] >= 1
+
 
 class TestSchmidt:
     def test_complete_decomposition_exits_zero(self, files):
@@ -180,6 +191,15 @@ class TestSchmidt:
         report = json.loads(capsys.readouterr().out)
         assert len(seen) == 1
         assert report["result"]["verification"] == dataclasses.asdict(real(*seen[0]))
+
+    @pytest.mark.parametrize("tol", ["0.5", "1"])
+    def test_a_loose_tolerance_keeps_every_term_the_residual_needs(self, files, tol):
+        proc = run_cli("schmidt", files["diag_pair"], "--tol", tol, "--json")
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        assert [t["tau"] for t in result["terms"]] == pytest.approx([3.0, 2.0], abs=1e-12)
+        assert result["reconstruction_residual"] <= float(tol)
+        assert result["verification"]["reconstruction_ok"] is True
 
     def test_failed_decomposition_exits_three(self, files):
         proc = run_cli("schmidt", files["overlap"], "--starts", "32", "--json")
@@ -235,6 +255,13 @@ class TestSchur:
         lams = [t["lambda"] for t in report["result"]["terms"]]
         assert lams == pytest.approx([3.0, -2.0, 1.0], abs=1e-10)
         assert report["result"]["verification"]["reconstruction_ok"] is True
+
+    def test_a_loose_tolerance_near_the_float_range_converts(self, files):
+        proc = run_cli("schur", files["near_range"], "--tol", "1e140", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        result = json.loads(proc.stdout)["result"]
+        assert [t["lambda"] for t in result["terms"]] == pytest.approx([2.0 * S2 * 1e150])
+        assert result["verification"]["reconstruction_ok"] is True
 
     def test_rectangular_input_exits_four(self, files):
         proc = run_cli("schur", files["diag_pair"])
@@ -360,3 +387,122 @@ class TestInputHandling:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+DIAG_PAIR = "tensor: diagonal-pair  dims: 3x2x4  hs_norm: 3.605551275464\n"
+DIAG_PAIR_TERMS = """\
+  [1] tau = 3.000000000000
+      x = [0.000000, 1.000000, 0.000000]
+      y = [0.000000, 1.000000]
+      z = [0.000000, 1.000000, 0.000000, 0.000000]
+  [2] tau = 2.000000000000
+      x = [1.000000, 0.000000, 0.000000]
+      y = [1.000000, 0.000000]
+      z = [1.000000, 0.000000, 0.000000, 0.000000]
+"""
+OVERLAP = "tensor: overlapping-slices  dims: 3x2x4  hs_norm: 2.449489742783\n"
+
+#: (argv with fixture keys for files, exit code, stdout, stderr with {key} for fixture paths)
+HUMAN_CASES = {
+    "norm": (
+        ["norm", "diag_pair"],
+        0,
+        DIAG_PAIR
+        + "bilinear_norm: 3.000000000000\n"
+        + "hs_norm: 3.605551275464\n"
+        + "attained at x = [0.000000, 1.000000, 0.000000], y = [0.000000, 1.000000]\n",
+        "",
+    ),
+    "spectrum": (
+        ["spectrum", "diag_pair"],
+        0,
+        DIAG_PAIR
+        + """\
+spectrum: 6 triple(s), complete: no
+  [1] tau = 3.000000000000  ordered = yes
+      x = [0.000000, 1.000000, 0.000000]
+      y = [0.000000, 1.000000]
+      z = [0.000000, 1.000000, 0.000000, 0.000000]
+  [2] tau = 2.000000000000  ordered = yes
+      x = [1.000000, 0.000000, 0.000000]
+      y = [1.000000, 0.000000]
+      z = [1.000000, 0.000000, 0.000000, 0.000000]
+  [3] tau = 1.664100588676  ordered = no
+      x = [0.832050, -0.554700, -0.000000]
+      y = [0.832050, -0.554700]
+      z = [0.832050, 0.554700, 0.000000, -0.000000]
+  [4] tau = 1.664100588676  ordered = no
+      x = [0.832050, -0.554700, 0.000000]
+      y = [0.832050, 0.554700]
+      z = [0.832050, -0.554700, 0.000000, -0.000000]
+  [5] tau = 1.664100588676  ordered = no
+      x = [0.832050, 0.554700, 0.000000]
+      y = [0.832050, 0.554700]
+      z = [0.832050, 0.554700, 0.000000, -0.000000]
+  [6] tau = 1.664100588676  ordered = no
+      x = [0.832050, 0.554700, -0.000000]
+      y = [0.832050, -0.554700]
+      z = [0.832050, -0.554700, -0.000000, -0.000000]
+""",
+        "",
+    ),
+    "schmidt": (
+        ["schmidt", "diag_pair"],
+        0,
+        DIAG_PAIR
+        + "schmidt: Complete, 2 term(s)\n"
+        + DIAG_PAIR_TERMS
+        + "reconstruction residual: 0.000e+00\n"
+        + "sum of tau^2: 13.000000000000\n",
+        "",
+    ),
+    "schmidt-failed": (
+        ["schmidt", "overlap"],
+        3,
+        OVERLAP
+        + "schmidt: Failed, 0 term(s)\n"
+        + "failed at step 1 (NotOrdered): top singular value 1.84775906502 of the remainder is not an ordered "
+        + "singular value (max slice residual 0.92388, 1 orbit(s) at the top)\n",
+        "",
+    ),
+    "schur": (
+        ["schur", "signed_diag"],
+        0,
+        """\
+tensor: signed-diagonal-3  dims: 3x3x3  hs_norm: 3.741657386774
+schur: 3 term(s)
+  [1] lambda = +3.000000000000  x = [1.000000, 0.000000, 0.000000]
+  [2] lambda = -2.000000000000  x = [0.000000, 1.000000, 0.000000]
+  [3] lambda = +1.000000000000  x = [0.000000, 0.000000, 1.000000]
+reconstruction residual: 0.000e+00
+""",
+        "",
+    ),
+    "schur-rectangular": (["schur", "diag_pair"], 4, "", "error: schur requires equal dims, got 3x2x4\n"),
+    "schur-not-symmetric": (["schur", "triad"], 4, "", "error: operator is not symmetric at tolerance 1e-09\n"),
+    "verify": (
+        ["verify", "overlap", "overlap_triples"],
+        0,
+        OVERLAP
+        + "verify: 2 triple(s)\n"
+        + "  [1] tau = 1.414213562373  verified = yes  ordered = no  fd = 0.000e+00\n"
+        + "  [2] tau = 1.414213562373  verified = no  max residual = 1.082e+00\n",
+        "",
+    ),
+    "malformed-json": (
+        ["norm", "not_json"],
+        2,
+        "",
+        "error: {not_json} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
+    ),
+}
+
+
+class TestHumanOutput:
+    """The whole human-mode output of each command: stdout, stderr and exit code."""
+
+    @pytest.mark.parametrize("case", list(HUMAN_CASES))
+    def test_full_output(self, files, case):
+        argv, code, out, err = HUMAN_CASES[case]
+        proc = run_cli(*(files.get(a, a) for a in argv))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err.format(**files))

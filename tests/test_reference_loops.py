@@ -321,11 +321,10 @@ def ref_slice_residuals(arr, X, Y, Z, tau, deflated=False):
 
 def ref_deflate(T, cfg, pick):
     """One term per step: pick(remainder, k) -> ((triple, ordered, slice residuals), orbits), a failure or None."""
-    stop_level = cfg.residual_tol * (1.0 + hs_norm(T))
     steps, terms, failure = [], [], None
     remainder = T
     for k in range(1, min(T.dims) + 1):
-        if hs_norm(remainder) <= stop_level:
+        if hs_norm(remainder) <= cfg.residual_tol:
             break
         picked = pick(remainder, k)
         if picked is None:

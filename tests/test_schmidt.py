@@ -183,6 +183,26 @@ class TestDecomposeEdgeCases:
         assert len(report.steps) == 1
 
 
+class TestStopRule:
+    """Deflation stops where verify_representation's reconstruction bound holds: at residual_tol, an absolute
+    bound, so a Complete result never lacks a term its residual needs."""
+
+    @pytest.mark.parametrize("tol, count", [(0.5, 2), (1.0, 2), (2.0, 1)])
+    def test_a_complete_result_passes_its_own_reconstruction_check(self, diag_pair, tol, count):
+        rep, _ = schmidt_decompose(diag_pair, SearchConfig(residual_tol=tol))
+        assert rep.status is SchmidtStatus.COMPLETE
+        assert [t.tau for t in rep.terms] == pytest.approx([3.0, 2.0][:count], abs=1e-12)
+        assert rep.reconstruction_residual <= tol
+        assert verify_representation(diag_pair, rep, tol).all_ok
+
+    def test_the_bound_is_absolute_near_the_float_range(self):
+        T = Tensor3.from_array(np.full((2, 2, 2), 1e150))
+        rep, _ = schmidt_decompose(T, SearchConfig(residual_tol=1e140))
+        assert len(rep.terms) == 1
+        assert rep.terms[0].tau == pytest.approx(2.0 * np.sqrt(2.0) * 1e150)
+        assert verify_representation(T, rep, 1e140).all_ok
+
+
 class TestRoundTrip:
     def test_planted_representations_are_recovered(self, planted_schmidt_factory):
         cfg = SearchConfig(starts=16)

@@ -418,14 +418,15 @@ class TestRoundingFloor:
 
     def test_above_the_floor_they_agree(self, tensor_file, capsys):
         cfg = SearchConfig(residual_tol=1e140)
-        with np.errstate(over="ignore"):  # Newton rows off the spheres square entries past 1e308
-            value, attained = operator_norm(self.T, cfg)
-            spectrum = enumerate_triples(self.T, cfg)
-            code = cli.main(["spectrum", str(tensor_file(self.T)), "--tol", "1e140", "--json"])
+        value, attained = operator_norm(self.T, cfg)
+        spectrum = enumerate_triples(self.T, cfg)
+        code = cli.main(["spectrum", str(tensor_file(self.T)), "--tol", "1e140", "--json"])
         assert spectrum.triples and value == spectrum.triples[0].tau
         for triple in (attained, *spectrum.triples):
             check = verify_triple(self.T, triple, 1e140)
             assert check.verified and (check.r1, check.r2, check.r3) == triple.residuals
         assert code == 0
-        listed = json.loads(capsys.readouterr().out)["result"]["triples"]
+        out, err = capsys.readouterr()
+        assert err == ""
+        listed = json.loads(out)["result"]["triples"]
         assert [(e["tau"], e["residuals"]) for e in listed] == [(t.tau, list(t.residuals)) for t in spectrum.triples]
