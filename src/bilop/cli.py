@@ -19,7 +19,15 @@ its code (2 unless the command chose another).
 JSON reports are byte-identical across runs for identical inputs and
 flags: floats are rendered with repr-faithful 17 significant digits, key
 order is fixed (a library dataclass renders as its fields in declaration
-order), and no timestamps or paths are embedded.
+order), and no timestamps or paths are embedded. Human-mode numbers have
+12 decimals, in scientific notation below 1e-6 or from 1e15 in magnitude.
+
+`bilop` and `python -m bilop` enter through run(): the process ends right
+after main's output is flushed, with os._exit and without interpreter
+teardown, and with the same exit code. atexit handlers that other code
+registered do not run (coverage's, under `coverage run -m bilop`); an
+exception escaping main, or a flush that fails, takes the normal exit.
+main() called from Python returns its code normally.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -45,7 +54,7 @@ from .spectra import (
     verify_triple,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # The package's lazily loaded names (schmidt, schur, oracle) resolve here on first use too (PEP 562), so norm
 # and spectrum start with the search core alone. The commands call them as attributes of this module, _this,
@@ -205,6 +214,11 @@ def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]
 _Report = tuple[Any, list[str], int]
 
 
+def _num(v: float, sign: str = "") -> str:
+    """A human-mode number: 12 decimals for 0 and 1e-6 <= |v| < 1e15, else 12 decimals of scientific notation."""
+    return format(v, sign + (".12f" if v == 0 or 1e-6 <= abs(v) < 1e15 else ".12e"))
+
+
 def _fmt_vec(v: np.ndarray) -> str:
     return "[" + ", ".join(format(float(e), ".6f") for e in v) + "]"
 
@@ -216,7 +230,7 @@ def _xyz_lines(t: Any) -> list[str]:
 def _cmd_norm(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     value, attained = operator_norm(T, cfg)
     hs = hs_norm(T)
-    lines = [f"bilinear_norm: {value:.12f}", f"hs_norm: {hs:.12f}"]
+    lines = [f"bilinear_norm: {_num(value)}", f"hs_norm: {_num(hs)}"]
     if attained is not None:
         lines.append(f"attained at x = {_fmt_vec(attained.x)}, y = {_fmt_vec(attained.y)}")
     return {"bilinear_norm": value, "hs_norm": hs, "attained": attained}, lines, _EXIT_OK
@@ -228,7 +242,7 @@ def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _R
     checks = _ordered_checks(T, spectrum.triples, cfg.residual_tol)
     lines = [f"spectrum: {len(checks)} triple(s), complete: no"]
     for pos, (tr, oc) in enumerate(zip(spectrum.triples, checks), 1):
-        lines += [f"  [{pos}] tau = {tr.tau:.12f}  ordered = " + ("yes" if oc.ordered else "no"), *_xyz_lines(tr)]
+        lines += [f"  [{pos}] tau = {_num(tr.tau)}  ordered = " + ("yes" if oc.ordered else "no"), *_xyz_lines(tr)]
     entries = [_fields(tr, oc) for tr, oc in zip(spectrum.triples, checks)]
     return {"count": len(entries), "complete": spectrum.complete, "triples": entries}, lines, _EXIT_OK
 
@@ -238,12 +252,12 @@ def _cmd_schmidt(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Re
     result: dict = {"status": rep.status.value, "terms": rep.terms, "reconstruction_residual": rep.reconstruction_residual}
     lines = [f"schmidt: {rep.status.value}, {len(rep.terms)} term(s)"]
     for pos, t in enumerate(rep.terms, 1):
-        lines += [f"  [{pos}] tau = {t.tau:.12f}", *_xyz_lines(t)]
+        lines += [f"  [{pos}] tau = {_num(t.tau)}", *_xyz_lines(t)]
     complete = rep.status is _this.SchmidtStatus.COMPLETE
     if complete:
         result["sum_tau_sq"] = sum_sq = _this.schmidt_sum_sq(rep)
         result["verification"] = deflation.check or _this.verify_representation(T, rep, cfg.residual_tol)
-        lines += [f"reconstruction residual: {rep.reconstruction_residual:.3e}", f"sum of tau^2: {sum_sq:.12f}"]
+        lines += [f"reconstruction residual: {rep.reconstruction_residual:.3e}", f"sum of tau^2: {_num(sum_sq)}"]
     else:
         f = deflation.failure
         lines.append(f"failed at step {f.step} ({f.reason.value}): {f.diagnostics}")
@@ -273,7 +287,7 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Repo
         raise _Exit(str(exc), _EXIT_SCHUR) from exc
     check = _this.verify_schur(T, schur, tol)
     lines = [f"schur: {len(schur.terms)} term(s)"]
-    lines += [f"  [{pos}] lambda = {t.lam:+.12f}  x = {_fmt_vec(t.x)}" for pos, t in enumerate(schur.terms, 1)]
+    lines += [f"  [{pos}] lambda = {_num(t.lam, '+')}  x = {_fmt_vec(t.x)}" for pos, t in enumerate(schur.terms, 1)]
     lines.append(f"reconstruction residual: {check.reconstruction_residual:.3e}")
     terms = [{"lambda": t.lam, "x": t.x} for t in schur.terms]
     return {"symmetric": symmetric, "self_adjoint": self_adjoint, "terms": terms, "verification": check}, lines, _EXIT_OK
@@ -297,7 +311,7 @@ def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Rep
     entries = []
     lines = [f"verify: {len(triples)} triple(s)"]
     for pos, (raw, check) in enumerate(zip(triples, checks), 1):
-        line = f"  [{pos}] tau = {raw.tau:.12f}  verified = " + ("yes" if check.verified else "no")
+        line = f"  [{pos}] tau = {_num(raw.tau)}  verified = " + ("yes" if check.verified else "no")
         oc = fd = None
         if check.verified:
             triple, oc = next(classified)
@@ -372,7 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             name = T.name if T.name is not None else "(unnamed)"
             n1, n2, n3 = T.dims
-            text = "\n".join([f"tensor: {name}  dims: {n1}x{n2}x{n3}  hs_norm: {hs_norm(T):.12f}", *lines])
+            text = "\n".join([f"tensor: {name}  dims: {n1}x{n2}x{n3}  hs_norm: {_num(hs_norm(T))}", *lines])
     except (_Exit, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code if isinstance(exc, _Exit) else _EXIT_INPUT
@@ -380,5 +394,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> None:
+    """Process entry of `bilop` and `python -m bilop`: main, then flush and end without interpreter teardown.
+
+    Finalising the interpreter (a full garbage collection and the module teardown) costs a CLI call about
+    20 ms on a 2-CPU x86 machine after its report is written, so the process ends with os._exit once stdout
+    and stderr are flushed.
+    Whatever escapes main, and a flush that fails (a closed pipe), take the normal exit with the same code.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,8 +1,12 @@
 """End-to-end command-line tests via subprocess, including exit codes."""
 
 import dataclasses
+import importlib
+import io
 import json
 import os
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -22,6 +26,9 @@ from bilop import (
 
 S2 = np.sqrt(2.0)
 
+#: The children's environment: block-buffered stdio, as a user's shell runs bilop, so output left unflushed is lost.
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -29,6 +36,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
 
 
@@ -104,6 +112,11 @@ def files(tmp_path_factory):
     p = root / "near_range.json"
     p.write_text(json.dumps(tensor_to_json_dict(Tensor3.from_array(np.full((2, 2, 2), 1e150)))))
     paths["near_range"] = str(p)
+
+    # The diagonal pair scaled far below 1e-6, where fixed-point human numbers would read 0.
+    p = root / "tiny.json"
+    p.write_text(json.dumps(tensor_to_json_dict(Tensor3.from_array(1e-20 * gallery.diagonal_pair().array))))
+    paths["tiny"] = str(p)
 
     # Finite entries, but a Hilbert-Schmidt norm beyond the float range.
     p = root / "huge.json"
@@ -489,6 +502,33 @@ reconstruction residual: 0.000e+00
         + "  [2] tau = 1.414213562373  verified = no  max residual = 1.082e+00\n",
         "",
     ),
+    "norm-tiny": (
+        ["norm", "tiny", "--tol", "1e-30"],
+        0,
+        "tensor: (unnamed)  dims: 3x2x4  hs_norm: 3.605551275464e-20\n"
+        + "bilinear_norm: 3.000000000000e-20\n"
+        + "hs_norm: 3.605551275464e-20\n"
+        + "attained at x = [0.000000, 1.000000, 0.000000], y = [0.000000, 1.000000]\n",
+        "",
+    ),
+    "norm-near-range": (
+        ["norm", "near_range", "--tol", "1e140"],
+        0,
+        "tensor: (unnamed)  dims: 2x2x2  hs_norm: 2.828427124746e+150\n"
+        + "bilinear_norm: 2.828427124746e+150\n"
+        + "hs_norm: 2.828427124746e+150\n"
+        + "attained at x = [0.707107, 0.707107], y = [0.707107, 0.707107]\n",
+        "",
+    ),
+    "schur-near-range": (
+        ["schur", "near_range", "--tol", "1e140"],
+        0,
+        "tensor: (unnamed)  dims: 2x2x2  hs_norm: 2.828427124746e+150\n"
+        + "schur: 1 term(s)\n"
+        + "  [1] lambda = +2.828427124746e+150  x = [0.707107, 0.707107]\n"
+        + "reconstruction residual: 5.140e+134\n",
+        "",
+    ),
     "malformed-json": (
         ["norm", "not_json"],
         2,
@@ -506,3 +546,103 @@ class TestHumanOutput:
         argv, code, out, err = HUMAN_CASES[case]
         proc = run_cli(*(files.get(a, a) for a in argv))
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err.format(**files))
+
+
+@pytest.mark.parametrize(
+    "value, sign, text",
+    [
+        (0.0, "", "0.000000000000"),
+        (-0.0, "", "-0.000000000000"),
+        (1e-6, "", "0.000001000000"),
+        (9.99e-7, "", "9.990000000000e-07"),
+        (-3e-20, "", "-3.000000000000e-20"),
+        (999999999999999.9, "", "999999999999999.875000000000"),
+        (1e15, "", "1.000000000000e+15"),
+        (2.0, "+", "+2.000000000000"),
+        (-2e150, "+", "-2.000000000000e+150"),
+    ],
+)
+def test_human_numbers_switch_to_scientific_outside_fixed_point_range(value, sign, text):
+    assert cli._num(value, sign) == text
+
+
+def run_bytes(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "bilop", *args], timeout=120, env=CHILD_ENV, **kwargs)
+
+
+class _Ended(Exception):
+    """Raised in place of ending the process."""
+
+
+class _BrokenPipe(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError("stdout closed")
+
+
+class TestProcessEntry:
+    """`bilop` and `python -m bilop` run cli.run, which ends the process after flushing main's output."""
+
+    @pytest.mark.parametrize("case", ["norm", "malformed-json", "schmidt-failed", "schur-rectangular"])
+    def test_each_exit_code_gives_the_bytes_and_code_of_main(self, files, case, capsysbinary):
+        argv = [files.get(a, a) for a in HUMAN_CASES[case][0]]
+        code = cli.main(argv)
+        captured = capsysbinary.readouterr()
+        proc = run_bytes(*argv, capture_output=True)
+        assert code == HUMAN_CASES[case][1]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+    def test_a_report_larger_than_the_stdio_buffer_reaches_a_file_whole(self, files, tmp_path, capsysbinary):
+        argv = ["spectrum", files["triad"], "--json"]
+        assert cli.main(argv) == 0
+        expected = capsysbinary.readouterr().out
+        assert len(expected) > 8192
+        out = tmp_path / "report.json"
+        with open(out, "wb") as fh:
+            proc = run_bytes(*argv, stdout=fh, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.read_bytes() == expected
+
+    @staticmethod
+    def entry(monkeypatch, argv, stdout):
+        """Run cli.run on argv with stdout, os._exit patched; what it was given: (code, stdout so far) pairs."""
+        ended = []
+
+        def record(code):
+            ended.append((code, stdout.getvalue()))
+            raise _Ended
+
+        monkeypatch.setattr(sys, "argv", ["bilop", *argv])
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(os, "_exit", record)
+        return ended
+
+    def test_the_process_ends_with_os_exit_and_the_code_of_main(self, files, monkeypatch):
+        stdout = io.StringIO()
+        ended = self.entry(monkeypatch, ["schmidt", files["overlap"]], stdout)
+        with pytest.raises(_Ended):
+            cli.run()
+        assert ended == [(3, HUMAN_CASES["schmidt-failed"][2])]
+
+    def test_a_failed_flush_takes_the_normal_exit(self, files, monkeypatch):
+        ended = self.entry(monkeypatch, ["norm", files["diag_pair"]], _BrokenPipe())
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, ended) == (0, [])
+
+    def test_an_exit_raised_in_main_takes_the_normal_exit(self, monkeypatch):
+        ended = self.entry(monkeypatch, ["--help"], io.StringIO())
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, ended) == (0, [])
+
+    def test_the_console_script_is_the_entry_python_m_runs(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["bilop"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+        monkeypatch.delitem(sys.modules, "bilop.__main__", raising=False)
+        runpy.run_module("bilop", run_name="__main__")
+        assert calls == ["run"]
+
