@@ -11,36 +11,13 @@ operators, and cross-checks everything against brute-force oracles.
 
 import importlib
 
-from .tensor_core import (
-    Tensor3,
-    VectorH,
-    adjoint_contract_1,
-    adjoint_contract_2,
-    apply,
-    change_basis,
-    deflate_term,
-    from_schmidt,
-    hs_norm,
-    tensor_from_json_dict,
-    tensor_to_json_dict,
-)
-from .spectra import (
-    NonConvergence,
-    OrderedCheck,
-    SearchConfig,
-    SingularTriple,
-    Spectrum,
-    TripleCheck,
-    canonicalize,
-    enumerate_triples,
-    hopm_refine,
-    hopm_value_trace,
-    is_ordered,
-    operator_norm,
-    verify_triple,
-)
-# schmidt, schur and oracle load on first use of one of their names (PEP 562),
-# so that a command that runs only the search core does not compile them.
+from . import tensor_core, spectra
+from .tensor_core import *
+from .spectra import *
+
+# Each public name is declared once: the search core's in tensor_core.__all__ and spectra.__all__, those of
+# schmidt, schur and oracle here, where each of them reads its own back as __all__. These three load on first
+# use of one of their names (PEP 562), so that a command that runs only the search core does not compile them.
 _LAZY = {
     "schmidt": (
         "SchmidtStatus", "FailureReason", "SchmidtTerm", "SchmidtRepresentation", "DeflationStep",
@@ -72,55 +49,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Tensor3",
-    "VectorH",
-    "apply",
-    "adjoint_contract_1",
-    "adjoint_contract_2",
-    "hs_norm",
-    "change_basis",
-    "deflate_term",
-    "from_schmidt",
-    "tensor_to_json_dict",
-    "tensor_from_json_dict",
-    "SearchConfig",
-    "SingularTriple",
-    "NonConvergence",
-    "TripleCheck",
-    "OrderedCheck",
-    "Spectrum",
-    "hopm_refine",
-    "hopm_value_trace",
-    "verify_triple",
-    "operator_norm",
-    "enumerate_triples",
-    "canonicalize",
-    "is_ordered",
-    "SchmidtStatus",
-    "FailureReason",
-    "SchmidtTerm",
-    "SchmidtRepresentation",
-    "DeflationStep",
-    "DeflationFailure",
-    "DeflationReport",
-    "RepresentationCheck",
-    "schmidt_decompose",
-    "reconstruct",
-    "verify_representation",
-    "schmidt_sum_sq",
-    "SchurTerm",
-    "SchurRepresentation",
-    "SchurInconsistencyError",
-    "SchurCheck",
-    "is_symmetric",
-    "is_self_adjoint",
-    "schur_from_schmidt",
-    "verify_schur",
-    "GridSpec",
-    "grid_norm_oracle",
-    "stationarity_fd_check",
-    "exhaustive_small_spectrum",
-    "confirm_complete",
-    "__version__",
-]
+__all__ = [*tensor_core.__all__, *spectra.__all__, *_LAZY_NAMES, "__version__"]

@@ -42,7 +42,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import _LAZY_NAMES
-from .tensor_core import Tensor3, hs_norm, tensor_from_json_dict
+from .tensor_core import Tensor3, _json_floats, hs_norm, tensor_from_json_dict
 from .spectra import (
     SearchConfig,
     SingularTriple,
@@ -169,10 +169,7 @@ def _load_tensor(path: str) -> Tensor3:
 def _vector_list(obj: Any, what: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise _Exit(f"{what} must be a nonempty list of numbers")
-    for v in obj:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise _Exit(f"{what} must contain only numbers")
-    return np.asarray(obj, dtype=float)
+    return _json_floats(obj, what)
 
 
 def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]:
@@ -191,8 +188,9 @@ def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]
         if missing:
             raise _Exit(f"{where} is missing {sorted(missing)}")
         tau = item["tau"]
-        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-            raise _Exit(f"{where}: tau must be a number")
+        # Python's json reads NaN and Infinity, and an int of any size; the comparison is exact and false for each.
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not abs(tau) <= sys.float_info.max:
+            raise _Exit(f"{where}: tau must be a finite number")
         x = _vector_list(item["x"], f"{where}: x")
         y = _vector_list(item["y"], f"{where}: y")
         z = _vector_list(item["z"], f"{where}: z")
@@ -300,7 +298,7 @@ def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Rep
         try:
             checks.append(verify_triple(T, raw, cfg.residual_tol))
         except ValueError as exc:
-            raise _Exit(f"triple {pos}: {exc}") from exc
+            raise _Exit(f"{args.triples}: triple {pos}: {exc}") from exc
     # The verified triples, normalised and canonical, are classified by one batched slice check.
     verified = [
         canonicalize(SingularTriple(raw.tau, *(v / np.linalg.norm(v) for v in (raw.x, raw.y, raw.z)), (c.r1, c.r2, c.r3)))

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _LAZY
 from .tensor_core import Tensor3
 from .spectra import (
     SearchConfig,
@@ -27,13 +28,7 @@ from .spectra import (
     _unit_triple,
 )
 
-__all__ = [
-    "GridSpec",
-    "grid_norm_oracle",
-    "stationarity_fd_check",
-    "exhaustive_small_spectrum",
-    "confirm_complete",
-]
+__all__ = list(_LAZY["oracle"])
 
 #: Largest per-mode dimension the brute-force oracles accept.
 _DIM_GUARD = 4

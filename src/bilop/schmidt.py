@@ -33,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _LAZY
 from .tensor_core import Tensor3, VectorH, _as_entries, hs_norm
 from .spectra import (
     SearchConfig,
@@ -47,20 +48,7 @@ from .spectra import (
     _stacked_terms,
 )
 
-__all__ = [
-    "SchmidtStatus",
-    "FailureReason",
-    "SchmidtTerm",
-    "SchmidtRepresentation",
-    "DeflationStep",
-    "DeflationFailure",
-    "DeflationReport",
-    "RepresentationCheck",
-    "schmidt_decompose",
-    "reconstruct",
-    "verify_representation",
-    "schmidt_sum_sq",
-]
+__all__ = list(_LAZY["schmidt"])
 
 #: Orthonormality tolerance for representation families (pairwise Gram test).
 _FAMILY_ORTHO_TOL = 1e-8

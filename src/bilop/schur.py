@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _LAZY
 from .tensor_core import Tensor3
 from .spectra import _check_tol
 from .schmidt import (
@@ -27,16 +28,7 @@ from .schmidt import (
     verify_representation,
 )
 
-__all__ = [
-    "SchurTerm",
-    "SchurRepresentation",
-    "SchurInconsistencyError",
-    "SchurCheck",
-    "is_symmetric",
-    "is_self_adjoint",
-    "schur_from_schmidt",
-    "verify_schur",
-]
+__all__ = list(_LAZY["schur"])
 
 
 class SchurInconsistencyError(RuntimeError):

@@ -884,14 +884,16 @@ def _check_floor(T: Tensor3, tol: float) -> None:
 def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
     """Check the three defining equations at the given triple, with the search's residual routine.
 
-    verified means max residual <= tol and tau > 0. Vectors more than 1e-8 away from unit norm, a tol
-    that is not positive and finite, and a tol below T's rounding floor (_check_floor) are rejected as
-    argument errors.
+    verified means max residual <= tol and tau > 0. Vectors more than 1e-8 away from unit norm, a tau
+    that is not finite, a tol that is not positive and finite, and a tol below T's rounding floor
+    (_check_floor) are rejected as argument errors.
     """
     _check_tol(tol)
     _check_floor(T, tol)
     x, y, z = _unit_triple(T, triple)
     tau = float(triple.tau)
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     r1, r2, r3 = (float(r) for r in _residuals(T.array, x[None], y[None], z[None], np.array([tau]))[1][0])
     return TripleCheck(r1=r1, r2=r2, r3=r3, verified=max(r1, r2, r3) <= tol and tau > 0)
 

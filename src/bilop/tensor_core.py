@@ -15,8 +15,6 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 __all__ = [
-    "SPACES",
-    "ORTHO_TOL",
     "VectorH",
     "Tensor3",
     "apply",
@@ -250,6 +248,17 @@ def tensor_to_json_dict(T: Tensor3) -> dict:
     return out
 
 
+def _json_floats(values: object, what: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; ValueError naming what unless every entry is a number (a bool is
+    not) that fits a float."""
+    if not isinstance(values, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} must be a list of numbers")
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} holds a number beyond the float range") from None
+
+
 def tensor_from_json_dict(data: object) -> Tensor3:
     """Parse the canonical JSON form, raising ValueError on any malformation."""
     if not isinstance(data, dict):
@@ -266,12 +275,8 @@ def tensor_from_json_dict(data: object) -> Tensor3:
         or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims)
     ):
         raise ValueError('"dims" must be a list of three integers')
-    values = data["values"]
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ValueError('"values" must be a list of numbers')
+    values = _json_floats(data["values"], '"values"')
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError('"name" must be a string when present')
-    return Tensor3(dims=tuple(dims), values=np.asarray(values, dtype=float), name=name)
+    return Tensor3(dims=tuple(dims), values=values, name=name)

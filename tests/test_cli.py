@@ -26,8 +26,12 @@ from bilop import (
 
 S2 = np.sqrt(2.0)
 
-#: The children's environment: block-buffered stdio, as a user's shell runs bilop, so output left unflushed is lost.
-CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+#: The children's environment: block-buffered stdio, as a user's shell runs bilop, so output left unflushed is lost;
+#: and a RuntimeWarning is an error there too, as in the in-process tests (pyproject.toml).
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONWARNINGS": "error::RuntimeWarning"}
+
+#: A JSON integer beyond the float range: 1e400.
+BEYOND_FLOAT = "1" + "0" * 400
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -374,6 +378,38 @@ class TestInputHandling:
         assert cli.main(["norm", files["huge"]]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+    @pytest.mark.parametrize("command", ["norm", "spectrum", "schmidt", "schur", "verify"])
+    def test_a_tensor_entry_beyond_the_float_range_exits_two(self, files, tmp_path, command, mode):
+        path = tmp_path / "beyond.json"
+        path.write_text('{"dims": [1, 1, 1], "values": [%s]}' % BEYOND_FLOAT)
+        extra = [files["overlap_triples"]] if command == "verify" else []
+        proc = run_cli(command, str(path), *extra, *mode)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f'error: {path}: "values" holds a number beyond the float range\n'
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            ('{"tau": %s, "x": [1], "y": [1], "z": [1]}' % BEYOND_FLOAT, "tau must be a finite number"),
+            ('{"tau": NaN, "x": [1], "y": [1], "z": [1]}', "tau must be a finite number"),
+            ('{"tau": Infinity, "x": [1], "y": [1], "z": [1]}', "tau must be a finite number"),
+            ('{"tau": -Infinity, "x": [1], "y": [1], "z": [1]}', "tau must be a finite number"),
+            ('{"tau": 2, "x": [%s], "y": [1], "z": [1]}' % BEYOND_FLOAT, "x holds a number beyond the float range"),
+            ('{"tau": 2, "x": [NaN], "y": [1], "z": [1]}', "x contains non-finite entries"),
+        ],
+        ids=["tau-beyond", "tau-nan", "tau-inf", "tau-minus-inf", "x-beyond", "x-nan"],
+    )
+    def test_a_triple_number_that_is_not_a_finite_float_exits_two_and_is_named(self, tmp_path, triple, message, mode):
+        # Python's json reads NaN, Infinity and integers of any size; the second triple carries the bad number.
+        tensor, triples = tmp_path / "t.json", tmp_path / "triples.json"
+        tensor.write_text('{"dims": [1, 1, 1], "values": [2.0]}')
+        triples.write_text('{"triples": [{"tau": 2, "x": [1], "y": [1], "z": [1]}, %s]}' % triple)
+        proc = run_cli("verify", str(tensor), str(triples), *mode)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {triples}: triple 2: {message}\n"
+
     def test_missing_file_exits_two(self, files):
         proc = run_cli("norm", files["missing"])
         assert proc.returncode == 2
@@ -395,7 +431,7 @@ class TestInputHandling:
                 capture_output=True,
                 text=True,
                 timeout=120,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS=threads),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)

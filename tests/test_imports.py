@@ -46,8 +46,12 @@ CLI_BOUNDARY_NAMES = [
 
 
 def run_fresh(code: str) -> str:
-    """Run code in a new interpreter that imports bilop from this checkout; its stdout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    """Run code in a new interpreter that imports bilop from this checkout, with RuntimeWarning an error; its stdout."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env, timeout=120
     )

@@ -188,6 +188,11 @@ class TestVerifyTriple:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 check(diag_pair, exact, tol)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_tau_that_is_not_finite(self, diag_pair, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            verify_triple(diag_pair, make_triple(tau, [1, 0, 0], [1, 0], [1, 0, 0, 0]), 1e-9)
+
     def test_sign_orbit_closure(self, diag_pair):
         a = 3.0 / S13
         b = 2.0 / S13
@@ -359,6 +364,25 @@ class TestEnumerateTriples:
     def test_result_is_a_spectrum_marked_incomplete(self, diag_pair_spectrum):
         assert isinstance(diag_pair_spectrum, Spectrum)
         assert diag_pair_spectrum.complete is False
+
+    @staticmethod
+    def scaled_diag_pair_taus(diag_pair, s: float) -> list[float]:
+        """The listed tau's of s * diag_pair, searched with the default residual_tol scaled by s, divided by s."""
+        spectrum = enumerate_triples(Tensor3.from_array(s * diag_pair.array), SearchConfig(residual_tol=s * 1e-9))
+        return [tr.tau / s for tr in spectrum.triples]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: _tie_order's width dedup_tol * (1 + tau) is absolute at small tau, "
+        "so tau = 2 s is listed after the four 1.664 s orbits",
+    )
+    def test_a_scaled_spectrum_lists_its_values_in_descending_order(self, diag_pair):
+        taus = self.scaled_diag_pair_taus(diag_pair, 2.0**-20)
+        assert all(a >= b - 1e-9 for a, b in zip(taus, taus[1:])), taus
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the search lists 2 of the 6 orbits at this scale")
+    def test_a_scaled_spectrum_lists_every_orbit(self, diag_pair):
+        assert len(self.scaled_diag_pair_taus(diag_pair, 2.0**-50)) == 6
 
 
 class TestIsOrdered:

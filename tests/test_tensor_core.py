@@ -209,6 +209,7 @@ class TestJsonRoundTrip:
             lambda d: d.__setitem__("values", "not a list"),
             lambda d: d.__setitem__("name", 7),
             lambda d: d.__setitem__("extra_key", 1),
+            lambda d: d.__setitem__("values", [10**400] * len(d["values"])),  # beyond the float range
         ],
     )
     def test_rejects_malformed_dicts(self, diag_pair, mangle):
