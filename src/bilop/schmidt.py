@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3, VectorH, _as_entries, hs_norm
+from .tensor_core import Tensor3, VectorH, _as_entries, _rank_one, hs_norm
 from .spectra import (
     SearchConfig,
     SingularTriple,
@@ -55,18 +55,6 @@ _FAMILY_ORTHO_TOL = 1e-8
 
 #: Unit-norm tolerance on stored term vectors.
 _TERM_UNIT_TOL = 1e-10
-
-
-def _max_gram_deviation(*families: np.ndarray) -> float:
-    """Largest |<u_i, u_j> - delta_ij| over the given families, each one vector per row."""
-    return max((float(np.abs(F @ F.T - np.eye(len(F))).max()) for F in families if F.size), default=0.0)
-
-
-def _reconstruction_residual(T: Tensor3, tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
-    """hs-norm of T minus the sum of the stacked terms tau_i x_i (x) y_i (x) z_i, by one BLAS product."""
-    n1, n2, n3 = T.dims
-    recon = (X.T * tau) @ np.einsum("sj,sk->sjk", Y, Z).reshape(tau.size, n2 * n3)
-    return float(np.linalg.norm(T.array.reshape(n1, n2 * n3) - recon))
 
 
 class SchmidtStatus(str, Enum):
@@ -152,9 +140,9 @@ class DeflationFailure:
 
 @dataclass(frozen=True, eq=False)
 class DeflationReport:
-    """A deflation run's steps and failure. check is the RepresentationCheck that
-    schmidt_decompose ran as its last gate (the SVD path), else None; derived from
-    the terms, it is init-only, not a field, so fields, repr and asdict omit it."""
+    """A deflation run's steps and failure. check is the RepresentationCheck of a
+    Complete run's terms against the operator, None on Failed; derived from the
+    terms, it is init-only, not a field, so fields, repr and asdict omit it."""
 
     steps: tuple[DeflationStep, ...]
     failure: Optional[DeflationFailure]
@@ -192,6 +180,16 @@ class RepresentationCheck:
             and self.diagonal_ok
         )
 
+    def failures(self, tol: float) -> list[str]:
+        """Each failed condition with its figure and bound; tol is the tolerance the check ran at."""
+        conditions = (
+            (self.monotone, "tau is not monotone"),
+            (self.orthonormal, f"max Gram deviation {self.max_gram_deviation:.3e} > {_FAMILY_ORTHO_TOL:g}"),
+            (self.reconstruction_ok, f"reconstruction residual {self.reconstruction_residual:.3e} > {tol:g}"),
+            (self.diagonal_ok, f"max diagonal deviation {self.max_diagonal_deviation:.3e} > {tol:g}"),
+        )
+        return [text for ok, text in conditions if not ok]
+
 
 def schmidt_decompose(
     T: Tensor3, cfg: Optional[SearchConfig] = None
@@ -200,22 +198,25 @@ def schmidt_decompose(
 
     A Schmidt representation with orthonormal families makes the mode-1
     unfolding T(1) = sum tau_i x_i (y_i (x) z_i)^T an SVD, so the terms are
-    first read off one SVD of T(1) (_svd_decompose). Where that reading is
-    not unambiguous and fully verified, _greedy deflation runs from scratch
-    and decides the result, failures included. Both are term sources of one
-    loop, _deflate, which stops once the remainder's hs-norm is at most
-    residual_tol, the bound verify_representation puts on the
-    reconstruction residual, or min(dims) terms were extracted.
+    first read off one SVD of T(1) (_svd_block). Where that reading is
+    ambiguous, or does not complete and pass verify_representation at
+    residual_tol, _greedy deflation runs from scratch and decides the
+    result, failures included. Both are term sources of one loop, _deflate,
+    which stops once the remainder's hs-norm is at most residual_tol, the
+    bound verify_representation puts on the reconstruction residual, or
+    min(dims) terms were extracted.
 
-    Returns (representation, report). On failure the representation has
-    status Failed and no terms; the report keeps every step, including
-    the offending one, with its residual diagnostics. A residual_tol below
+    Returns (representation, report). A Complete result's report carries
+    its verify_representation check as report.check. On failure the
+    representation has status Failed and no terms, and report.check is
+    None; the report keeps every step, including the offending one, with
+    its residual diagnostics. A residual_tol below
     T's rounding floor (eps/2 * hs_norm(T)) is refused with ValueError.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     _check_floor(T, cfg.residual_tol)
-    fast = _svd_decompose(T, cfg)
-    return fast if fast is not None else _greedy(T, cfg)
+    fast = _deflate(T, cfg, _svd_block(T, cfg))
+    return fast if fast is not None and fast[1].check is not None and fast[1].check.all_ok else _greedy(T, cfg)
 
 
 def _deflate(
@@ -231,7 +232,7 @@ def _deflate(
     then subtracted in order from one remainder array, in place, whose hs-norm is the step's
     remaining_hs and, at the end, the reconstruction residual, until the stop, the min(dims) cap or a
     failure: a row not ordered in its remainder, or failing the transfer check, fails the run, which
-    keeps its steps but no terms.
+    keeps its steps but no terms. A Complete run's report carries its verify_representation check.
     """
     tol = cfg.residual_tol
     cap = min(T.dims)
@@ -259,8 +260,7 @@ def _deflate(
                 break
             if not gate:
                 return None
-            # (x (x) y) (x) z, then times tau: the bits of deflate_term's einsum("i,j,k->ijk") product.
-            remainder -= t * (x[:, None, None] * y[:, None] * z)
+            remainder -= _rank_one(t, x, y, z)
             hs = math.sqrt(flat.dot(flat))
             triple = SingularTriple(tau=t, x=x.copy(), y=y.copy(), z=z.copy(), residuals=tuple(r))
             k = len(steps) + 1
@@ -283,10 +283,10 @@ def _deflate(
             failure = DeflationFailure(step=k, reason=FailureReason.NOT_ORDERED, diagnostics=diagnostics)
             break
 
-    report = DeflationReport(steps=tuple(steps), failure=failure)
     if failure is not None:
-        return SchmidtRepresentation(T.dims, (), hs_T, SchmidtStatus.FAILED), report
-    return SchmidtRepresentation(T.dims, tuple(terms), hs, SchmidtStatus.COMPLETE), report
+        return SchmidtRepresentation(T.dims, (), hs_T, SchmidtStatus.FAILED), DeflationReport(tuple(steps), failure)
+    rep = SchmidtRepresentation(T.dims, tuple(terms), hs, SchmidtStatus.COMPLETE)
+    return rep, DeflationReport(tuple(steps), None, verify_representation(T, rep, tol))
 
 
 def _peak_margin(M: np.ndarray) -> np.ndarray:
@@ -297,29 +297,8 @@ def _peak_margin(M: np.ndarray) -> np.ndarray:
     return top[:, -1] - top[:, -2]
 
 
-def _svd_decompose(
-    T: Tensor3, cfg: SearchConfig
-) -> Optional[tuple[SchmidtRepresentation, DeflationReport]]:
-    """The Schmidt representation read off one SVD of T(1), or None.
-
-    Term k takes x from the k-th left singular vector of the n1 x n2*n3
-    unfolding, and y, z from the leading rank-one factor of the k-th right
-    singular vector reshaped to n2 x n3; then tau = <T(x,y),z> is s_k times
-    that factor's singular value, so it is positive. _svd_block hands the
-    usable terms to _deflate as one block. None, so that greedy decides,
-    unless _deflate completes and the result passes verify_representation
-    at residual_tol.
-    """
-    got = _deflate(T, cfg, _svd_block(T, cfg))
-    if got is None or got[1].failure is not None:
-        return None
-    rep, report = got
-    check = verify_representation(T, rep, cfg.residual_tol)
-    return (rep, DeflationReport(report.steps, None, check)) if check.all_ok else None
-
-
 def _svd_block(T: Tensor3, cfg: SearchConfig) -> Callable:
-    """_svd_decompose's pick: at step 1 the canonical SVD terms (negative zeros cleared) before the first
+    """The SVD reading's pick: at step 1 the canonical SVD terms (negative zeros cleared) before the first
     unusable one, then None. A term is unusable when its singular value lies within dedup_tol*(1 + s) of
     the next, its reshaped right vector is not rank-one at residual_tol, or a peak entry of its x or y
     leads the next by at most dedup_tol (rounding could flip a canonical sign)."""
@@ -393,15 +372,21 @@ def verify_representation(
     (at the fixed 1e-8 family tolerance), hs-norm reconstruction residual
     <= tol, and the diagonal identity <T(x_i,y_i), z_i> = tau_i within tol.
     Each condition is reported separately; nothing raises on failure. The
-    terms are checked stacked: one Gram product per family, one
-    reconstruction product, and the diagonal from _residuals.
+    terms are checked stacked, by _check_terms.
     """
     if rep.dims != T.dims:
         raise ValueError(f"representation dims {rep.dims} do not match tensor dims {T.dims}")
     _check_tol(tol)
-    tau, X, Y, Z = _stacked_terms(rep.terms, T.dims)
-    max_gram = _max_gram_deviation(X, Y, Z)
-    residual = _reconstruction_residual(T, tau, X, Y, Z)
+    return _check_terms(T, *_stacked_terms(rep.terms, T.dims), tol)
+
+
+def _check_terms(T: Tensor3, tau, X, Y, Z, tol: float) -> RepresentationCheck:
+    """verify_representation's four conditions on terms stacked as arrays, one row each: one Gram product per
+    family, one reconstruction product of T(1), and the diagonal tau = <T(x, y), z> from _residuals."""
+    n1, n2, n3 = T.dims
+    max_gram = max((float(np.abs(F @ F.T - np.eye(len(F))).max()) for F in (X, Y, Z) if F.size), default=0.0)
+    recon = (X.T * tau) @ np.einsum("sj,sk->sjk", Y, Z).reshape(tau.size, n2 * n3)
+    residual = float(np.linalg.norm(T.array.reshape(n1, n2 * n3) - recon))
     max_diag = float(np.max(np.abs(_residuals(T.array, X, Y, Z)[0] - tau), initial=0.0))
     return RepresentationCheck(
         monotone=bool(np.all(tau[:-1] >= tau[1:])),

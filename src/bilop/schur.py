@@ -12,21 +12,14 @@ silently emitting a wrong representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _LAZY
 from .tensor_core import Tensor3
 from .spectra import _check_tol
-from .schmidt import (
-    _FAMILY_ORTHO_TOL,
-    _max_gram_deviation,
-    _reconstruction_residual,
-    SchmidtRepresentation,
-    SchmidtStatus,
-    verify_representation,
-)
+from .schmidt import _check_terms, SchmidtRepresentation, SchmidtStatus, verify_representation
 
 __all__ = list(_LAZY["schur"])
 
@@ -75,13 +68,18 @@ class SchurCheck:
         return self.reconstruction_ok and self.orthonormal and self.monotone
 
 
+def _asymmetry(T: Tensor3, *axes: tuple[int, int, int]) -> float:
+    """Largest entry of |t - t.transpose(p)| over the given axis permutations p."""
+    arr = T.array
+    return max(float(np.max(np.abs(arr - arr.transpose(p)))) for p in axes)
+
+
 def is_symmetric(T: Tensor3, tol: float = 1e-10) -> bool:
     """True iff T(x, y) = T(y, x), i.e. t[i,j,k] = t[j,i,k] within tol."""
     n1, n2, _ = T.dims
     if n1 != n2:
         raise ValueError(f"symmetry needs n1 = n2, got dims {T.dims}")
-    arr = T.array
-    return float(np.max(np.abs(arr - arr.transpose(1, 0, 2)))) <= tol
+    return _asymmetry(T, (1, 0, 2)) <= tol
 
 
 def is_self_adjoint(T: Tensor3, tol: float = 1e-10) -> bool:
@@ -94,10 +92,7 @@ def is_self_adjoint(T: Tensor3, tol: float = 1e-10) -> bool:
     n1, n2, n3 = T.dims
     if not n1 == n2 == n3:
         raise ValueError(f"self-adjointness needs equal dims, got {T.dims}")
-    arr = T.array
-    d1 = float(np.max(np.abs(arr - arr.transpose(0, 2, 1))))
-    d2 = float(np.max(np.abs(arr - arr.transpose(2, 1, 0))))
-    return max(d1, d2) <= tol
+    return _asymmetry(T, (0, 2, 1), (2, 1, 0)) <= tol
 
 
 def schur_from_schmidt(
@@ -119,12 +114,9 @@ def schur_from_schmidt(
         raise ValueError("operator is not self-adjoint at the given tolerance")
     if rep.status is not SchmidtStatus.COMPLETE:
         raise ValueError("schur_from_schmidt requires a Complete representation")
-    check = verify_representation(T, rep, tol)
-    if not check.all_ok:
-        raise ValueError(
-            "representation does not verify against the operator "
-            f"(reconstruction residual {check.reconstruction_residual:.3e})"
-        )
+    failures = verify_representation(T, rep, tol).failures(tol)
+    if failures:
+        raise ValueError(f"representation does not verify against the operator: {'; '.join(failures)}")
     terms = []
     for i, term in enumerate(rep.terms):
         s1 = float(term.y @ term.x)
@@ -146,7 +138,9 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
 
     Reconstruction compares T against sum_i lam_i x_i (x) x_i (x) x_i in
     hs-norm at tol; orthonormality of {x_i} uses the fixed 1e-8 family
-    tolerance; monotone means |lam_1| >= |lam_2| >= ... .
+    tolerance; monotone means |lam_1| >= |lam_2| >= ... . The figures are
+    verify_representation's, by _check_terms, on the Schmidt terms
+    (|lam_i|, x_i, x_i, sign(lam_i) x_i), whose sign flips are exact.
     """
     n1, n2, n3 = T.dims
     if not n1 == n2 == n3:
@@ -154,15 +148,5 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
     _check_tol(tol)
     lam = np.array([t.lam for t in schur.terms], dtype=float)
     X = np.array([t.x for t in schur.terms], dtype=float).reshape(lam.size, n1)
-    residual = _reconstruction_residual(T, lam, X, X, X)
-    max_gram = _max_gram_deviation(X)
-
-    lams = [abs(t.lam) for t in schur.terms]
-    monotone = all(lams[i] >= lams[i + 1] for i in range(len(lams) - 1))
-    return SchurCheck(
-        reconstruction_ok=residual <= tol,
-        reconstruction_residual=residual,
-        orthonormal=max_gram <= _FAMILY_ORTHO_TOL,
-        monotone=monotone,
-        max_gram_deviation=max_gram,
-    )
+    check = _check_terms(T, np.abs(lam), X, X, np.where(lam[:, None] < 0, -X, X), tol)
+    return SchurCheck(**{f.name: getattr(check, f.name) for f in fields(SchurCheck)})

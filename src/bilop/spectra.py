@@ -891,7 +891,10 @@ def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck
     _check_tol(tol)
     _check_floor(T, tol)
     x, y, z = _unit_triple(T, triple)
-    tau = float(triple.tau)
+    try:
+        tau = float(triple.tau)
+    except OverflowError:  # a Python int beyond the float range
+        raise ValueError("tau must be finite, got a number beyond the float range") from None
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     r1, r2, r3 = (float(r) for r in _residuals(T.array, x[None], y[None], z[None], np.array([tau]))[1][0])

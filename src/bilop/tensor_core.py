@@ -3,8 +3,10 @@
 A bilinear operator T: H1 x H2 -> K with dim H1 = n1, dim H2 = n2 and
 dim K = n3 is stored as the dense third-order array of its coefficients
 t[i][j][k] = <T(e_i, f_j), g_k> in fixed orthonormal bases, flattened in
-row-major order (k fastest). This module owns the contractions, norms,
-basis changes and rank-one arithmetic everything else is built from.
+row-major order (k fastest). This module owns that data model and its
+JSON form, the single-vector contractions, norms and basis changes, and
+the rank-one term product that deflation and assembly share; the batched
+contraction kernel is spectra's.
 """
 
 from __future__ import annotations
@@ -197,6 +199,11 @@ def change_basis(T: Tensor3, U: np.ndarray, V: np.ndarray, W: np.ndarray) -> Ten
     return Tensor3.from_array(arr, name=T.name)
 
 
+def _rank_one(tau: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The array of tau * x (x) y (x) z: (x_i y_j) z_k, then times tau."""
+    return tau * (x[:, None, None] * y[:, None] * z)
+
+
 def deflate_term(
     T: Tensor3, tau: float, x: ArrayLike, y: ArrayLike, z: ArrayLike
 ) -> Tensor3:
@@ -204,7 +211,7 @@ def deflate_term(
     xa = _as_entries(x, "H1", T.dims[0], "x")
     ya = _as_entries(y, "H2", T.dims[1], "y")
     za = _as_entries(z, "K", T.dims[2], "z")
-    arr = T.array - float(tau) * np.einsum("i,j,k->ijk", xa, ya, za)
+    arr = T.array - _rank_one(float(tau), xa, ya, za)
     return Tensor3.from_array(arr, name=T.name)
 
 
@@ -234,7 +241,7 @@ def from_schmidt(
         xa = _as_entries(x, "H1", n1, "x")
         ya = _as_entries(y, "H2", n2, "y")
         za = _as_entries(z, "K", n3, "z")
-        arr += float(tau) * np.einsum("i,j,k->ijk", xa, ya, za)
+        arr += _rank_one(float(tau), xa, ya, za)
     return Tensor3.from_array(arr, name=name)
 
 

@@ -10,8 +10,11 @@ The Schmidt deflation loop now checks a block of terms at once with Gram correct
 differ from the per-term loop's in the last bits: there the references must give the same decisions,
 counts and strings, and floats within 1e-12. The ordered-slice kernel that joined _residuals is kept too
 (ref_slice_residuals): its slices, which sum one-row blocks on gemv, must stay within 1e-15 of _residuals'.
+verify_schur, which now checks the Schur terms as Schmidt terms with verify_representation's checker, must
+keep the bytes of its own Gram and reconstruction products (ref_verify_schur).
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -31,9 +34,14 @@ from bilop import (
     hopm_value_trace,
     hs_norm,
     is_ordered,
+    SchurCheck,
+    SchurRepresentation,
+    SchurTerm,
     schmidt_decompose,
+    schur_from_schmidt,
     spectra,
     verify_representation,
+    verify_schur,
 )
 from bilop.schmidt import (
     _FAMILY_ORTHO_TOL,
@@ -428,6 +436,24 @@ def ref_verify_representation(T, rep, tol):
     )
 
 
+def ref_verify_schur(T, schur, tol):
+    """verify_schur with its own products: one Gram product of the x family and one reconstruction product."""
+    n = T.dims[0]
+    lam = np.array([t.lam for t in schur.terms], dtype=float)
+    X = np.array([t.x for t in schur.terms], dtype=float).reshape(lam.size, n)
+    recon = (X.T * lam) @ np.einsum("sj,sk->sjk", X, X).reshape(lam.size, n * n)
+    residual = float(np.linalg.norm(T.array.reshape(n, n * n) - recon))
+    max_gram = float(np.abs(X @ X.T - np.eye(len(X))).max()) if X.size else 0.0
+    lams = [abs(t.lam) for t in schur.terms]
+    return SchurCheck(
+        reconstruction_ok=residual <= tol,
+        reconstruction_residual=residual,
+        orthonormal=max_gram <= _FAMILY_ORTHO_TOL,
+        max_gram_deviation=max_gram,
+        monotone=all(lams[i] >= lams[i + 1] for i in range(len(lams) - 1)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -491,6 +517,11 @@ EACH_SCHMIDT_INPUT = pytest.mark.parametrize("name", SCHMIDT_INPUTS)
 GAUSSIANS_456 = {f"gauss-4x5x6-{seed}": Tensor3.from_array(np.random.default_rng(seed).standard_normal((4, 5, 6))) for seed in (1, 2, 3)}
 SLICE_INPUTS = {**{name: getattr(gallery, name)() for name in gallery.__all__}, **GAUSSIANS_456}
 GREEDY_INPUTS = pytest.mark.parametrize("name", [name for name, (_, greedy) in SCHMIDT_INPUTS.items() if greedy])
+#: Symmetric self-adjoint inputs of the Schur checker reference: signed diagonals and seeded planted cubics.
+SCHUR_INPUTS = {
+    **{"signed-diagonal-" + "-".join(f"{w:g}" for w in ws): gallery.signed_diagonal(ws) for ws in [(3.0, -2.0, 1.0), (2.0, 2.0, 1.0), (-1.0, 0.5), (-4.0,)]},
+    **{f"cubic-{n}-{seed}": planted_cubic(seed, n) for n in (3, 5, 8) for seed in (0, 1)},
+}
 
 
 def raw_starts(T):
@@ -820,3 +851,23 @@ class TestDeflationBlock:
             tracemalloc.stop()
         assert rep.status is SchmidtStatus.COMPLETE and len(rep.terms) == 32 and report.check is not None
         assert peak < 8 * T.values.nbytes
+
+
+class TestSchurCheck:
+    CFG = SearchConfig()
+
+    @pytest.mark.parametrize("name", SCHUR_INPUTS)
+    def test_verify_schur_equals_the_reference_byte_for_byte(self, name):
+        # The Schur form as converted, reversed (not monotone unless |lam| ties), every lam moved by about 1e-7
+        # (a reconstruction residual above tol), and empty.
+        T = SCHUR_INPUTS[name]
+        schur = schur_from_schmidt(T, schmidt_decompose(T, self.CFG)[0], 1e-9)
+        rng = np.random.default_rng(len(name))
+        moved = tuple(SchurTerm(t.lam + 1e-7 * rng.standard_normal(), t.x) for t in schur.terms)
+        forms = [schur.terms, schur.terms[::-1], moved, ()]
+        assert len(schur.terms) == T.dims[0] and not verify_schur(T, SchurRepresentation(schur.dim, moved), 1e-9).all_ok
+        for terms in forms:
+            form = SchurRepresentation(schur.dim, terms)
+            got, want = (dataclasses.astuple(check(T, form, 1e-9)) for check in (verify_schur, ref_verify_schur))
+            assert [type(v) for v in got] == [type(v) for v in want]  # bools are bools, floats floats
+            assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]

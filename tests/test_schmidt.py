@@ -25,8 +25,8 @@ from bilop import (
     verify_triple,
 )
 from bilop import schmidt
-from bilop.schmidt import _greedy, _svd_decompose
-from bilop.spectra import _start_table
+from bilop.schmidt import _deflate, _greedy, _svd_block
+from bilop.spectra import _alternating_stage, _start_table
 
 
 def orbit_matches(got, want, atol):
@@ -321,6 +321,15 @@ def planted(seed):
     return from_schmidt([(taus[i], U[:, i], V[:, i], W[:, i]) for i in range(rank)], dims=dims)
 
 
+def assert_carries_its_check(T, got, tol):
+    """report.check is verify_representation's at tol on a Complete result, and None on a Failed one."""
+    rep, report = got
+    if rep.status is SchmidtStatus.COMPLETE:
+        assert dataclasses.asdict(report.check) == dataclasses.asdict(verify_representation(T, rep, tol))
+    else:
+        assert report.check is None
+
+
 def assert_same_decomposition(got, want, atol):
     """Same status, failure, term and step counts; numbers within atol."""
     (rep, report), (rep_w, report_w) = got, want
@@ -344,29 +353,40 @@ class TestSvdFastPath:
 
     CFG = SearchConfig()
 
+    @staticmethod
+    def decompose(T, cfg):
+        """schmidt_decompose(T, cfg) from a cold search, and whether it kept the SVD reading: that draws no
+        start normals, while greedy deflation's first search draws them."""
+        _alternating_stage.cache_clear()
+        _start_table.clear()
+        got = schmidt_decompose(T, cfg)
+        assert_carries_its_check(T, got, cfg.residual_tol)
+        return got, not _start_table
+
     @pytest.mark.parametrize(
         "name, fast",
         [("diagonal_pair", True), ("overlapping_slices", False), ("orthonormal_triad", False), ("signed_diagonal", True)],
     )
     def test_gallery_matches_greedy(self, name, fast):
         T = getattr(gallery, name)()
-        assert (_svd_decompose(T, self.CFG) is not None) is fast
-        assert_same_decomposition(schmidt_decompose(T, self.CFG), _greedy(T, self.CFG), atol=1e-10)
+        got, kept = self.decompose(T, self.CFG)
+        assert kept is fast
+        assert_same_decomposition(got, _greedy(T, self.CFG), atol=1e-10)
 
     def test_planted_tensors_match_greedy(self):
         cfg = SearchConfig(starts=16)
         for seed in range(100):
             T = planted(seed)
-            fast = _svd_decompose(T, cfg)
-            assert fast is not None, seed
+            fast, kept = self.decompose(T, cfg)
+            assert kept, seed
             assert fast[0].status is SchmidtStatus.COMPLETE
             assert_same_decomposition(fast, _greedy(T, cfg), atol=1e-10)
 
     def test_planted_schur_cubics_match_greedy(self, planted_schur_factory):
         for seed in range(10):
             T, _, _ = planted_schur_factory(seed)
-            fast = _svd_decompose(T, self.CFG)
-            assert fast is not None, seed
+            fast, kept = self.decompose(T, self.CFG)
+            assert kept, seed
             assert_same_decomposition(fast, _greedy(T, self.CFG), atol=1e-10)
 
     def test_fast_path_reports_its_final_check(self):
@@ -378,9 +398,11 @@ class TestSvdFastPath:
         assert [f.name for f in dataclasses.fields(report)] == ["steps", "failure"]
         assert "check" not in repr(report)
 
-    @pytest.mark.parametrize("name", ["orthonormal_triad", "overlapping_slices"])
-    def test_greedy_results_carry_no_check(self, name):
-        assert schmidt_decompose(getattr(gallery, name)(), self.CFG)[1].check is None
+    @pytest.mark.parametrize("name, status", [("orthonormal_triad", SchmidtStatus.COMPLETE), ("overlapping_slices", SchmidtStatus.FAILED)])
+    def test_greedy_results_carry_their_check(self, name, status):
+        # decompose asserts the check: verify_representation's on the Complete triad, None on the Failed slices.
+        (rep, _), kept = self.decompose(getattr(gallery, name)(), self.CFG)
+        assert not kept and rep.status is status
 
     def test_fast_path_runs_no_search(self):
         rep, report = schmidt_decompose(planted(0), self.CFG)
@@ -396,9 +418,9 @@ class TestSvdFastPath:
                 assert not np.signbit(v[v == 0.0]).any()
 
     def fallback(self, T):
-        """Assert the SVD reading is refused and the result is greedy's, bit for bit."""
-        assert _svd_decompose(T, self.CFG) is None
-        got = schmidt_decompose(T, self.CFG)
+        """Assert the SVD reading is refused and the result is greedy's, bit for bit, with its check."""
+        got, kept = self.decompose(T, self.CFG)
+        assert not kept
         assert_same_decomposition(got, _greedy(T, self.CFG), atol=0.0)
         return got
 
@@ -434,7 +456,7 @@ class TestSvdFastPath:
             return got
 
         monkeypatch.setattr(schmidt, "_residuals", spy)
-        assert _svd_decompose(T, self.CFG) is None
+        assert _deflate(T, self.CFG, _svd_block(T, self.CFG)) is None
         assert checked == [[3.0]]
         monkeypatch.undo()
         rep, report = self.fallback(T)
@@ -462,3 +484,50 @@ class TestSvdFastPath:
         # fallback compares the failures whole: step, reason and diagnostics.
         _, report = self.fallback(overlap)
         assert (report.failure.step, report.failure.reason) == (1, FailureReason.NOT_ORDERED)
+
+
+class TestDeflationExits:
+    """A checked row that fails the search gate abandons the run; one that fails the transfer check fails it."""
+
+    CFG = SearchConfig()
+
+    @staticmethod
+    def inflate(monkeypatch, row, when):
+        """Patch schmidt._residuals so that its figures of the given row read 1.0 on every call where
+        when(X, tau, deflated) holds."""
+        real = schmidt._residuals
+
+        def patched(arr, X, Y, Z, tau=None, deflated=False, slices=False):
+            got, R = real(arr, X, Y, Z, tau, deflated, slices)
+            if when(X, tau, deflated):
+                R = R.copy()
+                R[row] = 1.0
+            return got, R
+
+        monkeypatch.setattr(schmidt, "_residuals", patched)
+
+    def test_an_svd_row_failing_the_gate_abandons_the_reading(self, monkeypatch):
+        # signed_diagonal's reading is one block of three rows; the second fails the gate after the first
+        # was recorded, so the reading leaves nothing and greedy deflation (blocks of one row) decides.
+        T = gallery.signed_diagonal()
+        want = _greedy(T, self.CFG)
+        self.inflate(monkeypatch, 1, lambda X, tau, deflated: deflated and X.shape[0] > 1)
+        assert _deflate(T, self.CFG, _svd_block(T, self.CFG)) is None
+        got = schmidt_decompose(T, self.CFG)
+        assert_same_decomposition(got, want, atol=0.0)
+        assert_carries_its_check(T, got, self.CFG.residual_tol)
+
+    def test_a_term_failing_the_transfer_check_fails_the_run(self, monkeypatch):
+        # The transfer check is the one call with a given tau that is not a block's check.
+        T = gallery.signed_diagonal()
+        self.inflate(monkeypatch, 1, lambda X, tau, deflated: tau is not None and not deflated)
+        rep, report = _deflate(T, self.CFG, _svd_block(T, self.CFG))
+        assert rep.status is SchmidtStatus.FAILED and rep.terms == () and report.check is None
+        assert [s.index for s in report.steps] == [1, 2]
+        assert report.steps[1].transfer_residuals == (1.0, 1.0, 1.0)
+        assert max(report.steps[1].slice_residuals) <= self.CFG.residual_tol
+        assert (report.failure.step, report.failure.reason) == (2, FailureReason.NOT_ORDERED)
+        assert report.failure.diagnostics == (
+            "step-2 triple fails the transfer identities against the original operator (max residual 1); "
+            "the ordered hypothesis does not propagate"
+        )

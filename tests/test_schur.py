@@ -6,6 +6,7 @@ import pytest
 from bilop import (
     SchmidtRepresentation,
     SchmidtStatus,
+    SchmidtTerm,
     SchurInconsistencyError,
     SchurRepresentation,
     SchurTerm,
@@ -128,6 +129,17 @@ class TestSchurFromSchmidt:
         rep, _ = schmidt_decompose(signed_diag, CFG)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             schur_from_schmidt(signed_diag, rep, tol)
+
+    def test_refusal_names_each_failed_condition(self, signed_diag):
+        # x1, y1 and z1 tilted 1e-6 toward e2: the families' Gram deviation, about 1e-6, exceeds the 1e-8
+        # family bound, while the reconstruction residual and diagonal deviation stay within tol = 1e-4.
+        rep, _ = schmidt_decompose(signed_diag, CFG)
+        first = rep.terms[0]
+        tilt = lambda v: (v + [0.0, 1e-6, 0.0]) / np.linalg.norm(v + [0.0, 1e-6, 0.0])  # noqa: E731
+        tilted = SchmidtTerm(first.tau, tilt(first.x), tilt(first.y), tilt(first.z))
+        hand = SchmidtRepresentation(rep.dims, (tilted, *rep.terms[1:]), rep.reconstruction_residual, SchmidtStatus.COMPLETE)
+        with pytest.raises(ValueError, match=r"operator: max Gram deviation 1\.000e-06 > 1e-08$"):
+            schur_from_schmidt(signed_diag, hand, 1e-4)
 
     def test_inconsistency_is_not_an_argument_error(self):
         # The two failure modes must stay distinguishable for callers

@@ -188,10 +188,14 @@ class TestVerifyTriple:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 check(diag_pair, exact, tol)
 
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "int-1e400"])
     def test_rejects_a_tau_that_is_not_finite(self, diag_pair, tau):
-        with pytest.raises(ValueError, match="tau must be finite"):
-            verify_triple(diag_pair, make_triple(tau, [1, 0, 0], [1, 0], [1, 0, 0, 0]), 1e-9)
+        # 10**400 is a Python int beyond the float range, so the triple is built without make_triple's float().
+        # is_ordered goes through verify_triple, so it refuses the same way.
+        triple = SingularTriple(tau, np.array([1.0, 0, 0]), np.array([1.0, 0]), np.array([1.0, 0, 0, 0]), (0.0, 0.0, 0.0))
+        for check in (verify_triple, is_ordered):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                check(diag_pair, triple, 1e-9)
 
     def test_sign_orbit_closure(self, diag_pair):
         a = 3.0 / S13
