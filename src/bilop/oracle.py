@@ -3,11 +3,13 @@
 Nothing here feeds back into the main search: the oracles exist so the
 tests can cross-check spectra/schmidt results against methods with
 different failure modes. grid_norm_oracle bounds the operator norm from
-below by direct evaluation over angular grids; stationarity_fd_check
-probes the first-order optimality of a triple with central finite
-differences on the product of spheres; exhaustive_small_spectrum re-runs
-the search from a dense deterministic sign-pattern lattice. All are
-guarded to small dimensions where brute force is meaningful.
+below, up to the rounding of one SVD: it grids the sphere of the smallest
+mode only and takes the exact spectral norm over the other two, so its
+cost is exponential in min(dims) - 1 alone. stationarity_fd_check probes
+the first-order optimality of a triple with central finite differences on
+the product of spheres; exhaustive_small_spectrum re-runs the search from
+a dense deterministic sign-pattern lattice. All are guarded to small
+dimensions where brute force is meaningful.
 """
 
 from __future__ import annotations
@@ -36,12 +38,17 @@ _DIM_GUARD = 4
 #: Memory cap (in float64 values) for one grid-evaluation chunk.
 _CHUNK_BUDGET = 4_000_000
 
+#: How many first-round points grid_norm_oracle refines, and the angle that
+#: separates them (the polar half-width of the first refinement window).
+_INCUMBENTS = 2
+_CAP = np.pi / 20
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Angular grid parameters: points per angle and refinement rounds.
 
-    Each refinement round re-grids a window around the incumbent maximizer
+    Each refinement round re-grids a window around each incumbent maximizer
     shrunk by 10x per angle, so the final angular resolution is roughly
     (initial spacing) / 10^refinement_rounds.
     """
@@ -50,17 +57,16 @@ class GridSpec:
     refinement_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if self.resolution < 8:
-            raise ValueError("resolution must be at least 8")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be nonnegative")
+        for name, low in (("resolution", 8), ("refinement_rounds", 0)):
+            value = getattr(self, name)
+            # Integers (numpy's too), never bools or floats, as in SearchConfig.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}")
 
 
 def _check_guard(dims: tuple[int, int, int]) -> None:
     if max(dims) > _DIM_GUARD:
-        raise ValueError(
-            f"oracle accepts dims up to {_DIM_GUARD} per mode, got {dims}"
-        )
+        raise ValueError(f"oracle accepts dims up to {_DIM_GUARD} per mode, got {dims}")
 
 
 def _angles_to_sphere(angles: np.ndarray, n: int) -> np.ndarray:
@@ -79,72 +85,66 @@ def _angles_to_sphere(angles: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _initial_window(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and halfwidths covering the whole sphere of R^n.
+def _initial_halfwidths(n: int) -> np.ndarray:
+    """Halfwidths of the window covering the whole sphere of R^n, which are also its centers.
 
     Polar angles range over [0, pi], the final azimuthal angle over
-    [0, 2 pi); n = 1 has no angles (the grid is the single point (1),
-    which suffices for norm evaluation since the sign of a factor does
-    not change ||T(x, y)||).
+    [0, 2 pi]; n = 1 has no angles (the grid is the single point (1),
+    which suffices for norm evaluation since the sign of x does not
+    change the spectral norm of sum_i x_i T_i).
     """
-    a = n - 1
-    centers = np.full(a, np.pi / 2)
-    halfwidths = np.full(a, np.pi / 2)
-    if a > 0:
-        centers[-1] = np.pi
-        halfwidths[-1] = np.pi
-    return centers, halfwidths
+    halfwidths = np.full(n - 1, np.pi / 2)
+    halfwidths[-1:] = np.pi
+    return halfwidths
 
 
 def _angle_grid(centers: np.ndarray, halfwidths: np.ndarray, resolution: int) -> np.ndarray:
-    """Cartesian product grid of angles, one row per point."""
-    a = centers.size
-    if a == 0:
+    """Cartesian product grid of angles, one row per point (one empty row when there are none)."""
+    if centers.size == 0:
         return np.zeros((1, 0))
-    axes = [
-        np.linspace(c - h, c + h, resolution) for c, h in zip(centers, halfwidths)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    axes = [np.linspace(c - h, c + h, resolution) for c, h in zip(centers, halfwidths)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, centers.size)
+
+
+def _incumbents(sigma: np.ndarray, X: np.ndarray) -> list[int]:
+    """The first round's points to refine: the best one, then the best one
+    outside the cap of angle _CAP around each earlier pick and its antipode,
+    up to _INCUMBENTS points, so a near-tied basin elsewhere is refined too."""
+    picks: list[int] = []
+    alive = np.ones(sigma.size, dtype=bool)
+    while len(picks) < _INCUMBENTS and alive.any():
+        picks.append(int(np.argmax(np.where(alive, sigma, -np.inf))))
+        alive &= np.abs(X @ X[picks[-1]]) < np.cos(_CAP)
+    return picks
 
 
 def grid_norm_oracle(T: Tensor3, spec: Optional[GridSpec] = None) -> float:
-    """Lower bound on the operator norm by direct grid maximization.
+    """Lower bound on ||T|| from a grid over one sphere, exact over the other two.
 
-    Evaluates ||T(x, y)|| on an angular product grid over the two input
-    spheres, then refines the window around the incumbent by 10x per
-    round. Every evaluated point is feasible, so the result never exceeds
-    the true norm; at the default resolution it lands within 1e-4 of it
-    on the guard-sized benchmark operators. Cost is exponential in
-    (n1 - 1) + (n2 - 1), which the dimension guard keeps tolerable.
+    ||T|| = max over unit x of sigma_max(sum_i x_i T_i), the T_i being the
+    slices along any one mode (Lim 2005). This grids the smallest mode's
+    sphere in hyperspherical angles (a mode of size 1 is one point), takes
+    the exact spectral norm at each point and refines 10x per round around
+    each of the first round's _incumbents: a lower bound up to the rounding
+    of one SVD, at a cost exponential in min(dims) - 1 only.
     """
     spec = spec if spec is not None else GridSpec()
     _check_guard(T.dims)
-    arr = T.array
-    n1, n2, _ = T.dims
-    cx, hx = _initial_window(n1)
-    cy, hy = _initial_window(n2)
-    best = 0.0
-    for _ in range(1 + spec.refinement_rounds):
-        ax = _angle_grid(cx, hx, spec.resolution)
-        ay = _angle_grid(cy, hy, spec.resolution)
-        X = _angles_to_sphere(ax, n1)
-        Y = _angles_to_sphere(ay, n2)
-        chunk = max(1, _CHUNK_BUDGET // max(1, Y.shape[0] * T.dims[2]))
-        round_best = -1.0
-        round_arg = (0, 0)
-        for lo in range(0, X.shape[0], chunk):
-            Xc = X[lo : lo + chunk]
-            vals = np.linalg.norm(
-                np.einsum("ijk,si,tj->stk", arr, Xc, Y), axis=2
-            )
-            s, t = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if vals[s, t] > round_best:
-                round_best = float(vals[s, t])
-                round_arg = (lo + s, t)
-        best = max(best, round_best)
-        cx, cy = ax[round_arg[0]], ay[round_arg[1]]
-        hx, hy = hx / 10.0, hy / 10.0
+    n = min(T.dims)
+    slices = np.moveaxis(T.array, T.dims.index(n), 0)
+    chunk = max(1, _CHUNK_BUDGET // slices[0].size)
+    halfwidths = _initial_halfwidths(n)
+    centers, best = halfwidths[None], 0.0
+    for r in range(1 + spec.refinement_rounds):
+        angles = np.stack([_angle_grid(c, halfwidths, spec.resolution) for c in centers])
+        X = _angles_to_sphere(np.concatenate(angles), n)
+        sigma = np.concatenate([
+            np.linalg.norm(np.tensordot(X[lo : lo + chunk], slices, axes=1), 2, axis=(1, 2))
+            for lo in range(0, X.shape[0], chunk)
+        ]).reshape(len(centers), -1)
+        best = max(best, float(sigma.max()))
+        centers = angles[range(len(centers)), sigma.argmax(axis=1)] if r else angles[0, _incumbents(sigma[0], X)]
+        halfwidths = halfwidths / 10.0
     return best
 
 
@@ -179,16 +179,12 @@ def stationarity_fd_check(T: Tensor3, triple: SingularTriple, h: float) -> float
     worst = 0.0
     vectors = [xa, ya, za]
     for mode in range(3):
-        basis = _tangent_basis(vectors[mode])
-        for col in range(basis.shape[1]):
-            d = basis[:, col]
-            args_p = [v.copy() for v in vectors]
-            args_m = [v.copy() for v in vectors]
-            wp = vectors[mode] + h * d
-            wm = vectors[mode] - h * d
-            args_p[mode] = wp / np.linalg.norm(wp)
-            args_m[mode] = wm / np.linalg.norm(wm)
-            worst = max(worst, abs(f(*args_p) - f(*args_m)) / (2.0 * h))
+        for d in _tangent_basis(vectors[mode]).T:
+            fp, fm = (
+                f(*vectors[:mode], w / np.linalg.norm(w), *vectors[mode + 1 :])
+                for w in (vectors[mode] + h * d, vectors[mode] - h * d)
+            )
+            worst = max(worst, abs(fp - fm) / (2.0 * h))
     return worst
 
 

@@ -195,7 +195,10 @@ def change_basis(T: Tensor3, U: np.ndarray, V: np.ndarray, W: np.ndarray) -> Ten
     Ua = _check_orthogonal(U, n1, "U")
     Va = _check_orthogonal(V, n2, "V")
     Wa = _check_orthogonal(W, n3, "W")
-    arr = np.einsum("ijk,ia,jb,kc->abc", T.array, Ua, Va, Wa)
+    # One mode at a time, O(n^4): each product turns the leading index into a trailing one.
+    arr = T.array
+    for M in (Ua, Va, Wa):
+        arr = np.tensordot(arr, M, axes=(0, 0))
     return Tensor3.from_array(arr, name=T.name)
 
 

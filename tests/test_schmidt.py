@@ -257,6 +257,21 @@ class TestReconstruct:
             reconstruct(rep, [1.0, 0.0], [0.0, 1.0])
 
 
+class TestSchmidtTerm:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_rejects_a_weight_not_positive(self, tau):
+        e = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="requires tau > 0"):
+            SchmidtTerm(tau, e, e, e)
+
+    @pytest.mark.parametrize("label", "xyz")
+    def test_rejects_a_non_unit_vector(self, label):
+        vectors = {v: np.array([1.0, 0.0]) for v in "xyz"}
+        vectors[label] = np.array([1.0, 1e-4])
+        with pytest.raises(ValueError, match=f"SchmidtTerm.{label} must be a unit vector"):
+            SchmidtTerm(1.0, **vectors)
+
+
 class TestVerifyRepresentation:
     def test_known_good_representation_passes(self, diag_pair, diag_pair_rep):
         rep, _ = diag_pair_rep

@@ -114,6 +114,24 @@ class TestSchurFromSchmidt:
         with pytest.raises(ValueError):
             schur_from_schmidt(T, rep, 1e-9)
 
+    def test_rejects_an_asymmetric_input(self):
+        arr = np.zeros((2, 2, 2))
+        arr[0, 1, 0] = 1.0
+        T = Tensor3.from_array(arr)
+        rep = SchmidtRepresentation((2, 2, 2), (), 1.0, SchmidtStatus.COMPLETE)
+        with pytest.raises(ValueError, match="operator is not symmetric"):
+            schur_from_schmidt(T, rep, 1e-9)
+
+    def test_misaligned_term_raises_inconsistency(self):
+        # 2 e1 (x) e1 (x) e1 plus a term of weight 1e-12 whose y is e3, orthogonal to its x = e2: the
+        # representation verifies at tol = 1e-9, but that term's <y, x> is 0 rather than +-1.
+        e1, e2, e3 = np.eye(3)
+        T = Tensor3.from_array(2.0 * np.einsum("i,j,k->ijk", e1, e1, e1))
+        terms = (SchmidtTerm(2.0, e1, e1, e1), SchmidtTerm(1e-12, e2, e3, e2))
+        rep = SchmidtRepresentation((3, 3, 3), terms, 1e-12, SchmidtStatus.COMPLETE)
+        with pytest.raises(SchurInconsistencyError, match=r"^term 2: alignment factors <y,x> = 0"):
+            schur_from_schmidt(T, rep, 1e-9)
+
     def test_rejects_failed_representation(self, signed_diag):
         failed = SchmidtRepresentation(
             dims=(3, 3, 3),
@@ -171,6 +189,10 @@ class TestVerifySchur:
         assert check.reconstruction_residual == pytest.approx(4.0, abs=1e-9)
         assert check.orthonormal
         assert check.monotone
+
+    def test_rejects_unequal_dims(self, diag_pair):
+        with pytest.raises(ValueError, match="verify_schur needs equal dims"):
+            verify_schur(diag_pair, SchurRepresentation(dim=3, terms=()), 1e-9)
 
     def test_empty_representation_matches_zero_operator(self):
         T = Tensor3.from_array(np.zeros((3, 3, 3)))

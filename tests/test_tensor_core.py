@@ -45,6 +45,16 @@ class TestVectorH:
         with pytest.raises(ValueError):
             VectorH(entries=np.array([1.0, np.nan]), space="H1")
 
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            VectorH(entries=np.array([]), space="H1")
+
+    def test_array_conversion_honours_a_dtype(self):
+        v = VectorH(entries=np.array([0.5, -1.0]), space="H2")
+        out = np.asarray(v, dtype=np.float32)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [0.5, -1.0])
+
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
             VectorH(entries=np.eye(2), space="H1")
@@ -76,6 +86,10 @@ class TestTensor3:
             with pytest.raises(ValueError):
                 Tensor3(dims=dims, values=values)
 
+    def test_from_array_rejects_a_non_3d_array(self):
+        with pytest.raises(ValueError, match="expected a 3-D array"):
+            Tensor3.from_array(np.zeros((2, 2)))
+
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             Tensor3(dims=(2, 0, 2), values=np.zeros(0))
@@ -106,6 +120,17 @@ class TestContractions:
         y_tagged_as_k = VectorH(entries=np.array([1.0, 0.0]), space="K")
         with pytest.raises(ValueError):
             apply(diag_pair, np.array([1.0, 0.0, 0.0]), y_tagged_as_k)
+
+    def test_tagged_vectors_match_plain_arrays(self, overlap):
+        x, y, z = np.array([0.3, -1.2, 2.0]), np.array([0.7, 0.4]), np.array([1.0, -0.5, 0.25, 2.0])
+        xh, yh, zh = VectorH(x, "H1"), VectorH(y, "H2"), VectorH(z, "K")
+        pairs = [
+            (apply(overlap, xh, yh), apply(overlap, x, y)),
+            (adjoint_contract_1(overlap, yh, zh), adjoint_contract_1(overlap, y, z)),
+            (adjoint_contract_2(overlap, xh, zh), adjoint_contract_2(overlap, x, z)),
+        ]
+        for tagged, plain in pairs:
+            np.testing.assert_array_equal(np.asarray(tagged), np.asarray(plain))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -157,6 +182,13 @@ class TestChangeBasis:
     def test_rejects_wrong_shape(self, diag_pair):
         with pytest.raises(ValueError):
             change_basis(diag_pair, np.eye(2), np.eye(2), np.eye(4))
+
+    def test_matches_the_four_operand_contraction(self):
+        rng = np.random.default_rng(16)
+        T = Tensor3.from_array(rng.standard_normal((16, 16, 16)))
+        U, V, W = (random_orthonormal(rng, 16) for _ in range(3))
+        want = np.einsum("ijk,ia,jb,kc->abc", T.array, U, V, W)
+        np.testing.assert_allclose(change_basis(T, U, V, W).array, want, rtol=0, atol=1e-12)
 
 
 class TestRankOneArithmetic:
@@ -216,4 +248,9 @@ class TestJsonRoundTrip:
         data = tensor_to_json_dict(diag_pair)
         mangle(data)
         with pytest.raises(ValueError):
+            tensor_from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [[2, 2, 2], "tensor", None])
+    def test_rejects_json_that_is_not_an_object(self, data):
+        with pytest.raises(ValueError, match="must be an object"):
             tensor_from_json_dict(data)
