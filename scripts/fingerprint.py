@@ -67,7 +67,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import bilop  # noqa: E402
 import workloads  # noqa: E402
 from bilop import SearchConfig  # noqa: E402
-from bilop.spectra import _ORBIT_SIGNS  # noqa: E402
+from bilop.spectra import _orbit_distance  # noqa: E402
 
 FAMILIES = ("spectrum-gaussian", "schmidt-planted", "gallery", "cli-gallery")
 #: Two lists whose elements differ by more than this are tried for a reordering.
@@ -270,9 +270,7 @@ def same_orbit(a, b) -> bool:
     """tau within ORBIT_TOL, and x, y, z each within ORBIT_TOL in norm for one sign variant."""
     if abs(a[0] - b[0]) > ORBIT_TOL or any(u.shape != v.shape for u, v in zip(a[1:], b[1:])):
         return False
-    return any(
-        all(np.linalg.norm(u - s * v) <= ORBIT_TOL for u, v, s in zip(a[1:], b[1:], signs)) for signs in _ORBIT_SIGNS
-    )
+    return bool(_orbit_distance(tuple(u[None] for u in a[1:]), b[1:])[0] <= ORBIT_TOL)
 
 
 def orbit_diff(old, new, where: str) -> list[str]:

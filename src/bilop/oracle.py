@@ -26,6 +26,7 @@ from .spectra import (
     SearchConfig,
     SingularTriple,
     Spectrum,
+    _int_at_least,
     _search_candidates,
     _unit_triple,
 )
@@ -58,9 +59,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name, low in (("resolution", 8), ("refinement_rounds", 0)):
-            value = getattr(self, name)
-            # Integers (numpy's too), never bools or floats, as in SearchConfig.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            if not _int_at_least(getattr(self, name), low):
                 raise ValueError(f"{name} must be an integer of at least {low}")
 
 

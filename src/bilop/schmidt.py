@@ -46,6 +46,7 @@ from .spectra import (
     _row_norms,
     _search_candidates,
     _stacked_terms,
+    _tie_groups,
 )
 
 __all__ = list(_LAZY["schmidt"])
@@ -299,17 +300,17 @@ def _peak_margin(M: np.ndarray) -> np.ndarray:
 
 def _svd_block(T: Tensor3, cfg: SearchConfig) -> Callable:
     """The SVD reading's pick: at step 1 the canonical SVD terms (negative zeros cleared) before the first
-    unusable one, then None. A term is unusable when its singular value lies within dedup_tol*(1 + s) of
-    the next, its reshaped right vector is not rank-one at residual_tol, or a peak entry of its x or y
-    leads the next by at most dedup_tol (rounding could flip a canonical sign)."""
+    unusable one, then None. A term is unusable when its singular value is not alone in its tie group of
+    dedup_tol (_tie_groups), its reshaped right vector is not rank-one at residual_tol, or a peak entry of
+    its x or y leads the next by at most dedup_tol (rounding could flip a canonical sign)."""
     n1, n2, n3 = T.dims
     cap = min(T.dims)
     U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
     u, sig, wt = np.linalg.svd(Vt[:cap].reshape(cap, n2, n3), full_matrices=False)
     X, Y, Z = (M + 0.0 for M in _canonical_rows(U[:, :cap].T, u[:, :, 0], wt[:, 0, :]))
-    after = np.append(s, -np.inf)[1 : cap + 1]
+    group = _tie_groups(s, cfg.dedup_tol)
     usable = (
-        (s[:cap] - after > cfg.dedup_tol * (1.0 + after))
+        (np.bincount(group)[group[:cap]] == 1)
         & (_row_norms(sig[:, 1:]) <= cfg.residual_tol)
         & (np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol)
     )
@@ -327,8 +328,9 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
     remainder, re-verifies it against the original operator, deflates, and
     recurses.
 
-    When several orbits attain the top value within dedup_tol, the one
-    with the smallest ordered-check residual is taken (ties broken by the
+    The top band is the listing's first tie group (_tie_groups at
+    dedup_tol, as _listing groups): of its orbits, the one with the
+    smallest ordered-check residual is taken (ties broken by the
     canonical lexicographic order), so the result is deterministic.
     """
 
@@ -345,8 +347,8 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
                     f"for a remainder of hs-norm {hs_norm(remainder):.6g}"
                 ),
             )
-        top = cands[0].tau
-        band = [c for c in cands if c.tau >= top - cfg.dedup_tol * (1.0 + top)]
+        top = _tie_groups(np.sort([c.tau for c in cands])[::-1], cfg.dedup_tol) == 0
+        band = cands[: np.count_nonzero(top)]
         checks = _ordered_checks(remainder, band, cfg.residual_tol)
         c = band[min(range(len(band)), key=lambda i: (max(checks[i].slice_residuals), tuple(band[i].x), tuple(band[i].y)))]
         return c.x[None], c.y[None], c.z[None], len(band)

@@ -68,6 +68,12 @@ _CONTRACT_BLOCK = 1 << 16
 _NEWTON_BLOCK = 1 << 16
 
 
+def _int_at_least(value, low: int) -> bool:
+    """value is a Python or numpy int, never a bool or a float, of at least low: the one integer rule of
+    SearchConfig and oracle.GridSpec (an equal float would otherwise share a memoised search)."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= low
+
+
 def _check_tol(value: float, name: str = "tol") -> None:
     """ValueError unless value is positive and finite; written so that NaN fails too."""
     if not 0 < value < float("inf"):
@@ -96,11 +102,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name, low in (("starts", 1), ("max_iter", 1), ("seed", 0)):
             value = getattr(self, name)
-            if name == "starts" and value is None:
-                continue
-            # Counts and seeds are integers (numpy's too), never bools or
-            # floats: an equal float would otherwise share a memoised search.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            if not (name == "starts" and value is None or _int_at_least(value, low)):
                 raise ValueError(f"{name} must be a {'positive' if low else 'nonnegative'} integer")
         for name in ("iter_tol", "residual_tol", "dedup_tol"):
             _check_tol(getattr(self, name), name)
@@ -399,16 +401,17 @@ def _finish(arr, X, Y, Z, ok, cfg) -> np.ndarray:
     """Newton-finish, in place, the rows ok of X, Y, Z not yet at _NEWTON_TOL; returns the mask of merged rows.
 
     The value stop leaves O(sqrt(iter_tol)) vector error at linearly convergent endpoints, which Newton removes
-    in a few steps; a row whose run does not converge keeps its endpoint. Rows with taus equal within 1e-9
-    relatively form a group, whose first row (its lead) is finished first. If the lead's root passes the
+    in a few steps; a row whose run does not converge keeps its endpoint. The rows' tie groups at 1e-9
+    (_tie_groups) are finished lead first: a group's first row. If the lead's root passes the
     search's gate (tau above residual_tol, residuals within it), the group's rows within dedup_tol/2 of it
     in a sign variant are dropped unfinished: they would finish onto it and lose the dedup to the lead."""
     sel = np.flatnonzero(ok)
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
     sel, tau = sel[far], tau[far]
-    t = np.sort(tau)
-    group = np.searchsorted(t[np.diff(t, prepend=-np.inf) > 1e-9 * (1.0 + t)], tau, side="right") - 1
+    order = np.argsort(-tau, kind="stable")
+    group = np.empty_like(order)
+    group[order] = _tie_groups(tau[order], 1e-9)
     first = np.unique(group, return_index=True)[1]
     lead = sel[first]
     gated = _newton_finish(arr, X, Y, Z, lead, tau[first])
@@ -664,58 +667,43 @@ def _standard_starts(
 # candidate verification, dedup, ordering
 
 
-def _orbit_mates(
-    tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, i: int, rows: np.ndarray, cfg: SearchConfig
-) -> np.ndarray:
-    """Mask over rows: candidate in the sign orbit of candidate i within dedup_tol.
+def _tie_groups(t: np.ndarray, tol: float) -> np.ndarray:
+    """Group ids 0, 1, ... of tau's t sorted descending: the one tie rule of bilop.
 
-    Same orbit means tau within dedup_tol * (1 + max tau) and, for some
-    sign variant of row i, max(||x-x'||, ||y-y'||, ||z-z'||) <= dedup_tol.
-    """
-    t = tau[rows]
-    mates = np.abs(t - tau[i]) <= cfg.dedup_tol * (1.0 + np.maximum(t, tau[i]))
-    if not mates.any():
-        return mates
-    near = rows[mates]
-    mates[mates] = _orbit_distance((X[near], Y[near], Z[near]), (X[i], Y[i], Z[i])) <= cfg.dedup_tol
-    return mates
+    A new group starts wherever a tau lies more than tol * (1 + the tau before it) below that tau, so groups
+    chain and one can span more than that. Taken at the larger tau, the width puts any two tau's within
+    tol * (1 + their max) in one group, which lets _listing merge sign orbits group by group. Its groups are
+    _finish's at 1e-9 and, at dedup_tol, _listing's, greedy's top band (the listing's first group) and the
+    SVD reading's gap test (schmidt._svd_block: a term must be alone in its group)."""
+    gaps = np.zeros(t.size, dtype=np.intp)
+    gaps[1:] = t[:-1] - t[1:] > tol * (1.0 + t[:-1])
+    return np.cumsum(gaps)
 
 
-def _dedup(
-    tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: SearchConfig
-) -> list[int]:
-    """Indices of the first representative of each sign orbit, in row order.
+def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """The rows listed, one per sign orbit, in listing order: tau descending, each tie group by (x, y).
 
-    Row j is dropped exactly when some earlier kept row lies in its orbit,
-    so one pass per kept row over all later live rows gives the same set as
-    a sequential first-representative-wins merge.
-    """
-    live = np.ones(tau.size, dtype=bool)
-    kept: list[int] = []
-    for i in range(tau.size):
-        if not live[i]:
-            continue
-        kept.append(i)
-        later = i + 1 + np.flatnonzero(live[i + 1 :])
-        live[later[_orbit_mates(tau, X, Y, Z, i, later, cfg)]] = False
-    return kept
-
-
-def _tie_order(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, cfg: SearchConfig) -> np.ndarray:
-    """Row order: tau descending, each group of near-equal tau's ordered by (x, y).
-
-    Taken in tau-descending order (stable), a new group starts wherever a tau
-    lies more than dedup_tol * (1 + tau) below the one before it. Within a
-    group rows are ordered lexicographically by the entries of x, then of y,
-    with exact ties kept in tau order.
-    """
+    Within each tie group of dedup_tol (_tie_groups) the first row in row order wins: a later row is dropped
+    when its tau lies within dedup_tol * (1 + max tau) of a kept row's and, for some sign variant,
+    max(||x-x'||, ||y-y'||, ||z-z'||) <= dedup_tol (the tau test stays, as a chained group can span more).
+    Mates always share a group, so this is the sequential first-representative-wins merge over all rows. The
+    kept rows, grouped again, are ordered by group, then lexicographically by the entries of x and of y, with
+    exact ties kept in tau order. The first group listed is greedy deflation's top band."""
     order = np.argsort(-tau, kind="stable")
-    t = tau[order]
-    gaps = np.zeros(t.size, dtype=bool)
-    gaps[1:] = t[:-1] - t[1:] > cfg.dedup_tol * (1.0 + t[1:])
+    live = np.ones(tau.size, dtype=bool)
+    for rows in np.split(order, np.flatnonzero(np.diff(_tie_groups(tau[order], cfg.dedup_tol))) + 1):
+        rows = np.sort(rows)  # row order: the first representative wins
+        for k in range(rows.size - 1):  # a lone row has no mates
+            i = rows[k]
+            if live[i]:
+                later = rows[k + 1 :][live[rows[k + 1 :]]]
+                t = tau[later]
+                near = later[np.abs(t - tau[i]) <= cfg.dedup_tol * (1.0 + np.maximum(t, tau[i]))]
+                live[near[_orbit_distance((X[near], Y[near], Z[near]), (X[i], Y[i], Z[i])) <= cfg.dedup_tol]] = False
+    kept = order[live[order]]
     # lexsort's last key is its primary one.
-    keys = np.hstack([X[order], Y[order]])[:, ::-1].T
-    return order[np.lexsort(np.vstack([keys, np.cumsum(gaps)]))]
+    keys = np.hstack([X[kept], Y[kept]])[:, ::-1].T
+    return kept[np.lexsort(np.vstack([keys, _tie_groups(tau[kept], cfg.dedup_tol)]))]
 
 
 @functools.lru_cache(maxsize=1)
@@ -757,10 +745,10 @@ def _search_candidates(
     x | y | z | tau0; it is never memoised. The converged rows, the
     alternating-iteration results by start index and then the Newton
     results by start index, are gated at residual_tol with tau >
-    residual_tol, canonicalized and merged by sign orbit, first
-    representative winning; the kept rows are put in _tie_order and only
-    then become SingularTriples. A residual_tol below T's rounding floor
-    is refused first (_check_floor).
+    residual_tol and canonicalized; _listing merges them by sign orbit,
+    first representative winning, and puts the kept rows in listing
+    order, and only then do they become SingularTriples. A residual_tol
+    below T's rounding floor is refused first (_check_floor).
     """
     _check_floor(T, cfg.residual_tol)
     if hs_norm(T) <= cfg.residual_tol:
@@ -779,8 +767,6 @@ def _search_candidates(
     good = (tau > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
     tau, R = tau[good], R[good]
     X, Y, Z = _canonical_rows(X[good], Y[good], Z[good])
-    kept = np.array(_dedup(tau, X, Y, Z, cfg), dtype=np.intp)
-    kept = kept[_tie_order(tau[kept], X[kept], Y[kept], cfg)]
     return tuple(
         SingularTriple(
             tau=float(tau[i]),
@@ -789,7 +775,7 @@ def _search_candidates(
             z=Z[i].copy(),
             residuals=tuple(float(r) for r in R[i]),
         )
-        for i in kept
+        for i in _listing(tau, X, Y, Z, cfg)
     )
 
 

@@ -29,20 +29,19 @@ from bilop.spectra import (
     _alternating_stage,
     _canonical_rows,
     _contract,
-    _dedup,
     _factor_slices,
     _jacobian_buffers,
     _jacobian_layout,
+    _listing,
     _newton_a1,
     _newton_batch,
-    _orbit_mates,
     _random_starts,
     _residuals,
     _row_norms,
     _solve_rows,
     _stacked,
     _standard_starts,
-    _tie_order,
+    _tie_groups,
 )
 
 #: The einsum definition of each contraction mode, and the factor modes of
@@ -384,45 +383,64 @@ class TestRowNorms:
 
 def reference_tie_order(tau, X, Y, cfg):
     """The sequential grouping: walk tau descending (stable), close a group at
-    every gap above dedup_tol * (1 + tau), sort each group by (x, y)."""
+    every gap above dedup_tol * (1 + the larger tau), sort each group by (x, y)."""
     by_tau = sorted(range(tau.size), key=lambda i: -tau[i])
     out, group = [], []
     for i in by_tau:
-        if group and tau[group[-1]] - tau[i] > cfg.dedup_tol * (1.0 + tau[i]):
+        if group and tau[group[-1]] - tau[i] > cfg.dedup_tol * (1.0 + tau[group[-1]]):
             out += sorted(group, key=lambda j: (tuple(X[j]), tuple(Y[j])))
             group = []
         group.append(i)
     return out + sorted(group, key=lambda j: (tuple(X[j]), tuple(Y[j])))
 
 
-#: Near 1 a group closes at gaps above dedup_tol * (1 + tau) = 2e-6, so
-#: steps of 1.5e-6 chain one group across 4.5e-6, and a gap of 2.000001e-6
-#: closes it only because the threshold is taken at the lower tau. Near 2
-#: the threshold is 3e-6, the two 3e-6 steps sit at it and the 7e-6 step
-#: lies above it.
+#: Near 1 a group closes at gaps above dedup_tol * (1 + the larger tau),
+#: about 2e-6, so steps of 1.5e-6 chain one group across 4.5e-6. Above 1 the
+#: threshold is 2.0000020000020e-6 away: a gap of 2.0000015e-6 stays in the
+#: group (the threshold at the lower tau, 2e-6, closed it) and one of
+#: 2.0000025e-6 closes it. Near 2 the threshold is 3e-6, the two 3e-6 steps
+#: sit at it and the 7e-6 step lies above it.
 TIE_TAUS = [
-    *(1.0 + d for d in (0.0, 1.5e-6, 2.000001e-6, 3e-6, 4.5e-6)),
+    *(1.0 + d for d in (0.0, 1.5e-6, 2.0000015e-6, 2.0000025e-6, 3e-6, 4.5e-6)),
     *(2.0 + d for d in (0.0, 3e-6, 6e-6, 1.3e-5)),
 ]
 
 
+def reference_listing(tau, X, Y, Z, cfg):
+    """The sequential merge over all rows, then the sequential grouping of the rows it kept."""
+    cands = [SingularTriple(float(t), x, y, z, (0.0, 0.0, 0.0)) for t, x, y, z in zip(tau, X, Y, Z)]
+    kept = np.array(reference_dedup(cands, cfg), dtype=np.intp)
+    return kept[reference_tie_order(tau[kept], X[kept], Y[kept], cfg)].tolist()
+
+
 class TestTieOrder:
     @settings(max_examples=200, deadline=None)
-    @example(0, 3, 2, [1.0] * 16, [0.0] * 96)  # empty input
+    @example(0, 3, 2, 1, [1.0] * 16, [0.0] * 144)  # empty input
     @given(
         st.integers(0, 16),
         st.integers(1, 3),
         st.integers(1, 3),
+        st.integers(1, 3),
         st.lists(st.sampled_from(TIE_TAUS), min_size=16, max_size=16),
-        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=96, max_size=96),
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=144, max_size=144),
     )
-    def test_equals_the_sequential_grouping(self, rows, n1, n2, taus, entries):
-        # Few distinct entries, with -0.0 next to 0.0, make exact ties in x and y.
+    def test_equals_the_sequential_merge_and_grouping(self, rows, n1, n2, n3, taus, entries):
+        # Few distinct entries, with -0.0 next to 0.0, make exact ties in x and y, and repeated orbits.
         cfg = SearchConfig()
         tau = np.array(taus[:rows])
-        E = np.array(entries).reshape(16, 6)
-        X, Y = E[:rows, :n1], E[:rows, 3 : 3 + n2]
-        assert _tie_order(tau, X, Y, cfg).tolist() == reference_tie_order(tau, X, Y, cfg)
+        E = np.array(entries).reshape(16, 9)
+        X, Y, Z = E[:rows, :n1], E[:rows, 3 : 3 + n2], E[:rows, 6 : 6 + n3]
+        assert _listing(tau, X, Y, Z, cfg).tolist() == reference_listing(tau, X, Y, Z, cfg)
+
+    def test_a_gap_at_the_larger_taus_width_is_a_tie(self):
+        # tol * (1 + 3) is exactly 2, so a gap of 2 is tied (the lower tau's width, 1, would split it); one ulp
+        # above 3, the width still rounds to 2 and the gap is one ulp above it, which starts a new group.
+        assert _tie_groups(np.array([3.0, 1.0]), 0.5).tolist() == [0, 0]
+        top = np.nextafter(3.0, 4.0)
+        assert 0.5 * (1.0 + top) == 2.0 and top - 1.0 == np.nextafter(2.0, 3.0)
+        assert _tie_groups(np.array([top, 1.0]), 0.5).tolist() == [0, 1]
+        assert _tie_groups(np.array([5.0, top, 1.0, 1.0, 0.5]), 0.5).tolist() == [0, 0, 1, 1, 1]
+        assert _tie_groups(np.array([]), 0.5).tolist() == []
 
 
 def same_triples(got, want):
@@ -742,7 +760,7 @@ class TestDedup:
         cands, cfg = data
         tau = np.array([c.tau for c in cands])
         X, Y, Z = (np.array([getattr(c, f) for c in cands]) for f in "xyz")
-        assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg)
+        assert _listing(tau, X, Y, Z, cfg).tolist() == reference_listing(tau, X, Y, Z, cfg)
 
     def test_keeps_the_first_of_each_orbit(self):
         cfg = SearchConfig()
@@ -751,7 +769,7 @@ class TestDedup:
         X = np.array([x, -x, x, x])
         Y = np.array([y, -y, y, y])
         Z = np.array([z, z, z, z])
-        assert _dedup(tau, X, Y, Z, cfg) == [0, 2]
+        assert _listing(tau, X, Y, Z, cfg).tolist() == [2, 0]
 
     @staticmethod
     def orbit_rows(taus, orbits):
@@ -768,16 +786,25 @@ class TestDedup:
         # Every row is the same orbit, but no two taus lie within dedup_tol.
         cfg = SearchConfig()
         tau, X, Y, Z, cands = self.orbit_rows([1.0 + 1e-5 * i for i in range(9)], orbits=1)
-        assert not _orbit_mates(tau, X, Y, Z, 0, np.arange(1, 9), cfg).any()
-        assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg) == list(range(9))
+        assert reference_dedup(cands, cfg) == list(range(9))
+        assert _listing(tau, X, Y, Z, cfg).tolist() == reference_listing(tau, X, Y, Z, cfg) == list(range(8, -1, -1))
 
     def test_all_taus_are_mates(self):
         # Every tau within dedup_tol of the others: two orbits interleaved,
         # each in all four sign variants.
         cfg = SearchConfig()
         tau, X, Y, Z, cands = self.orbit_rows([1.0 + 1e-8 * i for i in range(8)], orbits=2)
-        assert _orbit_mates(tau, X, Y, Z, 0, np.arange(1, 8), cfg).tolist() == [False, True] * 3 + [False]
-        assert _dedup(tau, X, Y, Z, cfg) == reference_dedup(cands, cfg) == [0, 1]
+        assert reference_dedup(cands, cfg) == [0, 1]
+        assert sorted(_listing(tau, X, Y, Z, cfg).tolist()) == [0, 1]
+        assert _listing(tau, X, Y, Z, cfg).tolist() == reference_listing(tau, X, Y, Z, cfg)
+
+    def test_one_orbit_at_the_larger_taus_width_is_one_row(self):
+        # 3 - 3.9999996e-6 lies within dedup_tol * (1 + 3) of 3 but more than dedup_tol * (1 + the lower tau)
+        # below it: at the lower tau's width the two rows fell into two tie groups and both were kept.
+        cfg = SearchConfig()
+        tau, X, Y, Z, cands = self.orbit_rows([3.0, 3.0 - 3.9999996e-6], orbits=1)
+        assert reference_dedup(cands, cfg) == [0]
+        assert _listing(tau, X, Y, Z, cfg).tolist() == reference_listing(tau, X, Y, Z, cfg) == [0]
 
 
 def finish_every_row(arr, X, Y, Z, ok, cfg):
@@ -879,4 +906,4 @@ class TestFinish:
         assert merged.tolist() == [False, True] + [False] * 6
         tau, R = _residuals(diag_pair.array, X, Y, Z)
         assert (R[~merged].max(axis=1) <= cfg.residual_tol).all()
-        assert len(_dedup(tau[~merged], *_canonical_rows(X[~merged], Y[~merged], Z[~merged]), cfg)) == 4
+        assert _listing(tau[~merged], *_canonical_rows(X[~merged], Y[~merged], Z[~merged]), cfg).size == 4

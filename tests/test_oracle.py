@@ -1,5 +1,7 @@
 """Brute-force cross-checks: grid norm bound, FD stationarity, lattice search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from bilop import (
     grid_norm_oracle,
     operator_norm,
     stationarity_fd_check,
+    verify_triple,
 )
 
 S2 = np.sqrt(2.0)
@@ -126,6 +129,13 @@ class TestStationarityCheck:
         )
         assert stationarity_fd_check(diag_pair, impostor, 1e-5) > 1e-3
 
+    def test_a_mode_of_size_one_is_probed_in_the_others_only(self):
+        # The unit sphere of R^1 is two points, with no tangent direction to probe.
+        T = Tensor3.from_array(np.random.default_rng(3).standard_normal((1, 2, 2)))
+        top = operator_norm(T)[1]
+        assert verify_triple(T, top, 1e-9).verified
+        assert stationarity_fd_check(T, top, 1e-5) <= 1e-8
+
     @pytest.mark.parametrize("h", [1e-8, 1e-2, 0.0, -1e-5])
     def test_rejects_out_of_range_step(self, diag_pair, diag_pair_spectrum, h):
         top = diag_pair_spectrum.triples[0]
@@ -204,3 +214,13 @@ class TestConfirmComplete:
         spectrum = enumerate_triples(T, cfg)
         truncated = Spectrum(triples=spectrum.triples[:1], complete=False)
         assert not confirm_complete(T, truncated, cfg).complete
+
+    def test_leaves_spectra_with_other_taus_unconfirmed(self):
+        # As many orbits as the lattice search finds, each tau 10 dedup_tol too high.
+        T = gallery.signed_diagonal((1.0, 1.0))
+        cfg = SearchConfig(starts=16)
+        moved = Spectrum(
+            triples=tuple(dataclasses.replace(t, tau=t.tau + 10 * cfg.dedup_tol) for t in enumerate_triples(T, cfg).triples)
+        )
+        assert len(moved.triples) == len(exhaustive_small_spectrum(T, cfg).triples)
+        assert confirm_complete(T, moved, cfg) is moved and not moved.complete

@@ -64,10 +64,10 @@ from bilop.spectra import (
     _canonical_rows,
     _contract,
     _factor_slices,
+    _listing,
     _newton_a1,
     _newton_batch,
     _orbit_distance,
-    _orbit_mates,
     _ordered_checks,
     _residuals,
     _row_norms,
@@ -380,7 +380,7 @@ def ref_svd_pick(T, cfg):
 
     def pick(remainder, k):
         i = k - 1
-        tied = k < s.size and s[i] - s[k] <= cfg.dedup_tol * (1.0 + s[k])
+        tied = k < s.size and s[i] - s[k] <= cfg.dedup_tol * (1.0 + s[i])
         if tied or not (rank_one[i] and clear_peaks[i]):
             return None
         tau, R = _residuals(remainder.array, X[i:k], Y[i:k], Z[i:k])
@@ -403,8 +403,11 @@ def ref_greedy_pick(cfg):
                 FailureReason.NO_TRIPLE_FOUND,
                 f"no triple verified at residual_tol={cfg.residual_tol:g} for a remainder of hs-norm {hs_norm(remainder):.6g}",
             )
-        top = cands[0].tau
-        band = [c for c in cands if c.tau >= top - cfg.dedup_tol * (1.0 + top)]
+        # The band: walking tau descending, the chain whose steps each lie within dedup_tol of the tau before.
+        by_tau, n = sorted(cands, key=lambda c: -c.tau), 1
+        while n < len(by_tau) and by_tau[n - 1].tau - by_tau[n].tau <= cfg.dedup_tol * (1.0 + by_tau[n - 1].tau):
+            n += 1
+        band = [c for c in cands if any(c is b for b in by_tau[:n])]
         scored = [(c, ref_is_ordered(remainder, c, cfg.residual_tol)) for c in band]
         chosen, (ordered, slices, _) = min(scored, key=lambda p: (max(p[1][1]), tuple(p[0].x), tuple(p[0].y)))
         return (chosen, ordered, slices), len(band)
@@ -691,7 +694,7 @@ class TestOrbitDistance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_stacked_form(self, seed):
         P, partner = self.rows_with_duplicates(seed)
-        # Against one triple (as _orbit_mates), and row against row (as _finish).
+        # Against one triple (as _listing), and row against row (as _finish).
         for i in (0, 26, 59):
             one = tuple(M[i] for M in P)
             d = _orbit_distance(P, one)
@@ -709,7 +712,7 @@ class TestOrbitDistance:
             d = _orbit_distance(P, one)
             assert d.tobytes() == stacked_distance(P, one).tobytes() and d[i] == 0.0
         tau = np.full(4, saddles[0].tau)
-        assert _orbit_mates(tau, *P, 0, np.arange(1, 4), SearchConfig()).tolist() == [False] * 3
+        assert _listing(tau, *P, SearchConfig()).size == 4
 
 
 class TestDeflationBlock:

@@ -445,6 +445,13 @@ class TestSvdFastPath:
         rep, _ = self.fallback(gallery.signed_diagonal((2.0, 2.0, 1.0)))
         assert [t.tau for t in rep.terms] == [2.0, 2.0, 1.0]
 
+    def test_taus_tied_at_the_larger_width_fall_back(self):
+        # 3 - 3.9999996e-6 lies within dedup_tol * (1 + 3) of 3, though more than dedup_tol * (1 + itself)
+        # below it: one tie group, so the reading is refused. Greedy takes a band's orbits by slice residual,
+        # then by x, not by tau.
+        rep, _ = self.fallback(gallery.signed_diagonal((3.0, 3.0 - 3.9999996e-6, 1.0)))
+        assert sorted(t.tau for t in rep.terms) == [1.0, 3.0 - 3.9999996e-6, 3.0]
+
     def test_non_rank_one_right_vector_falls_back(self):
         # The top right singular vector of T(1) is (e_1 (x) f_1 + e_2 (x) f_2)/|.|
         # up to a small tilt: rank two as an n2 x n3 matrix.
@@ -546,3 +553,31 @@ class TestDeflationExits:
             "step-2 triple fails the transfer identities against the original operator (max residual 1); "
             "the ordered hypothesis does not propagate"
         )
+
+
+class TestGreedyBand:
+    CFG = SearchConfig()
+
+    def test_the_band_is_the_first_tie_group(self, monkeypatch):
+        # Three top orbits, each 0.9 * dedup_tol * (1 + tau) below the one before: one chained tie group, whose
+        # top tau is listed first. A band anchored at the top tau would end before the third.
+        taus = [3.0]
+        for _ in range(2):
+            taus.append(taus[-1] - 0.9 * self.CFG.dedup_tol * (1.0 + taus[-1]))
+        taus.append(1.0)
+        T = from_schmidt([(t, e, e, e) for t, e in zip(taus, np.eye(4)[[3, 2, 1, 0]])])
+        listed = [SingularTriple(t, e, e, e, (0.0, 0.0, 0.0)) for t, e in zip(taus, np.eye(4)[[3, 2, 1, 0]])]
+        real_search, real_checks, bands = schmidt._search_candidates, schmidt._ordered_checks, []
+
+        def search(remainder, cfg, use_newton):
+            return tuple(listed) if remainder is T else real_search(remainder, cfg, use_newton)
+
+        def checks(remainder, band, tol):
+            bands.append([c.tau for c in band])
+            return real_checks(remainder, band, tol)
+
+        monkeypatch.setattr(schmidt, "_search_candidates", search)
+        monkeypatch.setattr(schmidt, "_ordered_checks", checks)
+        rep, _ = _greedy(T, self.CFG)
+        assert bands[0] == taus[:3]
+        assert rep.status is SchmidtStatus.COMPLETE and [t.tau for t in rep.terms] == taus

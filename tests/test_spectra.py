@@ -377,7 +377,7 @@ class TestEnumerateTriples:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 5: _tie_order's width dedup_tol * (1 + tau) is absolute at small tau, "
+        reason="ROADMAP item 5: _tie_groups' width dedup_tol * (1 + tau) is absolute at small tau, "
         "so tau = 2 s is listed after the four 1.664 s orbits",
     )
     def test_a_scaled_spectrum_lists_its_values_in_descending_order(self, diag_pair):
