@@ -329,9 +329,12 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
     recurses.
 
     The top band is the listing's first tie group (_tie_groups at
-    dedup_tol, as _listing groups): of its orbits, the one with the
-    smallest ordered-check residual is taken (ties broken by the
-    canonical lexicographic order), so the result is deterministic.
+    dedup_tol, as _listing groups). Of its orbits that pass the ordered
+    test, the one with the largest tau is taken, so the terms stay in
+    descending order; ties go to the smallest ordered-check residual,
+    then the canonical lexicographic order, so the result is
+    deterministic. A band with no ordered orbit offers the one with the
+    smallest residual, whose failed check _deflate reports.
     """
 
     def pick(values: np.ndarray, k: int):
@@ -350,7 +353,9 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
         top = _tie_groups(np.sort([c.tau for c in cands])[::-1], cfg.dedup_tol) == 0
         band = cands[: np.count_nonzero(top)]
         checks = _ordered_checks(remainder, band, cfg.residual_tol)
-        c = band[min(range(len(band)), key=lambda i: (max(checks[i].slice_residuals), tuple(band[i].x), tuple(band[i].y)))]
+        # Ordered orbits by tau descending, then, as in a band with no ordered orbit, by residual, x and y.
+        rank = [(-c.tau if ck.ordered else np.inf, max(ck.slice_residuals), tuple(c.x), tuple(c.y)) for c, ck in zip(band, checks)]
+        c = band[rank.index(min(rank))]
         return c.x[None], c.y[None], c.z[None], len(band)
 
     return _deflate(T, cfg, pick)

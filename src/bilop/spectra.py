@@ -15,7 +15,10 @@ endpoints are finished by a Newton corrector on the square stationarity
 system, which converges quadratically from them. Alternating iteration
 only reaches attracting triples, so enumerate_triples additionally runs
 the Newton corrector from every raw start, which reaches saddle-type
-triples as well. Everything is deterministic for a fixed SearchConfig.seed.
+triples as well. A row still stepping after 30 Newton steps is retracted
+onto the unit spheres before each further step (x, y, z normalised, then
+tau := <T(x,y), z>), and no row takes more than 50 steps.
+Everything is deterministic for a fixed SearchConfig.seed.
 
 One residual routine, _residuals, serves the search's gate, verify_triple,
 the ordered-slice test (is_ordered) and Schmidt deflation's checks: it reads
@@ -53,9 +56,12 @@ __all__ = [
 _ZERO_NORM = 1e-250
 
 #: Newton corrector settings: the finish of every alternating run, and
-#: enumerate_triples' second search from the raw starts.
+#: enumerate_triples' second search from the raw starts. From loop index
+#: _NEWTON_RETRACT on, every row still stepping is retracted onto the unit
+#: spheres before its step.
 _NEWTON_TOL = 1e-13
-_NEWTON_MAX_STEPS = 100
+_NEWTON_MAX_STEPS = 50
+_NEWTON_RETRACT = 30
 _NEWTON_DIVERGED = 1e6
 _NEWTON_COLLAPSED = 1e-4
 
@@ -448,7 +454,10 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     One step loop (_newton_step) serves the whole batch. The rows still stepping are one compacted index
     array, stepped in row blocks whose Jacobians hold at most _NEWTON_BLOCK entries; each block keeps only
-    its rows that step on, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. A row
+    its rows that step on, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. From loop
+    index _NEWTON_RETRACT on, the rows still stepping are first retracted onto the unit spheres: x, y and z
+    divided by their norms (_row_normalize), then tau := <T(x, y), z> from _contract and a row dot with z,
+    as _residuals reads it, so the retraction too leaves a row's numbers independent of its batch. A row
     stops when it converges, its Jacobian is singular, it diverges (an x, y or z entry beyond
     _NEWTON_DIVERGED, or a non-finite entry), or it collapses onto the tau = 0 component (unit x, y = z = 0),
     where no singular triple lies (|y| or |z| below _NEWTON_COLLAPSED); it depends on no other row. Only
@@ -463,6 +472,7 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return V, ok
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
+    parts = _factor_slices(arr.shape)
     block = max(1, _NEWTON_BLOCK // (m * m))
     # The stop test's limits on |v|: _NEWTON_DIVERGED on x, y and z, the largest float on tau (only inf or NaN stops).
     lim = np.r_[np.full(m - 1, _NEWTON_DIVERGED), np.finfo(float).max]
@@ -471,7 +481,10 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # On a tensor near the float range, a row's residual F can hold entries whose squares exceed the largest
     # float: _row_norms(F) is then inf, which the stop test reads as not converged, so the overflow is expected.
     with np.errstate(over="ignore"):
-        for _ in range(_NEWTON_MAX_STEPS):
+        for it in range(_NEWTON_MAX_STEPS):
+            if it >= _NEWTON_RETRACT:  # the retraction onto the unit spheres
+                X, Y, Z = (_row_normalize(V[act, cols])[0] for cols in parts)
+                V[act] = _stacked(X, Y, Z, np.einsum("sk,sk->s", _contract(arr, 2, X, Y), Z))
             kept = 0
             for lo in range(0, act.size, block):
                 rows = _newton_step(arr, V, act[lo : lo + block], ok, batch)
@@ -484,10 +497,10 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     V[ok & (V[:, -1] < 0)] *= np.r_[np.ones(n1), -np.ones(n2), np.ones(n3), -1.0]
     # Roots carry unit norms up to the Newton tolerance; snap exactly.
     sel = np.flatnonzero(ok)
-    norms = [_row_norms(V[sel, cols]) for cols in _factor_slices(arr.shape)]
+    norms = [_row_norms(V[sel, cols]) for cols in parts]
     off = np.logical_or.reduce([np.abs(nrm - 1.0) > 1e-6 for nrm in norms])
     ok[sel[off]] = False
-    for cols, nrm in zip(_factor_slices(arr.shape), norms):
+    for cols, nrm in zip(parts, norms):
         V[sel[~off], cols] /= nrm[~off, None]
     return V, ok
 
@@ -931,6 +944,9 @@ def operator_norm(
     pairs. That run is the alternating stage of enumerate_triples' search,
     and the last stage is kept: a norm and a spectrum of the same Tensor3
     object with equal configs run it once, whichever comes first.
+    The norm is the largest tau of the listing's first tie group, with its
+    triple (the first listed among equal taus): the listing orders a group
+    by (x, y), so its first triple need not hold the group's largest tau.
     Returns (0.0, None) when hs_norm(T) <= residual_tol. For any
     other tensor, a search in which no triple verifies raises ValueError:
     the norm is positive but unknown, so no value is reported. The message
@@ -941,7 +957,8 @@ def operator_norm(
     cfg = cfg if cfg is not None else SearchConfig()
     found = _search_candidates(T, cfg, use_newton=False)
     if found:
-        return found[0].tau, found[0]
+        top = max(found, key=lambda c: c.tau)
+        return top.tau, top
     if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
     converged = _alternating_stage(T, cfg)[2]

@@ -209,6 +209,16 @@ class TestSchmidt:
         assert len(seen) == 1
         assert report["result"]["verification"] == dataclasses.asdict(real(*seen[0]))
 
+    def test_a_tied_top_band_is_deflated_in_descending_order(self, tmp_path, capsys):
+        from bilop import tensor_to_json_dict
+
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps(tensor_to_json_dict(gallery.signed_diagonal((3.0, 3.0 - 2e-6, 1.0)))))
+        assert cli.main(["schmidt", str(path), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert [term["tau"] for term in result["terms"]] == [3.0, 3.0 - 2e-6, 1.0]
+        assert result["verification"]["monotone"] is True
+
     @pytest.mark.parametrize("tol", ["0.5", "1"])
     def test_a_loose_tolerance_keeps_every_term_the_residual_needs(self, files, tol):
         proc = run_cli("schmidt", files["diag_pair"], "--tol", tol, "--json")

@@ -206,10 +206,12 @@ def ref_newton_batch(arr, V0):
     block = max(1, spectra._NEWTON_BLOCK // (m * m))
     Tjik = np.ascontiguousarray(arr.transpose(1, 0, 2))
     J = np.empty((min(block, S), m, m))
-    for _ in range(spectra._NEWTON_MAX_STEPS):
+    for it in range(spectra._NEWTON_MAX_STEPS):
         act = np.flatnonzero(alive & ~done)
         if act.size == 0:
             break
+        if it >= spectra._NEWTON_RETRACT:
+            ref_retract(arr, V, act)
         for lo in range(0, act.size, block):
             ref_newton_step(arr, Tjik, V, act[lo : lo + block], done, alive, J)
     ok = done & alive
@@ -223,6 +225,13 @@ def ref_newton_batch(arr, V0):
     for cols, nrm in zip(_factor_slices(arr.shape), norms):
         V[sel[~off], cols] /= nrm[~off, None]
     return V, ok
+
+
+def ref_retract(arr, V, rows):
+    """Rows of V onto the unit spheres: x, y and z normalised, then tau := <T(x, y), z> as ref_residuals reads it."""
+    X, Y, Z = (ref_row_normalize(V[rows, cols])[0] for cols in _factor_slices(arr.shape))
+    V[rows, :-1] = np.hstack([X, Y, Z])
+    V[rows, -1] = ref_residuals(arr, X, Y, Z)[0]
 
 
 def ref_newton_step(arr, Tjik, V, idx, done, alive, J):
@@ -409,6 +418,11 @@ def ref_greedy_pick(cfg):
             n += 1
         band = [c for c in cands if any(c is b for b in by_tau[:n])]
         scored = [(c, ref_is_ordered(remainder, c, cfg.residual_tol)) for c in band]
+        # With ordered orbits in the band, only those of the largest ordered tau compete.
+        passing = [p for p in scored if p[1][0]]
+        if passing:
+            top = max(c.tau for c, _ in passing)
+            scored = [p for p in passing if p[0].tau == top]
         chosen, (ordered, slices, _) = min(scored, key=lambda p: (max(p[1][1]), tuple(p[0].x), tuple(p[0].y)))
         return (chosen, ordered, slices), len(band)
 
@@ -512,6 +526,8 @@ SCHMIDT_INPUTS = {
     **{f"cubic-{n}": (planted_cubic(0, n), True) for n in (3, 5, 8)},
     "signed-diagonal-2-2-1": (gallery.signed_diagonal((2.0, 2.0, 1.0)), True),
     "signed-diagonal-3-2-2": (gallery.signed_diagonal((3.0, 2.0, 2.0)), True),
+    # A top band of two ordered orbits, listed smaller tau first: greedy must take 3 first.
+    "signed-diagonal-3-2.999998-1": (gallery.signed_diagonal((3.0, 3.0 - 2e-6, 1.0)), True),
     "rank-two-2x2x2": (rank_two_2x2x2(), True),
     "shared-y": (shared_y(), True),
 }
@@ -606,7 +622,7 @@ class TestNewtonLoop:
         assert not got[1][-3:].any() and np.abs(got[0][-2, 4:12]).max() > 1e154
 
     def test_a_singular_row_stops_after_one_step(self, monkeypatch):
-        # x = 0 zeroes the Jacobian's last row: its step is 0, so only the stop keeps it from a 100-step tail.
+        # x = 0 zeroes the Jacobian's last row: its step is 0, so only the stop keeps it from a 50-step tail.
         T = TENSORS["gauss-4x4x4"]
         V0 = np.r_[np.zeros(4), np.full(8, 0.5), 1.0][None]
         step, calls = spectra._newton_step, []
@@ -618,6 +634,26 @@ class TestNewtonLoop:
         monkeypatch.setattr(spectra, "_newton_step", counted)
         assert same_bytes(_newton_batch(T.array, V0), ref_newton_batch(T.array, V0))
         assert len(calls) == 1 and calls[0].size == 0
+
+    def test_rows_stepping_after_step_30_start_each_step_on_the_unit_spheres(self, monkeypatch):
+        # One row block of raw starts, so each _newton_step call is one step of the loop; some rows run to the cap.
+        T = TENSORS["gauss-4x4x4"]
+        step, seen = spectra._newton_step, []
+
+        def spy(arr, V, idx, done, batch):
+            seen.append(V[idx].copy())
+            return step(arr, V, idx, done, batch)
+
+        monkeypatch.setattr(spectra, "_newton_step", spy)
+        _newton_batch(T.array, raw_starts(T))
+        assert len(seen) == spectra._NEWTON_MAX_STEPS == 50 and spectra._NEWTON_RETRACT == 30
+        off = []  # per step, the largest distance of a row's x, y or z norm from 1
+        for it, v in enumerate(seen):
+            X, Y, Z = (v[:, cols] for cols in _factor_slices(T.dims))
+            off.append(max(np.abs(_row_norms(M) - 1.0).max() for M in (X, Y, Z)))
+            if it >= 30:
+                assert v[:, -1].tobytes() == _residuals(T.array, X, Y, Z)[0].tobytes(), it
+        assert max(off[30:]) <= 4e-16 < 1e-6 < off[29]
 
     @pytest.mark.parametrize("name", ["gauss-4x4x4", "gauss-4x8x6", "diagonal_pair"])
     def test_three_row_blocks_equal_the_reference(self, name, monkeypatch):

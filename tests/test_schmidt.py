@@ -581,3 +581,13 @@ class TestGreedyBand:
         rep, _ = _greedy(T, self.CFG)
         assert bands[0] == taus[:3]
         assert rep.status is SchmidtStatus.COMPLETE and [t.tau for t in rep.terms] == taus
+
+    @pytest.mark.parametrize("gap", [1e-7, 2e-6, 3.9e-6])
+    def test_the_bands_largest_ordered_tau_is_taken_first(self, gap):
+        # Both top orbits are ordered and share the first tie group (3.9e-6 < dedup_tol * (1 + 3)), where the
+        # listing puts e_2's orbit, tau = 3 - gap, first; deflating it first would break the descending order.
+        T = gallery.signed_diagonal((3.0, 3.0 - gap, 1.0))
+        rep, _ = _greedy(T, self.CFG)
+        assert rep.status is SchmidtStatus.COMPLETE
+        assert [t.tau for t in rep.terms] == [3.0, 3.0 - gap, 1.0]
+        assert verify_representation(T, rep, self.CFG.residual_tol).monotone

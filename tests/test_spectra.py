@@ -17,6 +17,7 @@ from bilop import (
     canonicalize,
     cli,
     enumerate_triples,
+    gallery,
     hopm_refine,
     hopm_value_trace,
     hs_norm,
@@ -286,6 +287,14 @@ class TestOperatorNorm:
             "no singular triple verified at residual_tol=1e-09: 272 start(s) converged, but none "
             "has tau above it and residuals within it; the norm of this nonzero operator is unknown"
         )
+
+    def test_a_tied_top_group_gives_its_largest_tau(self):
+        # 3 and 3 - 2e-7 share the first tie group, which the listing orders by x: e_2's orbit comes first.
+        T = gallery.signed_diagonal((3.0, 3.0 - 2e-7, 1.0))
+        assert enumerate_triples(T).triples[0].tau == 3.0 - 2e-7
+        value, attained = operator_norm(T)
+        assert value == attained.tau == 3.0
+        np.testing.assert_array_equal(attained.x, [1.0, 0.0, 0.0])
 
     def test_attained_triple_is_verified(self, diag_pair, deep_cfg):
         value, attained = operator_norm(diag_pair, deep_cfg)
