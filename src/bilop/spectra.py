@@ -15,9 +15,11 @@ endpoints are finished by a Newton corrector on the square stationarity
 system, which converges quadratically from them. Alternating iteration
 only reaches attracting triples, so enumerate_triples additionally runs
 the Newton corrector from every raw start, which reaches saddle-type
-triples as well. A row still stepping after 30 Newton steps is retracted
+triples as well. A row still stepping after 20 Newton steps is retracted
 onto the unit spheres before each further step (x, y, z normalised, then
-tau := <T(x,y), z>), and no row takes more than 50 steps.
+tau := <T(x,y), z>) and then takes the Riemannian Newton step there: a step
+in the tangent space of the spheres, from a bordered system. No row takes
+more than 40 steps.
 Everything is deterministic for a fixed SearchConfig.seed.
 
 One residual routine, _residuals, serves the search's gate, verify_triple,
@@ -58,10 +60,10 @@ _ZERO_NORM = 1e-250
 #: Newton corrector settings: the finish of every alternating run, and
 #: enumerate_triples' second search from the raw starts. From loop index
 #: _NEWTON_RETRACT on, every row still stepping is retracted onto the unit
-#: spheres before its step.
+#: spheres, then takes a tangent step (Riemannian Newton) there.
 _NEWTON_TOL = 1e-13
-_NEWTON_MAX_STEPS = 50
-_NEWTON_RETRACT = 30
+_NEWTON_MAX_STEPS = 40
+_NEWTON_RETRACT = 20
 _NEWTON_DIVERGED = 1e6
 _NEWTON_COLLAPSED = 1e-4
 
@@ -69,8 +71,9 @@ _NEWTON_COLLAPSED = 1e-4
 #: builds (512 KiB); larger batches are contracted block by block.
 _CONTRACT_BLOCK = 1 << 16
 
-#: Largest batch of Newton Jacobians, in float64 entries (512 KiB), that
-#: one row block of a Newton step writes into its batch's Jacobian buffer.
+#: Largest batch of square Newton Jacobians, in float64 entries (512 KiB),
+#: that one row block of a Newton step writes into its batch's Jacobian
+#: memory; the same rows' bordered tangent-step matrices are slightly larger.
 _NEWTON_BLOCK = 1 << 16
 
 
@@ -441,7 +444,7 @@ def _newton_finish(arr, X, Y, Z, rows, tau) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Newton corrector on the square stationarity system
+# Newton corrector: the square stationarity system, then tangent steps on the unit spheres
 
 
 def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,12 +456,16 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     iteration, Newton converges to critical points of any index, which is what recovers saddle-type triples.
 
     One step loop (_newton_step) serves the whole batch. The rows still stepping are one compacted index
-    array, stepped in row blocks whose Jacobians hold at most _NEWTON_BLOCK entries; each block keeps only
+    array, stepped in row blocks whose square Jacobians hold at most _NEWTON_BLOCK entries; each block keeps only
     its rows that step on, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. From loop
     index _NEWTON_RETRACT on, the rows still stepping are first retracted onto the unit spheres: x, y and z
     divided by their norms (_row_normalize), then tau := <T(x, y), z> from _contract and a row dot with z,
-    as _residuals reads it, so the retraction too leaves a row's numbers independent of its batch. A row
-    stops when it converges, its Jacobian is singular, it diverges (an x, y or z entry beyond
+    as _residuals reads it, so the retraction too leaves a row's numbers independent of its batch. There F
+    is the Riemannian gradient of <T(x,y), z> on the spheres, so the stop test is unchanged, and the step is
+    the Riemannian Newton step: the bordered system [[J_core, B], [B^T, 0]] [s; mu] = [F without its |x|
+    entry; 0, 0, 0], with J_core the Jacobian without tau's column and the |x| row and B = blockdiag(x, y, z),
+    then (x, y, z) -= s (_jacobian_layout's Mt). s is tangent, so |y| and |z| stay at least 1 and no such row
+    collapses. A row stops when it converges, its Jacobian is singular, it diverges (an x, y or z entry beyond
     _NEWTON_DIVERGED, or a non-finite entry), or it collapses onto the tau = 0 component (unit x, y = z = 0),
     where no singular triple lies (|y| or |z| below _NEWTON_COLLAPSED); it depends on no other row. Only
     converged rows are marked, so they start as ok. A converged root with tau < 0 is mapped to the same
@@ -482,12 +489,13 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # float: _row_norms(F) is then inf, which the stop test reads as not converged, so the overflow is expected.
     with np.errstate(over="ignore"):
         for it in range(_NEWTON_MAX_STEPS):
-            if it >= _NEWTON_RETRACT:  # the retraction onto the unit spheres
+            tangent = it >= _NEWTON_RETRACT
+            if tangent:  # the retraction onto the unit spheres
                 X, Y, Z = (_row_normalize(V[act, cols])[0] for cols in parts)
                 V[act] = _stacked(X, Y, Z, np.einsum("sk,sk->s", _contract(arr, 2, X, Y), Z))
             kept = 0
             for lo in range(0, act.size, block):
-                rows = _newton_step(arr, V, act[lo : lo + block], ok, batch)
+                rows = _newton_step(arr, V, act[lo : lo + block], ok, batch, tangent)
                 act[kept : kept + rows.size] = rows
                 kept += rows.size
             if not kept:
@@ -505,13 +513,18 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return V, ok
 
 
-def _newton_step(arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, batch: tuple) -> np.ndarray:
+def _newton_step(
+    arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarray, batch: tuple, tangent: bool
+) -> np.ndarray:
     """One Newton step on rows idx of the stacked unknown V, in place; returns the rows that step on.
 
     Rows already at the tolerance are marked done and left as they are. The others' Jacobians are gathered (see
-    _jacobian_buffers) and solved by _solve_rows; a row whose Jacobian is singular, or whose new iterate diverges
-    or collapses, steps no further. batch holds Tjik for _newton_a1, the buffers and the stop test's limits."""
-    Tjik, (J, src, (wA1, wA2, wA3, wv, wx), M, (sx, sy, sz), (f1, f2, f3)), lim = batch
+    _jacobian_buffers) and solved by _solve_rows: the square system's or, with tangent, the bordered system
+    (_jacobian_layout's Mt), whose right side is F without its |x| entry, then three zeros. A tangent step
+    moves x, y and z only: its multipliers are dropped, and tau waits for the next retraction. A row whose
+    Jacobian is singular, or whose new iterate diverges or collapses, steps no further. batch holds Tjik for
+    _newton_a1, the buffers and the stop test's limits."""
+    Tjik, (mem, src, (wA1, wA2, wA3, wv, wx), maps, (sx, sy, sz), (f1, f2, f3)), lim = batch
     k = idx.size
     v = V[idx]
     # Contiguous operands: a strided einsum may take another inner loop.
@@ -535,9 +548,15 @@ def _newton_step(arr: np.ndarray, V: np.ndarray, idx: np.ndarray, done: np.ndarr
     rows = src[:k]
     if gi.size < k:
         v, F, rows = v[go], F[go], rows[go]
-    # One take through the map; mode="clip" (every index is valid) lets it write straight into J.
-    step, singular = _solve_rows(rows.take(M, axis=1, out=J[: gi.size], mode="clip"), F)
-    V[gi] = w = v - step
+    M = maps[tangent]
+    # One take through the map; mode="clip" (every index is valid) lets it write straight into the memory.
+    J = rows.take(M, axis=1, out=mem[: gi.size * M.size].reshape(gi.size, *M.shape), mode="clip")
+    if tangent:  # F without its |x| entry, then three zeros
+        F = np.concatenate([F[:, :-1], np.zeros((gi.size, 3))], axis=1)
+    step, singular = _solve_rows(J, F)
+    if tangent:  # the multiplier in tau's place is dropped: tau waits for the next retraction
+        step[:, -3] = 0.0
+    V[gi] = w = v - step[:, : v.shape[1]]
     a = np.abs(w)
     keep = np.logical_and.reduce(a <= lim, axis=1)
     keep[singular] = False
@@ -555,47 +574,67 @@ def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
-    """One batch's Jacobian buffer J, its source block and writable views, J's map M, and v's and F's slices.
+    """One batch's Jacobian memory, its source block and writable views, the maps (M, Mt), and v's and F's slices.
 
     A source row is A1 | A2 | A3 | -v | x | 0.0 (A1 as its (i, k)-contiguous einsum output, its 0.0 written
-    here, once per batch); J = src.take(M, axis=1), with M and the slices from _jacobian_layout."""
+    here, once per batch); a square step's Jacobians are src.take(M, axis=1) and a tangent step's bordered
+    matrices src.take(Mt, axis=1), with the maps and the slices from _jacobian_layout. The flat memory holds
+    rows bordered matrices, the larger kind."""
     n1, n2, n3 = dims
-    M, cuts, slices, f_slices = _jacobian_layout(dims)
+    M, Mt, cuts, slices, f_slices = _jacobian_layout(dims)
     src = np.empty((rows, cuts[-1]))
     src[:, -1] = 0.0
     A1, A2, A3, nv, x, _ = np.split(src, cuts[:-1], axis=1)
     views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x)
-    return np.empty((rows, *M.shape)), src, views, M, slices, f_slices
+    return np.empty(rows * Mt.size), src, views, (M, Mt), slices, f_slices
 
 
 @functools.lru_cache(maxsize=8)
 def _jacobian_layout(dims: tuple[int, int, int]) -> tuple:
-    """J's map M (read-only), the ends of a source row's parts, and v's and F's slices; built once per shape.
+    """The maps M and Mt (read-only), the ends of a source row's parts, and v's and F's slices; built once per shape.
 
-    J = src.take(M, axis=1); rows T(x,y) - tau z, contract_1(y,z) - tau x, contract_2(x,z) - tau y,
-    (|x|^2 - 1)/2; columns x|y|z|tau:
+    A square step's J = src.take(M, axis=1); rows T(x,y) - tau z, contract_1(y,z) - tau x,
+    contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
 
         [ A1       A2       -tau I   -z ]
         [ -tau I   A3       A1^T     -x ]
         [ A3^T     -tau I   A2^T     -y ]
         [ x^T      0        0         0 ]
 
-    The 0 entries, the off-diagonals of each -tau I among them, read the source row's 0.0."""
+    A tangent step's bordered matrix is src.take(Mt, axis=1); rows F's three equations, then one border row
+    per factor; columns x|y|z, then one border column per factor:
+
+        [ A1       A2       -tau I   0    0    -z ]
+        [ -tau I   A3       A1^T     -x   0    0  ]
+        [ A3^T     -tau I   A2^T     0    -y   0  ]
+        [ -x^T     0        0        0    0    0  ]
+        [ 0        -y^T     0        0    0    0  ]
+        [ 0        0        -z^T     0    0    0  ]
+
+    Its core is M without tau's column and the |x| row: the Euclidean Hessian of <T(x,y), z> less tau I, with
+    its rows in F's order. tau's column is split into the border columns, and the border rows read -v, which
+    flips only the signs of the multipliers; the step drops them. The 0 entries, the off-diagonals of each
+    -tau I among them, read the source row's 0.0."""
     n1, n2, n3 = dims
+    n = n1 + n2 + n3
     sx, sy, sz = _factor_slices(dims)
-    f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, -1)
-    cuts = tuple(np.cumsum([n1 * n3, n3 * n2, n1 * n2, n1 + n2 + n3 + 1, n1, 1]).tolist())
+    f1, f2, f3 = slice(0, n3), slice(n3, n3 + n1), slice(n3 + n1, n)
+    cuts = tuple(np.cumsum([n1 * n3, n3 * n2, n1 * n2, n + 1, n1, 1]).tolist())
     A1, A2, A3, nv, x, zero = np.split(np.arange(cuts[-1]), cuts[:-1])
     A1, A2, A3 = A1.reshape(n1, n3).T, A2.reshape(n3, n2), A3.reshape(n1, n2)
-    M = np.empty((nv.size, nv.size), dtype=np.intp)
-    for r, c, n in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
-        M[r, c] = np.where(np.eye(n, dtype=bool), nv[-1], zero)
+    M = np.empty((n + 1, n + 1), dtype=np.intp)
+    for r, c, k in ((f1, sz, n3), (f2, sx, n1), (f3, sy, n2)):
+        M[r, c] = np.where(np.eye(k, dtype=bool), nv[-1], zero)
     M[f1, sx], M[f1, sy], M[f2, sy] = A1, A2, A3
     M[f2, sz], M[f3, sx], M[f3, sz] = A1.T, A3.T, A2.T
     M[:-1, -1] = np.concatenate([nv[sz], nv[sx], nv[sy]])
     M[-1, sx], M[-1, n1:] = x, zero
-    M.flags.writeable = False
-    return M, cuts, (sx, sy, sz), (f1, f2, f3)
+    Mt = np.full((n + 3, n + 3), zero, dtype=np.intp)
+    Mt[:n, :n] = M[:n, :n]
+    for c, (r, cols) in enumerate(zip((f2, f3, f1), (sx, sy, sz))):
+        Mt[r, n + c] = Mt[n + c, cols] = nv[cols]
+    M.flags.writeable = Mt.flags.writeable = False
+    return M, Mt, cuts, (sx, sy, sz), (f1, f2, f3)
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -290,6 +290,28 @@ class TestSchur:
         assert [t["lambda"] for t in result["terms"]] == pytest.approx([2.0 * S2 * 1e150])
         assert result["verification"]["reconstruction_ok"] is True
 
+    @pytest.mark.parametrize("args", [["signed_diag"], ["signed_diag", "--json"], ["near_range", "--tol", "1e140", "--json"]])
+    def test_the_schmidt_check_is_reused_and_the_output_keeps_its_bytes(self, files, args, monkeypatch, capsys):
+        from bilop import schmidt, schur
+
+        seen = []
+        real, convert = schmidt.verify_representation, schur.schur_from_schmidt
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        argv = ["schur", files[args[0]], *args[1:]]
+        for module in (schmidt, schur):
+            monkeypatch.setattr(module, "verify_representation", counting)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(seen) == 1
+        # The conversion as it ran before it took the check: it verified the representation itself.
+        monkeypatch.setattr(cli, "schur_from_schmidt", lambda T, rep, tol, check: convert(T, rep, tol))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out and len(seen) == 3
+
     def test_rectangular_input_exits_four(self, files):
         proc = run_cli("schur", files["diag_pair"])
         assert proc.returncode == 4

@@ -231,9 +231,10 @@ def reference_jacobian(A1, A2, A3, x, y, z, t):
 
 class TestJacobians:
     @staticmethod
-    def step_jacobians(arr, V, idx, monkeypatch):
-        """The Jacobians one _newton_step hands _solve_rows for rows idx of V, gathered through a batch's
-        buffers of idx.size + 5 rows whose source block (but its constant 0.0) and J hold stale NaNs."""
+    def step_jacobians(arr, V, idx, monkeypatch, tangent=False):
+        """The Jacobians one _newton_step hands _solve_rows for rows idx of V (with tangent, the bordered ones),
+        gathered through a batch's buffers of idx.size + 5 rows whose source block (but its constant 0.0) and
+        J's memory hold stale NaNs."""
         bufs = _jacobian_buffers(arr.shape, idx.size + 5)
         bufs[0][:], bufs[1][:, :-1] = np.nan, np.nan
         lim = np.r_[np.full(V.shape[1] - 1, spectra._NEWTON_DIVERGED), np.finfo(float).max]
@@ -246,7 +247,7 @@ class TestJacobians:
         with monkeypatch.context() as m:
             m.setattr(spectra, "_solve_rows", solve)
             batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), bufs, lim)
-            spectra._newton_step(arr, V.copy(), idx, np.zeros(V.shape[0], dtype=bool), batch)
+            spectra._newton_step(arr, V.copy(), idx, np.zeros(V.shape[0], dtype=bool), batch, tangent)
         return seen[0]
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 4, 4), (4, 8, 6)])
@@ -278,18 +279,59 @@ class TestJacobians:
         assert got.tobytes() == np.delete(want, [0, 7, 17], axis=0).tobytes()
 
 
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (4, 4, 4), (4, 8, 6)])
+    def test_tangent_gather_equals_the_dense_bordered_hessian_byte_for_byte(self, shape, monkeypatch):
+        rng = np.random.default_rng([25, *shape])
+        arr = rng.standard_normal(shape)
+        X, Y, Z = (rng.standard_normal((4, n)) for n in shape)
+        X, Y, Z = (np.vstack([M, np.eye(n)[np.arange(2) % n]]) for M, n in zip((X, Y, Z), shape))
+        t = np.r_[1.5, -0.75, 0.0, 2.0, 0.5, -1.0]
+        want = dense_bordered(arr, X, Y, Z, t)
+        V = np.column_stack([X, Y, Z, t])
+        assert self.step_jacobians(arr, V, np.arange(t.size), monkeypatch, tangent=True).tobytes() == want.tobytes()
+        rows = np.array([1, 4, 5])
+        assert self.step_jacobians(arr, V, rows, monkeypatch, tangent=True).tobytes() == want[rows].tobytes()
+
+
+def dense_bordered(arr, X, Y, Z, t):
+    """[[Hess - tau I, B], [B^T, 0]] per row, densely: Hess is the Euclidean Hessian of <T(x,y), z> in x|y|z
+    order and B = blockdiag(x, y, z). The tangent step reads its rows of Hess - tau I and B in F's order (z's,
+    then x's, then y's equations), and B and B^T negated (from -v)."""
+    k, (n1, n2, n3) = t.size, arr.shape
+    n = n1 + n2 + n3
+    sx, sy, sz = _factor_slices(arr.shape)
+    # The off-diagonal blocks, each as the einsum the step's A1, A2 and A3 equal bit for bit.
+    Hxy = np.einsum("ijk,sk->sij", arr, Z)
+    Hxz = np.einsum("ijk,sj->ski", arr, Y).transpose(0, 2, 1)
+    Hyz = np.einsum("ijk,si->skj", arr, X).transpose(0, 2, 1)
+    H = np.zeros((k, n, n))
+    for (a, b), M in (((sx, sy), Hxy), ((sx, sz), Hxz), ((sy, sz), Hyz)):
+        H[:, a, b], H[:, b, a] = M, M.transpose(0, 2, 1)
+    H[:, np.arange(n), np.arange(n)] = -t[:, None]
+    B = np.zeros((k, n, 3))
+    for c, (cols, M) in enumerate(zip((sx, sy, sz), (X, Y, Z))):
+        B[:, cols, c] = -M
+    order = np.r_[np.arange(n)[sz], np.arange(n)[sx], np.arange(n)[sy]]
+    W = np.zeros((k, n + 3, n + 3))
+    W[:, :n, :n], W[:, :n, n:], W[:, n:, :n] = H[:, order], B[:, order], B.transpose(0, 2, 1)
+    return W
+
+
 class TestJacobianLayout:
     SHAPES = [(2, 3, 4), (4, 4, 4), (4, 8, 6)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_cached_map_equals_a_fresh_build(self, shape):
-        (got, *layout), (fresh, *fresh_layout) = _jacobian_layout(shape), _jacobian_layout.__wrapped__(shape)
-        assert got.dtype == fresh.dtype and got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
-        assert layout == fresh_layout
-        assert _jacobian_buffers(shape, 3)[3] is got
+        (got, tangent, *layout), fresh = _jacobian_layout(shape), _jacobian_layout.__wrapped__(shape)
+        for M, want, m in ((got, fresh[0], sum(shape) + 1), (tangent, fresh[1], sum(shape) + 3)):
+            assert M.dtype == want.dtype and M.shape == want.shape == (m, m) and M.tobytes() == want.tobytes()
+        assert layout == list(fresh[2:])
+        square, bordered = _jacobian_buffers(shape, 3)[3]
+        assert square is got and bordered is tangent
 
-    def test_map_cannot_be_written(self):
-        M = _jacobian_layout((3, 3, 3))[0]
+    @pytest.mark.parametrize("which", [0, 1], ids=["square", "tangent"])
+    def test_map_cannot_be_written(self, which):
+        M = _jacobian_layout((3, 3, 3))[which]
         assert not M.flags.writeable
         with pytest.raises(ValueError):
             M[0, 0] = 0
@@ -821,12 +863,12 @@ def finish_every_row(arr, X, Y, Z, ok, cfg):
 
 @pytest.fixture
 def reference_search(monkeypatch):
-    """Runs a search as it ran with finish_every_row and no collapse exit, from a cold stage."""
+    """Runs a search as it ran with finish_every_row, from a cold stage. The collapse exit stays on: without it,
+    rows it stops before the tangent steps begin reach them and converge, so the search finds more orbits."""
 
     def run(search):
         with monkeypatch.context() as m:
             m.setattr(spectra, "_finish", finish_every_row)
-            m.setattr(spectra, "_NEWTON_COLLAPSED", 0.0)
             _alternating_stage.cache_clear()
             return search()
 

@@ -210,10 +210,11 @@ def ref_newton_batch(arr, V0):
         act = np.flatnonzero(alive & ~done)
         if act.size == 0:
             break
-        if it >= spectra._NEWTON_RETRACT:
+        tangent = it >= spectra._NEWTON_RETRACT
+        if tangent:
             ref_retract(arr, V, act)
         for lo in range(0, act.size, block):
-            ref_newton_step(arr, Tjik, V, act[lo : lo + block], done, alive, J)
+            ref_newton_step(arr, Tjik, V, act[lo : lo + block], done, alive, J, tangent)
     ok = done & alive
     flip = np.ones(m)
     flip[n1 : n1 + n2] = flip[-1] = -1.0
@@ -234,7 +235,7 @@ def ref_retract(arr, V, rows):
     V[rows, -1] = ref_residuals(arr, X, Y, Z)[0]
 
 
-def ref_newton_step(arr, Tjik, V, idx, done, alive, J):
+def ref_newton_step(arr, Tjik, V, idx, done, alive, J, tangent):
     n1, n2, n3 = arr.shape
     v = V[idx]
     x, y, z = (np.ascontiguousarray(v[:, cols]) for cols in _factor_slices(arr.shape))
@@ -257,13 +258,43 @@ def ref_newton_step(arr, Tjik, V, idx, done, alive, J):
     if hit.any():
         A1, A2, A3, x, y, z, t = (M[go] for M in (A1, A2, A3, x, y, z, t))
     ref_write_jacobians(J, A1, A2, A3, x, y, z, t)
-    step, singular = _solve_rows(J, F[go])
+    if tangent:
+        step, singular = ref_tangent_solve(J, F[go], x, y, z)
+    else:
+        step, singular = _solve_rows(J, F[go])
     alive[gi[singular]] = False
     V[gi] = w = v[go] - step
     stop = (np.abs(w[:, :-1]) > spectra._NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
     on = np.flatnonzero(~stop)
     stop[on] = np.minimum(*(_row_norms(w[on, c]) for c in _factor_slices(arr.shape)[1:])) < spectra._NEWTON_COLLAPSED
     alive[gi[stop]] = False
+
+
+def ref_bordered(J, x, y, z):
+    """The tangent step's matrices, densely: [[J_core, B], [B^T, 0]], with J_core the square Jacobian without
+    tau's column and its |x| row, and B = blockdiag(x, y, z) in J_core's row order (F's: z's, x's, y's
+    equations), both B and B^T negated as the step's map reads them from -v."""
+    k, n1, n2, n3 = x.shape[0], x.shape[1], y.shape[1], z.shape[1]
+    n = n1 + n2 + n3
+    rows = {"x": slice(n3, n3 + n1), "y": slice(n3 + n1, n), "z": slice(0, n3)}
+    W = np.zeros((k, n + 3, n + 3))
+    W[:, :n, :n] = J[:, :-1, :-1]
+    for c, (f, M, cols) in enumerate(zip("xyz", (x, y, z), _factor_slices((n1, n2, n3)))):
+        W[:, rows[f], n + c] = -M
+        W[:, n + c, cols] = -M
+    return W
+
+
+def ref_tangent_solve(J, F, x, y, z):
+    """The tangent step row by row: one solve of the bordered matrix per row, with right side F without its
+    |x| entry, then three zeros; the step moves x, y and z only, so its tau entry is 0."""
+    W = ref_bordered(J, x, y, z)
+    n = W.shape[1] - 3
+    step, singular = np.zeros_like(F), np.zeros(F.shape[0], dtype=bool)
+    for r in range(F.shape[0]):
+        s, bad = _solve_rows(W[r][None], np.r_[F[r, :n], 0.0, 0.0, 0.0][None])
+        step[r, :n], singular[r] = s[0, :n], bad[0]
+    return step, singular
 
 
 def ref_write_jacobians(J, A1, A2, A3, x, y, z, t):
@@ -622,7 +653,7 @@ class TestNewtonLoop:
         assert not got[1][-3:].any() and np.abs(got[0][-2, 4:12]).max() > 1e154
 
     def test_a_singular_row_stops_after_one_step(self, monkeypatch):
-        # x = 0 zeroes the Jacobian's last row: its step is 0, so only the stop keeps it from a 50-step tail.
+        # x = 0 zeroes the Jacobian's last row: its step is 0, so only the stop keeps it from a 40-step tail.
         T = TENSORS["gauss-4x4x4"]
         V0 = np.r_[np.zeros(4), np.full(8, 0.5), 1.0][None]
         step, calls = spectra._newton_step, []
@@ -635,25 +666,31 @@ class TestNewtonLoop:
         assert same_bytes(_newton_batch(T.array, V0), ref_newton_batch(T.array, V0))
         assert len(calls) == 1 and calls[0].size == 0
 
-    def test_rows_stepping_after_step_30_start_each_step_on_the_unit_spheres(self, monkeypatch):
+    def test_rows_stepping_at_step_20_take_tangent_steps_from_the_unit_spheres(self, monkeypatch):
         # One row block of raw starts, so each _newton_step call is one step of the loop; some rows run to the cap.
         T = TENSORS["gauss-4x4x4"]
         step, seen = spectra._newton_step, []
 
-        def spy(arr, V, idx, done, batch):
-            seen.append(V[idx].copy())
-            return step(arr, V, idx, done, batch)
+        def spy(arr, V, idx, done, batch, tangent):
+            v = V[idx].copy()
+            rows = step(arr, V, idx, done, batch, tangent)
+            seen.append((v, tangent, V[idx[~done[idx]]]))
+            return rows
 
         monkeypatch.setattr(spectra, "_newton_step", spy)
         _newton_batch(T.array, raw_starts(T))
-        assert len(seen) == spectra._NEWTON_MAX_STEPS == 50 and spectra._NEWTON_RETRACT == 30
+        assert len(seen) == spectra._NEWTON_MAX_STEPS == 40 and spectra._NEWTON_RETRACT == 20
         off = []  # per step, the largest distance of a row's x, y or z norm from 1
-        for it, v in enumerate(seen):
+        for it, (v, tangent, w) in enumerate(seen):
+            assert tangent is (it >= 20)
             X, Y, Z = (v[:, cols] for cols in _factor_slices(T.dims))
             off.append(max(np.abs(_row_norms(M) - 1.0).max() for M in (X, Y, Z)))
-            if it >= 30:
+            if tangent:
                 assert v[:, -1].tobytes() == _residuals(T.array, X, Y, Z)[0].tobytes(), it
-        assert max(off[30:]) <= 4e-16 < 1e-6 < off[29]
+                # A tangent step leaves |y| and |z| at least 1, so no row leaves through the collapse test.
+                low = np.minimum(*(_row_norms(w[:, cols]) for cols in _factor_slices(T.dims)[1:]))
+                assert (low >= 1.0 - 1e-12).all(), it
+        assert max(off[20:]) <= 4e-16 < 1e-6 < off[19]
 
     @pytest.mark.parametrize("name", ["gauss-4x4x4", "gauss-4x8x6", "diagonal_pair"])
     def test_three_row_blocks_equal_the_reference(self, name, monkeypatch):

@@ -1,5 +1,7 @@
 """Symmetry predicates, signed weight recovery, Schur verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,21 @@ class TestSchurFromSchmidt:
         hand = SchmidtRepresentation(rep.dims, (tilted, *rep.terms[1:]), rep.reconstruction_residual, SchmidtStatus.COMPLETE)
         with pytest.raises(ValueError, match=r"operator: max Gram deviation 1\.000e-06 > 1e-08$"):
             schur_from_schmidt(signed_diag, hand, 1e-4)
+
+    def test_a_given_check_is_not_run_again(self, signed_diag, monkeypatch):
+        import bilop.schur
+
+        rep, report = schmidt_decompose(signed_diag, CFG)
+        want = schur_from_schmidt(signed_diag, rep, 1e-9)
+        monkeypatch.setattr(bilop.schur, "verify_representation", lambda *args: pytest.fail("verified again"))
+        got = schur_from_schmidt(signed_diag, rep, 1e-9, report.check)
+        assert [(t.lam, t.x.tobytes()) for t in got.terms] == [(t.lam, t.x.tobytes()) for t in want.terms]
+
+    def test_a_given_check_that_fails_refuses_with_its_figures(self, signed_diag):
+        rep, report = schmidt_decompose(signed_diag, CFG)
+        check = dataclasses.replace(report.check, diagonal_ok=False, max_diagonal_deviation=0.5)
+        with pytest.raises(ValueError, match=r"operator: max diagonal deviation 5\.000e-01 > 1e-09$"):
+            schur_from_schmidt(signed_diag, rep, 1e-9, check)
 
     def test_inconsistency_is_not_an_argument_error(self):
         # The two failure modes must stay distinguishable for callers
