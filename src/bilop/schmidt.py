@@ -233,7 +233,8 @@ def _deflate(
     then subtracted in order from one remainder array, in place, whose hs-norm is the step's
     remaining_hs and, at the end, the reconstruction residual, until the stop, the min(dims) cap or a
     failure: a row not ordered in its remainder, or failing the transfer check, fails the run, which
-    keeps its steps but no terms. A Complete run's report carries its verify_representation check.
+    keeps its steps but no terms. A Complete run lists its terms by tau descending, ties in extraction
+    order, and its report carries their verify_representation check.
     """
     tol = cfg.residual_tol
     cap = min(T.dims)
@@ -286,6 +287,8 @@ def _deflate(
 
     if failure is not None:
         return SchmidtRepresentation(T.dims, (), hs_T, SchmidtStatus.FAILED), DeflationReport(tuple(steps), failure)
+    # Each tau is read off its own remainder, so tied weights can come out ULPs out of order.
+    terms.sort(key=lambda term: term.tau, reverse=True)
     rep = SchmidtRepresentation(T.dims, tuple(terms), hs, SchmidtStatus.COMPLETE)
     return rep, DeflationReport(tuple(steps), None, verify_representation(T, rep, tol))
 

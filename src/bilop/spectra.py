@@ -25,7 +25,9 @@ Everything is deterministic for a fixed SearchConfig.seed.
 One residual routine, _residuals, serves the search's gate, verify_triple,
 the ordered-slice test (is_ordered) and Schmidt deflation's checks: it reads
 the three equations and the slices off one pass of mode unfolding products,
-in the row blocks _contract uses, so a row's numbers never depend on its batch.
+in the row blocks of tensor_core's _contract, the one batched contraction
+kernel, so a row's numbers never depend on its batch. Newton's Jacobian
+blocks, right-hand side and starting tau keep their own einsums.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor_core import Tensor3, _as_entries, hs_norm
+from .tensor_core import Tensor3, _as_entries, _contract, _product, _row_blocks, hs_norm
 
 __all__ = [
     "SearchConfig",
@@ -66,10 +68,6 @@ _NEWTON_MAX_STEPS = 40
 _NEWTON_RETRACT = 20
 _NEWTON_DIVERGED = 1e6
 _NEWTON_COLLAPSED = 1e-4
-
-#: Largest temporary, in float64 entries, that one _contract row block
-#: builds (512 KiB); larger batches are contracted block by block.
-_CONTRACT_BLOCK = 1 << 16
 
 #: Largest batch of square Newton Jacobians, in float64 entries (512 KiB),
 #: that one row block of a Newton step writes into its batch's Jacobian
@@ -191,49 +189,7 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# batched contraction kernel, residuals and orbit helpers
-
-
-def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """One partial contraction of T per row of a block of vector pairs.
-
-    mode is the factor left free; U and V hold one vector per row for the other two factors, in mode order:
-
-        mode 2: T(x, y)          from (X, Y)
-        mode 0: contract_1(y, z) from (Y, Z)
-        mode 1: contract_2(x, z) from (X, Z)
-
-    Each row block (_row_blocks) is one BLAS product of a factor with a mode unfolding of T (_product), giving
-    an (rows, n_a, n_b) temporary, followed by a two-operand row reduction against the other factor. A row's
-    result depends only on that row, never on the block or batch it is computed in.
-    """
-    n1, n2, n3 = arr.shape
-    if mode == 0:
-        first, second, unf, shape, spec = V, U, arr.reshape(n1 * n2, n3).T, (n1, n2), "sij,sj->si"
-    elif mode == 1:
-        first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sk->sj"
-    else:
-        first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sj->sk"
-    blocks = _row_blocks(first.shape[0], unf.shape[1])
-    if len(blocks) == 1:  # most batches: the block's result is the output
-        return np.einsum(spec, _product(first, unf).reshape(-1, *shape), second)
-    out = np.empty((first.shape[0], arr.shape[mode]))
-    for b in blocks:
-        np.einsum(spec, _product(first[b], unf).reshape(-1, *shape), second[b], out=out[b])
-    return out
-
-
-def _row_blocks(S: int, width: int) -> list[slice]:
-    """The row blocks of an S-row batch whose rows each make width product entries: at most _CONTRACT_BLOCK
-    entries per block, and at least two rows, so only a lone row or the last can be one (see _product)."""
-    step = max(2, _CONTRACT_BLOCK // width)
-    return [slice(lo, lo + step) for lo in range(0, S, step)]
-
-
-def _product(F: np.ndarray, unf: np.ndarray) -> np.ndarray:
-    """F @ unf. numpy hands a one-row product to gemv, whose summation order differs from gemm's, so a lone
-    row is computed doubled: every row is summed by gemm, whatever block it sits in."""
-    return (np.repeat(F, 2, axis=0) @ unf)[:1] if F.shape[0] == 1 else F @ unf
+# residuals and orbit helpers
 
 
 def _residuals(arr, X, Y, Z, tau=None, deflated=False, slices=False) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,12 @@ A bilinear operator T: H1 x H2 -> K with dim H1 = n1, dim H2 = n2 and
 dim K = n3 is stored as the dense third-order array of its coefficients
 t[i][j][k] = <T(e_i, f_j), g_k> in fixed orthonormal bases, flattened in
 row-major order (k fastest). This module owns that data model and its
-JSON form, the single-vector contractions, norms and basis changes, and
-the rank-one term product that deflation and assembly share; the batched
-contraction kernel is spectra's.
+JSON form, norms and basis changes, the rank-one term product that
+deflation and assembly share, and the one batched contraction kernel,
+_contract: the public T(x, y) and adjoint contractions are its one-row
+calls, spectra's search calls it on whole batches, and spectra's residual
+routine forms the same products in the same row blocks, so
+apply(T, x, y) - tau z is bit for bit the residual the search's gate reads.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ SPACES = ("H1", "H2", "K")
 
 #: Tolerance for the orthogonality check in :func:`change_basis`.
 ORTHO_TOL = 1e-10
+
+#: Largest temporary, in float64 entries, that one _contract row block
+#: builds (512 KiB); larger batches are contracted block by block.
+_CONTRACT_BLOCK = 1 << 16
 
 ArrayLike = Union["VectorH", Sequence[float], np.ndarray]
 
@@ -141,8 +148,7 @@ def apply(T: Tensor3, x: ArrayLike, y: ArrayLike) -> VectorH:
     """Evaluate T(x, y) in K: z_k = sum_ij t[i][j][k] x_i y_j."""
     xa = _as_entries(x, "H1", T.dims[0], "x")
     ya = _as_entries(y, "H2", T.dims[1], "y")
-    z = np.einsum("ijk,i,j->k", T.array, xa, ya)
-    return VectorH(z, "K")
+    return VectorH(_contract(T.array, 2, xa[None], ya[None])[0], "K")
 
 
 def adjoint_contract_1(T: Tensor3, y: ArrayLike, z: ArrayLike) -> VectorH:
@@ -153,16 +159,14 @@ def adjoint_contract_1(T: Tensor3, y: ArrayLike, z: ArrayLike) -> VectorH:
     """
     ya = _as_entries(y, "H2", T.dims[1], "y")
     za = _as_entries(z, "K", T.dims[2], "z")
-    x = np.einsum("ijk,j,k->i", T.array, ya, za)
-    return VectorH(x, "H1")
+    return VectorH(_contract(T.array, 0, ya[None], za[None])[0], "H1")
 
 
 def adjoint_contract_2(T: Tensor3, x: ArrayLike, z: ArrayLike) -> VectorH:
     """Contract against the second argument: y_j = sum_ik t[i][j][k] x_i z_k."""
     xa = _as_entries(x, "H1", T.dims[0], "x")
     za = _as_entries(z, "K", T.dims[2], "z")
-    y = np.einsum("ijk,i,k->j", T.array, xa, za)
-    return VectorH(y, "H2")
+    return VectorH(_contract(T.array, 1, xa[None], za[None])[0], "H2")
 
 
 def hs_norm(T: Tensor3) -> float:
@@ -205,6 +209,48 @@ def change_basis(T: Tensor3, U: np.ndarray, V: np.ndarray, W: np.ndarray) -> Ten
 def _rank_one(tau: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The array of tau * x (x) y (x) z: (x_i y_j) z_k, then times tau."""
     return tau * (x[:, None, None] * y[:, None] * z)
+
+
+def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """One partial contraction of T per row of a block of vector pairs.
+
+    mode is the factor left free; U and V hold one vector per row for the other two factors, in mode order:
+
+        mode 2: T(x, y)          from (X, Y)
+        mode 0: contract_1(y, z) from (Y, Z)
+        mode 1: contract_2(x, z) from (X, Z)
+
+    Each row block (_row_blocks) is one BLAS product of a factor with a mode unfolding of T (_product), giving
+    an (rows, n_a, n_b) temporary, followed by a two-operand row reduction against the other factor. A row's
+    result depends only on that row, never on the block or batch it is computed in.
+    """
+    n1, n2, n3 = arr.shape
+    if mode == 0:
+        first, second, unf, shape, spec = V, U, arr.reshape(n1 * n2, n3).T, (n1, n2), "sij,sj->si"
+    elif mode == 1:
+        first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sk->sj"
+    else:
+        first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sj->sk"
+    blocks = _row_blocks(first.shape[0], unf.shape[1])
+    if len(blocks) == 1:  # most batches: the block's result is the output
+        return np.einsum(spec, _product(first, unf).reshape(-1, *shape), second)
+    out = np.empty((first.shape[0], arr.shape[mode]))
+    for b in blocks:
+        np.einsum(spec, _product(first[b], unf).reshape(-1, *shape), second[b], out=out[b])
+    return out
+
+
+def _row_blocks(S: int, width: int) -> list[slice]:
+    """The row blocks of an S-row batch whose rows each make width product entries: at most _CONTRACT_BLOCK
+    entries per block, and at least two rows, so only a lone row or the last can be one (see _product)."""
+    step = max(2, _CONTRACT_BLOCK // width)
+    return [slice(lo, lo + step) for lo in range(0, S, step)]
+
+
+def _product(F: np.ndarray, unf: np.ndarray) -> np.ndarray:
+    """F @ unf. numpy hands a one-row product to gemv, whose summation order differs from gemm's, so a lone
+    row is computed doubled: every row is summed by gemm, whatever block it sits in."""
+    return (np.repeat(F, 2, axis=0) @ unf)[:1] if F.shape[0] == 1 else F @ unf
 
 
 def deflate_term(

@@ -86,6 +86,19 @@ def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q
 
 
+def tied_odeco(n: int, rank: int) -> Tensor3:
+    """sum_{i<rank} u_i (x) v_i (x) w_i at n^3: equal weights, bases from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    U, V, W = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(3))
+    return from_schmidt([(1.0, U[:, i], V[:, i], W[:, i]) for i in range(rank)], dims=(n, n, n))
+
+
+def tied_cubic() -> Tensor3:
+    """sum_{i<8} x_i (x) x_i (x) x_i at 16^3: equal weights, basis from default_rng(3)."""
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 16)))[0][:, :8]
+    return Tensor3.from_array(np.einsum("im,jm,km->ijk", Q, Q, Q))
+
+
 @pytest.fixture(scope="session")
 def planted_schmidt_factory():
     """Build a tensor from planted monotone Schmidt data with gaps >= 0.1.

@@ -21,8 +21,10 @@ from bilop import (
     cli,
     gallery,
     spectra,
+    tensor_to_json_dict,
     verify_representation,
 )
+from conftest import tied_cubic
 
 S2 = np.sqrt(2.0)
 
@@ -48,8 +50,6 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 def files(tmp_path_factory):
     """Tensor and triples JSON files shared by the CLI tests."""
     root = tmp_path_factory.mktemp("cli")
-    from bilop import tensor_to_json_dict
-
     paths = {}
     for stem, T in [
         ("diag_pair", gallery.diagonal_pair()),
@@ -210,8 +210,6 @@ class TestSchmidt:
         assert report["result"]["verification"] == dataclasses.asdict(real(*seen[0]))
 
     def test_a_tied_top_band_is_deflated_in_descending_order(self, tmp_path, capsys):
-        from bilop import tensor_to_json_dict
-
         path = tmp_path / "tied.json"
         path.write_text(json.dumps(tensor_to_json_dict(gallery.signed_diagonal((3.0, 3.0 - 2e-6, 1.0)))))
         assert cli.main(["schmidt", str(path), "--json"]) == 0
@@ -311,6 +309,14 @@ class TestSchur:
         monkeypatch.setattr(cli, "schur_from_schmidt", lambda T, rep, tol, check: convert(T, rep, tol))
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out and len(seen) == 3
+
+    def test_a_tied_cubic_exits_zero(self, tmp_path):
+        # Eight equal weights at 16^3, whose Schmidt terms must come out in descending order to convert.
+        p = tmp_path / "cubic.json"
+        p.write_text(json.dumps(tensor_to_json_dict(tied_cubic())))
+        proc = run_cli("schur", str(p), "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [abs(t["lambda"]) for t in json.loads(proc.stdout)["result"]["terms"]] == pytest.approx([1.0] * 8, abs=1e-14)
 
     def test_rectangular_input_exits_four(self, files):
         proc = run_cli("schur", files["diag_pair"])

@@ -20,6 +20,7 @@ from bilop import (
     operator_norm,
     schmidt_decompose,
     spectra,
+    tensor_core,
 )
 from bilop.oracle import _sign_pattern_lattice, exhaustive_small_spectrum
 from bilop.spectra import (
@@ -28,7 +29,6 @@ from bilop.spectra import (
     _als_batch,
     _alternating_stage,
     _canonical_rows,
-    _contract,
     _factor_slices,
     _jacobian_buffers,
     _jacobian_layout,
@@ -43,6 +43,7 @@ from bilop.spectra import (
     _standard_starts,
     _tie_groups,
 )
+from bilop.tensor_core import _contract
 
 #: The einsum definition of each contraction mode, and the factor modes of
 #: its (U, V) operands.
@@ -80,7 +81,7 @@ class TestContract:
         # Blocks of three rows: 37 rows end in a one-row block.
         n1, n2, n3 = shape
         width = n1 * n2 if mode == 0 else n2 * n3
-        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * width)
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * width)
         assert np.array_equal(_contract(arr, mode, U, V), full)
 
     def test_empty_batch(self):
@@ -509,7 +510,7 @@ class TestSearchBlockBudget:
         want = enumerate_triples(T).triples
         # Newton blocks of 3 rows, contraction blocks of a few dozen rows.
         m2 = (sum(T.dims) + 1) ** 2
-        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * m2)
         monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m2)
         _alternating_stage.cache_clear()  # recompute the stage under the patched budgets
         same_triples(enumerate_triples(T).triples, want)
@@ -525,7 +526,7 @@ class TestSearchBlockBudget:
         # Contraction blocks of a few dozen rows; Newton blocks of the default
         # budget or of 2^22 Jacobian entries.
         m2 = (sum(T.dims) + 1) ** 2
-        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", 3 * m2)
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * m2)
         monkeypatch.setattr(spectra, "_NEWTON_BLOCK", newton_block(m2))
         _alternating_stage.cache_clear()  # recompute the stage under the patched budgets
         same_triples(enumerate_triples(T).triples, want)

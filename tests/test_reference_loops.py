@@ -40,6 +40,7 @@ from bilop import (
     schmidt_decompose,
     schur_from_schmidt,
     spectra,
+    tensor_core,
     verify_representation,
     verify_schur,
 )
@@ -62,7 +63,6 @@ from bilop.spectra import (
     _ORBIT_SIGNS,
     _als_batch,
     _canonical_rows,
-    _contract,
     _factor_slices,
     _listing,
     _newton_a1,
@@ -77,6 +77,7 @@ from bilop.spectra import (
     _stacked_terms,
     _standard_starts,
 )
+from bilop.tensor_core import _contract
 
 # ---------------------------------------------------------------------------
 # the references
@@ -92,7 +93,7 @@ def ref_contract(arr, mode, U, V):
         first, second, unf, shape, spec = U, V, arr.reshape(n1, n2 * n3), (n2, n3), "sjk,sj->sk"
     S = first.shape[0]
     out = np.empty((S, arr.shape[mode]))
-    block = max(2, spectra._CONTRACT_BLOCK // unf.shape[1])
+    block = max(2, tensor_core._CONTRACT_BLOCK // unf.shape[1])
     for lo in range(0, S, block):
         F, G = first[lo : lo + block], second[lo : lo + block]
         rows = F.shape[0]
@@ -350,7 +351,7 @@ def ref_slice_residuals(arr, X, Y, Z, tau, deflated=False):
     with a mode unfolding (a one-row block on gemv), its deflated correction per slice, its own row-block rule."""
     n1, n2, n3 = arr.shape
     S = tau.size
-    block = max(1, spectra._CONTRACT_BLOCK // max(n1 * n3, n2 * n3, n1 * n2))
+    block = max(1, tensor_core._CONTRACT_BLOCK // max(n1 * n3, n2 * n3, n1 * n2))
     if S > block and not deflated:
         return np.vstack([ref_slice_residuals(arr, *(M[lo : lo + block] for M in (X, Y, Z, tau))) for lo in range(0, S, block)])
     out = np.empty((S, 4))
@@ -740,7 +741,7 @@ class TestAlsLoop:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_contract_equals_the_reference_at_every_block_count(self, shape, mode):
         n1, n2, n3 = shape
-        block = max(2, spectra._CONTRACT_BLOCK // (n1 * n2 if mode == 0 else n2 * n3))
+        block = max(2, tensor_core._CONTRACT_BLOCK // (n1 * n2 if mode == 0 else n2 * n3))
         rng = np.random.default_rng([17, mode, *shape])
         arr = rng.standard_normal(shape)
         na, nb = [n for k, n in enumerate(shape) if k != mode]
@@ -868,8 +869,8 @@ class TestDeflationBlock:
         tau, X, Y, Z = _stacked_terms(enumerate_triples(T, self.CFG).triples, T.dims)
         want = _residuals(T.array, X, Y, Z, tau, slices=True)[1]
         S, width = tau.size, max(4 * 6, 5 * 6, 4 * 5)
-        monkeypatch.setattr(spectra, "_CONTRACT_BLOCK", (S - 1) * width)
-        assert S > 2 and spectra._row_blocks(S, width) == [slice(0, S - 1), slice(S - 1, 2 * S - 2)]
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", (S - 1) * width)
+        assert S > 2 and tensor_core._row_blocks(S, width) == [slice(0, S - 1), slice(S - 1, 2 * S - 2)]
         got = _residuals(T.array, X, Y, Z, tau, slices=True)[1]
         assert same_bytes([got], [want])
         np.testing.assert_allclose(got[:, 3:], ref_slice_residuals(T.array, X, Y, Z, tau), rtol=0, atol=1e-15)

@@ -27,6 +27,7 @@ from bilop import (
 from bilop import schmidt
 from bilop.schmidt import _deflate, _greedy, _svd_block
 from bilop.spectra import _alternating_stage, _start_table
+from conftest import tied_cubic, tied_odeco
 
 
 def orbit_matches(got, want, atol):
@@ -591,3 +592,19 @@ class TestGreedyBand:
         assert rep.status is SchmidtStatus.COMPLETE
         assert [t.tau for t in rep.terms] == [3.0, 3.0 - gap, 1.0]
         assert verify_representation(T, rep, self.CFG.residual_tol).monotone
+
+
+class TestTiedWeights:
+    """Equal weights: each tau is read off its own remainder, so the steps come out ULPs apart, in either order."""
+
+    @pytest.mark.parametrize("T", [tied_odeco(8, 5), tied_odeco(16, 8), tied_cubic()], ids=["8^3", "16^3", "cubic"])
+    def test_complete_terms_are_descending_and_pass_their_check(self, T):
+        rep, report = schmidt_decompose(T)
+        assert rep.status is SchmidtStatus.COMPLETE
+        assert report.check.monotone and report.check.all_ok
+        taus = [t.tau for t in rep.terms]
+        assert all(a >= b for a, b in zip(taus, taus[1:]))
+        np.testing.assert_allclose(taus, 1.0, rtol=0, atol=1e-14)
+        # The terms are the steps' triples, which stay in extraction order, sorted stably by tau.
+        steps = sorted(report.steps, key=lambda step: step.tau, reverse=True)
+        assert [t.x.tobytes() for t in rep.terms] == [step.triple.x.tobytes() for step in steps]

@@ -22,6 +22,7 @@ from bilop import (
     schur_from_schmidt,
     verify_schur,
 )
+from conftest import tied_cubic
 
 CFG = SearchConfig(starts=16)
 
@@ -107,6 +108,14 @@ class TestSchurFromSchmidt:
         rep, _ = schmidt_decompose(T, CFG)
         schur = schur_from_schmidt(T, rep, 1e-9)
         assert sorted(t.lam for t in schur.terms) == pytest.approx([1.0, 1.0])
+
+    def test_a_tied_cubic_converts(self):
+        # Eight equal weights at 16^3 (signs follow the canonical x): the greedy steps come out ULPs out of order,
+        # the Complete terms do not.
+        T = tied_cubic()
+        rep, report = schmidt_decompose(T)
+        schur = schur_from_schmidt(T, rep, 1e-9, report.check)
+        assert [abs(t.lam) for t in schur.terms] == pytest.approx([1.0] * 8, abs=1e-14)
 
     def test_rejects_non_self_adjoint_input(self):
         arr = np.zeros((2, 2, 2))

@@ -13,7 +13,9 @@ from bilop import (
     apply,
     change_basis,
     deflate_term,
+    enumerate_triples,
     from_schmidt,
+    gallery,
     hs_norm,
     tensor_from_json_dict,
     tensor_to_json_dict,
@@ -146,6 +148,23 @@ class TestContractions:
         via_2 = float(np.asarray(adjoint_contract_2(T, x, z)) @ y)
         assert lhs == pytest.approx(via_1, abs=1e-12)
         assert lhs == pytest.approx(via_2, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["diagonal_pair", "overlapping_slices", "orthonormal_triad", "signed_diagonal"])
+    def test_public_residuals_equal_each_listed_triples_bit_for_bit(self, name):
+        # The public maps are one-row calls of the kernel the search's residual gate reads.
+        T = getattr(gallery, name)()
+        triples = enumerate_triples(T).triples
+        assert triples
+        for t in triples:
+            got = tuple(
+                float(np.linalg.norm(np.asarray(v) - t.tau * w, axis=-1))
+                for v, w in (
+                    (apply(T, t.x, t.y), t.z),
+                    (adjoint_contract_1(T, t.y, t.z), t.x),
+                    (adjoint_contract_2(T, t.x, t.z), t.y),
+                )
+            )
+            assert got == t.residuals, t.tau
 
 
 class TestHsNorm:
