@@ -337,7 +337,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--starts", type=int, default=None, help="random starts (default 64*max(dims))")
     sub.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
     sub.add_argument("--dedup-tol", type=float, default=1e-6, help="sign-orbit merge tolerance (default 1e-6)")
-    sub.add_argument("--max-iter", type=int, default=10000, help="iteration cap per start (default 10000)")
+    sub.add_argument(
+        "--max-iter",
+        type=int,
+        default=10000,
+        help="iteration cap per start (default 10000); the alternating sweeps, at most min(N, 101), then hand over to Newton",
+    )
     sub.add_argument("--seed", type=int, default=0, help="seed for the deterministic multi-start (default 0)")
     sub.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
 

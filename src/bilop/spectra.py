@@ -12,7 +12,10 @@ the product of unit spheres.
 The workhorse is an alternating power iteration (hopm_refine) run from a
 deterministic multi-start set. It converges only linearly, so its
 endpoints are finished by a Newton corrector on the square stationarity
-system, which converges quadratically from them. Alternating iteration
+system, which converges quadratically from them. A row still iterating at
+loop index 100 (_ALS_HANDOFF, the 101st sweep) leaves the iteration there
+and is finished the same way; if its Newton run fails, the search's gate
+drops the endpoint it keeps. Alternating iteration
 only reaches attracting triples, so enumerate_triples additionally runs
 the Newton corrector from every raw start, which reaches saddle-type
 triples as well. A row still stepping after 20 Newton steps is retracted
@@ -59,6 +62,9 @@ __all__ = [
 #: Norms below this count as "a zero vector" during normalization.
 _ZERO_NORM = 1e-250
 
+#: Loop index of the alternating iteration at which every row still iterating leaves for the Newton finish.
+_ALS_HANDOFF = 100
+
 #: Newton corrector settings: the finish of every alternating run, and
 #: enumerate_triples' second search from the raw starts. From loop index
 #: _NEWTON_RETRACT on, every row still stepping is retracted onto the unit
@@ -93,8 +99,11 @@ class SearchConfig:
 
     starts=None resolves to 64 * max(dims) for the tensor at hand.
     iter_tol is the relative value-change stop for the alternating
-    iteration; residual_tol gates verification; dedup_tol controls the
-    sign-orbit merge distance; seed makes every search reproducible.
+    iteration, which runs at most min(max_iter, 101) sweeps before the
+    Newton finish takes over its rows still iterating (a max_iter of 100
+    or less ends them as "max_iter exceeded"); residual_tol gates
+    verification; dedup_tol controls the sign-orbit merge distance; seed
+    makes every search reproducible.
     The field order is the key order of the CLI report's config, which
     shows starts resolved.
     """
@@ -316,13 +325,16 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
 
     Each row iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|, y <- contract_2(x,z)/|.| until the value
     <T(x,y), z> changes by less than iter_tol relatively (rows are independent; batching only vectorizes the
-    identical update). Converged rows whose equation residuals exceed _NEWTON_TOL*(1+tau) are then finished by
-    _finish from tau = <T(x,y), z>. Returns per-row final states and status, and merged, the converged rows
-    _finish dropped onto a lower row's verified root.
+    identical update). At loop index _ALS_HANDOFF every live row still iterating leaves as it stands, its x
+    and y with that sweep's z: the linear tail beyond is left to the Newton finish. Rows that stopped or left
+    there (ok) whose equation residuals exceed _NEWTON_TOL*(1+tau) are then finished by _finish from
+    tau = <T(x,y), z>; a row that left and whose Newton run fails keeps its endpoint, for the search's gate to
+    drop. Returns per-row final states and status, stopped (the ok rows that met the value stop), and merged,
+    the ok rows _finish dropped onto a lower row's verified root.
 
     The iteration works on a compacted block of the rows still iterating (idx maps it back to start rows); a
-    row leaves the block when it converges or hits a zero contraction. _contract and _newton_batch make a row's
-    arithmetic independent of the block it sits in.
+    row leaves the block when it converges, hits a zero contraction or reaches the handoff. _contract and
+    _newton_batch make a row's arithmetic independent of the block it sits in.
     """
     S = X0.shape[0]
     n3 = arr.shape[2]
@@ -330,12 +342,13 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
     Y, _ = _row_normalize(np.array(Y0, dtype=float))
     Z = np.zeros((S, n3))
     ok = np.zeros(S, dtype=bool)
+    handed = np.zeros(S, dtype=bool)
     dead = np.zeros(S, dtype=bool)
 
     idx = np.arange(S)
     x, y = X, Y
     f_prev = np.full(S, np.nan)
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
         if idx.size == 0:
             break
         z, f = _row_normalize(_contract(arr, 2, x, y))
@@ -343,6 +356,9 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
         if trace is not None and idx[0] == 0 and live[0]:
             trace.append(float(f[0]))
         done = live & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
+        if it == _ALS_HANDOFF:  # every live row leaves as it stands, for the Newton finish
+            handed[idx[live & ~done]] = True
+            done = live
         f_prev = f
         keep = live & ~done
         if not keep.all():
@@ -359,7 +375,7 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
 
     merged = _finish(arr, X, Y, Z, ok, cfg)
     reasons = np.where(dead, "zero contraction", "max_iter exceeded")
-    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "merged": merged, "reasons": reasons}
+    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": ok & ~handed, "merged": merged, "reasons": reasons}
 
 
 def _finish(arr, X, Y, Z, ok, cfg) -> np.ndarray:
@@ -718,10 +734,12 @@ def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: 
 def _alternating_stage(
     T: Tensor3, cfg: SearchConfig, pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
-    """The starts (X0, Y0, Z0) of one multi-start search, the rows (X, Y, Z) its ALS runs converged to, and their count.
+    """The starts (X0, Y0, Z0) of one multi-start search, the rows (X, Y, Z) its ALS runs ended at, and a count.
 
-    The starts are _standard_starts(T, cfg, pairs); the rows are the converged rows
-    _als_batch's finish kept, by start index; the count includes the merged ones.
+    The starts are _standard_starts(T, cfg, pairs); the rows are the ok rows _als_batch's
+    finish kept, by start index: value stops and rows handed to Newton at _ALS_HANDOFF,
+    finished or not (the search's gate drops those Newton left unconverged). The count
+    is of the rows that met the value stop, the merged ones included.
     Every array is read-only. The last stage is kept, keyed by the Tensor3 object
     (frozen, read-only values, hashed by identity; the entry's reference keeps its
     id from being reused) and by the SearchConfig's value, so a norm, a spectrum
@@ -735,7 +753,7 @@ def _alternating_stage(
     rows = (als["X"][ok], als["Y"][ok], als["Z"][ok])
     for M in starts + rows:
         M.flags.writeable = False
-    return starts, rows, int(als["ok"].sum())
+    return starts, rows, int(als["stopped"].sum())
 
 
 def _search_candidates(
@@ -801,13 +819,15 @@ def hopm_refine(
     """Alternating power iteration from a single start.
 
     Iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|, y <- contract_2(x,z)/|.|
-    until the value <T(x,y), z> changes by less than iter_tol relatively,
+    until the value <T(x,y), z> changes by less than iter_tol relatively, or
+    for 101 sweeps (loop index _ALS_HANDOFF), whichever comes first,
     then finishes the endpoint with Newton steps on the stationarity system
     (it is kept as is if Newton does not converge) and returns the
     canonicalized triple with its computed residuals (the result is a
     candidate; it is not verification-gated).
     The value sequence is nondecreasing across sweeps. A zero vector under
-    normalization or an exhausted iteration budget yields NonConvergence.
+    normalization, or a max_iter of at most 100 exhausted before the value
+    stop, yields NonConvergence.
     z0 participates only through the start contract (the first sweep
     replaces it); it is validated like the others.
     """
@@ -841,7 +861,8 @@ def hopm_value_trace(
 
     Diagnostic companion to hopm_refine: each alternating update maximizes
     the objective in one block, so the returned sequence is nondecreasing
-    up to roundoff.
+    up to roundoff. It ends at the value stop, or at the handoff to Newton:
+    at most 101 values (loop index _ALS_HANDOFF).
     """
     cfg = cfg if cfg is not None else SearchConfig()
     n1, n2, _ = T.dims

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilop import (
+    FailureReason,
     SchmidtStatus,
     SearchConfig,
     SingularTriple,
@@ -98,6 +99,80 @@ class TestAlsBatch:
         res = _als_batch(diag_pair.array, X, Y, SearchConfig())
         assert res["ok"].tolist() == [True, False, False, True, False, False]
         assert res["reasons"][~res["ok"]].tolist() == ["zero contraction"] * 4
+
+
+def als_sweeps(monkeypatch) -> list:
+    """Patch spectra so each _als_batch run appends its sweep count: its T(x, y) contractions before _finish."""
+    sweeps, looping = [], [False]
+    als, contract, finish = spectra._als_batch, spectra._contract, spectra._finish
+
+    def spy_als(*args, **kwargs):
+        sweeps.append(0)
+        looping[0] = True
+        return als(*args, **kwargs)
+
+    def spy_contract(arr, mode, U, V):
+        if looping[0] and mode == 2:
+            sweeps[-1] += 1
+        return contract(arr, mode, U, V)
+
+    def spy_finish(*args):
+        looping[0] = False
+        return finish(*args)
+
+    for name, spy in (("_als_batch", spy_als), ("_contract", spy_contract), ("_finish", spy_finish)):
+        monkeypatch.setattr(spectra, name, spy)
+    return sweeps
+
+
+#: schmidt-planted's fixed 8^3 failure input: its slowest ALS row runs 251 sweeps without the handoff.
+GAUSS_8_FAILURE = Tensor3.from_array(np.random.default_rng([0, 4]).standard_normal((8, 8, 8)))
+
+
+class TestAlsHandoff:
+    def test_rows_still_iterating_at_the_handoff_go_to_newton(self, monkeypatch):
+        cfg = SearchConfig()
+        sweeps = als_sweeps(monkeypatch)
+        norm = operator_norm(GAUSS_8_FAILURE, cfg)
+        rep, report = schmidt_decompose(GAUSS_8_FAILURE, cfg)
+        assert sweeps == [spectra._ALS_HANDOFF + 1] == [101]  # greedy's step 1 is served the norm's stage
+        assert rep.status is SchmidtStatus.FAILED
+        assert (report.failure.step, report.failure.reason) == (1, FailureReason.NOT_ORDERED)
+        _alternating_stage.cache_clear()
+        monkeypatch.setattr(spectra, "_ALS_HANDOFF", cfg.max_iter + 1)
+        assert abs(operator_norm(GAUSS_8_FAILURE, cfg)[0] - norm[0]) <= 1e-12
+        assert sweeps[1] == 251
+        # The same failure, and the same top tau in its diagnostics.
+        assert schmidt_decompose(GAUSS_8_FAILURE, cfg)[1].failure == report.failure
+
+    def test_the_converged_count_keeps_only_value_stops(self):
+        cfg = SearchConfig(starts=16)
+        X0, Y0, _ = _standard_starts(GAUSS_8_FAILURE, cfg)
+        res = _als_batch(GAUSS_8_FAILURE.array, X0, Y0, cfg)
+        handed = res["ok"] & ~res["stopped"]
+        assert handed.any() and res["stopped"].any()
+        assert _alternating_stage(GAUSS_8_FAILURE, cfg)[2] == res["stopped"].sum()
+
+    def test_a_budget_at_the_handoff_still_runs_out(self):
+        # max_iter = 100 ends the loop at index 99, one sweep before the handoff.
+        X0, Y0, _ = _standard_starts(GAUSS_8_FAILURE, SearchConfig())
+        for max_iter, handed in ((spectra._ALS_HANDOFF, False), (spectra._ALS_HANDOFF + 1, True)):
+            res = _als_batch(GAUSS_8_FAILURE.array, X0, Y0, SearchConfig(max_iter=max_iter))
+            assert bool((res["reasons"][~res["ok"]] == "max_iter exceeded").any()) is not handed
+            assert bool((res["ok"] & ~res["stopped"]).any()) is handed
+
+    def test_every_gallery_run_ends_before_the_handoff(self, monkeypatch):
+        # So the handoff cannot move a gallery answer: the norm's stage, each greedy step and the lattice search.
+        sweeps = als_sweeps(monkeypatch)
+        for seed in range(11):
+            cfg = SearchConfig(seed=seed)
+            for name in ("diagonal_pair", "overlapping_slices", "orthonormal_triad", "signed_diagonal"):
+                T = getattr(gallery, name)()
+                operator_norm(T, cfg)
+                schmidt_decompose(T, cfg)
+                exhaustive_small_spectrum(T, cfg)
+        # A run of k sweeps ends at loop index k - 1.
+        assert max(sweeps) <= spectra._ALS_HANDOFF, f"the longest gallery ALS run takes {max(sweeps)} sweeps"
 
 
 def newton_starts(shape, rows, seed):

@@ -129,11 +129,12 @@ def ref_als_batch(arr, X0, Y0, cfg, trace=None):
     Y, _ = ref_row_normalize(np.array(Y0, dtype=float))
     Z = np.zeros((S, n3))
     ok = np.zeros(S, dtype=bool)
+    stopped = np.zeros(S, dtype=bool)
     dead = np.zeros(S, dtype=bool)
     idx = np.arange(S)
     x, y = X, Y
     f_prev = np.full(S, np.nan)
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
         if idx.size == 0:
             break
         z, f = ref_row_normalize(ref_contract(arr, 2, x, y))
@@ -141,6 +142,9 @@ def ref_als_batch(arr, X0, Y0, cfg, trace=None):
         if trace is not None and idx[0] == 0 and live[0]:
             trace.append(float(f[0]))
         done = live & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
+        stopped[idx[done]] = True
+        if it == spectra._ALS_HANDOFF:
+            done = live
         f_prev = f
         if done.any():
             rows = idx[done]
@@ -154,7 +158,7 @@ def ref_als_batch(arr, X0, Y0, cfg, trace=None):
         y, _ = ref_row_normalize(ref_contract(arr, 1, x, z))
     merged = ref_finish(arr, X, Y, Z, ok, cfg)
     reasons = np.where(dead, "zero contraction", "max_iter exceeded")
-    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "merged": merged, "reasons": reasons}
+    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": stopped, "merged": merged, "reasons": reasons}
 
 
 #: The sign variants as one stack, for stacked_distance.
@@ -710,13 +714,17 @@ class TestNewtonLoop:
         assert same_bytes(_newton_batch(T.array, V0[perm]), (V[perm], ok[perm]))
 
 
+#: Every array _als_batch returns.
+ALS_KEYS = ("X", "Y", "Z", "ok", "stopped", "merged", "reasons")
+
+
 class TestAlsLoop:
     @EACH_TENSOR
     def test_batch_equals_the_reference(self, T):
         cfg = SearchConfig()
         X0, Y0, _ = _standard_starts(T, cfg)
         got, want = _als_batch(T.array, X0, Y0, cfg), ref_als_batch(T.array, X0, Y0, cfg)
-        assert all(got[key].tobytes() == want[key].tobytes() for key in ("X", "Y", "Z", "ok", "merged", "reasons"))
+        assert all(got[key].tobytes() == want[key].tobytes() for key in ALS_KEYS)
 
     def test_norms_whose_squares_underflow_equal_the_reference(self):
         # At this scale some x update's norm reads 0 though f > _ZERO_NORM: only the guard keeps the sweep
@@ -726,7 +734,7 @@ class TestAlsLoop:
         X0, Y0 = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
         cfg = SearchConfig(max_iter=200)
         got, want = _als_batch(arr, X0, Y0, cfg), ref_als_batch(arr, X0, Y0, cfg)
-        assert all(got[key].tobytes() == want[key].tobytes() for key in ("X", "Y", "Z", "ok", "merged", "reasons"))
+        assert all(got[key].tobytes() == want[key].tobytes() for key in ALS_KEYS)
 
     @pytest.mark.parametrize("name", ["gauss-4x4x4", "overlapping_slices", "gauss-3x2x4"])
     def test_value_trace_equals_the_reference(self, name):
