@@ -634,37 +634,19 @@ def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Z
 
 
-#: The standard normals behind every search's random starts, {seed: read-only table}, for the last seed used.
-_start_table: dict[int, np.ndarray] = {}
-
-
 def _random_starts(
     dims: tuple[int, int, int], count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """count uniform random unit triples, seeded deterministically per start index.
 
     Start s is read off bilop's own stream of standard normals for (seed, s), which equals bit for bit
-    those of numpy's default_rng([seed, s]) (bilop._stream, loaded on the first draw). A shorter draw is
-    the prefix of a longer one, so the table kept for the last seed serves any search as
-    table[:count, :sum(dims)], normalised per factor on every call. A larger count draws only the new
-    rows, a wider shape redraws the table once, and another seed replaces it.
+    those of numpy's default_rng([seed, s]): the first count rows and sum(dims) columns of the table that
+    bilop._stream keeps for the seed (the module is loaded on a process's first draw), normalised per
+    factor on every call.
     """
-    width = sum(dims)
-    table = _start_table.get(seed, np.empty((0, width)))
-    first = table.shape[0] if width <= table.shape[1] else 0
-    rows = max(count, table.shape[0])
-    if rows > first:
-        from . import _stream
+    from . import _stream
 
-        grown = np.empty((rows, max(width, table.shape[1])))
-        if first:
-            grown[:first] = table
-        # The rows of starts first .. rows - 1 at once, without importing numpy.random.
-        grown[first:] = _stream.standard_normals(seed, first, rows - first, grown.shape[1])
-        grown.flags.writeable = False
-        _start_table.clear()
-        _start_table[seed] = table = grown
-    V = table[:count, :width]
+    V = _stream.start_normals(seed, count, sum(dims))
     return tuple(_row_normalize(V[:, cols])[0] for cols in _factor_slices(dims))
 
 
@@ -676,8 +658,8 @@ def _standard_starts(
     pairs = (P, Q) holds the start vectors of H1 and H2 as rows; the default
     is the two identity bases, so the pairs are (e_i, f_j). Each pair (p, q)
     takes z aligned with T(p, q). The random block is cfg.resolved_starts
-    seeded random triples from _random_starts, normalised afresh from the
-    per-seed table of start normals.
+    seeded random triples from _random_starts, normalised afresh from
+    bilop._stream's per-seed table of start normals.
     """
     n1, n2, _ = T.dims
     P, Q = pairs if pairs is not None else (np.eye(n1), np.eye(n2))
@@ -746,7 +728,7 @@ def _alternating_stage(
     id from being reused) and by the SearchConfig's value, so a norm, a spectrum
     and greedy deflation's first step of one tensor pay for one stage. Lattice
     pairs are arrays, which cannot be hashed: their searches call __wrapped__ and
-    keep no stage. A missed stage still reads its random normals from _start_table.
+    keep no stage. A missed stage still reads its random normals off bilop._stream's table.
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)

@@ -16,7 +16,8 @@ from bilop import (
     gallery,
     tensor_to_json_dict,
 )
-from bilop.spectra import _alternating_stage, _start_table
+from bilop._stream import _start_table
+from bilop.spectra import _alternating_stage
 
 
 @pytest.fixture(autouse=True)

@@ -158,6 +158,13 @@ class TestNorm:
         assert proc.stdout == ""
         assert "max_iter=1" in proc.stderr
 
+    def test_start_counts_past_the_bound_exit_two(self, files):
+        # 2**40 starts would need a 72 TiB table of normals: refused before it is allocated, not a MemoryError.
+        proc = run_cli("norm", files["diag_pair"], "--starts", str(2**40), "--json")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: start indices end at 2**32 - 1")
+
 
 class TestSpectrum:
     def test_reports_ordered_flags(self, files):

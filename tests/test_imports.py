@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tokenize
 
 import pytest
 
@@ -128,6 +129,17 @@ class TestFootprint:
             """
         )
         assert json.loads(out) == [[0, 0, 3], True, []]
+
+
+def test_every_module_stays_below_the_parser_token_step():
+    # Compiling a module of 8192 parser tokens or more (tokenize, without comments and blank lines) grows
+    # the parser's token storage, and every process compiles bilop when its bytecode is not cached.
+    skipped = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
+    counts = {}
+    for path in sorted(pathlib.Path(SRC, "bilop").glob("*.py")):
+        with path.open("rb") as f:
+            counts[path.name] = sum(tok.type not in skipped for tok in tokenize.tokenize(f.readline))
+    assert {name: n for name, n in counts.items() if n >= 8192} == {}
 
 
 class TestPackageApi:

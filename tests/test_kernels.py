@@ -654,7 +654,7 @@ SEARCHES = {
 
 
 class StartTableLog(dict):
-    """A spectra._start_table that counts its reads (one per search) and its
+    """A _stream._start_table that counts its reads (one per search) and its
     draws (reads that grew or replaced the table)."""
 
     def __init__(self):
@@ -677,7 +677,7 @@ class StartTableLog(dict):
 @pytest.fixture
 def table_log(monkeypatch):
     log = StartTableLog()
-    monkeypatch.setattr(spectra, "_start_table", log)
+    monkeypatch.setattr(_stream, "_start_table", log)
     return log
 
 
@@ -713,7 +713,7 @@ class TestStartSet:
     def test_memoised_block_is_read_only(self):
         _random_starts((2, 3, 4), 5, 0)
         with pytest.raises(ValueError):
-            spectra._start_table[0][0, 0] = 1.0
+            _stream._start_table[0][0, 0] = 1.0
 
     def test_a_shorter_draw_is_the_prefix_of_a_longer_one(self):
         # The table rests on this: one row serves every narrower request, in numpy's stream and in bilop's.
@@ -731,6 +731,29 @@ class TestStartSet:
         assert np.array_equal(standard_normals(5, first, 3, 11), want)
         with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
             standard_normals(5, first, 4, 11)
+
+    def test_start_counts_past_the_bound_are_refused_before_any_draw(self, diag_pair):
+        # 2**40 starts would need a 72 TiB table of normals: the bound refuses them before it is allocated.
+        with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
+            operator_norm(diag_pair, SearchConfig(starts=2**40))
+        assert not _stream._start_table
+
+    @pytest.mark.parametrize(
+        "name, little_endian, digest",
+        [
+            ("_KI", "<u8", "565295797825931547a1036f5b012a247be54abbe077c39fe06c8ed1e9d0a5a9"),
+            ("_WI", "<f8", "33c6472209e1d09ea3548f0291e5e1ad67fb4f1d0305e9f1086689584b7bb7fa"),
+            ("_FI", "<f8", "acd898d9d87e212f657755ba43b21e40958090a7ff2103c9e79f4ea1b0fe2bc5"),
+        ],
+        ids=["ki", "wi", "fi"],
+    )
+    def test_the_ziggurat_tables_are_pinned(self, name, little_endian, digest):
+        # Every entry, bit for bit: the stream's own pin reads only the layers its draws happen to hit.
+        table = getattr(_stream, name)
+        assert table.shape == (256,) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+        assert hashlib.sha256(table.astype(little_endian).tobytes()).hexdigest() == digest
 
     def test_a_draw_through_the_tail_and_the_wedge(self, monkeypatch):
         # Start 200 of seed 0 leaves the fast path three times: a tail draw beyond r = 3.6541528853610088, then
@@ -752,7 +775,7 @@ class TestStartSet:
     def test_the_stream_is_pinned(self):
         # bilop's own table of seed 0, 272 starts of width 12, whatever numpy is installed.
         _random_starts((4, 4, 4), 272, 0)
-        table = spectra._start_table[0]
+        table = _stream._start_table[0]
         assert table.shape == (272, 12)
         assert hashlib.sha256(table.astype("<f8").tobytes()).hexdigest() == "c2438b5a50476fd13f87143ec189e120d2c2bc6aa0674d06db89724f3c22084e"
 

@@ -25,8 +25,9 @@ from bilop import (
     verify_triple,
 )
 from bilop import schmidt
+from bilop._stream import _start_table
 from bilop.schmidt import _deflate, _greedy, _svd_block
-from bilop.spectra import _alternating_stage, _start_table
+from bilop.spectra import _alternating_stage
 from conftest import tied_cubic, tied_odeco
 
 
