@@ -20,8 +20,8 @@ property, not an imposed constraint.
 
 Failure is a value, not an exception: when a remainder's top singular value
 is attained only by non-ordered triples (or no triple can be verified at
-all), the result carries status Failed, an empty term list, and a report
-that retains the partial steps for diagnosis.
+all), or the finished terms fail verify_representation, the result carries
+status Failed, an empty term list, and a report that keeps the partial steps.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .spectra import (
     _search_candidates,
     _stacked_terms,
     _tie_groups,
+    _verified,
 )
 
 __all__ = list(_LAZY["schmidt"])
@@ -66,6 +67,7 @@ class SchmidtStatus(str, Enum):
 class FailureReason(str, Enum):
     NOT_ORDERED = "NotOrdered"
     NO_TRIPLE_FOUND = "NoTripleFound"
+    NOT_VERIFIED = "NotVerified"
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,15 +202,14 @@ def schmidt_decompose(
     A Schmidt representation with orthonormal families makes the mode-1
     unfolding T(1) = sum tau_i x_i (y_i (x) z_i)^T an SVD, so the terms are
     first read off one SVD of T(1) (_svd_block). Where that reading is
-    ambiguous, or does not complete and pass verify_representation at
-    residual_tol, _greedy deflation runs from scratch and decides the
-    result, failures included. Both are term sources of one loop, _deflate,
+    ambiguous or does not end Complete, _greedy deflation runs from scratch
+    and decides the result, failures included. Both are term sources of one loop, _deflate,
     which stops once the remainder's hs-norm is at most residual_tol, the
     bound verify_representation puts on the reconstruction residual, or
     min(dims) terms were extracted.
 
-    Returns (representation, report). A Complete result's report carries
-    its verify_representation check as report.check. On failure the
+    Returns (representation, report). Complete means certified: its report
+    carries the passed verify_representation check as report.check. On failure the
     representation has status Failed and no terms, and report.check is
     None; the report keeps every step, including the offending one, with
     its residual diagnostics. A residual_tol below
@@ -217,7 +218,7 @@ def schmidt_decompose(
     cfg = cfg if cfg is not None else SearchConfig()
     _check_floor(T, cfg.residual_tol)
     fast = _deflate(T, cfg, _svd_block(T, cfg))
-    return fast if fast is not None and fast[1].check is not None and fast[1].check.all_ok else _greedy(T, cfg)
+    return fast if fast is not None and fast[0].status is SchmidtStatus.COMPLETE else _greedy(T, cfg)
 
 
 def _deflate(
@@ -227,14 +228,15 @@ def _deflate(
 
     pick(remainder values, k) returns the terms from step k on as a block (X, Y, Z, orbits at the top),
     a DeflationFailure, or None, which abandons the run (_deflate returns None). Each row is checked
-    against its own remainder, the block's earlier rows deflated, by one _residuals call with slices: tau
-    must exceed residual_tol with residuals within it, or the run is abandoned, and the ordered slices
-    are recorded; the transfer check re-verifies it against the ORIGINAL operator at that tau. Rows are
+    against its own remainder, the block's earlier rows deflated, by one _residuals call with slices: the
+    search's gate (_verified) must pass it, or the run is abandoned, and the ordered slices are
+    recorded; the transfer check re-verifies it against the ORIGINAL operator at that tau. Rows are
     then subtracted in order from one remainder array, in place, whose hs-norm is the step's
     remaining_hs and, at the end, the reconstruction residual, until the stop, the min(dims) cap or a
     failure: a row not ordered in its remainder, or failing the transfer check, fails the run, which
-    keeps its steps but no terms. A Complete run lists its terms by tau descending, ties in extraction
-    order, and its report carries their verify_representation check.
+    keeps its steps but no terms. Otherwise its terms, by tau descending, ties in extraction order, must
+    pass verify_representation at residual_tol: then the run is Complete and its report carries the
+    check, else it fails NotVerified at its last step, naming the failed conditions.
     """
     tol = cfg.residual_tol
     cap = min(T.dims)
@@ -255,7 +257,7 @@ def _deflate(
         X, Y, Z, orbits = picked
         tau, R = _residuals(remainder, X, Y, Z, deflated=True, slices=True)
         transfer = _residuals(T.array, X, Y, Z, tau)[1]
-        gated = ((tau > tol) & (R[:, :3].max(axis=1) <= tol)).tolist()
+        gated = _verified(tau, R, tol).tolist()
         rows = zip(tau.tolist(), R[:, :3].tolist(), R[:, 3:6].tolist(), transfer.tolist(), gated, X, Y, Z)
         for t, r, sl, tr, gate, x, y, z in rows:
             if len(steps) == cap or hs <= tol:
@@ -285,12 +287,15 @@ def _deflate(
             failure = DeflationFailure(step=k, reason=FailureReason.NOT_ORDERED, diagnostics=diagnostics)
             break
 
-    if failure is not None:
-        return SchmidtRepresentation(T.dims, (), hs_T, SchmidtStatus.FAILED), DeflationReport(tuple(steps), failure)
-    # Each tau is read off its own remainder, so tied weights can come out ULPs out of order.
-    terms.sort(key=lambda term: term.tau, reverse=True)
-    rep = SchmidtRepresentation(T.dims, tuple(terms), hs, SchmidtStatus.COMPLETE)
-    return rep, DeflationReport(tuple(steps), None, verify_representation(T, rep, tol))
+    if failure is None:
+        # Each tau is read off its own remainder, so tied weights can come out ULPs out of order.
+        terms.sort(key=lambda term: term.tau, reverse=True)
+        rep = SchmidtRepresentation(T.dims, tuple(terms), hs, SchmidtStatus.COMPLETE)
+        check = verify_representation(T, rep, tol)
+        if check.all_ok:
+            return rep, DeflationReport(tuple(steps), None, check)
+        failure = DeflationFailure(len(steps), FailureReason.NOT_VERIFIED, "; ".join(check.failures(tol)))
+    return SchmidtRepresentation(T.dims, (), hs_T, SchmidtStatus.FAILED), DeflationReport(tuple(steps), failure)
 
 
 def _peak_margin(M: np.ndarray) -> np.ndarray:

@@ -9,27 +9,28 @@ where contract_1/contract_2 are the adjoint contractions of tensor_core.
 Such triples are exactly the constrained critical points of <T(x,y), z> on
 the product of unit spheres.
 
-The workhorse is an alternating power iteration (hopm_refine) run from a
-deterministic multi-start set. It converges only linearly, so its
-endpoints are finished by a Newton corrector on the square stationarity
-system, which converges quadratically from them. A row still iterating at
-loop index 100 (_ALS_HANDOFF, the 101st sweep) leaves the iteration there
-and is finished the same way; if its Newton run fails, the search's gate
-drops the endpoint it keeps. Alternating iteration
-only reaches attracting triples, so enumerate_triples additionally runs
-the Newton corrector from every raw start, which reaches saddle-type
-triples as well. A row still stepping after 20 Newton steps is retracted
-onto the unit spheres before each further step (x, y, z normalised, then
-tau := <T(x,y), z>) and then takes the Riemannian Newton step there: a step
-in the tangent space of the spheres, from a bordered system. No row takes
-more than 40 steps.
+The search runs an alternating power iteration on every start of one
+deterministic multi-start set at once (_als_batch; hopm_refine is its
+one-start form). It converges only linearly, so its endpoints are finished
+by a Newton corrector on the square stationarity system, which converges
+quadratically from them. A row still iterating at loop index 100
+(_ALS_HANDOFF, the 101st sweep) leaves the iteration there and is finished
+the same way; if its Newton run fails, the search's gate drops the endpoint
+it keeps. Alternating iteration only reaches attracting triples, so
+enumerate_triples additionally runs the Newton corrector from every raw
+start, which reaches saddle-type triples as well. A row still stepping after
+20 Newton steps is retracted onto the unit spheres before each further step
+(x, y, z normalised, then tau := <T(x,y), z>) and then takes the Riemannian
+Newton step there: a step in the tangent space of the spheres, from a
+bordered system. No row takes more than 40 steps.
 Everything is deterministic for a fixed SearchConfig.seed.
 
-One residual routine, _residuals, serves the search's gate, verify_triple,
-the ordered-slice test (is_ordered) and Schmidt deflation's checks: it reads
-the three equations and the slices off one pass of mode unfolding products,
-in the row blocks of tensor_core's _contract, the one batched contraction
-kernel, so a row's numbers never depend on its batch. Newton's Jacobian
+One gate, _verified, decides what is a triple for _finish's leads, the
+search's listing, Schmidt deflation and verify_triple. It reads the one
+residual routine, _residuals, which also serves is_ordered: the equations
+and the slices off one pass of mode unfolding products, in the row blocks
+(_row_blocks) of tensor_core's _contract, so a row's numbers never depend
+on its batch. Newton steps its rows in the same blocks; its Jacobian
 blocks, right-hand side and starting tau keep their own einsums.
 """
 
@@ -74,11 +75,6 @@ _NEWTON_MAX_STEPS = 40
 _NEWTON_RETRACT = 20
 _NEWTON_DIVERGED = 1e6
 _NEWTON_COLLAPSED = 1e-4
-
-#: Largest batch of square Newton Jacobians, in float64 entries (512 KiB),
-#: that one row block of a Newton step writes into its batch's Jacobian
-#: memory; the same rows' bordered tangent-step matrices are slightly larger.
-_NEWTON_BLOCK = 1 << 16
 
 
 def _int_at_least(value, low: int) -> bool:
@@ -156,7 +152,7 @@ class NonConvergence:
 
 @dataclass(frozen=True)
 class TripleCheck:
-    """Residual report of verify_triple."""
+    """Residual report of verify_triple; verified is the search's gate (_verified) on the triple."""
 
     r1: float
     r2: float
@@ -247,6 +243,12 @@ def _residuals(arr, X, Y, Z, tau=None, deflated=False, slices=False) -> tuple[np
     return tau, R
 
 
+def _verified(tau: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
+    """bilop's one verification gate, per row: tau above tol and the three equation residuals (R's first columns,
+    from _residuals) within it."""
+    return (tau > tol) & (R[:, :3].max(axis=1) <= tol)
+
+
 def _row_norms(M: np.ndarray) -> np.ndarray:
     """Norms along the last axis: np.linalg.norm(M, axis=-1)'s reduction on real input, bit for bit."""
     return np.sqrt(np.add.reduce(M * M, axis=-1))
@@ -329,8 +331,8 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
     and y with that sweep's z: the linear tail beyond is left to the Newton finish. Rows that stopped or left
     there (ok) whose equation residuals exceed _NEWTON_TOL*(1+tau) are then finished by _finish from
     tau = <T(x,y), z>; a row that left and whose Newton run fails keeps its endpoint, for the search's gate to
-    drop. Returns per-row final states and status, stopped (the ok rows that met the value stop), and merged,
-    the ok rows _finish dropped onto a lower row's verified root.
+    drop. Returns per-row final states, ok less the rows _finish dropped onto a lead's root, stopped (value
+    stops, dropped rows included) and dead (zero contractions); a lone row neither ok nor dead hit max_iter.
 
     The iteration works on a compacted block of the rows still iterating (idx maps it back to start rows); a
     row leaves the block when it converges, hits a zero contraction or reaches the handoff. _contract and
@@ -373,19 +375,19 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
         x, _ = _row_normalize(_contract(arr, 0, y, z))
         y, _ = _row_normalize(_contract(arr, 1, x, z))
 
-    merged = _finish(arr, X, Y, Z, ok, cfg)
-    reasons = np.where(dead, "zero contraction", "max_iter exceeded")
-    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": ok & ~handed, "merged": merged, "reasons": reasons}
+    stopped = ok & ~handed
+    _finish(arr, X, Y, Z, ok, cfg)
+    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": stopped, "dead": dead}
 
 
-def _finish(arr, X, Y, Z, ok, cfg) -> np.ndarray:
-    """Newton-finish, in place, the rows ok of X, Y, Z not yet at _NEWTON_TOL; returns the mask of merged rows.
+def _finish(arr, X, Y, Z, ok, cfg) -> None:
+    """Newton-finish, in place, the rows ok of X, Y, Z not yet at _NEWTON_TOL, and clear the rows it drops from ok.
 
     The value stop leaves O(sqrt(iter_tol)) vector error at linearly convergent endpoints, which Newton removes
     in a few steps; a row whose run does not converge keeps its endpoint. The rows' tie groups at 1e-9
-    (_tie_groups) are finished lead first: a group's first row. If the lead's root passes the
-    search's gate (tau above residual_tol, residuals within it), the group's rows within dedup_tol/2 of it
-    in a sign variant are dropped unfinished: they would finish onto it and lose the dedup to the lead."""
+    (_tie_groups) are finished lead first: a group's first row. If the lead's root passes the search's gate
+    (_verified at residual_tol), the group's rows within dedup_tol/2 of it in a sign variant are dropped
+    unfinished: they would finish onto it and lose the dedup to the lead."""
     sel = np.flatnonzero(ok)
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
@@ -396,15 +398,14 @@ def _finish(arr, X, Y, Z, ok, cfg) -> np.ndarray:
     first = np.unique(group, return_index=True)[1]
     lead = sel[first]
     gated = _newton_finish(arr, X, Y, Z, lead, tau[first])
-    t, R = _residuals(arr, X[lead[gated]], Y[lead[gated]], Z[lead[gated]])
-    gated[gated] = (t > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
+    gated[gated] = _verified(*_residuals(arr, X[lead[gated]], Y[lead[gated]], Z[lead[gated]]), cfg.residual_tol)
     rest = np.arange(sel.size) != first[group]
     near = np.flatnonzero(rest & gated[group])
     a, b = sel[near], lead[group[near]]
     mates = near[_orbit_distance((X[a], Y[a], Z[a]), (X[b], Y[b], Z[b])) <= cfg.dedup_tol / 2]
     rest[mates] = False
+    ok[sel[mates]] = False
     _newton_finish(arr, X, Y, Z, sel[rest], tau[rest])
-    return np.bincount(sel[mates], minlength=ok.size) > 0
 
 
 def _newton_finish(arr, X, Y, Z, rows, tau) -> np.ndarray:
@@ -428,7 +429,8 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     iteration, Newton converges to critical points of any index, which is what recovers saddle-type triples.
 
     One step loop (_newton_step) serves the whole batch. The rows still stepping are one compacted index
-    array, stepped in row blocks whose square Jacobians hold at most _NEWTON_BLOCK entries; each block keeps only
+    array, stepped in tensor_core's row blocks (_row_blocks), whose square Jacobians hold at most
+    _CONTRACT_BLOCK entries, the budget of every batched kernel, or are two rows; each block keeps only
     its rows that step on, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. From loop
     index _NEWTON_RETRACT on, the rows still stepping are first retracted onto the unit spheres: x, y and z
     divided by their norms (_row_normalize), then tau := <T(x, y), z> from _contract and a row dot with z,
@@ -452,10 +454,10 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
     parts = _factor_slices(arr.shape)
-    block = max(1, _NEWTON_BLOCK // (m * m))
     # The stop test's limits on |v|: _NEWTON_DIVERGED on x, y and z, the largest float on tau (only inf or NaN stops).
     lim = np.r_[np.full(m - 1, _NEWTON_DIVERGED), np.finfo(float).max]
-    batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), _jacobian_buffers(arr.shape, min(block, S)), lim)
+    first = _row_blocks(S, m * m)[0]  # the largest row block
+    batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), _jacobian_buffers(arr.shape, min(S, first.stop)), lim)
     act = np.arange(S)
     # On a tensor near the float range, a row's residual F can hold entries whose squares exceed the largest
     # float: _row_norms(F) is then inf, which the stop test reads as not converged, so the overflow is expected.
@@ -466,8 +468,8 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 X, Y, Z = (_row_normalize(V[act, cols])[0] for cols in parts)
                 V[act] = _stacked(X, Y, Z, np.einsum("sk,sk->s", _contract(arr, 2, X, Y), Z))
             kept = 0
-            for lo in range(0, act.size, block):
-                rows = _newton_step(arr, V, act[lo : lo + block], ok, batch, tangent)
+            for b in _row_blocks(act.size, m * m):
+                rows = _newton_step(arr, V, act[b], ok, batch, tangent)
                 act[kept : kept + rows.size] = rows
                 kept += rows.size
             if not kept:
@@ -627,47 +629,30 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # deterministic start sets
 
 
-def _aligned_z(arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """z for each start pair: T(x, y) normalized, or e_1 where T(x, y) vanishes."""
-    Z, norms = _row_normalize(_contract(arr, 2, X, Y))
-    Z[~(norms > _ZERO_NORM)] = np.eye(1, Z.shape[1])
-    return Z
-
-
-def _random_starts(
-    dims: tuple[int, int, int], count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """count uniform random unit triples, seeded deterministically per start index.
-
-    Start s is read off bilop's own stream of standard normals for (seed, s), which equals bit for bit
-    those of numpy's default_rng([seed, s]): the first count rows and sum(dims) columns of the table that
-    bilop._stream keeps for the seed (the module is loaded on a process's first draw), normalised per
-    factor on every call.
-    """
-    from . import _stream
-
-    V = _stream.start_normals(seed, count, sum(dims))
-    return tuple(_row_normalize(V[:, cols])[0] for cols in _factor_slices(dims))
-
-
 def _standard_starts(
     T: Tensor3, cfg: SearchConfig, pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The multi-start set: every pair of start basis vectors, then the random block.
 
-    pairs = (P, Q) holds the start vectors of H1 and H2 as rows; the default
-    is the two identity bases, so the pairs are (e_i, f_j). Each pair (p, q)
-    takes z aligned with T(p, q). The random block is cfg.resolved_starts
-    seeded random triples from _random_starts, normalised afresh from
-    bilop._stream's per-seed table of start normals.
+    pairs = (P, Q) holds the start vectors of H1 and H2 as rows; the default is the two identity bases, so
+    the pairs are (e_i, f_j). Each pair (p, q) takes z = T(p, q) normalised, or e_1 where T(p, q) vanishes.
+    The random block is cfg.resolved_starts uniform random unit triples: start s is read off bilop's own
+    stream of standard normals for (cfg.seed, s), which equals bit for bit those of numpy's
+    default_rng([seed, s]), as the first resolved_starts rows and sum(dims) columns of the table that
+    bilop._stream keeps for the seed (the module is loaded on a process's first draw), normalised per
+    factor on every call.
     """
+    from . import _stream
+
     n1, n2, _ = T.dims
     P, Q = pairs if pairs is not None else (np.eye(n1), np.eye(n2))
     X = np.repeat(P, Q.shape[0], axis=0)
     Y = np.tile(Q, (P.shape[0], 1))
-    Z = _aligned_z(T.array, X, Y)
-    Xr, Yr, Zr = _random_starts(T.dims, cfg.resolved_starts(T.dims), cfg.seed)
-    return np.vstack([X, Xr]), np.vstack([Y, Yr]), np.vstack([Z, Zr])
+    Z, norms = _row_normalize(_contract(T.array, 2, X, Y))
+    Z[~(norms > _ZERO_NORM)] = np.eye(1, Z.shape[1])
+    V = _stream.start_normals(cfg.seed, cfg.resolved_starts(T.dims), sum(T.dims))
+    random = (_row_normalize(V[:, cols])[0] for cols in _factor_slices(T.dims))
+    return tuple(np.vstack([M, R]) for M, R in zip((X, Y, Z), random))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +704,10 @@ def _alternating_stage(
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
     """The starts (X0, Y0, Z0) of one multi-start search, the rows (X, Y, Z) its ALS runs ended at, and a count.
 
-    The starts are _standard_starts(T, cfg, pairs); the rows are the ok rows _als_batch's
-    finish kept, by start index: value stops and rows handed to Newton at _ALS_HANDOFF,
-    finished or not (the search's gate drops those Newton left unconverged). The count
-    is of the rows that met the value stop, the merged ones included.
+    The starts are _standard_starts(T, cfg, pairs); the rows are _als_batch's ok rows, by
+    start index: value stops and rows handed to Newton at _ALS_HANDOFF, finished or not
+    (the search's gate drops those Newton left unconverged), less those its finish dropped
+    onto a lead. The count is of the rows that met the value stop, the dropped ones included.
     Every array is read-only. The last stage is kept, keyed by the Tensor3 object
     (frozen, read-only values, hashed by identity; the entry's reference keeps its
     id from being reused) and by the SearchConfig's value, so a norm, a spectrum
@@ -732,8 +717,7 @@ def _alternating_stage(
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)
-    ok = als["ok"] & ~als["merged"]
-    rows = (als["X"][ok], als["Y"][ok], als["Z"][ok])
+    rows = tuple(als[f][als["ok"]] for f in "XYZ")
     for M in starts + rows:
         M.flags.writeable = False
     return starts, rows, int(als["stopped"].sum())
@@ -753,8 +737,8 @@ def _search_candidates(
     is None. Newton optionally runs from the same starts, stacked as
     x | y | z | tau0; it is never memoised. The converged rows, the
     alternating-iteration results by start index and then the Newton
-    results by start index, are gated at residual_tol with tau >
-    residual_tol and canonicalized; _listing merges them by sign orbit,
+    results by start index, pass the one gate, _verified at residual_tol,
+    and are canonicalized; _listing merges them by sign orbit,
     first representative winning, and puts the kept rows in listing
     order, and only then do they become SingularTriples. A residual_tol
     below T's rounding floor is refused first (_check_floor).
@@ -773,7 +757,7 @@ def _search_candidates(
         found.append(tuple(V[ok, cols] for cols in _factor_slices(arr.shape)))
     X, Y, Z = (np.vstack(blocks) for blocks in zip(*found))
     tau, R = _residuals(arr, X, Y, Z)
-    good = (tau > cfg.residual_tol) & (R.max(axis=1) <= cfg.residual_tol)
+    good = _verified(tau, R, cfg.residual_tol)
     tau, R = tau[good], R[good]
     X, Y, Z = _canonical_rows(X[good], Y[good], Z[good])
     return tuple(
@@ -824,7 +808,7 @@ def hopm_refine(
             return NonConvergence(f"degenerate start: {label} is a zero vector")
     res = _als_batch(T.array, xa[None, :], ya[None, :], cfg)
     if not res["ok"][0]:
-        return NonConvergence(str(res["reasons"][0]))
+        return NonConvergence("zero contraction" if res["dead"][0] else "max_iter exceeded")
     tau, R = _residuals(T.array, res["X"], res["Y"], res["Z"])
     return canonicalize(
         SingularTriple(
@@ -882,9 +866,10 @@ def _check_floor(T: Tensor3, tol: float) -> None:
 def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
     """Check the three defining equations at the given triple, with the search's residual routine.
 
-    verified means max residual <= tol and tau > 0. Vectors more than 1e-8 away from unit norm, a tau
-    that is not finite, a tol that is not positive and finite, and a tol below T's rounding floor
-    (_check_floor) are rejected as argument errors.
+    verified is the search's gate (_verified): tau above tol and every residual within it, so a triple the
+    search would never list, such as tau <= tol with residuals as small, does not verify. Vectors more
+    than 1e-8 away from unit norm, a tau that is not finite, a tol that is not positive and finite, and a
+    tol below T's rounding floor (_check_floor) are rejected as argument errors.
     """
     _check_tol(tol)
     _check_floor(T, tol)
@@ -895,8 +880,9 @@ def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck
         raise ValueError("tau must be finite, got a number beyond the float range") from None
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    r1, r2, r3 = (float(r) for r in _residuals(T.array, x[None], y[None], z[None], np.array([tau]))[1][0])
-    return TripleCheck(r1=r1, r2=r2, r3=r3, verified=max(r1, r2, r3) <= tol and tau > 0)
+    t, R = _residuals(T.array, x[None], y[None], z[None], np.array([tau]))
+    r1, r2, r3 = R[0].tolist()
+    return TripleCheck(r1=r1, r2=r2, r3=r3, verified=bool(_verified(t, R, tol)[0]))
 
 
 def _stacked_terms(items, dims) -> tuple:
@@ -922,12 +908,14 @@ def is_ordered(T: Tensor3, triple: SingularTriple, tol: float) -> OrderedCheck:
     (c) the first adjoint contraction against z gives y -> tau <y, y1> x1.
     The symmetric fourth slice (second contraction against z) equals the
     transpose of (c) and is reported as a diagnostic only. The triple is
-    verified first; its row of _ordered_checks gives the slices.
+    verified first (verify_triple: tau above tol, residuals within it),
+    else ValueError; its row of _ordered_checks gives the slices.
     """
     check = verify_triple(T, triple, tol)
     if not check.verified:
         raise ValueError(
-            f"is_ordered requires a verified triple (max residual {check.max_residual:.3e})"
+            f"is_ordered requires a verified triple (tau {float(triple.tau):.3e}, "
+            f"max residual {check.max_residual:.3e})"
         )
     return _ordered_checks(T, [triple], tol)[0]
 

@@ -39,8 +39,8 @@ SPACES = ("H1", "H2", "K")
 #: Tolerance for the orthogonality check in :func:`change_basis`.
 ORTHO_TOL = 1e-10
 
-#: Largest temporary, in float64 entries, that one _contract row block
-#: builds (512 KiB); larger batches are contracted block by block.
+#: The one row-block budget (_row_blocks) in float64 entries (512 KiB): of a _contract or residual
+#: block's temporary, and of a Newton step block's square Jacobians. Larger batches go block by block.
 _CONTRACT_BLOCK = 1 << 16
 
 ArrayLike = Union["VectorH", Sequence[float], np.ndarray]
@@ -241,8 +241,8 @@ def _contract(arr: np.ndarray, mode: int, U: np.ndarray, V: np.ndarray) -> np.nd
 
 
 def _row_blocks(S: int, width: int) -> list[slice]:
-    """The row blocks of an S-row batch whose rows each make width product entries: at most _CONTRACT_BLOCK
-    entries per block, and at least two rows, so only a lone row or the last can be one (see _product)."""
+    """The row blocks of an S-row batch whose rows each make width entries (of a product, or a square Jacobian): at
+    most _CONTRACT_BLOCK entries per block, and at least two rows, so only a lone row or the last can be one."""
     step = max(2, _CONTRACT_BLOCK // width)
     return [slice(lo, lo + step) for lo in range(0, S, step)]
 

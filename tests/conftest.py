@@ -100,6 +100,15 @@ def tied_cubic() -> Tensor3:
     return Tensor3.from_array(np.einsum("im,jm,km->ijk", Q, Q, Q))
 
 
+def legendre_kernel(n: int = 14) -> Tensor3:
+    """t[a,b,c] = sum_{d<40} 2^-(d+1) f_d(s_a) f_d(s_b) f_d(s_c), f_d = sqrt(w) sqrt((2d+1)/2) P_d on the n
+    Gauss-Legendre nodes s and weights w: a symmetric cubic whose greedy deflation passes every step at 14^3,
+    yet whose 14 terms miss orthonormality by a Gram deviation of 8.0e-6."""
+    s, w = np.polynomial.legendre.leggauss(n)
+    F = np.array([np.sqrt(w * (2 * d + 1) / 2) * np.polynomial.legendre.Legendre.basis(d)(s) for d in range(40)])
+    return Tensor3.from_array(np.einsum("d,da,db,dc->abc", 2.0 ** -np.arange(1, 41), F, F, F))
+
+
 @pytest.fixture(scope="session")
 def planted_schmidt_factory():
     """Build a tensor from planted monotone Schmidt data with gaps >= 0.1.

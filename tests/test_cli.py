@@ -24,7 +24,7 @@ from bilop import (
     tensor_to_json_dict,
     verify_representation,
 )
-from conftest import tied_cubic
+from conftest import legendre_kernel, tied_cubic
 
 S2 = np.sqrt(2.0)
 
@@ -251,6 +251,17 @@ class TestSchmidt:
         failure = report["result"]["deflation"]["failure"]
         assert (failure["step"], failure["reason"]) == (1, "NoTripleFound")
 
+    @pytest.mark.parametrize("command", ["schmidt", "schur"])
+    def test_terms_failing_their_check_exit_three(self, command, tensor_file, capsys):
+        # Every greedy step on the 14^3 Legendre kernel passes, but its terms miss orthonormality: not Complete.
+        path = str(tensor_file(legendre_kernel(14)))
+        assert cli.main([command, path]) == 3
+        out, err = capsys.readouterr()
+        if command == "schmidt":
+            assert "failed at step 14 (NotVerified): max Gram deviation 8.027e-06 > 1e-08" in out and err == ""
+        else:
+            assert err == "error: Schmidt decomposition failed at step 14 (NotVerified); no Schur form\n"
+
     def test_failure_is_explained_in_human_mode(self, files):
         proc = run_cli("schmidt", files["overlap"], "--starts", "32")
         assert proc.returncode == 3
@@ -384,6 +395,25 @@ class TestVerify:
             assert entry["ordered"] is check.ordered
             assert entry["slice_residuals"] == list(check.slice_residuals)
         assert any(e["ordered"] for e in entries) and any(e["ordered"] is False for e in entries)
+
+    @pytest.mark.parametrize(
+        "T, tau, x, y, z",
+        [
+            (Tensor3.from_array(np.zeros((2, 2, 2))), 1e-12, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
+            (gallery.diagonal_pair(), 5e-10, [0.0, 0.0, 1.0], [1.0, 0.0], [0.0, 0.0, 1.0, 0.0]),
+        ],
+        ids=["zero-tensor", "null-direction"],
+    )
+    def test_a_tau_at_most_tol_is_not_verified(self, T, tau, x, y, z, tensor_file, tmp_path, capsys):
+        # Every residual equals tau, within --tol, but the search's gate wants tau above it too.
+        triple = spectra.SingularTriple(tau, np.array(x), np.array(y), np.array(z), (0.0, 0.0, 0.0))
+        argv = ["verify", str(tensor_file(T)), self.triples_file(tmp_path / "triples.json", [triple])]
+        assert cli.main(argv) == 0
+        line = f"  [1] tau = {cli._num(tau)}  verified = no  max residual = {tau:.3e}\n"
+        assert capsys.readouterr().out.endswith(line)
+        assert cli.main([*argv, "--json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["result"]["triples"]
+        assert (entry["verified"], entry["residuals"], entry["ordered"]) == (False, [tau] * 3, None)
 
     def test_a_non_unit_triple_among_several_exits_two_and_is_named(self, files, tmp_path):
         T = gallery.orthonormal_triad()

@@ -29,7 +29,6 @@ from bilop._stream import standard_normals
 from bilop.oracle import _sign_pattern_lattice, exhaustive_small_spectrum
 from bilop.spectra import (
     _ORBIT_SIGNS,
-    _aligned_z,
     _als_batch,
     _alternating_stage,
     _canonical_rows,
@@ -39,7 +38,6 @@ from bilop.spectra import (
     _listing,
     _newton_a1,
     _newton_batch,
-    _random_starts,
     _residuals,
     _row_norms,
     _solve_rows,
@@ -101,7 +99,7 @@ class TestAlsBatch:
         Y = np.tile(np.eye(2), (3, 1))
         res = _als_batch(diag_pair.array, X, Y, SearchConfig())
         assert res["ok"].tolist() == [True, False, False, True, False, False]
-        assert res["reasons"][~res["ok"]].tolist() == ["zero contraction"] * 4
+        assert res["dead"].tolist() == [False, True, True, False, True, True]
 
 
 def als_sweeps(monkeypatch) -> list:
@@ -188,12 +186,14 @@ class TestAlsHandoff:
         assert handed.any() and res["stopped"].any()
         assert _alternating_stage(GAUSS_8_FAILURE, cfg)[2] == res["stopped"].sum()
 
-    def test_a_budget_at_the_handoff_still_runs_out(self):
-        # max_iter = 100 ends the loop at index 99, one sweep before the handoff.
+    def test_a_budget_at_the_handoff_still_runs_out(self, monkeypatch):
+        # max_iter = 100 ends the loop at index 99, one sweep before the handoff. With the finish off, no row is
+        # dropped onto a lead, so a row neither ok nor dead ran out of max_iter.
         X0, Y0, _ = _standard_starts(GAUSS_8_FAILURE, SearchConfig())
+        monkeypatch.setattr(spectra, "_finish", lambda arr, X, Y, Z, ok, cfg: None)
         for max_iter, handed in ((spectra._ALS_HANDOFF, False), (spectra._ALS_HANDOFF + 1, True)):
             res = _als_batch(GAUSS_8_FAILURE.array, X0, Y0, SearchConfig(max_iter=max_iter))
-            assert bool((res["reasons"][~res["ok"]] == "max_iter exceeded").any()) is not handed
+            assert bool((~res["ok"] & ~res["dead"]).any()) is not handed
             assert bool((res["ok"] & ~res["stopped"]).any()) is handed
 
     def test_every_gallery_run_ends_before_the_handoff(self, monkeypatch):
@@ -242,7 +242,7 @@ class TestNewtonBatch:
         assert same_rows(part, full, subset)
         # Blocks of three rows: 37 rows end in a one-row block.
         m = sum(shape) + 1
-        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m * m)
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * m * m)
         assert same_rows(_newton_batch(arr, V0), full)
 
     def test_empty_batch(self):
@@ -621,27 +621,21 @@ class TestSearchBlockBudget:
     @TENSORS
     def test_triples_do_not_depend_on_the_block_budget(self, T, monkeypatch):
         want = enumerate_triples(T).triples
-        # Newton blocks of 3 rows, contraction blocks of a few dozen rows.
+        # One budget: Newton blocks of 3 rows, contraction blocks of a few dozen rows.
         m2 = (sum(T.dims) + 1) ** 2
         monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * m2)
-        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m2)
-        _alternating_stage.cache_clear()  # recompute the stage under the patched budgets
+        _alternating_stage.cache_clear()  # recompute the stage under the patched budget
         same_triples(enumerate_triples(T).triples, want)
 
     @TENSORS
-    @pytest.mark.parametrize(
-        "newton_block",
-        [lambda m2: spectra._NEWTON_BLOCK, lambda m2: 1 << 22],
-        ids=["newton-default", "newton-2^22"],
-    )
-    def test_triples_do_not_depend_on_the_newton_budget(self, T, newton_block, monkeypatch):
+    @pytest.mark.parametrize("budget", [lambda m2: 2 * m2, lambda m2: 1 << 22], ids=["two-row-newton-blocks", "2^22"])
+    def test_triples_do_not_depend_on_the_newton_budget(self, T, budget, monkeypatch):
         want = enumerate_triples(T).triples
-        # Contraction blocks of a few dozen rows; Newton blocks of the default
-        # budget or of 2^22 Jacobian entries.
+        # Newton blocks of 2 rows, the fewest a block holds, or of 2^22 Jacobian entries; contraction blocks
+        # under the same budget.
         m2 = (sum(T.dims) + 1) ** 2
-        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * m2)
-        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", newton_block(m2))
-        _alternating_stage.cache_clear()  # recompute the stage under the patched budgets
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", budget(m2))
+        _alternating_stage.cache_clear()  # recompute the stage under the patched budget
         same_triples(enumerate_triples(T).triples, want)
 
 
@@ -711,7 +705,7 @@ class TestStartSet:
         assert table_log[0].shape == (SearchConfig().resolved_starts(triad.dims), 9)
 
     def test_memoised_block_is_read_only(self):
-        _random_starts((2, 3, 4), 5, 0)
+        _stream.start_normals(0, 5, 9)
         with pytest.raises(ValueError):
             _stream._start_table[0][0, 0] = 1.0
 
@@ -774,7 +768,7 @@ class TestStartSet:
 
     def test_the_stream_is_pinned(self):
         # bilop's own table of seed 0, 272 starts of width 12, whatever numpy is installed.
-        _random_starts((4, 4, 4), 272, 0)
+        _stream.start_normals(0, 272, 12)
         table = _stream._start_table[0]
         assert table.shape == (272, 12)
         assert hashlib.sha256(table.astype("<f8").tobytes()).hexdigest() == "c2438b5a50476fd13f87143ec189e120d2c2bc6aa0674d06db89724f3c22084e"
@@ -795,8 +789,9 @@ class TestStartSet:
         assert table_log.draws == 5 and table_log[seed].shape == (1024, 100)
 
     def test_another_seed_replaces_the_table(self, table_log):
-        _random_starts((3, 2, 4), 8, 0)
-        got = _random_starts((3, 2, 4), 8, 1)
+        T = Tensor3.from_array(np.random.default_rng([8, 7]).standard_normal((3, 2, 4)))
+        _standard_starts(T, SearchConfig(starts=8, seed=0))
+        got = [M[-8:] for M in _standard_starts(T, SearchConfig(starts=8, seed=1))]
         assert table_log.draws == 2 and list(table_log) == [1]
         for g, w in zip(got, reference_random_starts((3, 2, 4), 8, 1)):
             assert np.array_equal(g, w)
@@ -805,10 +800,15 @@ class TestStartSet:
         cfg = SearchConfig(seed=3)
         lat_x, lat_y = _sign_pattern_lattice(3), _sign_pattern_lattice(2)
         # The oracle's start set as it was assembled by hand: every lattice
-        # pair with z aligned to T(x, y), then the seeded random block.
+        # pair with z aligned to T(x, y), or e_1 where T(x, y) vanishes (10 of
+        # the 52 pairs), then the seeded random block.
         X0 = np.repeat(lat_x, lat_y.shape[0], axis=0)
         Y0 = np.tile(lat_y, (lat_x.shape[0], 1))
-        Z0 = _aligned_z(diag_pair.array, X0, Y0)
+        TXY = _contract(diag_pair.array, 2, X0, Y0)
+        norms = np.linalg.norm(TXY, axis=1)
+        assert (norms == 0).sum() == 10
+        Z0 = TXY / np.where(norms == 0, 1.0, norms)[:, None]
+        Z0[norms == 0] = np.eye(4)[0]
         count = cfg.resolved_starts(diag_pair.dims)
         V = np.array([np.random.default_rng([cfg.seed, s]).standard_normal(9) for s in range(count)])
         Xr, Yr, Zr = (M / np.linalg.norm(M, axis=1)[:, None] for M in (V[:, :3], V[:, 3:5], V[:, 5:]))
@@ -1030,7 +1030,6 @@ def finish_every_row(arr, X, Y, Z, ok, cfg):
     V, fin = _newton_batch(arr, _stacked(X[sel], Y[sel], Z[sel], tau[far]))
     for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
         M[sel[fin]] = V[fin, cols]
-    return np.zeros(ok.size, dtype=bool)
 
 
 @pytest.fixture
@@ -1096,10 +1095,13 @@ class TestFinish:
     def test_the_mates_of_a_failed_lead_are_finished(self, spoil, monkeypatch):
         T, cfg = FINISH_TENSORS["gauss-4x4x4"], SearchConfig()
         X0, Y0, _ = _standard_starts(T, cfg)
+        # max_iter lies past the handoff, so every row neither ok nor dead was dropped onto a lead.
         clean = newton_batches(monkeypatch)
-        merged = _als_batch(T.array, X0, Y0, cfg)["merged"]
+        res = _als_batch(T.array, X0, Y0, cfg)
+        merged = ~res["ok"] & ~res["dead"]
         spoiled = newton_batches(monkeypatch, spoil)
-        assert not _als_batch(T.array, X0, Y0, cfg)["merged"].any()
+        res = _als_batch(T.array, X0, Y0, cfg)
+        assert (res["ok"] | res["dead"]).all()
         # Leads first, then every other row: the merged ones are finished too.
         assert len(clean) == len(spoiled) == 2 and spoiled[0] == clean[0]
         assert spoiled[1] == clean[1] + merged.sum() > clean[1]
@@ -1116,7 +1118,9 @@ class TestFinish:
             for f in "xyz"
         )
         X, Y, Z = (M / np.linalg.norm(M, axis=1)[:, None] for M in (X, Y, Z))
-        merged = spectra._finish(diag_pair.array, X, Y, Z, np.ones(8, dtype=bool), cfg)
+        ok = np.ones(8, dtype=bool)
+        spectra._finish(diag_pair.array, X, Y, Z, ok, cfg)
+        merged = ~ok
         assert merged.tolist() == [False, True] + [False] * 6
         tau, R = _residuals(diag_pair.array, X, Y, Z)
         assert (R[~merged].max(axis=1) <= cfg.residual_tol).all()

@@ -3,8 +3,8 @@ deflation against the code they replaced, kept here as references (as TestFinish
 
 The search rewrites only cut NumPy calls and temporaries, so every array they return must keep its bytes. The
 references below are the replaced loops, renamed, calling the same pinned helpers of bilop.spectra
-(_newton_a1, _solve_rows, _row_norms, _stacked, _factor_slices) and reading its module constants at call
-time, so a patched budget applies to both sides.
+(_newton_a1, _solve_rows, _row_norms, _stacked, _factor_slices) and reading its and tensor_core's module
+constants at call time, so a patched budget applies to both sides.
 
 The Schmidt deflation loop now checks a block of terms at once with Gram corrections, so its numbers may
 differ from the per-term loop's in the last bits: there the references must give the same decisions,
@@ -156,9 +156,8 @@ def ref_als_batch(arr, X0, Y0, cfg, trace=None):
             idx, x, y, z, f_prev = idx[keep], x[keep], y[keep], z[keep], f_prev[keep]
         x, _ = ref_row_normalize(ref_contract(arr, 0, y, z))
         y, _ = ref_row_normalize(ref_contract(arr, 1, x, z))
-    merged = ref_finish(arr, X, Y, Z, ok, cfg)
-    reasons = np.where(dead, "zero contraction", "max_iter exceeded")
-    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": stopped, "merged": merged, "reasons": reasons}
+    ref_finish(arr, X, Y, Z, ok, cfg)
+    return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": stopped, "dead": dead}
 
 
 #: The sign variants as one stack, for stacked_distance.
@@ -188,8 +187,8 @@ def ref_finish(arr, X, Y, Z, ok, cfg):
     a, b = sel[near], lead[group[near]]
     mates = near[stacked_distance((X[a], Y[a], Z[a]), (X[b], Y[b], Z[b])) <= cfg.dedup_tol / 2]
     rest[mates] = False
+    ok[sel[mates]] = False
     ref_newton_finish(arr, X, Y, Z, sel[rest], tau[rest])
-    return np.bincount(sel[mates], minlength=ok.size) > 0
 
 
 def ref_newton_finish(arr, X, Y, Z, rows, tau):
@@ -208,7 +207,7 @@ def ref_newton_batch(arr, V0):
     alive = np.ones(S, dtype=bool)
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
-    block = max(1, spectra._NEWTON_BLOCK // (m * m))
+    block = max(2, tensor_core._CONTRACT_BLOCK // (m * m))
     Tjik = np.ascontiguousarray(arr.transpose(1, 0, 2))
     J = np.empty((min(block, S), m, m))
     for it in range(spectra._NEWTON_MAX_STEPS):
@@ -322,7 +321,8 @@ def ref_write_jacobians(J, A1, A2, A3, x, y, z, t):
 
 
 def ref_verify_triple(T, triple, tol):
-    """The single-triple einsum residuals verify_triple computed; (residuals, verified)."""
+    """The single-triple einsum residuals verify_triple computed; (residuals, verified), verified by the search's
+    gate: tau above tol, every residual within it."""
     arr = T.array
     x, y, z = (np.asarray(v, dtype=float) for v in (triple.x, triple.y, triple.z))
     tau = float(triple.tau)
@@ -331,7 +331,7 @@ def ref_verify_triple(T, triple, tol):
         float(np.linalg.norm(np.einsum("ijk,j,k->i", arr, y, z) - tau * x)),
         float(np.linalg.norm(np.einsum("ijk,i,k->j", arr, x, z) - tau * y)),
     )
-    return r, max(r) <= tol and tau > 0
+    return r, max(r) <= tol and tau > tol
 
 
 def ref_is_ordered(T, triple, tol):
@@ -405,12 +405,16 @@ def ref_deflate(T, cfg, pick):
             )
         failure = DeflationFailure(k, FailureReason.NOT_ORDERED, diagnostics)
         break
-    report = DeflationReport(tuple(steps), failure)
-    if failure is not None:
-        return SchmidtRepresentation(T.dims, (), hs_norm(T), SchmidtStatus.FAILED), report
-    recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in terms], dims=T.dims)
-    residual = hs_norm(Tensor3.from_array(T.array - recon.array))
-    return SchmidtRepresentation(T.dims, tuple(terms), residual, SchmidtStatus.COMPLETE), report
+    if failure is None:
+        recon = from_schmidt([(t.tau, t.x, t.y, t.z) for t in terms], dims=T.dims)
+        residual = hs_norm(Tensor3.from_array(T.array - recon.array))
+        rep = SchmidtRepresentation(T.dims, tuple(terms), residual, SchmidtStatus.COMPLETE)
+        # Complete means certified: terms that fail the representation check fail the run at its last step.
+        check = ref_verify_representation(T, rep, cfg.residual_tol)
+        if check.all_ok:
+            return rep, DeflationReport(tuple(steps), None)
+        failure = DeflationFailure(len(steps), FailureReason.NOT_VERIFIED, "; ".join(check.failures(cfg.residual_tol)))
+    return SchmidtRepresentation(T.dims, (), hs_norm(T), SchmidtStatus.FAILED), DeflationReport(tuple(steps), failure)
 
 
 def ref_svd_pick(T, cfg):
@@ -590,7 +594,7 @@ def als_endpoints(T, monkeypatch):
     """The ALS finish's Newton batch before any merge: every converged endpoint, stacked with its tau."""
     X0, Y0, _ = _standard_starts(T, SearchConfig())
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_finish", lambda arr, X, Y, Z, ok, cfg: np.zeros(ok.size, dtype=bool))
+        m.setattr(spectra, "_finish", lambda arr, X, Y, Z, ok, cfg: None)
         res = _als_batch(T.array, X0, Y0, SearchConfig())
     X, Y, Z = (res[f][res["ok"]] for f in "XYZ")
     return _stacked(X, Y, Z, spectra._residuals(T.array, X, Y, Z)[0])
@@ -702,7 +706,7 @@ class TestNewtonLoop:
         T = TENSORS[name]
         m = sum(T.dims) + 1
         V0 = np.vstack([raw_starts(T), als_endpoints(T, monkeypatch)])
-        monkeypatch.setattr(spectra, "_NEWTON_BLOCK", 3 * m * m)
+        monkeypatch.setattr(tensor_core, "_CONTRACT_BLOCK", 3 * m * m)
         assert same_bytes(_newton_batch(T.array, V0), ref_newton_batch(T.array, V0))
 
     @pytest.mark.parametrize("name", ["gauss-4x4x4", "signed_diagonal"])
@@ -715,7 +719,7 @@ class TestNewtonLoop:
 
 
 #: Every array _als_batch returns.
-ALS_KEYS = ("X", "Y", "Z", "ok", "stopped", "merged", "reasons")
+ALS_KEYS = ("X", "Y", "Z", "ok", "stopped", "dead")
 
 
 class TestAlsLoop:

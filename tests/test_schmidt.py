@@ -28,7 +28,7 @@ from bilop import schmidt
 from bilop._stream import _start_table
 from bilop.schmidt import _deflate, _greedy, _svd_block
 from bilop.spectra import _alternating_stage
-from conftest import tied_cubic, tied_odeco
+from conftest import legendre_kernel, tied_cubic, tied_odeco
 
 
 def orbit_matches(got, want, atol):
@@ -555,6 +555,19 @@ class TestDeflationExits:
             "step-2 triple fails the transfer identities against the original operator (max residual 1); "
             "the ordered hypothesis does not propagate"
         )
+
+    def test_terms_failing_their_check_fail_the_run_not_verified(self):
+        # Every one of the kernel's 14 greedy steps passes, but the terms miss orthonormality: Complete means
+        # certified, so the run fails at its last step, naming the check's failed condition.
+        T = legendre_kernel(14)
+        rep, report = schmidt_decompose(T, self.CFG)
+        assert rep.status is SchmidtStatus.FAILED and rep.terms == () and report.check is None
+        assert rep.reconstruction_residual == hs_norm(T)
+        assert [s.index for s in report.steps] == list(range(1, 15))
+        assert (report.failure.step, report.failure.reason) == (14, FailureReason.NOT_VERIFIED)
+        assert report.failure.reason.value == "NotVerified"
+        assert report.failure.diagnostics == "max Gram deviation 8.027e-06 > 1e-08"
+        assert _greedy(T, self.CFG)[1].failure == report.failure
 
 
 class TestGreedyBand:

@@ -198,6 +198,25 @@ class TestVerifyTriple:
             with pytest.raises(ValueError, match="tau must be finite"):
                 check(diag_pair, triple, 1e-9)
 
+    @pytest.mark.parametrize(
+        "T, triple",
+        [
+            (Tensor3.from_array(np.zeros((2, 2, 2))), make_triple(1e-12, [1, 0], [1, 0], [1, 0])),
+            # x = e_3 is a null direction of diagonal_pair: T(e_3, .) = 0.
+            (gallery.diagonal_pair(), make_triple(5e-10, [0, 0, 1], [1, 0], [0, 0, 1, 0])),
+        ],
+        ids=["zero-tensor", "null-direction"],
+    )
+    def test_a_tau_at_most_tol_does_not_verify(self, T, triple):
+        # Every residual equals tau, within tol, but the search's gate wants tau above tol too: the search never
+        # lists such a triple, and is_ordered refuses it as unverified.
+        check = verify_triple(T, triple, 1e-9)
+        assert (check.r1, check.r2, check.r3) == (triple.tau,) * 3 and check.max_residual <= 1e-9
+        assert not check.verified
+        with pytest.raises(ValueError, match="requires a verified triple"):
+            is_ordered(T, triple, 1e-9)
+        assert all(t.tau > 1e-9 for t in enumerate_triples(T).triples)
+
     def test_sign_orbit_closure(self, diag_pair):
         a = 3.0 / S13
         b = 2.0 / S13
