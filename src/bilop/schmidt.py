@@ -34,16 +34,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3, VectorH, _as_entries, _rank_one, hs_norm
+from .tensor_core import Tensor3, VectorH, _as_entries, _rank_one, _row_norms, hs_norm
 from .spectra import (
     SearchConfig,
     SingularTriple,
     _canonical_rows,
     _check_floor,
     _check_tol,
+    _no_triple_cause,
     _ordered_checks,
     _residuals,
-    _row_norms,
     _search_candidates,
     _stacked_terms,
     _tie_groups,
@@ -354,8 +354,8 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
                 step=k,
                 reason=FailureReason.NO_TRIPLE_FOUND,
                 diagnostics=(
-                    f"no triple verified at residual_tol={cfg.residual_tol:g} "
-                    f"for a remainder of hs-norm {hs_norm(remainder):.6g}"
+                    f"no triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(remainder, cfg)}; "
+                    f"the remainder's hs-norm is {hs_norm(remainder):.6g}"
                 ),
             )
         top = _tie_groups(np.sort([c.tau for c in cands])[::-1], cfg.dedup_tol) == 0

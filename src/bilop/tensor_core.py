@@ -43,6 +43,9 @@ ORTHO_TOL = 1e-10
 #: block's temporary, and of a Newton step block's square Jacobians. Larger batches go block by block.
 _CONTRACT_BLOCK = 1 << 16
 
+#: Norms below this count as "a zero vector" during normalization.
+_ZERO_NORM = 1e-250
+
 ArrayLike = Union["VectorH", Sequence[float], np.ndarray]
 
 
@@ -251,6 +254,17 @@ def _product(F: np.ndarray, unf: np.ndarray) -> np.ndarray:
     """F @ unf. numpy hands a one-row product to gemv, whose summation order differs from gemm's, so a lone
     row is computed doubled: every row is summed by gemm, whatever block it sits in."""
     return (np.repeat(F, 2, axis=0) @ unf)[:1] if F.shape[0] == 1 else F @ unf
+
+
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    """Norms along the last axis: np.linalg.norm(M, axis=-1)'s reduction on real input, bit for bit."""
+    return np.sqrt(np.add.reduce(M * M, axis=-1))
+
+
+def _row_normalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = _row_norms(M)
+    safe = np.where(norms > _ZERO_NORM, norms, 1.0)
+    return M / safe[:, None], norms
 
 
 def deflate_term(

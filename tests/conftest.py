@@ -100,6 +100,14 @@ def tied_cubic() -> Tensor3:
     return Tensor3.from_array(np.einsum("im,jm,km->ijk", Q, Q, Q))
 
 
+def sub_gate_tail() -> Tensor3:
+    """Weights (1, 9e-10, 5e-10) on orthonormal 4^3 families, the Q factors of three default_rng(3) draws: after
+    the first term, a remainder of hs-norm 1.03e-9, above residual_tol, whose top tau, 9e-10, is not."""
+    rng = np.random.default_rng(3)
+    U, V, W = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(3))
+    return from_schmidt([(t, U[:, i], V[:, i], W[:, i]) for i, t in enumerate((1.0, 9e-10, 5e-10))])
+
+
 def legendre_kernel(n: int = 14) -> Tensor3:
     """t[a,b,c] = sum_{d<40} 2^-(d+1) f_d(s_a) f_d(s_b) f_d(s_c), f_d = sqrt(w) sqrt((2d+1)/2) P_d on the n
     Gauss-Legendre nodes s and weights w: a symmetric cubic whose greedy deflation passes every step at 14^3,

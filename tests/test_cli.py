@@ -24,7 +24,7 @@ from bilop import (
     tensor_to_json_dict,
     verify_representation,
 )
-from conftest import legendre_kernel, tied_cubic
+from conftest import legendre_kernel, sub_gate_tail, tied_cubic
 
 S2 = np.sqrt(2.0)
 
@@ -250,6 +250,12 @@ class TestSchmidt:
         assert report["result"]["deflation"]["steps"] == []
         failure = report["result"]["deflation"]["failure"]
         assert (failure["step"], failure["reason"]) == (1, "NoTripleFound")
+
+    def test_a_remainder_below_the_gate_names_the_starts_it_rejected(self, tensor_file, capsys):
+        assert cli.main(["schmidt", str(tensor_file(sub_gate_tail())), "--json"]) == 3
+        failure = json.loads(capsys.readouterr().out)["result"]["deflation"]["failure"]
+        assert (failure["step"], failure["reason"]) == (2, "NoTripleFound")
+        assert "272 start(s) converged, but none has tau above it and residuals within it" in failure["diagnostics"]
 
     @pytest.mark.parametrize("command", ["schmidt", "schur"])
     def test_terms_failing_their_check_exit_three(self, command, tensor_file, capsys):

@@ -1,6 +1,6 @@
 """What `import bilop` and each CLI command load, and the package API over lazily loaded modules.
 
-`bilop` imports its search core (tensor_core, spectra) eagerly and loads
+`bilop` imports its search core (tensor_core, spectra and its Newton corrector _newton) eagerly and loads
 schmidt, schur and oracle on first use of one of their names; bilop.cli
 does the same for the names only some commands run. The footprint tests
 run in a fresh interpreter, where nothing else has loaded them yet.
@@ -24,7 +24,7 @@ from bilop import cli, gallery, tensor_to_json_dict
 SRC = str(pathlib.Path(bilop.__file__).resolve().parents[1])
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
-CORE = ["bilop", "bilop.spectra", "bilop.tensor_core"]
+CORE = ["bilop", "bilop._newton", "bilop.spectra", "bilop.tensor_core"]
 
 #: The bilop.cli attributes the benchmark's traced CLI run wraps (bench/spans.py, CLI_BOUNDARIES).
 CLI_BOUNDARY_NAMES = [

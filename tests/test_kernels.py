@@ -24,7 +24,16 @@ from bilop import (
     spectra,
     tensor_core,
 )
-from bilop import _stream
+from bilop import _newton, _stream
+from bilop._newton import (
+    _factor_slices,
+    _jacobian_buffers,
+    _jacobian_layout,
+    _newton_a1,
+    _newton_batch,
+    _solve_rows,
+    _stacked,
+)
 from bilop._stream import standard_normals
 from bilop.oracle import _sign_pattern_lattice, exhaustive_small_spectrum
 from bilop.spectra import (
@@ -32,20 +41,12 @@ from bilop.spectra import (
     _als_batch,
     _alternating_stage,
     _canonical_rows,
-    _factor_slices,
-    _jacobian_buffers,
-    _jacobian_layout,
     _listing,
-    _newton_a1,
-    _newton_batch,
     _residuals,
-    _row_norms,
-    _solve_rows,
-    _stacked,
     _standard_starts,
     _tie_groups,
 )
-from bilop.tensor_core import _contract
+from bilop.tensor_core import _contract, _row_norms
 
 #: The einsum definition of each contraction mode, and the factor modes of
 #: its (U, V) operands.
@@ -127,12 +128,12 @@ def als_sweeps(monkeypatch) -> list:
 
 
 def newton_steps(monkeypatch) -> list:
-    """Patch spectra so each _newton_batch run appends its rows' step counts: how often each met _newton_step.
+    """Patch bilop._newton so each _newton_batch run appends its rows' step counts: how often each met _newton_step.
 
     Every loop index steps each row still going once, so a run's last loop index is its largest count less one.
     """
     runs = []
-    batch, step = spectra._newton_batch, spectra._newton_step
+    batch, step = _newton._newton_batch, _newton._newton_step
 
     def spy_batch(arr, V0, *args):
         runs.append(np.zeros(len(V0), dtype=int))
@@ -142,8 +143,8 @@ def newton_steps(monkeypatch) -> list:
         runs[-1][idx] += 1
         return step(arr, V, idx, *args)
 
-    monkeypatch.setattr(spectra, "_newton_batch", spy_batch)
-    monkeypatch.setattr(spectra, "_newton_step", spy_step)
+    monkeypatch.setattr(_newton, "_newton_batch", spy_batch)
+    monkeypatch.setattr(_newton, "_newton_step", spy_step)
     return runs
 
 
@@ -265,14 +266,14 @@ class TestNewtonBatch:
         # component (x, 0, 0, 0); without the collapse exit it steps 12 times.
         arr = np.random.default_rng([8, 4]).standard_normal((4, 4, 4))
         u = np.full(4, 0.5)
-        step, alive = spectra._newton_step, []
+        step, alive = _newton._newton_step, []
 
         def counted(*args):
             rows = step(*args)
             alive.append(bool(rows.size))  # the one row steps on
             return rows
 
-        monkeypatch.setattr(spectra, "_newton_step", counted)
+        monkeypatch.setattr(_newton, "_newton_step", counted)
         V, ok = _newton_batch(arr, np.r_[u, 1e-3 * u, 1e-3 * u, 0.0][None])
         assert not ok[0] and alive[-1] is False and len(alive) <= 5
 
@@ -284,7 +285,7 @@ class TestNewtonBatch:
         got = _newton_batch(T.array, V0)
         assert got[1].all()
         np.testing.assert_allclose(got[0], roots, rtol=0, atol=1e-9)
-        monkeypatch.setattr(spectra, "_NEWTON_COLLAPSED", 0.0)
+        monkeypatch.setattr(_newton, "_NEWTON_COLLAPSED", 0.0)
         assert same_rows(_newton_batch(T.array, V0), got)
 
     def test_a_row_diverging_past_1e154_warns_nothing(self):
@@ -351,7 +352,7 @@ class TestJacobians:
         J's memory hold stale NaNs."""
         bufs = _jacobian_buffers(arr.shape, idx.size + 5)
         bufs[0][:], bufs[1][:, :-1] = np.nan, np.nan
-        lim = np.r_[np.full(V.shape[1] - 1, spectra._NEWTON_DIVERGED), np.finfo(float).max]
+        lim = np.r_[np.full(V.shape[1] - 1, _newton._NEWTON_DIVERGED), np.finfo(float).max]
         seen = []
 
         def solve(J, rhs):
@@ -359,9 +360,9 @@ class TestJacobians:
             return np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
 
         with monkeypatch.context() as m:
-            m.setattr(spectra, "_solve_rows", solve)
+            m.setattr(_newton, "_solve_rows", solve)
             batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), bufs, lim)
-            spectra._newton_step(arr, V.copy(), idx, np.zeros(V.shape[0], dtype=bool), batch, tangent)
+            _newton._newton_step(arr, V.copy(), idx, np.zeros(V.shape[0], dtype=bool), batch, tangent)
         return seen[0]
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 4, 4), (4, 8, 6)])
@@ -1025,7 +1026,7 @@ def finish_every_row(arr, X, Y, Z, ok, cfg):
     """The reference finish: Newton from every converged row not yet at its tolerance, in one batch, merging none."""
     sel = np.flatnonzero(ok)
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
-    far = R.max(axis=1) > spectra._NEWTON_TOL * (1.0 + np.abs(tau))
+    far = R.max(axis=1) > _newton._NEWTON_TOL * (1.0 + np.abs(tau))
     sel = sel[far]
     V, fin = _newton_batch(arr, _stacked(X[sel], Y[sel], Z[sel], tau[far]))
     for M, cols in zip((X, Y, Z), _factor_slices(arr.shape)):
@@ -1066,7 +1067,7 @@ def newton_batches(monkeypatch, spoil=None):
         sizes.append(V0.shape[0])
         return V, ok
 
-    monkeypatch.setattr(spectra, "_newton_batch", batch)
+    monkeypatch.setattr(_newton, "_newton_batch", batch)
     return sizes
 
 

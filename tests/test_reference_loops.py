@@ -2,8 +2,8 @@
 deflation against the code they replaced, kept here as references (as TestFinish keeps finish_every_row).
 
 The search rewrites only cut NumPy calls and temporaries, so every array they return must keep its bytes. The
-references below are the replaced loops, renamed, calling the same pinned helpers of bilop.spectra
-(_newton_a1, _solve_rows, _row_norms, _stacked, _factor_slices) and reading its and tensor_core's module
+references below are the replaced loops, renamed, calling the same pinned helpers of bilop._newton
+(_newton_a1, _solve_rows, _stacked, _factor_slices) and tensor_core (_row_norms), and reading their module
 constants at call time, so a patched budget applies to both sides.
 
 The Schmidt deflation loop now checks a block of terms at once with Gram corrections, so its numbers may
@@ -44,6 +44,8 @@ from bilop import (
     verify_representation,
     verify_schur,
 )
+from bilop import _newton
+from bilop._newton import _factor_slices, _newton_a1, _newton_batch, _solve_rows, _stacked
 from bilop.schmidt import (
     _FAMILY_ORTHO_TOL,
     DeflationFailure,
@@ -63,21 +65,16 @@ from bilop.spectra import (
     _ORBIT_SIGNS,
     _als_batch,
     _canonical_rows,
-    _factor_slices,
     _listing,
-    _newton_a1,
-    _newton_batch,
     _orbit_distance,
     _ordered_checks,
     _residuals,
-    _row_norms,
     _search_candidates,
-    _solve_rows,
-    _stacked,
     _stacked_terms,
     _standard_starts,
 )
-from bilop.tensor_core import _contract
+from bilop.tensor_core import _contract, _row_norms
+from conftest import sub_gate_tail
 
 # ---------------------------------------------------------------------------
 # the references
@@ -118,7 +115,7 @@ def ref_residuals(arr, X, Y, Z):
 
 def ref_row_normalize(M):
     norms = _row_norms(M)
-    safe = np.where(norms > spectra._ZERO_NORM, norms, 1.0)
+    safe = np.where(norms > tensor_core._ZERO_NORM, norms, 1.0)
     return M / safe[:, None], norms
 
 
@@ -138,7 +135,7 @@ def ref_als_batch(arr, X0, Y0, cfg, trace=None):
         if idx.size == 0:
             break
         z, f = ref_row_normalize(ref_contract(arr, 2, x, y))
-        live = f > spectra._ZERO_NORM
+        live = f > tensor_core._ZERO_NORM
         if trace is not None and idx[0] == 0 and live[0]:
             trace.append(float(f[0]))
         done = live & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
@@ -173,7 +170,7 @@ def stacked_distance(P, Q):
 def ref_finish(arr, X, Y, Z, ok, cfg):
     sel = np.flatnonzero(ok)
     tau, R = ref_residuals(arr, X[sel], Y[sel], Z[sel])
-    far = R.max(axis=1) > spectra._NEWTON_TOL * (1.0 + np.abs(tau))
+    far = R.max(axis=1) > _newton._NEWTON_TOL * (1.0 + np.abs(tau))
     sel, tau = sel[far], tau[far]
     t = np.sort(tau)
     group = np.searchsorted(t[np.diff(t, prepend=-np.inf) > 1e-9 * (1.0 + t)], tau, side="right") - 1
@@ -210,11 +207,11 @@ def ref_newton_batch(arr, V0):
     block = max(2, tensor_core._CONTRACT_BLOCK // (m * m))
     Tjik = np.ascontiguousarray(arr.transpose(1, 0, 2))
     J = np.empty((min(block, S), m, m))
-    for it in range(spectra._NEWTON_MAX_STEPS):
+    for it in range(_newton._NEWTON_MAX_STEPS):
         act = np.flatnonzero(alive & ~done)
         if act.size == 0:
             break
-        tangent = it >= spectra._NEWTON_RETRACT
+        tangent = it >= _newton._NEWTON_RETRACT
         if tangent:
             ref_retract(arr, V, act)
         for lo in range(0, act.size, block):
@@ -252,7 +249,7 @@ def ref_newton_step(arr, Tjik, V, idx, done, alive, J, tangent):
     F[:, n3 : n3 + n1] = np.einsum("ski,sk->si", A1, z) - t[:, None] * x
     F[:, n3 + n1 : -1] = np.einsum("skj,sk->sj", A2, z) - t[:, None] * y
     F[:, -1] = 0.5 * (np.einsum("si,si->s", x, x) - 1.0)
-    hit = _row_norms(F) <= spectra._NEWTON_TOL * (1.0 + np.abs(t))
+    hit = _row_norms(F) <= _newton._NEWTON_TOL * (1.0 + np.abs(t))
     done[idx[hit]] = True
     go = ~hit
     if not go.any():
@@ -268,9 +265,9 @@ def ref_newton_step(arr, Tjik, V, idx, done, alive, J, tangent):
         step, singular = _solve_rows(J, F[go])
     alive[gi[singular]] = False
     V[gi] = w = v[go] - step
-    stop = (np.abs(w[:, :-1]) > spectra._NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
+    stop = (np.abs(w[:, :-1]) > _newton._NEWTON_DIVERGED).any(axis=1) | ~np.isfinite(w).all(axis=1)
     on = np.flatnonzero(~stop)
-    stop[on] = np.minimum(*(_row_norms(w[on, c]) for c in _factor_slices(arr.shape)[1:])) < spectra._NEWTON_COLLAPSED
+    stop[on] = np.minimum(*(_row_norms(w[on, c]) for c in _factor_slices(arr.shape)[1:])) < _newton._NEWTON_COLLAPSED
     alive[gi[stop]] = False
 
 
@@ -447,10 +444,14 @@ def ref_greedy_pick(cfg):
     def pick(remainder, k):
         cands = _search_candidates(remainder, cfg, use_newton=False)
         if not cands:
+            converged = spectra._alternating_stage(remainder, cfg)[2]
+            cause = f": {converged} start(s) converged, but none has tau above it and residuals within it"
             return DeflationFailure(
                 k,
                 FailureReason.NO_TRIPLE_FOUND,
-                f"no triple verified at residual_tol={cfg.residual_tol:g} for a remainder of hs-norm {hs_norm(remainder):.6g}",
+                f"no triple verified at residual_tol={cfg.residual_tol:g}"
+                f"{cause if converged else f' within max_iter={cfg.max_iter}'}; "
+                f"the remainder's hs-norm is {hs_norm(remainder):.6g}",
             )
         # The band: walking tau descending, the chain whose steps each lie within dedup_tol of the tau before.
         by_tau, n = sorted(cands, key=lambda c: -c.tau), 1
@@ -570,6 +571,8 @@ SCHMIDT_INPUTS = {
     "signed-diagonal-3-2.999998-1": (gallery.signed_diagonal((3.0, 3.0 - 2e-6, 1.0)), True),
     "rank-two-2x2x2": (rank_two_2x2x2(), True),
     "shared-y": (shared_y(), True),
+    # Greedy fails NoTripleFound at step 2: the remainder's top tau lies below residual_tol.
+    "sub-gate-tail": (sub_gate_tail(), True),
 }
 EACH_SCHMIDT_INPUT = pytest.mark.parametrize("name", SCHMIDT_INPUTS)
 #: Inputs of the ordered-slice checks: the gallery and seeded 4x5x6 Gaussians, whose spectra list many triples.
@@ -665,20 +668,20 @@ class TestNewtonLoop:
         # x = 0 zeroes the Jacobian's last row: its step is 0, so only the stop keeps it from a 40-step tail.
         T = TENSORS["gauss-4x4x4"]
         V0 = np.r_[np.zeros(4), np.full(8, 0.5), 1.0][None]
-        step, calls = spectra._newton_step, []
+        step, calls = _newton._newton_step, []
 
         def counted(*args):
             calls.append(step(*args))
             return calls[-1]
 
-        monkeypatch.setattr(spectra, "_newton_step", counted)
+        monkeypatch.setattr(_newton, "_newton_step", counted)
         assert same_bytes(_newton_batch(T.array, V0), ref_newton_batch(T.array, V0))
         assert len(calls) == 1 and calls[0].size == 0
 
     def test_rows_stepping_at_step_20_take_tangent_steps_from_the_unit_spheres(self, monkeypatch):
         # One row block of raw starts, so each _newton_step call is one step of the loop; some rows run to the cap.
         T = TENSORS["gauss-4x4x4"]
-        step, seen = spectra._newton_step, []
+        step, seen = _newton._newton_step, []
 
         def spy(arr, V, idx, done, batch, tangent):
             v = V[idx].copy()
@@ -686,9 +689,9 @@ class TestNewtonLoop:
             seen.append((v, tangent, V[idx[~done[idx]]]))
             return rows
 
-        monkeypatch.setattr(spectra, "_newton_step", spy)
+        monkeypatch.setattr(_newton, "_newton_step", spy)
         _newton_batch(T.array, raw_starts(T))
-        assert len(seen) == spectra._NEWTON_MAX_STEPS == 40 and spectra._NEWTON_RETRACT == 20
+        assert len(seen) == _newton._NEWTON_MAX_STEPS == 40 and _newton._NEWTON_RETRACT == 20
         off = []  # per step, the largest distance of a row's x, y or z norm from 1
         for it, (v, tangent, w) in enumerate(seen):
             assert tangent is (it >= 20)

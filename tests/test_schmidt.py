@@ -28,7 +28,7 @@ from bilop import schmidt
 from bilop._stream import _start_table
 from bilop.schmidt import _deflate, _greedy, _svd_block
 from bilop.spectra import _alternating_stage
-from conftest import legendre_kernel, tied_cubic, tied_odeco
+from conftest import legendre_kernel, sub_gate_tail, tied_cubic, tied_odeco
 
 
 def orbit_matches(got, want, atol):
@@ -172,6 +172,17 @@ class TestDecomposeEdgeCases:
         assert report.steps == ()
         assert report.failure.step == 1
         assert report.failure.reason is FailureReason.NO_TRIPLE_FOUND
+        assert "residual_tol=1e-09 within max_iter=1;" in report.failure.diagnostics
+
+    def test_a_remainder_below_the_gate_names_the_starts_it_rejected(self):
+        # The remainder's hs-norm keeps the deflation going, but its top tau fails the gate's tau > residual_tol.
+        rep, report = schmidt_decompose(sub_gate_tail())
+        assert rep.status is SchmidtStatus.FAILED
+        assert (report.failure.step, report.failure.reason) == (2, FailureReason.NO_TRIPLE_FOUND)
+        assert report.failure.diagnostics == (
+            "no triple verified at residual_tol=1e-09: 272 start(s) converged, but none has tau above it and "
+            "residuals within it; the remainder's hs-norm is 1.02956e-09"
+        )
 
     def test_rank_one_tensor_single_step(self):
         x = np.array([0.6, 0.8])
