@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3, VectorH, _as_entries, _rank_one, _row_norms, hs_norm
+from .tensor_core import Tensor3, VectorH, _as_entries, _contract, _rank_one, _row_norms, hs_norm
 from .spectra import (
     SearchConfig,
     SingularTriple,
@@ -397,12 +397,12 @@ def verify_representation(
 
 def _check_terms(T: Tensor3, tau, X, Y, Z, tol: float) -> RepresentationCheck:
     """verify_representation's four conditions on terms stacked as arrays, one row each: one Gram product per
-    family, one reconstruction product of T(1), and the diagonal tau = <T(x, y), z> from _residuals."""
+    family, one reconstruction product of T(1), and the diagonal tau = <T(x, y), z> as Newton's retraction reads it."""
     n1, n2, n3 = T.dims
     max_gram = max((float(np.abs(F @ F.T - np.eye(len(F))).max()) for F in (X, Y, Z) if F.size), default=0.0)
     recon = (X.T * tau) @ np.einsum("sj,sk->sjk", Y, Z).reshape(tau.size, n2 * n3)
     residual = float(np.linalg.norm(T.array.reshape(n1, n2 * n3) - recon))
-    max_diag = float(np.max(np.abs(_residuals(T.array, X, Y, Z)[0] - tau), initial=0.0))
+    max_diag = float(np.max(np.abs(np.einsum("sk,sk->s", _contract(T.array, 2, X, Y), Z) - tau), initial=0.0))
     return RepresentationCheck(
         monotone=bool(np.all(tau[:-1] >= tau[1:])),
         orthonormal=max_gram <= _FAMILY_ORTHO_TOL,

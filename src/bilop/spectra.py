@@ -380,9 +380,8 @@ def _standard_starts(
     the pairs are (e_i, f_j). Each pair (p, q) takes z = T(p, q) normalised, or e_1 where T(p, q) vanishes.
     The random block is cfg.resolved_starts uniform random unit triples: start s is read off bilop's own
     stream of standard normals for (cfg.seed, s), which equals bit for bit those of numpy's
-    default_rng([seed, s]), as the first resolved_starts rows and sum(dims) columns of the table that
-    bilop._stream keeps for the seed (the module is loaded on a process's first draw), normalised per
-    factor on every call.
+    default_rng([seed, s]): row s of the (resolved_starts, sum(dims)) block that bilop._stream.start_normals
+    memoises (the module is loaded on a process's first draw), normalised per factor on every call.
     """
     from . import _stream
 

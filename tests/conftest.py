@@ -16,7 +16,7 @@ from bilop import (
     gallery,
     tensor_to_json_dict,
 )
-from bilop._stream import _start_table
+from bilop._stream import start_normals
 from bilop.spectra import _alternating_stage
 
 
@@ -24,9 +24,9 @@ from bilop.spectra import _alternating_stage
 def _cold_alternating_stage():
     """Every test starts without a memoised alternating stage, so none is served
     rows computed under another test's patched budgets or configs, and without
-    a table of start normals, so its first search draws them afresh."""
+    memoised start normals, so its first search draws them afresh."""
     _alternating_stage.cache_clear()
-    _start_table.clear()
+    start_normals.cache_clear()
 
 
 @pytest.fixture(scope="session")

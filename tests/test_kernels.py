@@ -3,6 +3,8 @@ sweep, Newton corrector, start set, row-wise canonicalization and the
 sign-orbit merge, each against its one-at-a-time definition."""
 
 import hashlib
+import importlib
+import pathlib
 import warnings
 
 import numpy as np
@@ -640,6 +642,7 @@ class TestSearchBlockBudget:
         same_triples(enumerate_triples(T).triples, want)
 
 
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 GAUSS_4 = Tensor3.from_array(np.random.default_rng([8, 5]).standard_normal((4, 4, 4)))
 SEARCHES = {
     "norm": lambda: [operator_norm(GAUSS_4)[1]],
@@ -648,37 +651,15 @@ SEARCHES = {
 }
 
 
-class StartTableLog(dict):
-    """A _stream._start_table that counts its reads (one per search) and its
-    draws (reads that grew or replaced the table)."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = self.draws = 0
-
-    def get(self, *args):
-        self.reads += 1
-        return super().get(*args)
-
-    def __setitem__(self, seed, table):
-        self.draws += 1
-        super().__setitem__(seed, table)
-
-    @property
-    def hits(self) -> int:
-        return self.reads - self.draws
+def normal_draws() -> tuple[int, int]:
+    """start_normals' (misses, hits): blocks of start normals drawn, and blocks served from its memo."""
+    info = _stream.start_normals.cache_info()
+    return info.misses, info.hits
 
 
-@pytest.fixture
-def table_log(monkeypatch):
-    log = StartTableLog()
-    monkeypatch.setattr(_stream, "_start_table", log)
-    return log
-
-
-def memo_hits(log: StartTableLog) -> int:
-    """Searches served from a memo: a whole alternating stage, or random starts read off the table."""
-    return _alternating_stage.cache_info().hits + log.hits
+def memo_hits() -> int:
+    """Searches served from a memo: a whole alternating stage, or random starts read off start_normals'."""
+    return _alternating_stage.cache_info().hits + normal_draws()[1]
 
 
 def reference_random_starts(dims, count, seed):
@@ -689,29 +670,32 @@ def reference_random_starts(dims, count, seed):
 
 class TestStartSet:
     @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
-    def test_answers_do_not_depend_on_the_memo(self, search, table_log):
+    def test_answers_do_not_depend_on_the_memo(self, search):
         cold = search()
-        hits = memo_hits(table_log)
+        hits = memo_hits()
         warm = search()
-        assert memo_hits(table_log) > hits
+        assert memo_hits() > hits
         other = Tensor3.from_array(np.random.default_rng([8, 6]).standard_normal((2, 3, 5)))
         operator_norm(other, SearchConfig(seed=7))
         same_triples(warm, cold)
         same_triples(search(), cold)
 
-    def test_a_deflation_draws_normals_once(self, triad, table_log):
+    def test_a_deflation_draws_normals_once(self, triad):
         _, report = schmidt_decompose(triad)
         # Step 1 draws the normals of every random start; steps 2 and 3 read them.
-        assert (table_log.draws, table_log.hits) == (1, len(report.steps) - 1) == (1, 2)
-        assert table_log[0].shape == (SearchConfig().resolved_starts(triad.dims), 9)
+        assert normal_draws() == (1, len(report.steps) - 1) == (1, 2)
+        count = SearchConfig().resolved_starts(triad.dims)
+        assert _stream.start_normals(0, count, 9).shape == (count, 9) and normal_draws() == (1, 3)
 
     def test_memoised_block_is_read_only(self):
-        _stream.start_normals(0, 5, 9)
+        block = _stream.start_normals(0, 5, 9)
         with pytest.raises(ValueError):
-            _stream._start_table[0][0, 0] = 1.0
+            block[0, 0] = 1.0
+        # A repeated request is served the same block, without a draw.
+        assert _stream.start_normals(0, 5, 9) is block and normal_draws() == (1, 1)
 
     def test_a_shorter_draw_is_the_prefix_of_a_longer_one(self):
-        # The table rests on this: one row serves every narrower request, in numpy's stream and in bilop's.
+        # A row's first normals do not depend on its width, in numpy's stream and in bilop's.
         for seed, s in [(0, 0), (1, 5), (7919, 1023)]:
             longest = np.random.default_rng([seed, s]).standard_normal(40)
             assert np.array_equal(standard_normals(seed, s, 1, 40)[0], longest)
@@ -720,7 +704,7 @@ class TestStartSet:
                 assert np.array_equal(standard_normals(seed, s, 1, width)[0], longest[:width])
 
     def test_start_indices_end_at_two_to_the_32(self):
-        # SeedSequence reads s below 2**32 as one uint32 word; no table reaches the next.
+        # SeedSequence reads s below 2**32 as one uint32 word; no draw reaches the next.
         first = 2**32 - 3
         want = np.array([np.random.default_rng([5, s]).standard_normal(11) for s in range(first, first + 3)])
         assert np.array_equal(standard_normals(5, first, 3, 11), want)
@@ -728,10 +712,19 @@ class TestStartSet:
             standard_normals(5, first, 4, 11)
 
     def test_start_counts_past_the_bound_are_refused_before_any_draw(self, diag_pair):
-        # 2**40 starts would need a 72 TiB table of normals: the bound refuses them before it is allocated.
+        # 2**40 starts would need a 72 TiB block of normals: the bound refuses them before it is allocated, and
+        # the memo keeps nothing.
         with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
             operator_norm(diag_pair, SearchConfig(starts=2**40))
-        assert not _stream._start_table
+        assert _stream.start_normals.cache_info().currsize == 0
+
+    def test_a_negative_seed_is_refused(self):
+        # SearchConfig refuses one first; the stream does too, as SeedSequence does. Without the check, _words
+        # would shift a negative seed right forever.
+        for draw in (lambda: standard_normals(-1, 0, 1, 9), lambda: _stream.start_normals(-1, 1, 9)):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw()
+        assert _stream.start_normals.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "name, little_endian, digest",
@@ -768,34 +761,55 @@ class TestStartSet:
         assert [(layer > 0, value is None) for layer, value in wedges] == [(True, True), (True, False)]
 
     def test_the_stream_is_pinned(self):
-        # bilop's own table of seed 0, 272 starts of width 12, whatever numpy is installed.
-        _stream.start_normals(0, 272, 12)
-        table = _stream._start_table[0]
+        # bilop's own normals of seed 0, 272 starts of width 12, whatever numpy is installed.
+        table = standard_normals(0, 0, 272, 12)
         assert table.shape == (272, 12)
         assert hashlib.sha256(table.astype("<f8").tobytes()).hexdigest() == "c2438b5a50476fd13f87143ec189e120d2c2bc6aa0674d06db89724f3c22084e"
 
     # Seeds of one to four uint32 words, each hashed by SeedSequence before those of s.
     @pytest.mark.parametrize("seed", [0, 1, 7919, 2**32 + 5, 2**64 + 3, 10**30])
-    def test_the_table_serves_any_order_of_requests(self, seed, table_log):
+    def test_the_table_serves_any_order_of_requests(self, seed):
         dims = [(3, 2, 4), (8, 8, 8), (4, 8, 6), (3, 2, 4), (1, 98, 1)]
         counts = [1, 16, 1024, 64, 256]
         requests = [(d, c) for c in counts for d in dims]
-        # Every request again, in reverse order: the table now holds them all.
+        # Every request again, in reverse order: the memo still holds the eight latest blocks.
         for k, (d, count) in enumerate(requests + requests[::-1]):
             T = Tensor3.from_array(np.random.default_rng([seed, k]).standard_normal(d))
             got = [M[-count:] for M in _standard_starts(T, SearchConfig(starts=count, seed=seed))]
             for g, w in zip(got, reference_random_starts(d, count, seed)):
                 assert np.array_equal(g, w)
-        # 1 row at width 9, redrawn at width 24 for 8^3 and at width 100 for 1x98x1, then grown to 16 and 1024 rows.
-        assert table_log.draws == 5 and table_log[seed].shape == (1024, 100)
+        # Forward, 20 blocks of 5 counts at widths 9, 24, 18 and 100 are drawn, and each count's second 3x2x4
+        # request is served. Backward, the 8 blocks of counts 256 and 64 are served; the 12 of counts 1024, 16
+        # and 1 are drawn again, and each count's second 3x2x4 request is served.
+        assert normal_draws() == (20 + 12, 5 + 10 + 3)
 
-    def test_another_seed_replaces_the_table(self, table_log):
+    def test_another_seed_adds_its_own_block(self):
         T = Tensor3.from_array(np.random.default_rng([8, 7]).standard_normal((3, 2, 4)))
         _standard_starts(T, SearchConfig(starts=8, seed=0))
-        got = [M[-8:] for M in _standard_starts(T, SearchConfig(starts=8, seed=1))]
-        assert table_log.draws == 2 and list(table_log) == [1]
-        for g, w in zip(got, reference_random_starts((3, 2, 4), 8, 1)):
-            assert np.array_equal(g, w)
+        got = {seed: [M[-8:] for M in _standard_starts(T, SearchConfig(starts=8, seed=seed))] for seed in (1, 0)}
+        # Seed 1 draws its own block, and seed 0's is still served.
+        assert normal_draws() == (2, 1)
+        for seed, blocks in got.items():
+            for g, w in zip(blocks, reference_random_starts((3, 2, 4), 8, seed)):
+                assert np.array_equal(g, w)
+
+    # Every shape of spectrum-gaussian, one tensor each (norm, then spectrum), and all of schmidt-planted, whose
+    # searching inputs alternate between 3x2x4 and 8^3: the memo holds every block a cycle reads.
+    @pytest.mark.parametrize(
+        "workload, blocks",
+        [
+            (lambda w: w.spectrum_gaussian(1, [(dims, 1) for dims, _ in w.GAUSSIAN_SIZES]), 4),
+            (lambda w: w.schmidt_planted(1), 2),
+        ],
+        ids=["spectrum-gaussian", "schmidt-planted"],
+    )
+    def test_benchmark_cycles_after_the_first_draw_no_normals(self, workload, blocks, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        tasks = workload(importlib.import_module("workloads")).tasks
+        for _ in range(2):
+            for task in tasks:
+                task.run()
+        assert normal_draws() == (blocks, blocks)
 
     def test_lattice_pairs_equal_the_hand_built_set(self, diag_pair):
         cfg = SearchConfig(seed=3)

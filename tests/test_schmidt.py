@@ -25,7 +25,7 @@ from bilop import (
     verify_triple,
 )
 from bilop import schmidt
-from bilop._stream import _start_table
+from bilop._stream import start_normals
 from bilop.schmidt import _deflate, _greedy, _svd_block
 from bilop.spectra import _alternating_stage
 from conftest import legendre_kernel, sub_gate_tail, tied_cubic, tied_odeco
@@ -386,10 +386,10 @@ class TestSvdFastPath:
         """schmidt_decompose(T, cfg) from a cold search, and whether it kept the SVD reading: that draws no
         start normals, while greedy deflation's first search draws them."""
         _alternating_stage.cache_clear()
-        _start_table.clear()
+        start_normals.cache_clear()
         got = schmidt_decompose(T, cfg)
         assert_carries_its_check(T, got, cfg.residual_tol)
-        return got, not _start_table
+        return got, start_normals.cache_info().misses == 0
 
     @pytest.mark.parametrize(
         "name, fast",
@@ -435,7 +435,7 @@ class TestSvdFastPath:
     def test_fast_path_runs_no_search(self):
         rep, report = schmidt_decompose(planted(0), self.CFG)
         assert rep.status is SchmidtStatus.COMPLETE and report.steps
-        assert not _start_table  # the SVD path draws no start normals
+        assert start_normals.cache_info().misses == 0  # the SVD path draws no start normals
 
     def test_fast_path_clears_negative_zeros(self):
         # Without the clearing, the sign flips leave -0.0 entries in the

@@ -45,6 +45,12 @@ def fully_symmetrized(rng: np.random.Generator, n: int) -> Tensor3:
     return Tensor3.from_array(sym)
 
 
+@pytest.mark.parametrize("weights", [(), [[3.0, -2.0]]], ids=["empty", "2-d"])
+def test_signed_diagonal_refuses_weights_other_than_a_nonempty_sequence(weights):
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        gallery.signed_diagonal(weights)
+
+
 class TestSymmetryPredicates:
     def test_diagonal_is_symmetric_and_self_adjoint(self, signed_diag):
         assert is_symmetric(signed_diag)
