@@ -41,12 +41,8 @@ def _factor_slices(dims: tuple[int, int, int]) -> tuple[slice, slice, slice]:
 
 
 def _stacked(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Rows x | y | z | tau of the stacked unknown, filled into one preallocated block."""
-    V = np.empty((tau.size, X.shape[1] + Y.shape[1] + Z.shape[1] + 1))
-    for M, cols in zip((X, Y, Z), _factor_slices((X.shape[1], Y.shape[1], Z.shape[1]))):
-        V[:, cols] = M
-    V[:, -1] = tau
-    return V
+    """Rows x | y | z | tau of the stacked unknown."""
+    return np.concatenate([X, Y, Z, tau[:, None]], axis=1)
 
 
 def _newton_finish(arr, X, Y, Z, rows, tau) -> np.ndarray:
@@ -94,8 +90,9 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     parts = _factor_slices(arr.shape)
     # The stop test's limits on |v|: _NEWTON_DIVERGED on x, y and z, the largest float on tau (only inf or NaN stops).
     lim = np.r_[np.full(m - 1, _NEWTON_DIVERGED), np.finfo(float).max]
-    first = _row_blocks(S, m * m)[0]  # the largest row block
-    batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), _jacobian_buffers(arr.shape, min(S, first.stop)), lim)
+    layout = _jacobian_layout(arr.shape)
+    mem = np.empty(min(S, _row_blocks(S, m * m)[0].stop) * layout[1].size)  # the largest row block's bordered matrices
+    batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), mem, layout, lim)
     act = np.arange(S)
     # On a tensor near the float range, a row's residual F can hold entries whose squares exceed the largest
     # float: _row_norms(F) is then inf, which the stop test reads as not converged, so the overflow is expected.
@@ -130,13 +127,13 @@ def _newton_step(
 ) -> np.ndarray:
     """One Newton step on rows idx of the stacked unknown V, in place; returns the rows that step on.
 
-    Rows already at the tolerance are marked done and left as they are. The others' Jacobians are gathered (see
-    _jacobian_buffers) and solved by _solve_rows: the square system's or, with tangent, the bordered system
-    (_jacobian_layout's Mt), whose right side is F without its |x| entry, then three zeros. A tangent step
-    moves x, y and z only: its multipliers are dropped, and tau waits for the next retraction. A row whose
-    Jacobian is singular, or whose new iterate diverges or collapses, steps no further. batch holds Tjik for
-    _newton_a1, the buffers and the stop test's limits."""
-    Tjik, (mem, src, (wA1, wA2, wA3, wv, wx), maps, (sx, sy, sz), (f1, f2, f3)), lim = batch
+    Rows already at the tolerance are marked done and left as they are. The others' Jacobians are taken from their
+    source rows through _jacobian_layout's maps and solved by _solve_rows: the square system's or, with tangent, the
+    bordered system (Mt), whose right side is F without its |x| entry, then three zeros. A tangent step moves x, y
+    and z only: its multipliers are dropped, and tau waits for the next retraction. A row whose Jacobian is
+    singular, or whose new iterate diverges or collapses, steps no further. batch holds Tjik for _newton_a1, the
+    Jacobian memory, _jacobian_layout and the stop test's limits."""
+    Tjik, mem, (*maps, (sx, sy, sz), (f1, f2, f3)), lim = batch
     k = idx.size
     v = V[idx]
     # Contiguous operands: a strided einsum may take another inner loop.
@@ -155,9 +152,11 @@ def _newton_step(
     gi = idx[go]
     if not gi.size:
         return gi
-    wA1[:k], wA2[:k], wA3[:k], wx[:k] = A1, A2, np.einsum("ijk,sk->sij", arr, z), x
-    np.negative(v, out=wv[:k])
-    rows = src[:k]
+    # The source rows (_jacobian_layout); A1's (i, k)-ordered memory, as _newton_a1 returns it, is a view.
+    A3 = np.einsum("ijk,sk->sij", arr, z)
+    rows = np.concatenate(
+        [A1.transpose(0, 2, 1).reshape(k, -1), A2.reshape(k, -1), A3.reshape(k, -1), -v, x, np.zeros((k, 1))], axis=1
+    )
     if gi.size < k:
         v, F, rows = v[go], F[go], rows[go]
     M = maps[tangent]
@@ -185,28 +184,13 @@ def _newton_a1(Tjik: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("jik,sj->sik", Tjik, y).transpose(0, 2, 1)
 
 
-def _jacobian_buffers(dims: tuple[int, int, int], rows: int) -> tuple:
-    """One batch's Jacobian memory, its source block and writable views, the maps (M, Mt), and v's and F's slices.
-
-    A source row is A1 | A2 | A3 | -v | x | 0.0 (A1 as its (i, k)-contiguous einsum output, its 0.0 written
-    here, once per batch); a square step's Jacobians are src.take(M, axis=1) and a tangent step's bordered
-    matrices src.take(Mt, axis=1), with the maps and the slices from _jacobian_layout. The flat memory holds
-    rows bordered matrices, the larger kind."""
-    n1, n2, n3 = dims
-    M, Mt, cuts, slices, f_slices = _jacobian_layout(dims)
-    src = np.empty((rows, cuts[-1]))
-    src[:, -1] = 0.0
-    A1, A2, A3, nv, x, _ = np.split(src, cuts[:-1], axis=1)
-    views = (A1.reshape(rows, n1, n3).transpose(0, 2, 1), A2.reshape(rows, n3, n2), A3.reshape(rows, n1, n2), nv, x)
-    return np.empty(rows * Mt.size), src, views, (M, Mt), slices, f_slices
-
-
 @functools.lru_cache(maxsize=8)
 def _jacobian_layout(dims: tuple[int, int, int]) -> tuple:
-    """The maps M and Mt (read-only), the ends of a source row's parts, and v's and F's slices; built once per shape.
+    """The maps M and Mt (read-only), and v's and F's slices; built once per shape.
 
-    A square step's J = src.take(M, axis=1); rows T(x,y) - tau z, contract_1(y,z) - tau x,
-    contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
+    A step's source row is A1 | A2 | A3 | -v | x | 0.0, each A row-major: A1 by (i, k), as _newton_a1's memory
+    holds it, A2 by (k, j), A3 by (i, j). A square step's J = src.take(M, axis=1); rows T(x,y) - tau z,
+    contract_1(y,z) - tau x, contract_2(x,z) - tau y, (|x|^2 - 1)/2; columns x|y|z|tau:
 
         [ A1       A2       -tau I   -z ]
         [ -tau I   A3       A1^T     -x ]
@@ -246,7 +230,7 @@ def _jacobian_layout(dims: tuple[int, int, int]) -> tuple:
     for c, (r, cols) in enumerate(zip((f2, f3, f1), (sx, sy, sz))):
         Mt[r, n + c] = Mt[n + c, cols] = nv[cols]
     M.flags.writeable = Mt.flags.writeable = False
-    return M, Mt, cuts, (sx, sy, sz), (f1, f2, f3)
+    return M, Mt, (sx, sy, sz), (f1, f2, f3)
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

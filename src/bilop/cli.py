@@ -46,6 +46,7 @@ from .tensor_core import Tensor3, _json_floats, hs_norm, tensor_from_json_dict
 from .spectra import (
     SearchConfig,
     SingularTriple,
+    _check_floor,
     _ordered_checks,
     canonicalize,
     enumerate_triples,
@@ -292,6 +293,7 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Repo
 
 
 def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
+    _check_floor(T, cfg.residual_tol)  # as every other command, whatever the triples file holds
     triples = _load_triples(args.triples, T.dims)
     checks = []
     for pos, raw in enumerate(triples, 1):

@@ -21,12 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3
+from .tensor_core import Tensor3, _int_at_least
 from .spectra import (
     SearchConfig,
     SingularTriple,
     Spectrum,
-    _int_at_least,
     _search_candidates,
     _unit_triple,
 )

@@ -39,7 +39,8 @@ import numpy as np
 
 from ._newton import _NEWTON_TOL, _newton_finish
 from .tensor_core import (
-    Tensor3, _ZERO_NORM, _as_entries, _contract, _product, _row_blocks, _row_norms, _row_normalize, hs_norm
+    Tensor3, _ZERO_NORM, _as_entries, _contract, _int_at_least, _product, _row_blocks, _row_norms,
+    _row_normalize, hs_norm,
 )
 
 __all__ = [
@@ -60,12 +61,6 @@ __all__ = [
 
 #: Loop index of the alternating iteration at which every row still iterating leaves for the Newton finish.
 _ALS_HANDOFF = 100
-
-
-def _int_at_least(value, low: int) -> bool:
-    """value is a Python or numpy int, never a bool or a float, of at least low: the one integer rule of
-    SearchConfig and oracle.GridSpec (an equal float would otherwise share a memoised search)."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= low
 
 
 def _check_tol(value: float, name: str = "tol") -> None:

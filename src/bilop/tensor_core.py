@@ -100,6 +100,21 @@ def _as_entries(v: ArrayLike, space: str, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _int_at_least(value, low: int) -> bool:
+    """value is a Python or numpy int, never a bool or a float, of at least low: the one integer rule of
+    Tensor3's dims, spectra.SearchConfig and oracle.GridSpec (an equal float would otherwise share a memoised
+    search)."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= low
+
+
+def _checked_dims(dims) -> tuple[int, int, int]:
+    """dims as three Python ints, each passing _int_at_least(d, 1); ValueError otherwise."""
+    given = tuple(dims)
+    if len(given) != 3 or not all(_int_at_least(d, 1) for d in given):
+        raise ValueError(f"dims must be three positive integers, got {dims}")
+    return tuple(int(d) for d in given)
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor3:
     """A bilinear operator as a dense third-order coefficient array.
@@ -115,9 +130,7 @@ class Tensor3:
     name: Optional[str] = field(default=None)
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError(f"dims must be three positive integers, got {self.dims}")
+        dims = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         arr = np.asarray(self.values, dtype=float).reshape(-1)
         n1, n2, n3 = dims
@@ -186,6 +199,8 @@ def _check_orthogonal(M: np.ndarray, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(M, dtype=float)
     if arr.shape != (dim, dim):
         raise ValueError(f"{what} must be a {dim}x{dim} matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite entries")
     defect = np.max(np.abs(arr.T @ arr - np.eye(dim)))
     if defect > ORTHO_TOL:
         raise ValueError(f"{what} is not orthogonal (defect {defect:.3e})")
@@ -290,11 +305,13 @@ def from_schmidt(
     all terms must agree with it.
     """
     term_list = list(terms)
+    if dims is not None:
+        dims = _checked_dims(dims)
     if not term_list:
         if dims is None:
             raise ValueError("dims must be supplied when terms is empty")
         n1, n2, n3 = dims
-        return Tensor3(dims=(n1, n2, n3), values=np.zeros(n1 * n2 * n3), name=name)
+        return Tensor3(dims=dims, values=np.zeros(n1 * n2 * n3), name=name)
     if dims is None:
         t0 = term_list[0]
         dims = (np.asarray(t0[1]).size, np.asarray(t0[2]).size, np.asarray(t0[3]).size)

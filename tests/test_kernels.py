@@ -29,7 +29,6 @@ from bilop import (
 from bilop import _newton, _stream
 from bilop._newton import (
     _factor_slices,
-    _jacobian_buffers,
     _jacobian_layout,
     _newton_a1,
     _newton_batch,
@@ -350,10 +349,9 @@ class TestJacobians:
     @staticmethod
     def step_jacobians(arr, V, idx, monkeypatch, tangent=False):
         """The Jacobians one _newton_step hands _solve_rows for rows idx of V (with tangent, the bordered ones),
-        gathered through a batch's buffers of idx.size + 5 rows whose source block (but its constant 0.0) and
-        J's memory hold stale NaNs."""
-        bufs = _jacobian_buffers(arr.shape, idx.size + 5)
-        bufs[0][:], bufs[1][:, :-1] = np.nan, np.nan
+        taken into a batch's Jacobian memory of idx.size + 5 bordered matrices that holds stale NaNs."""
+        layout = _jacobian_layout(arr.shape)
+        mem = np.full((idx.size + 5) * layout[1].size, np.nan)
         lim = np.r_[np.full(V.shape[1] - 1, _newton._NEWTON_DIVERGED), np.finfo(float).max]
         seen = []
 
@@ -363,7 +361,7 @@ class TestJacobians:
 
         with monkeypatch.context() as m:
             m.setattr(_newton, "_solve_rows", solve)
-            batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), bufs, lim)
+            batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), mem, layout, lim)
             _newton._newton_step(arr, V.copy(), idx, np.zeros(V.shape[0], dtype=bool), batch, tangent)
         return seen[0]
 
@@ -443,8 +441,6 @@ class TestJacobianLayout:
         for M, want, m in ((got, fresh[0], sum(shape) + 1), (tangent, fresh[1], sum(shape) + 3)):
             assert M.dtype == want.dtype and M.shape == want.shape == (m, m) and M.tobytes() == want.tobytes()
         assert layout == list(fresh[2:])
-        square, bordered = _jacobian_buffers(shape, 3)[3]
-        assert square is got and bordered is tangent
 
     @pytest.mark.parametrize("which", [0, 1], ids=["square", "tangent"])
     def test_map_cannot_be_written(self, which):

@@ -461,7 +461,7 @@ class TestRoundingFloor:
     T = Tensor3.from_array(np.full((2, 2, 2), 1e150))
     U = np.full(2, np.sqrt(0.5))
 
-    def test_below_the_floor_the_norm_spectrum_verification_and_cli_all_refuse(self, tensor_file, capsys):
+    def test_below_the_floor_the_norm_spectrum_verification_and_cli_all_refuse(self, tensor_file, tmp_path, capsys):
         exact = make_triple(2.0 * np.sqrt(2.0) * 1e150, self.U, self.U, self.U)
         for call in (operator_norm, enumerate_triples, schmidt_decompose):
             with pytest.raises(ValueError, match="rounding floor 3.14e"):
@@ -471,6 +471,13 @@ class TestRoundingFloor:
                 check(self.T, exact, 1e-9)
         assert cli.main(["spectrum", str(tensor_file(self.T)), "--json"]) == 2
         assert "rounding floor" in capsys.readouterr().err
+        # verify refuses the tolerance itself, before it reads the triples: with none listed, as with one.
+        for listed in ([], [{"tau": exact.tau, "x": self.U.tolist(), "y": self.U.tolist(), "z": self.U.tolist()}]):
+            triples = tmp_path / "triples.json"
+            triples.write_text(json.dumps({"triples": listed}))
+            assert cli.main(["verify", str(tensor_file(self.T)), str(triples)]) == 2
+            err = capsys.readouterr().err
+            assert "rounding floor" in err and "triple 1" not in err
 
     def test_above_the_floor_they_agree(self, tensor_file, capsys):
         cfg = SearchConfig(residual_tol=1e140)

@@ -95,6 +95,15 @@ class TestTensor3:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             Tensor3(dims=(2, 0, 2), values=np.zeros(0))
+        # The one integer rule (_int_at_least): no float, bool or string dims, even where int() would take them.
+        for dims in ((2.5, 2, 2), (True, 2, 2), ("2", 2, 2)):
+            with pytest.raises(ValueError, match="dims must be three positive integers"):
+                Tensor3(dims=dims, values=np.zeros(8))
+        for dims in ((2.5, 2, 2), (-1, 2, 2)):
+            with pytest.raises(ValueError, match="dims must be three positive integers"):
+                from_schmidt([], dims=dims)
+        T = Tensor3(dims=tuple(np.array([2, 1, 3])), values=np.zeros(6))
+        assert T.dims == (2, 1, 3) and all(type(d) is int for d in T.dims)
 
 
 class TestContractions:
@@ -197,6 +206,12 @@ class TestChangeBasis:
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
             change_basis(diag_pair, bad, np.eye(2), np.eye(4))
+        # A non-finite entry is named before the Gram product, which would warn on inf and pass NaN.
+        for entry in (np.nan, np.inf):
+            bad = np.eye(3)
+            bad[1, 2] = entry
+            with pytest.raises(ValueError, match="U contains non-finite entries"):
+                change_basis(diag_pair, bad, np.eye(2), np.eye(4))
 
     def test_rejects_wrong_shape(self, diag_pair):
         with pytest.raises(ValueError):
