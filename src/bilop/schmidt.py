@@ -387,11 +387,14 @@ def verify_representation(
     (at the fixed 1e-8 family tolerance), hs-norm reconstruction residual
     <= tol, and the diagonal identity <T(x_i,y_i), z_i> = tau_i within tol.
     Each condition is reported separately; nothing raises on failure. The
-    terms are checked stacked, by _check_terms.
+    terms are checked stacked, by _check_terms. A tol that is not positive
+    and finite, or lies below T's rounding floor (_check_floor), is refused
+    with ValueError.
     """
     if rep.dims != T.dims:
         raise ValueError(f"representation dims {rep.dims} do not match tensor dims {T.dims}")
     _check_tol(tol)
+    _check_floor(T, tol)
     return _check_terms(T, *_stacked_terms(rep.terms, T.dims), tol)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _LAZY
 from .tensor_core import Tensor3
-from .spectra import _check_tol
+from .spectra import _check_floor, _check_tol
 from .schmidt import _check_terms, RepresentationCheck, SchmidtRepresentation, SchmidtStatus, verify_representation
 
 __all__ = list(_LAZY["schur"])
@@ -76,7 +76,8 @@ def _asymmetry(T: Tensor3, *axes: tuple[int, int, int]) -> float:
 
 
 def is_symmetric(T: Tensor3, tol: float = 1e-10) -> bool:
-    """True iff T(x, y) = T(y, x), i.e. t[i,j,k] = t[j,i,k] within tol."""
+    """True iff T(x, y) = T(y, x), i.e. t[i,j,k] = t[j,i,k] within tol (positive and finite, else ValueError)."""
+    _check_tol(tol)
     n1, n2, _ = T.dims
     if n1 != n2:
         raise ValueError(f"symmetry needs n1 = n2, got dims {T.dims}")
@@ -88,8 +89,9 @@ def is_self_adjoint(T: Tensor3, tol: float = 1e-10) -> bool:
 
     Entrywise this is t[i,j,k] = t[i,k,j] (freeze the first argument)
     together with t[i,j,k] = t[k,j,i] (freeze the second); requires all
-    three dimensions equal.
+    three dimensions equal, and a tol positive and finite.
     """
+    _check_tol(tol)
     n1, n2, n3 = T.dims
     if not n1 == n2 == n3:
         raise ValueError(f"self-adjointness needs equal dims, got {T.dims}")
@@ -101,9 +103,10 @@ def schur_from_schmidt(
 ) -> SchurRepresentation:
     """Convert a complete Schmidt representation into Schur form.
 
-    Preconditions (argument errors if violated): tol positive and finite,
-    T symmetric and self-adjoint at tol, rep status Complete and verified
-    against T at tol. check, when given, is that verification already
+    Preconditions (argument errors if violated): tol positive and finite
+    and not below T's rounding floor (spectra._check_floor), T symmetric
+    and self-adjoint at tol, rep status Complete and verified against T
+    at tol. check, when given, is that verification already
     made: verify_representation(T, rep, tol), e.g. the report.check that
     schmidt_decompose returned at residual_tol = tol; without it, rep is
     verified here. For each term computes s1 = <y_i, x_i> and s2 = <z_i, x_i>,
@@ -112,6 +115,7 @@ def schur_from_schmidt(
     |lam_i| = tau_i exactly.
     """
     _check_tol(tol)
+    _check_floor(T, tol)
     if not is_symmetric(T, tol):
         raise ValueError("operator is not symmetric at the given tolerance")
     if not is_self_adjoint(T, tol):
@@ -144,12 +148,15 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
     hs-norm at tol; orthonormality of {x_i} uses the fixed 1e-8 family
     tolerance; monotone means |lam_1| >= |lam_2| >= ... . The figures are
     verify_representation's, by _check_terms, on the Schmidt terms
-    (|lam_i|, x_i, x_i, sign(lam_i) x_i), whose sign flips are exact.
+    (|lam_i|, x_i, x_i, sign(lam_i) x_i), whose sign flips are exact. A tol
+    that is not positive and finite, or lies below T's rounding floor
+    (spectra._check_floor), is refused with ValueError.
     """
     n1, n2, n3 = T.dims
     if not n1 == n2 == n3:
         raise ValueError(f"verify_schur needs equal dims, got {T.dims}")
     _check_tol(tol)
+    _check_floor(T, tol)
     lam = np.array([t.lam for t in schur.terms], dtype=float)
     X = np.array([t.x for t in schur.terms], dtype=float).reshape(lam.size, n1)
     check = _check_terms(T, np.abs(lam), X, X, np.where(lam[:, None] < 0, -X, X), tol)

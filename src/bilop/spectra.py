@@ -414,20 +414,38 @@ def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: 
     Within each tie group of dedup_tol (_tie_groups) the first row in row order wins: a later row is dropped
     when its tau lies within dedup_tol * (1 + max tau) of a kept row's and, for some sign variant,
     max(||x-x'||, ||y-y'||, ||z-z'||) <= dedup_tol (the tau test stays, as a chained group can span more).
-    Mates always share a group, so this is the sequential first-representative-wins merge over all rows. The
-    kept rows, grouped again, are ordered by group, then lexicographically by the entries of x and of y, with
-    exact ties kept in tau order. The first group listed is greedy deflation's top band."""
+    Mates always share a group, so this is the sequential first-representative-wins merge over all rows. A
+    group's first row is never dropped, so one pass tests every other row against its group's first at once
+    (_orbit_distance row against row); only the rows that survive it, distinct orbits sharing a group, run
+    the sequential merge, group by group in row order. The kept rows, grouped again, are ordered by group,
+    then lexicographically by the entries of x and of y, with exact ties kept in tau order. The first group
+    listed is greedy deflation's top band."""
     order = np.argsort(-tau, kind="stable")
+    group = np.empty_like(order)
+    group[order] = _tie_groups(tau[order], cfg.dedup_tol)
+    rows = np.arange(tau.size)
+    lead = np.full(tau.size, tau.size)
+    np.minimum.at(lead, group, rows)
+    lead = lead[group]  # each row's group's first row, which is never dropped
     live = np.ones(tau.size, dtype=bool)
-    for rows in np.split(order, np.flatnonzero(np.diff(_tie_groups(tau[order], cfg.dedup_tol))) + 1):
-        rows = np.sort(rows)  # row order: the first representative wins
-        for k in range(rows.size - 1):  # a lone row has no mates
-            i = rows[k]
-            if live[i]:
-                later = rows[k + 1 :][live[rows[k + 1 :]]]
-                t = tau[later]
-                near = later[np.abs(t - tau[i]) <= cfg.dedup_tol * (1.0 + np.maximum(t, tau[i]))]
-                live[near[_orbit_distance((X[near], Y[near], Z[near]), (X[i], Y[i], Z[i])) <= cfg.dedup_tol]] = False
+
+    def drop_mates(later, kept):
+        """Drop each row of later that is a mate of its row of kept: the tau band, then the orbit distance."""
+        t, t0 = tau[later], tau[kept]
+        band = np.abs(t - t0) <= cfg.dedup_tol * (1.0 + np.maximum(t, t0))
+        later, kept = later[band], kept[band]
+        live[later[_orbit_distance((X[later], Y[later], Z[later]), (X[kept], Y[kept], Z[kept])) <= cfg.dedup_tol]] = False
+
+    rest = np.flatnonzero(rows != lead)
+    drop_mates(rest, lead[rest])
+    # The rows left past their group's first, distinct orbits sharing a group: group by group, in row order.
+    tail = np.flatnonzero(live & (rows != lead))
+    tail = tail[np.argsort(group[tail], kind="stable")]
+    end = np.searchsorted(group[tail], group[tail], side="right")  # tail[k]'s group ends before tail[end[k]]
+    for k, i in enumerate(tail.tolist()):
+        if live[i]:
+            later = tail[k + 1 : end[k]]
+            drop_mates(later, np.full_like(later, i))
     kept = order[live[order]]
     # lexsort's last key is its primary one.
     keys = np.hstack([X[kept], Y[kept]])[:, ::-1].T
@@ -476,8 +494,9 @@ def _search_candidates(
     results by start index, pass the one gate, _verified at residual_tol,
     and are canonicalized; _listing merges them by sign orbit,
     first representative winning, and puts the kept rows in listing
-    order, and only then do they become SingularTriples. A residual_tol
-    below T's rounding floor is refused first (_check_floor).
+    order, and only then do they become SingularTriples, whose x, y and z
+    are rows of one gathered block per factor. A residual_tol below T's
+    rounding floor is refused first (_check_floor).
     """
     _check_floor(T, cfg.residual_tol)
     if hs_norm(T) <= cfg.residual_tol:
@@ -497,15 +516,10 @@ def _search_candidates(
     good = _verified(tau, R, cfg.residual_tol)
     tau, R = tau[good], R[good]
     X, Y, Z = _canonical_rows(X[good], Y[good], Z[good])
+    listed = _listing(tau, X, Y, Z, cfg)
     return tuple(
-        SingularTriple(
-            tau=float(tau[i]),
-            x=X[i].copy(),
-            y=Y[i].copy(),
-            z=Z[i].copy(),
-            residuals=tuple(float(r) for r in R[i]),
-        )
-        for i in _listing(tau, X, Y, Z, cfg)
+        SingularTriple(tau=t, x=x, y=y, z=z, residuals=tuple(r))
+        for t, x, y, z, r in zip(tau[listed].tolist(), X[listed], Y[listed], Z[listed], R[listed].tolist())
     )
 
 

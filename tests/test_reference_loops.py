@@ -11,7 +11,8 @@ differ from the per-term loop's in the last bits: there the references must give
 counts and strings, and floats within 1e-12. The ordered-slice kernel that joined _residuals is kept too
 (ref_slice_residuals): its slices, which sum one-row blocks on gemv, must stay within 1e-15 of _residuals'.
 verify_schur, which now checks the Schur terms as Schmidt terms with verify_representation's checker, must
-keep the bytes of its own Gram and reconstruction products (ref_verify_schur).
+keep the bytes of its own Gram and reconstruction products (ref_verify_schur). The sign-orbit merge that took
+one tie group at a time is kept as ref_listing, and the triples built with one copy per vector as ref_triples.
 """
 
 import dataclasses
@@ -72,6 +73,7 @@ from bilop.spectra import (
     _search_candidates,
     _stacked_terms,
     _standard_starts,
+    _tie_groups,
 )
 from bilop.tensor_core import _contract, _row_norms
 from conftest import sub_gate_tail
@@ -165,6 +167,34 @@ def stacked_distance(P, Q):
     """The orbit distance over one (4, rows, n) sign-variant stack per factor."""
     d = np.max([_row_norms(M - s * N) for M, N, s in zip(P, Q, ORBIT_STACK)], axis=0)
     return d.min(axis=0)
+
+
+def ref_listing(tau, X, Y, Z, cfg):
+    """The merge one tie group at a time, each row against the later live rows of its group, then the order."""
+    order = np.argsort(-tau, kind="stable")
+    live = np.ones(tau.size, dtype=bool)
+    for rows in np.split(order, np.flatnonzero(np.diff(_tie_groups(tau[order], cfg.dedup_tol))) + 1):
+        rows = np.sort(rows)  # row order: the first representative wins
+        for k in range(rows.size - 1):  # a lone row has no mates
+            i = rows[k]
+            if live[i]:
+                later = rows[k + 1 :][live[rows[k + 1 :]]]
+                t = tau[later]
+                near = later[np.abs(t - tau[i]) <= cfg.dedup_tol * (1.0 + np.maximum(t, tau[i]))]
+                live[near[_orbit_distance((X[near], Y[near], Z[near]), (X[i], Y[i], Z[i])) <= cfg.dedup_tol]] = False
+    kept = order[live[order]]
+    keys = np.hstack([X[kept], Y[kept]])[:, ::-1].T
+    return kept[np.lexsort(np.vstack([keys, _tie_groups(tau[kept], cfg.dedup_tol)]))]
+
+
+def ref_triples(tau, X, Y, Z, R, listed):
+    """The listed rows as SingularTriples, one float() and three copies per orbit."""
+    return tuple(
+        spectra.SingularTriple(
+            tau=float(tau[i]), x=X[i].copy(), y=Y[i].copy(), z=Z[i].copy(), residuals=tuple(float(r) for r in R[i])
+        )
+        for i in listed
+    )
 
 
 def ref_finish(arr, X, Y, Z, ok, cfg):
@@ -802,6 +832,101 @@ class TestOrbitDistance:
             assert d.tobytes() == stacked_distance(P, one).tobytes() and d[i] == 0.0
         tau = np.full(4, saddles[0].tau)
         assert _listing(tau, *P, SearchConfig()).size == 4
+
+
+class TestListing:
+    """_listing's one pass against each group's first row, with the sequential merge only where a group keeps
+    two or more rows, against the merge one tie group at a time (ref_listing); and the triples built from one
+    gathered block per factor against one copy per vector (ref_triples)."""
+
+    CFG = SearchConfig()
+
+    @staticmethod
+    def captured(monkeypatch, T):
+        """enumerate_triples(T), the arguments of its _listing call, the listing, and the residuals of the rows
+        listed (read off _search_candidates' call of _verified, the last one before the listing)."""
+        seen = {}
+        listing, verified = spectra._listing, spectra._verified
+
+        def verified_spy(tau, R, tol):
+            good = verified(tau, R, tol)
+            seen["R"] = R[good]
+            return good
+
+        def listing_spy(*args):
+            seen["args"], seen["listed"] = args, listing(*args)
+            return seen["listed"]
+
+        monkeypatch.setattr(spectra, "_verified", verified_spy)
+        monkeypatch.setattr(spectra, "_listing", listing_spy)
+        spectrum = enumerate_triples(T, TestListing.CFG)
+        monkeypatch.undo()
+        return spectrum, seen["args"], seen["listed"], seen["R"]
+
+    @staticmethod
+    def orbit_rows(taus, variants, dims=(3, 2, 4)):
+        """Row i at taus[i]: orbit variants[i][0] (random unit triples from one seed) in sign variant variants[i][1]."""
+        rng = np.random.default_rng(23)
+        bases = [[v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in dims)] for _ in range(3)]
+        rows = [[s * v for s, v in zip(_ORBIT_SIGNS[sign], bases[orbit])] for orbit, sign in variants]
+        return (np.array(taus), *(np.array([r[f] for r in rows]).reshape(len(rows), n) for f, n in enumerate(dims)))
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            *(getattr(gallery, name)() for name in gallery.__all__),
+            *(Tensor3.from_array(np.random.default_rng([34, *d]).standard_normal(d)) for d in [(4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 8, 6)]),
+        ],
+        ids=[*gallery.__all__, "gauss-4x4x4", "gauss-5x5x5", "gauss-6x6x6", "gauss-4x8x6"],
+    )
+    def test_equals_the_per_group_loop_and_the_copied_triples(self, monkeypatch, T):
+        spectrum, args, listed, R = self.captured(monkeypatch, T)
+        want = ref_listing(*args)
+        assert listed.dtype == want.dtype and listed.tolist() == want.tolist()
+        tau, X, Y, Z, _ = args
+        got, copied = spectrum.triples, ref_triples(tau, X, Y, Z, R, want)
+        assert len(got) == len(copied) > 0
+        for a, b in zip(got, copied):
+            assert type(a.tau) is float and a.tau.hex() == b.tau.hex()
+            assert all(type(r) is float for r in a.residuals) and [r.hex() for r in a.residuals] == [r.hex() for r in b.residuals]
+            for f in "xyz":
+                u, v = getattr(a, f), getattr(b, f)
+                assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        # Each vector is a row of its factor's gathered block, and no two triples share one.
+        for f in "xyz":
+            assert len({getattr(t, f).__array_interface__["data"][0] for t in got}) == len(got)
+
+    def test_a_group_keeping_two_orbits(self):
+        # Orbits 0 and 1 at equal taus, each in its four sign variants, interleaved: the group's first row drops
+        # its own orbit's rows, and the sequential merge from row 1 drops the other's.
+        tau, X, Y, Z = self.orbit_rows([1.0 + 1e-9 * i for i in range(8)], [(i % 2, i // 2) for i in range(8)])
+        listed = _listing(tau, X, Y, Z, self.CFG)
+        assert sorted(listed.tolist()) == [0, 1] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
+
+    def test_a_row_outside_the_first_rows_band_dropped_by_a_later_kept_row(self):
+        # One chained group: row 0 (orbit 0) at 1, row 1 (orbit 1) 1.5e-6 above it, row 2 (orbit 1 in another
+        # sign variant) 3e-6 above it: out of row 0's band, dedup_tol * (1 + max tau) = 2e-6, but in row 1's.
+        tau, X, Y, Z = self.orbit_rows([1.0, 1.0 + 1.5e-6, 1.0 + 3e-6], [(0, 0), (1, 0), (1, 3)])
+        assert _tie_groups(np.sort(tau)[::-1], self.CFG.dedup_tol).tolist() == [0, 0, 0]
+        listed = _listing(tau, X, Y, Z, self.CFG)
+        assert sorted(listed.tolist()) == [0, 1] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
+        # Row 2 in orbit 0 instead: out of row 0's band it is no mate of row 0, nor of row 1's orbit; all stay.
+        tau, X, Y, Z = self.orbit_rows([1.0, 1.0 + 1.5e-6, 1.0 + 3e-6], [(0, 0), (1, 0), (0, 3)])
+        listed = _listing(tau, X, Y, Z, self.CFG)
+        assert sorted(listed.tolist()) == [0, 1, 2] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
+
+    @pytest.mark.parametrize("first", range(4))
+    def test_all_four_sign_variants_are_one_orbit(self, first):
+        # The four variants with rising taus: row 0 wins although the others' taus are larger.
+        signs = [first, *(s for s in range(4) if s != first)]
+        tau, X, Y, Z = self.orbit_rows([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9], [(2, s) for s in signs])
+        assert _listing(tau, X, Y, Z, self.CFG).tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist() == [0]
+
+    def test_empty_input(self):
+        tau, X, Y, Z = np.empty(0), np.empty((0, 3)), np.empty((0, 2)), np.empty((0, 4))
+        listed = _listing(tau, X, Y, Z, self.CFG)
+        want = ref_listing(tau, X, Y, Z, self.CFG)
+        assert listed.dtype == want.dtype == np.intp and listed.shape == want.shape == (0,)
 
 
 class TestDeflationBlock:

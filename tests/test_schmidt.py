@@ -21,7 +21,9 @@ from bilop import (
     reconstruct,
     schmidt_decompose,
     schmidt_sum_sq,
+    schur_from_schmidt,
     verify_representation,
+    verify_schur,
     verify_triple,
 )
 from bilop import schmidt
@@ -214,6 +216,27 @@ class TestStopRule:
         assert len(rep.terms) == 1
         assert rep.terms[0].tau == pytest.approx(2.0 * np.sqrt(2.0) * 1e150)
         assert verify_representation(T, rep, 1e140).all_ok
+
+    def test_the_checks_refuse_a_tolerance_below_the_rounding_floor(self):
+        # A planted 4^3 cubic, weights 4, 3, 2, 1 on an orthonormal basis, scaled by 1e150: its rounding floor
+        # eps/2 * hs_norm(T) is 6.08e134. Above it everything certifies; below it every check refuses, as
+        # schmidt_decompose does, instead of reporting a reconstruction residual no tolerance there resolves.
+        Q = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0].T
+        T = Tensor3.from_array(1e150 * np.einsum("r,ri,rj,rk->ijk", [4.0, 3.0, 2.0, 1.0], Q, Q, Q))
+        rep, report = schmidt_decompose(T, SearchConfig(residual_tol=1e140))
+        assert rep.status is SchmidtStatus.COMPLETE and verify_representation(T, rep, 1e140).all_ok
+        schur = schur_from_schmidt(T, rep, 1e140, report.check)
+        assert verify_schur(T, schur, 1e140).all_ok
+        refusals = [
+            lambda: schmidt_decompose(T, SearchConfig(residual_tol=1e130)),
+            lambda: verify_representation(T, rep, 1e130),
+            lambda: schur_from_schmidt(T, rep, 1e130, report.check),
+            lambda: schur_from_schmidt(T, rep, 1e130),
+            lambda: verify_schur(T, schur, 1e130),
+        ]
+        for refuse in refusals:
+            with pytest.raises(ValueError, match=r"1e\+130 lies below this tensor's rounding floor 6\.08e\+134"):
+                refuse()
 
 
 class TestRoundTrip:

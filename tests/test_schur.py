@@ -79,6 +79,13 @@ class TestSymmetryPredicates:
         with pytest.raises(ValueError):
             is_self_adjoint(diag_pair)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, signed_diag, tol):
+        # As for every other tolerance: a NaN or negative tol would read every operator as asymmetric.
+        for predicate in (is_symmetric, is_self_adjoint):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                predicate(signed_diag, tol)
+
     def test_self_adjoint_needs_all_three_dims_equal(self):
         T = Tensor3.from_array(np.zeros((2, 2, 3)))
         assert is_symmetric(T)
