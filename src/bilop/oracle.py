@@ -26,7 +26,9 @@ from .spectra import (
     SearchConfig,
     SingularTriple,
     Spectrum,
+    _listing,
     _search_candidates,
+    _stacked_terms,
     _unit_triple,
 )
 
@@ -220,26 +222,36 @@ def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) ->
     return Spectrum(triples=triples, complete=False)
 
 
+def _keeps_first(first: tuple, then: tuple, cfg: SearchConfig) -> bool:
+    """Whether _listing, merging the (tau, X, Y, Z) rows of first and then those of then, keeps just first's."""
+    kept = _listing(*(np.concatenate(pair) for pair in zip(first, then)), cfg)
+    return sorted(kept.tolist()) == list(range(first[0].size))
+
+
 def confirm_complete(
     T: Tensor3, spectrum: Spectrum, cfg: Optional[SearchConfig] = None
 ) -> Spectrum:
     """Certify a spectrum as complete on tiny instances.
 
     When every dimension is at most 2 and the exhaustive lattice search
-    reproduces the spectrum's tau multiset (and orbit count) within
-    dedup_tol, returns a copy with complete=True. Anything else returns
+    lists exactly the spectrum's sign orbits, returns a copy with
+    complete=True. The orbits match under the search's own merge rule
+    (spectra._listing: tau band and orbit distance within dedup_tol):
+    merging the reference's rows before the spectrum's keeps just the
+    reference's, and merging them the other way round keeps just the
+    spectrum's, so a spectrum missing, repeating or misplacing an orbit
+    fails, as does one whose vectors do not fit T. Anything else returns
     the spectrum unchanged: enumeration stays honest about being a
     heuristic beyond this regime.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     if max(T.dims) > 2:
         return spectrum
-    reference = exhaustive_small_spectrum(T, cfg)
-    if len(reference.triples) != len(spectrum.triples):
+    try:
+        got = _stacked_terms(spectrum.triples, T.dims)
+    except ValueError:  # vectors that do not fit T's dims
         return spectrum
-    ref = sorted(tr.tau for tr in reference.triples)
-    got = sorted(tr.tau for tr in spectrum.triples)
-    scale = 1.0 + (max(ref) if ref else 0.0)
-    if all(abs(a - b) <= cfg.dedup_tol * scale for a, b in zip(ref, got)):
+    ref = _stacked_terms(exhaustive_small_spectrum(T, cfg).triples, T.dims)
+    if ref[0].size == got[0].size and _keeps_first(ref, got, cfg) and _keeps_first(got, ref, cfg):
         return Spectrum(triples=spectrum.triples, complete=True)
     return spectrum

@@ -40,7 +40,6 @@ from .spectra import (
     SingularTriple,
     _canonical_rows,
     _check_floor,
-    _check_tol,
     _no_triple_cause,
     _ordered_checks,
     _residuals,
@@ -393,7 +392,6 @@ def verify_representation(
     """
     if rep.dims != T.dims:
         raise ValueError(f"representation dims {rep.dims} do not match tensor dims {T.dims}")
-    _check_tol(tol)
     _check_floor(T, tol)
     return _check_terms(T, *_stacked_terms(rep.terms, T.dims), tol)
 

@@ -114,7 +114,6 @@ def schur_from_schmidt(
     and emits lam_i = sign(s1) sign(s2) tau_i with the vector x_i, so
     |lam_i| = tau_i exactly.
     """
-    _check_tol(tol)
     _check_floor(T, tol)
     if not is_symmetric(T, tol):
         raise ValueError("operator is not symmetric at the given tolerance")
@@ -155,7 +154,6 @@ def verify_schur(T: Tensor3, schur: SchurRepresentation, tol: float) -> SchurChe
     n1, n2, n3 = T.dims
     if not n1 == n2 == n3:
         raise ValueError(f"verify_schur needs equal dims, got {T.dims}")
-    _check_tol(tol)
     _check_floor(T, tol)
     lam = np.array([t.lam for t in schur.terms], dtype=float)
     X = np.array([t.x for t in schur.terms], dtype=float).reshape(lam.size, n1)

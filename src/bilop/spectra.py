@@ -414,38 +414,30 @@ def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: 
     Within each tie group of dedup_tol (_tie_groups) the first row in row order wins: a later row is dropped
     when its tau lies within dedup_tol * (1 + max tau) of a kept row's and, for some sign variant,
     max(||x-x'||, ||y-y'||, ||z-z'||) <= dedup_tol (the tau test stays, as a chained group can span more).
-    Mates always share a group, so this is the sequential first-representative-wins merge over all rows. A
-    group's first row is never dropped, so one pass tests every other row against its group's first at once
-    (_orbit_distance row against row); only the rows that survive it, distinct orbits sharing a group, run
-    the sequential merge, group by group in row order. The kept rows, grouped again, are ordered by group,
-    then lexicographically by the entries of x and of y, with exact ties kept in tau order. The first group
-    listed is greedy deflation's top band."""
+    Mates always share a group, so this is the sequential first-representative-wins merge over all rows. It
+    runs in rounds over the open rows, those neither kept nor dropped: each round keeps every group's first
+    open row and tests the group's other open rows against it at once (_orbit_distance row against row). A
+    row reaches the head of its group only after every earlier row of the group was kept, having dropped its
+    mates, or dropped, so it is the row the sequential merge keeps next, and a round per orbit a group keeps
+    replaces a call per orbit. The kept rows, grouped again, are ordered by group, then lexicographically by
+    the entries of x and of y, with exact ties kept in tau order. The first group listed is greedy
+    deflation's top band."""
     order = np.argsort(-tau, kind="stable")
     group = np.empty_like(order)
     group[order] = _tie_groups(tau[order], cfg.dedup_tol)
-    rows = np.arange(tau.size)
-    lead = np.full(tau.size, tau.size)
-    np.minimum.at(lead, group, rows)
-    lead = lead[group]  # each row's group's first row, which is never dropped
     live = np.ones(tau.size, dtype=bool)
-
-    def drop_mates(later, kept):
-        """Drop each row of later that is a mate of its row of kept: the tau band, then the orbit distance."""
+    open_ = live.copy()  # live rows not yet kept
+    while (rows := np.flatnonzero(open_)).size:
+        head = np.full(tau.size, tau.size)
+        np.minimum.at(head, group[rows], rows)
+        head = head[group[rows]]  # each open row's group's first open row, which is kept
+        open_[head] = False
+        later, kept = rows[rows != head], head[rows != head]
         t, t0 = tau[later], tau[kept]
         band = np.abs(t - t0) <= cfg.dedup_tol * (1.0 + np.maximum(t, t0))
         later, kept = later[band], kept[band]
         live[later[_orbit_distance((X[later], Y[later], Z[later]), (X[kept], Y[kept], Z[kept])) <= cfg.dedup_tol]] = False
-
-    rest = np.flatnonzero(rows != lead)
-    drop_mates(rest, lead[rest])
-    # The rows left past their group's first, distinct orbits sharing a group: group by group, in row order.
-    tail = np.flatnonzero(live & (rows != lead))
-    tail = tail[np.argsort(group[tail], kind="stable")]
-    end = np.searchsorted(group[tail], group[tail], side="right")  # tail[k]'s group ends before tail[end[k]]
-    for k, i in enumerate(tail.tolist()):
-        if live[i]:
-            later = tail[k + 1 : end[k]]
-            drop_mates(later, np.full_like(later, i))
+        open_ &= live
     kept = order[live[order]]
     # lexsort's last key is its primary one.
     keys = np.hstack([X[kept], Y[kept]])[:, ::-1].T
@@ -467,7 +459,7 @@ def _alternating_stage(
     id from being reused) and by the SearchConfig's value, so a norm, a spectrum
     and greedy deflation's first step of one tensor pay for one stage. Lattice
     pairs are arrays, which cannot be hashed: their searches call __wrapped__ and
-    keep no stage. A missed stage still reads its random normals off bilop._stream's table.
+    keep no stage. A missed stage reads its random normals through _stream.start_normals' memo.
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)
@@ -604,8 +596,10 @@ def _unit_triple(T: Tensor3, triple: SingularTriple) -> tuple[np.ndarray, np.nda
 
 
 def _check_floor(T: Tensor3, tol: float) -> None:
-    """ValueError when tol lies below eps/2 * hs_norm(T), the rounding unit of T's own entries: a gate there
-    would pass or refuse a triple by how its last bits round, so norm, spectrum and verify_triple could disagree."""
+    """The tolerance rule of every check against T: ValueError unless tol is positive and finite (_check_tol),
+    then when it lies below eps/2 * hs_norm(T), the rounding unit of T's own entries: a gate there would pass
+    or refuse a triple by how its last bits round, so norm, spectrum and verify_triple could disagree."""
+    _check_tol(tol)
     floor = 2.0**-53 * hs_norm(T)  # eps/2 as a literal: a first np.finfo call adds about 0.3 MiB to a CLI process's peak RSS
     if tol < floor:
         raise ValueError(
@@ -622,7 +616,6 @@ def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck
     than 1e-8 away from unit norm, a tau that is not finite, a tol that is not positive and finite, and a
     tol below T's rounding floor (_check_floor) are rejected as argument errors.
     """
-    _check_tol(tol)
     _check_floor(T, tol)
     x, y, z = _unit_triple(T, triple)
     try:

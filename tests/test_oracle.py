@@ -13,6 +13,7 @@ from bilop import (
     SingularTriple,
     Spectrum,
     Tensor3,
+    change_basis,
     confirm_complete,
     enumerate_triples,
     exhaustive_small_spectrum,
@@ -224,3 +225,35 @@ class TestConfirmComplete:
         )
         assert len(moved.triples) == len(exhaustive_small_spectrum(T, cfg).triples)
         assert confirm_complete(T, moved, cfg) is moved and not moved.complete
+
+    def test_leaves_another_tensors_spectrum_unconfirmed(self):
+        # diag(3, 2) and its rotation by R in every mode share their taus and orbit count, not their triples.
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0], arr[1, 1, 1] = 3.0, 2.0
+        T = Tensor3.from_array(arr)
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        rotated = enumerate_triples(change_basis(T, R, R, R))
+        assert len(rotated.triples) == len(exhaustive_small_spectrum(T).triples) == 6
+        assert not any(verify_triple(T, t, 1e-9).verified for t in rotated.triples)
+        assert confirm_complete(T, rotated) is rotated and not rotated.complete
+        assert confirm_complete(T, enumerate_triples(T)).complete
+
+    def test_leaves_a_spectrum_repeating_an_orbit_unconfirmed(self):
+        # Orbit 0 listed twice in place of orbit 1, at the same tau: count and taus match, the orbits do not.
+        T = gallery.signed_diagonal((1.0, 1.0))
+        cfg = SearchConfig(starts=16)
+        triples = enumerate_triples(T, cfg).triples
+        assert triples[0].tau == triples[1].tau == 1.0
+        repeated = Spectrum(triples=(triples[0], triples[0], *triples[2:]))
+        assert confirm_complete(T, repeated, cfg) is repeated and not repeated.complete
+
+    def test_leaves_a_spectrum_whose_vectors_do_not_fit_unconfirmed(self):
+        # The lattice search's own orbits, each vector padded with a zero: the taus and count still match.
+        T = gallery.signed_diagonal((1.0, 1.0))
+        cfg = SearchConfig(starts=16)
+        pad = lambda v: np.append(v, 0.0)  # noqa: E731
+        padded = Spectrum(
+            triples=tuple(dataclasses.replace(t, x=pad(t.x), y=pad(t.y), z=pad(t.z)) for t in enumerate_triples(T, cfg).triples)
+        )
+        assert confirm_complete(T, padded, cfg) is padded and not padded.complete

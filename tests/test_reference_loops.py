@@ -16,6 +16,8 @@ one tie group at a time is kept as ref_listing, and the triples built with one c
 """
 
 import dataclasses
+import importlib
+import pathlib
 import tracemalloc
 import warnings
 
@@ -835,8 +837,8 @@ class TestOrbitDistance:
 
 
 class TestListing:
-    """_listing's one pass against each group's first row, with the sequential merge only where a group keeps
-    two or more rows, against the merge one tie group at a time (ref_listing); and the triples built from one
+    """_listing's rounds, each keeping every group's first open row and testing the group's other open rows
+    against it at once, against the merge one tie group at a time (ref_listing); and the triples built from one
     gathered block per factor against one copy per vector (ref_triples)."""
 
     CFG = SearchConfig()
@@ -871,6 +873,20 @@ class TestListing:
         rows = [[s * v for s, v in zip(_ORBIT_SIGNS[sign], bases[orbit])] for orbit, sign in variants]
         return (np.array(taus), *(np.array([r[f] for r in rows]).reshape(len(rows), n) for f, n in enumerate(dims)))
 
+    @staticmethod
+    def rounds(monkeypatch, args):
+        """The _orbit_distance calls of _listing(*args), and the most rows it keeps in one tie group of dedup_tol."""
+        calls = []
+        distance = spectra._orbit_distance
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_orbit_distance", lambda P, Q: calls.append(1) or distance(P, Q))
+            kept = _listing(*args)
+        tau, cfg = args[0], args[-1]
+        order = np.argsort(-tau, kind="stable")
+        group = np.empty_like(order)
+        group[order] = _tie_groups(tau[order], cfg.dedup_tol)
+        return len(calls), int(np.bincount(group[kept]).max())
+
     @pytest.mark.parametrize(
         "T",
         [
@@ -902,6 +918,35 @@ class TestListing:
         tau, X, Y, Z = self.orbit_rows([1.0 + 1e-9 * i for i in range(8)], [(i % 2, i // 2) for i in range(8)])
         listed = _listing(tau, X, Y, Z, self.CFG)
         assert sorted(listed.tolist()) == [0, 1] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
+
+    def test_a_group_keeping_three_orbits_in_four_rounds(self, monkeypatch):
+        # One chained group: orbits 0, 1 and 2 at 1, then orbit 1 in two other sign variants at 1 + 1.5e-6 and
+        # 1 + 3e-6. Round 2 keeps row 1, which drops row 3. Row 4 lies out of row 1's band, dedup_tol * (1 + max
+        # tau) = 2e-6, and is a mate only of row 3, which is dropped: it stays, and round 4 keeps it.
+        tau, X, Y, Z = self.orbit_rows([1.0, 1.0, 1.0, 1.0 + 1.5e-6, 1.0 + 3e-6], [(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)])
+        assert _tie_groups(np.sort(tau)[::-1], self.CFG.dedup_tol).tolist() == [0] * 5
+        listed = _listing(tau, X, Y, Z, self.CFG)
+        assert sorted(listed.tolist()) == [0, 1, 2, 4] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
+        assert self.rounds(monkeypatch, (tau, X, Y, Z, self.CFG)) == (4, 4)
+
+    @pytest.mark.parametrize("name, calls", [("diagonal_pair", 4), ("overlapping_slices", 2), ("orthonormal_triad", 15), ("signed_diagonal", 14)])
+    def test_one_distance_call_per_round_on_the_gallery(self, monkeypatch, name, calls):
+        _, args, _, _ = self.captured(monkeypatch, getattr(gallery, name)())
+        assert self.rounds(monkeypatch, args) == (calls, calls)
+
+    def test_one_distance_call_per_gaussian_listing(self, monkeypatch):
+        # One tensor of each shape of the benchmark's seed-1 spectrum-gaussian cycle, its norm and its spectrum:
+        # no tie group keeps two orbits, so each listing takes one round.
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        seen = []
+        listing = spectra._listing
+        monkeypatch.setattr(spectra, "_listing", lambda *args: seen.append(args) or listing(*args))
+        for task in workloads.spectrum_gaussian(1, [(dims, 1) for dims, _ in workloads.GAUSSIAN_SIZES]).tasks:
+            task.run()
+        assert len(seen) == 8
+        for args in seen:
+            assert self.rounds(monkeypatch, args) == (1, 1)
 
     def test_a_row_outside_the_first_rows_band_dropped_by_a_later_kept_row(self):
         # One chained group: row 0 (orbit 0) at 1, row 1 (orbit 1) 1.5e-6 above it, row 2 (orbit 1 in another

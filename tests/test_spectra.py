@@ -26,6 +26,7 @@ from bilop import (
     schmidt_decompose,
     verify_triple,
 )
+from bilop.spectra import _check_floor
 
 S13 = np.sqrt(13.0)
 TAU_SADDLE = 6.0 / S13
@@ -478,6 +479,12 @@ class TestRoundingFloor:
             assert cli.main(["verify", str(tensor_file(self.T)), str(triples)]) == 2
             err = capsys.readouterr().err
             assert "rounding floor" in err and "triple 1" not in err
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
+    def test_the_floor_check_refuses_a_tolerance_not_positive_and_finite_first(self, tol):
+        # The one owner of the tolerance rule: -1 and 0 lie below the floor too, and the first message wins.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            _check_floor(self.T, tol)
 
     def test_above_the_floor_they_agree(self, tensor_file, capsys):
         cfg = SearchConfig(residual_tol=1e140)
