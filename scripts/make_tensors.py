@@ -2,54 +2,29 @@
 
 Usage: python scripts/make_tensors.py [OUTDIR]
 
-Produces the inputs the CLI examples in the README operate on:
+Produces the inputs the CLI examples in the README operate on, with the
+benchmark's own writer, bench/workloads.write_cli_inputs (only read):
 diagonal_pair.json, overlapping_slices.json, orthonormal_triad.json,
-signed_diagonal.json, and diagonal_pair_triples.json (the known triples
-of the diagonal-pair operator, for `bilop verify`).
+signed_diagonal.json, and diagonal_pair_triples.json (the six known
+triples of the diagonal-pair operator, for `bilop verify`).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import sys
+from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from bilop import SearchConfig, enumerate_triples, gallery, tensor_to_json_dict
+import workloads  # noqa: E402
 
 
 def main() -> int:
-    outdir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("tensors")
-    outdir.mkdir(parents=True, exist_ok=True)
-    builders = {
-        "diagonal_pair": gallery.diagonal_pair,
-        "overlapping_slices": gallery.overlapping_slices,
-        "orthonormal_triad": gallery.orthonormal_triad,
-        "signed_diagonal": gallery.signed_diagonal,
-    }
-    for stem, build in builders.items():
-        T = build()
-        path = outdir / f"{stem}.json"
-        path.write_text(json.dumps(tensor_to_json_dict(T), indent=2) + "\n")
-        print(f"wrote {path}")
-
-    T = gallery.diagonal_pair()
-    spectrum = enumerate_triples(T, SearchConfig(starts=256))
-    triples = {
-        "triples": [
-            {
-                "tau": tr.tau,
-                "x": [float(v) for v in tr.x],
-                "y": [float(v) for v in tr.y],
-                "z": [float(v) for v in tr.z],
-            }
-            for tr in spectrum.triples
-        ]
-    }
-    path = outdir / "diagonal_pair_triples.json"
-    path.write_text(json.dumps(triples, indent=2) + "\n")
-    print(f"wrote {path}")
+    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("tensors")
+    workloads.write_cli_inputs(outdir)
+    for stem in (*workloads.GALLERY, "diagonal_pair_triples"):
+        print(f"wrote {outdir / stem}.json")
     return 0
 
 

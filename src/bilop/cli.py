@@ -281,7 +281,7 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Repo
         f = deflation.failure
         raise _Exit(f"Schmidt decomposition failed at step {f.step} ({f.reason.value}); no Schur form", _EXIT_SCHMIDT)
     try:
-        schur = _this.schur_from_schmidt(T, rep, tol, deflation.check)
+        schur = _this.schur_from_schmidt(T, rep, tol)
     except _this.SchurInconsistencyError as exc:
         raise _Exit(str(exc), _EXIT_SCHUR) from exc
     check = _this.verify_schur(T, schur, tol)

@@ -211,8 +211,8 @@ def schmidt_decompose(
     carries the passed verify_representation check as report.check. On failure the
     representation has status Failed and no terms, and report.check is
     None; the report keeps every step, including the offending one, with
-    its residual diagnostics. A residual_tol below
-    T's rounding floor (eps/2 * hs_norm(T)) is refused with ValueError.
+    its residual diagnostics. A residual_tol below T's rounding floor
+    (eps/2 * hs_norm(T)) or below 2**-511 is refused with ValueError.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     _check_floor(T, cfg.residual_tol)

@@ -13,14 +13,13 @@ silently emitting a wrong representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
 from . import _LAZY
 from .tensor_core import Tensor3
 from .spectra import _check_floor, _check_tol
-from .schmidt import _check_terms, RepresentationCheck, SchmidtRepresentation, SchmidtStatus, verify_representation
+from .schmidt import _check_terms, SchmidtRepresentation, SchmidtStatus, verify_representation
 
 __all__ = list(_LAZY["schur"])
 
@@ -98,21 +97,16 @@ def is_self_adjoint(T: Tensor3, tol: float = 1e-10) -> bool:
     return _asymmetry(T, (0, 2, 1), (2, 1, 0)) <= tol
 
 
-def schur_from_schmidt(
-    T: Tensor3, rep: SchmidtRepresentation, tol: float, check: Optional[RepresentationCheck] = None
-) -> SchurRepresentation:
+def schur_from_schmidt(T: Tensor3, rep: SchmidtRepresentation, tol: float) -> SchurRepresentation:
     """Convert a complete Schmidt representation into Schur form.
 
     Preconditions (argument errors if violated): tol positive and finite
     and not below T's rounding floor (spectra._check_floor), T symmetric
     and self-adjoint at tol, rep status Complete and verified against T
-    at tol. check, when given, is that verification already
-    made: verify_representation(T, rep, tol), e.g. the report.check that
-    schmidt_decompose returned at residual_tol = tol; without it, rep is
-    verified here. For each term computes s1 = <y_i, x_i> and s2 = <z_i, x_i>,
-    requires both within tol of +-1 (SchurInconsistencyError otherwise),
-    and emits lam_i = sign(s1) sign(s2) tau_i with the vector x_i, so
-    |lam_i| = tau_i exactly.
+    at tol by verify_representation on every call. For each term computes
+    s1 = <y_i, x_i> and s2 = <z_i, x_i>, requires both within tol of +-1
+    (SchurInconsistencyError otherwise), and emits lam_i = sign(s1)
+    sign(s2) tau_i with the vector x_i, so |lam_i| = tau_i exactly.
     """
     _check_floor(T, tol)
     if not is_symmetric(T, tol):
@@ -121,7 +115,7 @@ def schur_from_schmidt(
         raise ValueError("operator is not self-adjoint at the given tolerance")
     if rep.status is not SchmidtStatus.COMPLETE:
         raise ValueError("schur_from_schmidt requires a Complete representation")
-    failures = (check if check is not None else verify_representation(T, rep, tol)).failures(tol)
+    failures = verify_representation(T, rep, tol).failures(tol)
     if failures:
         raise ValueError(f"representation does not verify against the operator: {'; '.join(failures)}")
     terms = []

@@ -598,7 +598,8 @@ def _unit_triple(T: Tensor3, triple: SingularTriple) -> tuple[np.ndarray, np.nda
 def _check_floor(T: Tensor3, tol: float) -> None:
     """The tolerance rule of every check against T: ValueError unless tol is positive and finite (_check_tol),
     then when it lies below eps/2 * hs_norm(T), the rounding unit of T's own entries: a gate there would pass
-    or refuse a triple by how its last bits round, so norm, spectrum and verify_triple could disagree."""
+    or refuse a triple by how its last bits round, so norm, spectrum and verify_triple could disagree; last,
+    whatever T, below 2**-511, where squared residual entries are subnormal and _row_norms cannot resolve tol."""
     _check_tol(tol)
     floor = 2.0**-53 * hs_norm(T)  # eps/2 as a literal: a first np.finfo call adds about 0.3 MiB to a CLI process's peak RSS
     if tol < floor:
@@ -606,6 +607,8 @@ def _check_floor(T: Tensor3, tol: float) -> None:
             f"tolerance {tol:g} lies below this tensor's rounding floor {floor:.3g} "
             "(eps/2 times its Hilbert-Schmidt norm); no residual resolves that"
         )
+    if tol < 2.0**-511:
+        raise ValueError(f"tolerance {tol:g} lies below 2**-511 (1.49e-154), where squared residual entries are subnormal")
 
 
 def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:

@@ -1,7 +1,5 @@
 """Symmetry predicates, signed weight recovery, Schur verification."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -126,8 +124,8 @@ class TestSchurFromSchmidt:
         # Eight equal weights at 16^3 (signs follow the canonical x): the greedy steps come out ULPs out of order,
         # the Complete terms do not.
         T = tied_cubic()
-        rep, report = schmidt_decompose(T)
-        schur = schur_from_schmidt(T, rep, 1e-9, report.check)
+        rep, _ = schmidt_decompose(T)
+        schur = schur_from_schmidt(T, rep, 1e-9)
         assert [abs(t.lam) for t in schur.terms] == pytest.approx([1.0] * 8, abs=1e-14)
 
     def test_rejects_non_self_adjoint_input(self):
@@ -183,20 +181,29 @@ class TestSchurFromSchmidt:
         with pytest.raises(ValueError, match=r"operator: max Gram deviation 1\.000e-06 > 1e-08$"):
             schur_from_schmidt(signed_diag, hand, 1e-4)
 
-    def test_a_given_check_is_not_run_again(self, signed_diag, monkeypatch):
-        import bilop.schur
+    def test_the_terms_of_another_operator_are_refused(self, signed_diag):
+        # The terms of diag(3, -2, 1) are no Schur form of diag(5, 4, -1), whatever check was made for the latter.
+        other = gallery.signed_diagonal((5.0, 4.0, -1.0))
+        rep, _ = schmidt_decompose(signed_diag, CFG)
+        _, report = schmidt_decompose(other, CFG)
+        message = (
+            r"^representation does not verify against the operator: reconstruction residual 6\.633e\+00 > 1e-09; "
+            r"max diagonal deviation 6\.000e\+00 > 1e-09$"
+        )
+        with pytest.raises(ValueError, match=message):
+            schur_from_schmidt(other, rep, 1e-9)
+        with pytest.raises(TypeError):
+            schur_from_schmidt(other, rep, 1e-9, report.check)
 
-        rep, report = schmidt_decompose(signed_diag, CFG)
-        want = schur_from_schmidt(signed_diag, rep, 1e-9)
-        monkeypatch.setattr(bilop.schur, "verify_representation", lambda *args: pytest.fail("verified again"))
-        got = schur_from_schmidt(signed_diag, rep, 1e-9, report.check)
-        assert [(t.lam, t.x.tobytes()) for t in got.terms] == [(t.lam, t.x.tobytes()) for t in want.terms]
-
-    def test_a_given_check_that_fails_refuses_with_its_figures(self, signed_diag):
-        rep, report = schmidt_decompose(signed_diag, CFG)
-        check = dataclasses.replace(report.check, diagonal_ok=False, max_diagonal_deviation=0.5)
-        with pytest.raises(ValueError, match=r"operator: max diagonal deviation 5\.000e-01 > 1e-09$"):
-            schur_from_schmidt(signed_diag, rep, 1e-9, check)
+    def test_a_representation_of_other_dims_is_refused(self):
+        # A 2x2x2 representation against a 3^3 operator is refused by the dims test, not converted.
+        small, T = gallery.signed_diagonal((3.0, 2.0)), gallery.signed_diagonal()
+        rep, _ = schmidt_decompose(small, CFG)
+        _, report = schmidt_decompose(T, CFG)
+        with pytest.raises(ValueError, match=r"^representation dims \(2, 2, 2\) do not match tensor dims \(3, 3, 3\)$"):
+            schur_from_schmidt(T, rep, 1e-9)
+        with pytest.raises(TypeError):
+            schur_from_schmidt(T, rep, 1e-9, report.check)
 
     def test_inconsistency_is_not_an_argument_error(self):
         # The two failure modes must stay distinguishable for callers

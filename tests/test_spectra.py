@@ -24,6 +24,7 @@ from bilop import (
     is_ordered,
     operator_norm,
     schmidt_decompose,
+    verify_representation,
     verify_triple,
 )
 from bilop.spectra import _check_floor
@@ -479,6 +480,29 @@ class TestRoundingFloor:
             assert cli.main(["verify", str(tensor_file(self.T)), str(triples)]) == 2
             err = capsys.readouterr().err
             assert "rounding floor" in err and "triple 1" not in err
+
+    def test_a_tolerance_in_the_underflow_range_is_refused_whatever_the_tensor(self, tensor_file, capsys):
+        # At 1e-162 this tensor's floor is 3.5e-178, but below 2**-511 the squares of residual entries are
+        # subnormal: the search once returned a norm whose factors were off the unit sphere by up to 0.24.
+        T = Tensor3.from_array(1e-162 * np.random.default_rng([6, 3]).standard_normal((3, 3, 3)))
+        e1 = np.eye(3)[0]
+        rep, _ = schmidt_decompose(T, SearchConfig(residual_tol=2.0**-511))
+        calls = [
+            lambda: operator_norm(T, SearchConfig(residual_tol=1e-176)),
+            lambda: enumerate_triples(T, SearchConfig(residual_tol=1e-176)),
+            lambda: verify_triple(T, make_triple(1e-162, e1, e1, e1), 1e-176),
+            lambda: schmidt_decompose(T, SearchConfig(residual_tol=1e-176)),
+            lambda: verify_representation(T, rep, 1e-176),
+        ]
+        message = r"^tolerance 1e-176 lies below 2\*\*-511 \(1\.49e-154\), where squared residual entries are subnormal$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert cli.main(["norm", str(tensor_file(T)), "--tol", "1e-176"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "lies below 2**-511" in err
+        # At the bound itself the tolerance is accepted; hs_norm(T) lies below it, so the norm is 0.
+        assert operator_norm(T, SearchConfig(residual_tol=2.0**-511)) == (0.0, None)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
     def test_the_floor_check_refuses_a_tolerance_not_positive_and_finite_first(self, tol):
