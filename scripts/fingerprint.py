@@ -42,6 +42,10 @@ missing or extra answer counts for both); 0 otherwise. So a change that must
 keep every bit is checked by one command, --compare DIR against answers saved
 at its parent, and a change that may only drift by rounding by --compare DIR
 --atol 1e-12.
+
+Arguments that would certify nothing or overwrite the baseline exit 2 before
+any answer is computed: a --seeds part that is empty, negative or a reversed
+range, and --save into the directory --compare or --diff reads.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -79,11 +84,13 @@ ORBIT_TOL = 1e-9
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-3,7' -> [1, 2, 3, 7]."""
+    """'1-3,7' -> [1, 2, 3, 7]; each part is a seed N or a range N-M with 0 <= N <= M, so no part is empty."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        m = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", part)
+        if not m or int(m[2] or m[1]) < int(m[1]):
+            raise argparse.ArgumentTypeError(f"{part!r} is neither a seed N nor a range N-M with 0 <= N <= M")
+        seeds += range(int(m[1]), int(m[2] or m[1]) + 1)
     return seeds
 
 
@@ -287,7 +294,7 @@ def orbit_diff(old, new, where: str) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="1-10,7919", help="seed list, e.g. 1-10,7919 (default)")
+    parser.add_argument("--seeds", type=parse_seeds, default="1-10,7919", help="seed list, e.g. 1-10,7919 (default)")
     parser.add_argument(
         "--families", type=parse_families, default=FAMILIES, help="comma-separated families (default: all four)"
     )
@@ -300,6 +307,8 @@ def main(argv=None) -> int:
         parser.error("--compare and --diff read the same saved answers")
     families = args.families
     base_dir = args.compare or args.diff
+    if args.save and base_dir and args.save.resolve() == base_dir.resolve():
+        parser.error("--save would overwrite the answers --compare or --diff reads")
     hashes = {family: hashlib.sha256() for family in families}
     counts = dict.fromkeys(families, 0)
     drift = {family: Drift() for family in families}
@@ -311,7 +320,7 @@ def main(argv=None) -> int:
             saved = {f: files.enter_context(open(args.save / f"{f}.jsonl", "w")) for f in families}
         if base_dir:
             baseline = {f: files.enter_context(open(base_dir / f"{f}.jsonl")) for f in families}
-        for family, where, answer in answers(parse_seeds(args.seeds), families):
+        for family, where, answer in answers(args.seeds, families):
             feed(hashes[family], answer)
             counts[family] += 1
             if saved:

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3, VectorH, _as_entries, _contract, _rank_one, _row_norms, hs_norm
+from .tensor_core import Tensor3, VectorH, _contract, _factors, _rank_one, _row_norms, hs_norm
 from .spectra import (
     SearchConfig,
     SingularTriple,
@@ -370,9 +370,7 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
 
 def reconstruct(rep: SchmidtRepresentation, x, y) -> VectorH:
     """Evaluate the represented operator: sum_i tau_i <x, x_i> <y, y_i> z_i."""
-    n1, n2, n3 = rep.dims
-    xa = _as_entries(x, "H1", n1, "x")
-    ya = _as_entries(y, "H2", n2, "y")
+    xa, ya = _factors(rep.dims, x=x, y=y)
     tau, X, Y, Z = _stacked_terms(rep.terms, rep.dims)
     return VectorH(entries=(tau * (X @ xa) * (Y @ ya)) @ Z, space="K")
 

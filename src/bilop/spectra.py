@@ -39,7 +39,7 @@ import numpy as np
 
 from ._newton import _NEWTON_TOL, _newton_finish
 from .tensor_core import (
-    Tensor3, _ZERO_NORM, _as_entries, _contract, _int_at_least, _product, _row_blocks, _row_norms,
+    Tensor3, _ZERO_NORM, _contract, _factors, _int_at_least, _product, _row_blocks, _row_norms,
     _row_normalize, hs_norm,
 )
 
@@ -538,14 +538,12 @@ def hopm_refine(
     The value sequence is nondecreasing across sweeps. A zero vector under
     normalization, or a max_iter of at most 100 exhausted before the value
     stop, yields NonConvergence.
-    z0 participates only through the start contract (the first sweep
-    replaces it); it is validated like the others.
+    z0 is validated like x0 and y0, and refused (NonConvergence) when
+    zero; otherwise it is unused, since the first sweep computes z from
+    x0 and y0.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    n1, n2, n3 = T.dims
-    xa = _as_entries(x0, "H1", n1, "x0")
-    ya = _as_entries(y0, "H2", n2, "y0")
-    za = _as_entries(z0, "K", n3, "z0")
+    xa, ya, za = _factors(T.dims, x0=x0, y0=y0, z0=z0)
     for label, v in (("x0", xa), ("y0", ya), ("z0", za)):
         if np.linalg.norm(v) <= _ZERO_NORM:
             return NonConvergence(f"degenerate start: {label} is a zero vector")
@@ -575,9 +573,7 @@ def hopm_value_trace(
     at most 101 values (loop index _ALS_HANDOFF).
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    n1, n2, _ = T.dims
-    xa = _as_entries(x0, "H1", n1, "x0")
-    ya = _as_entries(y0, "H2", n2, "y0")
+    xa, ya = _factors(T.dims, x0=x0, y0=y0)
     values: list[float] = []
     _als_batch(T.array, xa[None, :], ya[None, :], cfg, trace=values)
     return np.asarray(values)
@@ -585,10 +581,7 @@ def hopm_value_trace(
 
 def _unit_triple(T: Tensor3, triple: SingularTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triple's (x, y, z) as validated arrays; ValueError unless each is unit within 1e-8."""
-    n1, n2, n3 = T.dims
-    xa = _as_entries(triple.x, "H1", n1, "x")
-    ya = _as_entries(triple.y, "H2", n2, "y")
-    za = _as_entries(triple.z, "K", n3, "z")
+    xa, ya, za = _factors(T.dims, x=triple.x, y=triple.y, z=triple.z)
     for label, v in (("x", xa), ("y", ya), ("z", za)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError(f"{label} is not a unit vector")
@@ -601,7 +594,7 @@ def _check_floor(T: Tensor3, tol: float) -> None:
     or refuse a triple by how its last bits round, so norm, spectrum and verify_triple could disagree; last,
     whatever T, below 2**-511, where squared residual entries are subnormal and _row_norms cannot resolve tol."""
     _check_tol(tol)
-    floor = 2.0**-53 * hs_norm(T)  # eps/2 as a literal: a first np.finfo call adds about 0.3 MiB to a CLI process's peak RSS
+    floor = 2.0**-53 * hs_norm(T)  # float64's unit roundoff, np.finfo(float).eps / 2 exactly
     if tol < floor:
         raise ValueError(
             f"tolerance {tol:g} lies below this tensor's rounding floor {floor:.3g} "

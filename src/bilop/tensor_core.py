@@ -87,17 +87,25 @@ class VectorH:
         return float(np.linalg.norm(self.entries))
 
 
-def _as_entries(v: ArrayLike, space: str, dim: int, what: str) -> np.ndarray:
-    """Coerce a vector argument to a validated 1-D float array of length dim."""
-    if isinstance(v, VectorH):
-        if v.space != space:
-            raise ValueError(f"{what} must live in {space}, got a {v.space} vector")
-        arr = v.entries
-    else:
-        arr = _clean_1d(v, what)
-    if arr.size != dim:
-        raise ValueError(f"{what} has dimension {arr.size}, expected {dim}")
-    return arr
+def _factors(dims: Sequence[int], **vectors: ArrayLike) -> tuple[np.ndarray, ...]:
+    """The vector arguments of an operator of these dims as validated 1-D float arrays, in the order given.
+
+    Each keyword is the caller's label for the vector, which the messages name, and its first letter the
+    factor: x lives in H1 with dims[0] entries, y in H2 with dims[1], z in K with dims[2].
+    """
+    out = []
+    for what, v in vectors.items():
+        mode = "xyz".index(what[0])
+        if isinstance(v, VectorH):
+            if v.space != SPACES[mode]:
+                raise ValueError(f"{what} must live in {SPACES[mode]}, got a {v.space} vector")
+            arr = v.entries
+        else:
+            arr = _clean_1d(v, what)
+        if arr.size != dims[mode]:
+            raise ValueError(f"{what} has dimension {arr.size}, expected {dims[mode]}")
+        out.append(arr)
+    return tuple(out)
 
 
 def _int_at_least(value, low: int) -> bool:
@@ -108,8 +116,11 @@ def _int_at_least(value, low: int) -> bool:
 
 
 def _checked_dims(dims) -> tuple[int, int, int]:
-    """dims as three Python ints, each passing _int_at_least(d, 1); ValueError otherwise."""
-    given = tuple(dims)
+    """dims as three Python ints, each passing _int_at_least(d, 1); ValueError otherwise, whatever dims is."""
+    try:
+        given = tuple(dims)
+    except TypeError:  # not iterable: 5, None
+        given = ()
     if len(given) != 3 or not all(_int_at_least(d, 1) for d in given):
         raise ValueError(f"dims must be three positive integers, got {dims}")
     return tuple(int(d) for d in given)
@@ -162,8 +173,7 @@ class Tensor3:
 
 def apply(T: Tensor3, x: ArrayLike, y: ArrayLike) -> VectorH:
     """Evaluate T(x, y) in K: z_k = sum_ij t[i][j][k] x_i y_j."""
-    xa = _as_entries(x, "H1", T.dims[0], "x")
-    ya = _as_entries(y, "H2", T.dims[1], "y")
+    xa, ya = _factors(T.dims, x=x, y=y)
     return VectorH(_contract(T.array, 2, xa[None], ya[None])[0], "K")
 
 
@@ -173,15 +183,13 @@ def adjoint_contract_1(T: Tensor3, y: ArrayLike, z: ArrayLike) -> VectorH:
     This is the adjoint of the partial map obtained by freezing y, so
     <apply(T, x, y), z> = <x, adjoint_contract_1(T, y, z)> for every x.
     """
-    ya = _as_entries(y, "H2", T.dims[1], "y")
-    za = _as_entries(z, "K", T.dims[2], "z")
+    ya, za = _factors(T.dims, y=y, z=z)
     return VectorH(_contract(T.array, 0, ya[None], za[None])[0], "H1")
 
 
 def adjoint_contract_2(T: Tensor3, x: ArrayLike, z: ArrayLike) -> VectorH:
     """Contract against the second argument: y_j = sum_ik t[i][j][k] x_i z_k."""
-    xa = _as_entries(x, "H1", T.dims[0], "x")
-    za = _as_entries(z, "K", T.dims[2], "z")
+    xa, za = _factors(T.dims, x=x, z=z)
     return VectorH(_contract(T.array, 1, xa[None], za[None])[0], "H2")
 
 
@@ -286,10 +294,7 @@ def deflate_term(
     T: Tensor3, tau: float, x: ArrayLike, y: ArrayLike, z: ArrayLike
 ) -> Tensor3:
     """Subtract the rank-one tensor tau * x (x) y (x) z entrywise."""
-    xa = _as_entries(x, "H1", T.dims[0], "x")
-    ya = _as_entries(y, "H2", T.dims[1], "y")
-    za = _as_entries(z, "K", T.dims[2], "z")
-    arr = T.array - _rank_one(float(tau), xa, ya, za)
+    arr = T.array - _rank_one(float(tau), *_factors(T.dims, x=x, y=y, z=z))
     return Tensor3.from_array(arr, name=T.name)
 
 
@@ -307,21 +312,13 @@ def from_schmidt(
     term_list = list(terms)
     if dims is not None:
         dims = _checked_dims(dims)
-    if not term_list:
-        if dims is None:
-            raise ValueError("dims must be supplied when terms is empty")
-        n1, n2, n3 = dims
-        return Tensor3(dims=dims, values=np.zeros(n1 * n2 * n3), name=name)
-    if dims is None:
-        t0 = term_list[0]
-        dims = (np.asarray(t0[1]).size, np.asarray(t0[2]).size, np.asarray(t0[3]).size)
-    n1, n2, n3 = dims
-    arr = np.zeros((n1, n2, n3))
+    elif not term_list:
+        raise ValueError("dims must be supplied when terms is empty")
+    else:
+        dims = tuple(np.asarray(v).size for v in term_list[0][1:])
+    arr = np.zeros(dims)
     for tau, x, y, z in term_list:
-        xa = _as_entries(x, "H1", n1, "x")
-        ya = _as_entries(y, "H2", n2, "y")
-        za = _as_entries(z, "K", n3, "z")
-        arr += _rank_one(float(tau), xa, ya, za)
+        arr += _rank_one(float(tau), *_factors(dims, x=x, y=y, z=z))
     return Tensor3.from_array(arr, name=name)
 
 
@@ -355,15 +352,8 @@ def tensor_from_json_dict(data: object) -> Tensor3:
         raise ValueError(f"unknown tensor JSON keys: {sorted(unknown)}")
     if "dims" not in data or "values" not in data:
         raise ValueError('tensor JSON requires "dims" and "values"')
-    dims = data["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims)
-    ):
-        raise ValueError('"dims" must be a list of three integers')
     values = _json_floats(data["values"], '"values"')
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError('"name" must be a string when present')
-    return Tensor3(dims=tuple(dims), values=values, name=name)
+    return Tensor3(dims=data["dims"], values=values, name=name)

@@ -464,6 +464,13 @@ class TestInputHandling:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f'error: {path}: "values" holds a number beyond the float range\n'
 
+    def test_dims_that_are_not_a_list_exit_two_and_are_named(self, tmp_path):
+        path = tmp_path / "dims.json"
+        path.write_text('{"dims": 5, "values": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]}')
+        proc = run_cli("norm", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {path}: dims must be three positive integers, got 5\n"
+
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
     @pytest.mark.parametrize(
         "triple, message",

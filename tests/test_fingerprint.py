@@ -125,3 +125,37 @@ def test_a_flipped_zero_sign_is_a_difference_with_its_path(fingerprint, tmp_path
     assert fingerprint.main(["--families", "gallery", "--compare", str(tmp_path), "--atol", atol]) == code
     out = capsys.readouterr().out
     assert "0 structural change(s), max |float diff| 4.94e-324 at 1/t[1][1][1].residuals[1]" in out
+
+
+def refused(fingerprint, monkeypatch, capsys, argv) -> str:
+    """main(argv)'s usage error: argparse exits 2 before any answer is computed."""
+
+    def computed(seeds, families):
+        raise AssertionError("an answer was computed")
+
+    monkeypatch.setattr(fingerprint, "answers", computed)
+    with pytest.raises(SystemExit) as exit_:
+        fingerprint.main(argv)
+    assert exit_.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["3-1", "-1", "1,,2", "1-", "", "x"])
+def test_seeds_that_name_no_seed_or_a_negative_one_are_refused(fingerprint, monkeypatch, capsys, seeds):
+    # A reversed range would hash nothing, and every family print the hash of empty input.
+    assert "--seeds" in refused(fingerprint, monkeypatch, capsys, ["--seeds", seeds])
+
+
+def test_seed_ranges_list_every_seed_in_order(fingerprint):
+    assert fingerprint.parse_seeds("1-3,7,0") == [1, 2, 3, 7, 0]
+    assert fingerprint.parse_seeds("1-10,7919") == [*range(1, 11), 7919]
+
+
+@pytest.mark.parametrize("mode", ["--compare", "--diff"])
+def test_save_into_the_directory_it_reads_is_refused(fingerprint, tmp_path, monkeypatch, capsys, mode):
+    serve(fingerprint, monkeypatch, spectrum())
+    fingerprint.main(["--families", "gallery", "--save", str(tmp_path)])
+    saved = (tmp_path / "gallery.jsonl").read_text()
+    argv = ["--families", "gallery", "--save", str(tmp_path / "."), mode, str(tmp_path)]
+    assert "--save would overwrite" in refused(fingerprint, monkeypatch, capsys, argv)
+    assert (tmp_path / "gallery.jsonl").read_text() == saved

@@ -1,11 +1,16 @@
 """Data model, contractions, norms, basis changes, JSON round trip."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilop import (
+    SchmidtRepresentation,
+    SchmidtStatus,
+    SingularTriple,
     Tensor3,
     VectorH,
     adjoint_contract_1,
@@ -16,9 +21,15 @@ from bilop import (
     enumerate_triples,
     from_schmidt,
     gallery,
+    hopm_refine,
+    hopm_value_trace,
     hs_norm,
+    is_ordered,
+    reconstruct,
+    stationarity_fd_check,
     tensor_from_json_dict,
     tensor_to_json_dict,
+    verify_triple,
 )
 from conftest import random_orthonormal
 
@@ -95,15 +106,17 @@ class TestTensor3:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             Tensor3(dims=(2, 0, 2), values=np.zeros(0))
-        # The one integer rule (_int_at_least): no float, bool or string dims, even where int() would take them.
-        for dims in ((2.5, 2, 2), (True, 2, 2), ("2", 2, 2)):
+        # The one integer rule (_int_at_least): no float, bool or string dims, even where int() would take them,
+        # and dims that are not three values at all, even where they cannot be iterated.
+        for dims in ((2.5, 2, 2), (True, 2, 2), ("2", 2, 2), 5, None):
             with pytest.raises(ValueError, match="dims must be three positive integers"):
                 Tensor3(dims=dims, values=np.zeros(8))
-        for dims in ((2.5, 2, 2), (-1, 2, 2)):
+        for dims in ((2.5, 2, 2), (-1, 2, 2), 5):
             with pytest.raises(ValueError, match="dims must be three positive integers"):
                 from_schmidt([], dims=dims)
-        T = Tensor3(dims=tuple(np.array([2, 1, 3])), values=np.zeros(6))
-        assert T.dims == (2, 1, 3) and all(type(d) is int for d in T.dims)
+        for dims in (tuple(np.array([2, 1, 3])), np.array([2, 1, 3]), [2, 1, 3]):
+            T = Tensor3(dims=dims, values=np.zeros(6))
+            assert T.dims == (2, 1, 3) and all(type(d) is int for d in T.dims)
 
 
 class TestContractions:
@@ -174,6 +187,56 @@ class TestContractions:
                 )
             )
             assert got == t.residuals, t.tau
+
+
+def _triple(x, y, z) -> SingularTriple:
+    return SingularTriple(tau=3.0, x=x, y=y, z=z, residuals=(0.0, 0.0, 0.0))
+
+
+#: Every public function that takes x, y or z vectors: a call of it on diagonal_pair (3 x 2 x 4) given the three
+#: factors, and the labels its messages give the vectors it takes, each starting with its factor's letter.
+VECTOR_CALLS = {
+    "apply": (lambda T, x, y, z: apply(T, x, y), "x y"),
+    "adjoint_contract_1": (lambda T, x, y, z: adjoint_contract_1(T, y, z), "y z"),
+    "adjoint_contract_2": (lambda T, x, y, z: adjoint_contract_2(T, x, z), "x z"),
+    "deflate_term": (lambda T, x, y, z: deflate_term(T, 3.0, x, y, z), "x y z"),
+    "from_schmidt": (lambda T, x, y, z: from_schmidt([(3.0, x, y, z)], dims=T.dims), "x y z"),
+    "hopm_refine": (lambda T, x, y, z: hopm_refine(T, x, y, z), "x0 y0 z0"),
+    "hopm_value_trace": (lambda T, x, y, z: hopm_value_trace(T, x, y), "x0 y0"),
+    "verify_triple": (lambda T, x, y, z: verify_triple(T, _triple(x, y, z), 1e-8), "x y z"),
+    "is_ordered": (lambda T, x, y, z: is_ordered(T, _triple(x, y, z), 1e-8), "x y z"),
+    "stationarity_fd_check": (lambda T, x, y, z: stationarity_fd_check(T, _triple(x, y, z), 1e-5), "x y z"),
+    "reconstruct": (
+        lambda T, x, y, z: reconstruct(SchmidtRepresentation(T.dims, (), 0.0, SchmidtStatus.COMPLETE), x, y),
+        "x y",
+    ),
+}
+
+#: The space of each factor, and another space for a wrongly tagged vector.
+SPACE_OF = {"x": ("H1", "K"), "y": ("H2", "H1"), "z": ("K", "H2")}
+
+
+class TestVectorArguments:
+    """Each vector argument is checked against its own space, and its messages name the caller's label."""
+
+    @pytest.mark.parametrize(
+        "name, label", [(name, label) for name, (_, labels) in VECTOR_CALLS.items() for label in labels.split()]
+    )
+    @pytest.mark.parametrize("fault", ["length", "space", "nan", "matrix"])
+    def test_a_bad_vector_is_refused_under_its_label(self, name, label, fault):
+        T = gallery.diagonal_pair()
+        factor = label[0]
+        n = T.dims["xyz".index(factor)]
+        space, other = SPACE_OF[factor]
+        vectors = {f: np.eye(m)[1] for f, m in zip("xyz", T.dims)}
+        vectors[factor], message = {
+            "length": (np.ones(n + 1), f"{label} has dimension {n + 1}, expected {n}"),
+            "space": (VectorH(np.ones(n), other), f"{label} must live in {space}, got a {other} vector"),
+            "nan": (np.r_[np.ones(n - 1), np.nan], f"{label} contains non-finite entries"),
+            "matrix": (np.ones((n, 1)), f"{label} must be one-dimensional"),
+        }[fault]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            VECTOR_CALLS[name][0](T, **vectors)
 
 
 class TestHsNorm:
@@ -271,6 +334,8 @@ class TestJsonRoundTrip:
             lambda d: d.pop("dims"),
             lambda d: d.__setitem__("dims", [2, 2]),
             lambda d: d.__setitem__("dims", [2, 2, "2"]),
+            lambda d: d.__setitem__("dims", 5),
+            lambda d: d.__setitem__("dims", None),
             lambda d: d.__setitem__("values", d["values"][:-1]),
             lambda d: d.__setitem__("values", "not a list"),
             lambda d: d.__setitem__("name", 7),
