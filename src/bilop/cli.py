@@ -167,13 +167,8 @@ def _load_tensor(path: str) -> Tensor3:
         raise _Exit(f"{path}: {exc}") from exc
 
 
-def _vector_list(obj: Any, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise _Exit(f"{what} must be a nonempty list of numbers")
-    return _json_floats(obj, what)
-
-
-def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]:
+def _load_triples(path: str) -> list[SingularTriple]:
+    """The triples of a verify file as it holds them; verify_triple checks their vectors against the tensor."""
     data = _load_json_file(path)
     if not isinstance(data, dict) or "triples" not in data:
         raise _Exit(f'{path}: expected an object with a "triples" list')
@@ -192,17 +187,8 @@ def _load_triples(path: str, dims: tuple[int, int, int]) -> list[SingularTriple]
         # Python's json reads NaN and Infinity, and an int of any size; the comparison is exact and false for each.
         if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not abs(tau) <= sys.float_info.max:
             raise _Exit(f"{where}: tau must be a finite number")
-        x = _vector_list(item["x"], f"{where}: x")
-        y = _vector_list(item["y"], f"{where}: y")
-        z = _vector_list(item["z"], f"{where}: z")
-        if (x.size, y.size, z.size) != dims:
-            raise _Exit(
-                f"{where}: vector lengths {(x.size, y.size, z.size)} "
-                f"do not match tensor dims {dims}"
-            )
-        out.append(
-            SingularTriple(tau=float(tau), x=x, y=y, z=z, residuals=(0.0, 0.0, 0.0))
-        )
+        x, y, z = (_json_floats(item[v], f"{where}: {v}") for v in "xyz")
+        out.append(SingularTriple(tau=float(tau), x=x, y=y, z=z, residuals=(0.0, 0.0, 0.0)))
     return out
 
 
@@ -294,7 +280,7 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Repo
 
 def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     _check_floor(T, cfg.residual_tol)  # as every other command, whatever the triples file holds
-    triples = _load_triples(args.triples, T.dims)
+    triples = _load_triples(args.triples)
     checks = []
     for pos, raw in enumerate(triples, 1):
         try:

@@ -9,9 +9,12 @@ import pathlib
 import runpy
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilop import (
     SchmidtRepresentation,
@@ -44,6 +47,11 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         timeout=120,
         env=CHILD_ENV,
     )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +374,30 @@ class TestVerify:
     def test_dimension_mismatch_exits_two(self, files):
         proc = run_cli("verify", files["overlap"], files["bad_dims_triples"])
         assert proc.returncode == 2
-        assert "do not match tensor dims" in proc.stderr
+        assert proc.stderr == f"error: {files['bad_dims_triples']}: triple 1: x has dimension 2, expected 3\n"
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"tau": 1.0, "x": [], "y": [1.0, 0.0], "z": [1.0, 0.0, 0.0, 0.0]}, "x must be nonempty"),
+            ({"tau": 1.0, "x": [1.0, 0.0, 0.0], "y": [1.0, 0.0], "z": [1.0, 0.0, 0.0]}, "z has dimension 3, expected 4"),
+        ],
+        ids=["empty-x", "short-z"],
+    )
+    def test_a_vector_of_the_wrong_size_exits_two_and_is_named(self, files, tmp_path, capsys, second, message):
+        path = tmp_path / "triples.json"
+        first = {"tau": 1.0, "x": [1.0, 0.0, 0.0], "y": [1.0, 0.0], "z": [1.0, 0.0, 0.0, 0.0]}
+        path.write_text(json.dumps({"triples": [first, second]}))
+        assert cli.main(["verify", files["overlap"], str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: triple 2: {message}\n")
+
+    def test_the_files_shape_is_checked_before_any_vector(self, files, tmp_path, capsys):
+        # verify_triple checks the vectors against the tensor, after the whole file has been read.
+        path = tmp_path / "triples.json"
+        short = {"tau": 1.0, "x": [1.0, 0.0], "y": [1.0, 0.0], "z": [1.0, 0.0, 0.0, 0.0]}
+        path.write_text(json.dumps({"triples": [short, {"tau": 1.0, "x": [1.0, 0.0, 0.0], "y": [1.0, 0.0]}]}))
+        assert cli.main(["verify", files["overlap"], str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: triple 2 is missing ['z']\n")
 
     def test_non_unit_vectors_exit_two(self, files):
         proc = run_cli("verify", files["overlap"], files["non_unit_triples"])
@@ -426,7 +457,73 @@ class TestVerify:
         assert "triple 3: x is not a unit vector" in proc.stderr
 
 
+#: JSON numbers a file may hold: plain ones, and NaN, infinities, bools, 400-digit integers and extremes.
+NUMBERS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.integers(-3, 3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), True, 10**400, -(10**400), 1e300, 5e-324]),
+)
+#: Values of the wrong kind for any key.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), NUMBERS, st.lists(NUMBERS, max_size=4),
+    st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2),
+)
+
+
+def spoiled(draw, obj: dict, keys) -> dict:
+    """obj, sometimes with one key dropped or its value swapped for junk."""
+    how, key = draw(st.sampled_from(["keep", "keep", "keep", "drop", "junk"])), draw(st.sampled_from(keys))
+    if how == "drop":
+        return {k: v for k, v in obj.items() if k != key}
+    return obj | {key: draw(JUNK)} if how == "junk" else obj
+
+
+@st.composite
+def json_inputs(draw) -> tuple[object, object]:
+    """A tensor file's and a triples file's JSON: small valid tensors and unit triples of their dims, spoiled
+    anywhere from one entry to the whole file."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    size = int(np.prod(dims))
+    fits = st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)
+    values = draw(st.one_of(fits, fits, fits, st.lists(NUMBERS, max_size=9)))
+    tensor = spoiled(draw, {"name": "fuzz", "dims": dims, "values": values}, ["dims", "values", "name"])
+
+    def vector(n):
+        unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(
+            lambda v: (np.array(v) / np.linalg.norm(v)).tolist() if np.linalg.norm(v) > 0.1 else [1.0] + [0.0] * (n - 1)
+        )
+        return st.one_of(unit, unit, st.lists(NUMBERS, max_size=4), JUNK)
+
+    def triple():
+        entries = {"tau": draw(st.one_of(st.floats(0.0, 3.0), JUNK))} | {v: draw(vector(n)) for v, n in zip("xyz", dims)}
+        return spoiled(draw, entries, ["tau", *"xyz"])
+
+    triples = [triple() for _ in range(draw(st.integers(0, 2)))]
+    whole = draw(st.sampled_from(["keep"] * 6 + ["junk", "list"]))
+    if whole == "junk":
+        return draw(st.one_of(JUNK, st.just(tensor))), draw(st.one_of(JUNK, st.just({"triples": draw(JUNK)})))
+    return tensor, triples if whole == "list" else {"triples": triples}
+
+
 class TestInputHandling:
+    @settings(max_examples=200, deadline=None)
+    @given(json_inputs())
+    def test_any_json_input_gives_a_documented_exit(self, fuzz_dir, case):
+        # Every command, in both modes, reports, fails with its own code, or refuses the input with exit 2 and an
+        # error line only; no exception escapes main.
+        tensor, triples = fuzz_dir / "tensor.json", fuzz_dir / "triples.json"
+        tensor.write_text(json.dumps(case[0]))
+        triples.write_text(json.dumps(case[1]))
+        for command in ["norm", "spectrum", "schmidt", "schur", "verify"]:
+            extra = [str(triples)] if command == "verify" else []
+            for mode in [[], ["--json"]]:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main([command, str(tensor), *extra, "--starts", "4", *mode])
+                assert code in (0, 2, 3, 4)
+                if code == 2:
+                    assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
     def test_malformed_json_exits_two(self, files):
         proc = run_cli("norm", files["not_json"])
         assert proc.returncode == 2
