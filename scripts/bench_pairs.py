@@ -1,13 +1,15 @@
 """Run the benchmark in alternating base/change pairs and write the comparison to BENCH_<label>.json.
 
-Usage: python scripts/bench_pairs.py --base REV --label L [--pairs 10] [--workloads a,b,c] [--seconds 15]
+Usage: python scripts/bench_pairs.py --base REV --label L
 
-The base side runs in a detached git worktree of REV, made in a temporary directory outside the
-repository and removed (and pruned) at exit; the change side runs in this checkout, as it stands.
-Pair i runs both sides with `python3 bench/run.py --workload W --seed i --seconds S` (the command
+Both sides run from fresh copies in one temporary directory outside the repository, removed at exit: the
+base side from a detached git worktree of REV (pruned at exit), the change side from a copy of this
+checkout as it stands, without .git and without any __pycache__ or bench/.work, so neither side reads
+bytecode compiled by an earlier run. Each of BENCHMARK.json's workloads runs in 10 pairs; pair i runs
+both sides with `python3 bench/run.py --workload W --seed i --seconds S` (the command and run length
 BENCHMARK.json declares), the base first in odd pairs and the change first in even ones, and keeps each
-run's last two JSON lines, the record and the result. The workloads default to all of BENCHMARK.json's.
-Both sides run with PYTHONDONTWRITEBYTECODE=1, so neither caches bytecode from one run to the next.
+run's last two JSON lines, the record and the result. Both sides run with PYTHONDONTWRITEBYTECODE=1, so
+neither caches bytecode from one run to the next.
 
 BENCH_<label>.json, at the repository root, holds both commits, the environment, the bounds of
 BENCHMARK.json's end-to-end metrics, every run's two lines and, for each workload and end-to-end
@@ -23,7 +25,7 @@ verdict:
 
 No file is written, and the exit status is 1, when a run exits non-zero, fails an operation or its
 correctness gate (ops_failed > 0 or correct: false), or finds another orbits_found than its partner;
-the message names the run. Arguments that name no commit or workload exit 2 before any run.
+the message names the run. A --base that names no commit exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -46,6 +49,10 @@ ROOT = Path(__file__).resolve().parent.parent
 ORIGIN = "bench/baseline.json"
 #: A run that takes longer is stopped and counts as failed; bench/run.py stops its own cycles by 150 s.
 RUN_TIMEOUT_S = 900
+#: Pairs per workload; pair i runs seed i. The simplicity-review rules judge a gain on ten.
+PAIRS = 10
+#: What the change side's copy leaves out: git's store, and what building, testing and running leave behind.
+UNCOPIED = (".git", "__pycache__", ".work", ".pytest_cache", ".hypothesis", "BENCH_*.json")
 SIDES = ("base", "change")
 
 
@@ -154,39 +161,40 @@ def run_once(cwd: Path, command: list[str], workload: str, seed: int, seconds: f
     return {"returncode": proc.returncode, "record": record, "result": result}
 
 
+def copy_change(dest: Path) -> Path:
+    """This checkout, as it stands, copied to dest without the entries UNCOPIED names."""
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(*UNCOPIED))
+    return dest
+
+
 @contextlib.contextmanager
-def base_checkout(commit: str) -> Iterator[Path]:
-    """A detached worktree of commit in a temporary directory, removed and pruned on the way out."""
+def checkouts(commit: str) -> Iterator[dict]:
+    """Each side's fresh copy in one temporary directory: a detached worktree of commit for the base and
+    copy_change's for the change, removed (and the worktree pruned) on the way out."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        path = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(path), commit)
+        base = Path(tmp) / "base"
+        git("worktree", "add", "--detach", str(base), commit)
         try:
-            yield path
+            yield {"base": base, "change": copy_change(Path(tmp) / "change")}
         finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT, capture_output=True)
+            subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, capture_output=True)
             subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
 
-def parse_args(argv=None, bench: Optional[dict] = None) -> argparse.Namespace:
+def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the commit to compare against")
     p.add_argument("--label", required=True, help="the output is BENCH_<label>.json at the repository root")
-    p.add_argument("--pairs", type=int, default=10, help="pairs per workload, at least 2; pair i runs seed i (default 10)")
-    p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]), help="default: all")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"], help="run length (default BENCHMARK.json's)")
     args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    unknown = sorted(set(args.workloads) - {w["name"] for w in bench["workloads"]})
-    if unknown:
-        p.error(f"unknown workloads {unknown}")
-    if args.pairs < 2 or not args.label.replace("-", "").replace("_", "").isalnum():
-        p.error("--pairs must be at least 2, and --label letters, digits, '-' and '_'")
+    if not args.label.replace("-", "").replace("_", "").isalnum():
+        p.error("--label must be letters, digits, '-' and '_'")
     return args
 
 
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = parse_args(argv, bench)
+    args = parse_args(argv)
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     try:
         commits = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"), "change": git("rev-parse", "HEAD")}
     except subprocess.CalledProcessError:
@@ -194,13 +202,11 @@ def main(argv=None) -> int:
         return 2
     edited = bool(git("status", "--porcelain", "--untracked-files=no"))
     bounds = {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in bench["end_to_end"]}
-    # No run writes bytecode, so every process of either side compiles bilop's source as in a fresh checkout (a
-    # __pycache__ already in this checkout would still be read by the change side).
+    # No run writes bytecode, so every process of either side compiles bilop's source as in a fresh checkout.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    with base_checkout(commits["base"]) as base_dir:
-        cwd = {"base": base_dir, "change": ROOT}
+    with checkouts(commits["base"]) as cwd:
         try:
-            runs = measure(args.workloads, args.pairs, lambda side, w, seed: run_once(cwd[side], bench["command"], w, seed, args.seconds, env))
+            runs = measure(workloads, PAIRS, lambda side, w, seed: run_once(cwd[side], bench["command"], w, seed, seconds, env))
         except Refused as exc:
             sys.stderr.write(f"error: {exc}; no file written\n")
             return 1
@@ -211,8 +217,8 @@ def main(argv=None) -> int:
         "change_has_uncommitted_edits": edited,
         "origin": ORIGIN,
         "environment": {k: v for k, v in runs[0]["record"]["environment"].items() if k != "commit"},
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seconds": seconds,
         "bounds": bounds,
         "summary": summarize(runs, bounds),
         "runs": runs,
@@ -226,5 +232,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so a kill, too, removes the worktree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so a kill, too, removes both copies
     sys.exit(main())

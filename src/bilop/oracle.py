@@ -15,7 +15,6 @@ dimensions where brute force is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Optional
 
@@ -27,7 +26,6 @@ from .spectra import (
     SearchConfig,
     SingularTriple,
     Spectrum,
-    _alternating_stage,
     _listing,
     _search_candidates,
     _stacked_terms,
@@ -220,8 +218,7 @@ def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) ->
     _check_guard(T.dims)
     n1, n2, _ = T.dims
     lattices = (_sign_pattern_lattice(n1), _sign_pattern_lattice(n2))
-    # Lattice pairs are arrays, which cannot be hashed: the search keeps no stage.
-    triples = _search_candidates(T, cfg, use_newton=True, stage=partial(_alternating_stage.__wrapped__, pairs=lattices))
+    triples = _search_candidates(T, cfg, use_newton=True, pairs=lattices)
     return Spectrum(triples=triples, complete=False)
 
 

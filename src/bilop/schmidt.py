@@ -26,7 +26,6 @@ status Failed, an empty term list, and a report that keeps the partial steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -39,7 +38,6 @@ from .tensor_core import Tensor3, VectorH, _contract, _factors, _rank_one, _row_
 from .spectra import (
     SearchConfig,
     SingularTriple,
-    _alternating_stage,
     _canonical_rows,
     _check_floor,
     _no_triple_cause,
@@ -346,20 +344,16 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
     smallest residual, whose failed check _deflate reports.
     """
 
-    # Step 1 searches T itself, so a norm or spectrum of T shares its memoised alternating stage. Each later
-    # remainder is searched from the same starts through a memo of its own, which keeps T's stage and serves
-    # a failure's cause without a second stage.
-    later = functools.lru_cache(maxsize=1)(_alternating_stage.__wrapped__)
-
     def pick(values: np.ndarray, k: int):
-        remainder, stage = (T, None) if k == 1 else (Tensor3.from_array(values), later)
-        cands = _search_candidates(remainder, cfg, use_newton=False, stage=stage)
+        # Step 1 searches T itself, so a norm or spectrum of T shares its memoised alternating stage.
+        remainder = T if k == 1 else Tensor3.from_array(values)
+        cands = _search_candidates(remainder, cfg, use_newton=False)
         if not cands:
             return DeflationFailure(
                 step=k,
                 reason=FailureReason.NO_TRIPLE_FOUND,
                 diagnostics=(
-                    f"no triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(remainder, cfg, stage)}; "
+                    f"no triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(remainder, cfg)}; "
                     f"the remainder's hs-norm is {hs_norm(remainder):.6g}"
                 ),
             )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -459,9 +459,7 @@ def _alternating_stage(
     id from being reused) and by the SearchConfig's value, so a norm, a spectrum
     and greedy deflation's first step of one tensor pay for one stage. Lattice
     pairs are arrays, which cannot be hashed: their searches call __wrapped__ and
-    keep no stage, and greedy's later remainders keep theirs in a memo of their own
-    (schmidt._greedy), so neither evicts this one. A missed stage reads its random
-    normals through _stream.start_normals' memo.
+    keep no stage. A missed stage reads its random normals through _stream.start_normals' memo.
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)
@@ -475,15 +473,15 @@ def _search_candidates(
     T: Tensor3,
     cfg: SearchConfig,
     use_newton: bool,
-    stage: Optional[Callable] = None,
+    pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[SingularTriple, ...]:
     """Verified, canonical, deduplicated and sorted triples of one multi-start search.
 
     A tensor whose hs-norm is at most residual_tol has no such triple, and
-    gets none without a search. Otherwise the alternating stage is
-    stage(T, cfg), by default the memoised _alternating_stage. Newton
-    optionally runs from copies of the same starts, with start values
-    tau0; it is never memoised. The converged rows, the
+    gets none without a search. Otherwise the alternating stage,
+    _alternating_stage(T, cfg, pairs), is served from its memo when pairs
+    is None. Newton optionally runs from copies of the same starts, with
+    start values tau0; it is never memoised. The converged rows, the
     alternating-iteration results by start index and then the Newton
     results by start index, pass the one gate, _verified at residual_tol,
     and are canonicalized; _listing merges them by sign orbit,
@@ -495,7 +493,7 @@ def _search_candidates(
     _check_floor(T, cfg.residual_tol)
     if hs_norm(T) <= cfg.residual_tol:
         return ()
-    (X0, Y0, Z0), rows, _ = (stage or _alternating_stage)(T, cfg)
+    (X0, Y0, Z0), rows, _ = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
     arr = T.array
     found = [rows]
     if use_newton:
@@ -696,10 +694,10 @@ def operator_norm(
     )
 
 
-def _no_triple_cause(T: Tensor3, cfg: SearchConfig, stage: Optional[Callable] = None) -> str:
-    """Why a search of T verified no triple, read off the alternating stage it has just memoised (stage, as
-    _search_candidates takes it): no start converged within max_iter, or the gate rejected every converged start."""
-    converged = (stage or _alternating_stage)(T, cfg)[2]
+def _no_triple_cause(T: Tensor3, cfg: SearchConfig) -> str:
+    """Why a search of T verified no triple, read off the alternating stage it has just memoised: no start
+    converged within max_iter, or the gate rejected every converged start."""
+    converged = _alternating_stage(T, cfg)[2]
     if converged == 0:
         return f" within max_iter={cfg.max_iter}"
     return f": {converged} start(s) converged, but none has tau above it and residuals within it"

@@ -147,19 +147,55 @@ class TestMain:
     def test_the_file_is_written_only_when_every_run_passes(self, pairs, monkeypatch, tmp_path, capsys):
         (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
         monkeypatch.setattr(pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(pairs, "PAIRS", 3)
         monkeypatch.setattr(pairs, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
-        monkeypatch.setattr(pairs, "base_checkout", lambda commit: contextlib.nullcontext(tmp_path / "base"))
+        sides = {side: tmp_path / side for side in pairs.SIDES}
+        monkeypatch.setattr(pairs, "checkouts", lambda commit: contextlib.nullcontext(sides))
         walls = {side: [2.0] * 3 for side in pairs.SIDES}
         run, _ = canned(walls, change_2={"ops_failed": 1})
-        monkeypatch.setattr(pairs, "run_once", lambda cwd, command, w, seed, seconds, env: run(
-            "base" if cwd == tmp_path / "base" else "change", w, seed))
-        argv = ["--base", "HEAD~1", "--label", "t", "--pairs", "3", "--workloads", "schmidt-planted"]
+        seen = []
+
+        def run_once(cwd, command, w, seed, seconds, env):
+            seen.append((w, seconds, env["PYTHONDONTWRITEBYTECODE"]))
+            return run(cwd.name, w, seed)
+
+        monkeypatch.setattr(pairs, "run_once", run_once)
+        argv = ["--base", "HEAD~1", "--label", "t"]
         assert pairs.main(argv) == 1
         assert not (tmp_path / "BENCH_t.json").exists()
-        assert "schmidt-planted pair 2 (seed 2), change side: failed 1 operation(s)" in capsys.readouterr().err
+        assert "spectrum-gaussian pair 2 (seed 2), change side: failed 1 operation(s)" in capsys.readouterr().err
         run, _ = canned(walls)
+        seen.clear()
         assert pairs.main(argv) == 0
         report = json.loads((tmp_path / "BENCH_t.json").read_text())
         assert report["commits"] == {"base": "f" * 40, "change": "f" * 40} and report["origin"] == "bench/baseline.json"
         assert report["bounds"] == BOUNDS and "commit" not in report["environment"]
-        assert len(report["runs"]) == 6 and report["summary"]["schmidt-planted"]["wall_s"]["verdict"] == "no regression"
+        # Every workload of BENCHMARK.json, at its run length, in PAIRS pairs.
+        workloads = ["spectrum-gaussian", "schmidt-planted", "cli-gallery"]
+        assert list(report["summary"]) == workloads and (report["pairs"], report["seconds"]) == (3, 15)
+        assert sorted(set(seen)) == sorted((w, 15, "1") for w in workloads) and len(seen) == 18
+        assert len(report["runs"]) == 18 and report["summary"]["schmidt-planted"]["wall_s"]["verdict"] == "no regression"
+
+    def test_the_options_are_the_base_and_the_label(self, pairs):
+        args = pairs.parse_args(["--base", "HEAD~1", "--label", "pr-1_a"])
+        assert (args.base, args.label) == ("HEAD~1", "pr-1_a")
+        for argv in (["--base", "HEAD", "--label", "a/b"], ["--base", "HEAD", "--label", "t", "--pairs", "3"]):
+            with pytest.raises(SystemExit):
+                pairs.parse_args(argv)
+
+
+class TestCopyChange:
+    def test_the_change_side_reads_no_stale_bytecode(self, pairs, monkeypatch, tmp_path):
+        root = tmp_path / "repo"
+        for name, text in {
+            "src/bilop/__init__.py": "", "src/bilop/__pycache__/__init__.cpython-311.pyc": "stale",
+            "bench/run.py": "", "bench/__pycache__/workloads.cpython-311.pyc": "stale", "bench/.work/t.json": "{}",
+            ".git/HEAD": "ref", ".github/workflows/tier1.yml": "", "BENCH_pr1.json": "{}", "BENCHMARK.json": "{}",
+        }.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        monkeypatch.setattr(pairs, "ROOT", root)
+        copy = pairs.copy_change(tmp_path / "change")
+        assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()) == [
+            ".github/workflows/tier1.yml", "BENCHMARK.json", "bench/run.py", "src/bilop/__init__.py"
+        ]

@@ -48,7 +48,6 @@ from bilop.spectra import (
     _tie_groups,
 )
 from bilop.tensor_core import _contract, _row_norms
-from conftest import sub_gate_tail
 
 #: The einsum definition of each contraction mode, and the factor modes of
 #: its (U, V) operands.
@@ -862,28 +861,13 @@ class TestAlternatingStage:
         assert cold_report.failure == report.failure  # its diagnostics print the top taus
         same_triples([s.triple for s in cold_report.steps], [s.triple for s in report.steps])
 
-    def test_a_deflation_keeps_the_tensors_stage(self, triad):
+    def test_a_deflation_leaves_its_last_remainder(self, triad):
         _, report = schmidt_decompose(triad)
-        # Only step 1 searches T through the memo; the later remainders keep their stages out of it.
-        assert stage_counts() == (1, 0) and len(report.steps) == 3
-        norm = operator_norm(triad)
-        assert stage_counts() == (1, 1)
-        enumerate_triples(triad)
-        assert stage_counts() == (1, 2)
-        _alternating_stage.cache_clear()
-        same_norm(norm, operator_norm(triad))
-
-    def test_a_later_step_that_finds_nothing_runs_its_stage_once(self, monkeypatch):
-        # sub_gate_tail fails NoTripleFound at greedy step 2; the failure's cause reads that step's stage.
-        stages = []
-        monkeypatch.setattr(spectra, "_als_batch", lambda *args: stages.append(args[0].shape) or _als_batch(*args))
-        T = sub_gate_tail()
-        _, report = schmidt_decompose(T)
-        assert (report.failure.step, report.failure.reason) == (2, FailureReason.NO_TRIPLE_FOUND)
-        assert "272 start(s) converged" in report.failure.diagnostics
-        assert len(stages) == 2 and stage_counts() == (1, 0)
-        operator_norm(T)
-        assert len(stages) == 2 and stage_counts() == (1, 1)
+        # One search per step, each of a new remainder; the last one stays.
+        assert stage_counts() == (3, 0) and len(report.steps) == 3
+        assert _alternating_stage.cache_info().currsize == 1
+        operator_norm(triad)
+        assert stage_counts() == (4, 0)
 
     @pytest.mark.parametrize(
         "change",

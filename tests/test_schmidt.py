@@ -617,8 +617,8 @@ class TestGreedyBand:
         listed = [SingularTriple(t, e, e, e, (0.0, 0.0, 0.0)) for t, e in zip(taus, np.eye(4)[[3, 2, 1, 0]])]
         real_search, real_checks, bands = schmidt._search_candidates, schmidt._ordered_checks, []
 
-        def search(remainder, cfg, use_newton, stage):
-            return tuple(listed) if remainder is T else real_search(remainder, cfg, use_newton, stage)
+        def search(remainder, cfg, use_newton):
+            return tuple(listed) if remainder is T else real_search(remainder, cfg, use_newton)
 
         def checks(remainder, band, tol):
             bands.append([c.tau for c in band])
