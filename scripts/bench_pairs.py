@@ -26,6 +26,14 @@ verdict:
 No file is written, and the exit status is 1, when a run exits non-zero, fails an operation or its
 correctness gate (ops_failed > 0 or correct: false), or finds another orbits_found than its partner;
 the message names the run. A --base that names no commit exits 2 before any run.
+
+With --large, the pairs run the large-n list instead of the benchmark: operator_norm, then
+enumerate_triples, on default_rng([s, n]).standard_normal((n, n, n)) for n = 16, 24, 32 and s = 1, 2,
+through public calls only, in a fresh process per task and side at one BLAS thread. The task driver is
+this script's large_task, run from this checkout on each side's src/ (the base commit need not have it).
+A run's time counts only when every listed triple passes that side's verify_triple and the norm equals
+the top tau; it records wall_s, the two calls' time, and orbits_found. The same refusals and verdicts
+apply to these two metrics. The list takes about 3 minutes per pair on 2 CPUs, so 30 minutes in all.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -54,6 +63,10 @@ PAIRS = 10
 #: What the change side's copy leaves out: git's store, and what building, testing and running leave behind.
 UNCOPIED = (".git", "__pycache__", ".work", ".pytest_cache", ".hypothesis", "BENCH_*.json")
 SIDES = ("base", "change")
+#: The large-n list: (n, s) runs Gaussian n^3 drawn from default_rng([s, n]).
+LARGE = tuple((n, s) for n in (16, 24, 32) for s in (1, 2))
+#: BLAS threads of each large task, as bench/run.py sets them for its runs.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class Refused(Exception):
@@ -82,22 +95,25 @@ def value(run: dict, metric: str) -> float:
     return run["result"]["metrics"][metric]["value"]
 
 
-def measure(workloads: list[str], pairs: int, run: Callable[[str, str, int], dict]) -> list[dict]:
+def measure(workloads: list[str], pairs: int, run: Callable[[str, str, int], dict], seeded: bool = True) -> list[dict]:
     """Every run of every pair, each as {workload, pair, seed, side, first, returncode, record, result};
-    run(side, workload, seed) runs one side. Refused names the first run at fault."""
+    run(side, workload, pair) runs one side. Pair i runs seed i when seeded; a large task carries its own
+    seed, and its runs no seed key. Refused names the first run at fault."""
     runs = []
     for workload in workloads:
         for pair in range(1, pairs + 1):
+            seed = {"seed": pair} if seeded else {}
+            where = f"{workload} pair {pair}" + (f" (seed {pair})" if seeded else "")
             got = {}
             for side in SIDES if pair % 2 else SIDES[::-1]:
-                got[side] = {"workload": workload, "pair": pair, "seed": pair, "side": side, "first": not got}
+                got[side] = {"workload": workload, "pair": pair, **seed, "side": side, "first": not got}
                 got[side].update(run(side, workload, pair))
                 problem = fault(got[side])
                 if problem:
-                    raise Refused(f"{workload} pair {pair} (seed {pair}), {side} side: {problem}")
+                    raise Refused(f"{where}, {side} side: {problem}")
             base, change = (value(got[side], "orbits_found") for side in SIDES)
             if base != change:
-                raise Refused(f"{workload} pair {pair} (seed {pair}), change side: orbits_found {change}, base {base}")
+                raise Refused(f"{where}, change side: orbits_found {change}, base {base}")
             runs += [got[side] for side in SIDES]
     return runs
 
@@ -144,9 +160,39 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
     return out
 
 
-def run_once(cwd: Path, command: list[str], workload: str, seed: int, seconds: float, env: dict) -> dict:
-    """One benchmark run in cwd: its exit status and its last two JSON lines (None where they do not parse)."""
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def large_name(n: int, s: int) -> str:
+    return f"gaussian-{n}^3-s{s}"
+
+
+def large_task(n: int, s: int) -> None:
+    """One large task on the bilop this process imports, which must come from the current directory: prints
+    a record line and a result line in bench/run.py's form. Its operations are the listed triples' verify_triple
+    checks and the check that the norm equals the top tau; the result is correct when none fails."""
+    import numpy as np
+
+    import bilop
+
+    if not Path(bilop.__file__).resolve().is_relative_to(Path.cwd().resolve()):
+        raise SystemExit(f"bilop imported from {bilop.__file__}, outside {Path.cwd()}")
+    T = bilop.Tensor3.from_array(np.random.default_rng([s, n]).standard_normal((n, n, n)))
+    cfg = bilop.SearchConfig()
+    start = time.perf_counter()
+    norm, _ = bilop.operator_norm(T, cfg)
+    spectrum = bilop.enumerate_triples(T, cfg)
+    wall_s = time.perf_counter() - start
+    checks = [bilop.verify_triple(T, t, cfg.residual_tol).verified for t in spectrum.triples]
+    checks.append(bool(spectrum.triples) and norm == spectrum.triples[0].tau)
+    metrics = {"wall_s": wall_s, "orbits_found": len(spectrum.triples)}
+    environment = {"python": sys.version.split()[0], "numpy": np.__version__,
+                   "threads": {v: os.environ.get(v) for v in THREAD_VARS}, "nproc": len(os.sched_getaffinity(0))}
+    record = {"workload": large_name(n, s), "environment": environment, "norm": norm, "ops_total": len(checks),
+              "ops_failed": checks.count(False), "metrics": metrics}
+    print(json.dumps({"record": record}))
+    print(json.dumps({"correct": all(checks), "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+
+
+def launch(argv: list[str], cwd: Path, env: dict) -> dict:
+    """One run of argv in cwd: its exit status and its last two JSON lines (None where they do not parse)."""
     try:
         proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, env=env, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -159,6 +205,18 @@ def run_once(cwd: Path, command: list[str], workload: str, seed: int, seconds: f
     except (ValueError, KeyError, TypeError):
         record = result = None
     return {"returncode": proc.returncode, "record": record, "result": result}
+
+
+def run_large(cwd: Path, n: int, s: int, env: dict) -> dict:
+    """large_task(n, s) in a fresh process on cwd's src/, at one BLAS thread, run from this checkout's script."""
+    code = f"import sys; sys.path.append({str(Path(__file__).resolve().parent)!r}); import bench_pairs; "
+    env = env | {v: "1" for v in THREAD_VARS} | {"PYTHONPATH": str(cwd / "src")}
+    return launch([sys.executable, "-c", code + f"bench_pairs.large_task({n}, {s})"], cwd, env)
+
+
+def run_once(cwd: Path, command: list[str], workload: str, seed: int, seconds: float, env: dict) -> dict:
+    """One benchmark run in cwd."""
+    return launch([*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)], cwd, env)
 
 
 def copy_change(dest: Path) -> Path:
@@ -185,6 +243,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the commit to compare against")
     p.add_argument("--label", required=True, help="the output is BENCH_<label>.json at the repository root")
+    p.add_argument("--large", action="store_true", help="run the large-n list instead of the benchmark")
     args = p.parse_args(argv)
     if not args.label.replace("-", "").replace("_", "").isalnum():
         p.error("--label must be letters, digits, '-' and '_'")
@@ -194,19 +253,28 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv)
-    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
+    bounds = {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in bench["end_to_end"]}
+    if args.large:
+        tasks = {large_name(n, s): (n, s) for n, s in LARGE}
+        workloads, seconds, bounds = list(tasks), None, {m: bounds[m] for m in ("wall_s", "orbits_found")}
+    else:
+        workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     try:
         commits = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"), "change": git("rev-parse", "HEAD")}
     except subprocess.CalledProcessError:
         sys.stderr.write(f"error: {args.base} names no commit\n")
         return 2
     edited = bool(git("status", "--porcelain", "--untracked-files=no"))
-    bounds = {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in bench["end_to_end"]}
     # No run writes bytecode, so every process of either side compiles bilop's source as in a fresh checkout.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with checkouts(commits["base"]) as cwd:
+        def run(side: str, workload: str, pair: int) -> dict:
+            if args.large:
+                return run_large(cwd[side], *tasks[workload], env)
+            return run_once(cwd[side], bench["command"], workload, pair, seconds, env)
+
         try:
-            runs = measure(workloads, PAIRS, lambda side, w, seed: run_once(cwd[side], bench["command"], w, seed, seconds, env))
+            runs = measure(workloads, PAIRS, run, seeded=not args.large)
         except Refused as exc:
             sys.stderr.write(f"error: {exc}; no file written\n")
             return 1
@@ -215,7 +283,7 @@ def main(argv=None) -> int:
         "command": " ".join(["python3", "scripts/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])]),
         "commits": commits,
         "change_has_uncommitted_edits": edited,
-        "origin": ORIGIN,
+        "origin": None if args.large else ORIGIN,
         "environment": {k: v for k, v in runs[0]["record"]["environment"].items() if k != "commit"},
         "pairs": PAIRS,
         "seconds": seconds,

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Any, Optional, Sequence
@@ -100,49 +101,32 @@ def _fields(*objs: Any) -> dict:
     return {f.name: getattr(obj, f.name) for obj in objs for f in dataclasses.fields(obj)}
 
 
-def _render_json(value: Any, indent: int = 0) -> str:
-    """Serialize with stable key order and 17-significant-digit floats.
-
-    json.dumps rounds floats through repr, which is stable, but it cannot
-    be told to format numpy scalars, and a custom float subclass loses its
-    formatting inside the C encoder; rendering by hand keeps the output
-    format under this module's control. An ndarray renders as its list, a
-    dataclass instance as the object of its fields.
+def _render_json(value: Any) -> str:
+    """Serialize with stable key order and 17-significant-digit floats, in json's own layout: the loop of
+    json.dumps(value, indent=2), json.encoder._make_iterencode, with json.dumps's arguments but two. json.dumps
+    formats floats through repr, and a float subclass loses its formatting inside the C encoder, so floatstr
+    formats them; default renders an ndarray as its list, a dataclass instance as the object of its fields and a
+    numpy scalar as its Python value.
     """
-    pad = "  " * indent
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not np.isfinite(v):
+    def floatstr(v: float) -> str:
+        if not math.isfinite(v):
             raise ValueError("non-finite value in report")
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    elif dataclasses.is_dataclass(value):
-        value = _fields(value)
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + _render_json(v, indent + 1) for v in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + _render_json(v, indent + 1)
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot render {type(value).__name__} in a report")
+        return format(float(v), ".17g")
+
+    def default(o: Any) -> Any:
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if dataclasses.is_dataclass(o):
+            return _fields(o)
+        if isinstance(o, np.generic):
+            return o.item()
+        raise TypeError(f"cannot render {type(o).__name__} in a report")
+
+    # markers, default, encoder, indent, floatstr, key and item separators, sort_keys, skipkeys, one_shot
+    encode = json.encoder._make_iterencode(
+        {}, default, json.encoder.encode_basestring_ascii, "  ", floatstr, ": ", ",", False, False, True
+    )
+    return "".join(encode(value, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3, VectorH, _contract, _factors, _rank_one, _row_norms, hs_norm
+from .tensor_core import Tensor3, VectorH, _checked_dims, _contract, _factors, _rank_one, _row_norms, hs_norm
 from .spectra import (
     SearchConfig,
     SingularTriple,
@@ -95,7 +95,8 @@ class SchmidtRepresentation:
     """Ordered term list plus reconstruction residual and status.
 
     dims records the operator's shape so an empty representation still
-    reconstructs (to the zero vector of the right dimension). On Failed,
+    reconstructs (to the zero vector of the right dimension); it passes
+    Tensor3's dims rule and is kept as three Python ints. On Failed,
     terms is empty by design; the partial extraction lives in the
     DeflationReport that schmidt_decompose returns alongside.
     """
@@ -104,6 +105,9 @@ class SchmidtRepresentation:
     terms: tuple[SchmidtTerm, ...]
     reconstruction_residual: float
     status: SchmidtStatus
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dims", _checked_dims(self.dims))
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,9 +131,9 @@ class Tensor3:
     """A bilinear operator as a dense third-order coefficient array.
 
     dims is (n1, n2, n3); values holds the n1*n2*n3 coefficients flattened
-    row-major with the K index fastest. The entries and the Hilbert-Schmidt
-    norm (the Frobenius norm of the values) must be finite. Instances are
-    immutable and safe to share across threads.
+    row-major with the K index fastest; name is None or a string. The entries
+    and the Hilbert-Schmidt norm (the Frobenius norm of the values) must be
+    finite. Instances are immutable and safe to share across threads.
     """
 
     dims: tuple[int, int, int]
@@ -141,6 +141,8 @@ class Tensor3:
     name: Optional[str] = field(default=None)
 
     def __post_init__(self) -> None:
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError('"name" must be a string when present')
         dims = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         arr = np.asarray(self.values, dtype=float).reshape(-1)
@@ -352,8 +354,4 @@ def tensor_from_json_dict(data: object) -> Tensor3:
         raise ValueError(f"unknown tensor JSON keys: {sorted(unknown)}")
     if "dims" not in data or "values" not in data:
         raise ValueError('tensor JSON requires "dims" and "values"')
-    values = _json_floats(data["values"], '"values"')
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError('"name" must be a string when present')
-    return Tensor3(dims=data["dims"], values=values, name=name)
+    return Tensor3(dims=data["dims"], values=_json_floats(data["values"], '"values"'), name=data.get("name"))

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pathlib
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -199,3 +200,98 @@ class TestCopyChange:
         assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()) == [
             ".github/workflows/tier1.yml", "BENCHMARK.json", "bench/run.py", "src/bilop/__init__.py"
         ]
+
+
+class TestLarge:
+    """--large: the six Gaussian tasks from n = 16 to 32, run by large_task on each side's src/."""
+
+    def test_the_task_list(self, pairs):
+        assert [pairs.large_name(n, s) for n, s in pairs.LARGE] == [
+            "gaussian-16^3-s1", "gaussian-16^3-s2", "gaussian-24^3-s1", "gaussian-24^3-s2",
+            "gaussian-32^3-s1", "gaussian-32^3-s2",
+        ]
+
+    def task_lines(self, pairs, capsys, n=3, s=1) -> tuple[dict, dict]:
+        pairs.large_task(n, s)
+        record, result = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        return record["record"], result
+
+    def test_a_task_prints_bench_lines_after_its_checks(self, pairs, capsys, monkeypatch):
+        # A small cube, in process: the same calls and checks as the large tasks, whose runs tier-1 never starts.
+        monkeypatch.chdir(SCRIPT.parent.parent)
+        record, result = self.task_lines(pairs, capsys)
+        orbits = result["metrics"]["orbits_found"]["value"]
+        assert result["correct"] is True and pairs.fault({"returncode": 0, "record": record, "result": result}) is None
+        assert record["workload"] == "gaussian-3^3-s1" and orbits > 0
+        assert (record["ops_total"], record["ops_failed"]) == (orbits + 1, 0)
+        assert result["metrics"]["wall_s"]["value"] == record["metrics"]["wall_s"] > 0
+
+    @pytest.mark.parametrize("spoil", ["verify_triple", "operator_norm"])
+    def test_a_failed_check_makes_the_run_incorrect(self, pairs, capsys, monkeypatch, spoil):
+        import bilop
+
+        monkeypatch.chdir(SCRIPT.parent.parent)
+        real = getattr(bilop, spoil)
+
+        def fake(T, *args):
+            if spoil == "verify_triple":  # the top triple, the only one with tau > 3, fails
+                return SimpleNamespace(verified=False) if args[0].tau > 3 else real(T, *args)
+            return real(T, *args)[0] * (1 + 1e-15), None  # a norm a few ulps off the top tau
+
+        monkeypatch.setattr(bilop, spoil, fake)
+        record, result = self.task_lines(pairs, capsys)
+        assert result["correct"] is False and record["ops_failed"] == 1
+        assert pairs.fault({"returncode": 0, "record": record, "result": result}).startswith("failed 1 operation(s)")
+
+    def test_a_bilop_from_outside_the_side_is_refused(self, pairs, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="outside"):
+            pairs.large_task(3, 1)
+
+    def test_each_side_runs_the_driver_of_this_checkout_on_its_own_src(self, pairs, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(pairs, "launch", lambda argv, cwd, env: seen.append((argv, cwd, env)))
+        pairs.run_large(tmp_path / "base", 24, 2, {"OPENBLAS_NUM_THREADS": "2", "PYTHONDONTWRITEBYTECODE": "1"})
+        [(argv, cwd, env)] = seen
+        assert cwd == tmp_path / "base" and env["PYTHONPATH"] == str(tmp_path / "base" / "src")
+        assert {env[v] for v in pairs.THREAD_VARS} == {"1"} and env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert argv[1] == "-c" and repr(str(SCRIPT.parent)) in argv[2] and argv[2].endswith("large_task(24, 2)")
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({"change_2": {"orbits": 58}}, "gaussian-16^3-s1 pair 2, change side: orbits_found 58, base 3889"),
+            ({"base_1": {"ops_failed": 1, "correct": False}}, "gaussian-16^3-s1 pair 1, base side: failed 1 operation(s)"),
+        ],
+        ids=["orbits", "check"],
+    )
+    def test_a_run_at_fault_is_refused_and_named_without_a_seed(self, pairs, faults, message):
+        run, _ = canned(TestMeasure.WALLS, **faults)
+        with pytest.raises(pairs.Refused, match="^" + re.escape(message)):
+            pairs.measure(["gaussian-16^3-s1"], 4, run, seeded=False)
+        run, _ = canned(TestMeasure.WALLS)
+        runs = pairs.measure(["gaussian-16^3-s1"], 4, run, seeded=False)
+        assert all("seed" not in r for r in runs) and [r["pair"] for r in runs] == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_main_writes_wall_time_and_orbits_for_the_six_tasks(self, pairs, monkeypatch, tmp_path, capsys):
+        (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+        monkeypatch.setattr(pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(pairs, "PAIRS", 2)
+        monkeypatch.setattr(pairs, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
+        sides = {side: tmp_path / side for side in pairs.SIDES}
+        monkeypatch.setattr(pairs, "checkouts", lambda commit: contextlib.nullcontext(sides))
+        tasks = []
+
+        def run_large(cwd, n, s, env):
+            tasks.append((cwd.name, n, s))
+            return parsed(lines(30.0 if cwd.name == "base" else 29.0, orbits=n + s))
+
+        monkeypatch.setattr(pairs, "run_large", run_large)
+        assert pairs.main(["--base", "HEAD~1", "--label", "t-large", "--large"]) == 0
+        report = json.loads((tmp_path / "BENCH_t-large.json").read_text())
+        assert list(report["summary"]) == [pairs.large_name(n, s) for n, s in pairs.LARGE]
+        assert report["bounds"] == {m: BOUNDS[m] for m in ("wall_s", "orbits_found")}
+        assert (report["origin"], report["seconds"], len(report["runs"])) == (None, None, 24)
+        assert sorted(set(tasks)) == sorted((side, n, s) for side in pairs.SIDES for n, s in pairs.LARGE)
+        row = report["summary"]["gaussian-32^3-s2"]
+        assert (row["wall_s"]["wins"], row["orbits_found"]["base"]["median"]) == (2, 34)

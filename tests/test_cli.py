@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilop import (
+    DeflationFailure,
+    FailureReason,
     SchmidtRepresentation,
     SchmidtStatus,
     SchmidtTerm,
@@ -780,6 +782,62 @@ class TestHumanOutput:
 )
 def test_human_numbers_switch_to_scientific_outside_fixed_point_range(value, sign, text):
     assert cli._num(value, sign) == text
+
+
+#: Values a --json report may hold, each with its rendering as written before the renderer ran json's own loop.
+RENDER_CASES = {
+    "negative zero": (-0.0, "-0"),
+    "integral float": (3.0, "3"),
+    "float32": (np.float32(0.1), "0.10000000149011612"),
+    "smallest subnormal": (5e-324, "4.9406564584124654e-324"),
+    "int beyond 64 bits": (2**70, "1180591620717411303424"),
+    "int64": (np.int64(-7), "-7"),
+    "float64": (np.float64(1 / 3), "0.33333333333333331"),
+    "large float": (1e300, "1.0000000000000001e+300"),
+    "string": ('\xe9\u2603"\\\n\ud800', r'"\u00e9\u2603\"\\\n\ud800"'),
+    "containers": (
+        {"a": [], "b": {}, "c": [[], {}, [[]]], "t": (1, 2.5), "arr": np.arange(6.0).reshape(2, 3)},
+        '{\n  "a": [],\n  "b": {},\n  "c": [\n    [],\n    {},\n    [\n      []\n    ]\n  ],\n  "t": [\n    1,\n'
+        '    2.5\n  ],\n  "arr": [\n    [\n      0,\n      1,\n      2\n    ],\n    [\n      3,\n      4,\n'
+        "      5\n    ]\n  ]\n}",
+    ),
+    "SearchConfig": (
+        spectra.SearchConfig(),
+        '{\n  "starts": null,\n  "max_iter": 10000,\n  "iter_tol": 1e-14,\n  "residual_tol": 1.0000000000000001e-09,\n'
+        '  "dedup_tol": 9.9999999999999995e-07,\n  "seed": 0\n}',
+    ),
+    "DeflationFailure": (
+        DeflationFailure(2, FailureReason.NOT_ORDERED, "slice residual 0.5"),
+        '{\n  "step": 2,\n  "reason": "NotOrdered",\n  "diagnostics": "slice residual 0.5"\n}',
+    ),
+    "tuple": (("a", None, [True]), '[\n  "a",\n  null,\n  [\n    true\n  ]\n]'),
+    "None": (None, "null"),
+    "True": (True, "true"),
+    "False": (False, "false"),
+    "zero": (0, "0"),
+    "plain string": ("x", '"x"'),
+}
+
+
+class TestRenderJson:
+    """--json reports render byte for byte as they always have; the first test to fail if a Python release
+    changes the stdlib loop that cli._render_json runs."""
+
+    @pytest.mark.parametrize("case", list(RENDER_CASES))
+    def test_renders_byte_for_byte(self, case):
+        value, text = RENDER_CASES[case]
+        assert cli._render_json(value) == text
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, {"x": -np.inf}], np.float32("nan")])
+    def test_non_finite_values_are_refused(self, value):
+        with pytest.raises(ValueError) as info:
+            cli._render_json(value)
+        assert str(info.value) == "non-finite value in report"
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError) as info:
+            cli._render_json({"x": [object()]})
+        assert str(info.value) == "cannot render object in a report"
 
 
 def run_bytes(*args: str, **kwargs) -> subprocess.CompletedProcess:

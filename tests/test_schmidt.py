@@ -1,6 +1,7 @@
 """Deflation, representation checks, reconstruction, energy identity."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,31 @@ class TestReconstruct:
         rep, _ = diag_pair_rep
         with pytest.raises(ValueError):
             reconstruct(rep, [1.0, 0.0], [0.0, 1.0])
+
+
+class TestRepresentationDims:
+    """A representation's dims pass Tensor3's one dims rule and are kept as three Python ints."""
+
+    @pytest.fixture(scope="class")
+    def signed(self):
+        T = gallery.signed_diagonal()
+        return T, schmidt_decompose(T)[0]
+
+    @pytest.mark.parametrize("dims", [[3, 3, 3], np.array([3, 3, 3])])
+    def test_a_list_or_an_array_becomes_a_tuple(self, signed, dims):
+        T, rep = signed
+        rebuilt = SchmidtRepresentation(dims, rep.terms, rep.reconstruction_residual, rep.status)
+        assert rebuilt.dims == (3, 3, 3) and all(type(d) is int for d in rebuilt.dims)
+        assert verify_representation(T, rebuilt, 1e-9).reconstruction_ok
+        assert len(schur_from_schmidt(T, rebuilt, 1e-9).terms) == 3
+        x, y = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
+        np.testing.assert_array_equal(np.asarray(reconstruct(rebuilt, x, y)), np.asarray(reconstruct(rep, x, y)))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3.0, 3, 3)])
+    def test_other_dims_are_refused(self, signed, dims):
+        _, rep = signed
+        with pytest.raises(ValueError, match=re.escape(f"dims must be three positive integers, got {dims}")):
+            SchmidtRepresentation(dims, rep.terms, rep.reconstruction_residual, rep.status)
 
 
 class TestSchmidtTerm:

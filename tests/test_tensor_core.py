@@ -1,5 +1,6 @@
 """Data model, contractions, norms, basis changes, JSON round trip."""
 
+import json
 import re
 
 import numpy as np
@@ -348,6 +349,23 @@ class TestJsonRoundTrip:
         mangle(data)
         with pytest.raises(ValueError):
             tensor_from_json_dict(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_tensor_that_constructs_round_trips_bit_for_bit(self, data):
+        dims = data.draw(st.tuples(*3 * [st.integers(1, 4)]), label="dims")
+        entries = st.floats(-1e150, 1e150) | st.sampled_from([-0.0, 5e-324, -2.5e-308, 2.2250738585072014e-308])
+        values = data.draw(st.lists(entries, min_size=int(np.prod(dims)), max_size=int(np.prod(dims))), label="values")
+        names = st.none() | st.sampled_from(["", "é☃"]) | st.text() | st.integers() | st.booleans() | st.lists(st.text())
+        name = data.draw(names, label="name")
+        if name is not None and not isinstance(name, str):
+            with pytest.raises(ValueError, match='"name" must be a string when present'):
+                Tensor3(dims=dims, values=values, name=name)
+            return
+        T = Tensor3(dims=dims, values=values, name=name)
+        back = tensor_from_json_dict(json.loads(json.dumps(tensor_to_json_dict(T))))
+        assert (back.dims, back.name) == (T.dims, T.name)
+        assert back.values.tobytes() == T.values.tobytes()
 
     @pytest.mark.parametrize("data", [[2, 2, 2], "tensor", None])
     def test_rejects_json_that_is_not_an_object(self, data):
