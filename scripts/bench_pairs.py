@@ -29,8 +29,8 @@ the message names the run. A --base that names no commit exits 2 before any run.
 
 With --large, the pairs run the large-n list instead of the benchmark: operator_norm, then
 enumerate_triples, on default_rng([s, n]).standard_normal((n, n, n)) for n = 16, 24, 32 and s = 1, 2,
-through public calls only, in a fresh process per task and side at one BLAS thread. The task driver is
-this script's large_task, run from this checkout on each side's src/ (the base commit need not have it).
+through public calls only, in a fresh process per task and side at one BLAS thread. Each task runs
+this script's large_task, from this checkout, on each side's src/ (the base commit need not have it).
 A run's time counts only when every listed triple passes that side's verify_triple and the norm equals
 the top tau; it records wall_s, the two calls' time, and orbits_found. The same refusals and verdicts
 apply to these two metrics. The list takes about 3 minutes per pair on 2 CPUs, so 30 minutes in all.

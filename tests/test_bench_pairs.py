@@ -248,7 +248,7 @@ class TestLarge:
         with pytest.raises(SystemExit, match="outside"):
             pairs.large_task(3, 1)
 
-    def test_each_side_runs_the_driver_of_this_checkout_on_its_own_src(self, pairs, monkeypatch, tmp_path):
+    def test_each_side_runs_this_checkouts_large_task_on_its_own_src(self, pairs, monkeypatch, tmp_path):
         seen = []
         monkeypatch.setattr(pairs, "launch", lambda argv, cwd, env: seen.append((argv, cwd, env)))
         pairs.run_large(tmp_path / "base", 24, 2, {"OPENBLAS_NUM_THREADS": "2", "PYTHONDONTWRITEBYTECODE": "1"})

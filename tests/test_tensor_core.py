@@ -354,6 +354,8 @@ class TestJsonRoundTrip:
     @given(data=st.data())
     def test_every_tensor_that_constructs_round_trips_bit_for_bit(self, data):
         dims = data.draw(st.tuples(*3 * [st.integers(1, 4)]), label="dims")
+        # Up to 64 entries of at most 1e150 keep the sum of squares finite: Tensor3 refuses a larger sum even where
+        # the norm itself is finite (ROADMAP, small open defects), and that refusal is not this property's subject.
         entries = st.floats(-1e150, 1e150) | st.sampled_from([-0.0, 5e-324, -2.5e-308, 2.2250738585072014e-308])
         values = data.draw(st.lists(entries, min_size=int(np.prod(dims)), max_size=int(np.prod(dims))), label="values")
         names = st.none() | st.sampled_from(["", "é☃"]) | st.text() | st.integers() | st.booleans() | st.lists(st.text())
