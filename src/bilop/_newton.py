@@ -62,10 +62,10 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     square, and at a root with tau != 0 the remaining unit norms hold automatically. Unlike the alternating
     iteration, Newton converges to critical points of any index, which is what recovers saddle-type triples.
 
-    One step loop (_newton_step) serves the whole batch. The rows still stepping are one compacted index
-    array, stepped in tensor_core's row blocks (_row_blocks), whose square Jacobians hold at most
-    _CONTRACT_BLOCK entries, the budget of every batched kernel, or are two rows; each block keeps only
-    its rows that step on, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. From loop
+    One step loop (_newton_step) serves the whole batch. The rows still stepping are one index array, stepped
+    in tensor_core's row blocks (_row_blocks), whose square Jacobians hold at most _CONTRACT_BLOCK entries, the
+    budget of every batched kernel, or are two rows; one concatenate of the blocks' results keeps the rows that
+    step on, in order, so rows that never converge share one tail of _NEWTON_MAX_STEPS steps. From loop
     index _NEWTON_RETRACT on, the rows still stepping are first retracted onto the unit spheres: x, y and z
     divided by their norms (_row_normalize), then tau := <T(x, y), z> from _contract and a row dot with z,
     as spectra._residuals reads it, so the retraction too leaves a row's numbers independent of its batch. There F
@@ -94,22 +94,18 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mem = np.empty(min(S, _row_blocks(S, m * m)[0].stop) * layout[1].size)  # the largest row block's bordered matrices
     batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), mem, layout, lim)
     act = np.arange(S)
-    # On a tensor near the float range, a row's residual F can hold entries whose squares exceed the largest
-    # float: _row_norms(F) is then inf, which the stop test reads as not converged, so the overflow is expected.
+    # Near the float range, squares can exceed the largest float: _row_norms(F) is then inf, which the stop test reads
+    # as not converged, and the collapse test's squares of |v| overflow only in diverged rows or in tau's column.
     with np.errstate(over="ignore"):
         for it in range(_NEWTON_MAX_STEPS):
             tangent = it >= _NEWTON_RETRACT
             if tangent:  # the retraction onto the unit spheres
                 X, Y, Z = (_row_normalize(V[act, cols])[0] for cols in parts)
                 V[act] = _stacked(X, Y, Z, np.einsum("sk,sk->s", _contract(arr, 2, X, Y), Z))
-            kept = 0
-            for b in _row_blocks(act.size, m * m):
-                rows = _newton_step(arr, V, act[b], ok, batch, tangent)
-                act[kept : kept + rows.size] = rows
-                kept += rows.size
-            if not kept:
+            blocks = _row_blocks(act.size, m * m)
+            act = np.concatenate([_newton_step(arr, V, act[b], ok, batch, tangent) for b in blocks])
+            if not act.size:
                 break
-            act = act[:kept]
 
     V[ok & (V[:, -1] < 0)] *= np.r_[np.ones(n1), -np.ones(n2), np.ones(n3), -1.0]
     # Roots carry unit norms up to the Newton tolerance; snap exactly.
@@ -131,8 +127,8 @@ def _newton_step(
     source rows through _jacobian_layout's maps and solved by _solve_rows: the square system's or, with tangent, the
     bordered system (Mt), whose right side is F without its |x| entry, then three zeros. A tangent step moves x, y
     and z only: its multipliers are dropped, and tau waits for the next retraction. A row whose Jacobian is
-    singular, or whose new iterate diverges or collapses, steps no further. batch holds Tjik for _newton_a1, the
-    Jacobian memory, _jacobian_layout and the stop test's limits."""
+    singular, or whose new iterate diverges or collapses (|y| or |z| from uncapped squares of |v|), steps no
+    further. batch holds Tjik for _newton_a1, the Jacobian memory, _jacobian_layout and the stop test's limits."""
     Tjik, mem, (*maps, (sx, sy, sz), (f1, f2, f3)), lim = batch
     k = idx.size
     v = V[idx]
@@ -171,8 +167,6 @@ def _newton_step(
     a = np.abs(w)
     keep = np.logical_and.reduce(a <= lim, axis=1)
     keep[singular] = False
-    # Capped at _NEWTON_DIVERGED, no square overflows; the rows that step on keep their |y| and |z| bit for bit.
-    np.minimum(a, _NEWTON_DIVERGED, out=a)
     a *= a
     keep &= np.sqrt(np.minimum(np.add.reduce(a[:, sy], axis=-1), np.add.reduce(a[:, sz], axis=-1))) >= _NEWTON_COLLAPSED
     return gi[keep]

@@ -132,8 +132,10 @@ class Tensor3:
 
     dims is (n1, n2, n3); values holds the n1*n2*n3 coefficients flattened
     row-major with the K index fastest; name is None or a string. The entries
-    and the Hilbert-Schmidt norm (the Frobenius norm of the values) must be
-    finite. Instances are immutable and safe to share across threads.
+    and the sum of their squares must be finite, as hs_norm and the search
+    square unscaled: one entry of 1.3e154 is accepted, and one of 1.35e154 is
+    refused though its norm is finite. Instances are immutable and safe to
+    share across threads.
     """
 
     dims: tuple[int, int, int]
@@ -155,7 +157,7 @@ class Tensor3:
             raise ValueError("tensor values contain non-finite entries")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.linalg.norm(arr)):
-                raise ValueError("tensor values overflow: their Hilbert-Schmidt norm is not finite")
+                raise ValueError("tensor values overflow: the sum of their squares is not finite")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

@@ -300,6 +300,38 @@ class TestNewtonBatch:
         assert not ok[0] and np.abs(V[0, 3:9]).max() > 1e154
 
 
+class TestNewtonStopRule:
+    def test_each_stop_reason_at_its_edge(self, monkeypatch):
+        # Rows v = 0 are no roots (|x| = 0), and a stubbed step of -w lands each of them exactly on w.
+        arr = np.random.default_rng(4).standard_normal((3, 3, 3))
+        e = np.eye(3)[0]
+        unit = np.r_[e, e, e, 1.0]
+        landed = {
+            "x at 1e6": np.r_[1e6 * e, e, e, 1.0],
+            "tau 1e300": np.r_[e, e, e, 1e300],
+            "min(|y|, |z|) 2e-4": np.r_[e, 2e-4 * e, 3e-4 * e, 1.0],
+            "x past 1e6": np.r_[np.nextafter(1e6, np.inf) * e, e, e, 1.0],
+            "tau inf": np.r_[e, e, e, np.inf],
+            "tau nan": np.r_[e, e, e, np.nan],
+            "|y| 5e-5": np.r_[e, 5e-5 * e, e, 1.0],
+            "|z| 5e-5": np.r_[e, e, 5e-5 * e, 1.0],
+            "y at 1e200": np.r_[e, 1e200 * e, e, 1.0],
+            "singular": unit,
+        }
+        W = np.vstack(list(landed.values()))
+        singular = np.array([name == "singular" for name in landed])
+        monkeypatch.setattr(_newton, "_solve_rows", lambda J, rhs: (-W, singular))
+        V, idx = np.zeros(W.shape), np.arange(W.shape[0])
+        layout = _jacobian_layout(arr.shape)
+        lim = np.r_[np.full(W.shape[1] - 1, _newton._NEWTON_DIVERGED), np.finfo(float).max]
+        batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), np.empty(idx.size * layout[0].size), layout, lim)
+        done = np.zeros(idx.size, dtype=bool)
+        with np.errstate(over="ignore"):  # as in _newton_batch, the step's only caller
+            rows = _newton._newton_step(arr, V, idx, done, batch, False)
+        assert np.array_equal(V, W, equal_nan=True) and not done.any()
+        assert [list(landed)[r] for r in rows] == ["x at 1e6", "tau 1e300", "min(|y|, |z|) 2e-4"]
+
+
 class TestNewtonA1:
     #: The benchmark's dims, then the gallery's.
     SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 8, 6), (8, 8, 8), (12, 12, 12), (6, 10, 8), (3, 2, 4), (3, 3, 3)]

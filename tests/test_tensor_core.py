@@ -94,11 +94,17 @@ class TestTensor3:
     def test_rejects_nonfinite_entries(self):
         vals = np.zeros(8)
         vals[3] = np.inf
-        # Finite entries whose Hilbert-Schmidt norm overflows are refused too.
+        # Finite entries whose sum of squares overflows are refused too.
         gauss = np.random.default_rng(1).standard_normal(64)
         for dims, values in (((2, 2, 2), vals), ((2, 2, 2), np.full(8, 1e300)), ((4, 4, 4), 1e200 * gauss)):
             with pytest.raises(ValueError):
                 Tensor3(dims=dims, values=values)
+
+    def test_the_overflow_rule_is_a_finite_sum_of_squares(self):
+        # 1.3e154 squared is below the largest float, 1.35e154 squared above it, though its norm is finite.
+        assert hs_norm(Tensor3(dims=(1, 1, 1), values=[1.3e154])) == 1.3e154
+        with pytest.raises(ValueError, match="^tensor values overflow: the sum of their squares is not finite$"):
+            Tensor3(dims=(1, 1, 1), values=[1.35e154])
 
     def test_from_array_rejects_a_non_3d_array(self):
         with pytest.raises(ValueError, match="expected a 3-D array"):
