@@ -305,7 +305,6 @@ class TestNewtonStopRule:
         # Rows v = 0 are no roots (|x| = 0), and a stubbed step of -w lands each of them exactly on w.
         arr = np.random.default_rng(4).standard_normal((3, 3, 3))
         e = np.eye(3)[0]
-        unit = np.r_[e, e, e, 1.0]
         landed = {
             "x at 1e6": np.r_[1e6 * e, e, e, 1.0],
             "tau 1e300": np.r_[e, e, e, 1e300],
@@ -316,7 +315,7 @@ class TestNewtonStopRule:
             "|y| 5e-5": np.r_[e, 5e-5 * e, e, 1.0],
             "|z| 5e-5": np.r_[e, e, 5e-5 * e, 1.0],
             "y at 1e200": np.r_[e, 1e200 * e, e, 1.0],
-            "singular": unit,
+            "singular": np.r_[e, e, e, 1.0],
         }
         W = np.vstack(list(landed.values()))
         singular = np.array([name == "singular" for name in landed])
