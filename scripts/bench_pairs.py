@@ -14,7 +14,7 @@ neither caches bytecode from one run to the next.
 BENCH_<label>.json, at the repository root, holds both commits, the environment, the bounds of
 BENCHMARK.json's end-to-end metrics, every run's two lines and, for each workload and end-to-end
 metric, each side's median and quartiles, the pairs the change won (ties count for neither) and a
-verdict:
+verdict. The file is indented by one space a level, except that each run is one line of the runs list:
 
   gain met       the change won at least 9 of 10 pairs, and the medians differ, in its favour, by more
                  than the base's interquartile range
@@ -191,6 +191,13 @@ def large_task(n: int, s: int) -> None:
     print(json.dumps({"correct": all(checks), "metrics": {k: {"value": v} for k, v in metrics.items()}}))
 
 
+def render(report: dict) -> str:
+    """The report as written: json.dumps(report, indent=1), but each entry of its last key, runs, on one line."""
+    head = json.dumps({k: v for k, v in report.items() if k != "runs"}, indent=1)
+    runs = ",\n".join("  " + json.dumps(run) for run in report["runs"])
+    return f'{head[:-2]},\n "runs": [\n{runs}\n ]\n}}\n'
+
+
 def launch(argv: list[str], cwd: Path, env: dict) -> dict:
     """One run of argv in cwd: its exit status and its last two JSON lines (None where they do not parse)."""
     try:
@@ -291,7 +298,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, bounds),
         "runs": runs,
     }
-    (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
+    (ROOT / f"BENCH_{args.label}.json").write_text(render(report))
     for workload, metrics in report["summary"].items():
         for metric, row in metrics.items():
             print(f"{workload:18} {metric:12} base {row['base']['median']:.6g}  change {row['change']['median']:.6g}  "

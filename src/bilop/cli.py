@@ -306,16 +306,15 @@ def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Rep
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--starts", type=int, default=None, help="random starts (default 64*max(dims))")
-    sub.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
-    sub.add_argument("--dedup-tol", type=float, default=1e-6, help="sign-orbit merge tolerance (default 1e-6)")
-    sub.add_argument(
-        "--max-iter",
-        type=int,
-        default=10000,
-        help="iteration cap per start (default 10000); the alternating sweeps, at most min(N, 101), then hand over to Newton",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="seed for the deterministic multi-start (default 0)")
+    # Each search flag is stored under its SearchConfig field, and only when given: the field defaults are the CLI's.
+    for flag, dest, kind, text in (
+        ("--starts", "starts", int, "random starts (default 64*max(dims))"),
+        ("--tol", "residual_tol", float, "residual tolerance (default {:g})"),
+        ("--dedup-tol", "dedup_tol", float, "sign-orbit merge tolerance (default {:g})"),
+        ("--max-iter", "max_iter", int, "iteration cap per start (default {}); min(N, 101) alternating sweeps, then Newton"),
+        ("--seed", "seed", int, "seed for the deterministic multi-start (default {})"),
+    ):
+        sub.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS, help=text.format(getattr(SearchConfig, dest)))
     sub.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
 
 
@@ -346,9 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         T = _load_tensor(args.tensor)
-        cfg = SearchConfig(
-            starts=args.starts, max_iter=args.max_iter, residual_tol=args.tol, dedup_tol=args.dedup_tol, seed=args.seed
-        )
+        cfg = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig) if f.name in args})
         result, lines, code = args.func(args, T, cfg)
         if args.json:
             text = _render_json({

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def _incumbents(sigma: np.ndarray, X: np.ndarray) -> list[int]:
     return picks
 
 
-def grid_norm_oracle(T: Tensor3, spec: Optional[GridSpec] = None) -> float:
+def grid_norm_oracle(T: Tensor3, spec: GridSpec = GridSpec()) -> float:
     """Lower bound on ||T|| from a grid over one sphere, exact over the other two.
 
     ||T|| = max over unit x of sigma_max(sum_i x_i T_i), the T_i being the
@@ -128,7 +127,6 @@ def grid_norm_oracle(T: Tensor3, spec: Optional[GridSpec] = None) -> float:
     each of the first round's _incumbents: a lower bound up to the rounding
     of one SVD, at a cost exponential in min(dims) - 1 only.
     """
-    spec = spec if spec is not None else GridSpec()
     _check_guard(T.dims)
     n = min(T.dims)
     slices = np.moveaxis(T.array, T.dims.index(n), 0)
@@ -204,7 +202,7 @@ def _sign_pattern_lattice(n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectrum:
+def exhaustive_small_spectrum(T: Tensor3, cfg: SearchConfig = SearchConfig()) -> Spectrum:
     """Independent enumeration from a dense deterministic start lattice.
 
     Seeds the same alternating-iteration-plus-Newton search as
@@ -214,12 +212,10 @@ def exhaustive_small_spectrum(T: Tensor3, cfg: Optional[SearchConfig] = None) ->
     the basins far more densely than random starts alone, making this a
     meaningful cross-check despite sharing the local solvers.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     _check_guard(T.dims)
     n1, n2, _ = T.dims
     lattices = (_sign_pattern_lattice(n1), _sign_pattern_lattice(n2))
-    triples = _search_candidates(T, cfg, use_newton=True, pairs=lattices)
-    return Spectrum(triples=triples, complete=False)
+    return Spectrum(triples=_search_candidates(T, cfg, use_newton=True, pairs=lattices)[0], complete=False)
 
 
 def _keeps_first(first: tuple, then: tuple, cfg: SearchConfig) -> bool:
@@ -228,9 +224,7 @@ def _keeps_first(first: tuple, then: tuple, cfg: SearchConfig) -> bool:
     return sorted(kept.tolist()) == list(range(first[0].size))
 
 
-def confirm_complete(
-    T: Tensor3, spectrum: Spectrum, cfg: Optional[SearchConfig] = None
-) -> Spectrum:
+def confirm_complete(T: Tensor3, spectrum: Spectrum, cfg: SearchConfig = SearchConfig()) -> Spectrum:
     """Certify a spectrum as complete on tiny instances.
 
     When every dimension is at most 2 and the exhaustive lattice search
@@ -244,7 +238,6 @@ def confirm_complete(
     the spectrum unchanged: enumeration stays honest about being a
     heuristic beyond this regime.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     if max(T.dims) > 2:
         return spectrum
     try:

@@ -197,9 +197,7 @@ class RepresentationCheck:
         return [text for ok, text in conditions if not ok]
 
 
-def schmidt_decompose(
-    T: Tensor3, cfg: Optional[SearchConfig] = None
-) -> tuple[SchmidtRepresentation, DeflationReport]:
+def schmidt_decompose(T: Tensor3, cfg: SearchConfig = SearchConfig()) -> tuple[SchmidtRepresentation, DeflationReport]:
     """Schmidt representation: one SVD of the mode-1 unfolding, else greedy deflation.
 
     A Schmidt representation with orthonormal families makes the mode-1
@@ -218,7 +216,6 @@ def schmidt_decompose(
     its residual diagnostics. A residual_tol below T's rounding floor
     (eps/2 * hs_norm(T)) or below 2**-511 is refused with ValueError.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     _check_floor(T, cfg.residual_tol)
     fast = _deflate(T, cfg, _svd_block(T, cfg))
     return fast if fast is not None and fast[0].status is SchmidtStatus.COMPLETE else _greedy(T, cfg)
@@ -349,15 +346,17 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
     """
 
     def pick(values: np.ndarray, k: int):
-        # Step 1 searches T itself, so a norm or spectrum of T shares its memoised alternating stage.
+        # Step 1 searches T itself through the memoised alternating stage, which a norm or spectrum of T shares.
+        # A later remainder's search passes the default start pairs, the identity bases, which keeps no stage.
         remainder = T if k == 1 else Tensor3.from_array(values)
-        cands = _search_candidates(remainder, cfg, use_newton=False)
+        pairs = None if k == 1 else (np.eye(T.dims[0]), np.eye(T.dims[1]))
+        cands, converged = _search_candidates(remainder, cfg, use_newton=False, pairs=pairs)
         if not cands:
             return DeflationFailure(
                 step=k,
                 reason=FailureReason.NO_TRIPLE_FOUND,
                 diagnostics=(
-                    f"no triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(remainder, cfg)}; "
+                    f"no triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(converged, cfg)}; "
                     f"the remainder's hs-norm is {hs_norm(remainder):.6g}"
                 ),
             )

@@ -457,9 +457,10 @@ def _alternating_stage(
     Every array is read-only. The last stage is kept, keyed by the Tensor3 object
     (frozen, read-only values, hashed by identity; the entry's reference keeps its
     id from being reused) and by the SearchConfig's value, so a norm, a spectrum
-    and greedy deflation's first step of one tensor pay for one stage. Lattice
-    pairs are arrays, which cannot be hashed: their searches call __wrapped__ and
-    keep no stage. A missed stage reads its random normals through _stream.start_normals' memo.
+    and greedy deflation's first step of one tensor pay for one stage. Pairs are
+    arrays, which cannot be hashed: a search given them (the lattice oracle's, and
+    greedy's of each later remainder) calls __wrapped__ and keeps no stage. A missed
+    stage reads its random normals through _stream.start_normals' memo.
     """
     starts = _standard_starts(T, cfg, pairs)
     als = _als_batch(T.array, starts[0], starts[1], cfg)
@@ -474,8 +475,9 @@ def _search_candidates(
     cfg: SearchConfig,
     use_newton: bool,
     pairs: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[SingularTriple, ...]:
-    """Verified, canonical, deduplicated and sorted triples of one multi-start search.
+) -> tuple[tuple[SingularTriple, ...], int]:
+    """Verified, canonical, deduplicated and sorted triples of one multi-start search, and its alternating stage's
+    count of value stops (0 where no search ran).
 
     A tensor whose hs-norm is at most residual_tol has no such triple, and
     gets none without a search. Otherwise the alternating stage,
@@ -492,8 +494,8 @@ def _search_candidates(
     """
     _check_floor(T, cfg.residual_tol)
     if hs_norm(T) <= cfg.residual_tol:
-        return ()
-    (X0, Y0, Z0), rows, _ = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
+        return (), 0
+    (X0, Y0, Z0), rows, converged = _alternating_stage(T, cfg) if pairs is None else _alternating_stage.__wrapped__(T, cfg, pairs)
     arr = T.array
     found = [rows]
     if use_newton:
@@ -512,7 +514,7 @@ def _search_candidates(
     return tuple(
         SingularTriple(tau=t, x=x, y=y, z=z, residuals=tuple(r))
         for t, x, y, z, r in zip(tau[listed].tolist(), X[listed], Y[listed], Z[listed], R[listed].tolist())
-    )
+    ), converged
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +526,7 @@ def hopm_refine(
     x0,
     y0,
     z0,
-    cfg: Optional[SearchConfig] = None,
+    cfg: SearchConfig = SearchConfig(),
 ) -> Union[SingularTriple, NonConvergence]:
     """Alternating power iteration from a single start.
 
@@ -542,7 +544,6 @@ def hopm_refine(
     zero; otherwise it is unused, since the first sweep computes z from
     x0 and y0.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     xa, ya, za = _factors(T.dims, x0=x0, y0=y0, z0=z0)
     for label, v in (("x0", xa), ("y0", ya), ("z0", za)):
         if np.linalg.norm(v) <= _ZERO_NORM:
@@ -562,9 +563,7 @@ def hopm_refine(
     )
 
 
-def hopm_value_trace(
-    T: Tensor3, x0, y0, cfg: Optional[SearchConfig] = None
-) -> np.ndarray:
+def hopm_value_trace(T: Tensor3, x0, y0, cfg: SearchConfig = SearchConfig()) -> np.ndarray:
     """The per-sweep objective values ||T(x,y)|| of a single-start iteration.
 
     Diagnostic companion to hopm_refine: each alternating update maximizes
@@ -572,7 +571,6 @@ def hopm_value_trace(
     up to roundoff. It ends at the value stop, or at the handoff to Newton:
     at most 101 values (loop index _ALS_HANDOFF).
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     xa, ya = _factors(T.dims, x0=x0, y0=y0)
     values: list[float] = []
     _als_batch(T.array, xa[None, :], ya[None, :], cfg, trace=values)
@@ -604,14 +602,9 @@ def _check_floor(T: Tensor3, tol: float) -> None:
         raise ValueError(f"tolerance {tol:g} lies below 2**-511 (1.49e-154), where squared residual entries are subnormal")
 
 
-def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
-    """Check the three defining equations at the given triple, with the search's residual routine.
-
-    verified is the search's gate (_verified): tau above tol and every residual within it, so a triple the
-    search would never list, such as tau <= tol with residuals as small, does not verify. Vectors more
-    than 1e-8 away from unit norm, a tau that is not finite, a tol that is not positive and finite, and a
-    tol below T's rounding floor (_check_floor) are rejected as argument errors.
-    """
+def _triple_residuals(T: Tensor3, triple: SingularTriple, tol: float, slices: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """_residuals of one triple at its own tau, after verify_triple's argument rules: tol against T's rounding
+    floor (_check_floor), unit vectors (_unit_triple) and a finite tau."""
     _check_floor(T, tol)
     x, y, z = _unit_triple(T, triple)
     try:
@@ -620,7 +613,18 @@ def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck
         raise ValueError("tau must be finite, got a number beyond the float range") from None
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    t, R = _residuals(T.array, x[None], y[None], z[None], np.array([tau]))
+    return _residuals(T.array, x[None], y[None], z[None], np.array([tau]), slices=slices)
+
+
+def verify_triple(T: Tensor3, triple: SingularTriple, tol: float) -> TripleCheck:
+    """Check the three defining equations at the given triple, with the search's residual routine.
+
+    verified is the search's gate (_verified): tau above tol and every residual within it, so a triple the
+    search would never list, such as tau <= tol with residuals as small, does not verify. Vectors more
+    than 1e-8 away from unit norm, a tau that is not finite, a tol that is not positive and finite, and a
+    tol below T's rounding floor (_check_floor) are rejected as argument errors.
+    """
+    t, R = _triple_residuals(T, triple, tol)
     r1, r2, r3 = R[0].tolist()
     return TripleCheck(r1=r1, r2=r2, r3=r3, verified=bool(_verified(t, R, tol)[0]))
 
@@ -631,13 +635,15 @@ def _stacked_terms(items, dims) -> tuple:
     return (tau, *(np.array([getattr(t, f) for t in items], dtype=float).reshape(tau.size, n) for f, n in zip("xyz", dims)))
 
 
+def _ordered_check(r: list, tol: float) -> OrderedCheck:
+    """The classification read off one row of _residuals with slices."""
+    return OrderedCheck(ordered=max(r[3:6]) <= tol, slice_residuals=tuple(r[3:6]), adjoint_slice_residual=r[6])
+
+
 def _ordered_checks(T: Tensor3, triples, tol: float) -> list[OrderedCheck]:
     """is_ordered's classification of already verified triples, from one call of _residuals with slices."""
     tau, X, Y, Z = _stacked_terms(triples, T.dims)
-    return [
-        OrderedCheck(ordered=max(r[3:6]) <= tol, slice_residuals=tuple(r[3:6]), adjoint_slice_residual=r[6])
-        for r in _residuals(T.array, X, Y, Z, tau, slices=True)[1].tolist()
-    ]
+    return [_ordered_check(r, tol) for r in _residuals(T.array, X, Y, Z, tau, slices=True)[1].tolist()]
 
 
 def is_ordered(T: Tensor3, triple: SingularTriple, tol: float) -> OrderedCheck:
@@ -647,22 +653,19 @@ def is_ordered(T: Tensor3, triple: SingularTriple, tol: float) -> OrderedCheck:
     rank-one map x -> tau <x, x1> z1, (b) freezing x gives y -> tau <y, y1> z1,
     (c) the first adjoint contraction against z gives y -> tau <y, y1> x1.
     The symmetric fourth slice (second contraction against z) equals the
-    transpose of (c) and is reported as a diagnostic only. The triple is
-    verified first (verify_triple: tau above tol, residuals within it),
-    else ValueError; its row of _ordered_checks gives the slices.
+    transpose of (c) and is reported as a diagnostic only. The triple must
+    pass verify_triple's argument rules and its gate (tau above tol,
+    residuals within it), else ValueError; the one _residuals pass that
+    gates it gives the slices.
     """
-    check = verify_triple(T, triple, tol)
-    if not check.verified:
-        raise ValueError(
-            f"is_ordered requires a verified triple (tau {float(triple.tau):.3e}, "
-            f"max residual {check.max_residual:.3e})"
-        )
-    return _ordered_checks(T, [triple], tol)[0]
+    t, R = _triple_residuals(T, triple, tol, slices=True)
+    r = R[0].tolist()
+    if not _verified(t, R, tol)[0]:
+        raise ValueError(f"is_ordered requires a verified triple (tau {float(triple.tau):.3e}, max residual {max(r[:3]):.3e})")
+    return _ordered_check(r, tol)
 
 
-def operator_norm(
-    T: Tensor3, cfg: Optional[SearchConfig] = None
-) -> tuple[float, Optional[SingularTriple]]:
+def operator_norm(T: Tensor3, cfg: SearchConfig = SearchConfig()) -> tuple[float, Optional[SingularTriple]]:
     """The bilinear operator norm sup ||T(x,y)|| over unit x, y.
 
     The supremum is attained at a singular triple, and the maximizer is an
@@ -681,29 +684,27 @@ def operator_norm(
     gate that rejected every converged start. A residual_tol below T's
     rounding floor, eps/2 * hs_norm(T), is refused up front with ValueError.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
-    found = _search_candidates(T, cfg, use_newton=False)
+    found, converged = _search_candidates(T, cfg, use_newton=False)
     if found:
         top = max(found, key=lambda c: c.tau)
         return top.tau, top
     if hs_norm(T) <= cfg.residual_tol:
         return 0.0, None
     raise ValueError(
-        f"no singular triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(T, cfg)}; "
+        f"no singular triple verified at residual_tol={cfg.residual_tol:g}{_no_triple_cause(converged, cfg)}; "
         "the norm of this nonzero operator is unknown"
     )
 
 
-def _no_triple_cause(T: Tensor3, cfg: SearchConfig) -> str:
-    """Why a search of T verified no triple, read off the alternating stage it has just memoised: no start
-    converged within max_iter, or the gate rejected every converged start."""
-    converged = _alternating_stage(T, cfg)[2]
+def _no_triple_cause(converged: int, cfg: SearchConfig) -> str:
+    """Why a search verified no triple, from the count of its starts that converged (_search_candidates): none
+    within max_iter, or the gate rejected every one."""
     if converged == 0:
         return f" within max_iter={cfg.max_iter}"
     return f": {converged} start(s) converged, but none has tau above it and residuals within it"
 
 
-def enumerate_triples(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectrum:
+def enumerate_triples(T: Tensor3, cfg: SearchConfig = SearchConfig()) -> Spectrum:
     """All singular triples the deterministic multi-start search can find.
 
     Every returned triple is verified at residual_tol; the list is
@@ -717,5 +718,4 @@ def enumerate_triples(T: Tensor3, cfg: Optional[SearchConfig] = None) -> Spectru
     the same bits either way. Enumeration is heuristic: complete is always
     False here (see oracle.confirm_complete).
     """
-    cfg = cfg if cfg is not None else SearchConfig()
-    return Spectrum(triples=_search_candidates(T, cfg, use_newton=True), complete=False)
+    return Spectrum(triples=_search_candidates(T, cfg, use_newton=True)[0], complete=False)

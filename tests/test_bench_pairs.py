@@ -144,6 +144,19 @@ class TestMeasure:
             pairs.measure(["cli-gallery"], 2, lambda side, w, seed: {"returncode": 0, "record": None, "result": None})
 
 
+class TestRender:
+    def test_each_run_is_one_line_and_the_file_loads_to_the_report(self, pairs):
+        runs = pairs.measure(["spectrum-gaussian"], 3, canned(TestMeasure.WALLS)[0])
+        report = {"label": "t", "bounds": BOUNDS, "summary": pairs.summarize(runs, BOUNDS), "runs": runs}
+        text = pairs.render(report)
+        assert json.loads(text) == report and text.endswith("\n ]\n}\n")
+        # The header and summary as json.dumps lays them out at indent=1, then the runs, one line each.
+        head = json.dumps({k: v for k, v in report.items() if k != "runs"}, indent=1).splitlines()
+        lines = text.splitlines()
+        assert lines[: len(head) - 1] == [*head[:-2], head[-2] + ","] and lines[len(head) - 1] == ' "runs": ['
+        assert lines[len(head) : -2] == [f"  {json.dumps(run)}," for run in runs[:-1]] + [f"  {json.dumps(runs[-1])}"]
+
+
 class TestMain:
     def test_the_file_is_written_only_when_every_run_passes(self, pairs, monkeypatch, tmp_path, capsys):
         (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
@@ -168,7 +181,9 @@ class TestMain:
         run, _ = canned(walls)
         seen.clear()
         assert pairs.main(argv) == 0
-        report = json.loads((tmp_path / "BENCH_t.json").read_text())
+        text = (tmp_path / "BENCH_t.json").read_text()
+        report = json.loads(text)
+        assert text == pairs.render(report) and sum(line.startswith('  {"workload": ') for line in text.splitlines()) == 18
         assert report["commits"] == {"base": "f" * 40, "change": "f" * 40} and report["origin"] == "bench/baseline.json"
         assert report["bounds"] == BOUNDS and "commit" not in report["environment"]
         # Every workload of BENCHMARK.json, at its run length, in PAIRS pairs.

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import runpy
 import subprocess
 import sys
@@ -174,6 +175,20 @@ class TestNorm:
         assert (proc.returncode, proc.stdout) == (2, "")
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: start indices end at 2**32 - 1")
+
+    def test_a_start_draw_past_the_byte_budget_exits_two(self, files):
+        # 2**31 starts pass the index bound, and on a 3^3 tensor their draw would take about 1.7 TB: refused by
+        # estimate. The child may map 1 GiB, so a draw that went ahead would fail at once, not exhaust memory.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [sys.executable, "-m", "bilop", "norm", files["signed_diag"], "--starts", str(2**31), "--json"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: drawing 2147483648 starts of 9 normals would take about 1.6e+03 GiB, more than the 2 GiB a start draw "
+            "may use\n"
+        )
 
 
 class TestSpectrum:
@@ -754,6 +769,40 @@ reconstruction residual: 0.000e+00
         "error: {not_json} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
     ),
 }
+
+
+class TestSearchFlags:
+    """The search flags set their SearchConfig fields only when given; the fields' defaults are the CLI's."""
+
+    @pytest.mark.parametrize("command", ["norm", "spectrum", "schmidt", "schur", "verify"])
+    def test_a_flagless_report_renders_the_default_config(self, files, command, capsys):
+        argv = [files["overlap"], files["overlap_triples"]] if command == "verify" else [files["signed_diag"]]
+        cli.main([command, *argv, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        default = spectra.SearchConfig()
+        want = dataclasses.replace(default, starts=default.resolved_starts(tuple(report["input"]["dims"])))
+        assert report["config"] == json.loads(cli._render_json(want)) and report["config"]["starts"] > 0
+
+    def test_each_flag_sets_its_field(self, files, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "operator_norm", lambda T, cfg: seen.append(cfg) or (1.0, None))
+        flags = ["--starts", "7", "--tol", "1e-8", "--dedup-tol", "1e-5", "--max-iter", "50", "--seed", "3"]
+        for argv in (flags, flags[2:6], []):
+            assert cli.main(["norm", files["diag_pair"], *argv]) == 0
+        assert seen == [
+            spectra.SearchConfig(starts=7, residual_tol=1e-8, dedup_tol=1e-5, max_iter=50, seed=3),
+            spectra.SearchConfig(residual_tol=1e-8, dedup_tol=1e-5),
+            spectra.SearchConfig(),
+        ]
+
+    def test_the_help_reads_the_field_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["norm", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        default = spectra.SearchConfig()
+        for flag, shown in [("--tol", f"{default.residual_tol:g}"), ("--dedup-tol", f"{default.dedup_tol:g}"),
+                            ("--max-iter", default.max_iter), ("--seed", default.seed)]:
+            assert f"{flag} " in text and f"(default {shown})" in text
 
 
 class TestHumanOutput:

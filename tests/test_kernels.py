@@ -5,6 +5,7 @@ sign-orbit merge, each against its one-at-a-time definition."""
 import hashlib
 import importlib
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -745,6 +746,32 @@ class TestStartSet:
             operator_norm(diag_pair, SearchConfig(starts=2**40))
         assert _stream.start_normals.cache_info().currsize == 0
 
+    def test_a_draw_past_the_byte_budget_is_refused_before_any_draw(self, diag_pair, monkeypatch):
+        # diag_pair draws 9 normals a start, from 14 outputs. With the budget at the estimate for 1000 starts, 1000
+        # are drawn and 1001 refused, by a message naming the estimate; the memo keeps only what was drawn.
+        monkeypatch.setattr(_stream, "_DRAW_BUDGET", _stream._draw_bytes(1000, 14))
+        assert operator_norm(diag_pair, SearchConfig(starts=1000))[0] == pytest.approx(3.0, abs=1e-9)
+        _stream.start_normals.cache_clear()
+        with pytest.raises(ValueError, match="drawing 1001 starts of 9 normals would take about 0.000746 GiB"):
+            operator_norm(diag_pair, SearchConfig(starts=1001))
+        assert _stream.start_normals.cache_info().currsize == 0
+
+    def test_no_default_search_comes_near_the_budget(self):
+        # The largest default draw of the north star's sizes, 64 * 32 starts of 96 normals at 32^3: 13 MB.
+        assert _stream._draw_bytes(64 * 32, 96 + 4 + 96 // 8) < _stream._DRAW_BUDGET / 100
+
+    @pytest.mark.parametrize("width", [3, 12, 96])
+    def test_the_estimate_bounds_the_draws_peak(self, width):
+        # On a block of 8192 starts the estimate lies above tracemalloc's peak, by less than half of it.
+        _stream.standard_normals(0, 0, 1, width)  # tables and ufunc loops loaded before the measurement
+        tracemalloc.start()
+        try:
+            _stream.standard_normals(1, 0, 8192, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _stream._draw_bytes(8192, width + 4 + width // 8) <= 1.5 * peak
+
     def test_a_negative_seed_is_refused(self):
         # SearchConfig refuses one first; the stream does too, as SeedSequence does. Without the check, _words
         # would shift a negative seed right forever.
@@ -892,13 +919,22 @@ class TestAlternatingStage:
         assert cold_report.failure == report.failure  # its diagnostics print the top taus
         same_triples([s.triple for s in cold_report.steps], [s.triple for s in report.steps])
 
-    def test_a_deflation_leaves_its_last_remainder(self, triad):
-        _, report = schmidt_decompose(triad)
-        # One search per step, each of a new remainder; the last one stays.
-        assert stage_counts() == (3, 0) and len(report.steps) == 3
-        assert _alternating_stage.cache_info().currsize == 1
-        operator_norm(triad)
-        assert stage_counts() == (4, 0)
+    def test_a_deflation_keeps_the_stage_of_its_operator(self, triad):
+        # Greedy's first step shares the norm's stage; its later remainders' searches keep none, so the spectrum
+        # after them still finds the operator's.
+        norm = operator_norm(triad)
+        rep, report = schmidt_decompose(triad)
+        assert rep.status is SchmidtStatus.COMPLETE and len(report.steps) == 3
+        spectrum = enumerate_triples(triad)
+        assert stage_counts() == (1, 2) and _alternating_stage.cache_info().currsize == 1
+        _alternating_stage.cache_clear()
+        same_norm(norm, operator_norm(triad))
+        _alternating_stage.cache_clear()
+        same_triples(spectrum.triples, enumerate_triples(triad).triples)
+        _alternating_stage.cache_clear()
+        cold_rep, cold_report = schmidt_decompose(triad)
+        assert [t.tau for t in cold_rep.terms] == [t.tau for t in rep.terms]
+        same_triples([s.triple for s in cold_report.steps], [s.triple for s in report.steps])
 
     @pytest.mark.parametrize(
         "change",
@@ -1116,8 +1152,8 @@ class TestFinish:
     @pytest.mark.parametrize("T", FINISH_TENSORS.values(), ids=FINISH_TENSORS.keys())
     @pytest.mark.parametrize("use_newton", [False, True], ids=["als", "als+newton"])
     def test_search_matches_finishing_every_row(self, T, use_newton, reference_search):
-        got = spectra._search_candidates(T, SearchConfig(), use_newton)
-        same_triples(got, reference_search(lambda: spectra._search_candidates(T, SearchConfig(), use_newton)))
+        got = spectra._search_candidates(T, SearchConfig(), use_newton)[0]
+        same_triples(got, reference_search(lambda: spectra._search_candidates(T, SearchConfig(), use_newton)[0]))
 
     @pytest.mark.parametrize("name", ["diagonal_pair", "overlapping_slices", "orthonormal_triad"])
     def test_lattice_search_matches_finishing_every_row(self, name, reference_search):

@@ -474,9 +474,8 @@ def ref_greedy_pick(cfg):
     """Greedy's per-step pick: the top band of one search, scored by per-triple ordered checks."""
 
     def pick(remainder, k):
-        cands = _search_candidates(remainder, cfg, use_newton=False)
+        cands, converged = _search_candidates(remainder, cfg, use_newton=False)
         if not cands:
-            converged = spectra._alternating_stage(remainder, cfg)[2]
             cause = f": {converged} start(s) converged, but none has tau above it and residuals within it"
             return DeflationFailure(
                 k,
@@ -1025,7 +1024,7 @@ class TestDeflationBlock:
             assert_same_run((rep, report), want, atol=0.0)
             assert rep.status is SchmidtStatus.COMPLETE and verify_representation(T, rep, 1e-9).all_ok
         assert runs[0][1].steps[0].slice_residuals == (0.0, 0.0, 0.0)
-        assert len([c for c in _search_candidates(T, self.CFG, use_newton=False) if c.tau >= 2.0 - 3e-6]) == 2
+        assert len([c for c in _search_candidates(T, self.CFG, use_newton=False)[0] if c.tau >= 2.0 - 3e-6]) == 2
 
     @pytest.mark.parametrize("name", SLICE_INPUTS)
     def test_batched_classification_equals_the_per_triple_results(self, name):

@@ -1,5 +1,6 @@
 """Search, verification, canonicalization, and ordered classification."""
 
+import inspect
 import json
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bilop
 from bilop import (
     NonConvergence,
     SearchConfig,
@@ -27,7 +29,8 @@ from bilop import (
     verify_representation,
     verify_triple,
 )
-from bilop.spectra import _check_floor
+from bilop import spectra
+from bilop.spectra import _check_floor, _ordered_checks
 
 S13 = np.sqrt(13.0)
 TAU_SADDLE = 6.0 / S13
@@ -90,6 +93,18 @@ class TestSearchConfig:
         cfg = SearchConfig(starts=np.int64(8), max_iter=np.int32(500), seed=np.uint8(3))
         assert cfg == SearchConfig(starts=8, max_iter=500, seed=3)
         assert operator_norm(diag_pair, cfg)[0] == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("operator_norm", "cfg"), ("enumerate_triples", "cfg"), ("hopm_refine", "cfg"), ("hopm_value_trace", "cfg"),
+            ("schmidt_decompose", "cfg"), ("exhaustive_small_spectrum", "cfg"), ("confirm_complete", "cfg"),
+            ("grid_norm_oracle", "spec"),
+        ],
+    )
+    def test_entry_points_default_to_the_field_defaults(self, name, param):
+        default = inspect.signature(getattr(bilop, name)).parameters[param].default
+        assert default == (bilop.GridSpec() if param == "spec" else SearchConfig())
 
 
 class TestHopmRefine:
@@ -443,10 +458,24 @@ class TestIsOrdered:
         assert other.slice_residuals == pytest.approx(base.slice_residuals, abs=1e-14)
 
     def test_rejects_unverified_triple(self, diag_pair):
-        with pytest.raises(ValueError):
-            is_ordered(
-                diag_pair, make_triple(2.5, [1, 0, 0], [1, 0], [1, 0, 0, 0]), 1e-9
-            )
+        triple = make_triple(2.5, [1, 0, 0], [1, 0], [1, 0, 0, 0])
+        with pytest.raises(ValueError) as info:
+            is_ordered(diag_pair, triple, 1e-9)
+        residual = verify_triple(diag_pair, triple, 1e-9).max_residual
+        assert str(info.value) == f"is_ordered requires a verified triple (tau 2.500e+00, max residual {residual:.3e})"
+
+    @pytest.mark.parametrize("name", gallery.__all__)
+    def test_one_residual_pass_gates_and_classifies(self, name, monkeypatch):
+        # The gate and the slices come off one _residuals pass, with the bytes of the two passes it replaced:
+        # verify_triple's gate, then the triple's row of _ordered_checks.
+        T, real, calls = getattr(gallery, name)(), spectra._residuals, []
+        monkeypatch.setattr(spectra, "_residuals", lambda *a, **k: calls.append(k.get("slices")) or real(*a, **k))
+        for triple in enumerate_triples(T).triples:
+            calls.clear()
+            got = is_ordered(T, triple, 1e-9)
+            assert calls == [True]
+            want = _ordered_checks(T, [triple], 1e-9)[0]
+            assert verify_triple(T, triple, 1e-9).verified and repr(got) == repr(want)
 
     def test_adjoint_slice_is_diagnostic_only(self, diag_pair, diag_pair_spectrum):
         check = is_ordered(diag_pair, diag_pair_spectrum.triples[0], 1e-9)
