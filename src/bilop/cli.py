@@ -5,7 +5,7 @@ corresponding library operations, and prints either a human-readable
 summary or a machine-readable JSON report. Exit codes are stable:
 
     0  success
-    2  input error (unreadable file, malformed JSON, dimension mismatch)
+    2  input error (unreadable, oversized or malformed file, dimension mismatch)
     3  Schmidt decomposition failed (no representation exists at tolerance)
     4  Schur precondition failed (not symmetric/self-adjoint, or inconsistent)
 
@@ -83,6 +83,11 @@ _EXIT_SCHUR = 4
 #: Step used for the finite-difference stationarity probe in `verify`.
 _FD_STEP = 1e-5
 
+#: The most bytes an input file may hold; a larger one is refused before it is read. Under tracemalloc (Python 3.11),
+#: json.load peaked at up to 32 bytes per file byte (a list of empty lists; 2.6 for a tensor's floats, np.asarray
+#: included), so a file within this budget parses within the 2 GiB a start draw may use (_stream._DRAW_BUDGET).
+_FILE_BUDGET = 2**26
+
 
 class _Exit(Exception):
     """Ends a command without a report: main writes "error: <message>" to stderr and returns code."""
@@ -136,11 +141,15 @@ def _render_json(value: Any) -> str:
 def _load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if (size := os.fstat(fh.fileno()).st_size) > _FILE_BUDGET:
+                raise _Exit(f"{path} holds {size} bytes, more than the {_FILE_BUDGET >> 20} MiB an input file may hold")
             return json.load(fh)
     except OSError as exc:
         raise _Exit(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _Exit(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _Exit(f"{path} nests its JSON too deeply to read: {exc}") from exc
 
 
 def _load_tensor(path: str) -> Tensor3:
@@ -209,7 +218,7 @@ def _cmd_spectrum(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _R
     spectrum = enumerate_triples(T, cfg)
     # The listed triples are verified by the search, so one batched slice check classifies them all.
     checks = _ordered_checks(T, spectrum.triples, cfg.residual_tol)
-    lines = [f"spectrum: {len(checks)} triple(s), complete: no"]
+    lines = [f"spectrum: {len(checks)} triple(s), complete: " + ("yes" if spectrum.complete else "no")]
     for pos, (tr, oc) in enumerate(zip(spectrum.triples, checks), 1):
         lines += [f"  [{pos}] tau = {_num(tr.tau)}  ordered = " + ("yes" if oc.ordered else "no"), *_xyz_lines(tr)]
     entries = [_fields(tr, oc) for tr, oc in zip(spectrum.triples, checks)]

@@ -2,26 +2,26 @@
 
 A Schmidt representation writes T(x, y) = sum_i tau_i <x, x_i> <y, y_i> z_i
 with monotone tau_i > 0 and orthonormal families {x_i}, {y_i}, {z_i}. Such a
-representation makes the mode-1 unfolding T(1) = sum_i tau_i x_i (y_i (x) z_i)^T
-an SVD, so the terms are first read off one SVD of T(1). Where that reading
-is ambiguous (tied singular values, a right singular vector that is not
-rank-one as an n2 x n3 matrix, a peak entry that rounding could flip) or does
-not verify, greedy deflation decides: it takes each remainder's top singular
-triple from a multi-start search. Both feed one deflation loop, which
-requires each term to be an ordered singular value of the remainder (the
-rank-one slice property of spectra.is_ordered), subtracts it, and repeats
-until the remainder vanishes; so both record every term with the same
-per-step checks. The loop checks a block of terms at once (the SVD
-reading's in one block, greedy's one at a time), each against its own
-remainder, by one call of spectra's residual routine: one pass of mode
-unfolding products, less Gram products of the block's earlier terms.
-Orthogonality of the extracted families is a consequence of the ordered
-property, not an imposed constraint.
+representation makes the mode-1 unfolding T(1) = sum_i tau_i x_i
+(y_i (x) z_i)^T an SVD, so the terms are first read off one SVD of T(1). Where
+that reading is ambiguous (tied singular values, a right singular vector that
+is not rank-one as an n2 x n3 matrix, a peak entry that rounding could flip)
+its run fails there, and wherever it does not end Complete greedy deflation
+decides: it takes each remainder's top singular triple from a multi-start
+search. Both feed one deflation loop, which requires each term to be an
+ordered singular value of the remainder (the rank-one slice property of
+spectra.is_ordered), subtracts it, and repeats until the remainder vanishes;
+so both record every term with the same per-step checks. The loop checks a
+block of terms at once (the SVD reading's in one block, greedy's one at a
+time), each against its own remainder, by one call of spectra's residual
+routine: one pass of mode unfolding products, less Gram products of the
+block's earlier terms. Orthogonality of the extracted families is a
+consequence of the ordered property, not an imposed constraint.
 
 Failure is a value, not an exception: when a remainder's top singular value
-is attained only by non-ordered triples (or no triple can be verified at
-all), or the finished terms fail verify_representation, the result carries
-status Failed, an empty term list, and a report that keeps the partial steps.
+is attained only by non-ordered triples (or no triple, or a term that fails
+the search's gate), or the finished terms fail verify_representation, the
+result carries status Failed, no terms, and a report of the partial steps.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .spectra import (
     _canonical_rows,
     _check_floor,
     _no_triple_cause,
+    _ordered_check,
     _ordered_checks,
     _residuals,
     _search_candidates,
@@ -200,14 +201,12 @@ class RepresentationCheck:
 def schmidt_decompose(T: Tensor3, cfg: SearchConfig = SearchConfig()) -> tuple[SchmidtRepresentation, DeflationReport]:
     """Schmidt representation: one SVD of the mode-1 unfolding, else greedy deflation.
 
-    A Schmidt representation with orthonormal families makes the mode-1
-    unfolding T(1) = sum tau_i x_i (y_i (x) z_i)^T an SVD, so the terms are
-    first read off one SVD of T(1) (_svd_block). Where that reading is
-    ambiguous or does not end Complete, _greedy deflation runs from scratch
-    and decides the result, failures included. Both are term sources of one loop, _deflate,
-    which stops once the remainder's hs-norm is at most residual_tol, the
-    bound verify_representation puts on the reconstruction residual, or
-    min(dims) terms were extracted.
+    A Schmidt representation with orthonormal families makes the mode-1 unfolding T(1) = sum tau_i x_i
+    (y_i (x) z_i)^T an SVD, so the terms are first read off one SVD of T(1) (_svd_block). Where that reading's
+    run does not end Complete, _greedy deflation runs from scratch and decides the result, failures included.
+    Both are term sources of one loop, _deflate, which stops once the remainder's hs-norm is at most
+    residual_tol, the bound verify_representation puts on the reconstruction residual, or min(dims) terms were
+    extracted.
 
     Returns (representation, report). Complete means certified: its report
     carries the passed verify_representation check as report.check. On failure the
@@ -218,25 +217,23 @@ def schmidt_decompose(T: Tensor3, cfg: SearchConfig = SearchConfig()) -> tuple[S
     """
     _check_floor(T, cfg.residual_tol)
     fast = _deflate(T, cfg, _svd_block(T, cfg))
-    return fast if fast is not None and fast[0].status is SchmidtStatus.COMPLETE else _greedy(T, cfg)
+    return fast if fast[0].status is SchmidtStatus.COMPLETE else _greedy(T, cfg)
 
 
-def _deflate(
-    T: Tensor3, cfg: SearchConfig, pick: Callable
-) -> Optional[tuple[SchmidtRepresentation, DeflationReport]]:
+def _deflate(T: Tensor3, cfg: SearchConfig, pick: Callable) -> tuple[SchmidtRepresentation, DeflationReport]:
     """The deflation loop: check pick's block of terms at once, then record and subtract them one by one.
 
-    pick(remainder values, k) returns the terms from step k on as a block (X, Y, Z, orbits at the top),
-    a DeflationFailure, or None, which abandons the run (_deflate returns None). Each row is checked
-    against its own remainder, the block's earlier rows deflated, by one _residuals call with slices: the
-    search's gate (_verified) must pass it, or the run is abandoned, and the ordered slices are
-    recorded; the transfer check re-verifies it against the ORIGINAL operator at that tau. Rows are
-    then subtracted in order from one remainder array, in place, whose hs-norm is the step's
-    remaining_hs and, at the end, the reconstruction residual, until the stop, the min(dims) cap or a
-    failure: a row not ordered in its remainder, or failing the transfer check, fails the run, which
-    keeps its steps but no terms. Otherwise its terms, by tau descending, ties in extraction order, must
-    pass verify_representation at residual_tol: then the run is Complete and its report carries the
-    check, else it fails NotVerified at its last step, naming the failed conditions.
+    pick(remainder values, k) returns the terms from step k on as a block (X, Y, Z, orbits at the top) or
+    a DeflationFailure, which ends the run. Each row is checked against its own remainder, the block's
+    earlier rows deflated, by one _residuals call with slices: a row the search's gate (_verified) fails
+    fails the run NotVerified at its step, and _ordered_check classifies the others; the transfer check
+    re-verifies a row against the ORIGINAL operator at that tau. Rows are then subtracted in order from
+    one remainder array, in place, whose hs-norm is the step's remaining_hs and, at the end, the
+    reconstruction residual, until the stop, the min(dims) cap or a failure: a row not ordered in its
+    remainder, or failing the transfer check, fails the run, which keeps its steps but no terms.
+    Otherwise its terms, by tau descending, ties in extraction order, must pass verify_representation
+    at residual_tol: then the run is Complete and its report carries the check, else it fails
+    NotVerified at its last step, naming the failed conditions.
     """
     tol = cfg.residual_tol
     cap = min(T.dims)
@@ -249,34 +246,34 @@ def _deflate(
     # Stop only where verify_representation's reconstruction bound, residual_tol, holds.
     while failure is None and len(steps) < cap and hs > tol:
         picked = pick(remainder, len(steps) + 1)
-        if picked is None:
-            return None
         if isinstance(picked, DeflationFailure):
             failure = picked
             break
         X, Y, Z, orbits = picked
         tau, R = _residuals(remainder, X, Y, Z, deflated=True, slices=True)
         transfer = _residuals(T.array, X, Y, Z, tau)[1]
-        gated = _verified(tau, R, tol).tolist()
-        rows = zip(tau.tolist(), R[:, :3].tolist(), R[:, 3:6].tolist(), transfer.tolist(), gated, X, Y, Z)
-        for t, r, sl, tr, gate, x, y, z in rows:
+        rows = zip(tau.tolist(), R.tolist(), transfer.tolist(), _verified(tau, R, tol).tolist(), X, Y, Z)
+        for t, r, tr, gate, x, y, z in rows:
             if len(steps) == cap or hs <= tol:
                 break
+            k = len(steps) + 1
             if not gate:
-                return None
+                diagnostics = f"step-{k} triple fails the search's gate (tau {t:.12g}, max residual {max(r[:3]):.6g})"
+                failure = DeflationFailure(step=k, reason=FailureReason.NOT_VERIFIED, diagnostics=diagnostics)
+                break
             remainder -= _rank_one(t, x, y, z)
             hs = math.sqrt(flat.dot(flat))
-            triple = SingularTriple(tau=t, x=x.copy(), y=y.copy(), z=z.copy(), residuals=tuple(r))
-            k = len(steps) + 1
-            steps.append(DeflationStep(k, t, triple, tuple(sl), tuple(tr), hs))
-            if max(sl) <= tol and max(tr) <= tol:
+            triple = SingularTriple(tau=t, x=x.copy(), y=y.copy(), z=z.copy(), residuals=tuple(r[:3]))
+            oc = _ordered_check(r, tol)
+            steps.append(DeflationStep(k, t, triple, oc.slice_residuals, tuple(tr), hs))
+            if oc.ordered and max(tr) <= tol:
                 terms.append(SchmidtTerm(tau=t, x=triple.x, y=triple.y, z=triple.z))
                 continue
-            if max(sl) > tol:
+            if not oc.ordered:
                 diagnostics = (
                     f"top singular value {t:.12g} of the remainder is not an "
                     f"ordered singular value (max slice residual "
-                    f"{max(sl):.6g}, {orbits} orbit(s) at the top)"
+                    f"{max(oc.slice_residuals):.6g}, {orbits} orbit(s) at the top)"
                 )
             else:
                 diagnostics = (
@@ -308,9 +305,10 @@ def _peak_margin(M: np.ndarray) -> np.ndarray:
 
 def _svd_block(T: Tensor3, cfg: SearchConfig) -> Callable:
     """The SVD reading's pick: at step 1 the canonical SVD terms (negative zeros cleared) before the first
-    unusable one, then None. A term is unusable when its singular value is not alone in its tie group of
-    dedup_tol (_tie_groups), its reshaped right vector is not rank-one at residual_tol, or a peak entry of
-    its x or y leads the next by at most dedup_tol (rounding could flip a canonical sign)."""
+    unusable one, then a NotVerified failure at that term's step (step 1 if none comes before it). A term
+    is unusable when its singular value is not alone in its tie group of dedup_tol (_tie_groups), its
+    reshaped right vector is not rank-one at residual_tol, or a peak entry of its x or y leads the next by
+    at most dedup_tol (rounding could flip a canonical sign)."""
     n1, n2, n3 = T.dims
     cap = min(T.dims)
     U, s, Vt = np.linalg.svd(T.array.reshape(n1, n2 * n3), full_matrices=False)
@@ -323,7 +321,9 @@ def _svd_block(T: Tensor3, cfg: SearchConfig) -> Callable:
         & (np.minimum(_peak_margin(X), _peak_margin(Y)) > cfg.dedup_tol)
     )
     m = int(np.argmin(np.append(usable, False)))
-    return lambda remainder, k: (X[:m], Y[:m], Z[:m], 1) if k == 1 and m else None
+    return lambda remainder, k: (X[:m], Y[:m], Z[:m], 1) if k == 1 and m else DeflationFailure(
+        k, FailureReason.NOT_VERIFIED, f"the SVD reading's term {k} is tied, not rank-one or sign-ambiguous"
+    )
 
 
 def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, DeflationReport]:
@@ -360,8 +360,7 @@ def _greedy(T: Tensor3, cfg: SearchConfig) -> tuple[SchmidtRepresentation, Defla
                     f"the remainder's hs-norm is {hs_norm(remainder):.6g}"
                 ),
             )
-        top = _tie_groups(np.sort([c.tau for c in cands])[::-1], cfg.dedup_tol) == 0
-        band = cands[: np.count_nonzero(top)]
+        band = cands[: np.count_nonzero(_tie_groups(np.array([c.tau for c in cands]), cfg.dedup_tol) == 0)]
         checks = _ordered_checks(remainder, band, cfg.residual_tol)
         # Ordered orbits by tau descending, then, as in a band with no ordered orbit, by residual, x and y.
         rank = [(-c.tau if ck.ordered else np.inf, max(ck.slice_residuals), tuple(c.x), tuple(c.y)) for c, ck in zip(band, checks)]

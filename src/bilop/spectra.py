@@ -346,9 +346,7 @@ def _finish(arr, X, Y, Z, ok, cfg) -> None:
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
     sel, tau = sel[far], tau[far]
-    order = np.argsort(-tau, kind="stable")
-    group = np.empty_like(order)
-    group[order] = _tie_groups(tau[order], 1e-9)
+    group = _tie_groups(tau, 1e-9)
     first = np.unique(group, return_index=True)[1]
     lead = sel[first]
     gated = _newton_finish(arr, X, Y, Z, lead, tau[first])
@@ -396,16 +394,18 @@ def _standard_starts(
 
 
 def _tie_groups(t: np.ndarray, tol: float) -> np.ndarray:
-    """Group ids 0, 1, ... of tau's t sorted descending: the one tie rule of bilop.
+    """Each tau's group id, for tau's t in any order: the one tie rule of bilop.
 
-    A new group starts wherever a tau lies more than tol * (1 + the tau before it) below that tau, so groups
-    chain and one can span more than that. Taken at the larger tau, the width puts any two tau's within
-    tol * (1 + their max) in one group, which lets _listing merge sign orbits group by group. Its groups are
-    _finish's at 1e-9 and, at dedup_tol, _listing's, greedy's top band (the listing's first group) and the
-    SVD reading's gap test (schmidt._svd_block: a term must be alone in its group)."""
+    Ids rise from 0 at the largest tau: in t sorted descending, a new group starts wherever a tau lies more than
+    tol * (1 + the tau before it) below that tau, so groups chain and one can span more than that. Taken at the
+    larger tau, the width puts any two tau's within tol * (1 + their max) in one group, which lets _listing merge
+    sign orbits group by group. Its groups are _finish's at 1e-9 and, at dedup_tol, _listing's, greedy's top band
+    (the listing's first group) and the SVD reading's gap test (schmidt._svd_block: a term must be alone in it)."""
+    order = np.argsort(-t, kind="stable")
+    s = t[order]
     gaps = np.zeros(t.size, dtype=np.intp)
-    gaps[1:] = t[:-1] - t[1:] > tol * (1.0 + t[:-1])
-    return np.cumsum(gaps)
+    gaps[1:] = s[:-1] - s[1:] > tol * (1.0 + s[:-1])
+    return np.cumsum(gaps)[np.argsort(order)]
 
 
 def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: SearchConfig) -> np.ndarray:
@@ -423,8 +423,7 @@ def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: 
     the entries of x and of y, with exact ties kept in tau order. The first group listed is greedy
     deflation's top band."""
     order = np.argsort(-tau, kind="stable")
-    group = np.empty_like(order)
-    group[order] = _tie_groups(tau[order], cfg.dedup_tol)
+    group = _tie_groups(tau, cfg.dedup_tol)
     live = np.ones(tau.size, dtype=bool)
     open_ = live.copy()  # live rows not yet kept
     while (rows := np.flatnonzero(open_)).size:

@@ -211,6 +211,13 @@ class TestSpectrum:
         assert json.loads(proc.stdout)["result"]["count"] >= 1
 
 
+    def test_the_human_header_reads_the_spectrums_complete_field(self, files, monkeypatch, capsys):
+        listed = spectra.enumerate_triples(gallery.diagonal_pair())
+        monkeypatch.setattr(cli, "enumerate_triples", lambda T, cfg: dataclasses.replace(listed, complete=True))
+        assert cli.main(["spectrum", files["diag_pair"]]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"spectrum: {len(listed.triples)} triple(s), complete: yes"
+
+
 class TestSchmidt:
     def test_complete_decomposition_exits_zero(self, files):
         proc = run_cli("schmidt", files["diag_pair"], "--starts", "32", "--json")
@@ -545,6 +552,40 @@ class TestInputHandling:
         proc = run_cli("norm", files["not_json"])
         assert proc.returncode == 2
         assert "not valid JSON" in proc.stderr
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-budget", "one-byte-past"])
+    def test_a_file_past_the_byte_budget_is_refused_before_it_is_read(self, tmp_path, over):
+        # Sparse files of NUL bytes: the one at the budget is read and is not JSON; the one a byte past it is
+        # refused by its size. The child may map 1 GiB, so a read that went ahead past the budget would not
+        # exhaust memory.
+        path = tmp_path / "big.json"
+        path.touch()
+        os.truncate(path, cli._FILE_BUDGET + over)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [sys.executable, "-m", "bilop", "norm", str(path), "--json"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        if over:
+            assert proc.stderr == f"error: {path} holds 67108865 bytes, more than the 64 MiB an input file may hold\n"
+        else:
+            assert proc.stderr.startswith(f"error: {path} is not valid JSON: ")
+
+    def test_a_triples_file_past_the_byte_budget_is_refused(self, files, tmp_path, capsys):
+        path = tmp_path / "triples.json"
+        path.touch()
+        os.truncate(path, cli._FILE_BUDGET + 1)
+        assert cli.main(["verify", files["diag_pair"], str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path} holds 67108865 bytes, more than the 64 MiB an input file may hold\n")
+
+    def test_json_nested_past_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["norm", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path} nests its JSON too deeply to read: ")
 
     def test_nan_tolerance_exits_two(self, files):
         proc = run_cli("spectrum", files["diag_pair"], "--dedup-tol", "nan")

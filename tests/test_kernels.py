@@ -629,6 +629,16 @@ class TestTieOrder:
         assert _tie_groups(np.array([5.0, top, 1.0, 1.0, 0.5]), 0.5).tolist() == [0, 0, 1, 1, 1]
         assert _tie_groups(np.array([]), 0.5).tolist() == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(TIE_TAUS), max_size=16), st.randoms(use_true_random=False))
+    def test_groups_do_not_depend_on_the_row_order(self, taus, random):
+        # Each row's group is read off tau sorted descending, so a shuffled tau keeps every row's group.
+        tau = np.array(sorted(taus, reverse=True))
+        perm = list(range(tau.size))
+        random.shuffle(perm)
+        want = _tie_groups(tau, SearchConfig().dedup_tol)
+        assert _tie_groups(tau[perm], SearchConfig().dedup_tol).tolist() == want[perm].tolist()
+
 
 def same_triples(got, want):
     assert len(got) == len(want) > 0

@@ -1,12 +1,14 @@
 """Deflation, representation checks, reconstruction, energy identity."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 from bilop import (
+    DeflationFailure,
     FailureReason,
     gallery,
     SchmidtRepresentation,
@@ -525,8 +527,8 @@ class TestSvdFastPath:
     def test_tie_after_a_verified_step_falls_back(self, monkeypatch):
         # Step 1 (tau = 3) passes every gate of the SVD reading and is
         # checked, as the reading's block of one; step 2 meets the tie 2 = 2
-        # and abandons the reading, which must leave nothing of its first
-        # step in the result.
+        # and fails the reading NotVerified, which must leave nothing of its
+        # first step in the result.
         T = gallery.signed_diagonal((3.0, 2.0, 2.0))
         checked = []
         real = schmidt._residuals
@@ -539,7 +541,12 @@ class TestSvdFastPath:
             return got
 
         monkeypatch.setattr(schmidt, "_residuals", spy)
-        assert _deflate(T, self.CFG, _svd_block(T, self.CFG)) is None
+        rep, report = _deflate(T, self.CFG, _svd_block(T, self.CFG))
+        assert rep.status is SchmidtStatus.FAILED and rep.terms == () and report.check is None
+        assert [s.index for s in report.steps] == [1]
+        assert report.failure == DeflationFailure(
+            2, FailureReason.NOT_VERIFIED, "the SVD reading's term 2 is tied, not rank-one or sign-ambiguous"
+        )
         assert checked == [[3.0]]
         monkeypatch.undo()
         rep, report = self.fallback(T)
@@ -570,7 +577,8 @@ class TestSvdFastPath:
 
 
 class TestDeflationExits:
-    """A checked row that fails the search gate abandons the run; one that fails the transfer check fails it."""
+    """A checked row that fails the search gate fails the run NotVerified; one that fails the transfer check
+    fails it NotOrdered."""
 
     CFG = SearchConfig()
 
@@ -589,16 +597,37 @@ class TestDeflationExits:
 
         monkeypatch.setattr(schmidt, "_residuals", patched)
 
-    def test_an_svd_row_failing_the_gate_abandons_the_reading(self, monkeypatch):
+    def test_an_svd_row_failing_the_gate_fails_the_reading(self, monkeypatch):
         # signed_diagonal's reading is one block of three rows; the second fails the gate after the first
-        # was recorded, so the reading leaves nothing and greedy deflation (blocks of one row) decides.
+        # was recorded, so the reading fails NotVerified at step 2 and greedy deflation (blocks of one row)
+        # decides.
         T = gallery.signed_diagonal()
         want = _greedy(T, self.CFG)
         self.inflate(monkeypatch, 1, lambda X, tau, deflated: deflated and X.shape[0] > 1)
-        assert _deflate(T, self.CFG, _svd_block(T, self.CFG)) is None
+        rep, report = _deflate(T, self.CFG, _svd_block(T, self.CFG))
+        assert rep.status is SchmidtStatus.FAILED and rep.terms == () and report.check is None
+        assert [s.index for s in report.steps] == [1]
+        assert report.failure == DeflationFailure(
+            2, FailureReason.NOT_VERIFIED, "step-2 triple fails the search's gate (tau 2, max residual 1)"
+        )
         got = schmidt_decompose(T, self.CFG)
         assert_same_decomposition(got, want, atol=0.0)
         assert_carries_its_check(T, got, self.CFG.residual_tol)
+
+    def test_a_greedy_row_failing_the_gate_fails_the_run_not_verified(self, monkeypatch):
+        # Every block of more than one row fails the gate at its first row, and so does greedy's second block
+        # of one: the reading fails at step 1, greedy completes step 1 and fails at step 2, and that Failed
+        # value, with the step it kept, is schmidt_decompose's result.
+        T = gallery.signed_diagonal()
+        greedy_blocks = itertools.count()
+        self.inflate(monkeypatch, 0, lambda X, tau, deflated: deflated and (X.shape[0] > 1 or next(greedy_blocks) == 1))
+        rep, report = schmidt_decompose(T, self.CFG)
+        assert rep.status is SchmidtStatus.FAILED and rep.terms == () and report.check is None
+        assert rep.reconstruction_residual == hs_norm(T)
+        assert [s.index for s in report.steps] == [1]
+        assert report.failure == DeflationFailure(
+            2, FailureReason.NOT_VERIFIED, "step-2 triple fails the search's gate (tau 2, max residual 1)"
+        )
 
     def test_a_term_failing_the_transfer_check_fails_the_run(self, monkeypatch):
         # The transfer check is the one call with a given tau that is not a block's check.
