@@ -83,9 +83,9 @@ _EXIT_SCHUR = 4
 #: Step used for the finite-difference stationarity probe in `verify`.
 _FD_STEP = 1e-5
 
-#: The most bytes an input file may hold; a larger one is refused before it is read. Under tracemalloc (Python 3.11),
-#: json.load peaked at up to 32 bytes per file byte (a list of empty lists; 2.6 for a tensor's floats, np.asarray
-#: included), so a file within this budget parses within the 2 GiB a start draw may use (_stream._DRAW_BUDGET).
+#: The most bytes an input file may hold: one byte past it is read, from a pipe or a device too, and refused. json.load
+#: peaked at up to 32 bytes per file byte under tracemalloc (Python 3.11: a list of empty lists; 2.6 for a tensor's
+#: floats, np.asarray included), so a file within it parses within the 2 GiB a search may use (spectra._SEARCH_BUDGET).
 _FILE_BUDGET = 2**26
 
 
@@ -140,10 +140,11 @@ def _render_json(value: Any) -> str:
 
 def _load_json_file(path: str) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if (size := os.fstat(fh.fileno()).st_size) > _FILE_BUDGET:
-                raise _Exit(f"{path} holds {size} bytes, more than the {_FILE_BUDGET >> 20} MiB an input file may hold")
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(_FILE_BUDGET + 1)
+        if len(data) > _FILE_BUDGET:
+            raise _Exit(f"{path} holds more than the {_FILE_BUDGET >> 20} MiB an input file may hold")
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise _Exit(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -274,26 +275,19 @@ def _cmd_schur(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Repo
 def _cmd_verify(args: argparse.Namespace, T: Tensor3, cfg: SearchConfig) -> _Report:
     _check_floor(T, cfg.residual_tol)  # as every other command, whatever the triples file holds
     triples = _load_triples(args.triples)
-    checks = []
-    for pos, raw in enumerate(triples, 1):
-        try:
-            checks.append(verify_triple(T, raw, cfg.residual_tol))
-        except ValueError as exc:
-            raise _Exit(f"{args.triples}: triple {pos}: {exc}") from exc
-    # The verified triples, normalised and canonical, are classified by one batched slice check.
-    verified = [
-        canonicalize(SingularTriple(raw.tau, *(v / np.linalg.norm(v) for v in (raw.x, raw.y, raw.z)), (c.r1, c.r2, c.r3)))
-        for raw, c in zip(triples, checks)
-        if c.verified
-    ]
-    classified = zip(verified, _ordered_checks(T, verified, cfg.residual_tol))
     entries = []
     lines = [f"verify: {len(triples)} triple(s)"]
-    for pos, (raw, check) in enumerate(zip(triples, checks), 1):
+    for pos, raw in enumerate(triples, 1):
+        try:
+            check = verify_triple(T, raw, cfg.residual_tol)
+        except ValueError as exc:
+            raise _Exit(f"{args.triples}: triple {pos}: {exc}") from exc
         line = f"  [{pos}] tau = {_num(raw.tau)}  verified = " + ("yes" if check.verified else "no")
         oc = fd = None
-        if check.verified:
-            triple, oc = next(classified)
+        if check.verified:  # classified and probed as a unit, canonical triple
+            units = (v / np.linalg.norm(v) for v in (raw.x, raw.y, raw.z))
+            triple = canonicalize(SingularTriple(raw.tau, *units, (check.r1, check.r2, check.r3)))
+            [oc] = _ordered_checks(T, [triple], cfg.residual_tol)
             fd = _this.stationarity_fd_check(T, triple, _FD_STEP)
             line += f"  ordered = {'yes' if oc.ordered else 'no'}  fd = {fd:.3e}"
         else:

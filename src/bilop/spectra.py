@@ -39,7 +39,7 @@ import numpy as np
 
 from ._newton import _NEWTON_TOL, _newton_finish
 from .tensor_core import (
-    Tensor3, _ZERO_NORM, _contract, _factors, _int_at_least, _product, _row_blocks, _row_norms,
+    Tensor3, _CONTRACT_BLOCK, _ZERO_NORM, _contract, _factors, _int_at_least, _product, _row_blocks, _row_norms,
     _row_normalize, hs_norm,
 )
 
@@ -61,6 +61,9 @@ __all__ = [
 
 #: Loop index of the alternating iteration at which every row still iterating leaves for the Newton finish.
 _ALS_HANDOFF = 100
+
+#: The most bytes a search may take by _search_bytes' estimate, 2 GiB; _standard_starts refuses one past it.
+_SEARCH_BUDGET = 2**31
 
 
 def _check_tol(value: float, name: str = "tol") -> None:
@@ -379,6 +382,10 @@ def _standard_starts(
     from . import _stream
 
     n1, n2, _ = T.dims
+    rows = (n1 * n2 if pairs is None else len(pairs[0]) * len(pairs[1])) + cfg.resolved_starts(T.dims)
+    if (peak := _search_bytes(rows, T.dims)) > _SEARCH_BUDGET:
+        raise ValueError(f"a search from {rows} starts of width {sum(T.dims)} would take about {peak / 2**30:.3g} GiB, "
+                         f"more than the {_SEARCH_BUDGET / 2**30:.3g} GiB a search may use")
     P, Q = pairs if pairs is not None else (np.eye(n1), np.eye(n2))
     X = np.repeat(P, Q.shape[0], axis=0)
     Y = np.tile(Q, (P.shape[0], 1))
@@ -387,6 +394,13 @@ def _standard_starts(
     V = _stream.start_normals(cfg.seed, cfg.resolved_starts(T.dims), sum(T.dims))
     random = (_row_normalize(M)[0] for M in np.split(V, [n1, n1 + n2], axis=1))
     return tuple(np.vstack([M, R]) for M, R in zip((X, Y, Z), random))
+
+
+def _search_bytes(rows: int, dims: tuple[int, int, int]) -> int:
+    """A search's peak bytes from above: per start row 7 float64 per entry of x | y | z, 12 per entry of the widest
+    factor and 75 more, then three row blocks (_row_blocks), whose Newton rows make (n + 3)**2 entries each."""
+    n = sum(dims)
+    return 8 * (rows * (7 * n + 12 * max(dims) + 75) + 3 * max(_CONTRACT_BLOCK, 2 * (n + 3) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,11 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {
 BEYOND_FLOAT = "1" + "0" * 400
 
 
+def limit_address_space() -> None:
+    """A child's preexec_fn: 1 GiB of address space, so an allocation past it fails at once, not by exhausting memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "bilop", *args],
@@ -55,6 +60,15 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    """A 600 x 600 x 1 Gaussian tensor, its values to three decimals: a file of 2.6 MB."""
+    path = tmp_path_factory.mktemp("wide") / "wide.json"
+    values = np.random.default_rng(600).standard_normal(600 * 600).round(3)
+    path.write_text(json.dumps(tensor_to_json_dict(Tensor3((600, 600, 1), values))))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -170,23 +184,43 @@ class TestNorm:
         assert "max_iter=1" in proc.stderr
 
     def test_start_counts_past_the_bound_exit_two(self, files):
-        # 2**40 starts would need a 72 TiB table of normals: refused before it is allocated, not a MemoryError.
+        # 2**40 starts would need a 72 TiB table of normals: the search's budget refuses them before it is allocated.
         proc = run_cli("norm", files["diag_pair"], "--starts", str(2**40), "--json")
         assert (proc.returncode, proc.stdout) == (2, "")
-        [line] = proc.stderr.splitlines()
-        assert line.startswith("error: start indices end at 2**32 - 1")
+        assert proc.stderr == (
+            "error: a search from 1099511627782 starts of width 9 would take about 1.52e+06 GiB, more than the 2 GiB "
+            "a search may use\n"
+        )
 
-    def test_a_start_draw_past_the_byte_budget_exits_two(self, files):
-        # 2**31 starts pass the index bound, and on a 3^3 tensor their draw would take about 1.7 TB: refused by
-        # estimate. The child may map 1 GiB, so a draw that went ahead would fail at once, not exhaust memory.
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        argv = [sys.executable, "-m", "bilop", "norm", files["signed_diag"], "--starts", str(2**31), "--json"]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit)
+    def test_a_search_past_the_byte_budget_exits_two(self, files):
+        # 2**31 starts pass the stream's index bound, and on a 3^3 tensor their search would take about 3 TB by
+        # estimate: refused. The child may map 1 GiB, so a search that went ahead would fail at once, not exhaust memory.
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilop", "norm", files["signed_diag"], "--starts", str(2**31), "--json"],
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit_address_space,
+        )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "error: drawing 2147483648 starts of 9 normals would take about 1.6e+03 GiB, more than the 2 GiB a start draw "
+            "error: a search from 2147483657 starts of width 9 would take about 2.78e+03 GiB, more than the 2 GiB "
+            "a search may use\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, rows, gib",
+        [(["norm", "--starts", "1"], 360001, "42.1"), (["spectrum"], 398400, "46.6"), (["schmidt"], 398400, "46.6")],
+        ids=["norm", "spectrum", "schmidt"],
+    )
+    def test_a_wide_tensor_is_refused_before_its_basis_pairs_are_built(self, wide_file, argv, rows, gib):
+        # 600 x 600 x 1 makes 360000 basis-pair starts of width 1201 whatever --starts says, from a file of 2.6 MB:
+        # 1.6 GiB for the pair block alone. schmidt's SVD reading fails at its one term, and greedy's search is refused.
+        command, *flags = argv
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilop", command, wide_file, *flags],
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: a search from {rows} starts of width 1201 would take about {gib} GiB, more than the 2 GiB a search "
             "may use\n"
         )
 
@@ -434,8 +468,8 @@ class TestVerify:
         return str(path)
 
     def test_several_triples_are_classified_as_is_ordered_classifies_each(self, files, tmp_path):
-        # The triad's spectrum with an impostor in second place: the verified triples, normalised as verify
-        # reads them, are classified in one batch, and each entry carries the bits is_ordered gives it alone.
+        # The triad's spectrum with an impostor in second place: each verified triple, normalised as verify reads
+        # it, is classified in its own pass, and each entry carries the bits is_ordered gives it.
         T = gallery.orthonormal_triad()
         listed = list(spectra.enumerate_triples(T).triples)
         impostor = dataclasses.replace(listed[0], tau=listed[0].tau + 0.5)
@@ -556,20 +590,16 @@ class TestInputHandling:
     @pytest.mark.parametrize("over", [0, 1], ids=["at-the-budget", "one-byte-past"])
     def test_a_file_past_the_byte_budget_is_refused_before_it_is_read(self, tmp_path, over):
         # Sparse files of NUL bytes: the one at the budget is read and is not JSON; the one a byte past it is
-        # refused by its size. The child may map 1 GiB, so a read that went ahead past the budget would not
-        # exhaust memory.
+        # refused once that byte is read. The child may map 1 GiB, so a read that went on past the budget would
+        # not exhaust memory.
         path = tmp_path / "big.json"
         path.touch()
         os.truncate(path, cli._FILE_BUDGET + over)
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
         argv = [sys.executable, "-m", "bilop", "norm", str(path), "--json"]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit_address_space)
         assert (proc.returncode, proc.stdout) == (2, "")
         if over:
-            assert proc.stderr == f"error: {path} holds 67108865 bytes, more than the 64 MiB an input file may hold\n"
+            assert proc.stderr == f"error: {path} holds more than the 64 MiB an input file may hold\n"
         else:
             assert proc.stderr.startswith(f"error: {path} is not valid JSON: ")
 
@@ -578,7 +608,21 @@ class TestInputHandling:
         path.touch()
         os.truncate(path, cli._FILE_BUDGET + 1)
         assert cli.main(["verify", files["diag_pair"], str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {path} holds 67108865 bytes, more than the 64 MiB an input file may hold\n")
+        assert capsys.readouterr() == ("", f"error: {path} holds more than the 64 MiB an input file may hold\n")
+
+    def test_an_endless_device_is_refused_once_past_the_budget(self):
+        # /dev/zero has no size to stat: the read stops one byte past the budget, in a child that may map 1 GiB.
+        argv = [sys.executable, "-m", "bilop", "norm", "/dev/zero"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=CHILD_ENV, preexec_fn=limit_address_space)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: /dev/zero holds more than the 64 MiB an input file may hold\n"
+
+    def test_a_tensor_piped_to_dev_stdin_is_read(self, files):
+        text = pathlib.Path(files["diag_pair"]).read_text()
+        argv = [sys.executable, "-m", "bilop", "norm", "/dev/stdin", "--json"]
+        proc = subprocess.run(argv, input=text, capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli("norm", files["diag_pair"], "--json").stdout
 
     def test_json_nested_past_the_recursion_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

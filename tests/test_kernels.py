@@ -750,37 +750,47 @@ class TestStartSet:
             standard_normals(5, first, 4, 11)
 
     def test_start_counts_past_the_bound_are_refused_before_any_draw(self, diag_pair):
-        # 2**40 starts would need a 72 TiB block of normals: the bound refuses them before it is allocated, and
-        # the memo keeps nothing.
-        with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
+        # 2**40 starts would need a 72 TiB block of normals: the search's budget refuses them before anything is
+        # allocated, and the memo keeps nothing.
+        with pytest.raises(ValueError, match="a search from 1099511627782 starts of width 9 would take about 1.52e"):
             operator_norm(diag_pair, SearchConfig(starts=2**40))
         assert _stream.start_normals.cache_info().currsize == 0
 
-    def test_a_draw_past_the_byte_budget_is_refused_before_any_draw(self, diag_pair, monkeypatch):
-        # diag_pair draws 9 normals a start, from 14 outputs. With the budget at the estimate for 1000 starts, 1000
-        # are drawn and 1001 refused, by a message naming the estimate; the memo keeps only what was drawn.
-        monkeypatch.setattr(_stream, "_DRAW_BUDGET", _stream._draw_bytes(1000, 14))
+    def test_a_search_past_the_byte_budget_is_refused_before_any_draw(self, diag_pair, monkeypatch):
+        # diag_pair's search has 6 basis pairs and rows of width 9. With the budget at the estimate for 1000 random
+        # starts, 1000 are searched and 1001 refused, by a message naming the estimate; the memo keeps only what
+        # was drawn.
+        monkeypatch.setattr(spectra, "_SEARCH_BUDGET", spectra._search_bytes(1006, diag_pair.dims))
         assert operator_norm(diag_pair, SearchConfig(starts=1000))[0] == pytest.approx(3.0, abs=1e-9)
         _stream.start_normals.cache_clear()
-        with pytest.raises(ValueError, match="drawing 1001 starts of 9 normals would take about 0.000746 GiB"):
+        with pytest.raises(ValueError, match="a search from 1007 starts of width 9 would take about 0.00286 GiB, more "
+                                             "than the 0.00286 GiB a search may use"):
             operator_norm(diag_pair, SearchConfig(starts=1001))
         assert _stream.start_normals.cache_info().currsize == 0
 
     def test_no_default_search_comes_near_the_budget(self):
-        # The largest default draw of the north star's sizes, 64 * 32 starts of 96 normals at 32^3: 13 MB.
-        assert _stream._draw_bytes(64 * 32, 96 + 4 + 96 // 8) < _stream._DRAW_BUDGET / 100
+        # The largest default search of the north star's sizes: 32^2 basis pairs and 64 * 32 random starts at 32^3,
+        # about 29 MB.
+        assert spectra._search_bytes(32 * 32 + 64 * 32, (32, 32, 32)) < spectra._SEARCH_BUDGET / 64
 
-    @pytest.mark.parametrize("width", [3, 12, 96])
-    def test_the_estimate_bounds_the_draws_peak(self, width):
-        # On a block of 8192 starts the estimate lies above tracemalloc's peak, by less than half of it.
-        _stream.standard_normals(0, 0, 1, width)  # tables and ufunc loops loaded before the measurement
+    @pytest.mark.parametrize("dims, starts", [((40, 40, 1), 16), ((24, 24, 2), 16), ((3, 3, 3), 20_000)], ids=str)
+    def test_the_estimate_bounds_a_searchs_peak(self, dims, starts):
+        # A norm then a spectrum from cold memos: the estimate lies at or above tracemalloc's peak, within 2.5 times
+        # it. The first two searches are mostly basis pairs, the last mostly random starts.
+        T = Tensor3(dims, np.random.default_rng(1).standard_normal(int(np.prod(dims))))
+        cfg = SearchConfig(starts=starts)
+        operator_norm(Tensor3.from_array(np.ones((2, 2, 2))), SearchConfig(starts=4))  # ufunc loops and tables loaded
+        _stream.start_normals.cache_clear()
+        _alternating_stage.cache_clear()
         tracemalloc.start()
         try:
-            _stream.standard_normals(1, 0, 8192, width)
+            operator_norm(T, cfg)
+            enumerate_triples(T, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _stream._draw_bytes(8192, width + 4 + width // 8) <= 1.5 * peak
+        estimate = spectra._search_bytes(dims[0] * dims[1] + starts, dims)
+        assert peak <= estimate <= 2.5 * peak
 
     def test_a_negative_seed_is_refused(self):
         # SearchConfig refuses one first; the stream does too, as SeedSequence does. Without the check, _words
