@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .tensor_core import _contract, _row_blocks, _row_norms, _row_normalize
+from .tensor_core import _contract, _probed, _row_blocks, _row_norms, _row_normalize
 
 #: Newton corrector settings: the finish of every alternating run, and
 #: enumerate_triples' second search from the raw starts. From loop index
@@ -80,32 +80,34 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     orbit, (x, -y, z, -tau); it stays ok when x, y and z have unit norm within 1e-6, and each block is then
     divided by its norm in place. Rows that did not converge stay as Newton left them.
     """
+    record = _probed("newton")
     V = np.array(V0, dtype=float)
     S = V.shape[0]
     ok = np.zeros(S, dtype=bool)
-    if S == 0:
-        return V, ok
     n1, n2, n3 = arr.shape
     m = n1 + n2 + n3 + 1
     parts = _factor_slices(arr.shape)
     # The stop test's limits on |v|: _NEWTON_DIVERGED on x, y and z, the largest float on tau (only inf or NaN stops).
     lim = np.r_[np.full(m - 1, _NEWTON_DIVERGED), np.finfo(float).max]
     layout = _jacobian_layout(arr.shape)
-    mem = np.empty(min(S, _row_blocks(S, m * m)[0].stop) * layout[1].size)  # the largest row block's bordered matrices
+    mem = np.empty(min(S, _row_blocks(max(S, 1), m * m)[0].stop) * layout[1].size)  # the largest row block's bordered matrices
     batch = (np.ascontiguousarray(arr.transpose(1, 0, 2)), mem, layout, lim)
     act = np.arange(S)
+    stepping = []  # with the probe set, the rows stepping at each loop index
     # Near the float range, squares can exceed the largest float: _row_norms(F) is then inf, which the stop test reads
     # as not converged, and the collapse test's squares of |v| overflow only in diverged rows or in tau's column.
     with np.errstate(over="ignore"):
         for it in range(_NEWTON_MAX_STEPS):
+            if not act.size:
+                break
+            if record:
+                stepping.append(act.size)
             tangent = it >= _NEWTON_RETRACT
             if tangent:  # the retraction onto the unit spheres
                 X, Y, Z = (_row_normalize(V[act, cols])[0] for cols in parts)
                 V[act] = _stacked(X, Y, Z, np.einsum("sk,sk->s", _contract(arr, 2, X, Y), Z))
             blocks = _row_blocks(act.size, m * m)
             act = np.concatenate([_newton_step(arr, V, act[b], ok, batch, tangent) for b in blocks])
-            if not act.size:
-                break
 
     V[ok & (V[:, -1] < 0)] *= np.r_[np.ones(n1), -np.ones(n2), np.ones(n3), -1.0]
     # Roots carry unit norms up to the Newton tolerance; snap exactly.
@@ -115,6 +117,9 @@ def _newton_batch(arr: np.ndarray, V0: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ok[sel[off]] = False
     for cols, nrm in zip(parts, norms):
         V[sel[~off], cols] /= nrm[~off, None]
+    if record:
+        record(rows=S, iterations=len(stepping), row_steps=sum(stepping), converged=int(ok.sum()),
+               tangent=stepping[_NEWTON_RETRACT] if len(stepping) > _NEWTON_RETRACT else 0)
     return V, ok
 
 

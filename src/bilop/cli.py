@@ -140,8 +140,10 @@ def _render_json(value: Any) -> str:
 
 def _load_json_file(path: str) -> Any:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read(_FILE_BUDGET + 1)
+        data = bytearray()
+        with open(path, "rb") as fh:  # in reads of at most 1 MiB, so a small file allocates no more
+            while len(data) <= _FILE_BUDGET and (chunk := fh.read(min(1 << 20, _FILE_BUDGET + 1 - len(data)))):
+                data += chunk
         if len(data) > _FILE_BUDGET:
             raise _Exit(f"{path} holds more than the {_FILE_BUDGET >> 20} MiB an input file may hold")
         return json.loads(data.decode("utf-8"))

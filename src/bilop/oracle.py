@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import _LAZY
-from .tensor_core import Tensor3, _int_at_least
+from .tensor_core import Tensor3, _int_at_least, _row_blocks
 from .spectra import (
     SearchConfig,
     SingularTriple,
@@ -35,9 +35,6 @@ __all__ = list(_LAZY["oracle"])
 
 #: Largest per-mode dimension the brute-force oracles accept.
 _DIM_GUARD = 4
-
-#: Memory cap (in float64 values) for one grid-evaluation chunk.
-_CHUNK_BUDGET = 4_000_000
 
 #: How many first-round points grid_norm_oracle refines, and the angle that
 #: separates them (the polar half-width of the first refinement window).
@@ -130,15 +127,13 @@ def grid_norm_oracle(T: Tensor3, spec: GridSpec = GridSpec()) -> float:
     _check_guard(T.dims)
     n = min(T.dims)
     slices = np.moveaxis(T.array, T.dims.index(n), 0)
-    chunk = max(1, _CHUNK_BUDGET // slices[0].size)
     halfwidths = _initial_halfwidths(n)
     centers, best = halfwidths[None], 0.0
     for r in range(1 + spec.refinement_rounds):
         angles = np.stack([_angle_grid(c, halfwidths, spec.resolution) for c in centers])
         X = _angles_to_sphere(np.concatenate(angles), n)
         sigma = np.concatenate([
-            np.linalg.norm(np.tensordot(X[lo : lo + chunk], slices, axes=1), 2, axis=(1, 2))
-            for lo in range(0, X.shape[0], chunk)
+            np.linalg.norm(np.tensordot(X[b], slices, axes=1), 2, axis=(1, 2)) for b in _row_blocks(len(X), slices[0].size)
         ]).reshape(len(centers), -1)
         best = max(best, float(sigma.max()))
         centers = angles[range(len(centers)), sigma.argmax(axis=1)] if r else angles[0, _incumbents(sigma[0], X)]

@@ -39,8 +39,8 @@ import numpy as np
 
 from ._newton import _NEWTON_TOL, _newton_finish
 from .tensor_core import (
-    Tensor3, _CONTRACT_BLOCK, _ZERO_NORM, _contract, _factors, _int_at_least, _product, _row_blocks, _row_norms,
-    _row_normalize, hs_norm,
+    Tensor3, _CONTRACT_BLOCK, _ZERO_NORM, _contract, _factors, _int_at_least, _probe, _probed, _product, _row_blocks,
+    _row_norms, _row_normalize, hs_norm,
 )
 
 __all__ = [
@@ -242,9 +242,14 @@ def _orbit_distance(P: tuple, Q: tuple) -> np.ndarray:
     """Per row, the least over the sign variants s of max(|x - s_x x'|, |y - s_y y'|, |z - s_z z'|), for rows
     (x, y, z) of P = (X, Y, Z) against rows, or one triple, of Q. Each factor's squared distances are reduced
     once per sign, from a (2, rows, n) difference, and each variant picks its three of the six. max, min and the
-    monotone sqrt are exact, so this has the bits of a (4, rows, n) sign-variant stack at half its size."""
-    sq = np.concatenate([np.add.reduce(np.square(M - _PLUS_MINUS * N), axis=-1) for M, N in zip(P, Q)])
-    return np.sqrt(np.minimum.reduce(np.maximum.reduce(sq[_ORBIT_PICK], axis=1), axis=0))
+    monotone sqrt are exact, so this has the bits of a (4, rows, n) sign-variant stack at half its size. The
+    differences are formed in row blocks (_row_blocks) of the widest factor's pair; a row reads only itself."""
+    out = np.empty(P[0].shape[0])
+    for b in _row_blocks(out.size, 2 * max(M.shape[1] for M in P)):
+        pairs = ((M[b], N[b] if N.ndim == 2 else N) for M, N in zip(P, Q))
+        sq = np.concatenate([np.add.reduce(np.square(M - _PLUS_MINUS * N), axis=-1) for M, N in pairs])
+        out[b] = np.sqrt(np.minimum.reduce(np.maximum.reduce(sq[_ORBIT_PICK], axis=1), axis=0))
+    return out
 
 
 def _canonical_rows(
@@ -279,7 +284,7 @@ def canonicalize(triple: SingularTriple) -> SingularTriple:
 # batched alternating iteration (value stop, then a Newton finish)
 
 
-def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfig, trace: Optional[list] = None) -> dict:
+def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfig) -> dict:
     """Run the alternating iteration on a block of starts.
 
     Each row iterates z <- T(x,y)/|.|, x <- contract_1(y,z)/|.|, y <- contract_2(x,z)/|.| until the value
@@ -293,8 +298,11 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
 
     The iteration works on a compacted block of the rows still iterating (idx maps it back to start rows); a
     row leaves the block when it converges, hits a zero contraction or reaches the handoff. _contract and
-    bilop._newton make a row's arithmetic independent of the block it sits in.
+    bilop._newton make a row's arithmetic independent of the block it sits in. With the probe set, its record,
+    written before _finish runs, holds the rows' outcomes, the sweeps run and row 0's value at each of its sweeps.
     """
+    record = _probed("als")
+    values = []  # with the probe set, row 0's value at each of its sweeps
     S = X0.shape[0]
     n3 = arr.shape[2]
     X, _ = _row_normalize(np.array(X0, dtype=float))
@@ -307,13 +315,12 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
     idx = np.arange(S)
     x, y = X, Y
     f_prev = np.full(S, np.nan)
-    for it in range(cfg.max_iter):
-        if idx.size == 0:
-            break
+    it = 0  # the loop index, and after the loop the sweeps run
+    while idx.size and it < cfg.max_iter:
         z, f = _row_normalize(_contract(arr, 2, x, y))
         live = f > _ZERO_NORM
-        if trace is not None and idx[0] == 0 and live[0]:
-            trace.append(float(f[0]))
+        if record and idx[0] == 0 and live[0]:
+            values.append(float(f[0]))
         done = live & (np.abs(f - f_prev) <= cfg.iter_tol * (1.0 + f))
         if it == _ALS_HANDOFF:  # every live row leaves as it stands, for the Newton finish
             handed[idx[live & ~done]] = True
@@ -331,8 +338,12 @@ def _als_batch(arr: np.ndarray, X0: np.ndarray, Y0: np.ndarray, cfg: SearchConfi
         # norms whose squares underflow (at 1e-162 * randn(3, 3, 3) an x norm reads 0 while f > _ZERO_NORM).
         x, _ = _row_normalize(_contract(arr, 0, y, z))
         y, _ = _row_normalize(_contract(arr, 1, x, z))
+        it += 1
 
     stopped = ok & ~handed
+    if record:
+        record(rows=S, sweeps=it, stops=int(stopped.sum()), handoffs=int(handed.sum()), dead=int(dead.sum()),
+               max_iter=int((~ok & ~dead).sum()), values=values)
     _finish(arr, X, Y, Z, ok, cfg)
     return {"X": X, "Y": Y, "Z": Z, "ok": ok, "stopped": stopped, "dead": dead}
 
@@ -345,6 +356,7 @@ def _finish(arr, X, Y, Z, ok, cfg) -> None:
     (_tie_groups) are finished lead first: a group's first row. If the lead's root passes the search's gate
     (_verified at residual_tol), the group's rows within dedup_tol/2 of it in a sign variant are dropped
     unfinished: they would finish onto it and lose the dedup to the lead."""
+    record = _probed("finish")
     sel = np.flatnonzero(ok)
     tau, R = _residuals(arr, X[sel], Y[sel], Z[sel])
     far = R.max(axis=1) > _NEWTON_TOL * (1.0 + np.abs(tau))
@@ -361,6 +373,8 @@ def _finish(arr, X, Y, Z, ok, cfg) -> None:
     rest[mates] = False
     ok[sel[mates]] = False
     _newton_finish(arr, X, Y, Z, sel[rest], tau[rest])
+    if record:
+        record(rows=sel.size, leads=lead.size, dropped=mates.size)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +450,14 @@ def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: 
     replaces a call per orbit. The kept rows, grouped again, are ordered by group, then lexicographically by
     the entries of x and of y, with exact ties kept in tau order. The first group listed is greedy
     deflation's top band."""
+    record = _probed("listing")
     order = np.argsort(-tau, kind="stable")
     group = _tie_groups(tau, cfg.dedup_tol)
     live = np.ones(tau.size, dtype=bool)
     open_ = live.copy()  # live rows not yet kept
+    rounds = 0
     while (rows := np.flatnonzero(open_)).size:
+        rounds += 1
         head = np.full(tau.size, tau.size)
         np.minimum.at(head, group[rows], rows)
         head = head[group[rows]]  # each open row's group's first open row, which is kept
@@ -452,6 +469,8 @@ def _listing(tau: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, cfg: 
         live[later[_orbit_distance((X[later], Y[later], Z[later]), (X[kept], Y[kept], Z[kept])) <= cfg.dedup_tol]] = False
         open_ &= live
     kept = order[live[order]]
+    if record:
+        record(rows=tau.size, rounds=rounds, kept=kept.size)
     # lexsort's last key is its primary one.
     keys = np.hstack([X[kept], Y[kept]])[:, ::-1].T
     return kept[np.lexsort(np.vstack([keys, _tie_groups(tau[kept], cfg.dedup_tol)]))]
@@ -585,9 +604,9 @@ def hopm_value_trace(T: Tensor3, x0, y0, cfg: SearchConfig = SearchConfig()) -> 
     at most 101 values (loop index _ALS_HANDOFF).
     """
     xa, ya = _factors(T.dims, x0=x0, y0=y0)
-    values: list[float] = []
-    _als_batch(T.array, xa[None, :], ya[None, :], cfg, trace=values)
-    return np.asarray(values)
+    with _probe() as probe:
+        _als_batch(T.array, xa[None, :], ya[None, :], cfg)
+    return np.asarray(probe["als"][0]["values"])
 
 
 def _unit_triple(T: Tensor3, triple: SingularTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

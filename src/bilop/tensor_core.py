@@ -14,8 +14,11 @@ apply(T, x, y) - tau z is bit for bit the residual the search's gate reads.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +48,9 @@ _CONTRACT_BLOCK = 1 << 16
 
 #: Norms below this count as "a zero vector" during normalization.
 _ZERO_NORM = 1e-250
+
+#: None, or the dict of the innermost _probe(): the search's phases append their records to it.
+_PROBE: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("bilop_probe", default=None)
 
 ArrayLike = Union["VectorH", Sequence[float], np.ndarray]
 
@@ -281,6 +287,26 @@ def _product(F: np.ndarray, unf: np.ndarray) -> np.ndarray:
     """F @ unf. numpy hands a one-row product to gemv, whose summation order differs from gemm's, so a lone
     row is computed doubled: every row is summed by gemm, whatever block it sits in."""
     return (np.repeat(F, 2, axis=0) @ unf)[:1] if F.shape[0] == 1 else F @ unf
+
+
+@contextlib.contextmanager
+def _probe():
+    """Set a fresh dict as the probe and yield it: in the block, each call of spectra._als_batch, _finish and _listing
+    and of _newton._newton_batch appends a record (its counts and seconds) to the list at "als", "finish", "listing"
+    or "newton". No arithmetic reads the probe; unset, each of those calls pays one get() and counts nothing."""
+    token = _PROBE.set({})
+    try:
+        yield _PROBE.get()
+    finally:
+        _PROBE.reset(token)
+
+
+def _probed(phase: str) -> Optional[Callable[..., None]]:
+    """None while no probe is set, else a function that appends its counts, with the seconds since now, to phase's list."""
+    if (probe := _PROBE.get()) is None:
+        return None
+    began = time.perf_counter()
+    return lambda **counts: probe.setdefault(phase, []).append({**counts, "seconds": time.perf_counter() - began})
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import resource
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -30,6 +31,7 @@ from bilop import (
     tensor_to_json_dict,
     verify_representation,
 )
+from bilop.tensor_core import _probe
 from conftest import legendre_kernel, sub_gate_tail, tied_cubic
 
 S2 = np.sqrt(2.0)
@@ -183,6 +185,7 @@ class TestNorm:
         assert proc.stdout == ""
         assert "max_iter=1" in proc.stderr
 
+    @pytest.mark.numpy1
     def test_start_counts_past_the_bound_exit_two(self, files):
         # 2**40 starts would need a 72 TiB table of normals: the search's budget refuses them before it is allocated.
         proc = run_cli("norm", files["diag_pair"], "--starts", str(2**40), "--json")
@@ -192,6 +195,7 @@ class TestNorm:
             "a search may use\n"
         )
 
+    @pytest.mark.numpy1
     def test_a_search_past_the_byte_budget_exits_two(self, files):
         # 2**31 starts pass the stream's index bound, and on a 3^3 tensor their search would take about 3 TB by
         # estimate: refused. The child may map 1 GiB, so a search that went ahead would fail at once, not exhaust memory.
@@ -210,6 +214,7 @@ class TestNorm:
         [(["norm", "--starts", "1"], 360001, "42.1"), (["spectrum"], 398400, "46.6"), (["schmidt"], 398400, "46.6")],
         ids=["norm", "spectrum", "schmidt"],
     )
+    @pytest.mark.numpy1
     def test_a_wide_tensor_is_refused_before_its_basis_pairs_are_built(self, wide_file, argv, rows, gib):
         # 600 x 600 x 1 makes 360000 basis-pair starts of width 1201 whatever --starts says, from a file of 2.6 MB:
         # 1.6 GiB for the pair block alone. schmidt's SVD reading fails at its one term, and greedy's search is refused.
@@ -563,6 +568,7 @@ def json_inputs(draw) -> tuple[object, object]:
     return tensor, triples if whole == "list" else {"triples": triples}
 
 
+@pytest.mark.numpy1
 class TestInputHandling:
     @settings(max_examples=200, deadline=None)
     @given(json_inputs())
@@ -610,6 +616,15 @@ class TestInputHandling:
         assert cli.main(["verify", files["diag_pair"], str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {path} holds more than the 64 MiB an input file may hold\n")
 
+    def test_a_small_file_is_read_without_allocating_the_budget(self, files):
+        tracemalloc.start()
+        try:
+            cli._load_json_file(files["diag_pair"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"loading a small file peaked at {peak / 2**20:.2f} MiB"
+
     def test_an_endless_device_is_refused_once_past_the_budget(self):
         # /dev/zero has no size to stat: the read stops one byte past the budget, in a child that may map 1 GiB.
         argv = [sys.executable, "-m", "bilop", "norm", "/dev/zero"]
@@ -645,13 +660,10 @@ class TestInputHandling:
         assert proc.stdout == ""
         assert "tensor values overflow" in proc.stderr
 
-    def test_overflowing_tensor_is_refused_before_any_search(self, files, monkeypatch, capsys):
-        def searched(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(spectra, "_alternating_stage", searched)
-        assert cli.main(["norm", files["huge"]]) == 2
-        assert capsys.readouterr().out == ""
+    def test_overflowing_tensor_is_refused_before_any_search(self, files, capsys):
+        with _probe() as probe:
+            assert cli.main(["norm", files["huge"]]) == 2
+        assert capsys.readouterr().out == "" and "als" not in probe
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
     @pytest.mark.parametrize("command", ["norm", "spectrum", "schmidt", "schur", "verify"])
@@ -953,6 +965,7 @@ RENDER_CASES = {
 }
 
 
+@pytest.mark.numpy1
 class TestRenderJson:
     """--json reports render byte for byte as they always have; the first test to fail if a Python release
     changes the stdlib loop that cli._render_json runs."""

@@ -82,6 +82,7 @@ def inputs(tmp_path_factory):
     return {k: str(v) for k, v in paths.items()}
 
 
+@pytest.mark.numpy1
 class TestFootprint:
     def test_import_bilop_loads_only_the_core(self):
         assert json.loads(run_fresh(f"import json, sys, bilop; print(json.dumps({LOADED}))")) == CORE

@@ -48,7 +48,7 @@ from bilop.spectra import (
     _standard_starts,
     _tie_groups,
 )
-from bilop.tensor_core import _contract, _row_norms
+from bilop.tensor_core import _contract, _probe, _row_norms
 
 #: The einsum definition of each contraction mode, and the factor modes of
 #: its (U, V) operands.
@@ -105,51 +105,6 @@ class TestAlsBatch:
         assert res["dead"].tolist() == [False, True, True, False, True, True]
 
 
-def als_sweeps(monkeypatch) -> list:
-    """Patch spectra so each _als_batch run appends its sweep count: its T(x, y) contractions before _finish."""
-    sweeps, looping = [], [False]
-    als, contract, finish = spectra._als_batch, spectra._contract, spectra._finish
-
-    def spy_als(*args, **kwargs):
-        sweeps.append(0)
-        looping[0] = True
-        return als(*args, **kwargs)
-
-    def spy_contract(arr, mode, U, V):
-        if looping[0] and mode == 2:
-            sweeps[-1] += 1
-        return contract(arr, mode, U, V)
-
-    def spy_finish(*args):
-        looping[0] = False
-        return finish(*args)
-
-    for name, spy in (("_als_batch", spy_als), ("_contract", spy_contract), ("_finish", spy_finish)):
-        monkeypatch.setattr(spectra, name, spy)
-    return sweeps
-
-
-def newton_steps(monkeypatch) -> list:
-    """Patch bilop._newton so each _newton_batch run appends its rows' step counts: how often each met _newton_step.
-
-    Every loop index steps each row still going once, so a run's last loop index is its largest count less one.
-    """
-    runs = []
-    batch, step = _newton._newton_batch, _newton._newton_step
-
-    def spy_batch(arr, V0, *args):
-        runs.append(np.zeros(len(V0), dtype=int))
-        return batch(arr, V0, *args)
-
-    def spy_step(arr, V, idx, *args):
-        runs[-1][idx] += 1
-        return step(arr, V, idx, *args)
-
-    monkeypatch.setattr(_newton, "_newton_batch", spy_batch)
-    monkeypatch.setattr(_newton, "_newton_step", spy_step)
-    return runs
-
-
 def gallery_searches():
     """The norm's stage, each greedy step and the lattice search of the four gallery tensors at seeds 0 to 10."""
     for seed in range(11):
@@ -168,16 +123,18 @@ GAUSS_8_FAILURE = Tensor3.from_array(np.random.default_rng([0, 4]).standard_norm
 class TestAlsHandoff:
     def test_rows_still_iterating_at_the_handoff_go_to_newton(self, monkeypatch):
         cfg = SearchConfig()
-        sweeps = als_sweeps(monkeypatch)
-        norm = operator_norm(GAUSS_8_FAILURE, cfg)
-        rep, report = schmidt_decompose(GAUSS_8_FAILURE, cfg)
-        assert sweeps == [spectra._ALS_HANDOFF + 1] == [101]  # greedy's step 1 is served the norm's stage
+        with _probe() as probe:
+            norm = operator_norm(GAUSS_8_FAILURE, cfg)
+            rep, report = schmidt_decompose(GAUSS_8_FAILURE, cfg)
+        # greedy's step 1 is served the norm's stage
+        assert [r["sweeps"] for r in probe["als"]] == [spectra._ALS_HANDOFF + 1] == [101]
         assert rep.status is SchmidtStatus.FAILED
         assert (report.failure.step, report.failure.reason) == (1, FailureReason.NOT_ORDERED)
         _alternating_stage.cache_clear()
         monkeypatch.setattr(spectra, "_ALS_HANDOFF", cfg.max_iter + 1)
-        assert abs(operator_norm(GAUSS_8_FAILURE, cfg)[0] - norm[0]) <= 1e-12
-        assert sweeps[1] == 251
+        with _probe() as probe:
+            assert abs(operator_norm(GAUSS_8_FAILURE, cfg)[0] - norm[0]) <= 1e-12
+        assert probe["als"][0]["sweeps"] == 251
         # The same failure, and the same top tau in its diagnostics.
         assert schmidt_decompose(GAUSS_8_FAILURE, cfg)[1].failure == report.failure
 
@@ -199,21 +156,51 @@ class TestAlsHandoff:
             assert bool((~res["ok"] & ~res["dead"]).any()) is not handed
             assert bool((res["ok"] & ~res["stopped"]).any()) is handed
 
-    def test_every_gallery_run_ends_before_the_handoff(self, monkeypatch):
+    def test_every_gallery_run_ends_before_the_handoff(self):
         # So the handoff cannot move a gallery answer: the norm's stage, each greedy step and the lattice search.
-        sweeps = als_sweeps(monkeypatch)
-        gallery_searches()
+        with _probe() as probe:
+            gallery_searches()
         # A run of k sweeps ends at loop index k - 1.
-        assert max(sweeps) <= spectra._ALS_HANDOFF, f"the longest gallery ALS run takes {max(sweeps)} sweeps"
+        sweeps = max(r["sweeps"] for r in probe["als"])
+        assert sweeps <= spectra._ALS_HANDOFF, f"the longest gallery ALS run takes {sweeps} sweeps"
 
-    def test_every_gallery_newton_run_ends_by_loop_index_29(self, monkeypatch):
+    def test_every_gallery_newton_run_ends_by_loop_index_29(self):
         # The raw pass, the finish, greedy steps and the lattice search: the last gallery row converges at index
         # 29, so a change to Newton's steps from index 30 on moves no gallery answer. Rows that collapse stop
         # at indices 2 to 19, and none steps past 28.
-        runs = newton_steps(monkeypatch)
-        gallery_searches()
-        last = max(int(steps.max()) for steps in runs if steps.size) - 1
+        with _probe() as probe:
+            gallery_searches()
+        last = max(r["iterations"] for r in probe["newton"]) - 1
         assert last <= 29, f"a gallery Newton run ends at loop index {last}"
+
+
+def answer_bytes(T) -> list:
+    """A cold norm's and spectrum's answers of T, each triple's tau, x, y, z and residuals as bytes."""
+    _alternating_stage.cache_clear()
+    norm, _ = operator_norm(T)
+    return [norm, *(np.r_[t.tau, t.x, t.y, t.z, t.residuals].tobytes() for t in enumerate_triples(T).triples)]
+
+
+@pytest.mark.numpy1
+class TestProbe:
+    @pytest.mark.parametrize(
+        "T",
+        [
+            *(getattr(gallery, name)() for name in gallery.__all__),
+            *(Tensor3.from_array(np.random.default_rng([1, *d]).standard_normal(d)) for d in [(4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 8, 6)]),
+        ],
+        ids=[*gallery.__all__, "gauss-4x4x4", "gauss-5x5x5", "gauss-6x6x6", "gauss-4x8x6"],
+    )
+    def test_answers_are_the_same_bytes_with_the_probe_set(self, T):
+        unset = answer_bytes(T)
+        with _probe() as probe:
+            assert answer_bytes(T) == unset
+        (als,) = probe["als"]
+        n1, n2, _ = T.dims
+        assert als["rows"] == n1 * n2 + 64 * max(T.dims) == als["stops"] + als["handoffs"] + als["dead"] + als["max_iter"]
+        # The finish's two Newton runs, then the raw pass; one listing per search.
+        assert len(probe["finish"]) == 1 and len(probe["newton"]) == 3 and len(probe["listing"]) == 2
+        assert probe["newton"][-1]["rows"] == als["rows"]
 
 
 def newton_starts(shape, rows, seed):
@@ -263,21 +250,15 @@ class TestNewtonBatch:
         assert ok.tolist() == [True, False]
         assert np.array_equal(V[0], np.r_[x, y, z, 3.0])
 
-    def test_a_row_collapsing_onto_tau_zero_stops_within_a_few_steps(self, monkeypatch):
+    def test_a_row_collapsing_onto_tau_zero_stops_within_a_few_steps(self):
         # Unit x with y = z = 1e-3 * unit and tau = 0 sits next to the tau = 0
         # component (x, 0, 0, 0); without the collapse exit it steps 12 times.
         arr = np.random.default_rng([8, 4]).standard_normal((4, 4, 4))
         u = np.full(4, 0.5)
-        step, alive = _newton._newton_step, []
-
-        def counted(*args):
-            rows = step(*args)
-            alive.append(bool(rows.size))  # the one row steps on
-            return rows
-
-        monkeypatch.setattr(_newton, "_newton_step", counted)
-        V, ok = _newton_batch(arr, np.r_[u, 1e-3 * u, 1e-3 * u, 0.0][None])
-        assert not ok[0] and alive[-1] is False and len(alive) <= 5
+        with _probe() as probe:
+            V, ok = _newton_batch(arr, np.r_[u, 1e-3 * u, 1e-3 * u, 0.0][None])
+        (run,) = probe["newton"]
+        assert not ok[0] and run["iterations"] <= 5  # the loop ends once its one row stops
 
     def test_a_start_near_a_root_converges_to_it_as_without_the_collapse_exit(self, monkeypatch):
         T = Tensor3.from_array(np.random.default_rng([8, 4]).standard_normal((4, 4, 4)))
@@ -301,6 +282,7 @@ class TestNewtonBatch:
         assert not ok[0] and np.abs(V[0, 3:9]).max() > 1e154
 
 
+@pytest.mark.numpy1
 class TestNewtonStopRule:
     def test_each_stop_reason_at_its_edge(self, monkeypatch):
         # Rows v = 0 are no roots (|x| = 0), and a stubbed step of -w lands each of them exactly on w.
@@ -332,6 +314,7 @@ class TestNewtonStopRule:
         assert [list(landed)[r] for r in rows] == ["x at 1e6", "tau 1e300", "min(|y|, |z|) 2e-4"]
 
 
+@pytest.mark.numpy1
 class TestNewtonA1:
     #: The benchmark's dims, then the gallery's.
     SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 8, 6), (8, 8, 8), (12, 12, 12), (6, 10, 8), (3, 2, 4), (3, 3, 3)]
@@ -377,6 +360,7 @@ def reference_jacobian(A1, A2, A3, x, y, z, t):
     return J
 
 
+@pytest.mark.numpy1
 class TestJacobians:
     @staticmethod
     def step_jacobians(arr, V, idx, monkeypatch, tangent=False):
@@ -464,6 +448,7 @@ def dense_bordered(arr, X, Y, Z, t):
     return W
 
 
+@pytest.mark.numpy1
 class TestJacobianLayout:
     SHAPES = [(2, 3, 4), (4, 4, 4), (4, 8, 6)]
 
@@ -600,6 +585,7 @@ def reference_listing(tau, X, Y, Z, cfg):
     return kept[reference_tie_order(tau[kept], X[kept], Y[kept], cfg)].tolist()
 
 
+@pytest.mark.numpy1
 class TestTieOrder:
     @settings(max_examples=200, deadline=None)
     @example(0, 3, 2, 1, [1.0] * 16, [0.0] * 144)  # empty input
@@ -706,6 +692,7 @@ def reference_random_starts(dims, count, seed):
     return tuple(M / np.linalg.norm(M, axis=1)[:, None] for M in (V[:, cols] for cols in _factor_slices(dims)))
 
 
+@pytest.mark.numpy1
 class TestStartSet:
     @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
     def test_answers_do_not_depend_on_the_memo(self, search):
@@ -1065,6 +1052,7 @@ def candidate_sets(draw):
     return cands, cfg
 
 
+@pytest.mark.numpy1
 class TestDedup:
     @settings(max_examples=200, deadline=None)
     @given(candidate_sets())

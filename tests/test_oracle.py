@@ -195,6 +195,7 @@ class TestExhaustiveSmallSpectrum:
             np.testing.assert_allclose(ref, got, atol=1e-8)
 
 
+@pytest.mark.numpy1
 class TestConfirmComplete:
     def test_certifies_tiny_instances(self):
         T = gallery.signed_diagonal((1.0, 1.0))

@@ -77,7 +77,7 @@ from bilop.spectra import (
     _standard_starts,
     _tie_groups,
 )
-from bilop.tensor_core import _contract, _row_norms
+from bilop.tensor_core import _contract, _probe, _row_norms
 from conftest import sub_gate_tail
 
 # ---------------------------------------------------------------------------
@@ -664,6 +664,7 @@ def same_bytes(got, want):
 # the tests
 
 
+@pytest.mark.numpy1
 class TestNewtonLoop:
     @EACH_TENSOR
     @pytest.mark.parametrize("start", ["raw", "als"])
@@ -691,19 +692,13 @@ class TestNewtonLoop:
         assert same_bytes(got, want)
         assert not got[1][-3:].any() and np.abs(got[0][-2, 4:12]).max() > 1e154
 
-    def test_a_singular_row_stops_after_one_step(self, monkeypatch):
+    def test_a_singular_row_stops_after_one_step(self):
         # x = 0 zeroes the Jacobian's last row: its step is 0, so only the stop keeps it from a 40-step tail.
         T = TENSORS["gauss-4x4x4"]
         V0 = np.r_[np.zeros(4), np.full(8, 0.5), 1.0][None]
-        step, calls = _newton._newton_step, []
-
-        def counted(*args):
-            calls.append(step(*args))
-            return calls[-1]
-
-        monkeypatch.setattr(_newton, "_newton_step", counted)
-        assert same_bytes(_newton_batch(T.array, V0), ref_newton_batch(T.array, V0))
-        assert len(calls) == 1 and calls[0].size == 0
+        with _probe() as probe:
+            assert same_bytes(_newton_batch(T.array, V0), ref_newton_batch(T.array, V0))
+        assert [r["iterations"] for r in probe["newton"]] == [1]
 
     def test_rows_stepping_at_step_20_take_tangent_steps_from_the_unit_spheres(self, monkeypatch):
         # One row block of raw starts, so each _newton_step call is one step of the loop; some rows run to the cap.
@@ -831,6 +826,7 @@ class TestOrbitDistance:
         assert _listing(tau, *P, SearchConfig()).size == 4
 
 
+@pytest.mark.numpy1
 class TestListing:
     """_listing's rounds, each keeping every group's first open row and testing the group's other open rows
     against it at once, against the merge one tie group at a time (ref_listing); and the triples built from one
@@ -869,15 +865,12 @@ class TestListing:
         return (np.array(taus), *(np.array([r[f] for r in rows]).reshape(len(rows), n) for f, n in enumerate(dims)))
 
     @staticmethod
-    def rounds(monkeypatch, args):
-        """The _orbit_distance calls of _listing(*args), and the most rows it keeps in one tie group of dedup_tol."""
-        calls = []
-        distance = spectra._orbit_distance
-        with monkeypatch.context() as m:
-            m.setattr(spectra, "_orbit_distance", lambda P, Q: calls.append(1) or distance(P, Q))
+    def rounds(args):
+        """The merge rounds of _listing(*args), and the most rows it keeps in one tie group of dedup_tol."""
+        with _probe() as probe:
             kept = _listing(*args)
         group = _tie_groups(args[0], args[-1].dedup_tol)
-        return len(calls), int(np.bincount(group[kept]).max())
+        return probe["listing"][0]["rounds"], int(np.bincount(group[kept]).max())
 
     @pytest.mark.parametrize(
         "T",
@@ -911,7 +904,7 @@ class TestListing:
         listed = _listing(tau, X, Y, Z, self.CFG)
         assert sorted(listed.tolist()) == [0, 1] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
 
-    def test_a_group_keeping_three_orbits_in_four_rounds(self, monkeypatch):
+    def test_a_group_keeping_three_orbits_in_four_rounds(self):
         # One chained group: orbits 0, 1 and 2 at 1, then orbit 1 in two other sign variants at 1 + 1.5e-6 and
         # 1 + 3e-6. Round 2 keeps row 1, which drops row 3. Row 4 lies out of row 1's band, dedup_tol * (1 + max
         # tau) = 2e-6, and is a mate only of row 3, which is dropped: it stays, and round 4 keeps it.
@@ -919,12 +912,12 @@ class TestListing:
         assert _tie_groups(tau, self.CFG.dedup_tol).tolist() == [0] * 5
         listed = _listing(tau, X, Y, Z, self.CFG)
         assert sorted(listed.tolist()) == [0, 1, 2, 4] and listed.tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist()
-        assert self.rounds(monkeypatch, (tau, X, Y, Z, self.CFG)) == (4, 4)
+        assert self.rounds((tau, X, Y, Z, self.CFG)) == (4, 4)
 
     @pytest.mark.parametrize("name, calls", [("diagonal_pair", 4), ("overlapping_slices", 2), ("orthonormal_triad", 15), ("signed_diagonal", 14)])
     def test_one_distance_call_per_round_on_the_gallery(self, monkeypatch, name, calls):
         _, args, _, _ = self.captured(monkeypatch, getattr(gallery, name)())
-        assert self.rounds(monkeypatch, args) == (calls, calls)
+        assert self.rounds(args) == (calls, calls)
 
     def test_one_distance_call_per_gaussian_listing(self, monkeypatch):
         # One tensor of each shape of the benchmark's seed-1 spectrum-gaussian cycle, its norm and its spectrum:
@@ -938,7 +931,7 @@ class TestListing:
             task.run()
         assert len(seen) == 8
         for args in seen:
-            assert self.rounds(monkeypatch, args) == (1, 1)
+            assert self.rounds(args) == (1, 1)
 
     def test_a_row_outside_the_first_rows_band_dropped_by_a_later_kept_row(self):
         # One chained group: row 0 (orbit 0) at 1, row 1 (orbit 1) 1.5e-6 above it, row 2 (orbit 1 in another
@@ -958,6 +951,21 @@ class TestListing:
         signs = [first, *(s for s in range(4) if s != first)]
         tau, X, Y, Z = self.orbit_rows([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9], [(2, s) for s in signs])
         assert _listing(tau, X, Y, Z, self.CFG).tolist() == ref_listing(tau, X, Y, Z, self.CFG).tolist() == [0]
+
+    def test_a_large_tie_group_is_merged_in_row_blocks(self):
+        # 4000 rows of one orbit in random sign variants, z 64 wide: one round drops all but row 0. Its sign-variant
+        # differences are formed in row blocks, so the merge peaks below 4 times the rows' own bytes; the (2, rows, 64)
+        # difference of z alone, and its square, took 8 MiB.
+        variants = [(0, s) for s in np.random.default_rng(24).integers(0, 4, 4000)]
+        tau, X, Y, Z = self.orbit_rows(np.ones(4000), variants, dims=(2, 2, 64))
+        tracemalloc.start()
+        try:
+            listed = _listing(tau, X, Y, Z, self.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert listed.tolist() == [0]
+        assert peak < 4 * (X.nbytes + Y.nbytes + Z.nbytes), f"the merge peaked at {peak / 2**20:.2f} MiB"
 
     def test_empty_input(self):
         tau, X, Y, Z = np.empty(0), np.empty((0, 3)), np.empty((0, 2)), np.empty((0, 4))
