@@ -411,10 +411,10 @@ def _standard_starts(
 
 
 def _search_bytes(rows: int, dims: tuple[int, int, int]) -> int:
-    """A search's peak bytes from above: per start row 7 float64 per entry of x | y | z, 12 per entry of the widest
+    """A search's peak bytes from above: per start row 7 float64 per entry of x | y | z, 4 per entry of the widest
     factor and 75 more, then three row blocks (_row_blocks), whose Newton rows make (n + 3)**2 entries each."""
     n = sum(dims)
-    return 8 * (rows * (7 * n + 12 * max(dims) + 75) + 3 * max(_CONTRACT_BLOCK, 2 * (n + 3) ** 2))
+    return 8 * (rows * (7 * n + 4 * max(dims) + 75) + 3 * max(_CONTRACT_BLOCK, 2 * (n + 3) ** 2))
 
 
 # ---------------------------------------------------------------------------

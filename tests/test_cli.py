@@ -191,13 +191,13 @@ class TestNorm:
         proc = run_cli("norm", files["diag_pair"], "--starts", str(2**40), "--json")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "error: a search from 1099511627782 starts of width 9 would take about 1.52e+06 GiB, more than the 2 GiB "
+            "error: a search from 1099511627782 starts of width 9 would take about 1.26e+06 GiB, more than the 2 GiB "
             "a search may use\n"
         )
 
     @pytest.mark.numpy1
     def test_a_search_past_the_byte_budget_exits_two(self, files):
-        # 2**31 starts pass the stream's index bound, and on a 3^3 tensor their search would take about 3 TB by
+        # 2**31 starts pass the stream's index bound, and on a 3^3 tensor their search would take about 2.6 TB by
         # estimate: refused. The child may map 1 GiB, so a search that went ahead would fail at once, not exhaust memory.
         proc = subprocess.run(
             [sys.executable, "-m", "bilop", "norm", files["signed_diag"], "--starts", str(2**31), "--json"],
@@ -205,13 +205,13 @@ class TestNorm:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "error: a search from 2147483657 starts of width 9 would take about 2.78e+03 GiB, more than the 2 GiB "
+            "error: a search from 2147483657 starts of width 9 would take about 2.4e+03 GiB, more than the 2 GiB "
             "a search may use\n"
         )
 
     @pytest.mark.parametrize(
         "argv, rows, gib",
-        [(["norm", "--starts", "1"], 360001, "42.1"), (["spectrum"], 398400, "46.6"), (["schmidt"], 398400, "46.6")],
+        [(["norm", "--starts", "1"], 360001, "29.3"), (["spectrum"], 398400, "32.4"), (["schmidt"], 398400, "32.4")],
         ids=["norm", "spectrum", "schmidt"],
     )
     @pytest.mark.numpy1

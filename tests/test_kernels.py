@@ -4,8 +4,10 @@ sign-orbit merge, each against its one-at-a-time definition."""
 
 import hashlib
 import importlib
+import math
 import pathlib
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -739,7 +741,7 @@ class TestStartSet:
     def test_start_counts_past_the_bound_are_refused_before_any_draw(self, diag_pair):
         # 2**40 starts would need a 72 TiB block of normals: the search's budget refuses them before anything is
         # allocated, and the memo keeps nothing.
-        with pytest.raises(ValueError, match="a search from 1099511627782 starts of width 9 would take about 1.52e"):
+        with pytest.raises(ValueError, match="a search from 1099511627782 starts of width 9 would take about 1.26e"):
             operator_norm(diag_pair, SearchConfig(starts=2**40))
         assert _stream.start_normals.cache_info().currsize == 0
 
@@ -750,20 +752,25 @@ class TestStartSet:
         monkeypatch.setattr(spectra, "_SEARCH_BUDGET", spectra._search_bytes(1006, diag_pair.dims))
         assert operator_norm(diag_pair, SearchConfig(starts=1000))[0] == pytest.approx(3.0, abs=1e-9)
         _stream.start_normals.cache_clear()
-        with pytest.raises(ValueError, match="a search from 1007 starts of width 9 would take about 0.00286 GiB, more "
-                                             "than the 0.00286 GiB a search may use"):
+        with pytest.raises(ValueError, match="a search from 1007 starts of width 9 would take about 0.00262 GiB, more "
+                                             "than the 0.00262 GiB a search may use"):
             operator_norm(diag_pair, SearchConfig(starts=1001))
         assert _stream.start_normals.cache_info().currsize == 0
 
     def test_no_default_search_comes_near_the_budget(self):
         # The largest default search of the north star's sizes: 32^2 basis pairs and 64 * 32 random starts at 32^3,
-        # about 29 MB.
+        # about 23 MB.
         assert spectra._search_bytes(32 * 32 + 64 * 32, (32, 32, 32)) < spectra._SEARCH_BUDGET / 64
 
-    @pytest.mark.parametrize("dims, starts", [((40, 40, 1), 16), ((24, 24, 2), 16), ((3, 3, 3), 20_000)], ids=str)
+    @pytest.mark.parametrize(
+        "dims, starts",
+        [((40, 40, 1), 16), ((24, 24, 2), 16), ((3, 3, 3), 20_000), ((64, 8, 8), 16), ((8, 8, 64), 16), ((2, 2, 64), 16)],
+        ids=str,
+    )
     def test_the_estimate_bounds_a_searchs_peak(self, dims, starts):
         # A norm then a spectrum from cold memos: the estimate lies at or above tracemalloc's peak, within 2.5 times
-        # it. The first two searches are mostly basis pairs, the last mostly random starts.
+        # it. The 3^3 search is mostly random starts, the others mostly basis pairs; the last three have one factor
+        # eight or more times wider than another.
         T = Tensor3(dims, np.random.default_rng(1).standard_normal(int(np.prod(dims))))
         cfg = SearchConfig(starts=starts)
         operator_norm(Tensor3.from_array(np.ones((2, 2, 2))), SearchConfig(starts=4))  # ufunc loops and tables loaded
@@ -806,20 +813,42 @@ class TestStartSet:
 
     def test_a_draw_through_the_tail_and_the_wedge(self, monkeypatch):
         # Start 200 of seed 0 leaves the fast path three times: a tail draw beyond r = 3.6541528853610088, then
-        # a wedge test that rejects its proposal and one that keeps it.
-        slow, real = [], _stream._slow
+        # a wedge test that rejects its proposal and one that keeps it. The stream's math.log1p calls come in pairs,
+        # one per tail sample, and its math.exp calls, one per wedge test, take -x * x / 2 of the proposal x.
+        calls = []
 
-        def spy(u, p, proposal):
-            result = real(u, p, proposal)
-            slow.append((int(u[p]) & 0xFF, result[1]))
-            return result
+        def spy(name):
+            real = getattr(math, name)
 
-        monkeypatch.setattr(_stream, "_slow", spy)
+            def call(value):
+                calls.append((name, value, real(value)))
+                return calls[-1][2]
+
+            return call
+
+        monkeypatch.setattr(_stream, "math", types.SimpleNamespace(log1p=spy("log1p"), exp=spy("exp")))
         row = standard_normals(0, 200, 1, 30)[0]
         assert np.array_equal(row, np.random.default_rng([0, 200]).standard_normal(30))
-        (tail_layer, tail), *wedges = slow
-        assert tail_layer == 0 and abs(tail) > _stream._R == 3.6541528853610088 and tail in row
-        assert [(layer > 0, value is None) for layer, value in wedges] == [(True, True), (True, False)]
+        tail = [result for name, _, result in calls if name == "log1p"]
+        wedges = [value for name, value, _ in calls if name == "exp"]
+        assert [name for name, *_ in calls] == ["log1p"] * len(tail) + ["exp"] * len(wedges) and len(tail) % 2 == 0
+        samples = [(-_stream._INV_R * a, -b) for a, b in zip(tail[::2], tail[1::2])]
+        assert [yy + yy > xx * xx for xx, yy in samples] == [False] * (len(samples) - 1) + [True]
+        tails = [x for x in row if abs(x) == _stream._R + samples[-1][0]]
+        assert len(tails) == 1 and abs(tails[0]) > _stream._R == 3.6541528853610088
+        assert [any(-0.5 * x * x == value for x in row) for value in wedges] == [False, True]
+
+    @pytest.mark.parametrize("count, width", [(2048, 96), (8192, 9)])
+    def test_a_draw_peaks_within_twice_its_output(self, count, width):
+        # Each start's normals go straight into the output, and SeedSequence's arrays and their Python ints hold one
+        # block of starts at a time, so neither a wide draw nor a long one holds much more than its output.
+        tracemalloc.start()
+        try:
+            out = standard_normals(0, 0, count, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes, f"the draw peaked at {peak / 2**20:.2f} MiB for {out.nbytes / 2**20:.2f} MiB"
 
     def test_the_stream_is_pinned(self):
         # bilop's own normals of seed 0, 272 starts of width 12, whatever numpy is installed.
